@@ -145,7 +145,6 @@ def homology_data(C: ChainComplexT, n: int):
         return [], [], []
     if dn.nrows == 0:
         ker = [tuple((1 if j == i else 0) for j in range(C.dim(n))) for i in range(C.dim(n))]
-        ker = [tuple(map(lambda x: x, k)) for k in ker]
     else:
         ker = dn.nullspace()
     dnp = C.diff(n + 1)

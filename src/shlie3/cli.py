@@ -256,6 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.n < 1 or args.trunc < 1:
+        sys.stderr.write("error: --n and --trunc must be at least 1\n")
+        return 2
     try:
         spec = _load(args.file)
         report, code = COMMANDS[args.command](spec, args)

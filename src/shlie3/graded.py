@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from .linalg import Q, Vector, vadd, vis_zero, vscale, vzero
@@ -93,11 +94,23 @@ class GradedVector:
         coords[d] = tuple(Q(c) for c in block)
         return GradedVector(space, tuple(coords))
 
+    @staticmethod
+    def from_sparse(space: GradedSpace, d: int, entries: dict[int, Q]) -> "GradedVector":
+        """Degree-d vector with these index -> coefficient entries (zero if none is nonzero)."""
+        if not any(entries.values()):
+            return GradedVector.zero(space)
+        return GradedVector.from_component(space, d, [entries.get(i, 0) for i in range(space.dims[d])])
+
     def component(self, d: int) -> Vector:
         return self.coords[d]
 
     def is_zero(self) -> bool:
         return all(vis_zero(b) for b in self.coords)
+
+    def support(self) -> list[tuple[BasisIndex, Q]]:
+        """Nonzero coordinates as ((degree, index), coefficient) pairs."""
+        return [((d, i), c) for d, block in enumerate(self.coords)
+                for i, c in enumerate(block) if c]
 
     def degree(self) -> int | None:
         """Degree of a homogeneous vector; None if mixed or zero."""
@@ -233,7 +246,7 @@ class MultiMap:
     Entries whose output degree falls outside 0..D do not exist.
     """
 
-    __slots__ = ("arity", "weight", "space", "coeffs")
+    __slots__ = ("arity", "weight", "space", "coeffs", "_table")
 
     def __init__(self, arity: int, weight: int, space: GradedSpace,
                  coeffs: dict[Key, Vector] | None = None):
@@ -262,6 +275,7 @@ class MultiMap:
             if not vis_zero(val):
                 clean[key] = val
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MultiMap is immutable")
@@ -308,14 +322,26 @@ class MultiMap:
 
     # -- evaluation ---------------------------------------------------
 
+    def table(self) -> dict[Key, tuple[int, tuple[tuple[int, Q], ...]]]:
+        """Raw basis key -> (output degree, nonzero (index, coefficient) pairs),
+        built on first use with each reordering's chi sign folded in; a key
+        absent from the table evaluates to zero."""
+        if self._table is None:
+            table = {}
+            for ckey, val in self.coeffs.items():
+                od = self.output_degree(ckey)
+                pos = tuple((i, c) for i, c in enumerate(val) if c)
+                neg = tuple((i, -c) for i, c in pos)
+                for key in set(itertools.permutations(ckey)):
+                    table[key] = (od, pos if _canonicalize(key)[1] > 0 else neg)
+            object.__setattr__(self, "_table", table)
+        return self._table
+
     def eval_basis(self, key: Key) -> GradedVector:
         if len(key) != self.arity:
             raise ValueError(f"arity {self.arity} map applied to {len(key)} arguments")
-        ckey, sign = _canonicalize(key)
-        od = self.output_degree(key)
-        if sign == 0 or od is None or ckey not in self.coeffs:
-            return GradedVector.zero(self.space)
-        return GradedVector.from_component(self.space, od, vscale(sign, self.coeffs[ckey]))
+        od, pairs = self.table().get(tuple(key), (0, ()))
+        return GradedVector.from_sparse(self.space, od, dict(pairs))
 
     def eval(self, args: Sequence[GradedVector]) -> GradedVector:
         if len(args) != self.arity:
@@ -323,20 +349,16 @@ class MultiMap:
         for a in args:
             if a.space != self.space:
                 raise ValueError("argument from a different graded space")
-        out = GradedVector.zero(self.space)
-        supports = []
-        for a in args:
-            supports.append([(d, i, a.coords[d][i])
-                             for d in range(len(a.coords))
-                             for i in range(len(a.coords[d]))
-                             if a.coords[d][i] != 0])
-        for combo in itertools.product(*supports):
-            c = Q(1)
-            for _, _, coeff in combo:
-                c *= coeff
-            key = tuple((d, i) for d, i, _ in combo)
-            out = out + self.eval_basis(key).scale(c)
-        return out
+        table = self.table()
+        out = [list(vzero(n)) for n in self.space.dims]
+        for combo in itertools.product(*(a.support() for a in args)):
+            hit = table.get(tuple(b for b, _ in combo))
+            if hit is not None:
+                c = prod(coeff for _, coeff in combo)
+                block = out[hit[0]]
+                for i, v in hit[1]:
+                    block[i] += c * v
+        return GradedVector(self.space, tuple(map(tuple, out)))
 
     def as_matrix(self, d: int):
         """Arity-1 maps only: the matrix V_d -> V_{d+weight} (zero if out of range)."""

@@ -430,8 +430,7 @@ def from_chain(C: ChainComplexT) -> LinearNCat:
     """The category generated by a bounded complex (degrees 0..2 supported)."""
     if C.top_degree > 2:
         raise ValueError("only complexes concentrated in degrees 0..2")
-    dims = tuple(C.dims) + (0,) * 0
-    space = GradedSpace(dims)
+    space = GradedSpace(tuple(C.dims))
     raw = []
     for d in range(1, C.top_degree + 1):
         M = C.diff(d)

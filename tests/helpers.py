@@ -12,9 +12,11 @@ import random
 from fractions import Fraction as Q
 
 from shlie3.chain import ChainComplexT
-from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
+from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
+                           build_multimap, enumerate_shuffles, koszul_chi)
 from shlie3.linalg import Matrix, vis_zero, vzero
-from shlie3.linfinity import LInfinityData
+from shlie3.linfinity import (ConditionReport, LInfinityData, Violation,
+                              degree_tag)
 
 
 def rand_q(rng: random.Random, span: int = 3) -> Q:
@@ -206,6 +208,16 @@ def graded_lie_data(brackets: dict, n: int) -> LInfinityData:
                          MultiMap.zero(3, 1, space), MultiMap.zero(4, 2, space))
 
 
+def non_jacobi_data() -> LInfinityData:
+    """[e0,e1] = e0, [e1,e2] = e1, [e0,e2] = e2 on V0 = Q^3: fails Jacobi."""
+    space = GradedSpace((3, 0, 0))
+    raw = [((((0, 0), (0, 1))), (Q(1), Q(0), Q(0))),
+           ((((0, 1), (0, 2))), (Q(0), Q(1), Q(0))),
+           ((((0, 0), (0, 2))), (Q(0), Q(0), Q(1)))]
+    return LInfinityData(space, MultiMap.zero(1, -1, space), build_multimap(2, 0, space, raw),
+                         MultiMap.zero(3, 1, space), MultiMap.zero(4, 2, space))
+
+
 # -- basis conjugation -------------------------------------------------
 
 def conjugate(data: LInfinityData, mats: list[Matrix]) -> LInfinityData:
@@ -260,3 +272,98 @@ def special_valid_samples(rng: random.Random, count: int) -> list[LInfinityData]
             base = zero_data((rng.randint(1, 2), rng.randint(0, 2), rng.randint(0, 2)))
         out.append(rand_conjugate(rng, base))
     return out
+
+
+def rand_brackets(rng: random.Random, dims=(2, 1, 1), density: float = 0.5) -> LInfinityData:
+    """Arbitrary (generally invalid) l1..l4 with random constants, so that
+    every term of every identity can contribute."""
+    space = GradedSpace(dims)
+    maps = []
+    for arity, weight in ((1, -1), (2, 0), (3, 1), (4, 2)):
+        raw = []
+        for key in itertools.combinations_with_replacement(space.basis(), arity):
+            od = sum(d for d, _ in key) + weight
+            if any(a == b and a[0] % 2 == 0 for a, b in zip(key, key[1:])):
+                continue
+            if 0 <= od <= 2 and space.dims[od] and rng.random() < density:
+                raw.append((key, rand_vec(rng, dims[od], 2)))
+        maps.append(build_multimap(arity, weight, space, raw))
+    return LInfinityData(space, *maps)
+
+
+# -- the seed evaluation and identity checks, kept as the oracle -------
+#
+# Evaluation goes through the canonical entries (``MultiMap.coeffs``) and
+# the chi sign, term by term on GradedVectors, exactly as the library did
+# before brackets were compiled into index tables.
+
+def seed_eval_basis(m: MultiMap, key) -> GradedVector:
+    n = len(key)
+    order = sorted(range(n), key=lambda p: key[p])
+    ckey = tuple(key[p] for p in order)
+    if any(a == b and a[0] % 2 == 0 for a, b in zip(ckey, ckey[1:])):
+        return GradedVector.zero(m.space)
+    od = m.output_degree(ckey)
+    if od is None or ckey not in m.coeffs:
+        return GradedVector.zero(m.space)
+    inv = [0] * n
+    for k, p in enumerate(order):
+        inv[p] = k + 1
+    sign = koszul_chi(Permutation(tuple(inv)), [d for d, _ in ckey])
+    return GradedVector.from_component(m.space, od, [sign * c for c in m.coeffs[ckey]])
+
+
+def seed_eval(m: MultiMap, args) -> GradedVector:
+    """Sum of coefficient products times ``seed_eval_basis``."""
+    out = GradedVector.zero(m.space)
+    supports = [[((d, i), c) for d in range(len(a.coords))
+                 for i, c in enumerate(a.coords[d]) if c] for a in args]
+    for combo in itertools.product(*supports):
+        c = Q(1)
+        for _, coeff in combo:
+            c *= coeff
+        out = out + seed_eval_basis(m, tuple(b for b, _ in combo)).scale(c)
+    return out
+
+
+def seed_linfty_residual(data: LInfinityData, n: int, args) -> GradedVector:
+    degrees = []
+    for a in args:
+        d = a.degree()
+        assert d is not None or a.is_zero(), "arguments must be homogeneous"
+        degrees.append(0 if d is None else d)
+    out = GradedVector.zero(data.space)
+    for i in range(1, n + 1):
+        j = n + 1 - i
+        li, lj = data.bracket(i), data.bracket(j)
+        if li is None or lj is None:
+            continue
+        coeff = -1 if (i * (j - 1)) % 2 else 1
+        for sigma in enumerate_shuffles(i, n - i):
+            chi = koszul_chi(sigma, degrees)
+            perm = sigma.apply(list(args))
+            inner = seed_eval(li, list(perm[:i]))
+            term = seed_eval(lj, [inner] + list(perm[i:]))
+            out = out + term.scale(chi * coeff)
+    return out
+
+
+def seed_canonical_tuples(space: GradedSpace, n: int):
+    for key in itertools.combinations_with_replacement(space.basis(), n):
+        if not any(a == b and a[0] % 2 == 0 for a, b in zip(key, key[1:])):
+            yield key
+
+
+def seed_check_condition(data: LInfinityData, n: int) -> ConditionReport:
+    """Every canonical tuple evaluated, none skipped."""
+    violations = []
+    tags = []
+    for key in seed_canonical_tuples(data.space, n):
+        args = [GradedVector.basis_vector(data.space, d, i) for d, i in key]
+        tag = degree_tag(n, key)
+        if tag not in tags:
+            tags.append(tag)
+        res = seed_linfty_residual(data, n, args)
+        if not res.is_zero():
+            violations.append(Violation(key, res, tag))
+    return ConditionReport(n, tuple(violations), tuple(tags))

@@ -73,6 +73,17 @@ def test_usage_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--n", "0"), ("check", "--n", "-2"), ("report", "--n", "0"),
+    ("nerve", "--trunc", "0"), ("ez-demo", "--trunc", "0"), ("report", "--trunc", "0")])
+def test_invalid_n_and_trunc_refused(valid_linf_file, chain_file, capsys,
+                                     command, flag, value):
+    path = chain_file if flag == "--trunc" else valid_linf_file
+    assert main([command, path, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_convert_roundtrip_byte_identical(valid_linf_file, tmp_path, capsys):
     mid = str(tmp_path / "as_lie3.json")
     back = str(tmp_path / "back.json")

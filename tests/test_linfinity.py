@@ -9,8 +9,10 @@ from shlie3.linfinity import (LInfinityData, check_all, check_condition,
                               from_four_cocycle, is_special, linfty_residual)
 
 from helpers import (abelian_l3_l4, ce_differential, ce_cocycles4,
-                     filiform_brackets, l1_only, rand_conjugate,
-                     scaling_brackets, two_term_data, zero_data)
+                     filiform_brackets, graded_lie_data, l1_only,
+                     non_jacobi_data, rand_brackets, rand_conjugate,
+                     scaling_brackets, seed_canonical_tuples, seed_check_condition,
+                     seed_linfty_residual, two_term_data, zero_data)
 
 
 def assert_valid(data, n_max=5):
@@ -45,15 +47,7 @@ def test_abelian_l3_l4_valid():
 
 
 def test_jacobi_failure_detected_at_order_3():
-    # [e0,e1]=e2, [e0,e2]=e1 on a 3-dim space fails Jacobi? it holds;
-    # use a genuinely non-Jacobi table instead: [e0,e1]=e0, [e1,e2]=e1, [e0,e2]=e2
-    space = GradedSpace((3, 0, 0))
-    raw = [((((0, 0), (0, 1))), (Q(1), Q(0), Q(0))),
-           ((((0, 1), (0, 2))), (Q(0), Q(1), Q(0))),
-           ((((0, 0), (0, 2))), (Q(0), Q(0), Q(1)))]
-    l2 = build_multimap(2, 0, space, raw)
-    data = LInfinityData(space, MultiMap.zero(1, -1, space), l2,
-                         MultiMap.zero(3, 1, space), MultiMap.zero(4, 2, space))
+    data = non_jacobi_data()
     assert check_condition(data, 1).passed
     assert check_condition(data, 2).passed
     assert not check_condition(data, 3).passed
@@ -154,3 +148,45 @@ def test_from_four_cocycle_rejects_nonzero_v1():
     with pytest.raises(ValueError):
         from_four_cocycle(MultiMap.zero(2, 0, space), MultiMap.zero(2, 0, space),
                           MultiMap.zero(4, 2, space))
+
+
+def differential_samples():
+    """The valid, non-closed-cochain and non-Jacobi samples, other valid
+    families, and random-basis copies of them and of arbitrary brackets."""
+    rng = random.Random(12)
+    closed = ce_cocycles4(scaling_brackets(4), 4)[0]
+    base = [two_term_data(scaling_brackets(4), closed, 4),
+            two_term_data(scaling_brackets(), {(1, 2, 3, 4): Q(1)}),
+            non_jacobi_data(),
+            abelian_l3_l4(rng, (2, 2, 2)),
+            l1_only(rng, (2, 1, 1)),
+            graded_lie_data(scaling_brackets(3), 3)]
+    moved = [rand_conjugate(rng, data) for data in base[:4]]
+    moved += [rand_conjugate(rng, rand_brackets(rng, dims, density=1.0))
+              for dims in ((2, 1, 1), (1, 2, 1), (4, 1, 1))]
+    return base + moved
+
+
+def test_check_condition_matches_seed_oracle():
+    failing = 0
+    for data in differential_samples():
+        for n in range(1, 7):
+            rep = check_condition(data, n)
+            assert rep == seed_check_condition(data, n)
+            failing += not rep.passed
+    assert failing >= 8  # the comparison covers nonzero residuals too
+
+
+def test_degree_pruned_tuples_have_zero_residual():
+    rng = random.Random(13)
+    pruned = 0
+    for dims in ((2, 1, 1), (1, 2, 2)):
+        data = rand_brackets(rng, dims, density=1.0)
+        for n in range(1, 7):
+            for key in seed_canonical_tuples(data.space, n):
+                if 0 <= sum(d for d, _ in key) + n - 3 <= 2:
+                    continue
+                args = [GradedVector.basis_vector(data.space, d, i) for d, i in key]
+                assert seed_linfty_residual(data, n, args).is_zero()
+                pruned += 1
+    assert pruned > 100

@@ -1,0 +1,75 @@
+"""Property tests: compiled evaluation and residuals against the seed oracle,
+and the chi sign calculus."""
+
+import itertools
+import random
+from fractions import Fraction as Q
+
+from hypothesis import given, settings, strategies as st
+
+from shlie3.graded import (GradedSpace, GradedVector, Permutation,
+                           build_multimap, koszul_chi)
+from shlie3.linfinity import linfty_residual
+
+from helpers import rand_brackets, seed_eval, seed_linfty_residual
+
+dims_st = st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
+
+
+def rand_vector(rng: random.Random, space: GradedSpace, degrees) -> GradedVector:
+    """Random vector supported in the given degrees (a random subset of entries)."""
+    coords = [tuple(Q(rng.randint(-2, 2)) if d in degrees and rng.random() < 0.7 else Q(0)
+                    for _ in range(n)) for d, n in enumerate(space.dims)]
+    return GradedVector(space, tuple(coords))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=dims_st, arity=st.integers(1, 4), weight=st.integers(-1, 2),
+       seed=st.integers(0, 2**32))
+def test_table_eval_matches_seed_expansion(dims, arity, weight, seed):
+    rng = random.Random(seed)
+    space = GradedSpace(dims)
+    raw = []
+    for key in itertools.combinations_with_replacement(space.basis(), arity):
+        od = sum(d for d, _ in key) + weight
+        if any(a == b and a[0] % 2 == 0 for a, b in zip(key, key[1:])):
+            continue
+        if 0 <= od <= 2 and rng.random() < 0.6:
+            raw.append((key, tuple(Q(rng.randint(-3, 3)) for _ in range(dims[od]))))
+    m = build_multimap(arity, weight, space, raw)
+    args = [rand_vector(rng, space, rng.sample(range(3), rng.randint(1, 3)))
+            for _ in range(arity)]
+    assert m.eval(args) == seed_eval(m, args)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.tuples(st.integers(2, 4), st.integers(1, 2), st.integers(1, 2)),
+       n=st.integers(1, 5), seed=st.integers(0, 2**32))
+def test_residual_is_multilinear_sum_of_basis_residuals(dims, n, seed):
+    rng = random.Random(seed)
+    data = rand_brackets(rng, dims, density=0.7)
+    space = data.space
+    # argument degrees whose residual degree sum + n - 3 lies in 0..2
+    degrees = rng.choice([deg for deg in itertools.product(range(3), repeat=n)
+                          if 0 <= sum(deg) + n - 3 <= 2])
+    args = [rand_vector(rng, space, (d,)) for d in degrees]
+    lhs = linfty_residual(data, n, args)
+    rhs = GradedVector.zero(space)
+    for combo in itertools.product(*(a.support() for a in args)):
+        c = Q(1)
+        for _, coeff in combo:
+            c *= coeff
+        basis = [GradedVector.basis_vector(space, d, i) for (d, i), _ in combo]
+        rhs = rhs + linfty_residual(data, n, basis).scale(c)
+    assert lhs == rhs
+    if n <= 4:
+        assert lhs == seed_linfty_residual(data, n, args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n))))
+def test_chi_multiplicative(case):
+    s, t, deg = Permutation(tuple(case[0])), Permutation(tuple(case[1])), case[2]
+    assert koszul_chi(s.compose(t), deg) == koszul_chi(s, t.apply(deg)) * koszul_chi(t, deg)
