@@ -144,7 +144,7 @@ def homology_data(C: ChainComplexT, n: int):
     if C.dim(n) == 0:
         return [], [], []
     if dn.nrows == 0:
-        ker = [tuple((1 if j == i else 0) for j in range(C.dim(n))) for i in range(C.dim(n))]
+        ker = M.eye(C.dim(n)).cols()
     else:
         ker = dn.nullspace()
     dnp = C.diff(n + 1)

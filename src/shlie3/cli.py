@@ -89,9 +89,9 @@ def _load(path: str) -> AlgebraSpecFile:
 
 def _two_term_category(spec: AlgebraSpecFile):
     C = build_chain(spec)
+    if C.top_degree < 1 or any(d != 0 for d in C.dims[2:]):
+        raise SpecError("this command needs a two-term complex", "$.dims")
     if C.top_degree > 1:
-        if any(d != 0 for d in C.dims[2:]):
-            raise SpecError("this command needs a two-term complex", "$.dims")
         C = ChainComplexT(C.dims[:2], (C.diff(1),))
     return from_chain(C)
 
@@ -262,14 +262,11 @@ def main(argv=None) -> int:
     try:
         spec = _load(args.file)
         report, code = COMMANDS[args.command](spec, args)
-    except SpecError as e:
+        if report is not None:
+            _emit(report, args.format, args.out if args.command != "convert" else None)
+    except (SpecError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except OSError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    if report is not None:
-        _emit(report, args.format, args.out if args.command != "convert" else None)
     return code
 
 

@@ -349,16 +349,35 @@ class MultiMap:
         for a in args:
             if a.space != self.space:
                 raise ValueError("argument from a different graded space")
-        table = self.table()
         out = [list(vzero(n)) for n in self.space.dims]
-        for combo in itertools.product(*(a.support() for a in args)):
+        self._accumulate(out, [a.support() for a in args])
+        return GradedVector(self.space, tuple(map(tuple, out)))
+
+    def eval_blocks(self, args: Sequence[tuple[int, Sequence[Q]]]) -> Vector:
+        """Value on homogeneous arguments given as (degree, coordinate block)
+        pairs: the output block, in degree sum of degrees + weight."""
+        if len(args) != self.arity:
+            raise ValueError(f"arity {self.arity} map applied to {len(args)} arguments")
+        od = self.output_degree(args)
+        if od is None:
+            raise ValueError("output degree outside the grading")
+        out = {od: list(vzero(self.space.dims[od]))}
+        self._accumulate(out, [[((d, i), c) for i, c in enumerate(block) if c]
+                               for d, block in args])
+        return tuple(out[od])
+
+    def _accumulate(self, out, supports) -> None:
+        """Add the value on the product of the supports' ((degree, index),
+        coefficient) lists into out[degree], a mutable coordinate block for
+        every degree the value can reach."""
+        table = self.table()
+        for combo in itertools.product(*supports):
             hit = table.get(tuple(b for b, _ in combo))
             if hit is not None:
                 c = prod(coeff for _, coeff in combo)
                 block = out[hit[0]]
                 for i, v in hit[1]:
                     block[i] += c * v
-        return GradedVector(self.space, tuple(map(tuple, out)))
 
     def as_matrix(self, d: int):
         """Arity-1 maps only: the matrix V_d -> V_{d+weight} (zero if out of range)."""
@@ -372,10 +391,7 @@ class MultiMap:
         cols = []
         for i in range(dims[d]):
             cols.append(self.eval_basis(((d, i),)).component(od))
-        out = Matrix.from_cols(cols, nrows=dims[od])
-        if out.ncols == 0:
-            return Matrix.zeros(dims[od], 0)
-        return out
+        return Matrix.from_cols(cols, nrows=dims[od])
 
 
 def build_multimap(arity: int, weight: int, space: GradedSpace,

@@ -11,13 +11,14 @@ exact correspondence between the presentations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .graded import GradedSpace, GradedVector, MultiMap
 from .lincat import Cell, ComposabilityError, LinearNCat
-from .linalg import Q, Vector, vadd, vis_zero, vsub, vzero
+from .linalg import Matrix, Q, Vector, vadd, vis_zero, vscale, vsub, vzero
 from .linfinity import LInfinityData, check_all, is_special, linfty_residual
 
 
@@ -53,7 +54,6 @@ class Lie3Data:
             for key, _ in m.entries():
                 if any(d != 0 for d, _ in key):
                     raise ValueError(f"{name} is defined on degree-0 tuples only")
-        object.__setattr__(self, "_cache", {})
 
     @property
     def space(self) -> GradedSpace:
@@ -61,17 +61,6 @@ class Lie3Data:
 
     def l1_apply(self, d: int, v: Sequence[Q]) -> Vector:
         return self.cat.t_matrix(d).apply(v)
-
-    def _gv(self, d: int, v: Sequence[Q]) -> GradedVector:
-        return GradedVector.from_component(self.space, d, v)
-
-    def l2_ev(self, da: int, a: Sequence[Q], db: int, b: Sequence[Q]) -> GradedVector:
-        key = ("l2", da, tuple(a), db, tuple(b))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.bracket_constants.eval([self._gv(da, a), self._gv(db, b)])
-            self._cache[key] = hit
-        return hit
 
 
 @dataclass(frozen=True)
@@ -103,17 +92,18 @@ def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
     if a.level != b.level:
         raise ValueError("bracket needs cells of equal level")
     m = a.level
+    l2 = D.bracket_constants.eval_blocks
     x, y = a.components[0], b.components[0]
-    v0 = D.l2_ev(0, x, 0, y).component(0)
+    v0 = l2([(0, x), (0, y)])
     if m == 0:
         return Cell(0, (v0,))
     f, g = a.components[1], b.components[1]
     tg = vadd(y, D.l1_apply(1, g))
-    v1 = (D.l2_ev(0, x, 1, g) + D.l2_ev(1, f, 0, tg)).component(1)
+    v1 = vadd(l2([(0, x), (1, g)]), l2([(1, f), (0, tg)]))
     if m == 1:
         return Cell(1, (v0, v1))
     a2, b2 = a.components[2], b.components[2]
-    v2 = (D.l2_ev(0, x, 2, b2) + D.l2_ev(2, a2, 0, y)).component(2)
+    v2 = vadd(l2([(0, x), (2, b2)]), l2([(2, a2), (0, y)]))
     return Cell(2, (v0, v1, v2))
 
 
@@ -122,7 +112,7 @@ def _obj_cell(D: Lie3Data, x: Sequence[Q], level: int = 0) -> Cell:
 
 
 def bracket_objects(D: Lie3Data, x: Sequence[Q], y: Sequence[Q]) -> Vector:
-    return D.l2_ev(0, x, 0, y).component(0)
+    return D.bracket_constants.eval_blocks([(0, x), (0, y)])
 
 
 # -- Jacobiator cells -------------------------------------------------
@@ -130,14 +120,8 @@ def bracket_objects(D: Lie3Data, x: Sequence[Q], y: Sequence[Q]) -> Vector:
 
 def J_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q], z: Sequence[Q]) -> Cell:
     """The 1-cell ([[x,y],z], J(x,y,z)) from [[x,y],z] to [[x,z],y]+[x,[y,z]]."""
-    key = ("J", tuple(x), tuple(y), tuple(z))
-    hit = D._cache.get(key)
-    if hit is None:
-        src = bracket_objects(D, bracket_objects(D, x, y), z)
-        jv = D.J.eval([D._gv(0, x), D._gv(0, y), D._gv(0, z)]).component(1)
-        hit = Cell(1, (src, jv))
-        D._cache[key] = hit
-    return hit
+    src = bracket_objects(D, bracket_objects(D, x, y), z)
+    return Cell(1, (src, D.J.eval_blocks([(0, x), (0, y), (0, z)])))
 
 
 # -- composites with automatic identity padding -----------------------
@@ -165,10 +149,6 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
     eps = J_{[x,y],z,u} o ([J_{xyu},1_z]+1)
           o (J_{x,[y,u],z}+J_{[x,u],y,z}+J_{x,y,[z,u]}).
     """
-    ckey = ("etaeps", tuple(x), tuple(y), tuple(z), tuple(u))
-    hit = D._cache.get(ckey)
-    if hit is not None:
-        return hit
     br = lambda p, q: bracket_objects(D, p, q)
     one = lambda w: _obj_cell(D, w, 1)
     bc = lambda c, d: bracket_cells(D, c, d)
@@ -183,16 +163,26 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
         bc(J_cell(D, x, y, u), one(z)),
         J_cell(D, x, br(y, u), z) + J_cell(D, br(x, u), y, z) + J_cell(D, x, y, br(z, u)),
     ])
-    D._cache[ckey] = (eta, eps)
     return eta, eps
 
 
 def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
             z: Sequence[Q], u: Sequence[Q]) -> Cell:
-    """The Identiator 2-cell ([[ [x,y],z],u], eta-V1-part, mu(x,y,z,u))."""
-    eta, _ = eta_epsilon(D, x, y, z, u)
-    mv = D.mu.eval([D._gv(0, w) for w in (x, y, z, u)]).component(2)
-    return Cell(2, (eta.components[0], eta.components[1], mv))
+    """The Identiator 2-cell ([[[x,y],z],u], eta-V1-part, mu(x,y,z,u)).
+
+    Composition along 0-cells adds V1 parts and identity paddings have
+    none, so eta's V1 part is the sum of the V1 parts of its four factors
+    (see ``eta_epsilon``): [J_xyz, u] + J_{[x,z],y,u} + J_{x,[y,z],u}
+    + [J_xzu, y] + [x, J_yzu].
+    """
+    l2, J = D.bracket_constants.eval_blocks, D.J.eval_blocks
+    br = lambda p, q: bracket_objects(D, p, q)
+    j1 = lambda a, b, c: J([(0, a), (0, b), (0, c)])
+    v1 = functools.reduce(vadd, [
+        l2([(1, j1(x, y, z)), (0, u)]), j1(br(x, z), y, u), j1(x, br(y, z), u),
+        l2([(1, j1(x, z, u)), (0, y)]), l2([(0, x), (1, j1(y, z, u))])])
+    mv = D.mu.eval_blocks([(0, w) for w in (x, y, z, u)])
+    return Cell(2, (br(br(br(x, y), z), u), v1, mv))
 
 
 def inverse2(D: Lie3Data, alpha: Cell) -> Cell:
@@ -307,20 +297,24 @@ def check_bifunctor(D: Lie3Data) -> CheckReport:
             if not bracket_cells(D, a, tb).is_zero():
                 fail("kernel-bracket", "[a, 1_tb] != 0")
 
-    # graded derivation property of the boundary over the bracket constants
+    # graded derivation property of the boundary over the bracket constants:
+    # t[u, v] = [tu, v] + (-1)^|u| [u, tv], an identity in degree |u| + |v| - 1
     space = D.space
+    l2 = D.bracket_constants.eval_blocks
+    eyes = [Matrix.eye(n) for n in space.dims]
     for (da, i) in space.basis():
         for (db, j) in space.basis():
-            u = GradedVector.basis_vector(space, da, i)
-            v = GradedVector.basis_vector(space, db, j)
-            uv = D.bracket_constants.eval([u, v])
-            od = uv.degree()
-            lhs = (GradedVector.zero(space) if od is None
-                   else D._gv(od - 1, D.l1_apply(od, uv.component(od))) if od >= 1
-                   else GradedVector.zero(space))
-            du = D._gv(da - 1, D.l1_apply(da, u.component(da))) if da >= 1 else GradedVector.zero(space)
-            dv = D._gv(db - 1, D.l1_apply(db, v.component(db))) if db >= 1 else GradedVector.zero(space)
-            rhs = D.bracket_constants.eval([du, v]) + D.bracket_constants.eval([u, dv]).scale((-1) ** da)
+            od = da + db - 1
+            if not 0 <= od <= space.top_degree:
+                continue
+            u, v = eyes[da].col(i), eyes[db].col(j)
+            lhs = rhs = vzero(L.dim(od))
+            if od < space.top_degree:
+                lhs = D.l1_apply(od + 1, l2([(da, u), (db, v)]))
+            if da >= 1:
+                rhs = vadd(rhs, l2([(da - 1, L.t_matrix(da).col(i)), (db, v)]))
+            if db >= 1:
+                rhs = vadd(rhs, vscale((-1) ** da, l2([(da, u), (db - 1, L.t_matrix(db).col(j))])))
             if lhs != rhs:
                 fail("chain-rule", f"degrees ({da}, {db})")
 
@@ -338,7 +332,8 @@ def _jac_G(D: Lie3Data, c1: Cell, c2: Cell, c3: Cell) -> Cell:
 
 def _naturality_residual(D: Lie3Data, F, G, theta, objs: list[Vector],
                          slot: int, alpha: Cell) -> Cell:
-    """Difference of F(..alpha..) o 1_theta(targets) and 1_theta(sources) o G(..alpha..)."""
+    """Difference of F(..alpha..) o theta(targets) and theta(sources) o G(..alpha..),
+    for a 2-cell-valued theta on 0-cells and alpha in the given slot."""
     L = D.cat
     t2 = vadd(alpha.components[0], D.l1_apply(1, alpha.components[1]))
     args = [_obj_cell(D, w, 2) for w in objs]
@@ -347,8 +342,8 @@ def _naturality_residual(D: Lie3Data, F, G, theta, objs: list[Vector],
     t_objs.insert(slot, t2)
     s_objs = list(objs)
     s_objs.insert(slot, alpha.components[0])
-    lhs = L.compose(F(D, *args), L.identity(theta(t_objs)), 0)
-    rhs = L.compose(L.identity(theta(s_objs)), G(D, *args), 0)
+    lhs = L.compose(F(D, *args), theta(t_objs), 0)
+    rhs = L.compose(theta(s_objs), G(D, *args), 0)
     return lhs - rhs
 
 
@@ -356,7 +351,7 @@ def check_jacobiator(D: Lie3Data) -> CheckReport:
     """Target condition and 2-naturality (in each argument slot) of J."""
     L = D.cat
     failures: list[CheckFailure] = []
-    e0 = [tuple(Q(1) if j == i else Q(0) for j in range(L.dim(0))) for i in range(L.dim(0))]
+    e0 = Matrix.eye(L.dim(0)).cols()
 
     # target: t J_{xyz} = [[x,z],y] + [x,[y,z]]
     for x in e0:
@@ -368,7 +363,7 @@ def check_jacobiator(D: Lie3Data) -> CheckReport:
                 if L.target(jc).components[0] != want:
                     failures.append(CheckFailure("target", "t J != [[x,z],y]+[x,[y,z]]"))
 
-    theta = lambda objs: J_cell(D, *objs)
+    theta = lambda objs: L.identity(J_cell(D, *objs))
     for slot in range(3):
         for objs in itertools.product(e0, repeat=2):
             for alpha in L.spanning_cells(2, zero_component_mix=False):
@@ -399,7 +394,7 @@ def check_identiator(D: Lie3Data) -> CheckReport:
     """Boundary conditions and the modification law of the Identiator."""
     L = D.cat
     failures: list[CheckFailure] = []
-    e0 = [tuple(Q(1) if j == i else Q(0) for j in range(L.dim(0))) for i in range(L.dim(0))]
+    e0 = Matrix.eye(L.dim(0)).cols()
 
     # s mu = eta and t mu = eps
     for objs in itertools.product(e0, repeat=4):
@@ -412,23 +407,15 @@ def check_identiator(D: Lie3Data) -> CheckReport:
 
     # modification law in each slot:
     # F(..alpha..) o mu(targets) = mu(sources) o G(..alpha..)
+    theta = lambda objs: mu_cell(D, *objs)
     for slot in range(4):
         for objs in itertools.product(e0, repeat=3):
             for alpha in L.spanning_cells(2, zero_component_mix=False):
-                t2 = vadd(alpha.components[0], D.l1_apply(1, alpha.components[1]))
-                args = [_obj_cell(D, w, 2) for w in objs]
-                args.insert(slot, alpha)
-                t_objs = list(objs)
-                t_objs.insert(slot, t2)
-                s_objs = list(objs)
-                s_objs.insert(slot, alpha.components[0])
                 try:
-                    lhs = L.compose(_id_F(D, *args), mu_cell(D, *t_objs), 0)
-                    rhs = L.compose(mu_cell(D, *s_objs), _id_G(D, *args), 0)
+                    res = _naturality_residual(D, _id_F, _id_G, theta, list(objs), slot, alpha)
                 except ComposabilityError:
                     failures.append(CheckFailure("modification", f"slot {slot}: composite undefined"))
                     continue
-                res = lhs - rhs
                 if not res.is_zero():
                     which = "v2" if vis_zero(res.components[1]) else "v1"
                     failures.append(CheckFailure(f"modification-{which}", f"slot {slot}"))
@@ -544,7 +531,7 @@ def check_coherence(D: Lie3Data, tuples=None) -> CoherenceReport:
     """
     L = D.cat
     n0 = L.dim(0)
-    e0 = [tuple(Q(1) if j == i else Q(0) for j in range(n0)) for i in range(n0)]
+    e0 = Matrix.eye(n0).cols()
     if tuples is None:
         tuples = list(itertools.combinations_with_replacement(range(n0), 5))
     data = _raw_linfinity(D)

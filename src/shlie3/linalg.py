@@ -267,8 +267,7 @@ def quotient_basis(sub: Sequence[Vector], space_dim: int) -> list[int]:
     """
     cols = list(sub)
     chosen = []
-    for i in range(space_dim):
-        e = tuple(Q(1) if j == i else Q(0) for j in range(space_dim))
+    for i, e in enumerate(Matrix.eye(space_dim).cols()):
         trial = cols + [e]
         if Matrix.from_cols(trial, nrows=space_dim).rank() > Matrix.from_cols(cols, nrows=space_dim).rank():
             cols.append(e)

@@ -15,7 +15,7 @@ with the last line only defined on p-composable pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .chain import ChainComplexT
@@ -71,10 +71,13 @@ class LinearNCat:
 
     space: GradedSpace
     t_data: MultiMap
+    _t_matrices: tuple[Matrix, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t_data.space != self.space or self.t_data.arity != 1 or self.t_data.weight != -1:
             raise ValueError("t_data must be an arity-1 weight -1 map on the same space")
+        object.__setattr__(self, "_t_matrices",
+                           tuple(self.t_data.as_matrix(d) for d in range(self.n + 1)))
         for m in range(2, self.n + 1):
             if not (self.t_matrix(m - 1) @ self.t_matrix(m)).is_zero():
                 raise ValueError("t o t != 0: globular condition violated")
@@ -91,7 +94,7 @@ class LinearNCat:
 
     def t_matrix(self, d: int) -> Matrix:
         """Matrix of t restricted to V_d, valued in V_{d-1}."""
-        return self.t_data.as_matrix(d)
+        return self._t_matrices[d]
 
     # -- cells --------------------------------------------------------
 
@@ -111,12 +114,7 @@ class LinearNCat:
     def spanning_cells(self, m: int, zero_component_mix: bool = True):
         """Cells whose components are basis vectors or zero; spans L_m."""
         if zero_component_mix:
-            options = []
-            for i in range(m + 1):
-                opts = [vzero(self.dim(i))]
-                for k in range(self.dim(i)):
-                    opts.append(tuple(Q(1) if j == k else Q(0) for j in range(self.dim(i))))
-                options.append(opts)
+            options = [[vzero(self.dim(i))] + Matrix.eye(self.dim(i)).cols() for i in range(m + 1)]
             for combo in itertools.product(*options):
                 yield Cell(m, tuple(combo))
         else:
@@ -312,12 +310,7 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
 
 def _tail_options(L: LinearNCat, m: int, p: int):
     """Free tails (components p+1..m) that span the fiber over a fixed prefix."""
-    opts_per_pos = []
-    for i in range(p + 1, m + 1):
-        opts = [vzero(L.dim(i))]
-        for k in range(L.dim(i)):
-            opts.append(tuple(Q(1) if j == k else Q(0) for j in range(L.dim(i))))
-        opts_per_pos.append(opts)
+    opts_per_pos = [[vzero(L.dim(i))] + Matrix.eye(L.dim(i)).cols() for i in range(p + 1, m + 1)]
     return list(itertools.product(*opts_per_pos))
 
 

@@ -18,10 +18,7 @@ from .linalg import Matrix, Q, Vector, hstack, vadd, vis_zero, vstack, vzero
 def _mat(action: Callable[[Vector], Sequence[Q]], dim_in: int, dim_out: int) -> Matrix:
     if dim_out == 0 or dim_in == 0:
         return Matrix.zeros(dim_out, dim_in)
-    cols = []
-    for j in range(dim_in):
-        e = tuple(Q(1) if k == j else Q(0) for k in range(dim_in))
-        cols.append(tuple(Q(c) for c in action(e)))
+    cols = [tuple(Q(c) for c in action(e)) for e in Matrix.eye(dim_in).cols()]
     return Matrix.from_cols(cols, nrows=dim_out)
 
 
@@ -188,14 +185,12 @@ def constant_svs(N: int) -> SimplicialVS:
 
 def moore_bases(S: SimplicialVS) -> list[list[Vector]]:
     """Basis of the normalized subspace at each level (kernel of d_1..d_n)."""
-    bases = [[tuple(Q(1) if j == i else Q(0) for j in range(S.dim(0)))
-              for i in range(S.dim(0))]]
+    bases = [Matrix.eye(S.dim(0)).cols()]
     for n in range(1, S.trunc + 1):
         stack = [S.d(n, i) for i in range(1, n + 1)]
         big = vstack(stack)
         if big.nrows == 0:
-            bases.append([tuple(Q(1) if j == i else Q(0) for j in range(S.dim(n)))
-                          for i in range(S.dim(n))])
+            bases.append(Matrix.eye(S.dim(n)).cols())
         else:
             bases.append(big.nullspace())
     return bases
@@ -215,10 +210,7 @@ def moore(S: SimplicialVS) -> ChainComplexT:
             if x is None:
                 raise ValueError("boundary leaves the normalized subspace")
             cols.append(x)
-        M = Matrix.from_cols(cols, nrows=dims[n - 1])
-        if M.ncols == 0:
-            M = Matrix.zeros(dims[n - 1], 0)
-        diffs.append(M)
+        diffs.append(Matrix.from_cols(cols, nrows=dims[n - 1]))
     return ChainComplexT(dims, tuple(diffs))
 
 
@@ -305,10 +297,7 @@ def ez(S: SimplicialVS, T: SimplicialVS) -> ChainMapT:
                     if coords is None:
                         raise ValueError("shuffle image is not normalized")
                     cols.append(coords)
-        M = Matrix.from_cols(cols, nrows=len(bST[n]))
-        if M.ncols != prod.dim(n):
-            M = Matrix.zeros(len(bST[n]), prod.dim(n))
-        maps.append(M)
+        maps.append(Matrix.from_cols(cols, nrows=len(bST[n])))
     f = ChainMapT(prod, CST, tuple(maps))
     if not f.is_chain_map():
         raise AssertionError("shuffle map failed the chain-map property")
@@ -348,8 +337,6 @@ def aw(S: SimplicialVS, T: SimplicialVS) -> ChainMapT:
     maps = []
     for n in range(N + 1):
         BST = Matrix.from_cols(bST[n], nrows=ST.dim(n))
-        if BST.ncols == 0:
-            BST = Matrix.zeros(ST.dim(n), 0)
         blocks = []
         for (p, q) in layout[n]:
             front = Matrix.eye(S.dim(n))
@@ -423,16 +410,14 @@ def _pairing_matrix(L: LinearNCat, tc: TensorCat, n: int) -> Matrix:
     category.
     """
     S = nerve(L, max(n, 1))
-    dim_in = S.dim(n) * S.dim(n)
     m0, m1 = tc.cat.dim(0), tc.cat.dim(1)
     dim_out = m0 + n * m1
 
     cols = []
-    for a in range(S.dim(n)):
-        ea = tuple(Q(1) if j == a else Q(0) for j in range(S.dim(n)))
+    units = Matrix.eye(S.dim(n)).cols()
+    for ea in units:
         arrows_a = _simplex_arrows(L, ea, n)
-        for b in range(S.dim(n)):
-            eb = tuple(Q(1) if j == b else Q(0) for j in range(S.dim(n)))
+        for eb in units:
             arrows_b = _simplex_arrows(L, eb, n)
             if n == 0:
                 cell = tc.raw_to_cell(0, tuple(x * y for x in ea for y in eb))
@@ -445,10 +430,7 @@ def _pairing_matrix(L: LinearNCat, tc: TensorCat, n: int) -> Matrix:
                     out.extend(cell.components[0])
                 out.extend(cell.components[1])
             cols.append(tuple(out))
-    M = Matrix.from_cols(cols, nrows=dim_out)
-    if M.ncols != dim_in:
-        M = Matrix.zeros(dim_out, dim_in)
-    return M
+    return Matrix.from_cols(cols, nrows=dim_out)
 
 
 def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
@@ -465,8 +447,7 @@ def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
         return tuple(a - b for a, b in zip(L.flatten(v), tuple(t) + vzero(n1)))
 
     cells = list(L.spanning_cells(1))
-    tails = [vzero(n1)] + [tuple(Q(1) if j == i else Q(0) for j in range(n1))
-                           for i in range(n1)]
+    tails = [vzero(n1)] + Matrix.eye(n1).cols()
     for v in cells:
         for tw in tails:
             w = L.pad_composable(v, [tw], 0)

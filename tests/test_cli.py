@@ -84,6 +84,23 @@ def test_invalid_n_and_trunc_refused(valid_linf_file, chain_file, capsys,
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["nerve", "ez-demo", "obstruction-demo"])
+def test_one_term_chain_refused(tmp_path, capsys, command):
+    p = tmp_path / "one_term.json"
+    p.write_text(json.dumps({"kind": "chain", "dims": [2], "maps": {}}))
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_unwritable_out_refused(valid_linf_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["check", valid_linf_file, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert not target.exists()
+
+
 def test_convert_roundtrip_byte_identical(valid_linf_file, tmp_path, capsys):
     mid = str(tmp_path / "as_lie3.json")
     back = str(tmp_path / "back.json")

@@ -14,7 +14,8 @@ from shlie3.lie3 import (ConversionError, Lie3Data, J_cell, alpha_cell,
 from shlie3.linfinity import LInfinityData, check_all, check_condition
 
 from helpers import (abelian_l3_l4, ce_cocycles4, graded_lie_data, l1_only,
-                     scaling_brackets, special_valid_samples, two_term_data)
+                     rand_brackets, rand_vec, scaling_brackets,
+                     special_valid_samples, two_term_data)
 
 
 def abelian_cat(dims=(2, 1, 1), seed=0):
@@ -72,6 +73,45 @@ def test_mu_inverse_composes_to_identity():
     inv = inverse2(D, m)
     unit = D.cat.identity(D.cat.source(m))
     assert D.cat.compose(m, inv, 1) == unit
+
+
+def _with_random_constants(rng, D, bracket=False):
+    """D with random J and mu on degree-0 tuples and, if asked, a random
+    bracket (zero on V1 x V1, generally not Lie); the data is invalid."""
+    R = rand_brackets(rng, D.space.dims, density=1.0)
+
+    def keep(m, ok):
+        return build_multimap(m.arity, m.weight, D.space,
+                              [(k, v) for k, v in m.entries() if ok(k)])
+
+    degree0 = lambda k: all(d == 0 for d, _ in k)
+    l2 = keep(R.l2, lambda k: k[0][0] + k[1][0] < 2) if bracket else D.bracket_constants
+    return Lie3Data(D.cat, l2, keep(R.l3, degree0), keep(R.l4, degree0))
+
+
+@pytest.mark.parametrize("case", ["valid-glambda", "valid-scaling", "random-J-mu",
+                                  "non-Lie-bracket"])
+def test_mu_cell_source_matches_eta_composite(case):
+    """The closed-form V0/V1 parts of mu_cell equal the composite eta."""
+    rng = random.Random(11)
+    if case == "valid-glambda":
+        D = glambda_cat()
+    elif case == "valid-scaling":
+        D = scaling_cat()
+    elif case == "random-J-mu":
+        D = _with_random_constants(rng, glambda_cat())
+    else:
+        D = _with_random_constants(rng, from_linfinity(l1_only(rng, (3, 2, 1))), bracket=True)
+    n = D.cat.dim(0)
+    nontrivial = False
+    for _ in range(8):
+        args = [rand_vec(rng, n) for _ in range(4)]
+        eta, _ = eta_epsilon(D, *args)
+        mc = mu_cell(D, *args)
+        assert D.cat.source(mc) == eta
+        nontrivial |= not vis_zero(eta.components[1])
+    if not case.startswith("valid"):  # the valid samples have J = 0 or V1 = 0
+        assert nontrivial
 
 
 # -- the four categorical checks on valid data ------------------------

@@ -73,6 +73,11 @@ def test_kron_empty_keeps_ncols():
     assert A.kron(B).shape == (0, 6)
 
 
+def test_from_cols_keeps_shape_when_empty():
+    assert Matrix.from_cols([], nrows=3).shape == (3, 0)
+    assert Matrix.from_cols([(), ()], nrows=0).shape == (0, 2)
+
+
 def test_stacks_and_block_diag():
     A, B = Matrix.eye(2), Matrix([[1, 2]])
     assert hstack([A, Matrix.zeros(2, 1)]).shape == (2, 3)
