@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, quotient_basis
 
 
 @dataclass(frozen=True)
@@ -138,27 +137,21 @@ def homology_data(C: ChainComplexT, n: int):
     Returns (reps, ker_basis, im_basis) where reps are cycle vectors whose
     classes form a basis of H_n.
     """
-    from .linalg import Matrix as M, quotient_basis
-
     dn = C.diff(n)
     if C.dim(n) == 0:
         return [], [], []
     if dn.nrows == 0:
-        ker = M.eye(C.dim(n)).cols()
+        ker = Matrix.eye(C.dim(n)).cols()
     else:
         ker = dn.nullspace()
     dnp = C.diff(n + 1)
-    im = [dnp.col(j) for j in range(dnp.ncols)] if dnp.ncols else []
+    im = dnp.cols()
     # coordinates of the image inside the kernel
     if ker:
-        K = M.from_cols(ker, nrows=C.dim(n))
-        im_in_ker = []
-        for v in im:
-            x = K.solve(v)
-            if x is None:
-                raise ValueError("boundary not a cycle")
-            im_in_ker.append(x)
-        free = quotient_basis(im_in_ker, len(ker))
+        X = Matrix.from_cols(ker, nrows=C.dim(n)).solve_matrix(dnp)
+        if X is None:
+            raise ValueError("boundary not a cycle")
+        free = quotient_basis(X.cols(), len(ker))
         reps = [ker[i] for i in free]
     else:
         reps = []
@@ -167,19 +160,13 @@ def homology_data(C: ChainComplexT, n: int):
 
 def induced_on_homology(C: ChainComplexT, n: int, f: Matrix) -> tuple[Matrix, Matrix]:
     """(induced matrix, identity of same size) for an endo chain map level f on H_n."""
-    from .linalg import Matrix as M, hstack
-
     reps, ker, im = homology_data(C, n)
     h = len(reps)
     if h == 0:
-        return M.zeros(0, 0), M.zeros(0, 0)
+        return Matrix.zeros(0, 0), Matrix.zeros(0, 0)
     # express f(rep) as combination of reps modulo boundaries
-    cols = []
-    B = M.from_cols(list(reps) + list(im), nrows=C.dim(n)) if (reps or im) else None
-    for r in reps:
-        v = f.apply(r)
-        x = B.solve(v)
-        if x is None:
-            raise ValueError("image of a cycle leaves the cycle space")
-        cols.append(tuple(x[:h]))
-    return M.from_cols(cols, nrows=h), M.eye(h)
+    B = Matrix.from_cols(list(reps) + list(im), nrows=C.dim(n))
+    X = B.solve_matrix(f @ Matrix.from_cols(reps, nrows=C.dim(n)))
+    if X is None:
+        raise ValueError("image of a cycle leaves the cycle space")
+    return Matrix(X.rows[:h], ncols=h), Matrix.eye(h)

@@ -169,8 +169,8 @@ def cmd_ez_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     L = _two_term_category(spec)
     S = nerve(L, args.trunc)
     f, g = ez(S, S), aw(S, S)
-    roundtrip = aw_after_ez_identity(S, S)
-    homology = aw_ez_homology_check(S, S)
+    roundtrip = aw_after_ez_identity(f, g)
+    homology = aw_ez_homology_check(f, g)
     checks = [
         {"name": "shuffle-map-is-chain-map", "passed": f.is_chain_map()},
         {"name": "front-face-map-is-chain-map", "passed": g.is_chain_map()},

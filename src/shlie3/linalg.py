@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries and is meant for
-the small dense matrices this package deals with (dimensions in the tens).
-No floating point anywhere.
+Everything here works with ``fractions.Fraction`` entries, stored as dense
+row tuples.  Products, Kronecker products and elimination skip zero entries,
+since the simplicial and tensor operators are mostly 0/+-1.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -127,23 +128,37 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        ot = other.transpose().rows
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col)), Q(0)) for col in ot] for row in self.rows],
-            ncols=other.ncols,
-        )
+        n = other.ncols
+        support = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [Q(0)] * n
+            for a, orow in zip(row, support):
+                if a:
+                    for j, b in orow:
+                        acc[j] += a * b
+            out.append(acc)
+        return Matrix(out, ncols=n)
 
     def apply(self, v: Sequence[Q]) -> Vector:
         if len(v) != self.ncols:
             raise ValueError(f"vector of length {len(v)} against {self.shape}")
-        return tuple(sum((a * b for a, b in zip(row, v)), Q(0)) for row in self.rows)
+        support = [(j, b) for j, b in enumerate(v) if b]
+        return tuple(sum((row[j] * b for j, b in support), Q(0)) for row in self.rows)
 
     def kron(self, other: "Matrix") -> "Matrix":
+        n2 = other.ncols
+        support = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
         out = []
         for r1 in self.rows:
-            for r2 in other.rows:
-                out.append([a * b for a in r1 for b in r2])
-        return Matrix(out, ncols=self.ncols * other.ncols)
+            for r2 in support:
+                row = [Q(0)] * (self.ncols * n2)
+                for i, a in enumerate(r1):
+                    if a:
+                        for j, b in r2:
+                            row[i * n2 + j] = a * b
+                out.append(row)
+        return Matrix(out, ncols=self.ncols * n2)
 
     # -- elimination --------------------------------------------------
 
@@ -163,10 +178,13 @@ class Matrix:
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
             inv = Q(1) / rows[pr][pc]
             rows[pr] = [inv * e for e in rows[pr]]
+            support = [(j, b) for j, b in enumerate(rows[pr]) if b]
             for r in range(self.nrows):
-                if r != pr and rows[r][pc] != 0:
-                    f = rows[r][pc]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+                f = rows[r][pc]
+                if r != pr and f != 0:
+                    row = rows[r]
+                    for j, b in support:
+                        row[j] -= f * b
             pivots.append(pc)
             pr += 1
             if pr == self.nrows:
@@ -194,24 +212,30 @@ class Matrix:
         """One solution of self @ x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise ValueError("rhs length mismatch")
-        aug = Matrix([list(r) + [bb] for r, bb in zip(self.rows, b)], ncols=self.ncols + 1)
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [Q(0)] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][self.ncols]
-        return tuple(x)
+        X = self.solve_matrix(Matrix.from_cols([b], nrows=self.nrows))
+        return None if X is None else X.col(0)
 
     def solve_matrix(self, B: "Matrix") -> "Matrix | None":
-        """X with self @ X = B, or None."""
-        cols = []
-        for j in range(B.ncols):
-            x = self.solve(B.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_cols(cols, nrows=self.ncols)
+        """X with self @ X = B, or None; one elimination for all columns.
+
+        Column j has the free variables of [self | b_j] set to zero: when
+        every column is consistent, the reduced form of [self | B] restricted
+        to [self | b_j] is the reduced form of [self | b_j].
+        """
+        R, pivots = hstack([self, B]).rref()
+        if pivots and pivots[-1] >= self.ncols:
+            return None
+        X = [[Q(0)] * B.ncols for _ in range(self.ncols)]
+        for r, pc in enumerate(pivots):
+            X[pc] = R.rows[r][self.ncols:]
+        return Matrix(X, ncols=B.ncols)
+
+    def left_inverse(self) -> "Matrix | None":
+        """X with X @ self = I, or None if the columns are dependent."""
+        R, pivots = hstack([self, Matrix.eye(self.nrows)]).rref()
+        if pivots[:self.ncols] != tuple(range(self.ncols)):
+            return None
+        return Matrix([r[self.ncols:] for r in R.rows[:self.ncols]], ncols=self.nrows)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -263,13 +287,9 @@ def column_space_coords(basis: Sequence[Vector], v: Sequence[Q]) -> Vector | Non
 def quotient_basis(sub: Sequence[Vector], space_dim: int) -> list[int]:
     """Indices of standard basis vectors completing `sub` to a basis.
 
-    Returns e_i indices whose classes form a basis of the quotient by span(sub).
+    Returns e_i indices whose classes form a basis of the quotient by span(sub):
+    the greedy choice, read off the pivot columns of one reduced form.
     """
-    cols = list(sub)
-    chosen = []
-    for i, e in enumerate(Matrix.eye(space_dim).cols()):
-        trial = cols + [e]
-        if Matrix.from_cols(trial, nrows=space_dim).rank() > Matrix.from_cols(cols, nrows=space_dim).rank():
-            cols.append(e)
-            chosen.append(i)
-    return chosen
+    k = len(sub)
+    _, pivots = hstack([Matrix.from_cols(sub, nrows=space_dim), Matrix.eye(space_dim)]).rref()
+    return [p - k for p in pivots if p >= k]

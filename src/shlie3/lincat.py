@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .chain import ChainComplexT
-from .graded import GradedSpace, GradedVector, MultiMap, build_multimap
+from .graded import GradedSpace, MultiMap, build_multimap
 from .linalg import Matrix, Q, Vector, hstack, vadd, vis_zero, vscale, vstack, vsub, vzero
 
 
@@ -465,23 +465,25 @@ def cartesian_product(L: LinearNCat, M: LinearNCat) -> LinearNCat:
 class TensorCat:
     """Tensor product category with its raw <-> component dictionaries.
 
-    Raw level m is L_m (x) M_m with the Kronecker structural maps; the
-    component category is carved out by exact kernel computations.
+    Raw level m is L_m (x) M_m with the Kronecker structural maps
+    ``raw_s[m]`` (m <= n) and ``raw_i[m]`` (m < n); the component category is
+    carved out by exact kernel computations.  ``kernel_mats[m]`` has a basis
+    of ker S_m as columns and ``kernel_inv[m]`` is a left inverse of it,
+    factored once.
     """
 
     left: LinearNCat
     right: LinearNCat
     cat: LinearNCat
-    kernel_bases: tuple[tuple[Vector, ...], ...]  # basis of ker S_m in raw L_m (x) M_m
+    kernel_mats: tuple[Matrix, ...]
+    kernel_inv: tuple[Matrix, ...]
+    raw_s: tuple[Matrix, ...]
+    raw_i: tuple[Matrix, ...]
 
-    def raw_s(self, m: int) -> Matrix:
-        return self.left.s_matrix_level(m).kron(self.right.s_matrix_level(m))
-
-    def raw_t(self, m: int) -> Matrix:
-        return self.left.t_matrix_level(m).kron(self.right.t_matrix_level(m))
-
-    def raw_i(self, m: int) -> Matrix:
-        return self.left.i_matrix_level(m).kron(self.right.i_matrix_level(m))
+    @property
+    def kernel_bases(self) -> tuple[tuple[Vector, ...], ...]:
+        """Basis of ker S_m in raw L_m (x) M_m, per level."""
+        return tuple(tuple(B.cols()) for B in self.kernel_mats)
 
     def raw_dim(self, m: int) -> int:
         return self.left.level_dim(m) * self.right.level_dim(m)
@@ -494,15 +496,14 @@ class TensorCat:
         for i in range(m + 1):
             u = vsub(raw, lifted_sum)
             for k in range(m, i, -1):
-                u = self.raw_s(k).apply(u)
-            B = Matrix.from_cols(self.kernel_bases[i], nrows=self.raw_dim(i))
-            coords = B.solve(u)
-            if coords is None:
+                u = self.raw_s[k].apply(u)
+            coords = self.kernel_inv[i].apply(u)
+            if self.kernel_mats[i].apply(coords) != u:
                 raise ValueError("raw vector is not in the component span")
             comps.append(coords)
             lift = u
             for k in range(i, m):
-                lift = self.raw_i(k).apply(lift)
+                lift = self.raw_i[k].apply(lift)
             lifted_sum = vadd(lifted_sum, lift)
         return Cell(m, tuple(comps))
 
@@ -510,10 +511,9 @@ class TensorCat:
         m = a.level
         out = tuple(vzero(self.raw_dim(m)))
         for i in range(m + 1):
-            B = Matrix.from_cols(self.kernel_bases[i], nrows=self.raw_dim(i))
-            lift = B.apply(a.components[i])
+            lift = self.kernel_mats[i].apply(a.components[i])
             for k in range(i, m):
-                lift = self.raw_i(k).apply(lift)
+                lift = self.raw_i[k].apply(lift)
             out = vadd(out, lift)
         return out
 
@@ -528,24 +528,19 @@ def tensor_product(L: LinearNCat, M: LinearNCat) -> TensorCat:
     if L.n != M.n:
         raise ValueError("category dimensions differ")
     n = L.n
-    bases = []
-    for m in range(n + 1):
-        S = L.s_matrix_level(m).kron(M.s_matrix_level(m))
-        bases.append(tuple(S.nullspace()))
-    dims = tuple(len(b) for b in bases)
-    space = GradedSpace(dims)
+    raw_s = tuple(L.s_matrix_level(m).kron(M.s_matrix_level(m)) for m in range(n + 1))
+    raw_i = tuple(L.i_matrix_level(m).kron(M.i_matrix_level(m)) for m in range(n))
+    mats = tuple(Matrix.from_cols(S.nullspace(), nrows=S.ncols) for S in raw_s)
+    space = GradedSpace(tuple(B.ncols for B in mats))
     raw = []
     for d in range(1, n + 1):
         T = L.t_matrix_level(d).kron(M.t_matrix_level(d))
-        Bprev = Matrix.from_cols(bases[d - 1], nrows=L.level_dim(d - 1) * M.level_dim(d - 1))
-        for i, v in enumerate(bases[d]):
-            w = T.apply(v)
-            coords = Bprev.solve(w)
-            if coords is None:
-                raise ValueError("target leaves the kernel span")
-            raw.append((((d, i),), coords))
+        X = mats[d - 1].solve_matrix(T @ mats[d])
+        if X is None:
+            raise ValueError("target leaves the kernel span")
+        raw.extend((((d, i),), X.col(i)) for i in range(X.ncols))
     cat = LinearNCat(space, build_multimap(1, -1, space, raw))
-    return TensorCat(L, M, cat, tuple(bases))
+    return TensorCat(L, M, cat, mats, tuple(B.left_inverse() for B in mats), raw_s, raw_i)
 
 
 def product(L: LinearNCat, M: LinearNCat, mode: str) -> LinearNCat:

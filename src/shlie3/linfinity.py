@@ -15,13 +15,12 @@ and skipped.  All residuals are exact rational vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
 from .graded import (GradedSpace, GradedVector, MultiMap, enumerate_shuffles,
                      koszul_chi)
-from .linalg import Q
 
 Key = tuple[tuple[int, int], ...]
 

@@ -367,3 +367,75 @@ def seed_check_condition(data: LInfinityData, n: int) -> ConditionReport:
         if not res.is_zero():
             violations.append(Violation(key, res, tag))
     return ConditionReport(n, tuple(violations), tuple(tags))
+
+
+# -- the seed dense linear algebra, kept as the oracle -----------------
+#
+# Every entry is multiplied, zeros included, exactly as ``Matrix`` did
+# before products, Kronecker products and elimination skipped zeros.
+
+def seed_matmul(A: Matrix, B: Matrix) -> Matrix:
+    cols = B.transpose().rows
+    return Matrix([[sum((a * b for a, b in zip(row, col)), Q(0)) for col in cols]
+                   for row in A.rows], ncols=B.ncols)
+
+
+def seed_kron(A: Matrix, B: Matrix) -> Matrix:
+    return Matrix([[a * b for a in r1 for b in r2] for r1 in A.rows for r2 in B.rows],
+                  ncols=A.ncols * B.ncols)
+
+
+def seed_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    rows = [list(r) for r in A.rows]
+    pivots = []
+    pr = 0
+    for pc in range(A.ncols):
+        pivot_row = next((r for r in range(pr, A.nrows) if rows[r][pc] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = Q(1) / rows[pr][pc]
+        rows[pr] = [inv * e for e in rows[pr]]
+        for r in range(A.nrows):
+            if r != pr and rows[r][pc] != 0:
+                f = rows[r][pc]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == A.nrows:
+            break
+    return Matrix(rows, ncols=A.ncols), tuple(pivots)
+
+
+def seed_solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
+    """One elimination of [A | b] per column b of B, free variables zero."""
+    cols = []
+    for j in range(B.ncols):
+        R, pivots = seed_rref(Matrix([list(r) + [b] for r, b in zip(A.rows, B.col(j))],
+                                     ncols=A.ncols + 1))
+        if A.ncols in pivots:
+            return None
+        x = [Q(0)] * A.ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = R.rows[r][A.ncols]
+        cols.append(tuple(x))
+    return Matrix.from_cols(cols, nrows=A.ncols)
+
+
+def seed_quotient_basis(sub, space_dim: int) -> list[int]:
+    """Greedy completion: keep e_i when it raises the rank (two ranks per i)."""
+    cols = list(sub)
+    chosen = []
+    for i, e in enumerate(Matrix.eye(space_dim).cols()):
+        trial = cols + [e]
+        if (len(seed_rref(Matrix.from_cols(trial, nrows=space_dim))[1])
+                > len(seed_rref(Matrix.from_cols(cols, nrows=space_dim))[1])):
+            cols.append(e)
+            chosen.append(i)
+    return chosen
+
+
+def sparse_matrix(rng: random.Random, m: int, n: int, zero_share: float) -> Matrix:
+    """Random rational matrix whose entries are zero with probability zero_share."""
+    return Matrix([[Q(0) if rng.random() < zero_share else Q(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(n)] for _ in range(m)], ncols=n)

@@ -156,9 +156,9 @@ def test_criterion_7_simplicial_layer():
         f, g = ez(S, T), aw(S, T)
         if not (f.is_chain_map() and g.is_chain_map()):
             ok = False
-        if not aw_after_ez_identity(S, T):
+        if not aw_after_ez_identity(f, g):
             ok = False
-        if not aw_ez_homology_check(S, T, max_degree=3):
+        if not aw_ez_homology_check(f, g, max_degree=3):
             ok = False
     report("7 simplicial layer (nerve normalization, shuffle/front-face maps)", ok)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -194,6 +195,23 @@ def test_tensor_raw_cell_roundtrip():
         for v in tc.kernel_bases[m]:
             cell = tc.raw_to_cell(m, v)
             assert tc.cell_to_raw(cell) == tuple(v)
+
+
+def test_raw_to_cell_checks_span_membership():
+    rng = random.Random(32)
+    L = rand_cat(rng, (2, 1, 1))
+    tc = tensor_product(L, L)
+    for m in range(3):
+        basis = tc.kernel_bases[m]
+        # drop the last kernel basis vector at level m: it leaves the span
+        short = Matrix.from_cols(basis[:-1], nrows=tc.raw_dim(m))
+        bad = replace(tc, kernel_mats=tc.kernel_mats[:m] + (short,) + tc.kernel_mats[m + 1:],
+                      kernel_inv=tc.kernel_inv[:m] + (short.left_inverse(),)
+                      + tc.kernel_inv[m + 1:])
+        kept = tc.raw_to_cell(m, basis[0]).components
+        assert bad.raw_to_cell(m, basis[0]).components == kept[:m] + (kept[m][:-1],)
+        with pytest.raises(ValueError, match="not in the component span"):
+            bad.raw_to_cell(m, basis[-1])
 
 
 def test_product_mode_dispatch():

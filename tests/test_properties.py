@@ -1,5 +1,6 @@
 """Property tests: compiled evaluation and residuals against the seed oracle,
-and the chi sign calculus."""
+the chi sign calculus, and the zero-skipping linear algebra against the seed
+dense loops."""
 
 import itertools
 import random
@@ -9,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from shlie3.graded import (GradedSpace, GradedVector, Permutation,
                            build_multimap, koszul_chi)
+from shlie3.linalg import Matrix, quotient_basis
 from shlie3.linfinity import linfty_residual
 
-from helpers import rand_brackets, seed_eval, seed_linfty_residual
+from helpers import (rand_brackets, seed_eval, seed_kron, seed_linfty_residual,
+                     seed_matmul, seed_quotient_basis, seed_rref, seed_solve_matrix,
+                     sparse_matrix)
 
 dims_st = st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
 
@@ -73,3 +77,40 @@ def test_residual_is_multilinear_sum_of_basis_residuals(dims, n, seed):
 def test_chi_multiplicative(case):
     s, t, deg = Permutation(tuple(case[0])), Permutation(tuple(case[1])), case[2]
     assert koszul_chi(s.compose(t), deg) == koszul_chi(s, t.apply(deg)) * koszul_chi(t, deg)
+
+
+shape_st = st.integers(0, 6)
+zero_share_st = st.sampled_from([0.0, 0.3, 0.6, 0.9])
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=shape_st, k=shape_st, n=shape_st, zero_share=zero_share_st,
+       seed=st.integers(0, 2**32))
+def test_sparse_kernel_matches_seed_dense_loops(m, k, n, zero_share, seed):
+    rng = random.Random(seed)
+    A = sparse_matrix(rng, m, k, zero_share)
+    B = sparse_matrix(rng, k, n, zero_share)
+    assert A @ B == seed_matmul(A, B)
+    v = sparse_matrix(rng, k, 1, zero_share)
+    assert A.apply(v.col(0)) == seed_matmul(A, v).col(0)
+    assert A.kron(B) == seed_kron(A, B)
+    assert A.rref() == seed_rref(A)
+    C = sparse_matrix(rng, m, n, zero_share)
+    assert A.solve_matrix(C) == seed_solve_matrix(A, C)
+    # a right-hand side in the column space always has a solution
+    X = A.solve_matrix(A @ B)
+    assert X is not None and X == seed_solve_matrix(A, A @ B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 7), k=shape_st, zero_share=zero_share_st,
+       seed=st.integers(0, 2**32))
+def test_left_inverse_and_quotient_basis(m, k, zero_share, seed):
+    rng = random.Random(seed)
+    A = sparse_matrix(rng, m, k, zero_share)
+    X = A.left_inverse()
+    independent = len(seed_rref(A)[1]) == k
+    assert (X is not None) == independent
+    if independent:
+        assert X @ A == Matrix.eye(k)
+    assert quotient_basis(A.cols(), m) == seed_quotient_basis(A.cols(), m)

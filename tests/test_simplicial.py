@@ -36,6 +36,25 @@ def test_validation_rejects_bad_faces():
         SimplicialVS(S.dims, bad_faces, S.degens)
 
 
+def _with_face_entry_changed(S: SimplicialVS, n: int, i: int) -> SimplicialVS:
+    """The same face/degeneracy data with one entry of d_i at level n shifted by 1."""
+    rows = [list(r) for r in S.d(n, i).rows]
+    rows[0][0] += 1
+    faces = [list(level) for level in S.faces]
+    faces[n - 1][i] = Matrix(rows, ncols=S.dim(n))
+    return SimplicialVS(S.dims, tuple(map(tuple, faces)), S.degens)
+
+
+def test_corrupted_nerve_and_tensor_faces_rejected():
+    rng = random.Random(11)
+    S = nerve(two_term_cat(rng, (2, 1)), 3)
+    T = tensor_svs(S, nerve(two_term_cat(rng, (1, 1)), 3))
+    for space in (S, T):
+        for n, i in ((1, 0), (2, 1), (3, 2), (3, 3)):
+            with pytest.raises(ValueError, match="identity fails"):
+                _with_face_entry_changed(space, n, i)
+
+
 def test_nerve_dims_and_identities():
     rng = random.Random(1)
     L = two_term_cat(rng, (3, 2))
@@ -103,16 +122,17 @@ def test_ez_aw_chain_maps_and_roundtrips():
         f = ez(S, T)
         g = aw(S, T)
         assert f.is_chain_map() and g.is_chain_map()
-        assert aw_after_ez_identity(S, T)
-        assert aw_ez_homology_check(S, T)
+        assert aw_after_ez_identity(f, g)
+        assert aw_ez_homology_check(f, g)
 
 
 def test_ez_aw_with_point():
     rng = random.Random(8)
     S = nerve(two_term_cat(rng, (2, 2)), 3)
     P = constant_svs(3)
-    assert aw_after_ez_identity(S, P)
-    assert aw_ez_homology_check(S, P)
+    f, g = ez(S, P), aw(S, P)
+    assert aw_after_ez_identity(f, g)
+    assert aw_ez_homology_check(f, g)
 
 
 def test_compose_tensor_identity():
