@@ -7,6 +7,10 @@ identity), all stored as structure constants on the kernel spaces.  The
 checks here are the categorical counterparts of the order 1..5 identities
 of the homotopy-algebra presentation, and the two converters realize the
 exact correspondence between the presentations.
+
+The multilinear cell operations (bracket of m-cells, Jacobiator and
+Identiator cells) are evaluated from sparse tables over basis indices, built
+once per structure on first use from their component formulas.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .graded import GradedSpace, GradedVector, MultiMap
@@ -62,6 +67,23 @@ class Lie3Data:
     def l1_apply(self, d: int, v: Sequence[Q]) -> Vector:
         return self.cat.t_matrix(d).apply(v)
 
+    # Tables of the cell operations, built from the component formulas on
+    # first use, so that constructing a Lie3Data compiles nothing.
+
+    @functools.cached_property
+    def _bracket_tables(self) -> tuple[dict, ...]:
+        L = self.cat
+        return tuple(_compile((L.level_dim(m),) * 2, lambda a, b, m=m: _bracket_formula(
+            self, L.unflatten(m, a), L.unflatten(m, b))) for m in range(3))
+
+    @functools.cached_property
+    def _J_table(self) -> dict:
+        return _compile((self.cat.dim(0),) * 3, lambda *xs: _J_formula(self, *xs))
+
+    @functools.cached_property
+    def _mu_table(self) -> dict:
+        return _compile((self.cat.dim(0),) * 4, lambda *xs: _mu_formula(self, *xs))
+
 
 @dataclass(frozen=True)
 class CheckFailure:
@@ -79,18 +101,39 @@ class CheckReport:
         return not self.failures
 
 
-# -- the bracket on cells ---------------------------------------------
+# -- the cell operations, compiled into basis tables ------------------
 
 
-def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
-    """[a, b] for m-cells, m <= 2.
+def _compile(dims: Sequence[int], formula) -> dict:
+    """Sparse table of a multilinear, cell-valued ``formula`` of flat
+    coordinate vectors: every tuple of basis indices, one per argument, with
+    a nonzero value -> the nonzero (index, coefficient) pairs of that value."""
+    units = [Matrix.eye(n).cols() for n in dims]
+    table = {}
+    for key in itertools.product(*map(range, dims)):
+        value = itertools.chain(*formula(*(u[i] for u, i in zip(units, key))).components)
+        if pairs := tuple((i, c) for i, c in enumerate(value) if c):
+            table[key] = pairs
+    return table
 
-    In components: [(x,f,a'), (y,g,b')] =
+
+def _contract(L: LinearNCat, m: int, table: dict, args: Sequence[Sequence[Q]]) -> Cell:
+    """The m-cell value of a compiled map on flat coordinate vectors, summed
+    over the product of the arguments' nonzero entries."""
+    out = list(vzero(L.level_dim(m)))
+    for combo in itertools.product(*([(i, c) for i, c in enumerate(a) if c] for a in args)):
+        if (hit := table.get(tuple(i for i, _ in combo))) is not None:
+            c = prod(coeff for _, coeff in combo if coeff != 1)
+            for i, v in hit:
+                v = v if c == 1 else c * v
+                out[i] = out[i] + v if out[i] else v
+    return L.unflatten(m, tuple(out))
+
+
+def _bracket_formula(D: Lie3Data, a: Cell, b: Cell) -> Cell:
+    """[a, b] for m-cells, m <= 2, in components: [(x,f,a'), (y,g,b')] =
     (l2(x,y), l2(x,g) + l2(f, tg), l2(x,b') + l2(a',y)) with tg = y + l1 g;
-    lower levels are the truncations of this formula.
-    """
-    if a.level != b.level:
-        raise ValueError("bracket needs cells of equal level")
+    lower levels are the truncations of this formula."""
     m = a.level
     l2 = D.bracket_constants.eval_blocks
     x, y = a.components[0], b.components[0]
@@ -107,21 +150,53 @@ def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
     return Cell(2, (v0, v1, v2))
 
 
+def _J_formula(D: Lie3Data, x: Sequence[Q], y: Sequence[Q], z: Sequence[Q]) -> Cell:
+    l2 = lambda p, q: D.bracket_constants.eval_blocks([(0, p), (0, q)])
+    return Cell(1, (l2(l2(x, y), z), D.J.eval_blocks([(0, x), (0, y), (0, z)])))
+
+
+def _mu_formula(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
+                z: Sequence[Q], u: Sequence[Q]) -> Cell:
+    """Composition along 0-cells adds V1 parts and identity paddings have
+    none, so eta's V1 part is the sum of the V1 parts of its four factors
+    (see ``eta_epsilon``): [J_xyz, u] + J_{[x,z],y,u} + J_{x,[y,z],u}
+    + [J_xzu, y] + [x, J_yzu]."""
+    l2, J = D.bracket_constants.eval_blocks, D.J.eval_blocks
+    br = lambda p, q: l2([(0, p), (0, q)])
+    j1 = lambda a, b, c: J([(0, a), (0, b), (0, c)])
+    v1 = functools.reduce(vadd, [
+        l2([(1, j1(x, y, z)), (0, u)]), j1(br(x, z), y, u), j1(x, br(y, z), u),
+        l2([(1, j1(x, z, u)), (0, y)]), l2([(0, x), (1, j1(y, z, u))])])
+    mv = D.mu.eval_blocks([(0, w) for w in (x, y, z, u)])
+    return Cell(2, (br(br(br(x, y), z), u), v1, mv))
+
+
+def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
+    """[a, b] for m-cells, m <= 2 (see ``_bracket_formula``)."""
+    if a.level != b.level:
+        raise ValueError("bracket needs cells of equal level")
+    L = D.cat
+    return _contract(L, a.level, D._bracket_tables[a.level], (L.flatten(a), L.flatten(b)))
+
+
 def _obj_cell(D: Lie3Data, x: Sequence[Q], level: int = 0) -> Cell:
     return D.cat.cell_from_v0(x, level)
 
 
 def bracket_objects(D: Lie3Data, x: Sequence[Q], y: Sequence[Q]) -> Vector:
-    return D.bracket_constants.eval_blocks([(0, x), (0, y)])
-
-
-# -- Jacobiator cells -------------------------------------------------
+    return _contract(D.cat, 0, D._bracket_tables[0], (x, y)).components[0]
 
 
 def J_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q], z: Sequence[Q]) -> Cell:
     """The 1-cell ([[x,y],z], J(x,y,z)) from [[x,y],z] to [[x,z],y]+[x,[y,z]]."""
-    src = bracket_objects(D, bracket_objects(D, x, y), z)
-    return Cell(1, (src, D.J.eval_blocks([(0, x), (0, y), (0, z)])))
+    return _contract(D.cat, 1, D._J_table, (x, y, z))
+
+
+def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
+            z: Sequence[Q], u: Sequence[Q]) -> Cell:
+    """The Identiator 2-cell ([[[x,y],z],u], eta-V1-part, mu(x,y,z,u)), with
+    eta's V1 part in closed form (see ``_mu_formula``)."""
+    return _contract(D.cat, 2, D._mu_table, (x, y, z, u))
 
 
 # -- composites with automatic identity padding -----------------------
@@ -164,25 +239,6 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
         J_cell(D, x, br(y, u), z) + J_cell(D, br(x, u), y, z) + J_cell(D, x, y, br(z, u)),
     ])
     return eta, eps
-
-
-def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
-            z: Sequence[Q], u: Sequence[Q]) -> Cell:
-    """The Identiator 2-cell ([[[x,y],z],u], eta-V1-part, mu(x,y,z,u)).
-
-    Composition along 0-cells adds V1 parts and identity paddings have
-    none, so eta's V1 part is the sum of the V1 parts of its four factors
-    (see ``eta_epsilon``): [J_xyz, u] + J_{[x,z],y,u} + J_{x,[y,z],u}
-    + [J_xzu, y] + [x, J_yzu].
-    """
-    l2, J = D.bracket_constants.eval_blocks, D.J.eval_blocks
-    br = lambda p, q: bracket_objects(D, p, q)
-    j1 = lambda a, b, c: J([(0, a), (0, b), (0, c)])
-    v1 = functools.reduce(vadd, [
-        l2([(1, j1(x, y, z)), (0, u)]), j1(br(x, z), y, u), j1(x, br(y, z), u),
-        l2([(1, j1(x, z, u)), (0, y)]), l2([(0, x), (1, j1(y, z, u))])])
-    mv = D.mu.eval_blocks([(0, w) for w in (x, y, z, u)])
-    return Cell(2, (br(br(br(x, y), z), u), v1, mv))
 
 
 def inverse2(D: Lie3Data, alpha: Cell) -> Cell:

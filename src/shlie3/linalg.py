@@ -25,11 +25,12 @@ def vzero(n: int) -> Vector:
 
 
 def vadd(a: Sequence[Q], b: Sequence[Q]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    # a zero operand is skipped: most cell components are sparse
+    return tuple(x + y if x and y else x or y for x, y in zip(a, b, strict=True))
 
 
 def vsub(a: Sequence[Q], b: Sequence[Q]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
 
 
 def vscale(c, a: Sequence[Q]) -> Vector:

@@ -44,11 +44,14 @@ class Cell:
     components: tuple[Vector, ...]
 
     def __post_init__(self):
-        comps = tuple(tuple(c if type(c) is Q else Q(c) for c in block)
-                      for block in self.components)
+        comps = self.components
         if len(comps) != self.level + 1:
             raise ValueError(f"a level-{self.level} cell needs {self.level + 1} components")
-        object.__setattr__(self, "components", comps)
+        # blocks that are already tuples of Fractions are kept as they are
+        if (type(comps) is not tuple or not all(type(block) is tuple for block in comps)
+                or not all(type(c) is Q for block in comps for c in block)):
+            object.__setattr__(self, "components", tuple(
+                tuple(c if type(c) is Q else Q(c) for c in block) for block in comps))
 
     def is_zero(self) -> bool:
         return all(vis_zero(b) for b in self.components)
@@ -249,7 +252,7 @@ class LinearNCat:
         comps = []
         pos = 0
         for i in range(m + 1):
-            comps.append(tuple(Q(c) for c in v[pos: pos + self.dim(i)]))
+            comps.append(v[pos: pos + self.dim(i)])
             pos += self.dim(i)
         if pos != len(v):
             raise ValueError("vector length does not match level")

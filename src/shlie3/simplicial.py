@@ -399,14 +399,14 @@ def _simplex_arrows(L: LinearNCat, v: Vector, n: int) -> list[Vector]:
     return arrows
 
 
-def _pairing_matrix(L: LinearNCat, tc: TensorCat, n: int) -> Matrix:
-    """Matrix of the arrowwise pairing (𝒮 (x) 𝒮)_n -> nerve(L ⊠ L)_n.
+def _pairing_matrix(L: LinearNCat, S: SimplicialVS, tc: TensorCat, n: int) -> Matrix:
+    """Matrix of the arrowwise pairing (𝒮 (x) 𝒮)_n -> nerve(L ⊠ L)_n, for
+    S the nerve of L truncated at n or above.
 
     A pair of n-simplices goes to the chain whose i-th arrow is the tensor
     of the i-th arrows, written in the kernel coordinates of the tensor
     category.
     """
-    S = nerve(L, max(n, 1))
     m0, m1 = tc.cat.dim(0), tc.cat.dim(1)
     dim_out = m0 + n * m1
 
@@ -480,8 +480,8 @@ def obstruction_demo(L: LinearNCat) -> ObstructionReport:
     identity_ok = compose_tensor_identity(L, tc)
     S = nerve(L, 3)
     NT = nerve(tc.cat, 3)
-    M2 = _pairing_matrix(L, tc, 2)
-    M3 = _pairing_matrix(L, tc, 3)
+    M2 = _pairing_matrix(L, S, tc, 2)
+    M3 = _pairing_matrix(L, S, tc, 3)
     lhs = M2 @ (S.d(3, 2).kron(S.d(3, 2)))
     rhs = NT.d(3, 2) @ M3
     diff = lhs - rhs

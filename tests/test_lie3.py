@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from shlie3 import lie3
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
 from shlie3.linalg import vadd, vis_zero, vsub, vzero
 from shlie3.lie3 import (ConversionError, Lie3Data, J_cell, alpha_cell,
@@ -12,6 +13,7 @@ from shlie3.lie3 import (ConversionError, Lie3Data, J_cell, alpha_cell,
                          coherence_residual, eta_epsilon, from_linfinity,
                          inverse2, mu_cell, to_linfinity)
 from shlie3.linfinity import LInfinityData, check_all, check_condition
+from shlie3.specfile import build_lie3, parse_spec, render_lie3
 
 from helpers import (abelian_l3_l4, ce_cocycles4, graded_lie_data, l1_only,
                      rand_brackets, rand_vec, scaling_brackets,
@@ -112,6 +114,24 @@ def test_mu_cell_source_matches_eta_composite(case):
         nontrivial |= not vis_zero(eta.components[1])
     if not case.startswith("valid"):  # the valid samples have J = 0 or V1 = 0
         assert nontrivial
+
+
+def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
+    """Constructing a Lie3Data (from_linfinity, build_lie3) compiles no table;
+    the checks compile each of the five tables once per structure."""
+    built = []
+    compile_ = lie3._compile
+    monkeypatch.setattr(lie3, "_compile", lambda dims, f: built.append(dims) or compile_(dims, f))
+    D = glambda_cat()
+    E = build_lie3(parse_spec(render_lie3(D)))
+    assert built == []
+    for _ in range(2):
+        for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence):
+            assert check(D).passed
+    n0, n1, n2 = D.space.dims
+    assert sorted(built) == sorted([(n0, n0), (n0 + n1,) * 2, (n0 + n1 + n2,) * 2,
+                                    (n0,) * 3, (n0,) * 4])
+    assert all(name not in vars(E) for name in ("_bracket_tables", "_J_table", "_mu_table"))
 
 
 # -- the four categorical checks on valid data ------------------------

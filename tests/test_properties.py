@@ -1,6 +1,7 @@
 """Property tests: compiled evaluation and residuals against the seed oracle,
-the chi sign calculus, and the zero-skipping linear algebra against the seed
-dense loops."""
+the chi sign calculus, the zero-skipping linear algebra against the seed
+dense loops, the compiled lie3 cell operations against their component
+formulas, and the spec-file parse/render roundtrip."""
 
 import itertools
 import random
@@ -10,12 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from shlie3.graded import (GradedSpace, GradedVector, Permutation,
                            build_multimap, koszul_chi)
+from shlie3.lie3 import (Lie3Data, J_cell, _bracket_formula, _J_formula, _mu_formula,
+                         bracket_cells, from_linfinity, mu_cell)
+from shlie3.lincat import Cell, LinearNCat
 from shlie3.linalg import Matrix, quotient_basis
 from shlie3.linfinity import linfty_residual
+from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
-from helpers import (rand_brackets, seed_eval, seed_kron, seed_linfty_residual,
+from helpers import (l1_only, rand_brackets, seed_eval, seed_kron, seed_linfty_residual,
                      seed_matmul, seed_quotient_basis, seed_rref, seed_solve_matrix,
-                     sparse_matrix)
+                     sparse_matrix, special_valid_samples)
+from test_lie3 import _with_random_constants, abelian_cat, glambda_cat, scaling_cat
 
 dims_st = st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
 
@@ -114,3 +120,57 @@ def test_left_inverse_and_quotient_basis(m, k, zero_share, seed):
     if independent:
         assert X @ A == Matrix.eye(k)
     assert quotient_basis(A.cols(), m) == seed_quotient_basis(A.cols(), m)
+
+
+VALID_LIE3 = {"abelian": abelian_cat, "glambda": glambda_cat, "scaling": scaling_cat}
+
+
+def rand_fraction_vec(rng: random.Random, n: int):
+    return tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else Q(0)
+                 for _ in range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(VALID_LIE3) + ["random-J-mu", "non-Lie-bracket"]),
+       seed=st.integers(0, 2**32))
+def test_cell_tables_match_component_formulas(case, seed):
+    """The tabulated cell bracket (levels 0-2), Jacobiator and Identiator cells
+    equal the component formulas on random non-basis arguments; level-m cells
+    carry entries in every degree up to m."""
+    rng = random.Random(seed)
+    if case in VALID_LIE3:
+        D = VALID_LIE3[case]()
+    elif case == "random-J-mu":
+        D = _with_random_constants(rng, glambda_cat())
+    else:
+        D = _with_random_constants(rng, from_linfinity(l1_only(rng, (3, 2, 1))), bracket=True)
+    L = D.cat
+    for m in range(3):
+        a, b = (Cell(m, tuple(rand_fraction_vec(rng, L.dim(d)) for d in range(m + 1)))
+                for _ in range(2))
+        assert bracket_cells(D, a, b) == _bracket_formula(D, a, b)
+    x, y, z, u = (rand_fraction_vec(rng, L.dim(0)) for _ in range(4))
+    assert J_cell(D, x, y, z) == _J_formula(D, x, y, z)
+    assert mu_cell(D, x, y, z, u) == _mu_formula(D, x, y, z, u)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.integers(0, 3), seed=st.integers(0, 2**32))
+def test_spec_roundtrip_on_random_valid_structures(kind, seed):
+    """build(parse(render(X))) gives back X's maps and renders to the same bytes.
+
+    The lie3 structure is assembled the way ``from_linfinity`` does it; the
+    sample is valid and special by construction."""
+    rng = random.Random(seed)
+    A = special_valid_samples(rng, kind + 1)[kind]
+    meta = {"seed": str(seed)}
+    text = render_linfinity(A, meta)
+    B = build_linfinity(parse_spec(text))
+    assert (B.l1, B.l2, B.l3, B.l4) == (A.l1, A.l2, A.l3, A.l4)
+    assert render_linfinity(B, meta) == text
+    D = Lie3Data(LinearNCat(A.space, A.l1), A.l2, A.l3, -A.l4)
+    text = render_lie3(D, meta)
+    E = build_lie3(parse_spec(text))
+    assert (E.cat.t_data, E.bracket_constants, E.J, E.mu) == \
+        (D.cat.t_data, D.bracket_constants, D.J, D.mu)
+    assert render_lie3(E, meta) == text
