@@ -47,7 +47,6 @@ class Cell:
         comps = self.components
         if len(comps) != self.level + 1:
             raise ValueError(f"a level-{self.level} cell needs {self.level + 1} components")
-        # blocks that are already tuples of Fractions are kept as they are
         if (type(comps) is not tuple or not all(type(block) is tuple for block in comps)
                 or not all(type(c) is Q for block in comps for c in block)):
             object.__setattr__(self, "components", tuple(

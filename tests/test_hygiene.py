@@ -1,7 +1,6 @@
 """Every module of the package uses each name it imports.
 
-Names listed in a module's ``__all__`` count as used (re-exports), and so do
-names inside string annotations.
+Names listed in a module's ``__all__`` count as used (re-exports).
 """
 
 import ast
@@ -27,17 +26,6 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(elt.value for elt in node.value.elts)
-        annotations = []
-        if isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for ann in annotations:
-            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                used.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
-                            if isinstance(n, ast.Name))
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
@@ -50,4 +38,3 @@ def test_unused_import_is_reported():
     src = "from .linalg import Matrix, vadd\nimport itertools\n\ndef f(): return vadd\n"
     assert unused_imports(src) == ["Matrix (line 1)", "itertools (line 2)"]
     assert unused_imports("from .a import b\n__all__ = ['b']\n") == []
-    assert unused_imports("from .a import B\ndef f(x: 'B'): pass\n") == []
