@@ -16,6 +16,7 @@ from .lie3 import (ConversionError, check_bifunctor, check_coherence,
                    check_identiator, check_jacobiator, from_linfinity,
                    to_linfinity)
 from .lincat import from_chain
+from .linalg import vsub, vzero
 from .linfinity import check_all, is_special
 from .simplicial import (aw, aw_after_ez_identity, aw_ez_homology_check, ez,
                          moore, moore_of_nerve_check, nerve, obstruction_demo)
@@ -28,34 +29,24 @@ def _rats(vec) -> list[str]:
     return [render_rational(c) for c in vec]
 
 
-def _condition_checks(data, n_max: int) -> list[dict]:
+def _render_checks(reports, list_key: str = "failures") -> list[dict]:
+    """One entry per report: its name, verdict and failures, each failure as
+    {"key": witness, "tag": identity, "residual": exact residual}."""
     out = []
-    for rep in check_all(data, n_max):
-        out.append({
-            "name": f"order-{rep.n}",
-            "passed": rep.passed,
-            "violations": [
-                {"key": [[d, i] for d, i in v.key], "tag": v.tag,
-                 "residual": _rats(next(b for b in v.residual.coords if any(b)))}
-                for v in rep.violations],
-        })
+    for rep in reports:
+        entry = {"name": rep.name, "passed": rep.passed,
+                 list_key: [{"key": f.witness, "tag": f.identity, "residual": _rats(f.residual)}
+                            for f in rep.failures]}
+        if rep.name == "coherence":
+            entry["order5_agreement"] = all(f.identity != "order5-agreement"
+                                            for f in rep.failures)
+        out.append(entry)
     return out
 
 
 def _lie3_checks(D) -> list[dict]:
-    out = []
-    for rep in (check_bifunctor(D), check_jacobiator(D), check_identiator(D)):
-        out.append({"name": rep.name, "passed": rep.passed,
-                    "failures": [{"check": f.check, "detail": f.detail}
-                                 for f in rep.failures]})
-    coh = check_coherence(D)
-    out.append({"name": "coherence", "passed": coh.passed,
-                "order5_agreement": coh.v2_matches_order5,
-                "failures": [{"key": list(r.key),
-                              "v1_residual": _rats(r.v1_residual),
-                              "v2_residual": _rats(r.v2_residual)}
-                             for r in coh.results if not r.passed]})
-    return out
+    return _render_checks((check_bifunctor(D), check_jacobiator(D),
+                           check_identiator(D), check_coherence(D)))
 
 
 def _emit(report: dict, fmt: str, out_path: str | None) -> None:
@@ -98,7 +89,7 @@ def _two_term_category(spec: AlgebraSpecFile):
 
 def cmd_check(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if spec.kind == "linfinity":
-        checks = _condition_checks(build_linfinity(spec), args.n)
+        checks = _render_checks(check_all(build_linfinity(spec), args.n), "violations")
     elif spec.kind == "lie3":
         checks = _lie3_checks(build_lie3(spec))
     else:
@@ -142,15 +133,19 @@ def cmd_coherence(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     else:
         raise SpecError(f"coherence does not apply to kind {spec.kind!r}", "$.kind")
     rep = check_coherence(D)
-    checks = [{"name": f"quintuple {'.'.join(map(str, r.key))}",
-               "passed": r.passed,
-               "v2_residual": _rats(r.v2_residual),
-               "order5_residual": _rats(r.order5_residual),
-               "order5_agreement": r.matches_order5}
-              for r in rep.results]
-    ok = rep.passed
-    return {"command": "coherence", "checks": checks, "passed": ok,
-            "order5_agreement": rep.v2_matches_order5}, 0 if ok else 1
+    bad = {(f.identity, f.witness): f.residual for f in rep.failures}
+    v1_end = D.cat.level_dim(1)
+    checks = []
+    for w in rep.checked:
+        v2 = bad.get(("coherence", w), vzero(D.cat.level_dim(2)))[v1_end:]
+        gap = bad.get(("order5-agreement", w))
+        checks.append({"name": f"quintuple {'.'.join(str(i) for _, i in w)}",
+                       "passed": ("coherence", w) not in bad and gap is None,
+                       "v2_residual": _rats(v2),
+                       "order5_residual": _rats(v2 if gap is None else vsub(v2, gap)),
+                       "order5_agreement": gap is None})
+    return {"command": "coherence", "checks": checks, "passed": rep.passed,
+            "order5_agreement": all(c["order5_agreement"] for c in checks)}, 0 if rep.passed else 1
 
 
 def cmd_nerve(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
@@ -203,7 +198,7 @@ def cmd_obstruction_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if spec.kind == "linfinity":
         data = build_linfinity(spec)
-        checks = _condition_checks(data, args.n)
+        checks = _render_checks(check_all(data, args.n), "violations")
         special, _ = is_special(data)
         rep = {"command": "report", "checks": checks, "special": special}
     elif spec.kind == "lie3":

@@ -51,10 +51,6 @@ class GradedSpace:
     def top_degree(self) -> int:
         return len(self.dims) - 1
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def basis(self) -> list[BasisIndex]:
         return [(d, i) for d in range(len(self.dims)) for i in range(self.dims[d])]
 

@@ -11,6 +11,10 @@ exact correspondence between the presentations.
 The multilinear cell operations (bracket of m-cells, Jacobiator and
 Identiator cells) are evaluated from sparse tables over basis indices, built
 once per structure on first use from their component formulas.
+
+Every check returns the shared ``report.Report``.  Witnesses name basis
+0-cells as (0, i) pairs, like the basis tuples of the homotopy-algebra side,
+and basis-or-zero cells by their ``LinearNCat.coded_cell`` codes.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .graded import GradedSpace, GradedVector, MultiMap
 from .lincat import Cell, ComposabilityError, LinearNCat
 from .linalg import Matrix, Q, Vector, vadd, vis_zero, vscale, vsub, vzero
 from .linfinity import LInfinityData, check_all, is_special, linfty_residual
+from .report import Collector, Report
 
 
 @dataclass(frozen=True)
@@ -83,22 +88,6 @@ class Lie3Data:
     @functools.cached_property
     def _mu_table(self) -> dict:
         return _compile((self.cat.dim(0),) * 4, lambda *xs: _mu_formula(self, *xs))
-
-
-@dataclass(frozen=True)
-class CheckFailure:
-    check: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    failures: tuple[CheckFailure, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 # -- the cell operations, compiled into basis tables ------------------
@@ -179,10 +168,6 @@ def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
     return _contract(L, a.level, D._bracket_tables[a.level], (L.flatten(a), L.flatten(b)))
 
 
-def _obj_cell(D: Lie3Data, x: Sequence[Q], level: int = 0) -> Cell:
-    return D.cat.cell_from_v0(x, level)
-
-
 def bracket_objects(D: Lie3Data, x: Sequence[Q], y: Sequence[Q]) -> Vector:
     return _contract(D.cat, 0, D._bracket_tables[0], (x, y)).components[0]
 
@@ -210,7 +195,7 @@ def _fold_compose(D: Lie3Data, factors: Sequence[Cell]) -> Cell:
     for named in factors[1:]:
         tgt = D.cat.target_iter(acc, m)
         pad_obj = vsub(tgt.components[0], named.components[0])
-        padded = named + _obj_cell(D, pad_obj, m)
+        padded = named + D.cat.cell_from_v0(pad_obj, m)
         acc = D.cat.compose(acc, padded, 0)
     return acc
 
@@ -225,7 +210,7 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
           o (J_{x,[y,u],z}+J_{[x,u],y,z}+J_{x,y,[z,u]}).
     """
     br = lambda p, q: bracket_objects(D, p, q)
-    one = lambda w: _obj_cell(D, w, 1)
+    one = lambda w: D.cat.cell_from_v0(w, 1)
     bc = lambda c, d: bracket_cells(D, c, d)
     eta = _fold_compose(D, [
         bc(J_cell(D, x, y, z), one(u)),
@@ -252,14 +237,12 @@ def inverse2(D: Lie3Data, alpha: Cell) -> Cell:
 # -- structural checks ------------------------------------------------
 
 
-def _basis_cells_with_zero(L: LinearNCat, m: int):
-    yield L.zero_cell(m)
-    for d in range(m + 1):
-        for i in range(L.dim(d)):
-            yield L.basis_cell(m, d, i)
+def _objects(key: Sequence[int]) -> tuple:
+    """Witness of a tuple of basis 0-cells, as (0, i) basis pairs."""
+    return tuple((0, i) for i in key)
 
 
-def check_bifunctor(D: Lie3Data) -> CheckReport:
+def check_bifunctor(D: Lie3Data) -> Report:
     """Verify that the bracket is an antisymmetric bilinear 2-functor.
 
     Covers respect of sources, targets and identities, preservation of
@@ -268,113 +251,87 @@ def check_bifunctor(D: Lie3Data) -> CheckReport:
     boundary over the bracket.
     """
     L = D.cat
-    failures: list[CheckFailure] = []
-
-    def fail(check, detail):
-        failures.append(CheckFailure(check, detail))
+    col = Collector("bifunctor")
+    br = lambda a, b: bracket_cells(D, a, b)
+    basis = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m, zero_component_mix=False)]
+             for m in range(3)]
+    zero = [L.zero_cell(m) for m in range(3)]
 
     # bilinearity makes basis cells a complete test family for s, t, 1
     for m in (1, 2):
-        for a in L.spanning_cells(m, zero_component_mix=False):
-            for b in L.spanning_cells(m, zero_component_mix=False):
-                ab = bracket_cells(D, a, b)
-                if L.source(ab) != bracket_cells(D, L.source(a), L.source(b)):
-                    fail("source", f"level {m}")
-                if L.target(ab) != bracket_cells(D, L.target(a), L.target(b)):
-                    fail("target", f"level {m}")
+        for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
+            ab, w = br(a, b), (ca, cb)
+            col.compare("source", w, L.source(ab), br(L.source(a), L.source(b)))
+            col.compare("target", w, L.target(ab), br(L.target(a), L.target(b)))
     for m in (0, 1):
-        for a in L.spanning_cells(m, zero_component_mix=False):
-            for b in L.spanning_cells(m, zero_component_mix=False):
-                lhs = L.identity(bracket_cells(D, a, b))
-                if lhs != bracket_cells(D, L.identity(a), L.identity(b)):
-                    fail("identity", f"level {m}")
+        for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
+            col.compare("identity", (ca, cb), L.identity(br(a, b)),
+                        br(L.identity(a), L.identity(b)))
 
     # antisymmetry on basis cells
     for m in (0, 1, 2):
-        for a in L.spanning_cells(m, zero_component_mix=False):
-            for b in L.spanning_cells(m, zero_component_mix=False):
-                if bracket_cells(D, a, b) + bracket_cells(D, b, a) != L.zero_cell(m):
-                    fail("antisymmetry", f"level {m}")
+        for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
+            col.compare("antisymmetry", (ca, cb), br(a, b) + br(b, a), zero[m])
 
     # composition preservation: the residual of
     # [v o v', w o w'] = [v,w] o [v',w'] is multilinear in
     # (v, free part of v', w, free part of w'), so basis-or-zero slots span.
     for m in (1, 2):
         for p in range(m):
-            tails = [L.zero_cell(m)]
-            for d in range(p + 1, m + 1):
-                for i in range(L.dim(d)):
-                    tails.append(L.basis_cell(m, d, i))
-            for v in _basis_cells_with_zero(L, m):
-                for dv in tails:
-                    vp = L.target_iter(v, m - p)
-                    vp = L.identity_iter(vp, m - p) + dv
-                    for w in _basis_cells_with_zero(L, m):
-                        for dw in tails:
-                            wp = L.identity_iter(L.target_iter(w, m - p), m - p) + dw
-                            try:
-                                lhs = bracket_cells(D, L.compose(v, vp, p), L.compose(w, wp, p))
-                                rhs = L.compose(bracket_cells(D, v, w),
-                                                bracket_cells(D, vp, wp), p)
-                            except ComposabilityError:
-                                fail("composition", f"level {m}, p={p}: composite undefined")
-                                continue
-                            if lhs != rhs:
-                                fail("composition", f"level {m}, p={p}")
+            opts = [((None,) * (m + 1), zero[m])] + basis[m]
+            tails = [(c, t) for c, t in opts if all(i is None for i in c[:p + 1])]
+            factors = [((cv, ct), v, L.identity_iter(L.target_iter(v, m - p), m - p) + t)
+                       for cv, v in opts for ct, t in tails]
+            for (kv, v, vp), (kw, w, wp) in itertools.product(factors, repeat=2):
+                wit = (p,) + kv + kw
+                try:
+                    lhs = br(L.compose(v, vp, p), L.compose(w, wp, p))
+                    rhs = L.compose(br(v, w), br(vp, wp), p)
+                except ComposabilityError as e:
+                    col.compare("composable", wit, e.left, e.right)
+                    continue
+                col.compare("composition", wit, lhs, rhs)
 
     # degenerate brackets of kernel elements
-    n1, n2 = L.dim(1), L.dim(2)
-    for i in range(n1):
-        f = L.basis_cell(1, 1, i)
-        for j in range(n1):
-            g = L.basis_cell(1, 1, j)
-            fg = bracket_cells(D, f, g)
-            if fg != bracket_cells(D, L.identity_iter(L.target(f), 1), g):
-                fail("kernel-bracket", "[f,g] != [1_tf, g]")
-            if fg != bracket_cells(D, f, L.identity_iter(L.target(g), 1)):
-                fail("kernel-bracket", "[f,g] != [f, 1_tg]")
-        for j in range(n2):
-            b = L.basis_cell(2, 2, j)
-            if not bracket_cells(D, L.identity(f), b).is_zero():
-                fail("kernel-bracket", "[1_f, b] != 0")
-            tf2 = D.l1_apply(1, f.components[1])
-            if not bracket_cells(D, _obj_cell(D, tf2, 2), b).is_zero():
-                fail("kernel-bracket", "[1^2_tf, b] != 0")
-    for i in range(n2):
-        a = L.basis_cell(2, 2, i)
+    f1 = [(c, f) for c, f in basis[1] if c[1] is not None]
+    a2 = [(c, a) for c, a in basis[2] if c[2] is not None]
+    for cf, f in f1:
+        for cg, g in f1:
+            fg, w = br(f, g), (cf, cg)
+            col.compare("kernel-bracket [f,g]=[1_tf,g]", w, fg, br(L.identity(L.target(f)), g))
+            col.compare("kernel-bracket [f,g]=[f,1_tg]", w, fg, br(f, L.identity(L.target(g))))
+        tf2 = L.cell_from_v0(D.l1_apply(1, f.components[1]), 2)
+        for cb, b in a2:
+            w = (cf, cb)
+            col.compare("kernel-bracket [1_f,b]=0", w, br(L.identity(f), b), zero[2])
+            col.compare("kernel-bracket [1^2_tf,b]=0", w, br(tf2, b), zero[2])
+    for ca, a in a2:
         ta = L.identity(L.target(a))  # the 2-cell 1_{ta}
-        for j in range(n2):
-            b = L.basis_cell(2, 2, j)
-            if not bracket_cells(D, a, b).is_zero():
-                fail("kernel-bracket", "[a,b] != 0")
-            if not bracket_cells(D, ta, b).is_zero():
-                fail("kernel-bracket", "[1_ta, b] != 0")
-            tb = L.identity(L.target(b))
-            if not bracket_cells(D, a, tb).is_zero():
-                fail("kernel-bracket", "[a, 1_tb] != 0")
+        for cb, b in a2:
+            w = (ca, cb)
+            col.compare("kernel-bracket [a,b]=0", w, br(a, b), zero[2])
+            col.compare("kernel-bracket [1_ta,b]=0", w, br(ta, b), zero[2])
+            col.compare("kernel-bracket [a,1_tb]=0", w, br(a, L.identity(L.target(b))), zero[2])
 
     # graded derivation property of the boundary over the bracket constants:
     # t[u, v] = [tu, v] + (-1)^|u| [u, tv], an identity in degree |u| + |v| - 1
     space = D.space
     l2 = D.bracket_constants.eval_blocks
     eyes = [Matrix.eye(n) for n in space.dims]
-    for (da, i) in space.basis():
-        for (db, j) in space.basis():
-            od = da + db - 1
-            if not 0 <= od <= space.top_degree:
-                continue
-            u, v = eyes[da].col(i), eyes[db].col(j)
-            lhs = rhs = vzero(L.dim(od))
-            if od < space.top_degree:
-                lhs = D.l1_apply(od + 1, l2([(da, u), (db, v)]))
-            if da >= 1:
-                rhs = vadd(rhs, l2([(da - 1, L.t_matrix(da).col(i)), (db, v)]))
-            if db >= 1:
-                rhs = vadd(rhs, vscale((-1) ** da, l2([(da, u), (db - 1, L.t_matrix(db).col(j))])))
-            if lhs != rhs:
-                fail("chain-rule", f"degrees ({da}, {db})")
-
-    return CheckReport("bifunctor", tuple(failures))
+    for (da, i), (db, j) in itertools.product(space.basis(), repeat=2):
+        od = da + db - 1
+        if not 0 <= od <= space.top_degree:
+            continue
+        u, v = eyes[da].col(i), eyes[db].col(j)
+        lhs = rhs = vzero(L.dim(od))
+        if od < space.top_degree:
+            lhs = D.l1_apply(od + 1, l2([(da, u), (db, v)]))
+        if da >= 1:
+            rhs = vadd(rhs, l2([(da - 1, L.t_matrix(da).col(i)), (db, v)]))
+        if db >= 1:
+            rhs = vadd(rhs, vscale((-1) ** da, l2([(da, u), (db - 1, L.t_matrix(db).col(j))])))
+        col.compare("chain-rule", ((da, i), (db, j)), lhs, rhs)
+    return col.report()
 
 
 def _jac_F(D: Lie3Data, c1: Cell, c2: Cell, c3: Cell) -> Cell:
@@ -386,53 +343,53 @@ def _jac_G(D: Lie3Data, c1: Cell, c2: Cell, c3: Cell) -> Cell:
             + bracket_cells(D, c1, bracket_cells(D, c2, c3)))
 
 
-def _naturality_residual(D: Lie3Data, F, G, theta, objs: list[Vector],
-                         slot: int, alpha: Cell) -> Cell:
-    """Difference of F(..alpha..) o theta(targets) and theta(sources) o G(..alpha..),
-    for a 2-cell-valued theta on 0-cells and alpha in the given slot."""
+def _naturality_squares(D: Lie3Data, col: Collector, F, G, theta, arity: int):
+    """Yield (witness, residual) for F(..alpha..) o theta(targets) minus
+    theta(sources) o G(..alpha..), for a 2-cell-valued theta on 0-cells,
+    basis 0-cells in all slots but one and a basis 2-cell alpha in that slot.
+    The witness is (slot, the 0-cells, alpha's code); an undefined composite
+    goes to ``col`` as a "composable" failure instead."""
     L = D.cat
-    t2 = vadd(alpha.components[0], D.l1_apply(1, alpha.components[1]))
-    args = [_obj_cell(D, w, 2) for w in objs]
-    args.insert(slot, alpha)
-    t_objs = list(objs)
-    t_objs.insert(slot, t2)
-    s_objs = list(objs)
-    s_objs.insert(slot, alpha.components[0])
-    lhs = L.compose(F(D, *args), theta(t_objs), 0)
-    rhs = L.compose(theta(s_objs), G(D, *args), 0)
-    return lhs - rhs
+    e0 = Matrix.eye(L.dim(0)).cols()
+    alphas = [(c, L.coded_cell(c)) for c in L.spanning_codes(2, zero_component_mix=False)]
+    for slot in range(arity):
+        for key in itertools.product(range(L.dim(0)), repeat=arity - 1):
+            objs = [e0[i] for i in key]
+            ids = [L.cell_from_v0(x, 2) for x in objs]
+            for ca, alpha in alphas:
+                w = (slot, _objects(key), ca)
+                args = ids[:slot] + [alpha] + ids[slot:]
+                t2 = vadd(alpha.components[0], D.l1_apply(1, alpha.components[1]))
+                t_objs = objs[:slot] + [t2] + objs[slot:]
+                s_objs = objs[:slot] + [alpha.components[0]] + objs[slot:]
+                try:
+                    res = (L.compose(F(D, *args), theta(t_objs), 0)
+                           - L.compose(theta(s_objs), G(D, *args), 0))
+                except ComposabilityError as e:
+                    col.compare("composable", w, e.left, e.right)
+                    continue
+                yield w, res
 
 
-def check_jacobiator(D: Lie3Data) -> CheckReport:
+def check_jacobiator(D: Lie3Data) -> Report:
     """Target condition and 2-naturality (in each argument slot) of J."""
     L = D.cat
-    failures: list[CheckFailure] = []
+    col = Collector("jacobiator")
     e0 = Matrix.eye(L.dim(0)).cols()
+    bo = lambda p, q: bracket_objects(D, p, q)
 
     # target: t J_{xyz} = [[x,z],y] + [x,[y,z]]
-    for x in e0:
-        for y in e0:
-            for z in e0:
-                jc = J_cell(D, x, y, z)
-                want = vadd(bracket_objects(D, bracket_objects(D, x, z), y),
-                            bracket_objects(D, x, bracket_objects(D, y, z)))
-                if L.target(jc).components[0] != want:
-                    failures.append(CheckFailure("target", "t J != [[x,z],y]+[x,[y,z]]"))
+    for key in itertools.product(range(L.dim(0)), repeat=3):
+        x, y, z = (e0[i] for i in key)
+        col.compare("target", _objects(key), L.target(J_cell(D, x, y, z)).components[0],
+                    vadd(bo(bo(x, z), y), bo(x, bo(y, z))))
 
     theta = lambda objs: L.identity(J_cell(D, *objs))
-    for slot in range(3):
-        for objs in itertools.product(e0, repeat=2):
-            for alpha in L.spanning_cells(2, zero_component_mix=False):
-                try:
-                    res = _naturality_residual(D, _jac_F, _jac_G, theta, list(objs), slot, alpha)
-                except ComposabilityError:
-                    failures.append(CheckFailure("naturality", f"slot {slot}: composite undefined"))
-                    continue
-                if not vis_zero(res.components[1]):
-                    failures.append(CheckFailure("naturality-v1", f"slot {slot}"))
-                if not vis_zero(res.components[2]):
-                    failures.append(CheckFailure("naturality-v2", f"slot {slot}"))
-    return CheckReport("jacobiator", tuple(failures))
+    z1, z2 = vzero(L.dim(1)), vzero(L.dim(2))
+    for w, res in _naturality_squares(D, col, _jac_F, _jac_G, theta, 3):
+        col.compare("naturality-v1", w, res.components[1], z1)
+        col.compare("naturality-v2", w, res.components[2], z2)
+    return col.report()
 
 
 def _id_F(D: Lie3Data, c1: Cell, c2: Cell, c3: Cell, c4: Cell) -> Cell:
@@ -446,36 +403,27 @@ def _id_G(D: Lie3Data, c1: Cell, c2: Cell, c3: Cell, c4: Cell) -> Cell:
             + br(br(c1, br(c3, c4)), c2) + br(c1, br(c2, br(c3, c4))))
 
 
-def check_identiator(D: Lie3Data) -> CheckReport:
+def check_identiator(D: Lie3Data) -> Report:
     """Boundary conditions and the modification law of the Identiator."""
     L = D.cat
-    failures: list[CheckFailure] = []
+    col = Collector("identiator")
     e0 = Matrix.eye(L.dim(0)).cols()
 
     # s mu = eta and t mu = eps
-    for objs in itertools.product(e0, repeat=4):
+    for key in itertools.product(range(L.dim(0)), repeat=4):
+        objs = [e0[i] for i in key]
         eta, eps = eta_epsilon(D, *objs)
-        mc = mu_cell(D, *objs)
-        if L.source(mc) != eta:
-            failures.append(CheckFailure("source", "s mu != eta"))
-        if L.target(mc) != eps:
-            failures.append(CheckFailure("target", "t mu != eps"))
+        mc, w = mu_cell(D, *objs), _objects(key)
+        col.compare("source", w, L.source(mc), eta)
+        col.compare("target", w, L.target(mc), eps)
 
     # modification law in each slot:
     # F(..alpha..) o mu(targets) = mu(sources) o G(..alpha..)
-    theta = lambda objs: mu_cell(D, *objs)
-    for slot in range(4):
-        for objs in itertools.product(e0, repeat=3):
-            for alpha in L.spanning_cells(2, zero_component_mix=False):
-                try:
-                    res = _naturality_residual(D, _id_F, _id_G, theta, list(objs), slot, alpha)
-                except ComposabilityError:
-                    failures.append(CheckFailure("modification", f"slot {slot}: composite undefined"))
-                    continue
-                if not res.is_zero():
-                    which = "v2" if vis_zero(res.components[1]) else "v1"
-                    failures.append(CheckFailure(f"modification-{which}", f"slot {slot}"))
-    return CheckReport("identiator", tuple(failures))
+    zero = L.zero_cell(2)
+    for w, res in _naturality_squares(D, col, _id_F, _id_G, lambda objs: mu_cell(D, *objs), 4):
+        which = "v2" if vis_zero(res.components[1]) else "v1"
+        col.compare(f"modification-{which}", w, res, zero)
+    return col.report()
 
 
 # -- the coherence law ------------------------------------------------
@@ -488,12 +436,12 @@ def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
     paddings are resolved automatically from the composability conditions.
     """
     br = lambda p, q: bracket_objects(D, p, q)
-    one1 = lambda w: _obj_cell(D, w, 1)
+    one1 = lambda w: D.cat.cell_from_v0(w, 1)
     one2 = lambda c: D.cat.identity(c)  # identity 2-cell of a 1-cell
     bc = lambda a, b: bracket_cells(D, a, b)
     mu = lambda a, b, c, d: mu_cell(D, a, b, c, d)
     J = lambda a, b, c: J_cell(D, a, b, c)
-    id2v = lambda w: _obj_cell(D, w, 2)  # squared identity of an object
+    id2v = lambda w: D.cat.cell_from_v0(w, 2)  # squared identity of an object
 
     if i == 1:
         return _fold_compose(D, [
@@ -538,36 +486,6 @@ def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
     raise ValueError("i must be in 1..4")
 
 
-@dataclass(frozen=True)
-class QuintupleResult:
-    key: tuple
-    v0_residual: Vector
-    v1_residual: Vector
-    v2_residual: Vector
-    order5_residual: Vector  # left-hand side of the order-5 identity
-
-    @property
-    def passed(self) -> bool:
-        return vis_zero(self.v0_residual) and vis_zero(self.v1_residual) and vis_zero(self.v2_residual)
-
-    @property
-    def matches_order5(self) -> bool:
-        return self.v2_residual == self.order5_residual
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    results: tuple[QuintupleResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    @property
-    def v2_matches_order5(self) -> bool:
-        return all(r.matches_order5 for r in self.results)
-
-
 def coherence_residual(D: Lie3Data, x, y, z, u, v) -> Cell:
     """(alpha1 + alpha4^{-1}) - (alpha3 + alpha2^{-1}) on five 0-cells."""
     a1 = alpha_cell(D, 1, x, y, z, u, v)
@@ -577,29 +495,31 @@ def coherence_residual(D: Lie3Data, x, y, z, u, v) -> Cell:
     return (a1 + inverse2(D, a4)) - (a3 + inverse2(D, a2))
 
 
-def check_coherence(D: Lie3Data, tuples=None) -> CoherenceReport:
+def check_coherence(D: Lie3Data, tuples=None) -> Report:
     """Coherence law per quintuple of V0 basis vectors.
 
     Default tuple set: canonical (sorted, repetition allowed) quintuples.
     The interesting residual component is antisymmetric, so this family
-    determines it completely; the report also carries the order-5 residual
-    of the extracted structure constants for a side-by-side comparison.
+    determines it completely.  Each quintuple is also checked against the
+    order-5 residual of the extracted structure constants: its V2 residual
+    must equal that left-hand side ("order5-agreement", residual V2 minus
+    order-5).
     """
     L = D.cat
     n0 = L.dim(0)
     e0 = Matrix.eye(n0).cols()
     if tuples is None:
-        tuples = list(itertools.combinations_with_replacement(range(n0), 5))
+        tuples = itertools.combinations_with_replacement(range(n0), 5)
     data = _raw_linfinity(D)
-    results = []
+    col = Collector("coherence")
+    zero = L.zero_cell(2)
     for key in tuples:
-        args_v = [e0[i] for i in key]
-        res = coherence_residual(D, *args_v)
-        args_g = [GradedVector.basis_vector(D.space, 0, i) for i in key]
-        r5 = linfty_residual(data, 5, args_g).component(2)
-        results.append(QuintupleResult(tuple(key), res.components[0],
-                                       res.components[1], res.components[2], r5))
-    return CoherenceReport(tuple(results))
+        w = _objects(key)
+        res = coherence_residual(D, *(e0[i] for i in key))
+        r5 = linfty_residual(data, 5, [GradedVector.basis_vector(D.space, 0, i) for i in key])
+        col.compare("coherence", w, res, zero)
+        col.compare("order5-agreement", w, res.components[2], r5.component(2))
+    return col.report()
 
 
 # -- converters -------------------------------------------------------
@@ -632,8 +552,8 @@ def from_linfinity(A: LInfinityData) -> Lie3Data:
     special, witness = is_special(A)
     if not special:
         raise ConversionError(f"data is not special: offending key {witness}")
-    for rep in check_all(A, 5):
+    for n, rep in enumerate(check_all(A, 5), 1):
         if not rep.passed:
-            raise ConversionError(f"order {rep.n} identity fails", rep)
+            raise ConversionError(f"order {n} identity fails", rep)
     cat = LinearNCat(A.space, A.l1)
     return Lie3Data(cat, A.l2, A.l3, -A.l4)

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 from .chain import ChainComplexT
 from .graded import GradedSpace, MultiMap, build_multimap
 from .linalg import Matrix, Q, Vector, hstack, vadd, vis_zero, vscale, vstack, vsub, vzero
+from .report import Collector, Report
 
 
 class ComposabilityError(ValueError):
@@ -104,25 +105,31 @@ class LinearNCat:
         return Cell(m, tuple(vzero(self.dim(i)) for i in range(m + 1)))
 
     def basis_cell(self, m: int, d: int, i: int) -> Cell:
-        comps = [list(vzero(self.dim(k))) for k in range(m + 1)]
-        comps[d][i] = Q(1)
-        return Cell(m, tuple(tuple(b) for b in comps))
+        return self.coded_cell(tuple(i if k == d else None for k in range(m + 1)))
+
+    def coded_cell(self, code: Sequence[int | None]) -> Cell:
+        """The cell of level len(code) - 1 whose component k is basis vector
+        code[k] of V_k, or zero where code[k] is None (the witness encoding)."""
+        return Cell(len(code) - 1, tuple(tuple(Q(int(j == i)) for j in range(self.dim(k)))
+                                         for k, i in enumerate(code)))
 
     def cell_from_v0(self, v0: Sequence[Q], level: int = 0) -> Cell:
         """The iterated identity cell over a 0-cell, at the requested level."""
         comps = [tuple(Q(c) for c in v0)] + [vzero(self.dim(i)) for i in range(1, level + 1)]
         return Cell(level, tuple(comps))
 
-    def spanning_cells(self, m: int, zero_component_mix: bool = True):
-        """Cells whose components are basis vectors or zero; spans L_m."""
+    def spanning_codes(self, m: int, zero_component_mix: bool = True) -> list[tuple]:
+        """Codes (see ``coded_cell``) of m-cells whose components are basis
+        vectors or zero, all mixes of them or only single basis vectors;
+        either family spans L_m."""
         if zero_component_mix:
-            options = [[vzero(self.dim(i))] + Matrix.eye(self.dim(i)).cols() for i in range(m + 1)]
-            for combo in itertools.product(*options):
-                yield Cell(m, tuple(combo))
-        else:
-            for d in range(m + 1):
-                for i in range(self.dim(d)):
-                    yield self.basis_cell(m, d, i)
+            return list(itertools.product(*([None, *range(self.dim(k))] for k in range(m + 1))))
+        return [tuple(i if k == d else None for k in range(m + 1))
+                for d in range(m + 1) for i in range(self.dim(d))]
+
+    def spanning_cells(self, m: int, zero_component_mix: bool = True):
+        """The cells of ``spanning_codes``: a spanning family of L_m."""
+        return map(self.coded_cell, self.spanning_codes(m, zero_component_mix))
 
     # -- structure maps (the component formulas) ----------------------
 
@@ -310,112 +317,100 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
 # -- axioms -----------------------------------------------------------
 
 
-def _tail_options(L: LinearNCat, m: int, p: int):
-    """Free tails (components p+1..m) that span the fiber over a fixed prefix."""
-    opts_per_pos = [[vzero(L.dim(i))] + Matrix.eye(L.dim(i)).cols() for i in range(p + 1, m + 1)]
-    return list(itertools.product(*opts_per_pos))
+def _tails(L: LinearNCat, m: int, p: int) -> list[tuple[tuple, Cell]]:
+    """(code, cell) of the m-cells that are basis-or-zero in components
+    p+1..m and zero below: free parts spanning the p-composable right factors."""
+    return [(c, L.coded_cell(c)) for c in L.spanning_codes(m) if all(i is None for i in c[:p + 1])]
 
 
 def _spanning_pairs(L: LinearNCat, m: int, p: int):
+    tails = _tails(L, m, p)
     for a in L.spanning_cells(m):
-        for tail in _tail_options(L, m, p):
-            yield a, L.pad_composable(a, tail, p)
-
-
-@dataclass(frozen=True)
-class AxiomFailure:
-    axiom: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    failures: tuple[AxiomFailure, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
+        for _, t in tails:
+            yield a, L.pad_composable(a, t.components[p + 1:], p)
 
 
 def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | None = None,
-                 max_tails: int | None = None) -> AxiomReport:
+                 max_tails: int | None = None) -> Report:
     """Verify the category axioms on spanning families of basis-derived cells.
 
     `compose` may override the built-in composition (used to show a corrupted
-    table fails); it takes (a, b, p).
+    table fails); it takes (a, b, p).  A right factor is witnessed by the code
+    of its free part t: b = pad_composable(a, t.components[p+1:], p).
     """
-    comp = compose or (lambda a, b, p: L.compose(a, b, p))
-    failures: list[AxiomFailure] = []
-
-    def fail(axiom, detail):
-        failures.append(AxiomFailure(axiom, detail))
+    comp = compose or L.compose
+    col = Collector("axioms")
+    cells = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m)] for m in range(L.n + 1)]
 
     def tails(m, p):
-        ts = _tail_options(L, m, p)
+        ts = _tails(L, m, p)
         return ts[:max_tails] if max_tails else ts
+
+    def right(a, t, p):
+        return L.pad_composable(a, t.components[p + 1:], p)
 
     # globular conditions
     for m in range(2, L.n + 1):
-        for a in L.spanning_cells(m):
-            if L.source(L.source(a)) != L.source(L.target(a)):
-                fail("globular", f"ss != st at level {m}")
-            if L.target(L.source(a)) != L.target(L.target(a)):
-                fail("globular", f"ts != tt at level {m}")
+        for c, a in cells[m]:
+            w = (c,)
+            col.compare("globular ss=st", w, L.source(L.source(a)), L.source(L.target(a)))
+            col.compare("globular ts=tt", w, L.target(L.source(a)), L.target(L.target(a)))
 
     # identities have the right boundaries
     for m in range(L.n):
-        for a in L.spanning_cells(m):
-            one = L.identity(a)
-            if L.source(one) != a or L.target(one) != a:
-                fail("identity-boundary", f"s(1_a) or t(1_a) != a at level {m}")
+        for c, a in cells[m]:
+            one, w = L.identity(a), (c,)
+            col.compare("s(1_a)=a", w, L.source(one), a)
+            col.compare("t(1_a)=a", w, L.target(one), a)
 
     for m in range(1, L.n + 1):
         for p in range(m):
-            for a in L.spanning_cells(m):
-                for tail in tails(m, p):
-                    b = L.pad_composable(a, tail, p)
-                    ab = comp(a, b, p)
-                    # boundary compatibility
+            ts = tails(m, p)
+            for ca, a in cells[m]:
+                w = (p, ca)
+                ua = L.identity_iter(L.source_iter(a, m - p), m - p)
+                ub = L.identity_iter(L.target_iter(a, m - p), m - p)
+                col.compare("unit 1a=a", w, comp(ua, a, p), a)
+                col.compare("unit a1=a", w, comp(a, ub, p), a)
+                for cb, tb in ts:
+                    b = right(a, tb, p)
+                    ab, w = comp(a, b, p), (p, ca, cb)
                     if p == m - 1:
-                        if L.source(ab) != L.source(a) or L.target(ab) != L.target(b):
-                            fail("boundary", f"level {m}, p={p}")
+                        col.compare("boundary s(ab)=sa", w, L.source(ab), L.source(a))
+                        col.compare("boundary t(ab)=tb", w, L.target(ab), L.target(b))
                     else:
-                        if (L.source(ab) != comp(L.source(a), L.source(b), p)
-                                or L.target(ab) != comp(L.target(a), L.target(b), p)):
-                            fail("boundary", f"level {m}, p={p}")
-                    # unit laws
-                    ua = L.identity_iter(L.source_iter(a, m - p), m - p)
-                    ub = L.identity_iter(L.target_iter(a, m - p), m - p)
-                    if comp(ua, a, p) != a or comp(a, ub, p) != a:
-                        fail("unit", f"level {m}, p={p}")
-                    # associativity
-                    for tail2 in tails(m, p):
-                        c = L.pad_composable(b, tail2, p)
-                        if comp(comp(a, b, p), c, p) != comp(a, comp(b, c, p), p):
-                            fail("associativity", f"level {m}, p={p}")
-                    # identity of a composite
-                    if m < L.n and L.identity(ab) != comp(L.identity(a), L.identity(b), p):
-                        fail("identity-of-composite", f"level {m}, p={p}")
+                        col.compare("boundary s(ab)=sa.sb", w, L.source(ab),
+                                    comp(L.source(a), L.source(b), p))
+                        col.compare("boundary t(ab)=ta.tb", w, L.target(ab),
+                                    comp(L.target(a), L.target(b), p))
+                    if m < L.n:
+                        col.compare("identity-of-composite", w, L.identity(ab),
+                                    comp(L.identity(a), L.identity(b), p))
+                    for cc, tc in ts:
+                        c = right(b, tc, p)
+                        col.compare("associativity", (p, ca, cb, cc),
+                                    comp(ab, c, p), comp(a, comp(b, c, p), p))
 
     # interchange
     for m in range(1, L.n + 1):
         for p in range(m):
             for q in range(p):
-                for a in L.spanning_cells(m):
-                    for tb in tails(m, p):
-                        b = L.pad_composable(a, tb, p)
-                        for tc in tails(m, q):
-                            c = L.pad_composable(a, tc, q)
-                            for td in tails(m, p):
-                                d = L.pad_composable(c, td, p)
-                                if not L.composable(b, d, q):
-                                    fail("interchange-setup", f"level {m}, p={p}, q={q}")
+                for ca, a in cells[m]:
+                    for cb, tb in tails(m, p):
+                        b = right(a, tb, p)
+                        for cc, tc in tails(m, q):
+                            c = right(a, tc, q)
+                            for cd, td in tails(m, p):
+                                d = right(c, td, p)
+                                w = (p, q, ca, cb, cc, cd)
+                                try:
+                                    lhs = comp(comp(a, b, p), comp(c, d, p), q)
+                                    rhs = comp(comp(a, c, q), comp(b, d, q), p)
+                                except ComposabilityError as e:
+                                    col.compare("composable", w, e.left, e.right)
                                     continue
-                                lhs = comp(comp(a, b, p), comp(c, d, p), q)
-                                rhs = comp(comp(a, c, q), comp(b, d, q), p)
-                                if lhs != rhs:
-                                    fail("interchange", f"level {m}, p={p}, q={q}")
-    return AxiomReport(tuple(failures))
+                                col.compare("interchange", w, lhs, rhs)
+    return col.report()
 
 
 # -- the equivalence with chain complexes -----------------------------

@@ -9,7 +9,9 @@ weights -1..2.  The generalized Jacobi identity of order n is
 and is checked exhaustively on canonical basis tuples; multilinearity makes
 that complete.  As l_k has weight k - 2, the residual on degrees d_1..d_n
 lies in degree sum(d_i) + n - 3; tuples where that is outside 0..2 are zero
-and skipped.  All residuals are exact rational vectors.
+and skipped.  All residuals are exact rational vectors.  Checks return the
+shared ``report.Report``; a failure's witness is the basis tuple and its
+residual the degree sum(d_i) + n - 3 block of the left-hand side.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from typing import Sequence
 
 from .graded import (GradedSpace, GradedVector, MultiMap, enumerate_shuffles,
                      koszul_chi)
+from .linalg import vzero
+from .report import Collector, Report
 
 Key = tuple[tuple[int, int], ...]
 
@@ -53,24 +57,6 @@ class LInfinityData:
         return LInfinityData(space,
                              MultiMap.zero(1, -1, space), MultiMap.zero(2, 0, space),
                              MultiMap.zero(3, 1, space), MultiMap.zero(4, 2, space))
-
-
-@dataclass(frozen=True)
-class Violation:
-    key: Key
-    residual: GradedVector
-    tag: str
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    n: int
-    violations: tuple[Violation, ...]
-    tags_checked: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def _accumulate(data: LInfinityData, key: Key, terms: dict, coeff, out: dict) -> int:
@@ -127,29 +113,27 @@ def degree_tag(n: int, key: Key) -> str:
     return f"n={n} degrees ({', '.join(str(d) for d, _ in key)})"
 
 
-def check_condition(data: LInfinityData, n: int) -> ConditionReport:
+def check_condition(data: LInfinityData, n: int) -> Report:
     """Exhaustive order-n check over canonical basis tuples.
 
     Tuples whose residual degree sum(d_i) + n - 3 lies outside 0..2 (for
-    n > 5, all of them) are zero by construction: skipped, but still tagged.
+    n > 5, all of them) are zero by construction: skipped, but still listed
+    in ``checked``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     terms: dict = {}
-    violations = []
-    tags = []
+    col = Collector(f"order-{n}")
+    dims, top = data.space.dims, data.space.top_degree
     for key in _canonical_tuples(data.space, n):
-        tag = degree_tag(n, key)
-        if tag not in tags:
-            tags.append(tag)
         res: dict = {}
         r = _accumulate(data, key, terms, 1, res)
-        if any(res.values()):
-            violations.append(Violation(key, GradedVector.from_sparse(data.space, r, res), tag))
-    return ConditionReport(n, tuple(violations), tuple(tags))
+        dim = dims[r] if 0 <= r <= top else 0
+        col.compare(degree_tag(n, key), key, tuple(res.get(i, 0) for i in range(dim)), vzero(dim))
+    return col.report()
 
 
-def check_all(data: LInfinityData, n_max: int = 5) -> list[ConditionReport]:
+def check_all(data: LInfinityData, n_max: int = 5) -> list[Report]:
     return [check_condition(data, n) for n in range(1, n_max + 1)]
 
 

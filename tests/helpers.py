@@ -15,8 +15,8 @@ from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, enumerate_shuffles, koszul_chi)
 from shlie3.linalg import Matrix, vis_zero, vzero
-from shlie3.linfinity import (ConditionReport, LInfinityData, Violation,
-                              degree_tag)
+from shlie3.linfinity import LInfinityData, degree_tag
+from shlie3.report import Failure, Report
 
 
 def rand_q(rng: random.Random, span: int = 3) -> Q:
@@ -354,19 +354,19 @@ def seed_canonical_tuples(space: GradedSpace, n: int):
             yield key
 
 
-def seed_check_condition(data: LInfinityData, n: int) -> ConditionReport:
-    """Every canonical tuple evaluated, none skipped."""
-    violations = []
-    tags = []
+def seed_check_condition(data: LInfinityData, n: int) -> Report:
+    """Every canonical tuple evaluated, none skipped; a failure's residual is
+    the nonzero degree block of the left-hand side."""
+    failures = []
+    keys = []
     for key in seed_canonical_tuples(data.space, n):
         args = [GradedVector.basis_vector(data.space, d, i) for d, i in key]
-        tag = degree_tag(n, key)
-        if tag not in tags:
-            tags.append(tag)
+        keys.append(key)
         res = seed_linfty_residual(data, n, args)
         if not res.is_zero():
-            violations.append(Violation(key, res, tag))
-    return ConditionReport(n, tuple(violations), tuple(tags))
+            block = next(b for b in res.coords if any(b))
+            failures.append(Failure(degree_tag(n, key), key, block))
+    return Report(f"order-{n}", tuple(failures), tuple(keys))
 
 
 # -- the seed dense linear algebra, kept as the oracle -----------------

@@ -146,7 +146,7 @@ def test_valid_data_passes_all_checks(maker):
     if D.cat.dim(0) >= 4:
         tuples = [t for t in itertools.combinations(range(D.cat.dim(0)), 5)]
     rep = check_coherence(D, tuples=tuples)
-    assert rep.passed and rep.v2_matches_order5
+    assert rep.passed  # passing includes agreement with the order-5 residual
 
 
 # -- perturbations are detected ---------------------------------------
@@ -166,7 +166,7 @@ def test_bracket_perturbation_breaks_bifunctor():
     D2 = Lie3Data(D.cat, D.bracket_constants + pert, D.J, D.mu)
     rep = check_bifunctor(D2)
     assert not rep.passed
-    assert any("chain-rule" in f.check for f in rep.failures)
+    assert any("chain-rule" in f.identity for f in rep.failures)
 
 
 def test_J_perturbation_breaks_jacobiator():
@@ -175,7 +175,7 @@ def test_J_perturbation_breaks_jacobiator():
     D2 = Lie3Data(D.cat, D.bracket_constants, D.J + pert, D.mu)
     rep = check_jacobiator(D2)
     assert not rep.passed
-    assert any(f.check == "target" for f in rep.failures)
+    assert any(f.identity == "target" for f in rep.failures)
 
 
 def test_mu_perturbation_breaks_identiator():
@@ -190,7 +190,7 @@ def test_mu_perturbation_breaks_identiator():
     D2 = Lie3Data(D.cat, D.bracket_constants, D.J, D.mu + pert)
     rep = check_identiator(D2)
     assert not rep.passed
-    assert any(f.check == "target" for f in rep.failures)
+    assert any(f.identity == "target" for f in rep.failures)
 
 
 def test_mu_perturbation_breaks_coherence_iff_order5():
@@ -200,7 +200,8 @@ def test_mu_perturbation_breaks_coherence_iff_order5():
     D2 = Lie3Data(D.cat, D.bracket_constants, D.J, D.mu + bad)
     rep = check_coherence(D2, tuples=[tup])
     assert not rep.passed
-    assert rep.v2_matches_order5  # residual equals the order-5 left-hand side
+    # residual equals the order-5 left-hand side
+    assert all(f.identity != "order5-agreement" for f in rep.failures)
     # the corresponding homotopy data fails order 5 as well
     A2 = LInfinityData(D.space, to_linfinity(D).l1, D.bracket_constants,
                        D.J, (D.mu + bad).scale(-1))

@@ -17,7 +17,7 @@ from helpers import (abelian_l3_l4, ce_differential, ce_cocycles4,
 
 def assert_valid(data, n_max=5):
     for rep in check_all(data, n_max):
-        assert rep.passed, f"order {rep.n}: {rep.violations[:2]}"
+        assert rep.passed, f"{rep.name}: {rep.failures[:2]}"
 
 
 def test_zero_data_valid():
@@ -37,7 +37,7 @@ def test_l1_square_violation_detected():
                          MultiMap.zero(3, 1, space), MultiMap.zero(4, 2, space))
     rep = check_condition(data, 1)
     assert not rep.passed
-    assert any(v.key == ((2, 0),) for v in rep.violations)
+    assert any(f.witness == ((2, 0),) for f in rep.failures)
 
 
 def test_abelian_l3_l4_valid():
@@ -96,7 +96,7 @@ def test_orders_above_five_computed_zero():
     data = rand_conjugate(rng, abelian_l3_l4(rng, (2, 2, 2)))
     for n in (6, 7):
         rep = check_condition(data, n)
-        assert rep.passed and rep.tags_checked
+        assert rep.passed and rep.checked
 
 
 def test_conjugation_preserves_validity():
