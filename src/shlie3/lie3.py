@@ -246,15 +246,14 @@ def check_bifunctor(D: Lie3Data) -> Report:
     """Verify that the bracket is an antisymmetric bilinear 2-functor.
 
     Covers respect of sources, targets and identities, preservation of
-    compositions on spanning composable quadruples, the degenerate-bracket
+    compositions on a basis of pairs of composable pairs, the degenerate-bracket
     relations on kernel elements, and the graded derivation property of the
     boundary over the bracket.
     """
     L = D.cat
     col = Collector("bifunctor")
     br = lambda a, b: bracket_cells(D, a, b)
-    basis = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m, zero_component_mix=False)]
-             for m in range(3)]
+    basis = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m)] for m in range(3)]
     zero = [L.zero_cell(m) for m in range(3)]
 
     # bilinearity makes basis cells a complete test family for s, t, 1
@@ -274,14 +273,14 @@ def check_bifunctor(D: Lie3Data) -> Report:
             col.compare("antisymmetry", (ca, cb), br(a, b) + br(b, a), zero[m])
 
     # composition preservation: the residual of
-    # [v o v', w o w'] = [v,w] o [v',w'] is multilinear in
-    # (v, free part of v', w, free part of w'), so basis-or-zero slots span.
+    # [v o v', w o w'] = [v,w] o [v',w'] is bilinear in the composable pairs
+    # (v, v') and (w, w'), so the product of two bases of them decides it.
     for m in (1, 2):
         for p in range(m):
-            opts = [((None,) * (m + 1), zero[m])] + basis[m]
-            tails = [(c, t) for c, t in opts if all(i is None for i in c[:p + 1])]
-            factors = [((cv, ct), v, L.identity_iter(L.target_iter(v, m - p), m - p) + t)
-                       for cv, v in opts for ct, t in tails]
+            factors = []
+            for kv in L.composable_codes(m, p):
+                v = L.coded_cell(kv[0])
+                factors.append((kv, v, L.right_factor(v, kv[1], p)))
             for (kv, v, vp), (kw, w, wp) in itertools.product(factors, repeat=2):
                 wit = (p,) + kv + kw
                 try:
@@ -351,7 +350,7 @@ def _naturality_squares(D: Lie3Data, col: Collector, F, G, theta, arity: int):
     goes to ``col`` as a "composable" failure instead."""
     L = D.cat
     e0 = Matrix.eye(L.dim(0)).cols()
-    alphas = [(c, L.coded_cell(c)) for c in L.spanning_codes(2, zero_component_mix=False)]
+    alphas = [(c, L.coded_cell(c)) for c in L.spanning_codes(2)]
     for slot in range(arity):
         for key in itertools.product(range(L.dim(0)), repeat=arity - 1):
             objs = [e0[i] for i in key]

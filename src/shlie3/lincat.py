@@ -14,7 +14,6 @@ with the last line only defined on p-composable pairs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -118,18 +117,27 @@ class LinearNCat:
         comps = [tuple(Q(c) for c in v0)] + [vzero(self.dim(i)) for i in range(1, level + 1)]
         return Cell(level, tuple(comps))
 
-    def spanning_codes(self, m: int, zero_component_mix: bool = True) -> list[tuple]:
-        """Codes (see ``coded_cell``) of m-cells whose components are basis
-        vectors or zero, all mixes of them or only single basis vectors;
-        either family spans L_m."""
-        if zero_component_mix:
-            return list(itertools.product(*([None, *range(self.dim(k))] for k in range(m + 1))))
+    def spanning_codes(self, m: int) -> list[tuple]:
+        """Codes (see ``coded_cell``) of the basis of L_m: one basis vector in
+        one component, zero in the others."""
         return [tuple(i if k == d else None for k in range(m + 1))
                 for d in range(m + 1) for i in range(self.dim(d))]
 
-    def spanning_cells(self, m: int, zero_component_mix: bool = True):
-        """The cells of ``spanning_codes``: a spanning family of L_m."""
-        return map(self.coded_cell, self.spanning_codes(m, zero_component_mix))
+    def composable_codes(self, m: int, *ps: int) -> list[tuple]:
+        """A basis of the parameters (a, t_1, .., t_k) of an m-cell a and the
+        free parts t_i of right factors composable along p_i-cells, as codes:
+        one slot holds a basis code, the others the zero code.
+
+        A p-composable pair is (a, right_factor(a, t, p)), with right factor
+        1^{m-p}(t^{m-p} a) + t and t zero in components 0..p, so it is linear
+        in (a, t).  Hence a law linear in these parameters holds iff it holds
+        on this basis, a law bilinear in two pairs iff it holds on the product
+        of two such bases, and an affine law iff it also holds at zero.  The
+        order is that of the product of zero-or-basis codes per slot."""
+        zero, basis = (None,) * (m + 1), self.spanning_codes(m)
+        slots = [basis] + [[c for c in basis if all(i is None for i in c[:p + 1])] for p in ps]
+        return [tuple(c if j == s else zero for j in range(len(slots)))
+                for s in reversed(range(len(slots))) for c in slots[s]]
 
     # -- structure maps (the component formulas) ----------------------
 
@@ -186,14 +194,10 @@ class LinearNCat:
             comps.append(vadd(a.components[i], b.components[i]))
         return Cell(m, tuple(comps))
 
-    def pad_composable(self, a: Cell, tail: Sequence[Vector], p: int) -> Cell:
-        """The p-composable right factor with the given free components p+1..m."""
-        m = a.level
-        if len(tail) != m - p:
-            raise ValueError("tail must cover components p+1..m")
-        forced = self.target_iter(a, m - p)
-        comps = list(forced.components) + [tuple(Q(c) for c in t) for t in tail]
-        return Cell(m, tuple(comps))
+    def right_factor(self, a: Cell, code: Sequence[int | None], p: int) -> Cell:
+        """The p-composable right factor of a whose free part is coded_cell(code)."""
+        k = a.level - p
+        return self.identity_iter(self.target_iter(a, k), k) + self.coded_cell(code)
 
     # -- uniqueness of composition (independent re-derivation) --------
 
@@ -284,8 +288,8 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
     """Build a functor from per-level linear maps.
 
     Checks that sources, targets and identities are respected; composition
-    preservation then holds automatically and is asserted on spanning
-    composable pairs rather than trusted.
+    preservation then holds automatically and is asserted on a basis of the
+    composable pairs (both sides are linear in the pair) rather than trusted.
     """
     if src.n != dst.n:
         raise LiftError("category dimensions differ")
@@ -306,7 +310,9 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
     F = NFunctor(src, dst, maps)
     for m in range(1, src.n + 1):
         for p in range(m):
-            for a, b in _spanning_pairs(src, m, p):
+            for ca, cb in src.composable_codes(m, p):
+                a = src.coded_cell(ca)
+                b = src.right_factor(a, cb, p)
                 lhs = F.apply(src.compose(a, b, p))
                 rhs = dst.compose(F.apply(a), F.apply(b), p)
                 if lhs != rhs:  # pragma: no cover - impossible per the unique-composition argument
@@ -317,99 +323,84 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
 # -- axioms -----------------------------------------------------------
 
 
-def _tails(L: LinearNCat, m: int, p: int) -> list[tuple[tuple, Cell]]:
-    """(code, cell) of the m-cells that are basis-or-zero in components
-    p+1..m and zero below: free parts spanning the p-composable right factors."""
-    return [(c, L.coded_cell(c)) for c in L.spanning_codes(m) if all(i is None for i in c[:p + 1])]
+def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | None = None) -> Report:
+    """Verify the category axioms on a basis of their parameters.
 
-
-def _spanning_pairs(L: LinearNCat, m: int, p: int):
-    tails = _tails(L, m, p)
-    for a in L.spanning_cells(m):
-        for _, t in tails:
-            yield a, L.pad_composable(a, t.components[p + 1:], p)
-
-
-def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | None = None,
-                 max_tails: int | None = None) -> Report:
-    """Verify the category axioms on spanning families of basis-derived cells.
-
-    `compose` may override the built-in composition (used to show a corrupted
-    table fails); it takes (a, b, p).  A right factor is witnessed by the code
-    of its free part t: b = pad_composable(a, t.components[p+1:], p).
+    The parameters of an axiom are an m-cell a and the free parts of its
+    composable right factors (``LinearNCat.composable_codes``).  For an affine
+    composition, the built-in one included, every residual is affine in them,
+    and an affine map vanishes iff it vanishes at zero and on a basis: the
+    zero tuple and that basis decide every axiom.  `compose` may override the
+    built-in composition (used to show a corrupted table fails); it takes
+    (a, b, p).  A right factor is witnessed by the code of its free part t:
+    b = L.right_factor(a, t, p).
     """
     comp = compose or L.compose
     col = Collector("axioms")
-    cells = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m)] for m in range(L.n + 1)]
+    right = L.right_factor
 
-    def tails(m, p):
-        ts = _tails(L, m, p)
-        return ts[:max_tails] if max_tails else ts
+    def family(m, *ps):
+        return [((None,) * (m + 1),) * (len(ps) + 1)] + L.composable_codes(m, *ps)
 
-    def right(a, t, p):
-        return L.pad_composable(a, t.components[p + 1:], p)
-
-    # globular conditions
+    # globular conditions and identity boundaries (linear in a)
     for m in range(2, L.n + 1):
-        for c, a in cells[m]:
-            w = (c,)
+        for c in L.spanning_codes(m):
+            a, w = L.coded_cell(c), (c,)
             col.compare("globular ss=st", w, L.source(L.source(a)), L.source(L.target(a)))
             col.compare("globular ts=tt", w, L.target(L.source(a)), L.target(L.target(a)))
-
-    # identities have the right boundaries
     for m in range(L.n):
-        for c, a in cells[m]:
-            one, w = L.identity(a), (c,)
+        for c in L.spanning_codes(m):
+            a, w = L.coded_cell(c), (c,)
+            one = L.identity(a)
             col.compare("s(1_a)=a", w, L.source(one), a)
             col.compare("t(1_a)=a", w, L.target(one), a)
 
     for m in range(1, L.n + 1):
         for p in range(m):
-            ts = tails(m, p)
-            for ca, a in cells[m]:
-                w = (p, ca)
+            for (ca,) in family(m):
+                a, w = L.coded_cell(ca), (p, ca)
                 ua = L.identity_iter(L.source_iter(a, m - p), m - p)
                 ub = L.identity_iter(L.target_iter(a, m - p), m - p)
                 col.compare("unit 1a=a", w, comp(ua, a, p), a)
                 col.compare("unit a1=a", w, comp(a, ub, p), a)
-                for cb, tb in ts:
-                    b = right(a, tb, p)
-                    ab, w = comp(a, b, p), (p, ca, cb)
-                    if p == m - 1:
-                        col.compare("boundary s(ab)=sa", w, L.source(ab), L.source(a))
-                        col.compare("boundary t(ab)=tb", w, L.target(ab), L.target(b))
-                    else:
-                        col.compare("boundary s(ab)=sa.sb", w, L.source(ab),
-                                    comp(L.source(a), L.source(b), p))
-                        col.compare("boundary t(ab)=ta.tb", w, L.target(ab),
-                                    comp(L.target(a), L.target(b), p))
-                    if m < L.n:
-                        col.compare("identity-of-composite", w, L.identity(ab),
-                                    comp(L.identity(a), L.identity(b), p))
-                    for cc, tc in ts:
-                        c = right(b, tc, p)
-                        col.compare("associativity", (p, ca, cb, cc),
-                                    comp(ab, c, p), comp(a, comp(b, c, p), p))
+            for ca, cb in family(m, p):
+                a = L.coded_cell(ca)
+                b = right(a, cb, p)
+                ab, w = comp(a, b, p), (p, ca, cb)
+                if p == m - 1:
+                    col.compare("boundary s(ab)=sa", w, L.source(ab), L.source(a))
+                    col.compare("boundary t(ab)=tb", w, L.target(ab), L.target(b))
+                else:
+                    col.compare("boundary s(ab)=sa.sb", w, L.source(ab),
+                                comp(L.source(a), L.source(b), p))
+                    col.compare("boundary t(ab)=ta.tb", w, L.target(ab),
+                                comp(L.target(a), L.target(b), p))
+                if m < L.n:
+                    col.compare("identity-of-composite", w, L.identity(ab),
+                                comp(L.identity(a), L.identity(b), p))
+            for ca, cb, cc in family(m, p, p):
+                a = L.coded_cell(ca)
+                b = right(a, cb, p)
+                c = right(b, cc, p)
+                col.compare("associativity", (p, ca, cb, cc),
+                            comp(comp(a, b, p), c, p), comp(a, comp(b, c, p), p))
 
     # interchange
     for m in range(1, L.n + 1):
         for p in range(m):
             for q in range(p):
-                for ca, a in cells[m]:
-                    for cb, tb in tails(m, p):
-                        b = right(a, tb, p)
-                        for cc, tc in tails(m, q):
-                            c = right(a, tc, q)
-                            for cd, td in tails(m, p):
-                                d = right(c, td, p)
-                                w = (p, q, ca, cb, cc, cd)
-                                try:
-                                    lhs = comp(comp(a, b, p), comp(c, d, p), q)
-                                    rhs = comp(comp(a, c, q), comp(b, d, q), p)
-                                except ComposabilityError as e:
-                                    col.compare("composable", w, e.left, e.right)
-                                    continue
-                                col.compare("interchange", w, lhs, rhs)
+                for ca, cb, cc, cd in family(m, p, q, p):
+                    a = L.coded_cell(ca)
+                    b, c = right(a, cb, p), right(a, cc, q)
+                    d = right(c, cd, p)
+                    w = (p, q, ca, cb, cc, cd)
+                    try:
+                        lhs = comp(comp(a, b, p), comp(c, d, p), q)
+                        rhs = comp(comp(a, c, q), comp(b, d, q), p)
+                    except ComposabilityError as e:
+                        col.compare("composable", w, e.left, e.right)
+                        continue
+                    col.compare("interchange", w, lhs, rhs)
     return col.report()
 
 

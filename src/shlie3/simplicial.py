@@ -432,8 +432,11 @@ def _pairing_matrix(L: LinearNCat, S: SimplicialVS, tc: TensorCat, n: int) -> Ma
 
 def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
     """(v o w) (x) (v' o w') = (v (x) v') o (w (x) w')
-    + (v - 1_{tv}) (x) w'_ker + w_ker (x) (v' - 1_{tv'}),
-    checked on spanning composable pairs."""
+    + (v - 1_{tv}) (x) w'_ker + w_ker (x) (v' - 1_{tv'}).
+
+    Both sides are bilinear in the composable pairs (v, w) and (v', w'), and
+    each pair is linear in (v, free part of w), so the identity is checked on
+    the product of two bases of composable pairs (``composable_codes``)."""
     n1 = L.dim(1)
 
     def ker_flat(w):  # the kernel part of a 1-cell, as a raw 1-cell
@@ -443,26 +446,22 @@ def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
         t = L.target(v).components[0]
         return tuple(a - b for a, b in zip(L.flatten(v), tuple(t) + vzero(n1)))
 
-    cells = list(L.spanning_cells(1))
-    tails = [vzero(n1)] + Matrix.eye(n1).cols()
-    for v in cells:
-        for tw in tails:
-            w = L.pad_composable(v, [tw], 0)
-            for vp in cells:
-                for twp in tails:
-                    wp = L.pad_composable(vp, [twp], 0)
-                    lflat = L.flatten(L.compose(v, w, 0))
-                    rflat = L.flatten(L.compose(vp, wp, 0))
-                    lhs = tuple(x * y for x in lflat for y in rflat)
-                    comp = tc.compose_raw(
-                        tuple(x * y for x in L.flatten(v) for y in L.flatten(vp)),
-                        tuple(x * y for x in L.flatten(w) for y in L.flatten(wp)),
-                        1, 0)
-                    c1 = tuple(x * y for x in unit_deficit(v) for y in ker_flat(wp))
-                    c2 = tuple(x * y for x in ker_flat(w) for y in unit_deficit(vp))
-                    rhs = vadd(vadd(comp, c1), c2)
-                    if lhs != rhs:
-                        return False
+    pairs = []
+    for cv, cw in L.composable_codes(1, 0):
+        v = L.coded_cell(cv)
+        pairs.append((v, L.right_factor(v, cw, 0)))
+    for (v, w), (vp, wp) in itertools.product(pairs, repeat=2):
+        lflat = L.flatten(L.compose(v, w, 0))
+        rflat = L.flatten(L.compose(vp, wp, 0))
+        lhs = tuple(x * y for x in lflat for y in rflat)
+        comp = tc.compose_raw(
+            tuple(x * y for x in L.flatten(v) for y in L.flatten(vp)),
+            tuple(x * y for x in L.flatten(w) for y in L.flatten(wp)),
+            1, 0)
+        c1 = tuple(x * y for x in unit_deficit(v) for y in ker_flat(wp))
+        c2 = tuple(x * y for x in ker_flat(w) for y in unit_deficit(vp))
+        if lhs != vadd(vadd(comp, c1), c2):
+            return False
     return True
 
 

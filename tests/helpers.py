@@ -14,6 +14,7 @@ from fractions import Fraction as Q
 from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, enumerate_shuffles, koszul_chi)
+from shlie3.lincat import Cell, ComposabilityError
 from shlie3.linalg import Matrix, vis_zero, vzero
 from shlie3.linfinity import LInfinityData, degree_tag
 from shlie3.report import Failure, Report
@@ -439,3 +440,132 @@ def sparse_matrix(rng: random.Random, m: int, n: int, zero_share: float) -> Matr
     """Random rational matrix whose entries are zero with probability zero_share."""
     return Matrix([[Q(0) if rng.random() < zero_share else Q(rng.randint(-4, 4), rng.randint(1, 3))
                     for _ in range(n)] for _ in range(m)], ncols=n)
+
+
+# -- the seed spanning families of cells and composable pairs ----------
+#
+# Products of zero-or-basis options in every slot, exactly as the library
+# enumerated them before one basis of composable pairs replaced them.
+
+def seed_spanning_codes(L, m: int) -> list[tuple]:
+    """Codes of the m-cells whose components are basis vectors or zero, all mixes."""
+    return list(itertools.product(*([None, *range(L.dim(k))] for k in range(m + 1))))
+
+
+def seed_spanning_cells(L, m: int):
+    return map(L.coded_cell, seed_spanning_codes(L, m))
+
+
+def seed_tail_codes(L, m: int, p: int) -> list[tuple]:
+    """Zero-or-basis free parts of p-composable right factors, the zero one first."""
+    return [c for c in seed_spanning_codes(L, m) if all(i is None for i in c[:p + 1])]
+
+
+def seed_pad_composable(L, a, tail, p: int):
+    """The p-composable right factor of a with free components p+1..m given by tail."""
+    forced = L.target_iter(a, a.level - p)
+    return Cell(a.level, forced.components + tuple(tuple(Q(c) for c in t) for t in tail))
+
+
+def seed_spanning_pairs(L, m: int, p: int):
+    tails = [L.coded_cell(c) for c in seed_tail_codes(L, m, p)]
+    for a in seed_spanning_cells(L, m):
+        for t in tails:
+            yield a, seed_pad_composable(L, a, t.components[p + 1:], p)
+
+
+def seed_bifunctor_factors(L, m: int, p: int) -> list[tuple]:
+    """``((code of v, code of t), v, v')`` with v and t each zero or one basis
+    vector: the composable pairs of the bifunctor composition check."""
+    zero = (None,) * (m + 1)
+    opts = [zero] + [tuple(i if k == d else None for k in range(m + 1))
+                     for d in range(m + 1) for i in range(L.dim(d))]
+    tails = [c for c in opts if all(i is None for i in c[:p + 1])]
+    out = []
+    for cv in opts:
+        v = L.coded_cell(cv)
+        for ct in tails:
+            out.append(((cv, ct), v, seed_pad_composable(L, v, L.coded_cell(ct).components[p + 1:], p)))
+    return out
+
+
+def seed_tensor_identity_residual(L, tc, v, w, vp, wp) -> tuple:
+    """(v o w) (x) (v' o w') minus (v (x) v') o (w (x) w')
+    + (v - 1_{tv}) (x) w'_ker + w_ker (x) (v' - 1_{tv'}), in raw coordinates."""
+    n0, n1 = L.dim(0), L.dim(1)
+    flat = lambda c: tuple(itertools.chain(*c.components))
+    tensor = lambda x, y: tuple(a * b for a in x for b in y)
+    ker = lambda c: vzero(n0) + c.components[1]
+    deficit = lambda c: tuple(a - b for a, b in
+                              zip(flat(c), L.target(c).components[0] + vzero(n1)))
+    lhs = tensor(flat(L.compose(v, w, 0)), flat(L.compose(vp, wp, 0)))
+    rhs = tc.compose_raw(tensor(flat(v), flat(vp)), tensor(flat(w), flat(wp)), 1, 0)
+    rhs = tuple(a + b + c for a, b, c in zip(rhs, tensor(deficit(v), ker(wp)),
+                                             tensor(ker(w), deficit(vp))))
+    return tuple(a - b for a, b in zip(lhs, rhs))
+
+
+def seed_tensor_identity_pairs(L) -> list[tuple]:
+    """``((code of v, code of t), v, w)``: v any zero-or-basis mix of 1-cells,
+    w its 0-composable right factor with free part t zero or one basis vector."""
+    out = []
+    for cv in seed_spanning_codes(L, 1):
+        v = L.coded_cell(cv)
+        for ct in seed_tail_codes(L, 1, 0):
+            out.append(((cv, ct), v, seed_pad_composable(L, v, L.coded_cell(ct).components[1:], 0)))
+    return out
+
+
+def seed_compose_tensor_identity(L, tc) -> bool:
+    """The identity on every pair of ``seed_tensor_identity_pairs`` (4096 on a (3, 3) complex)."""
+    pairs = [(v, w) for _, v, w in seed_tensor_identity_pairs(L)]
+    return all(not any(seed_tensor_identity_residual(L, tc, v, w, vp, wp))
+               for v, w in pairs for vp, wp in pairs)
+
+
+def seed_axioms_hold(L, comp) -> bool:
+    """Every axiom of ``check_axioms`` with composition ``comp`` on the
+    products of zero-or-basis cells and zero-or-basis free parts."""
+    cells = [list(seed_spanning_cells(L, m)) for m in range(L.n + 1)]
+
+    def right(a, t, p):
+        return seed_pad_composable(L, a, t.components[p + 1:], p)
+
+    def tails(m, p):
+        return [L.coded_cell(c) for c in seed_tail_codes(L, m, p)]
+
+    ok = all(L.source(L.source(a)) == L.source(L.target(a))
+             and L.target(L.source(a)) == L.target(L.target(a))
+             for m in range(2, L.n + 1) for a in cells[m])
+    ok &= all(L.source(L.identity(a)) == a == L.target(L.identity(a))
+              for m in range(L.n) for a in cells[m])
+    for m in range(1, L.n + 1):
+        for p in range(m):
+            k = m - p
+            for a in cells[m]:
+                ok &= comp(L.identity_iter(L.source_iter(a, k), k), a, p) == a
+                ok &= comp(a, L.identity_iter(L.target_iter(a, k), k), p) == a
+                for tb in tails(m, p):
+                    b = right(a, tb, p)
+                    ab = comp(a, b, p)
+                    if p == m - 1:
+                        ok &= L.source(ab) == L.source(a) and L.target(ab) == L.target(b)
+                    else:
+                        ok &= (L.source(ab) == comp(L.source(a), L.source(b), p)
+                               and L.target(ab) == comp(L.target(a), L.target(b), p))
+                    if m < L.n:
+                        ok &= L.identity(ab) == comp(L.identity(a), L.identity(b), p)
+                    for tc in tails(m, p):
+                        c = right(b, tc, p)
+                        ok &= comp(ab, c, p) == comp(a, comp(b, c, p), p)
+            for q in range(p):
+                for a in cells[m]:
+                    for tb, tc, td in itertools.product(tails(m, p), tails(m, q), tails(m, p)):
+                        b, c = right(a, tb, p), right(a, tc, q)
+                        d = right(c, td, p)
+                        try:
+                            ok &= (comp(comp(a, b, p), comp(c, d, p), q)
+                                   == comp(comp(a, c, q), comp(b, d, q), p))
+                        except ComposabilityError:
+                            ok = False
+    return ok

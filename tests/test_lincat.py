@@ -13,7 +13,7 @@ from shlie3.lincat import (Cell, ComposabilityError, LiftError, LinearNCat,
                            check_axioms, from_chain, lift_functor, product,
                            tensor_product, to_chain, unit_category)
 
-from helpers import rand_chain3, rand_matrix
+from helpers import rand_chain3, rand_matrix, seed_pad_composable, seed_spanning_cells
 
 
 def rand_cat(rng, dims=None) -> LinearNCat:
@@ -89,9 +89,9 @@ def test_unique_composition_via_units():
         L = rand_cat(rng)
         for m in range(1, 3):
             for p in range(m):
-                for a in L.spanning_cells(m):
+                for a in seed_spanning_cells(L, m):
                     for tail in itertools.islice(_tails(L, m, p), 6):
-                        b = L.pad_composable(a, tail, p)
+                        b = seed_pad_composable(L, a, tail, p)
                         assert L.compose(a, b, p) == L.compose_via_units(a, b, p)
 
 
@@ -109,7 +109,7 @@ def test_assemble_decompose_roundtrip():
     rng = random.Random(9)
     L = rand_cat(rng, (3, 2, 2))
     for m in range(3):
-        for a in L.spanning_cells(m):
+        for a in seed_spanning_cells(L, m):
             assert L.decompose(L.assemble(a)) == a
             assert L.assemble(L.decompose(a)) == a
 
@@ -169,7 +169,7 @@ def test_cartesian_product_dims():
     L, M = rand_cat(rng, (2, 1, 1)), rand_cat(rng, (1, 1, 0))
     P = cartesian_product(L, M)
     assert P.space.dims == (3, 2, 1)
-    assert check_axioms(P, max_tails=4).passed
+    assert check_axioms(P).passed
 
 
 def test_unit_category_tensor_is_neutral():
@@ -184,7 +184,7 @@ def test_tensor_product_is_valid_category():
     rng = random.Random(29)
     L, M = rand_cat(rng, (2, 1, 0)), rand_cat(rng, (1, 1, 0))
     tc = tensor_product(L, M)
-    assert check_axioms(tc.cat, max_tails=3).passed
+    assert check_axioms(tc.cat).passed
 
 
 def test_tensor_raw_cell_roundtrip():

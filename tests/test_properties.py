@@ -1,25 +1,33 @@
 """Property tests: compiled evaluation and residuals against the seed oracle,
 the chi sign calculus, the zero-skipping linear algebra against the seed
 dense loops, the compiled lie3 cell operations against their component
-formulas, and the spec-file parse/render roundtrip."""
+formulas, the spec-file parse/render roundtrip, the bases of composable
+pairs against the seed zero-or-basis products, and conjugation invariance
+of the homotopy-algebra verdicts."""
 
 import itertools
 import random
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from shlie3.graded import (GradedSpace, GradedVector, Permutation,
                            build_multimap, koszul_chi)
 from shlie3.lie3 import (Lie3Data, J_cell, _bracket_formula, _J_formula, _mu_formula,
-                         bracket_cells, from_linfinity, mu_cell)
-from shlie3.lincat import Cell, LinearNCat
-from shlie3.linalg import Matrix, quotient_basis
-from shlie3.linfinity import linfty_residual
+                         bracket_cells, check_bifunctor, from_linfinity, mu_cell)
+from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, check_axioms, from_chain,
+                           tensor_product)
+from shlie3.linalg import Matrix, quotient_basis, vadd
+from shlie3.linfinity import check_all, linfty_residual
+from shlie3.simplicial import compose_tensor_identity
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
-from helpers import (l1_only, rand_brackets, seed_eval, seed_kron, seed_linfty_residual,
-                     seed_matmul, seed_quotient_basis, seed_rref, seed_solve_matrix,
+from helpers import (l1_only, rand_brackets, rand_chain2, rand_chain3, rand_conjugate,
+                     seed_axioms_hold, seed_bifunctor_factors, seed_eval, seed_kron,
+                     seed_linfty_residual, seed_matmul, seed_pad_composable,
+                     seed_quotient_basis, seed_rref, seed_solve_matrix, seed_spanning_codes,
+                     seed_tail_codes, seed_tensor_identity_pairs, seed_tensor_identity_residual,
                      sparse_matrix, special_valid_samples)
 from test_lie3 import _with_random_constants, abelian_cat, glambda_cat, scaling_cat
 
@@ -174,3 +182,172 @@ def test_spec_roundtrip_on_random_valid_structures(kind, seed):
     assert (E.cat.t_data, E.bracket_constants, E.J, E.mu) == \
         (D.cat.t_data, D.bracket_constants, D.J, D.mu)
     assert render_lie3(E, meta) == text
+
+
+# -- one basis of composable pairs against the seed products --------------
+#
+# A seed family takes every slot (a cell, or the free part of a right factor)
+# zero or a zero-or-basis mix; each of its members is the sum of the one-hot
+# codes of its nonzero components, which must all lie in the library's basis
+# (``composable_codes``), and a residual that is bilinear in two composable
+# pairs must be the sum of the basis residuals it expands into.
+
+def one_hot_parts(code) -> list[tuple]:
+    """The one-hot codes whose cells sum to coded_cell(code)."""
+    return [tuple(i if k == d else None for k in range(len(code)))
+            for d, i in enumerate(code) if i is not None]
+
+
+def pair_parts(codes) -> list[tuple]:
+    """The basis codes (a, t) of composable pairs that sum to the pair (a, t) = codes."""
+    zero = (None,) * len(codes[0])
+    return ([(e, zero) for e in one_hot_parts(codes[0])]
+            + [(zero, e) for e in one_hot_parts(codes[1])])
+
+
+def flat(c: Cell) -> tuple:
+    return tuple(itertools.chain(*c.components))
+
+
+def raw_compose(a: Cell, b: Cell, p: int) -> Cell:
+    """The component formula of a o_p b, evaluated whether or not a and b compose."""
+    return Cell(a.level, a.components[:p + 1] + tuple(
+        vadd(x, y) for x, y in zip(a.components[p + 1:], b.components[p + 1:])))
+
+
+def composition_residual(D, p, v, vp, w, wp) -> tuple:
+    """The composability mismatch t^k[v,w] - s^k[v',w'] followed by
+    [v o v', w o w'] - [v,w] o [v',w'], composites by the component formula;
+    both parts are bilinear in the pairs (v, v') and (w, w')."""
+    L, br = D.cat, lambda a, b: bracket_cells(D, a, b)
+    k = v.level - p
+    mismatch = L.target_iter(br(v, w), k) - L.source_iter(br(vp, wp), k)
+    res = br(raw_compose(v, vp, p), raw_compose(w, wp, p)) - raw_compose(br(v, w), br(vp, wp), p)
+    return flat(mismatch) + flat(res)
+
+
+def expands(residual, seed_pairs, basis_pair, basis: set) -> bool:
+    """Assert that every seed pair expands into pairs of ``basis`` and that the
+    residual of two seed pairs is the sum of the residuals of the basis pairs
+    they expand into; return the seed family's verdict."""
+    cache = {}
+
+    def at(x, y):
+        if (x, y) not in cache:
+            cache[x, y] = residual(*basis_pair(x), *basis_pair(y))
+        return cache[x, y]
+
+    holds = True
+    for (kx, *x), (ky, *y) in itertools.product(seed_pairs, repeat=2):
+        res = residual(*x, *y)
+        assert set(pair_parts(kx)) <= basis
+        want = [Q(0)] * len(res)
+        for px in pair_parts(kx):
+            for py in pair_parts(ky):
+                want = [a + b for a, b in zip(want, at(px, py))]
+        assert res == tuple(want)
+        holds &= not any(res)
+    return holds
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from(sorted(VALID_LIE3) + ["non-Lie-bracket"]),
+       seed=st.integers(0, 2**32))
+def test_bifunctor_composition_basis_matches_seed_products(case, seed):
+    rng = random.Random(seed)
+    if case in VALID_LIE3:
+        D = VALID_LIE3[case]()
+    else:
+        D = _with_random_constants(rng, from_linfinity(l1_only(rng, (2, 1, 1))), bracket=True)
+    L = D.cat
+    holds = True
+    for m in (1, 2):
+        for p in range(m):
+            def basis_pair(codes):
+                v = L.coded_cell(codes[0])
+                return v, seed_pad_composable(L, v, L.coded_cell(codes[1]).components[p + 1:], p)
+            holds &= expands(lambda *vw: composition_residual(D, p, *vw),
+                             seed_bifunctor_factors(L, m, p), basis_pair,
+                             set(L.composable_codes(m, p)))
+    failures = [f for f in check_bifunctor(D).failures
+                if f.identity in ("composition", "composable")]
+    assert holds == (not failures)
+
+
+@settings(max_examples=12, deadline=None)
+@given(dims=st.tuples(st.integers(1, 2), st.integers(0, 2)), corrupt=st.booleans(),
+       seed=st.integers(0, 2**32))
+def test_compose_tensor_identity_basis_matches_seed_products(dims, corrupt, seed):
+    """Valid tensor categories, and ones whose raw composition is shifted by
+    a random linear map of the left factor (the identity stays bilinear)."""
+    rng = random.Random(seed)
+    L = from_chain(rand_chain2(rng, dims))
+    tc = tensor_product(L, L)
+    if corrupt:
+        shift = sparse_matrix(rng, tc.raw_dim(1), tc.raw_dim(1), 0.8)
+        tc = SimpleNamespace(compose_raw=lambda u, w, m, p, real=tc.compose_raw:
+                             vadd(real(u, w, m, p), shift.apply(u)))
+
+    def basis_pair(codes):
+        v = L.coded_cell(codes[0])
+        return v, seed_pad_composable(L, v, L.coded_cell(codes[1]).components[1:], 0)
+    holds = expands(lambda v, w, vp, wp: seed_tensor_identity_residual(L, tc, v, w, vp, wp),
+                    seed_tensor_identity_pairs(L), basis_pair, set(L.composable_codes(1, 0)))
+    assert compose_tensor_identity(L, tc) == holds
+
+
+def verdict(check) -> bool:
+    """A check's verdict, an undefined composite counting as a failure."""
+    try:
+        return check()
+    except ComposabilityError:
+        return False
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.tuples(st.integers(1, 2), st.integers(0, 2), st.integers(0, 1)),
+       shift=st.sampled_from(["none", "everywhere", "free part"]), seed=st.integers(0, 2**32))
+def test_axioms_basis_matches_seed_products(dims, shift, seed):
+    """The built-in composition, and one shifted at a random level and p by
+    a random affine map of both factors, in all components or only in the
+    free ones p+1..m."""
+    rng = random.Random(seed)
+    L = from_chain(rand_chain3(rng, dims))
+    comp = L.compose
+    if shift != "none":
+        m = rng.randint(1, L.n)
+        p, n = rng.randrange(m), L.level_dim(m)
+        fixed = L.level_dim(p) if shift == "free part" else 0
+        A, B, c = (sparse_matrix(rng, n, k, 0.8) for k in (n, n, 1))
+
+        def comp(a, b, q):
+            out = L.compose(a, b, q)
+            if (a.level, q) != (m, p):
+                return out
+            s = vadd(vadd(A.apply(flat(a)), B.apply(flat(b))), c.col(0))
+            return out + L.unflatten(m, (Q(0),) * fixed + s[fixed:])
+    assert (verdict(lambda: check_axioms(L, comp).passed)
+            == verdict(lambda: seed_axioms_hold(L, comp)))
+    if shift == "none":  # every seed pair expands into witnessed basis pairs and zero
+        checked = set(check_axioms(L).checked)
+        for m in range(1, L.n + 1):
+            for p in range(m):
+                zero = ((None,) * (m + 1),) * 2
+                for codes in itertools.product(seed_spanning_codes(L, m), seed_tail_codes(L, m, p)):
+                    assert {(p,) + x for x in [zero] + pair_parts(codes)} <= checked
+
+
+@settings(max_examples=20, deadline=None)
+@given(valid=st.booleans(), seed=st.integers(0, 2**32))
+def test_conjugation_preserves_every_order_verdict(valid, seed):
+    """Verdicts only: a change of basis keeps each order's pass/fail but may
+    change how many basis tuples fail."""
+    rng = random.Random(seed)
+    if valid:
+        kind = rng.randrange(4)
+        data = special_valid_samples(rng, kind + 1)[kind]
+    else:
+        dims = (rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 1))
+        data = rand_brackets(rng, dims, density=rng.choice([0.2, 0.5, 1.0]))
+    before = [r.passed for r in check_all(data)]
+    assert [r.passed for r in check_all(rand_conjugate(rng, data))] == before

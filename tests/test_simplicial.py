@@ -13,7 +13,7 @@ from shlie3.simplicial import (SimplicialVS, aw, aw_after_ez_identity,
                                obstruction_demo, tensor_svs)
 from shlie3.lincat import NFunctor, lift_functor
 
-from helpers import rand_chain2, rand_matrix
+from helpers import rand_chain2, rand_matrix, seed_compose_tensor_identity
 
 
 def two_term_cat(rng, dims=None):
@@ -141,6 +141,7 @@ def test_compose_tensor_identity():
         L = two_term_cat(rng, dims)
         tc = tensor_product(L, L)
         assert compose_tensor_identity(L, tc)
+        assert seed_compose_tensor_identity(L, tc)
 
 
 def test_obstruction_present_with_kernel_arrows():
