@@ -10,7 +10,10 @@ exact correspondence between the presentations.
 
 The multilinear cell operations (bracket of m-cells, Jacobiator and
 Identiator cells) are evaluated from sparse tables over basis indices, built
-once per structure on first use from their component formulas.
+once per structure on first use from their component formulas.  The checks
+run on flat coordinate tuples (the layout of ``LinearNCat.offsets``: V_i at
+offsets[i]:offsets[i + 1] of L_m) through the ``flat_*`` structure maps;
+``Cell`` is built only where a public function returns one.
 
 Every check returns the shared ``report.Report``.  Witnesses name basis
 0-cells as (0, i) pairs, like the basis tuples of the homotopy-algebra side,
@@ -26,7 +29,7 @@ from math import prod
 from typing import Sequence
 
 from .graded import GradedSpace, GradedVector, MultiMap
-from .lincat import Cell, ComposabilityError, LinearNCat
+from .lincat import Cell, LinearNCat, composites_defined
 from .linalg import Matrix, Q, Vector, vadd, vis_zero, vscale, vsub, vzero
 from .linfinity import LInfinityData, check_all, is_special, linfty_residual
 from .report import Collector, Report
@@ -69,9 +72,6 @@ class Lie3Data:
     def space(self) -> GradedSpace:
         return self.cat.space
 
-    def l1_apply(self, d: int, v: Sequence[Q]) -> Vector:
-        return self.cat.t_matrix(d).apply(v)
-
     # Tables of the cell operations, built from the component formulas on
     # first use, so that constructing a Lie3Data compiles nothing.
 
@@ -106,17 +106,35 @@ def _compile(dims: Sequence[int], formula) -> dict:
     return table
 
 
-def _contract(L: LinearNCat, m: int, table: dict, args: Sequence[Sequence[Q]]) -> Cell:
-    """The m-cell value of a compiled map on flat coordinate vectors, summed
-    over the product of the arguments' nonzero entries."""
+def _contract(L: LinearNCat, m: int, table: dict, args: Sequence[Sequence[Q]]) -> Vector:
+    """The flat m-cell value of a compiled map on flat coordinate vectors,
+    summed over the product of the arguments' nonzero entries."""
+    supports = [[(i, c) for i, c in enumerate(a) if c] for a in args]
     out = list(vzero(L.level_dim(m)))
-    for combo in itertools.product(*([(i, c) for i, c in enumerate(a) if c] for a in args)):
-        if (hit := table.get(tuple(i for i, _ in combo))) is not None:
-            c = prod(coeff for _, coeff in combo if coeff != 1)
+    for key, coeffs in zip(itertools.product(*([i for i, _ in s] for s in supports)),
+                           itertools.product(*([c for _, c in s] for s in supports))):
+        if (hit := table.get(key)) is not None:
+            c = prod(x for x in coeffs if x != 1)
             for i, v in hit:
                 v = v if c == 1 else c * v
                 out[i] = out[i] + v if out[i] else v
-    return L.unflatten(m, tuple(out))
+    return tuple(out)
+
+
+def _br(D: Lie3Data, m: int, a: Vector, b: Vector) -> Vector:
+    return _contract(D.cat, m, D._bracket_tables[m], (a, b))
+
+
+def _J(D: Lie3Data, *xs: Vector) -> Vector:
+    return _contract(D.cat, 1, D._J_table, xs)
+
+
+def _mu(D: Lie3Data, *xs: Vector) -> Vector:
+    return _contract(D.cat, 2, D._mu_table, xs)
+
+
+def _sum(*vs: Vector) -> Vector:
+    return functools.reduce(vadd, vs)
 
 
 def _bracket_formula(D: Lie3Data, a: Cell, b: Cell) -> Cell:
@@ -130,7 +148,7 @@ def _bracket_formula(D: Lie3Data, a: Cell, b: Cell) -> Cell:
     if m == 0:
         return Cell(0, (v0,))
     f, g = a.components[1], b.components[1]
-    tg = vadd(y, D.l1_apply(1, g))
+    tg = vadd(y, D.cat.t_matrix(1).apply(g))
     v1 = vadd(l2([(0, x), (1, g)]), l2([(1, f), (0, tg)]))
     if m == 1:
         return Cell(1, (v0, v1))
@@ -165,39 +183,54 @@ def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
     if a.level != b.level:
         raise ValueError("bracket needs cells of equal level")
     L = D.cat
-    return _contract(L, a.level, D._bracket_tables[a.level], (L.flatten(a), L.flatten(b)))
+    return L.unflatten(a.level, _br(D, a.level, L.flatten(a), L.flatten(b)))
 
 
 def bracket_objects(D: Lie3Data, x: Sequence[Q], y: Sequence[Q]) -> Vector:
-    return _contract(D.cat, 0, D._bracket_tables[0], (x, y)).components[0]
+    return _br(D, 0, x, y)
 
 
 def J_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q], z: Sequence[Q]) -> Cell:
     """The 1-cell ([[x,y],z], J(x,y,z)) from [[x,y],z] to [[x,z],y]+[x,[y,z]]."""
-    return _contract(D.cat, 1, D._J_table, (x, y, z))
+    return D.cat.unflatten(1, _J(D, x, y, z))
 
 
 def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
             z: Sequence[Q], u: Sequence[Q]) -> Cell:
     """The Identiator 2-cell ([[[x,y],z],u], eta-V1-part, mu(x,y,z,u)), with
     eta's V1 part in closed form (see ``_mu_formula``)."""
-    return _contract(D.cat, 2, D._mu_table, (x, y, z, u))
+    return D.cat.unflatten(2, _mu(D, x, y, z, u))
 
 
 # -- composites with automatic identity padding -----------------------
 
 
-def _fold_compose(D: Lie3Data, factors: Sequence[Cell]) -> Cell:
-    """Compose cells along 0-cells, padding each factor with the identity
-    cell over the object that the composability condition dictates."""
+def _fold_compose(D: Lie3Data, m: int, factors: Sequence[Vector]) -> Vector:
+    """Compose flat m-cells along 0-cells, padding each factor with the
+    identity cell over the object that the composability condition dictates."""
+    L, n0 = D.cat, D.cat.dim(0)
     acc = factors[0]
-    m = acc.level
-    for named in factors[1:]:
-        tgt = D.cat.target_iter(acc, m)
-        pad_obj = vsub(tgt.components[0], named.components[0])
-        padded = named + D.cat.cell_from_v0(pad_obj, m)
-        acc = D.cat.compose(acc, padded, 0)
+    for named in factors[1:]:  # the object of named becomes the target object of acc
+        acc = L.flat_compose(m, acc, L.flat_target(m, acc, m) + named[n0:], 0)
     return acc
+
+
+def _eta_epsilon(D: Lie3Data, x, y, z, u) -> tuple[Vector, Vector]:
+    br = lambda p, q: _br(D, 0, p, q)
+    one = lambda w: D.cat.flat_identity(0, w, 1)
+    bc = lambda c, d: _br(D, 1, c, d)
+    eta = _fold_compose(D, 1, [
+        bc(_J(D, x, y, z), one(u)),
+        vadd(_J(D, br(x, z), y, u), _J(D, x, br(y, z), u)),
+        bc(_J(D, x, z, u), one(y)),
+        bc(one(x), _J(D, y, z, u)),
+    ])
+    eps = _fold_compose(D, 1, [
+        _J(D, br(x, y), z, u),
+        bc(_J(D, x, y, u), one(z)),
+        _sum(_J(D, x, br(y, u), z), _J(D, br(x, u), y, z), _J(D, x, y, br(z, u))),
+    ])
+    return eta, eps
 
 
 def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
@@ -209,29 +242,20 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
     eps = J_{[x,y],z,u} o ([J_{xyu},1_z]+1)
           o (J_{x,[y,u],z}+J_{[x,u],y,z}+J_{x,y,[z,u]}).
     """
-    br = lambda p, q: bracket_objects(D, p, q)
-    one = lambda w: D.cat.cell_from_v0(w, 1)
-    bc = lambda c, d: bracket_cells(D, c, d)
-    eta = _fold_compose(D, [
-        bc(J_cell(D, x, y, z), one(u)),
-        J_cell(D, br(x, z), y, u) + J_cell(D, x, br(y, z), u),
-        bc(J_cell(D, x, z, u), one(y)),
-        bc(one(x), J_cell(D, y, z, u)),
-    ])
-    eps = _fold_compose(D, [
-        J_cell(D, br(x, y), z, u),
-        bc(J_cell(D, x, y, u), one(z)),
-        J_cell(D, x, br(y, u), z) + J_cell(D, br(x, u), y, z) + J_cell(D, x, y, br(z, u)),
-    ])
-    return eta, eps
+    eta, eps = _eta_epsilon(D, x, y, z, u)
+    return D.cat.unflatten(1, eta), D.cat.unflatten(1, eps)
+
+
+def _inverse2(D: Lie3Data, v: Vector) -> Vector:
+    return D.cat.flat_target(2, v) + tuple(-c for c in v[D.cat.level_dim(1):])
 
 
 def inverse2(D: Lie3Data, alpha: Cell) -> Cell:
-    """(A,s,a) -> (A, s + l1 a, -a): the inverse along 1-cells."""
+    """(A,s,a) -> (A, s + l1 a, -a): the inverse along 1-cells; (A, s + l1 a)
+    is the target of alpha."""
     if alpha.level != 2:
         raise ValueError("inverse2 acts on 2-cells")
-    A, s, a = alpha.components
-    return Cell(2, (A, vadd(s, D.l1_apply(2, a)), vsub(vzero(len(a)), a)))
+    return D.cat.unflatten(2, _inverse2(D, D.cat.flatten(alpha)))
 
 
 # -- structural checks ------------------------------------------------
@@ -252,25 +276,26 @@ def check_bifunctor(D: Lie3Data) -> Report:
     """
     L = D.cat
     col = Collector("bifunctor")
-    br = lambda a, b: bracket_cells(D, a, b)
-    basis = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m)] for m in range(3)]
-    zero = [L.zero_cell(m) for m in range(3)]
+    br = lambda m, a, b: _br(D, m, a, b)
+    src, tgt, one = L.flat_source, L.flat_target, L.flat_identity
+    basis = [[(c, L.flat_coded(c)) for c in L.spanning_codes(m)] for m in range(3)]
+    zero = [vzero(L.level_dim(m)) for m in range(3)]
 
     # bilinearity makes basis cells a complete test family for s, t, 1
     for m in (1, 2):
         for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
-            ab, w = br(a, b), (ca, cb)
-            col.compare("source", w, L.source(ab), br(L.source(a), L.source(b)))
-            col.compare("target", w, L.target(ab), br(L.target(a), L.target(b)))
+            ab, w = br(m, a, b), (ca, cb)
+            col.compare("source", w, src(m, ab), br(m - 1, src(m, a), src(m, b)))
+            col.compare("target", w, tgt(m, ab), br(m - 1, tgt(m, a), tgt(m, b)))
     for m in (0, 1):
         for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
-            col.compare("identity", (ca, cb), L.identity(br(a, b)),
-                        br(L.identity(a), L.identity(b)))
+            col.compare("identity", (ca, cb), one(m, br(m, a, b)),
+                        br(m + 1, one(m, a), one(m, b)))
 
     # antisymmetry on basis cells
     for m in (0, 1, 2):
         for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
-            col.compare("antisymmetry", (ca, cb), br(a, b) + br(b, a), zero[m])
+            col.compare("antisymmetry", (ca, cb), vadd(br(m, a, b), br(m, b, a)), zero[m])
 
     # composition preservation: the residual of
     # [v o v', w o w'] = [v,w] o [v',w'] is bilinear in the composable pairs
@@ -279,38 +304,35 @@ def check_bifunctor(D: Lie3Data) -> Report:
         for p in range(m):
             factors = []
             for kv in L.composable_codes(m, p):
-                v = L.coded_cell(kv[0])
-                factors.append((kv, v, L.right_factor(v, kv[1], p)))
+                v = L.flat_coded(kv[0])
+                factors.append((kv, v, L.flat_right_factor(m, v, kv[1], p)))
             for (kv, v, vp), (kw, w, wp) in itertools.product(factors, repeat=2):
                 wit = (p,) + kv + kw
-                try:
-                    lhs = br(L.compose(v, vp, p), L.compose(w, wp, p))
-                    rhs = L.compose(br(v, w), br(vp, wp), p)
-                except ComposabilityError as e:
-                    col.compare("composable", wit, e.left, e.right)
-                    continue
-                col.compare("composition", wit, lhs, rhs)
+                with composites_defined(col, wit):
+                    col.compare("composition", wit,
+                                br(m, L.flat_compose(m, v, vp, p), L.flat_compose(m, w, wp, p)),
+                                L.flat_compose(m, br(m, v, w), br(m, vp, wp), p))
 
     # degenerate brackets of kernel elements
     f1 = [(c, f) for c, f in basis[1] if c[1] is not None]
     a2 = [(c, a) for c, a in basis[2] if c[2] is not None]
     for cf, f in f1:
         for cg, g in f1:
-            fg, w = br(f, g), (cf, cg)
-            col.compare("kernel-bracket [f,g]=[1_tf,g]", w, fg, br(L.identity(L.target(f)), g))
-            col.compare("kernel-bracket [f,g]=[f,1_tg]", w, fg, br(f, L.identity(L.target(g))))
-        tf2 = L.cell_from_v0(D.l1_apply(1, f.components[1]), 2)
+            fg, w = br(1, f, g), (cf, cg)
+            col.compare("kernel-bracket [f,g]=[1_tf,g]", w, fg, br(1, one(0, tgt(1, f)), g))
+            col.compare("kernel-bracket [f,g]=[f,1_tg]", w, fg, br(1, f, one(0, tgt(1, g))))
+        tf2 = one(0, tgt(1, f), 2)  # f has no V0 part
         for cb, b in a2:
             w = (cf, cb)
-            col.compare("kernel-bracket [1_f,b]=0", w, br(L.identity(f), b), zero[2])
-            col.compare("kernel-bracket [1^2_tf,b]=0", w, br(tf2, b), zero[2])
+            col.compare("kernel-bracket [1_f,b]=0", w, br(2, one(1, f), b), zero[2])
+            col.compare("kernel-bracket [1^2_tf,b]=0", w, br(2, tf2, b), zero[2])
     for ca, a in a2:
-        ta = L.identity(L.target(a))  # the 2-cell 1_{ta}
+        ta = one(1, tgt(2, a))  # the 2-cell 1_{ta}
         for cb, b in a2:
             w = (ca, cb)
-            col.compare("kernel-bracket [a,b]=0", w, br(a, b), zero[2])
-            col.compare("kernel-bracket [1_ta,b]=0", w, br(ta, b), zero[2])
-            col.compare("kernel-bracket [a,1_tb]=0", w, br(a, L.identity(L.target(b))), zero[2])
+            col.compare("kernel-bracket [a,b]=0", w, br(2, a, b), zero[2])
+            col.compare("kernel-bracket [1_ta,b]=0", w, br(2, ta, b), zero[2])
+            col.compare("kernel-bracket [a,1_tb]=0", w, br(2, a, one(1, tgt(2, b))), zero[2])
 
     # graded derivation property of the boundary over the bracket constants:
     # t[u, v] = [tu, v] + (-1)^|u| [u, tv], an identity in degree |u| + |v| - 1
@@ -324,7 +346,7 @@ def check_bifunctor(D: Lie3Data) -> Report:
         u, v = eyes[da].col(i), eyes[db].col(j)
         lhs = rhs = vzero(L.dim(od))
         if od < space.top_degree:
-            lhs = D.l1_apply(od + 1, l2([(da, u), (db, v)]))
+            lhs = L.t_matrix(od + 1).apply(l2([(da, u), (db, v)]))
         if da >= 1:
             rhs = vadd(rhs, l2([(da - 1, L.t_matrix(da).col(i)), (db, v)]))
         if db >= 1:
@@ -333,41 +355,27 @@ def check_bifunctor(D: Lie3Data) -> Report:
     return col.report()
 
 
-def _jac_F(D: Lie3Data, c1: Cell, c2: Cell, c3: Cell) -> Cell:
-    return bracket_cells(D, bracket_cells(D, c1, c2), c3)
-
-
-def _jac_G(D: Lie3Data, c1: Cell, c2: Cell, c3: Cell) -> Cell:
-    return (bracket_cells(D, bracket_cells(D, c1, c3), c2)
-            + bracket_cells(D, c1, bracket_cells(D, c2, c3)))
-
-
 def _naturality_squares(D: Lie3Data, col: Collector, F, G, theta, arity: int):
     """Yield (witness, residual) for F(..alpha..) o theta(targets) minus
-    theta(sources) o G(..alpha..), for a 2-cell-valued theta on 0-cells,
+    theta(sources) o G(..alpha..), for a flat 2-cell-valued theta on 0-cells,
     basis 0-cells in all slots but one and a basis 2-cell alpha in that slot.
     The witness is (slot, the 0-cells, alpha's code); an undefined composite
     goes to ``col`` as a "composable" failure instead."""
     L = D.cat
     e0 = Matrix.eye(L.dim(0)).cols()
-    alphas = [(c, L.coded_cell(c)) for c in L.spanning_codes(2)]
+    alphas = [(c, L.flat_coded(c)) for c in L.spanning_codes(2)]
     for slot in range(arity):
         for key in itertools.product(range(L.dim(0)), repeat=arity - 1):
             objs = [e0[i] for i in key]
-            ids = [L.cell_from_v0(x, 2) for x in objs]
+            ids = [L.flat_identity(0, x, 2) for x in objs]
             for ca, alpha in alphas:
                 w = (slot, _objects(key), ca)
                 args = ids[:slot] + [alpha] + ids[slot:]
-                t2 = vadd(alpha.components[0], D.l1_apply(1, alpha.components[1]))
-                t_objs = objs[:slot] + [t2] + objs[slot:]
-                s_objs = objs[:slot] + [alpha.components[0]] + objs[slot:]
-                try:
-                    res = (L.compose(F(D, *args), theta(t_objs), 0)
-                           - L.compose(theta(s_objs), G(D, *args), 0))
-                except ComposabilityError as e:
-                    col.compare("composable", w, e.left, e.right)
-                    continue
-                yield w, res
+                t_objs = objs[:slot] + [L.flat_target(2, alpha, 2)] + objs[slot:]
+                s_objs = objs[:slot] + [L.flat_source(2, alpha, 2)] + objs[slot:]
+                with composites_defined(col, w):
+                    yield w, vsub(L.flat_compose(2, F(*args), theta(t_objs), 0),
+                                  L.flat_compose(2, theta(s_objs), G(*args), 0))
 
 
 def check_jacobiator(D: Lie3Data) -> Report:
@@ -375,31 +383,25 @@ def check_jacobiator(D: Lie3Data) -> Report:
     L = D.cat
     col = Collector("jacobiator")
     e0 = Matrix.eye(L.dim(0)).cols()
-    bo = lambda p, q: bracket_objects(D, p, q)
+    bo = lambda p, q: _br(D, 0, p, q)
 
     # target: t J_{xyz} = [[x,z],y] + [x,[y,z]]
     for key in itertools.product(range(L.dim(0)), repeat=3):
         x, y, z = (e0[i] for i in key)
-        col.compare("target", _objects(key), L.target(J_cell(D, x, y, z)).components[0],
+        col.compare("target", _objects(key), L.flat_target(1, _J(D, x, y, z)),
                     vadd(bo(bo(x, z), y), bo(x, bo(y, z))))
 
-    theta = lambda objs: L.identity(J_cell(D, *objs))
+    # [[c1, c2], c3] o J(targets) = J(sources) o ([[c1, c3], c2] + [c1, [c2, c3]])
+    br = lambda a, b: _br(D, 2, a, b)
+    F = lambda c1, c2, c3: br(br(c1, c2), c3)
+    G = lambda c1, c2, c3: vadd(br(br(c1, c3), c2), br(c1, br(c2, c3)))
+    theta = lambda objs: L.flat_identity(1, _J(D, *objs))
+    v1, v2 = L.level_dim(0), L.level_dim(1)
     z1, z2 = vzero(L.dim(1)), vzero(L.dim(2))
-    for w, res in _naturality_squares(D, col, _jac_F, _jac_G, theta, 3):
-        col.compare("naturality-v1", w, res.components[1], z1)
-        col.compare("naturality-v2", w, res.components[2], z2)
+    for w, res in _naturality_squares(D, col, F, G, theta, 3):
+        col.compare("naturality-v1", w, res[v1:v2], z1)
+        col.compare("naturality-v2", w, res[v2:], z2)
     return col.report()
-
-
-def _id_F(D: Lie3Data, c1: Cell, c2: Cell, c3: Cell, c4: Cell) -> Cell:
-    return bracket_cells(D, bracket_cells(D, bracket_cells(D, c1, c2), c3), c4)
-
-
-def _id_G(D: Lie3Data, c1: Cell, c2: Cell, c3: Cell, c4: Cell) -> Cell:
-    br = lambda a, b: bracket_cells(D, a, b)
-    return (br(br(c1, c3), br(c2, c4)) + br(c1, br(br(c2, c4), c3))
-            + br(br(br(c1, c4), c3), c2) + br(br(c1, c4), br(c2, c3))
-            + br(br(c1, br(c3, c4)), c2) + br(c1, br(c2, br(c3, c4))))
 
 
 def check_identiator(D: Lie3Data) -> Report:
@@ -411,21 +413,84 @@ def check_identiator(D: Lie3Data) -> Report:
     # s mu = eta and t mu = eps
     for key in itertools.product(range(L.dim(0)), repeat=4):
         objs = [e0[i] for i in key]
-        eta, eps = eta_epsilon(D, *objs)
-        mc, w = mu_cell(D, *objs), _objects(key)
-        col.compare("source", w, L.source(mc), eta)
-        col.compare("target", w, L.target(mc), eps)
+        eta, eps = _eta_epsilon(D, *objs)
+        mc, w = _mu(D, *objs), _objects(key)
+        col.compare("source", w, L.flat_source(2, mc), eta)
+        col.compare("target", w, L.flat_target(2, mc), eps)
 
     # modification law in each slot:
     # F(..alpha..) o mu(targets) = mu(sources) o G(..alpha..)
-    zero = L.zero_cell(2)
-    for w, res in _naturality_squares(D, col, _id_F, _id_G, lambda objs: mu_cell(D, *objs), 4):
-        which = "v2" if vis_zero(res.components[1]) else "v1"
+    br = lambda a, b: _br(D, 2, a, b)
+
+    def G(c1, c2, c3, c4):
+        c24, c14, c34 = br(c2, c4), br(c1, c4), br(c3, c4)
+        return _sum(br(br(c1, c3), c24), br(c1, br(c24, c3)), br(br(c14, c3), c2),
+                    br(c14, br(c2, c3)), br(br(c1, c34), c2), br(c1, br(c2, c34)))
+    F = lambda c1, c2, c3, c4: br(br(br(c1, c2), c3), c4)
+    v1, v2 = L.level_dim(0), L.level_dim(1)
+    zero = vzero(L.level_dim(2))
+    for w, res in _naturality_squares(D, col, F, G, lambda objs: _mu(D, *objs), 4):
+        which = "v2" if vis_zero(res[v1:v2]) else "v1"
         col.compare(f"modification-{which}", w, res, zero)
     return col.report()
 
 
 # -- the coherence law ------------------------------------------------
+
+
+def _alpha(D: Lie3Data, i: int, x, y, z, u, v) -> Vector:
+    br = lambda p, q: _br(D, 0, p, q)
+    one1 = lambda w: D.cat.flat_identity(0, w, 1)
+    one2 = lambda c: D.cat.flat_identity(1, c)  # identity 2-cell of a 1-cell
+    bc1 = lambda a, b: _br(D, 1, a, b)
+    bc2 = lambda a, b: _br(D, 2, a, b)
+    mu = lambda a, b, c, d: _mu(D, a, b, c, d)
+    J = lambda a, b, c: _J(D, a, b, c)
+    id2v = lambda w: D.cat.flat_identity(0, w, 2)  # squared identity of an object
+
+    if i == 1:
+        return _fold_compose(D, 2, [
+            one2(J(br(br(x, y), z), u, v)),
+            vadd(mu(x, y, z, br(u, v)), bc2(mu(x, y, z, v), id2v(u))),
+            one2(_sum(bc1(J(x, br(z, v), y), one1(u)), bc1(J(br(x, v), z, y), one1(u)),
+                      bc1(J(x, z, br(y, v)), one1(u)))),
+            _sum(mu(br(x, v), y, z, u), mu(x, br(y, v), z, u), mu(x, y, br(z, v), u)),
+        ])
+    if i == 4:
+        return _fold_compose(D, 2, [
+            bc2(mu(x, y, z, u), id2v(v)),
+            one2(_sum(bc1(J(br(x, u), z, y), one1(v)), bc1(J(x, z, br(y, u)), one1(v)),
+                      bc1(J(x, br(z, u), y), one1(v)))),
+            _sum(mu(br(x, u), y, z, v), mu(x, br(y, u), z, v), mu(x, y, br(z, u), v)),
+            one2(_sum(bc1(bc1(J(x, u, v), one1(z)), one1(y)), bc1(J(x, u, v), one1(br(y, z))),
+                      bc1(one1(x), bc1(J(y, u, v), one1(z))),
+                      bc1(bc1(one1(x), J(z, u, v)), one1(y)),
+                      bc1(one1(x), bc1(one1(y), J(z, u, v))),
+                      bc1(one1(br(x, z)), J(y, u, v)))),
+        ])
+    if i == 3:
+        return _fold_compose(D, 2, [
+            mu(br(x, y), z, u, v),
+            one2(bc1(J(br(x, y), v, u), one1(z))),
+            bc2(mu(x, y, u, v), id2v(z)),
+            one2(_sum(bc1(J(x, y, v), one1(br(z, u))), J(x, y, br(br(z, v), u)),
+                      J(x, y, br(z, br(u, v))), J(br(br(x, v), u), y, z),
+                      J(br(x, v), br(y, u), z), J(br(x, u), br(y, v), z),
+                      J(x, br(br(y, v), u), z), J(br(x, br(u, v)), y, z),
+                      J(x, br(y, br(u, v)), z), bc1(J(x, y, u), one1(br(z, v))))),
+            one2(_sum(J(x, br(y, v), br(z, u)), J(br(x, v), y, br(z, u)),
+                      J(x, br(y, u), br(z, v)), J(br(x, u), y, br(z, v)))),
+        ])
+    if i == 2:
+        return _fold_compose(D, 2, [
+            one2(bc1(bc1(J(x, y, z), one1(u)), one1(v))),
+            vadd(mu(br(x, z), y, u, v), mu(x, br(y, z), u, v)),
+            one2(vadd(bc1(one1(x), J(br(y, z), v, u)), bc1(J(br(x, z), v, u), one1(y)))),
+            vadd(bc2(id2v(x), mu(y, z, u, v)), bc2(mu(x, z, u, v), id2v(y))),
+            one2(_sum(bc1(J(x, z, v), one1(br(y, u))), bc1(J(x, z, u), one1(br(y, v))),
+                      bc1(one1(br(x, v)), J(y, z, u)), bc1(one1(br(x, u)), J(y, z, v)))),
+        ])
+    raise ValueError("i must be in 1..4")
 
 
 def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
@@ -434,64 +499,17 @@ def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
     Each is a chain of 2-cells composed along 0-cells; the unnamed identity
     paddings are resolved automatically from the composability conditions.
     """
-    br = lambda p, q: bracket_objects(D, p, q)
-    one1 = lambda w: D.cat.cell_from_v0(w, 1)
-    one2 = lambda c: D.cat.identity(c)  # identity 2-cell of a 1-cell
-    bc = lambda a, b: bracket_cells(D, a, b)
-    mu = lambda a, b, c, d: mu_cell(D, a, b, c, d)
-    J = lambda a, b, c: J_cell(D, a, b, c)
-    id2v = lambda w: D.cat.cell_from_v0(w, 2)  # squared identity of an object
+    return D.cat.unflatten(2, _alpha(D, i, x, y, z, u, v))
 
-    if i == 1:
-        return _fold_compose(D, [
-            one2(J(br(br(x, y), z), u, v)),
-            mu(x, y, z, br(u, v)) + bc(mu(x, y, z, v), id2v(u)),
-            one2(bc(J(x, br(z, v), y), one1(u)) + bc(J(br(x, v), z, y), one1(u))
-                 + bc(J(x, z, br(y, v)), one1(u))),
-            mu(br(x, v), y, z, u) + mu(x, br(y, v), z, u) + mu(x, y, br(z, v), u),
-        ])
-    if i == 4:
-        return _fold_compose(D, [
-            bc(mu(x, y, z, u), id2v(v)),
-            one2(bc(J(br(x, u), z, y), one1(v)) + bc(J(x, z, br(y, u)), one1(v))
-                 + bc(J(x, br(z, u), y), one1(v))),
-            mu(br(x, u), y, z, v) + mu(x, br(y, u), z, v) + mu(x, y, br(z, u), v),
-            one2(bc(bc(J(x, u, v), one1(z)), one1(y)) + bc(J(x, u, v), one1(br(y, z)))
-                 + bc(one1(x), bc(J(y, u, v), one1(z))) + bc(bc(one1(x), J(z, u, v)), one1(y))
-                 + bc(one1(x), bc(one1(y), J(z, u, v))) + bc(one1(br(x, z)), J(y, u, v))),
-        ])
-    if i == 3:
-        return _fold_compose(D, [
-            mu(br(x, y), z, u, v),
-            one2(bc(J(br(x, y), v, u), one1(z))),
-            bc(mu(x, y, u, v), id2v(z)),
-            one2(bc(J(x, y, v), one1(br(z, u))) + J(x, y, br(br(z, v), u))
-                 + J(x, y, br(z, br(u, v))) + J(br(br(x, v), u), y, z)
-                 + J(br(x, v), br(y, u), z) + J(br(x, u), br(y, v), z)
-                 + J(x, br(br(y, v), u), z) + J(br(x, br(u, v)), y, z)
-                 + J(x, br(y, br(u, v)), z) + bc(J(x, y, u), one1(br(z, v)))),
-            one2(J(x, br(y, v), br(z, u)) + J(br(x, v), y, br(z, u))
-                 + J(x, br(y, u), br(z, v)) + J(br(x, u), y, br(z, v))),
-        ])
-    if i == 2:
-        return _fold_compose(D, [
-            one2(bc(bc(J(x, y, z), one1(u)), one1(v))),
-            mu(br(x, z), y, u, v) + mu(x, br(y, z), u, v),
-            one2(bc(one1(x), J(br(y, z), v, u)) + bc(J(br(x, z), v, u), one1(y))),
-            bc(id2v(x), mu(y, z, u, v)) + bc(mu(x, z, u, v), id2v(y)),
-            one2(bc(J(x, z, v), one1(br(y, u))) + bc(J(x, z, u), one1(br(y, v)))
-                 + bc(one1(br(x, v)), J(y, z, u)) + bc(one1(br(x, u)), J(y, z, v))),
-        ])
-    raise ValueError("i must be in 1..4")
+
+def _coherence_residual(D: Lie3Data, *objs) -> Vector:
+    a1, a2, a3, a4 = (_alpha(D, i, *objs) for i in (1, 2, 3, 4))
+    return vsub(vadd(a1, _inverse2(D, a4)), vadd(a3, _inverse2(D, a2)))
 
 
 def coherence_residual(D: Lie3Data, x, y, z, u, v) -> Cell:
     """(alpha1 + alpha4^{-1}) - (alpha3 + alpha2^{-1}) on five 0-cells."""
-    a1 = alpha_cell(D, 1, x, y, z, u, v)
-    a2 = alpha_cell(D, 2, x, y, z, u, v)
-    a3 = alpha_cell(D, 3, x, y, z, u, v)
-    a4 = alpha_cell(D, 4, x, y, z, u, v)
-    return (a1 + inverse2(D, a4)) - (a3 + inverse2(D, a2))
+    return D.cat.unflatten(2, _coherence_residual(D, x, y, z, u, v))
 
 
 def check_coherence(D: Lie3Data, tuples=None) -> Report:
@@ -511,13 +529,13 @@ def check_coherence(D: Lie3Data, tuples=None) -> Report:
         tuples = itertools.combinations_with_replacement(range(n0), 5)
     data = _raw_linfinity(D)
     col = Collector("coherence")
-    zero = L.zero_cell(2)
+    zero = vzero(L.level_dim(2))
     for key in tuples:
         w = _objects(key)
-        res = coherence_residual(D, *(e0[i] for i in key))
+        res = _coherence_residual(D, *(e0[i] for i in key))
         r5 = linfty_residual(data, 5, [GradedVector.basis_vector(D.space, 0, i) for i in key])
         col.compare("coherence", w, res, zero)
-        col.compare("order5-agreement", w, res.components[2], r5.component(2))
+        col.compare("order5-agreement", w, res[L.level_dim(1):], r5.component(2))
     return col.report()
 
 

@@ -20,8 +20,11 @@ def vec(entries: Iterable) -> Vector:
     return tuple(Q(e) for e in entries)
 
 
+_ZERO = Q(0)  # one zero for every zero vector: Fractions are immutable
+
+
 def vzero(n: int) -> Vector:
-    return (Q(0),) * n
+    return (_ZERO,) * n
 
 
 def vadd(a: Sequence[Q], b: Sequence[Q]) -> Vector:

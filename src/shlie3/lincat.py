@@ -10,16 +10,25 @@ calculus is the component arithmetic
     (v_0..v_m) o_p (w_0..w_m) = (v_0..v_p, v_{p+1}+w_{p+1}, .., v_m+w_m)
 
 with the last line only defined on p-composable pairs.
+
+Each map has one implementation, ``flat_*``, on flat coordinates: a level-m
+cell is a tuple over L_m in which V_i occupies ``offsets[i]:offsets[i + 1]``
+(offsets[i] = dim V_0 + .. + dim V_{i-1}), so s is a slice, 1 pads zeros and
+t adds the sparse columns of ``t_matrix(m)``.  ``Cell`` is the API type; the
+methods on cells convert at the edge and call the flat maps.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .chain import ChainComplexT
 from .graded import GradedSpace, MultiMap, build_multimap
-from .linalg import Matrix, Q, Vector, hstack, vadd, vis_zero, vscale, vstack, vsub, vzero
+from .linalg import Matrix, Q, Vector, vadd, vscale, vsub, vzero
 from .report import Collector, Report
 
 
@@ -52,9 +61,6 @@ class Cell:
             object.__setattr__(self, "components", tuple(
                 tuple(c if type(c) is Q else Q(c) for c in block) for block in comps))
 
-    def is_zero(self) -> bool:
-        return all(vis_zero(b) for b in self.components)
-
     def __add__(self, other: "Cell") -> "Cell":
         if self.level != other.level:
             raise ValueError("cannot add cells of different level")
@@ -74,12 +80,18 @@ class LinearNCat:
     space: GradedSpace
     t_data: MultiMap
     _t_matrices: tuple[Matrix, ...] = field(init=False, repr=False, compare=False)
+    _t_cols: tuple = field(init=False, repr=False, compare=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t_data.space != self.space or self.t_data.arity != 1 or self.t_data.weight != -1:
             raise ValueError("t_data must be an arity-1 weight -1 map on the same space")
-        object.__setattr__(self, "_t_matrices",
-                           tuple(self.t_data.as_matrix(d) for d in range(self.n + 1)))
+        mats = tuple(self.t_data.as_matrix(d) for d in range(self.n + 1))
+        object.__setattr__(self, "_t_matrices", mats)
+        object.__setattr__(self, "_t_cols", tuple(  # nonzero (row, entry) pairs per column
+            tuple(tuple((i, c) for i, c in enumerate(col) if c) for col in M.cols())
+            for M in mats))
+        object.__setattr__(self, "offsets", (0, *itertools.accumulate(self.space.dims)))
         for m in range(2, self.n + 1):
             if not (self.t_matrix(m - 1) @ self.t_matrix(m)).is_zero():
                 raise ValueError("t o t != 0: globular condition violated")
@@ -92,7 +104,7 @@ class LinearNCat:
         return self.space.dims[d]
 
     def level_dim(self, m: int) -> int:
-        return sum(self.space.dims[: m + 1])
+        return self.offsets[m + 1]
 
     def t_matrix(self, d: int) -> Matrix:
         """Matrix of t restricted to V_d, valued in V_{d-1}."""
@@ -101,7 +113,7 @@ class LinearNCat:
     # -- cells --------------------------------------------------------
 
     def zero_cell(self, m: int) -> Cell:
-        return Cell(m, tuple(vzero(self.dim(i)) for i in range(m + 1)))
+        return self.unflatten(m, vzero(self.level_dim(m)))
 
     def basis_cell(self, m: int, d: int, i: int) -> Cell:
         return self.coded_cell(tuple(i if k == d else None for k in range(m + 1)))
@@ -109,13 +121,11 @@ class LinearNCat:
     def coded_cell(self, code: Sequence[int | None]) -> Cell:
         """The cell of level len(code) - 1 whose component k is basis vector
         code[k] of V_k, or zero where code[k] is None (the witness encoding)."""
-        return Cell(len(code) - 1, tuple(tuple(Q(int(j == i)) for j in range(self.dim(k)))
-                                         for k, i in enumerate(code)))
+        return self.unflatten(len(code) - 1, self.flat_coded(code))
 
     def cell_from_v0(self, v0: Sequence[Q], level: int = 0) -> Cell:
         """The iterated identity cell over a 0-cell, at the requested level."""
-        comps = [tuple(Q(c) for c in v0)] + [vzero(self.dim(i)) for i in range(1, level + 1)]
-        return Cell(level, tuple(comps))
+        return self.unflatten(level, self.flat_identity(0, tuple(v0), level))
 
     def spanning_codes(self, m: int) -> list[tuple]:
         """Codes (see ``coded_cell``) of the basis of L_m: one basis vector in
@@ -139,39 +149,65 @@ class LinearNCat:
         return [tuple(c if j == s else zero for j in range(len(slots)))
                 for s in reversed(range(len(slots))) for c in slots[s]]
 
-    # -- structure maps (the component formulas) ----------------------
+    # -- structure maps on flat coordinates (the component formulas) ---
 
-    def source(self, a: Cell) -> Cell:
-        if a.level < 1:
+    def flat_source(self, m: int, v: Vector, k: int = 1) -> Vector:
+        """s^k of the flat m-cell v: its first level_dim(m - k) coordinates."""
+        if k > m:
             raise ValueError("0-cells have no source")
-        return Cell(a.level - 1, a.components[:-1])
+        return v[:self.offsets[m - k + 1]]
 
-    def target(self, a: Cell) -> Cell:
-        if a.level < 1:
+    def flat_target(self, m: int, v: Vector, k: int = 1) -> Vector:
+        """t^k of the flat m-cell v: drop V_m and add t v_m to V_{m-1}, k times."""
+        if k > m:
             raise ValueError("0-cells have no target")
-        m = a.level
-        moved = vadd(a.components[m - 1], self.t_matrix(m).apply(a.components[m]))
-        return Cell(m - 1, a.components[: m - 1] + (moved,))
+        for d in range(m, m - k, -1):  # v is a flat d-cell
+            out, base = list(v[:self.offsets[d]]), self.offsets[d - 1]
+            for j, c in enumerate(v[self.offsets[d]:]):
+                if c:
+                    for i, x in self._t_cols[d][j]:
+                        out[base + i] += c * x
+            v = tuple(out)
+        return v
 
-    def identity(self, a: Cell) -> Cell:
-        if a.level >= self.n:
+    def flat_identity(self, m: int, v: Vector, k: int = 1) -> Vector:
+        """1^k of the flat m-cell v: zeros appended for V_{m+1} .. V_{m+k}."""
+        if m + k > self.n:
             raise ValueError("no identities above the top level")
-        return Cell(a.level + 1, a.components + (vzero(self.dim(a.level + 1)),))
+        return tuple(v) + vzero(self.offsets[m + k + 1] - self.offsets[m + 1])
 
-    def source_iter(self, a: Cell, k: int) -> Cell:
-        for _ in range(k):
-            a = self.source(a)
-        return a
+    def flat_coded(self, code: Sequence[int | None]) -> Vector:
+        """Flat coordinates of ``coded_cell(code)``."""
+        return tuple(Q(int(j == i)) for k, i in enumerate(code) for j in range(self.dim(k)))
 
-    def target_iter(self, a: Cell, k: int) -> Cell:
-        for _ in range(k):
-            a = self.target(a)
-        return a
+    def flat_compose(self, m: int, a: Vector, b: Vector, p: int) -> Vector:
+        """a o_p b: the components above p are added; raises ComposabilityError
+        (with t^{m-p} a and s^{m-p} b) unless the pair is p-composable."""
+        if not (0 <= p < m):
+            raise ComposabilityError(f"p={p} out of range for level {m}", a, b)
+        cut = self.offsets[p + 1]
+        if (ta := self.flat_target(m, a, m - p)) != b[:cut]:
+            raise ComposabilityError(f"cells are not composable along a {p}-cell", ta, b[:cut])
+        return a[:cut] + vadd(a[cut:], b[cut:])
 
-    def identity_iter(self, a: Cell, k: int) -> Cell:
-        for _ in range(k):
-            a = self.identity(a)
-        return a
+    def flat_right_factor(self, m: int, a: Vector, code: Sequence[int | None], p: int) -> Vector:
+        """The p-composable right factor of a whose free part is coded by code:
+        1^{m-p}(t^{m-p} a) + coded(code)."""
+        k = m - p
+        return vadd(self.flat_identity(p, self.flat_target(m, a, k), k), self.flat_coded(code))
+
+    # -- the same maps on cells -----------------------------------------
+
+    def source_iter(self, a: Cell, k: int = 1) -> Cell:
+        return self.unflatten(a.level - k, self.flat_source(a.level, self.flatten(a), k))
+
+    def target_iter(self, a: Cell, k: int = 1) -> Cell:
+        return self.unflatten(a.level - k, self.flat_target(a.level, self.flatten(a), k))
+
+    def identity_iter(self, a: Cell, k: int = 1) -> Cell:
+        return self.unflatten(a.level + k, self.flat_identity(a.level, self.flatten(a), k))
+
+    source, target, identity = source_iter, target_iter, identity_iter  # k = 1
 
     def composable(self, a: Cell, b: Cell, p: int) -> bool:
         if a.level != b.level or not (0 <= p < a.level):
@@ -182,22 +218,12 @@ class LinearNCat:
     def compose(self, a: Cell, b: Cell, p: int) -> Cell:
         if a.level != b.level:
             raise ComposabilityError("levels differ", a, b)
-        m = a.level
-        if not (0 <= p < m):
-            raise ComposabilityError(f"p={p} out of range for level {m}", a, b)
-        if not self.composable(a, b, p):
-            raise ComposabilityError(
-                f"cells are not composable along a {p}-cell",
-                self.target_iter(a, m - p), self.source_iter(b, m - p))
-        comps = list(a.components[: p + 1])
-        for i in range(p + 1, m + 1):
-            comps.append(vadd(a.components[i], b.components[i]))
-        return Cell(m, tuple(comps))
+        return self.unflatten(a.level, self.flat_compose(a.level, self.flatten(a),
+                                                         self.flatten(b), p))
 
     def right_factor(self, a: Cell, code: Sequence[int | None], p: int) -> Cell:
         """The p-composable right factor of a whose free part is coded_cell(code)."""
-        k = a.level - p
-        return self.identity_iter(self.target_iter(a, k), k) + self.coded_cell(code)
+        return self.unflatten(a.level, self.flat_right_factor(a.level, self.flatten(a), code, p))
 
     # -- uniqueness of composition (independent re-derivation) --------
 
@@ -213,60 +239,45 @@ class LinearNCat:
 
     def assemble(self, v: Cell) -> Cell:
         """Sum of iterated identities over the kernel components of v."""
-        m = v.level
-        out = self.zero_cell(m)
-        for i in range(m + 1):
-            ker_cell = Cell(i, tuple(vzero(self.dim(k)) for k in range(i)) + (v.components[i],))
-            out = out + self.identity_iter(ker_cell, m - i)
-        return out
+        m, o = v.level, self.offsets
+        return self.unflatten(m, functools.reduce(vadd, (
+            self.flat_identity(i, vzero(o[i]) + v.components[i], m - i) for i in range(m + 1))))
 
     def decompose(self, a: Cell) -> Cell:
         """Kernel components of a raw m-cell, computed left to right via s and 1."""
-        m = a.level
-        comps = []
-        rest = a
+        m, o, rest, comps = a.level, self.offsets, self.flatten(a), []
         for i in range(m + 1):
-            ci = self.source_iter(rest, m - i)
-            comps.append(ci.components[i])
-            ker_cell = Cell(i, tuple(vzero(self.dim(k)) for k in range(i)) + (ci.components[i],))
-            rest = rest - self.identity_iter(ker_cell, m - i)
+            comps.append(self.flat_source(m, rest, m - i)[o[i]:])
+            rest = vsub(rest, self.flat_identity(i, vzero(o[i]) + comps[-1], m - i))
         return Cell(m, tuple(comps))
 
     # -- structural matrices (component form) -------------------------
 
-    def s_matrix_level(self, m: int) -> Matrix:
-        if m < 1:
+    def _level_matrix(self, flat_map, m: int, m_out: int) -> Matrix:
+        """Matrix of a flat structure map from level m to level m_out, column
+        by column (the zero map onto level -1 for m = 0)."""
+        if m_out < 0:
             return Matrix.zeros(0, self.level_dim(0))
-        return hstack([Matrix.eye(self.level_dim(m - 1)),
-                       Matrix.zeros(self.level_dim(m - 1), self.dim(m))])
+        return Matrix.from_cols([flat_map(m, e) for e in Matrix.eye(self.level_dim(m)).cols()],
+                                nrows=self.level_dim(m_out))
+
+    def s_matrix_level(self, m: int) -> Matrix:
+        return self._level_matrix(self.flat_source, m, m - 1)
 
     def t_matrix_level(self, m: int) -> Matrix:
-        if m < 1:
-            return Matrix.zeros(0, self.level_dim(0))
-        pre = self.level_dim(m - 1) - self.dim(m - 1)
-        d = self.t_matrix(m)
-        right = vstack([Matrix.zeros(pre, self.dim(m)), d]) if pre else d
-        return hstack([Matrix.eye(self.level_dim(m - 1)), right])
+        return self._level_matrix(self.flat_target, m, m - 1)
 
     def i_matrix_level(self, m: int) -> Matrix:
-        return vstack([Matrix.eye(self.level_dim(m)),
-                       Matrix.zeros(self.dim(m + 1), self.level_dim(m))])
+        return self._level_matrix(self.flat_identity, m, m + 1)
 
     def flatten(self, a: Cell) -> Vector:
-        out: list[Q] = []
-        for b in a.components:
-            out.extend(b)
-        return tuple(out)
+        return tuple(itertools.chain(*a.components))
 
     def unflatten(self, m: int, v: Sequence[Q]) -> Cell:
-        comps = []
-        pos = 0
-        for i in range(m + 1):
-            comps.append(v[pos: pos + self.dim(i)])
-            pos += self.dim(i)
-        if pos != len(v):
+        o = self.offsets
+        if len(v) != o[m + 1]:
             raise ValueError("vector length does not match level")
-        return Cell(m, tuple(comps))
+        return Cell(m, tuple(v[o[i]:o[i + 1]] for i in range(m + 1)))
 
 
 # -- functors ---------------------------------------------------------
@@ -323,6 +334,17 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
 # -- axioms -----------------------------------------------------------
 
 
+@contextlib.contextmanager
+def composites_defined(col: Collector, witness):
+    """Context for the comparisons of one witness: a composite that raises
+    ComposabilityError ends them with a "composable" failure of ``col``, its
+    residual the error's left minus right cell (t^k a - s^k b on a mismatch)."""
+    try:
+        yield
+    except ComposabilityError as e:
+        col.compare("composable", witness, e.left, e.right)
+
+
 def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | None = None) -> Report:
     """Verify the category axioms on a basis of their parameters.
 
@@ -333,7 +355,8 @@ def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | Non
     zero tuple and that basis decide every axiom.  `compose` may override the
     built-in composition (used to show a corrupted table fails); it takes
     (a, b, p).  A right factor is witnessed by the code of its free part t:
-    b = L.right_factor(a, t, p).
+    b = L.right_factor(a, t, p).  A composite that raises ComposabilityError
+    ends the comparisons of its witness with a "composable" failure.
     """
     comp = compose or L.compose
     col = Collector("axioms")
@@ -361,29 +384,32 @@ def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | Non
                 a, w = L.coded_cell(ca), (p, ca)
                 ua = L.identity_iter(L.source_iter(a, m - p), m - p)
                 ub = L.identity_iter(L.target_iter(a, m - p), m - p)
-                col.compare("unit 1a=a", w, comp(ua, a, p), a)
-                col.compare("unit a1=a", w, comp(a, ub, p), a)
+                with composites_defined(col, w):
+                    col.compare("unit 1a=a", w, comp(ua, a, p), a)
+                    col.compare("unit a1=a", w, comp(a, ub, p), a)
             for ca, cb in family(m, p):
                 a = L.coded_cell(ca)
-                b = right(a, cb, p)
-                ab, w = comp(a, b, p), (p, ca, cb)
-                if p == m - 1:
-                    col.compare("boundary s(ab)=sa", w, L.source(ab), L.source(a))
-                    col.compare("boundary t(ab)=tb", w, L.target(ab), L.target(b))
-                else:
-                    col.compare("boundary s(ab)=sa.sb", w, L.source(ab),
-                                comp(L.source(a), L.source(b), p))
-                    col.compare("boundary t(ab)=ta.tb", w, L.target(ab),
-                                comp(L.target(a), L.target(b), p))
-                if m < L.n:
-                    col.compare("identity-of-composite", w, L.identity(ab),
-                                comp(L.identity(a), L.identity(b), p))
+                b, w = right(a, cb, p), (p, ca, cb)
+                with composites_defined(col, w):
+                    ab = comp(a, b, p)
+                    if p == m - 1:
+                        col.compare("boundary s(ab)=sa", w, L.source(ab), L.source(a))
+                        col.compare("boundary t(ab)=tb", w, L.target(ab), L.target(b))
+                    else:
+                        col.compare("boundary s(ab)=sa.sb", w, L.source(ab),
+                                    comp(L.source(a), L.source(b), p))
+                        col.compare("boundary t(ab)=ta.tb", w, L.target(ab),
+                                    comp(L.target(a), L.target(b), p))
+                    if m < L.n:
+                        col.compare("identity-of-composite", w, L.identity(ab),
+                                    comp(L.identity(a), L.identity(b), p))
             for ca, cb, cc in family(m, p, p):
                 a = L.coded_cell(ca)
                 b = right(a, cb, p)
-                c = right(b, cc, p)
-                col.compare("associativity", (p, ca, cb, cc),
-                            comp(comp(a, b, p), c, p), comp(a, comp(b, c, p), p))
+                c, w = right(b, cc, p), (p, ca, cb, cc)
+                with composites_defined(col, w):
+                    col.compare("associativity", w,
+                                comp(comp(a, b, p), c, p), comp(a, comp(b, c, p), p))
 
     # interchange
     for m in range(1, L.n + 1):
@@ -394,13 +420,9 @@ def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | Non
                     b, c = right(a, cb, p), right(a, cc, q)
                     d = right(c, cd, p)
                     w = (p, q, ca, cb, cc, cd)
-                    try:
-                        lhs = comp(comp(a, b, p), comp(c, d, p), q)
-                        rhs = comp(comp(a, c, q), comp(b, d, q), p)
-                    except ComposabilityError as e:
-                        col.compare("composable", w, e.left, e.right)
-                        continue
-                    col.compare("interchange", w, lhs, rhs)
+                    with composites_defined(col, w):
+                        col.compare("interchange", w, comp(comp(a, b, p), comp(c, d, p), q),
+                                    comp(comp(a, c, q), comp(b, d, q), p))
     return col.report()
 
 

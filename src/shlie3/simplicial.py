@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 from .chain import ChainComplexT, ChainMapT, induced_on_homology, tensor_complex
 from .lincat import LinearNCat, NFunctor, TensorCat, tensor_product
-from .linalg import Matrix, Q, Vector, hstack, vadd, vis_zero, vstack, vzero
+from .linalg import Matrix, Q, Vector, hstack, vadd, vis_zero, vstack, vsub, vzero
 
 
 def _mat(action: Callable[[Vector], Sequence[Q]], dim_in: int, dim_out: int) -> Matrix:
@@ -390,12 +390,10 @@ class ObstructionReport:
 def _simplex_arrows(L: LinearNCat, v: Vector, n: int) -> list[Vector]:
     """Raw 1-cells of a nerve n-simplex (x; f_1..f_n)."""
     n0, n1 = L.dim(0), L.dim(1)
-    x = tuple(v[:n0])
-    arrows = []
-    for k in range(n):
-        f = tuple(v[n0 + k * n1: n0 + (k + 1) * n1])
-        arrows.append(tuple(x) + f)
-        x = vadd(x, L.t_matrix(1).apply(f))
+    x, arrows = tuple(v[:n0]), []
+    for k in range(n):  # each arrow starts at the target of the previous one
+        arrows.append(x + tuple(v[n0 + k * n1: n0 + (k + 1) * n1]))
+        x = L.flat_target(1, arrows[-1])
     return arrows
 
 
@@ -437,30 +435,19 @@ def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
     Both sides are bilinear in the composable pairs (v, w) and (v', w'), and
     each pair is linear in (v, free part of w), so the identity is checked on
     the product of two bases of composable pairs (``composable_codes``)."""
-    n1 = L.dim(1)
-
-    def ker_flat(w):  # the kernel part of a 1-cell, as a raw 1-cell
-        return vzero(L.dim(0)) + w.components[1]
-
-    def unit_deficit(v):  # v - 1_{tv} in raw form
-        t = L.target(v).components[0]
-        return tuple(a - b for a, b in zip(L.flatten(v), tuple(t) + vzero(n1)))
-
+    n0 = L.dim(0)
+    ker = lambda w: vzero(n0) + w[n0:]  # the kernel part of a 1-cell, as a raw 1-cell
+    deficit = lambda v: vsub(v, L.flat_identity(0, L.flat_target(1, v)))  # v - 1_{tv}
+    tensor = lambda x, y: tuple(a * b for a in x for b in y)
     pairs = []
     for cv, cw in L.composable_codes(1, 0):
-        v = L.coded_cell(cv)
-        pairs.append((v, L.right_factor(v, cw, 0)))
+        v = L.flat_coded(cv)
+        pairs.append((v, L.flat_right_factor(1, v, cw, 0)))
     for (v, w), (vp, wp) in itertools.product(pairs, repeat=2):
-        lflat = L.flatten(L.compose(v, w, 0))
-        rflat = L.flatten(L.compose(vp, wp, 0))
-        lhs = tuple(x * y for x in lflat for y in rflat)
-        comp = tc.compose_raw(
-            tuple(x * y for x in L.flatten(v) for y in L.flatten(vp)),
-            tuple(x * y for x in L.flatten(w) for y in L.flatten(wp)),
-            1, 0)
-        c1 = tuple(x * y for x in unit_deficit(v) for y in ker_flat(wp))
-        c2 = tuple(x * y for x in ker_flat(w) for y in unit_deficit(vp))
-        if lhs != vadd(vadd(comp, c1), c2):
+        lhs = tensor(L.flat_compose(1, v, w, 0), L.flat_compose(1, vp, wp, 0))
+        rhs = vadd(tc.compose_raw(tensor(v, vp), tensor(w, wp), 1, 0),
+                   vadd(tensor(deficit(v), ker(wp)), tensor(ker(w), deficit(vp))))
+        if lhs != rhs:
             return False
     return True
 

@@ -14,10 +14,11 @@ from fractions import Fraction as Q
 from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, enumerate_shuffles, koszul_chi)
+from shlie3.lie3 import J_cell, bracket_cells, bracket_objects, mu_cell
 from shlie3.lincat import Cell, ComposabilityError
-from shlie3.linalg import Matrix, vis_zero, vzero
-from shlie3.linfinity import LInfinityData, degree_tag
-from shlie3.report import Failure, Report
+from shlie3.linalg import Matrix, vadd, vis_zero, vscale, vzero
+from shlie3.linfinity import LInfinityData, degree_tag, linfty_residual
+from shlie3.report import Collector, Failure, Report
 
 
 def rand_q(rng: random.Random, span: int = 3) -> Q:
@@ -569,3 +570,346 @@ def seed_axioms_hold(L, comp) -> bool:
                         except ComposabilityError:
                             ok = False
     return ok
+
+
+# -- the Cell-based categorical checks, kept as the oracle --------------
+#
+# The structure maps by their component formulas on ``Cell``s, and the
+# bifunctor, Jacobiator, Identiator and coherence checks written on them,
+# exactly as the library ran them before the checks moved to flat
+# coordinate tuples.  The cell operations (bracket, J and mu cells) are the
+# library's public ones; their tables are checked against the component
+# formulas separately.
+
+class SeedCat:
+    """A LinearNCat whose source, target, identity and composition are the
+    component formulas on cells; everything else is the wrapped category's."""
+
+    def __init__(self, L):
+        self.L = L
+
+    def __getattr__(self, name):
+        return getattr(self.L, name)
+
+    def source(self, a):
+        if a.level < 1:
+            raise ValueError("0-cells have no source")
+        return Cell(a.level - 1, a.components[:-1])
+
+    def target(self, a):
+        if a.level < 1:
+            raise ValueError("0-cells have no target")
+        m = a.level
+        moved = vadd(a.components[m - 1], self.L.t_matrix(m).apply(a.components[m]))
+        return Cell(m - 1, a.components[: m - 1] + (moved,))
+
+    def identity(self, a):
+        if a.level >= self.L.n:
+            raise ValueError("no identities above the top level")
+        return Cell(a.level + 1, a.components + (vzero(self.L.dim(a.level + 1)),))
+
+    def source_iter(self, a, k):
+        for _ in range(k):
+            a = self.source(a)
+        return a
+
+    def target_iter(self, a, k):
+        for _ in range(k):
+            a = self.target(a)
+        return a
+
+    def identity_iter(self, a, k):
+        for _ in range(k):
+            a = self.identity(a)
+        return a
+
+    def cell_from_v0(self, v0, level=0):
+        return Cell(level, (tuple(Q(c) for c in v0),)
+                    + tuple(vzero(self.L.dim(i)) for i in range(1, level + 1)))
+
+    def coded_cell(self, code):
+        return Cell(len(code) - 1, tuple(tuple(Q(int(j == i)) for j in range(self.L.dim(k)))
+                                         for k, i in enumerate(code)))
+
+    def composable(self, a, b, p):
+        if a.level != b.level or not (0 <= p < a.level):
+            return False
+        k = a.level - p
+        return self.target_iter(a, k) == self.source_iter(b, k)
+
+    def compose(self, a, b, p):
+        if a.level != b.level:
+            raise ComposabilityError("levels differ", a, b)
+        m = a.level
+        if not (0 <= p < m):
+            raise ComposabilityError(f"p={p} out of range for level {m}", a, b)
+        if not self.composable(a, b, p):
+            raise ComposabilityError(f"cells are not composable along a {p}-cell",
+                                     self.target_iter(a, m - p), self.source_iter(b, m - p))
+        return Cell(m, a.components[: p + 1] + tuple(
+            vadd(x, y) for x, y in zip(a.components[p + 1:], b.components[p + 1:])))
+
+    def right_factor(self, a, code, p):
+        k = a.level - p
+        return self.identity_iter(self.target_iter(a, k), k) + self.coded_cell(code)
+
+
+def _objects(key) -> tuple:
+    return tuple((0, i) for i in key)
+
+
+def seed_fold_compose(C, factors):
+    acc = factors[0]
+    m = acc.level
+    for named in factors[1:]:
+        tgt = C.target_iter(acc, m)
+        pad_obj = tuple(a - b for a, b in zip(tgt.components[0], named.components[0]))
+        acc = C.compose(acc, named + C.cell_from_v0(pad_obj, m), 0)
+    return acc
+
+
+def seed_eta_epsilon(D, x, y, z, u):
+    C = SeedCat(D.cat)
+    br = lambda p, q: bracket_objects(D, p, q)
+    one = lambda w: C.cell_from_v0(w, 1)
+    bc = lambda c, d: bracket_cells(D, c, d)
+    eta = seed_fold_compose(C, [
+        bc(J_cell(D, x, y, z), one(u)),
+        J_cell(D, br(x, z), y, u) + J_cell(D, x, br(y, z), u),
+        bc(J_cell(D, x, z, u), one(y)),
+        bc(one(x), J_cell(D, y, z, u)),
+    ])
+    eps = seed_fold_compose(C, [
+        J_cell(D, br(x, y), z, u),
+        bc(J_cell(D, x, y, u), one(z)),
+        J_cell(D, x, br(y, u), z) + J_cell(D, br(x, u), y, z) + J_cell(D, x, y, br(z, u)),
+    ])
+    return eta, eps
+
+
+def seed_inverse2(D, alpha):
+    A, s, a = alpha.components
+    return Cell(2, (A, vadd(s, D.cat.t_matrix(2).apply(a)), tuple(-c for c in a)))
+
+
+def seed_check_bifunctor(D) -> Report:
+    L = SeedCat(D.cat)
+    col = Collector("bifunctor")
+    br = lambda a, b: bracket_cells(D, a, b)
+    basis = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m)] for m in range(3)]
+    zero = [L.zero_cell(m) for m in range(3)]
+    for m in (1, 2):
+        for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
+            ab, w = br(a, b), (ca, cb)
+            col.compare("source", w, L.source(ab), br(L.source(a), L.source(b)))
+            col.compare("target", w, L.target(ab), br(L.target(a), L.target(b)))
+    for m in (0, 1):
+        for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
+            col.compare("identity", (ca, cb), L.identity(br(a, b)),
+                        br(L.identity(a), L.identity(b)))
+    for m in (0, 1, 2):
+        for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
+            col.compare("antisymmetry", (ca, cb), br(a, b) + br(b, a), zero[m])
+    for m in (1, 2):
+        for p in range(m):
+            factors = []
+            for kv in L.composable_codes(m, p):
+                v = L.coded_cell(kv[0])
+                factors.append((kv, v, L.right_factor(v, kv[1], p)))
+            for (kv, v, vp), (kw, w, wp) in itertools.product(factors, repeat=2):
+                wit = (p,) + kv + kw
+                try:
+                    lhs = br(L.compose(v, vp, p), L.compose(w, wp, p))
+                    rhs = L.compose(br(v, w), br(vp, wp), p)
+                except ComposabilityError as e:
+                    col.compare("composable", wit, e.left, e.right)
+                    continue
+                col.compare("composition", wit, lhs, rhs)
+    f1 = [(c, f) for c, f in basis[1] if c[1] is not None]
+    a2 = [(c, a) for c, a in basis[2] if c[2] is not None]
+    for cf, f in f1:
+        for cg, g in f1:
+            fg, w = br(f, g), (cf, cg)
+            col.compare("kernel-bracket [f,g]=[1_tf,g]", w, fg, br(L.identity(L.target(f)), g))
+            col.compare("kernel-bracket [f,g]=[f,1_tg]", w, fg, br(f, L.identity(L.target(g))))
+        tf2 = L.cell_from_v0(L.t_matrix(1).apply(f.components[1]), 2)
+        for cb, b in a2:
+            w = (cf, cb)
+            col.compare("kernel-bracket [1_f,b]=0", w, br(L.identity(f), b), zero[2])
+            col.compare("kernel-bracket [1^2_tf,b]=0", w, br(tf2, b), zero[2])
+    for ca, a in a2:
+        ta = L.identity(L.target(a))
+        for cb, b in a2:
+            w = (ca, cb)
+            col.compare("kernel-bracket [a,b]=0", w, br(a, b), zero[2])
+            col.compare("kernel-bracket [1_ta,b]=0", w, br(ta, b), zero[2])
+            col.compare("kernel-bracket [a,1_tb]=0", w, br(a, L.identity(L.target(b))), zero[2])
+    space, l2 = D.space, D.bracket_constants.eval_blocks
+    eyes = [Matrix.eye(n) for n in space.dims]
+    for (da, i), (db, j) in itertools.product(space.basis(), repeat=2):
+        od = da + db - 1
+        if not 0 <= od <= space.top_degree:
+            continue
+        u, v = eyes[da].col(i), eyes[db].col(j)
+        lhs = rhs = vzero(L.dim(od))
+        if od < space.top_degree:
+            lhs = L.t_matrix(od + 1).apply(l2([(da, u), (db, v)]))
+        if da >= 1:
+            rhs = vadd(rhs, l2([(da - 1, L.t_matrix(da).col(i)), (db, v)]))
+        if db >= 1:
+            rhs = vadd(rhs, vscale((-1) ** da, l2([(da, u), (db - 1, L.t_matrix(db).col(j))])))
+        col.compare("chain-rule", ((da, i), (db, j)), lhs, rhs)
+    return col.report()
+
+
+def _jac_F(D, c1, c2, c3):
+    return bracket_cells(D, bracket_cells(D, c1, c2), c3)
+
+
+def _jac_G(D, c1, c2, c3):
+    return (bracket_cells(D, bracket_cells(D, c1, c3), c2)
+            + bracket_cells(D, c1, bracket_cells(D, c2, c3)))
+
+
+def seed_naturality_squares(D, col, F, G, theta, arity):
+    L = SeedCat(D.cat)
+    e0 = Matrix.eye(L.dim(0)).cols()
+    alphas = [(c, L.coded_cell(c)) for c in L.spanning_codes(2)]
+    for slot in range(arity):
+        for key in itertools.product(range(L.dim(0)), repeat=arity - 1):
+            objs = [e0[i] for i in key]
+            ids = [L.cell_from_v0(x, 2) for x in objs]
+            for ca, alpha in alphas:
+                w = (slot, _objects(key), ca)
+                args = ids[:slot] + [alpha] + ids[slot:]
+                t2 = vadd(alpha.components[0], L.t_matrix(1).apply(alpha.components[1]))
+                t_objs = objs[:slot] + [t2] + objs[slot:]
+                s_objs = objs[:slot] + [alpha.components[0]] + objs[slot:]
+                try:
+                    res = (L.compose(F(D, *args), theta(t_objs), 0)
+                           - L.compose(theta(s_objs), G(D, *args), 0))
+                except ComposabilityError as e:
+                    col.compare("composable", w, e.left, e.right)
+                    continue
+                yield w, res
+
+
+def seed_check_jacobiator(D) -> Report:
+    L = SeedCat(D.cat)
+    col = Collector("jacobiator")
+    e0 = Matrix.eye(L.dim(0)).cols()
+    bo = lambda p, q: bracket_objects(D, p, q)
+    for key in itertools.product(range(L.dim(0)), repeat=3):
+        x, y, z = (e0[i] for i in key)
+        col.compare("target", _objects(key), L.target(J_cell(D, x, y, z)).components[0],
+                    vadd(bo(bo(x, z), y), bo(x, bo(y, z))))
+    theta = lambda objs: L.identity(J_cell(D, *objs))
+    z1, z2 = vzero(L.dim(1)), vzero(L.dim(2))
+    for w, res in seed_naturality_squares(D, col, _jac_F, _jac_G, theta, 3):
+        col.compare("naturality-v1", w, res.components[1], z1)
+        col.compare("naturality-v2", w, res.components[2], z2)
+    return col.report()
+
+
+def _id_F(D, c1, c2, c3, c4):
+    br = lambda a, b: bracket_cells(D, a, b)
+    return br(br(br(c1, c2), c3), c4)
+
+
+def _id_G(D, c1, c2, c3, c4):
+    br = lambda a, b: bracket_cells(D, a, b)
+    return (br(br(c1, c3), br(c2, c4)) + br(c1, br(br(c2, c4), c3))
+            + br(br(br(c1, c4), c3), c2) + br(br(c1, c4), br(c2, c3))
+            + br(br(c1, br(c3, c4)), c2) + br(c1, br(c2, br(c3, c4))))
+
+
+def seed_check_identiator(D) -> Report:
+    L = SeedCat(D.cat)
+    col = Collector("identiator")
+    e0 = Matrix.eye(L.dim(0)).cols()
+    for key in itertools.product(range(L.dim(0)), repeat=4):
+        objs = [e0[i] for i in key]
+        eta, eps = seed_eta_epsilon(D, *objs)
+        mc, w = mu_cell(D, *objs), _objects(key)
+        col.compare("source", w, L.source(mc), eta)
+        col.compare("target", w, L.target(mc), eps)
+    zero = L.zero_cell(2)
+    for w, res in seed_naturality_squares(D, col, _id_F, _id_G,
+                                          lambda objs: mu_cell(D, *objs), 4):
+        which = "v2" if vis_zero(res.components[1]) else "v1"
+        col.compare(f"modification-{which}", w, res, zero)
+    return col.report()
+
+
+def seed_alpha_cell(D, i, x, y, z, u, v):
+    C = SeedCat(D.cat)
+    br = lambda p, q: bracket_objects(D, p, q)
+    one1 = lambda w: C.cell_from_v0(w, 1)
+    one2 = lambda c: C.identity(c)
+    bc = lambda a, b: bracket_cells(D, a, b)
+    mu = lambda a, b, c, d: mu_cell(D, a, b, c, d)
+    J = lambda a, b, c: J_cell(D, a, b, c)
+    id2v = lambda w: C.cell_from_v0(w, 2)
+    if i == 1:
+        return seed_fold_compose(C, [
+            one2(J(br(br(x, y), z), u, v)),
+            mu(x, y, z, br(u, v)) + bc(mu(x, y, z, v), id2v(u)),
+            one2(bc(J(x, br(z, v), y), one1(u)) + bc(J(br(x, v), z, y), one1(u))
+                 + bc(J(x, z, br(y, v)), one1(u))),
+            mu(br(x, v), y, z, u) + mu(x, br(y, v), z, u) + mu(x, y, br(z, v), u),
+        ])
+    if i == 4:
+        return seed_fold_compose(C, [
+            bc(mu(x, y, z, u), id2v(v)),
+            one2(bc(J(br(x, u), z, y), one1(v)) + bc(J(x, z, br(y, u)), one1(v))
+                 + bc(J(x, br(z, u), y), one1(v))),
+            mu(br(x, u), y, z, v) + mu(x, br(y, u), z, v) + mu(x, y, br(z, u), v),
+            one2(bc(bc(J(x, u, v), one1(z)), one1(y)) + bc(J(x, u, v), one1(br(y, z)))
+                 + bc(one1(x), bc(J(y, u, v), one1(z))) + bc(bc(one1(x), J(z, u, v)), one1(y))
+                 + bc(one1(x), bc(one1(y), J(z, u, v))) + bc(one1(br(x, z)), J(y, u, v))),
+        ])
+    if i == 3:
+        return seed_fold_compose(C, [
+            mu(br(x, y), z, u, v),
+            one2(bc(J(br(x, y), v, u), one1(z))),
+            bc(mu(x, y, u, v), id2v(z)),
+            one2(bc(J(x, y, v), one1(br(z, u))) + J(x, y, br(br(z, v), u))
+                 + J(x, y, br(z, br(u, v))) + J(br(br(x, v), u), y, z)
+                 + J(br(x, v), br(y, u), z) + J(br(x, u), br(y, v), z)
+                 + J(x, br(br(y, v), u), z) + J(br(x, br(u, v)), y, z)
+                 + J(x, br(y, br(u, v)), z) + bc(J(x, y, u), one1(br(z, v)))),
+            one2(J(x, br(y, v), br(z, u)) + J(br(x, v), y, br(z, u))
+                 + J(x, br(y, u), br(z, v)) + J(br(x, u), y, br(z, v))),
+        ])
+    if i == 2:
+        return seed_fold_compose(C, [
+            one2(bc(bc(J(x, y, z), one1(u)), one1(v))),
+            mu(br(x, z), y, u, v) + mu(x, br(y, z), u, v),
+            one2(bc(one1(x), J(br(y, z), v, u)) + bc(J(br(x, z), v, u), one1(y))),
+            bc(id2v(x), mu(y, z, u, v)) + bc(mu(x, z, u, v), id2v(y)),
+            one2(bc(J(x, z, v), one1(br(y, u))) + bc(J(x, z, u), one1(br(y, v)))
+                 + bc(one1(br(x, v)), J(y, z, u)) + bc(one1(br(x, u)), J(y, z, v))),
+        ])
+    raise ValueError("i must be in 1..4")
+
+
+def seed_coherence_residual(D, x, y, z, u, v):
+    a1, a2, a3, a4 = (seed_alpha_cell(D, i, x, y, z, u, v) for i in (1, 2, 3, 4))
+    return (a1 + seed_inverse2(D, a4)) - (a3 + seed_inverse2(D, a2))
+
+
+def seed_check_coherence(D, tuples=None) -> Report:
+    L = D.cat
+    e0 = Matrix.eye(L.dim(0)).cols()
+    if tuples is None:
+        tuples = itertools.combinations_with_replacement(range(L.dim(0)), 5)
+    data = LInfinityData(D.space, L.t_data, D.bracket_constants, D.J, -D.mu)
+    col = Collector("coherence")
+    zero = L.zero_cell(2)
+    for key in tuples:
+        w = _objects(key)
+        res = seed_coherence_residual(D, *(e0[i] for i in key))
+        r5 = linfty_residual(data, 5, [GradedVector.basis_vector(D.space, 0, i) for i in key])
+        col.compare("coherence", w, res, zero)
+        col.compare("order5-agreement", w, res.components[2], r5.component(2))
+    return col.report()

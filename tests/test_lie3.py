@@ -29,9 +29,9 @@ def glambda_cat(n=3):
     return from_linfinity(graded_lie_data(tbl, n))
 
 
-def scaling_cat(cocycle=None):
-    c = ce_cocycles4(scaling_brackets())[0] if cocycle is None else cocycle
-    return from_linfinity(two_term_data(scaling_brackets(), c))
+def scaling_cat(cocycle=None, n=5):
+    c = ce_cocycles4(scaling_brackets(n), n)[0] if cocycle is None else cocycle
+    return from_linfinity(two_term_data(scaling_brackets(n), c, n))
 
 
 def e0_basis(D):

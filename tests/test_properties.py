@@ -15,20 +15,23 @@ from hypothesis import given, settings, strategies as st
 from shlie3.graded import (GradedSpace, GradedVector, Permutation,
                            build_multimap, koszul_chi)
 from shlie3.lie3 import (Lie3Data, J_cell, _bracket_formula, _J_formula, _mu_formula,
-                         bracket_cells, check_bifunctor, from_linfinity, mu_cell)
+                         bracket_cells, check_bifunctor, check_coherence, check_identiator,
+                         check_jacobiator, from_linfinity, mu_cell)
 from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, check_axioms, from_chain,
                            tensor_product)
-from shlie3.linalg import Matrix, quotient_basis, vadd
+from shlie3.linalg import Matrix, quotient_basis, vadd, vsub, vzero
 from shlie3.linfinity import check_all, linfty_residual
 from shlie3.simplicial import compose_tensor_identity
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
-from helpers import (l1_only, rand_brackets, rand_chain2, rand_chain3, rand_conjugate,
-                     seed_axioms_hold, seed_bifunctor_factors, seed_eval, seed_kron,
-                     seed_linfty_residual, seed_matmul, seed_pad_composable,
-                     seed_quotient_basis, seed_rref, seed_solve_matrix, seed_spanning_codes,
-                     seed_tail_codes, seed_tensor_identity_pairs, seed_tensor_identity_residual,
-                     sparse_matrix, special_valid_samples)
+from helpers import (SeedCat, ce_cocycles4, l1_only, rand_brackets, rand_chain2, rand_chain3,
+                     rand_conjugate, scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
+                     seed_check_bifunctor, seed_check_coherence, seed_check_identiator,
+                     seed_check_jacobiator, seed_eval, seed_kron, seed_linfty_residual,
+                     seed_matmul, seed_pad_composable, seed_quotient_basis, seed_rref,
+                     seed_solve_matrix, seed_spanning_codes, seed_tail_codes,
+                     seed_tensor_identity_pairs, seed_tensor_identity_residual, sparse_matrix,
+                     special_valid_samples)
 from test_lie3 import _with_random_constants, abelian_cat, glambda_cat, scaling_cat
 
 dims_st = st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
@@ -160,6 +163,99 @@ def test_cell_tables_match_component_formulas(case, seed):
     x, y, z, u = (rand_fraction_vec(rng, L.dim(0)) for _ in range(4))
     assert J_cell(D, x, y, z) == _J_formula(D, x, y, z)
     assert mu_cell(D, x, y, z, u) == _mu_formula(D, x, y, z, u)
+
+
+# -- the flat-coordinate categorical kernel against the Cell-based oracle --
+
+def coords(x) -> tuple:
+    return flat(x) if isinstance(x, Cell) else tuple(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)),
+       seed=st.integers(0, 2**32))
+def test_flat_structure_maps_match_component_formulas(dims, seed):
+    """Each flat structure map of LinearNCat, its Cell wrapper and its level
+    matrix equal the component formula on random Fraction cells; a random
+    non-composable pair raises with the same mismatch."""
+    rng = random.Random(seed)
+    L = from_chain(rand_chain3(rng, dims))
+    C = SeedCat(L)
+    rand_cell = lambda m: Cell(m, tuple(rand_fraction_vec(rng, L.dim(d)) for d in range(m + 1)))
+    v0 = rand_fraction_vec(rng, L.dim(0))
+    for level in range(L.n + 1):
+        assert L.flat_identity(0, v0, level) == flat(C.cell_from_v0(v0, level))
+        assert L.cell_from_v0(v0, level) == C.cell_from_v0(v0, level)
+    for m in range(L.n + 1):
+        a = rand_cell(m)
+        for code in L.spanning_codes(m) + [(None,) * (m + 1)]:
+            assert L.flat_coded(code) == flat(C.coded_cell(code))
+        for k in range(m + 1):
+            assert L.flat_source(m, flat(a), k) == flat(C.source_iter(a, k))
+            assert L.flat_target(m, flat(a), k) == flat(C.target_iter(a, k))
+            assert L.source_iter(a, k) == C.source_iter(a, k)
+            assert L.target_iter(a, k) == C.target_iter(a, k)
+        for k in range(L.n - m + 1):
+            assert L.flat_identity(m, flat(a), k) == flat(C.identity_iter(a, k))
+            assert L.identity_iter(a, k) == C.identity_iter(a, k)
+        if m >= 1:
+            assert L.s_matrix_level(m).apply(flat(a)) == flat(C.source(a))
+            assert L.t_matrix_level(m).apply(flat(a)) == flat(C.target(a))
+        if m < L.n:
+            assert L.i_matrix_level(m).apply(flat(a)) == flat(C.identity(a))
+        for p in range(m):
+            k = m - p
+            free = Cell(m, tuple(vzero(L.dim(d)) if d <= p else rand_fraction_vec(rng, L.dim(d))
+                                 for d in range(m + 1)))
+            b = C.identity_iter(C.target_iter(a, k), k) + free
+            assert L.flat_compose(m, flat(a), flat(b), p) == flat(C.compose(a, b, p))
+            assert L.compose(a, b, p) == C.compose(a, b, p)
+            for code in L.spanning_codes(m):
+                want = C.right_factor(a, code, p)
+                assert L.flat_right_factor(m, flat(a), code, p) == flat(want)
+                assert L.right_factor(a, code, p) == want
+            c = rand_cell(m)
+            if not C.composable(a, c, p):
+                errors = []
+                for compose in (lambda: L.flat_compose(m, flat(a), flat(c), p),
+                                lambda: C.compose(a, c, p)):
+                    try:
+                        compose()
+                    except ComposabilityError as e:
+                        errors.append(vsub(coords(e.left), coords(e.right)))
+                assert len(errors) == 2 and errors[0] == errors[1] and any(errors[0])
+
+
+def lie3_sample(case: str, rng: random.Random) -> Lie3Data:
+    """A valid structure of a family, or one corrupted by random constants."""
+    if case == "abelian":
+        return abelian_cat((rng.randint(2, 3), rng.randint(1, 2), rng.randint(1, 2)),
+                           seed=rng.randrange(2**32))
+    if case == "glambda":
+        return glambda_cat(rng.randint(2, 3))
+    if case == "scaling":  # a random closed 4-cochain as mu
+        c = {}
+        for b in ce_cocycles4(scaling_brackets(4), 4):
+            s = Q(rng.randint(-2, 2))
+            c.update({k: c.get(k, Q(0)) + s * v for k, v in b.items()})
+        return scaling_cat(c, n=4)
+    if case == "random-J-mu":
+        return _with_random_constants(rng, glambda_cat(rng.randint(2, 3)))
+    dims = (rng.randint(2, 3), rng.randint(1, 2), 1)
+    return _with_random_constants(rng, from_linfinity(l1_only(rng, dims)), bracket=True)
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=st.sampled_from(["abelian", "glambda", "scaling", "random-J-mu", "non-Lie-bracket"]),
+       seed=st.integers(0, 2**32))
+def test_flat_checks_match_cell_oracle(case, seed):
+    """The four categorical checks give the Cell-based oracle's reports:
+    the same failures, witnesses, residuals and checked inputs."""
+    D = lie3_sample(case, random.Random(seed))
+    assert check_bifunctor(D) == seed_check_bifunctor(D)
+    assert check_jacobiator(D) == seed_check_jacobiator(D)
+    assert check_identiator(D) == seed_check_identiator(D)
+    assert check_coherence(D) == seed_check_coherence(D)
 
 
 @settings(max_examples=20, deadline=None)
@@ -304,6 +400,26 @@ def verdict(check) -> bool:
         return False
 
 
+def shifted_compose(rng: random.Random, L: LinearNCat, shift: str):
+    """L's composition, or one shifted at a random level and p by a random
+    affine map of both factors, in all components ("everywhere") or only in
+    the free ones p+1..m ("free part")."""
+    if shift == "none":
+        return L.compose
+    m = rng.randint(1, L.n)
+    p, n = rng.randrange(m), L.level_dim(m)
+    fixed = L.level_dim(p) if shift == "free part" else 0
+    A, B, c = (sparse_matrix(rng, n, k, 0.8) for k in (n, n, 1))
+
+    def comp(a, b, q):
+        out = L.compose(a, b, q)
+        if (a.level, q) != (m, p):
+            return out
+        s = vadd(vadd(A.apply(flat(a)), B.apply(flat(b))), c.col(0))
+        return out + L.unflatten(m, (Q(0),) * fixed + s[fixed:])
+    return comp
+
+
 @settings(max_examples=30, deadline=None)
 @given(dims=st.tuples(st.integers(1, 2), st.integers(0, 2), st.integers(0, 1)),
        shift=st.sampled_from(["none", "everywhere", "free part"]), seed=st.integers(0, 2**32))
@@ -313,19 +429,7 @@ def test_axioms_basis_matches_seed_products(dims, shift, seed):
     free ones p+1..m."""
     rng = random.Random(seed)
     L = from_chain(rand_chain3(rng, dims))
-    comp = L.compose
-    if shift != "none":
-        m = rng.randint(1, L.n)
-        p, n = rng.randrange(m), L.level_dim(m)
-        fixed = L.level_dim(p) if shift == "free part" else 0
-        A, B, c = (sparse_matrix(rng, n, k, 0.8) for k in (n, n, 1))
-
-        def comp(a, b, q):
-            out = L.compose(a, b, q)
-            if (a.level, q) != (m, p):
-                return out
-            s = vadd(vadd(A.apply(flat(a)), B.apply(flat(b))), c.col(0))
-            return out + L.unflatten(m, (Q(0),) * fixed + s[fixed:])
+    comp = shifted_compose(rng, L, shift)
     assert (verdict(lambda: check_axioms(L, comp).passed)
             == verdict(lambda: seed_axioms_hold(L, comp)))
     if shift == "none":  # every seed pair expands into witnessed basis pairs and zero
@@ -335,6 +439,29 @@ def test_axioms_basis_matches_seed_products(dims, shift, seed):
                 zero = ((None,) * (m + 1),) * 2
                 for codes in itertools.product(seed_spanning_codes(L, m), seed_tail_codes(L, m, p)):
                     assert {(p,) + x for x in [zero] + pair_parts(codes)} <= checked
+
+
+def test_axioms_record_undefined_composites_outside_interchange():
+    """With seed 0's "everywhere" shift some associativity composites are
+    undefined: check_axioms returns a failing report whose "composable"
+    entry carries the witness and the mismatch t^k(ab) - s^k(c)."""
+    rng = random.Random(0)
+    L = from_chain(rand_chain3(rng, (2, 2, 1)))
+    comp = shifted_compose(rng, L, "everywhere")
+    rep = check_axioms(L, comp)
+    assert not rep.passed
+    f = next(f for f in rep.failures if f.identity == "composable" and len(f.witness) == 4)
+    p, ca, cb, cc = f.witness
+    a = L.coded_cell(ca)
+    b = L.right_factor(a, cb, p)
+    c = L.right_factor(b, cc, p)
+    try:
+        comp(comp(a, b, p), c, p)
+        comp(a, comp(b, c, p), p)
+    except ComposabilityError as e:
+        assert vsub(coords(e.left), coords(e.right)) == f.residual
+    else:
+        raise AssertionError("the witnessed composite is defined")
 
 
 @settings(max_examples=20, deadline=None)
