@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, quotient_basis
+from .linalg import Matrix, hstack, quotient_basis, vstack
 
 
 @dataclass(frozen=True)
@@ -91,43 +91,18 @@ def tensor_complex(C: ChainComplexT, D: ChainComplexT, trunc: int | None = None)
                if C.dim(p) > 0 and D.dim(n - p) > 0] for n in range(N + 1)]
     dims = [sum(C.dim(p) * D.dim(q) for p, q in layout[n]) for n in range(N + 1)]
 
-    def block_offset(n, p, q):
-        off = 0
-        for (pp, qq) in layout[n]:
-            if (pp, qq) == (p, q):
-                return off
-            off += C.dim(pp) * D.dim(qq)
-        return None
+    def block(row, col):  # the part of d from block col of degree n to block row of n - 1
+        (pr, qr), (p, q) = row, col
+        if (pr, qr) == (p - 1, q):
+            return C.diff(p).kron(Matrix.eye(D.dim(q)))
+        if (pr, qr) == (p, q - 1):
+            sign_db = Matrix.eye(C.dim(p)).kron(D.diff(q))
+            return -sign_db if p % 2 else sign_db
+        return Matrix.zeros(C.dim(pr) * D.dim(qr), C.dim(p) * D.dim(q))
 
-    diffs = []
-    for n in range(1, N + 1):
-        rows = dims[n - 1]
-        cols = dims[n]
-        m = [[0 for _ in range(cols)] for _ in range(rows)]
-        coff = 0
-        for (p, q) in layout[n]:
-            dp, dq = C.dim(p), D.dim(q)
-            # da (x) b lands in block (p-1, q)
-            if p >= 1:
-                roff = block_offset(n - 1, p - 1, q)
-                if roff is not None:
-                    dC = C.diff(p)
-                    for a in range(dp):
-                        for b in range(dq):
-                            for a2 in range(C.dim(p - 1)):
-                                m[roff + a2 * dq + b][coff + a * dq + b] += dC.rows[a2][a]
-            # (-1)^p a (x) db lands in block (p, q-1)
-            if q >= 1:
-                roff = block_offset(n - 1, p, q - 1)
-                if roff is not None:
-                    dD = D.diff(q)
-                    sgn = -1 if p % 2 else 1
-                    for a in range(dp):
-                        for b in range(dq):
-                            for b2 in range(D.dim(q - 1)):
-                                m[roff + a * D.dim(q - 1) + b2][coff + a * dq + b] += sgn * dD.rows[b2][b]
-            coff += dp * dq
-        diffs.append(Matrix(m, ncols=cols))
+    diffs = [vstack([hstack([block(row, col) for col in layout[n]]) for row in layout[n - 1]])
+             if dims[n - 1] and dims[n] else Matrix.zeros(dims[n - 1], dims[n])
+             for n in range(1, N + 1)]
     return ChainComplexT(tuple(dims), tuple(diffs)), layout
 
 

@@ -74,8 +74,12 @@ def _emit(report: dict, fmt: str, out_path: str | None) -> None:
 
 
 def _load(path: str) -> AlgebraSpecFile:
-    with open(path, encoding="utf-8") as f:
-        return parse_spec(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise SpecError(f"file is not UTF-8: {e.reason} at byte {e.start}") from None
+    return parse_spec(text)
 
 
 def _two_term_category(spec: AlgebraSpecFile):
@@ -152,7 +156,7 @@ def cmd_nerve(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     L = _two_term_category(spec)
     S = nerve(L, args.trunc)
     C = moore(S)
-    ok = moore_of_nerve_check(L, args.trunc)
+    ok = moore_of_nerve_check(L, S)
     rep = {"command": "nerve",
            "checks": [{"name": "normalization-recovers-kernel-complex", "passed": ok}],
            "simplex_dims": list(S.dims), "normalized_dims": list(C.dims),
@@ -209,7 +213,7 @@ def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
         if C.top_degree >= 1:
             L = from_chain(ChainComplexT(C.dims[:2], (C.diff(1),)))
             checks.append({"name": "normalization-recovers-kernel-complex",
-                           "passed": moore_of_nerve_check(L, args.trunc)})
+                           "passed": moore_of_nerve_check(L, nerve(L, args.trunc))})
         rep = {"command": "report", "checks": checks, "dims": list(C.dims)}
     else:
         S = build_simplicial(spec)

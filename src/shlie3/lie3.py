@@ -76,10 +76,12 @@ class Lie3Data:
     # first use, so that constructing a Lie3Data compiles nothing.
 
     @functools.cached_property
-    def _bracket_tables(self) -> tuple[dict, ...]:
+    def _bracket_table(self) -> dict:
+        """The bracket of 2-cells; on m-cells, whose flat coordinates are a
+        prefix, it is the bracket of m-cells, with no entries above level m."""
         L = self.cat
-        return tuple(_compile((L.level_dim(m),) * 2, lambda a, b, m=m: _bracket_formula(
-            self, L.unflatten(m, a), L.unflatten(m, b))) for m in range(3))
+        return _compile((L.level_dim(2),) * 2, lambda a, b: _bracket_formula(
+            self, L.unflatten(2, a), L.unflatten(2, b)))
 
     @functools.cached_property
     def _J_table(self) -> dict:
@@ -122,7 +124,7 @@ def _contract(L: LinearNCat, m: int, table: dict, args: Sequence[Sequence[Q]]) -
 
 
 def _br(D: Lie3Data, m: int, a: Vector, b: Vector) -> Vector:
-    return _contract(D.cat, m, D._bracket_tables[m], (a, b))
+    return _contract(D.cat, m, D._bracket_table, (a, b))
 
 
 def _J(D: Lie3Data, *xs: Vector) -> Vector:

@@ -99,49 +99,54 @@ class SimplicialVS:
 # -- nerve ------------------------------------------------------------
 
 
+def _simplex(L: LinearNCat, v: Sequence[Q], n: int) -> tuple[Vector, list[Vector]]:
+    """(base object x, flat 1-cells f_1..f_n) of the nerve n-simplex v, whose
+    coordinates are x followed by the kernel parts of the arrows; each arrow
+    starts at the target of the one before."""
+    n0, n1 = L.dim(0), L.dim(1)
+    x, arrows = tuple(v[:n0]), []
+    for k in range(n):
+        start = L.flat_target(1, arrows[-1]) if arrows else x
+        arrows.append(start + tuple(v[n0 + k * n1: n0 + (k + 1) * n1]))
+    return x, arrows
+
+
+def _simplex_coords(L: LinearNCat, x: Vector, arrows: Sequence[Vector]) -> Vector:
+    """Coordinates of the nerve simplex (x; arrows), the inverse of ``_simplex``."""
+    return tuple(itertools.chain(x, *(f[L.dim(0):] for f in arrows)))
+
+
 def nerve(L: LinearNCat, N: int) -> SimplicialVS:
     """Nerve of a linear category (n=1), truncated at level N.
 
-    n-simplices are chains of n composable arrows in the coordinates
-    (x; f_1..f_n): the i-th arrow runs from x + l1(f_1+..+f_{i-1}) with
-    kernel part f_i.  Faces compose (d_0 drops the first arrow, d_n the
-    last, inner faces add consecutive kernel parts); degeneracies insert
-    zero arrows.
+    n-simplices are chains (x; f_1..f_n) of n composable arrows out of x
+    (see ``_simplex``).  Faces and degeneracies are the category's own
+    structure maps: d_0 drops the first arrow and starts at its target, an
+    inner d_i composes arrows i and i+1, d_n drops the last arrow, and s_i
+    inserts the identity arrow of the i-th object.
     """
     if L.n != 1:
         raise ValueError("the nerve is taken of a linear category (n = 1)")
     if N < 1:
         raise ValueError("need truncation >= 1")
-    n0, n1 = L.dim(0), L.dim(1)
-    l1 = L.t_matrix(1)
-    dims = tuple(n0 + n * n1 for n in range(N + 1))
-
-    def split(v, n):
-        x = tuple(v[:n0])
-        fs = [tuple(v[n0 + k * n1: n0 + (k + 1) * n1]) for k in range(n)]
-        return x, fs
-
-    def join(x, fs):
-        out = list(x)
-        for f in fs:
-            out.extend(f)
-        return tuple(out)
+    dims = tuple(L.dim(0) + n * L.dim(1) for n in range(N + 1))
 
     def face(n, i):
         def act(v):
-            x, fs = split(v, n)
+            x, fs = _simplex(L, v, n)
             if i == 0:
-                return join(vadd(x, l1.apply(fs[0])), fs[1:])
-            if i == n:
-                return join(x, fs[:-1])
-            merged = fs[: i - 1] + [vadd(fs[i - 1], fs[i])] + fs[i + 1:]
-            return join(x, merged)
+                return _simplex_coords(L, L.flat_target(1, fs[0]), fs[1:])
+            if i < n:
+                fs[i - 1:i + 1] = [L.flat_compose(1, fs[i - 1], fs[i], 0)]
+                return _simplex_coords(L, x, fs)
+            return _simplex_coords(L, x, fs[:-1])
         return _mat(act, dims[n], dims[n - 1])
 
     def degen(n, i):
         def act(v):
-            x, fs = split(v, n)
-            return join(x, fs[:i] + [vzero(n1)] + fs[i:])
+            x, fs = _simplex(L, v, n)
+            vertex = L.flat_target(1, fs[i - 1]) if i else x
+            return _simplex_coords(L, x, fs[:i] + [L.flat_identity(0, vertex)] + fs[i:])
         return _mat(act, dims[n], dims[n + 1])
 
     faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, N + 1))
@@ -150,26 +155,18 @@ def nerve(L: LinearNCat, N: int) -> SimplicialVS:
 
 
 def nerve_map(F: NFunctor, N: int) -> list[Matrix]:
-    """Level maps of the simplicial morphism induced by a linear functor."""
+    """Level maps of the simplicial morphism induced by a linear functor: F
+    on the base object and on each arrow."""
     src, dst = F.source_cat, F.target_cat
     if src.n != 1 or dst.n != 1:
         raise ValueError("nerve maps need linear categories")
-    l1 = src.t_matrix(1)
-    n0, n1 = src.dim(0), src.dim(1)
-    out = []
-    for n in range(N + 1):
-        def act(v, n=n):
-            x = tuple(v[:n0])
-            fs = [tuple(v[n0 + k * n1: n0 + (k + 1) * n1]) for k in range(n)]
-            img = list(F.level_maps[0].apply(x))
-            base = x
-            for f in fs:
-                arrow = F.apply(src.unflatten(1, tuple(base) + f))
-                img.extend(arrow.components[1])
-                base = vadd(base, l1.apply(f))
-            return tuple(img)
-        out.append(_mat(act, n0 + n * n1, dst.dim(0) + n * dst.dim(1)))
-    return out
+    F0, F1 = F.level_maps
+
+    def act(v, n):
+        x, fs = _simplex(src, v, n)
+        return _simplex_coords(dst, F0.apply(x), [F1.apply(f) for f in fs])
+    return [_mat(lambda v, n=n: act(v, n), src.dim(0) + n * src.dim(1), dst.dim(0) + n * dst.dim(1))
+            for n in range(N + 1)]
 
 
 def constant_svs(N: int) -> SimplicialVS:
@@ -210,26 +207,23 @@ def moore(S: SimplicialVS) -> ChainComplexT:
     return ChainComplexT(dims, tuple(diffs))
 
 
-def moore_of_nerve_check(L: LinearNCat, N: int = 3) -> bool:
-    """Normalizing the nerve recovers the kernel complex (V_0, V_1, l1)."""
-    if L.n != 1:
-        raise ValueError("needs a linear category")
-    S = nerve(L, N)
+def moore_of_nerve_check(L: LinearNCat, S: SimplicialVS) -> bool:
+    """Normalizing the nerve S of L recovers the kernel complex (V_0, V_1, l1):
+    the normalized 1-simplices are the arrows out of 0, and the boundary
+    takes each to its target."""
+    n0, n1 = L.dim(0), L.dim(1)
+    if L.n != 1 or S.dims[:2] != (n0, n0 + n1):
+        raise ValueError("needs a linear category and its nerve")
     bases = moore_bases(S)
     C = moore(S)
-    n0, n1 = L.dim(0), L.dim(1)
-    if C.dims[0] != n0 or C.dims[1] != n1:
+    if C.dims[:2] != (n0, n1) or any(C.dims[2:]):
         return False
-    if any(C.dims[k] != 0 for k in range(2, len(C.dims))):
+    simplices = [_simplex(L, b, 1) for b in bases[1]]
+    if any(not vis_zero(x) for x, _ in simplices):
         return False
-    # level-1 normalized vectors have zero base point; their kernel parts
-    # must carry d_0 to l1
-    T1 = Matrix([[b[n0 + j] for b in bases[1]] for j in range(n1)], ncols=n1)
-    for b in bases[1]:
-        if not vis_zero(b[:n0]):
-            return False
     B0 = Matrix.from_cols(bases[0], nrows=n0)
-    return B0 @ C.diff(1) == L.t_matrix(1) @ T1
+    targets = Matrix.from_cols([L.flat_target(1, f) for _, (f,) in simplices], nrows=n0)
+    return B0 @ C.diff(1) == targets
 
 
 # -- tensor products --------------------------------------------------
@@ -387,45 +381,20 @@ class ObstructionReport:
     message: str
 
 
-def _simplex_arrows(L: LinearNCat, v: Vector, n: int) -> list[Vector]:
-    """Raw 1-cells of a nerve n-simplex (x; f_1..f_n)."""
-    n0, n1 = L.dim(0), L.dim(1)
-    x, arrows = tuple(v[:n0]), []
-    for k in range(n):  # each arrow starts at the target of the previous one
-        arrows.append(x + tuple(v[n0 + k * n1: n0 + (k + 1) * n1]))
-        x = L.flat_target(1, arrows[-1])
-    return arrows
-
-
 def _pairing_matrix(L: LinearNCat, S: SimplicialVS, tc: TensorCat, n: int) -> Matrix:
     """Matrix of the arrowwise pairing (𝒮 (x) 𝒮)_n -> nerve(L ⊠ L)_n, for
     S the nerve of L truncated at n or above.
 
-    A pair of n-simplices goes to the chain whose i-th arrow is the tensor
-    of the i-th arrows, written in the kernel coordinates of the tensor
-    category.
+    A pair of n-simplices goes to the simplex of the tensor category whose
+    base object and arrows are the tensors of theirs.
     """
-    m0, m1 = tc.cat.dim(0), tc.cat.dim(1)
-    dim_out = m0 + n * m1
-
-    cols = []
-    units = Matrix.eye(S.dim(n)).cols()
-    for ea in units:
-        arrows_a = _simplex_arrows(L, ea, n)
-        for eb in units:
-            arrows_b = _simplex_arrows(L, eb, n)
-            if n == 0:
-                cell = tc.raw_to_cell(0, tuple(x * y for x in ea for y in eb))
-                cols.append(cell.components[0])
-                continue
-            out: list[Q] = []
-            for i, (va, vb) in enumerate(zip(arrows_a, arrows_b)):
-                cell = tc.raw_to_cell(1, tuple(x * y for x in va for y in vb))
-                if i == 0:
-                    out.extend(cell.components[0])
-                out.extend(cell.components[1])
-            cols.append(tuple(out))
-    return Matrix.from_cols(cols, nrows=dim_out)
+    tensor = lambda a, b: tuple(x * y for x in a for y in b)
+    simplices = [_simplex(L, e, n) for e in Matrix.eye(S.dim(n)).cols()]
+    cols = [_simplex_coords(tc.cat, tc.raw_to_cell(0, tensor(xa, xb)).components[0],
+                            [tc.cat.flatten(tc.raw_to_cell(1, tensor(fa, fb)))
+                             for fa, fb in zip(arrows_a, arrows_b)])
+            for xa, arrows_a in simplices for xb, arrows_b in simplices]
+    return Matrix.from_cols(cols, nrows=tc.cat.dim(0) + n * tc.cat.dim(1))
 
 
 def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:

@@ -78,6 +78,8 @@ def parse_spec(text: str) -> AlgebraSpecFile:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise SpecError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise SpecError("top level must be an object")
     _expect_keys(obj, ("kind", "dims", "maps", "metadata"), ("kind", "dims", "maps"), "$")
@@ -166,38 +168,31 @@ def build(spec: AlgebraSpecFile):
     return build_simplicial(spec)
 
 
-def build_linfinity(spec: AlgebraSpecFile) -> LInfinityData:
-    if spec.kind != "linfinity":
-        raise SpecError(f"expected kind linfinity, found {spec.kind}", "$.kind")
+def _build_three_term(spec: AlgebraSpecFile, kind: str, make):
+    """``make(space, *maps)`` on the maps of a three-term spec of this kind,
+    in the order of MAP_KEYS[kind]."""
+    if spec.kind != kind:
+        raise SpecError(f"expected kind {kind}, found {spec.kind}", "$.kind")
     if len(spec.dims) != 3:
-        raise SpecError("linfinity data needs dims of length 3", "$.dims")
+        raise SpecError(f"{kind} data needs dims of length 3", "$.dims")
     for k in spec.maps:
-        if k not in MAP_KEYS["linfinity"]:
+        if k not in MAP_KEYS[kind]:
             raise SpecError(f"unknown map {k!r}", "$.maps")
-    parts = {name: _build_multimap(name, spec.maps.get(name, []), spec.dims, f"$.maps.{name}")
-             for name in MAP_KEYS["linfinity"]}
-    space = GradedSpace(spec.dims)
+    parts = [_build_multimap(name, spec.maps.get(name, []), spec.dims, f"$.maps.{name}")
+             for name in MAP_KEYS[kind]]
     try:
-        return LInfinityData(space, parts["l1"], parts["l2"], parts["l3"], parts["l4"])
+        return make(GradedSpace(spec.dims), *parts)
     except ValueError as e:
         raise SpecError(str(e), "$.maps") from None
+
+
+def build_linfinity(spec: AlgebraSpecFile) -> LInfinityData:
+    return _build_three_term(spec, "linfinity", LInfinityData)
 
 
 def build_lie3(spec: AlgebraSpecFile) -> Lie3Data:
-    if spec.kind != "lie3":
-        raise SpecError(f"expected kind lie3, found {spec.kind}", "$.kind")
-    if len(spec.dims) != 3:
-        raise SpecError("lie3 data needs dims of length 3", "$.dims")
-    for k in spec.maps:
-        if k not in MAP_KEYS["lie3"]:
-            raise SpecError(f"unknown map {k!r}", "$.maps")
-    parts = {name: _build_multimap(name, spec.maps.get(name, []), spec.dims, f"$.maps.{name}")
-             for name in MAP_KEYS["lie3"]}
-    try:
-        cat = LinearNCat(GradedSpace(spec.dims), parts["l1"])
-        return Lie3Data(cat, parts["bracket"], parts["J"], parts["mu"])
-    except ValueError as e:
-        raise SpecError(str(e), "$.maps") from None
+    return _build_three_term(spec, "lie3", lambda space, l1, bracket, J, mu: Lie3Data(
+        LinearNCat(space, l1), bracket, J, mu))
 
 
 def build_chain(spec: AlgebraSpecFile) -> ChainComplexT:

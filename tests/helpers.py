@@ -913,3 +913,131 @@ def seed_check_coherence(D, tuples=None) -> Report:
         col.compare("coherence", w, res, zero)
         col.compare("order5-agreement", w, res.components[2], r5.component(2))
     return col.report()
+
+
+# -- the seed nerve and tensor complex, kept as the oracle --------------
+#
+# The nerve's faces, degeneracies and level maps written out in kernel
+# coordinates with l1 applied by hand, and the tensor differential filled in
+# entry by entry, exactly as the library computed them before it built them
+# from the category's structure maps and from Kronecker blocks.
+
+def _seed_mat(action, dim_in: int, dim_out: int) -> Matrix:
+    if dim_out == 0 or dim_in == 0:
+        return Matrix.zeros(dim_out, dim_in)
+    cols = [tuple(Q(c) for c in action(e)) for e in Matrix.eye(dim_in).cols()]
+    return Matrix.from_cols(cols, nrows=dim_out)
+
+
+def seed_nerve(L, N: int):
+    """(dims, faces, degens) of the nerve of a linear category, truncated at N."""
+    n0, n1 = L.dim(0), L.dim(1)
+    l1 = L.t_matrix(1)
+    dims = tuple(n0 + n * n1 for n in range(N + 1))
+
+    def split(v, n):
+        return tuple(v[:n0]), [tuple(v[n0 + k * n1: n0 + (k + 1) * n1]) for k in range(n)]
+
+    def join(x, fs):
+        return tuple(x) + tuple(c for f in fs for c in f)
+
+    def face(n, i):
+        def act(v):
+            x, fs = split(v, n)
+            if i == 0:
+                return join(vadd(x, l1.apply(fs[0])), fs[1:])
+            if i == n:
+                return join(x, fs[:-1])
+            return join(x, fs[:i - 1] + [vadd(fs[i - 1], fs[i])] + fs[i + 1:])
+        return _seed_mat(act, dims[n], dims[n - 1])
+
+    def degen(n, i):
+        def act(v):
+            x, fs = split(v, n)
+            return join(x, fs[:i] + [vzero(n1)] + fs[i:])
+        return _seed_mat(act, dims[n], dims[n + 1])
+
+    faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, N + 1))
+    degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(N))
+    return dims, faces, degens
+
+
+def seed_nerve_map(F, N: int) -> list[Matrix]:
+    src, dst = F.source_cat, F.target_cat
+    l1 = src.t_matrix(1)
+    n0, n1 = src.dim(0), src.dim(1)
+    out = []
+    for n in range(N + 1):
+        def act(v, n=n):
+            x = tuple(v[:n0])
+            fs = [tuple(v[n0 + k * n1: n0 + (k + 1) * n1]) for k in range(n)]
+            img = list(F.level_maps[0].apply(x))
+            base = x
+            for f in fs:
+                img.extend(F.apply(src.unflatten(1, tuple(base) + f)).components[1])
+                base = vadd(base, l1.apply(f))
+            return tuple(img)
+        out.append(_seed_mat(act, n0 + n * n1, dst.dim(0) + n * dst.dim(1)))
+    return out
+
+
+def seed_tensor_complex(C: ChainComplexT, D: ChainComplexT, trunc: int | None = None):
+    """(dims, diffs, layout) of C (x) D with d(a (x) b) = da (x) b + (-1)^p a (x) db."""
+    N = trunc if trunc is not None else C.top_degree + D.top_degree
+    layout = [[(p, n - p) for p in range(n + 1)
+               if C.dim(p) > 0 and D.dim(n - p) > 0] for n in range(N + 1)]
+    dims = [sum(C.dim(p) * D.dim(q) for p, q in layout[n]) for n in range(N + 1)]
+
+    def block_offset(n, p, q):
+        off = 0
+        for (pp, qq) in layout[n]:
+            if (pp, qq) == (p, q):
+                return off
+            off += C.dim(pp) * D.dim(qq)
+        return None
+
+    diffs = []
+    for n in range(1, N + 1):
+        m = [[0 for _ in range(dims[n])] for _ in range(dims[n - 1])]
+        coff = 0
+        for (p, q) in layout[n]:
+            dp, dq = C.dim(p), D.dim(q)
+            if p >= 1 and (roff := block_offset(n - 1, p - 1, q)) is not None:
+                dC = C.diff(p)
+                for a in range(dp):
+                    for b in range(dq):
+                        for a2 in range(C.dim(p - 1)):
+                            m[roff + a2 * dq + b][coff + a * dq + b] += dC.rows[a2][a]
+            if q >= 1 and (roff := block_offset(n - 1, p, q - 1)) is not None:
+                dD = D.diff(q)
+                sgn = -1 if p % 2 else 1
+                for a in range(dp):
+                    for b in range(dq):
+                        for b2 in range(D.dim(q - 1)):
+                            m[roff + a * D.dim(q - 1) + b2][coff + a * dq + b] += sgn * dD.rows[b2][b]
+            coff += dp * dq
+        diffs.append(Matrix(m, ncols=dims[n]))
+    return tuple(dims), tuple(diffs), layout
+
+
+def rand_chain_map(rng: random.Random, C: ChainComplexT, D: ChainComplexT) -> tuple[Matrix, Matrix]:
+    """A random chain map (f0, f1) between two-term complexes: a random
+    combination of a basis of the solutions of d_D f1 = f0 d_C."""
+    (a0, a1), (b0, b1) = C.dims, D.dims
+    sizes = (b0 * a0, b1 * a1)
+
+    def unpack(v):
+        f0 = Matrix([v[i * a0:(i + 1) * a0] for i in range(b0)], ncols=a0)
+        f1 = Matrix([v[sizes[0] + i * a1: sizes[0] + (i + 1) * a1] for i in range(b1)], ncols=a1)
+        return f0, f1
+
+    def residual(v):
+        f0, f1 = unpack(v)
+        return tuple(itertools.chain(*(D.diff(1) @ f1 - f0 @ C.diff(1)).rows))
+
+    n = sum(sizes)
+    eqs = Matrix.from_cols([residual(e) for e in Matrix.eye(n).cols()], nrows=b0 * a1)
+    v = vzero(n)
+    for b in eqs.nullspace():
+        v = vadd(v, vscale(rand_q(rng, 2), b))
+    return unpack(v)

@@ -150,9 +150,9 @@ def test_criterion_7_simplicial_layer():
     ok = True
     for dims in ((2, 1), (1, 2), (3, 3), (2, 2)):
         L = from_chain(rand_chain2(rng, dims))
-        if not moore_of_nerve_check(L, 3):
-            ok = False
         S = nerve(L, 3)
+        if not moore_of_nerve_check(L, S):
+            ok = False
         T = nerve(from_chain(rand_chain2(rng, (2, 1))), 3)
         f, g = ez(S, T), aw(S, T)
         if not (f.is_chain_map() and g.is_chain_map()):

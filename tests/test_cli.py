@@ -84,6 +84,17 @@ def test_invalid_n_and_trunc_refused(valid_linf_file, chain_file, capsys,
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("content", [
+    '{"kind": "chain", "dims": [1], "maps": {}, "metadata": {"name": "caf\xe9"}}'.encode("latin-1"),
+    b"[" * 200_000], ids=["not-utf8", "deeply-nested"])
+def test_undecodable_spec_refused(tmp_path, capsys, content):
+    p = tmp_path / "spec.json"
+    p.write_bytes(content)
+    assert main(["report", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["nerve", "ez-demo", "obstruction-demo"])
 def test_one_term_chain_refused(tmp_path, capsys, command):
     p = tmp_path / "one_term.json"

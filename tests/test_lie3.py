@@ -118,7 +118,7 @@ def test_mu_cell_source_matches_eta_composite(case):
 
 def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
     """Constructing a Lie3Data (from_linfinity, build_lie3) compiles no table;
-    the checks compile each of the five tables once per structure."""
+    the checks compile each of the three tables once per structure."""
     built = []
     compile_ = lie3._compile
     monkeypatch.setattr(lie3, "_compile", lambda dims, f: built.append(dims) or compile_(dims, f))
@@ -129,9 +129,8 @@ def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
         for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence):
             assert check(D).passed
     n0, n1, n2 = D.space.dims
-    assert sorted(built) == sorted([(n0, n0), (n0 + n1,) * 2, (n0 + n1 + n2,) * 2,
-                                    (n0,) * 3, (n0,) * 4])
-    assert all(name not in vars(E) for name in ("_bracket_tables", "_J_table", "_mu_table"))
+    assert sorted(built) == sorted([(n0 + n1 + n2,) * 2, (n0,) * 3, (n0,) * 4])
+    assert all(name not in vars(E) for name in ("_bracket_table", "_J_table", "_mu_table"))
 
 
 # -- the four categorical checks on valid data ------------------------

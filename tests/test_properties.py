@@ -2,8 +2,9 @@
 the chi sign calculus, the zero-skipping linear algebra against the seed
 dense loops, the compiled lie3 cell operations against their component
 formulas, the spec-file parse/render roundtrip, the bases of composable
-pairs against the seed zero-or-basis products, and conjugation invariance
-of the homotopy-algebra verdicts."""
+pairs against the seed zero-or-basis products, conjugation invariance of
+the homotopy-algebra verdicts, and the nerve and tensor complex against the
+seed's hand-written coordinate formulas."""
 
 import itertools
 import random
@@ -17,18 +18,20 @@ from shlie3.graded import (GradedSpace, GradedVector, Permutation,
 from shlie3.lie3 import (Lie3Data, J_cell, _bracket_formula, _J_formula, _mu_formula,
                          bracket_cells, check_bifunctor, check_coherence, check_identiator,
                          check_jacobiator, from_linfinity, mu_cell)
+from shlie3.chain import ChainComplexT, tensor_complex
 from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, check_axioms, from_chain,
-                           tensor_product)
-from shlie3.linalg import Matrix, quotient_basis, vadd, vsub, vzero
+                           lift_functor, tensor_product)
+from shlie3.linalg import Matrix, block_diag, quotient_basis, vadd, vsub, vzero
 from shlie3.linfinity import check_all, linfty_residual
-from shlie3.simplicial import compose_tensor_identity
+from shlie3.simplicial import compose_tensor_identity, nerve, nerve_map
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
 from helpers import (SeedCat, ce_cocycles4, l1_only, rand_brackets, rand_chain2, rand_chain3,
-                     rand_conjugate, scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
+                     rand_chain_map, rand_conjugate, scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
                      seed_check_bifunctor, seed_check_coherence, seed_check_identiator,
                      seed_check_jacobiator, seed_eval, seed_kron, seed_linfty_residual,
-                     seed_matmul, seed_pad_composable, seed_quotient_basis, seed_rref,
+                     seed_matmul, seed_nerve, seed_nerve_map, seed_pad_composable,
+                     seed_quotient_basis, seed_rref, seed_tensor_complex,
                      seed_solve_matrix, seed_spanning_codes, seed_tail_codes,
                      seed_tensor_identity_pairs, seed_tensor_identity_residual, sparse_matrix,
                      special_valid_samples)
@@ -478,3 +481,43 @@ def test_conjugation_preserves_every_order_verdict(valid, seed):
         data = rand_brackets(rng, dims, density=rng.choice([0.2, 0.5, 1.0]))
     before = [r.passed for r in check_all(data)]
     assert [r.passed for r in check_all(rand_conjugate(rng, data))] == before
+
+
+two_term_dims_st = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=two_term_dims_st, target_dims=two_term_dims_st, trunc=st.integers(1, 4),
+       seed=st.integers(0, 2**32))
+def test_nerve_and_nerve_map_match_seed_formulas(dims, target_dims, trunc, seed):
+    """Faces, degeneracies and functor levels built from the category's
+    structure maps equal the seed's kernel-coordinate formulas, entry by entry."""
+    rng = random.Random(seed)
+    C, D = rand_chain2(rng, dims), rand_chain2(rng, target_dims)
+    L, M = from_chain(C), from_chain(D)
+    S = nerve(L, trunc)
+    assert (S.dims, S.faces, S.degens) == seed_nerve(L, trunc)
+    f0, f1 = rand_chain_map(rng, C, D)
+    F = lift_functor(L, M, [f0, block_diag([f0, f1])])
+    assert nerve_map(F, trunc) == seed_nerve_map(F, trunc)
+
+
+def rand_complex(rng: random.Random, dims) -> ChainComplexT:
+    if len(dims) == 1:
+        return ChainComplexT(dims, ())
+    return (rand_chain2 if len(dims) == 2 else rand_chain3)(rng, tuple(dims))
+
+
+complex_dims_st = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c_dims=complex_dims_st, d_dims=complex_dims_st,
+       trunc=st.none() | st.integers(0, 6), seed=st.integers(0, 2**32))
+def test_tensor_complex_matches_seed_loops(c_dims, d_dims, trunc, seed):
+    """The Kronecker-block differentials and the layout equal the seed's
+    entry-by-entry fill."""
+    rng = random.Random(seed)
+    C, D = rand_complex(rng, c_dims), rand_complex(rng, d_dims)
+    T, layout = tensor_complex(C, D, trunc)
+    assert (T.dims, T.diffs, layout) == seed_tensor_complex(C, D, trunc)

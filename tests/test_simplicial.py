@@ -81,8 +81,11 @@ def test_moore_of_nerve():
     rng = random.Random(3)
     for _ in range(8):
         L = two_term_cat(rng)
-        assert moore_of_nerve_check(L, 3)
-    assert moore_of_nerve_check(two_term_cat(rng, (3, 3)), 3)
+        assert moore_of_nerve_check(L, nerve(L, 3))
+    L = two_term_cat(rng, (3, 3))
+    assert moore_of_nerve_check(L, nerve(L, 3))
+    with pytest.raises(ValueError, match="its nerve"):
+        moore_of_nerve_check(L, nerve(two_term_cat(rng, (2, 3)), 3))
 
 
 def test_moore_level1_basis_normalized():
