@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .linalg import Matrix, hstack, quotient_basis, vstack
+from .linalg import Frozen, Matrix, hstack, quotient_basis, vstack
 
 
-@dataclass(frozen=True)
-class ChainComplexT:
+class ChainComplexT(Frozen):
     """Non-negatively graded complex, degrees 0..N, with d(d(x)) = 0.
 
     ``diffs[n]`` is the matrix of the differential C_n -> C_{n-1}, for
     n in 1..N.
     """
 
-    dims: tuple[int, ...]
-    diffs: tuple[Matrix, ...]
+    __slots__ = ("dims", "diffs")
+
+    def __init__(self, dims: tuple[int, ...], diffs: tuple[Matrix, ...]):
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "diffs", diffs)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -48,13 +49,16 @@ class ChainComplexT:
         return self.dims[n] if 0 <= n <= self.top_degree else 0
 
 
-@dataclass(frozen=True)
-class ChainMapT:
+class ChainMapT(Frozen):
     """Degreewise matrices commuting with the differentials."""
 
-    source: ChainComplexT
-    target: ChainComplexT
-    maps: tuple[Matrix, ...]
+    __slots__ = ("source", "target", "maps")
+
+    def __init__(self, source: ChainComplexT, target: ChainComplexT, maps: tuple[Matrix, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "maps", maps)
+        self.__post_init__()
 
     def __post_init__(self):
         maps = tuple(self.maps)

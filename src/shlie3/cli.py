@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras and their categorified presentations.")
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("file", help="JSON spec file")
-    p.add_argument("--n", type=int, default=5, help="highest identity order to check")
+    p.add_argument("--n", type=int, default=5, help="highest identity order to check (1..5)")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--trunc", type=int, default=3, help="simplicial truncation level")
     p.add_argument("--out", default=None, help="write output to this file")
@@ -255,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.n < 1 or args.trunc < 1:
-        sys.stderr.write("error: --n and --trunc must be at least 1\n")
+    # In a 3-term structure every identity of order 6 or more holds vacuously
+    # (its residual degree is at least 3), while the tuples to list still grow.
+    if not 1 <= args.n <= 5 or args.trunc < 1:
+        sys.stderr.write("error: --n must be in 1..5 and --trunc at least 1\n")
         return 2
     try:
         spec = _load(args.file)

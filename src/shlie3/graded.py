@@ -20,11 +20,10 @@ degree is even.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from math import prod
-from typing import Iterable, Sequence
 
-from .linalg import Q, Vector, vadd, vis_zero, vscale, vzero
+from .linalg import Frozen, Q, Vector, vadd, vis_zero, vscale, vzero
 
 BasisIndex = tuple[int, int]  # (degree, index within that degree)
 Key = tuple[BasisIndex, ...]
@@ -34,11 +33,14 @@ class ContradictionError(ValueError):
     """Raised when raw structure constants violate graded antisymmetry."""
 
 
-@dataclass(frozen=True)
-class GradedSpace:
+class GradedSpace(Frozen):
     """Finite-dimensional N-graded space, degrees 0..D."""
 
-    dims: tuple[int, ...]
+    __slots__ = ("dims",)
+
+    def __init__(self, dims: tuple[int, ...]):
+        object.__setattr__(self, "dims", dims)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.dims:
@@ -46,6 +48,12 @@ class GradedSpace:
         if any(d < 0 for d in self.dims):
             raise ValueError("negative dimension")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GradedSpace) and self.dims == other.dims
+
+    def __hash__(self):
+        return hash(self.dims)
 
     @property
     def top_degree(self) -> int:
@@ -58,10 +66,13 @@ class GradedSpace:
         return tuple(vzero(n) for n in self.dims)
 
 
-@dataclass(frozen=True)
-class GradedVector:
-    space: GradedSpace
-    coords: tuple[Vector, ...]
+class GradedVector(Frozen):
+    __slots__ = ("space", "coords")
+
+    def __init__(self, space: GradedSpace, coords: tuple[Vector, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coords) != len(self.space.dims):
@@ -72,6 +83,13 @@ class GradedVector:
             if len(block) != self.space.dims[d]:
                 raise ValueError(f"degree {d} block has wrong length")
         object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GradedVector)
+                and (self.space, self.coords) == (other.space, other.coords))
+
+    def __hash__(self):
+        return hash((self.space, self.coords))
 
     @staticmethod
     def zero(space: GradedSpace) -> "GradedVector":
@@ -132,11 +150,14 @@ class GradedVector:
             raise ValueError("graded space mismatch")
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """Permutation of {1..n} in one-line image notation."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self):
         images = tuple(int(i) for i in self.images)
@@ -233,7 +254,7 @@ def _canonicalize(key: Key, ) -> tuple[Key, int]:
     return ckey, koszul_chi(sigma, [d for d, _ in ckey])
 
 
-class MultiMap:
+class MultiMap(Frozen):
     """Graded antisymmetric k-linear map of fixed weight, as structure constants.
 
     Coefficients are stored only on canonical keys (basis tuples sorted by
@@ -271,9 +292,6 @@ class MultiMap:
                 clean[key] = val
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_table", None)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("MultiMap is immutable")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiMap)

@@ -24,19 +24,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import prod
-from typing import Sequence
 
 from .graded import GradedSpace, GradedVector, MultiMap
 from .lincat import Cell, LinearNCat, composites_defined
-from .linalg import Matrix, Q, Vector, vadd, vis_zero, vscale, vsub, vzero
+from .linalg import Frozen, Matrix, Q, Vector, vadd, vis_zero, vscale, vsub, vzero
 from .linfinity import LInfinityData, check_all, is_special, linfty_residual
 from .report import Collector, Report
 
 
-@dataclass(frozen=True)
-class Lie3Data:
+class Lie3Data(Frozen):
     """Linear 2-category with bracket, Jacobiator and Identiator constants.
 
     ``bracket_constants`` is the full weight-0 bilinear family (with zero
@@ -45,10 +43,14 @@ class Lie3Data:
     quadruples.
     """
 
-    cat: LinearNCat
-    bracket_constants: MultiMap
-    J: MultiMap
-    mu: MultiMap
+    # no __slots__: the cached tables below live in the instance __dict__
+
+    def __init__(self, cat: LinearNCat, bracket_constants: MultiMap, J: MultiMap, mu: MultiMap):
+        object.__setattr__(self, "cat", cat)
+        object.__setattr__(self, "bracket_constants", bracket_constants)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "mu", mu)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.cat.n != 2:

@@ -8,8 +8,8 @@ point anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Q = Fraction
 
@@ -45,7 +45,30 @@ def vis_zero(a: Sequence[Q]) -> bool:
     return all(x == 0 for x in a)
 
 
-class Matrix:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass stores its fields in ``__init__`` with ``object.__setattr__``;
+    any later assignment raises.  These are plain classes rather than frozen
+    dataclasses because every CLI call imports them: ``dataclasses`` loads
+    ``inspect`` and generates each class's methods with ``exec`` at import.
+    The repr lists the ``__init__`` parameters, read back as attributes.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        code = type(self).__init__.__code__
+        fields = code.co_varnames[1:code.co_argcount]
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in fields)})"
+
+
+class Matrix(Frozen):
     """Immutable dense rational matrix."""
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -61,9 +84,6 @@ class Matrix:
         object.__setattr__(self, "rows", rs)
         object.__setattr__(self, "nrows", len(rs))
         object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Matrix is immutable")
 
     # -- constructors -------------------------------------------------
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT
 from .graded import GradedSpace, MultiMap, build_multimap
-from .linalg import Matrix, Q, Vector, vadd, vscale, vsub, vzero
+from .linalg import Frozen, Matrix, Q, Vector, vadd, vscale, vsub, vzero
 from .report import Collector, Report
 
 
@@ -45,12 +44,15 @@ class LiftError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Frozen):
     """m-cell in component form: components[i] is a coordinate vector in V_i."""
 
-    level: int
-    components: tuple[Vector, ...]
+    __slots__ = ("level", "components")
+
+    def __init__(self, level: int, components: tuple[Vector, ...]):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "components", components)
+        self.__post_init__()
 
     def __post_init__(self):
         comps = self.components
@@ -60,6 +62,13 @@ class Cell:
                 or not all(type(c) is Q for block in comps for c in block)):
             object.__setattr__(self, "components", tuple(
                 tuple(c if type(c) is Q else Q(c) for c in block) for block in comps))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Cell)
+                and (self.level, self.components) == (other.level, other.components))
+
+    def __hash__(self):
+        return hash((self.level, self.components))
 
     def __add__(self, other: "Cell") -> "Cell":
         if self.level != other.level:
@@ -73,15 +82,15 @@ class Cell:
         return Cell(self.level, tuple(vscale(c, b) for b in self.components))
 
 
-@dataclass(frozen=True)
-class LinearNCat:
+class LinearNCat(Frozen):
     """Linear n-category with V = kernel spaces and t_data the differential."""
 
-    space: GradedSpace
-    t_data: MultiMap
-    _t_matrices: tuple[Matrix, ...] = field(init=False, repr=False, compare=False)
-    _t_cols: tuple = field(init=False, repr=False, compare=False)
-    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("space", "t_data", "_t_matrices", "_t_cols", "offsets")
+
+    def __init__(self, space: GradedSpace, t_data: MultiMap):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "t_data", t_data)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.t_data.space != self.space or self.t_data.arity != 1 or self.t_data.weight != -1:
@@ -95,6 +104,10 @@ class LinearNCat:
         for m in range(2, self.n + 1):
             if not (self.t_matrix(m - 1) @ self.t_matrix(m)).is_zero():
                 raise ValueError("t o t != 0: globular condition violated")
+
+    def __eq__(self, other) -> bool:  # the rest is derived; unhashable, like t_data
+        return (isinstance(other, LinearNCat)
+                and (self.space, self.t_data) == (other.space, other.t_data))
 
     @property
     def n(self) -> int:
@@ -283,11 +296,14 @@ class LinearNCat:
 # -- functors ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NFunctor:
-    source_cat: LinearNCat
-    target_cat: LinearNCat
-    level_maps: tuple[Matrix, ...]
+class NFunctor(Frozen):
+    __slots__ = ("source_cat", "target_cat", "level_maps")
+
+    def __init__(self, source_cat: LinearNCat, target_cat: LinearNCat,
+                 level_maps: tuple[Matrix, ...]):
+        object.__setattr__(self, "source_cat", source_cat)
+        object.__setattr__(self, "target_cat", target_cat)
+        object.__setattr__(self, "level_maps", level_maps)
 
     def apply(self, a: Cell) -> Cell:
         F = self.level_maps[a.level]
@@ -471,8 +487,7 @@ def cartesian_product(L: LinearNCat, M: LinearNCat) -> LinearNCat:
     return LinearNCat(space, build_multimap(1, -1, space, raw))
 
 
-@dataclass(frozen=True)
-class TensorCat:
+class TensorCat(Frozen):
     """Tensor product category with its raw <-> component dictionaries.
 
     Raw level m is L_m (x) M_m with the Kronecker structural maps
@@ -482,13 +497,18 @@ class TensorCat:
     factored once.
     """
 
-    left: LinearNCat
-    right: LinearNCat
-    cat: LinearNCat
-    kernel_mats: tuple[Matrix, ...]
-    kernel_inv: tuple[Matrix, ...]
-    raw_s: tuple[Matrix, ...]
-    raw_i: tuple[Matrix, ...]
+    __slots__ = ("left", "right", "cat", "kernel_mats", "kernel_inv", "raw_s", "raw_i")
+
+    def __init__(self, left: LinearNCat, right: LinearNCat, cat: LinearNCat,
+                 kernel_mats: tuple[Matrix, ...], kernel_inv: tuple[Matrix, ...],
+                 raw_s: tuple[Matrix, ...], raw_i: tuple[Matrix, ...]):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "cat", cat)
+        object.__setattr__(self, "kernel_mats", kernel_mats)
+        object.__setattr__(self, "kernel_inv", kernel_inv)
+        object.__setattr__(self, "raw_s", raw_s)
+        object.__setattr__(self, "raw_i", raw_i)
 
     @property
     def kernel_bases(self) -> tuple[tuple[Vector, ...], ...]:

@@ -17,27 +17,30 @@ residual the degree sum(d_i) + n - 3 block of the left-hand side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import prod
-from typing import Sequence
 
 from .graded import (GradedSpace, GradedVector, MultiMap, enumerate_shuffles,
                      koszul_chi)
-from .linalg import vzero
+from .linalg import Frozen, vzero
 from .report import Collector, Report
 
 Key = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class LInfinityData:
+class LInfinityData(Frozen):
     """Candidate 3-term structure: (V, l1, l2, l3, l4)."""
 
-    space: GradedSpace
-    l1: MultiMap
-    l2: MultiMap
-    l3: MultiMap
-    l4: MultiMap
+    __slots__ = ("space", "l1", "l2", "l3", "l4")
+
+    def __init__(self, space: GradedSpace, l1: MultiMap, l2: MultiMap, l3: MultiMap,
+                 l4: MultiMap):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "l2", l2)
+        object.__setattr__(self, "l3", l3)
+        object.__setattr__(self, "l4", l4)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.space.top_degree != 2:

@@ -7,12 +7,11 @@ identities are verified exactly within the truncation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT, ChainMapT, induced_on_homology, tensor_complex
 from .lincat import LinearNCat, NFunctor, TensorCat, tensor_product
-from .linalg import Matrix, Q, Vector, hstack, vadd, vis_zero, vstack, vsub, vzero
+from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vis_zero, vstack, vsub, vzero
 
 
 def _mat(action: Callable[[Vector], Sequence[Q]], dim_in: int, dim_out: int) -> Matrix:
@@ -22,17 +21,21 @@ def _mat(action: Callable[[Vector], Sequence[Q]], dim_in: int, dim_out: int) -> 
     return Matrix.from_cols(cols, nrows=dim_out)
 
 
-@dataclass(frozen=True)
-class SimplicialVS:
+class SimplicialVS(Frozen):
     """Simplicial vector space truncated at level N.
 
     ``faces[n-1][i]`` is d_i: S_n -> S_{n-1} (n in 1..N, 0 <= i <= n) and
     ``degens[n][i]`` is s_i: S_n -> S_{n+1} (n in 0..N-1, 0 <= i <= n).
     """
 
-    dims: tuple[int, ...]
-    faces: tuple[tuple[Matrix, ...], ...]
-    degens: tuple[tuple[Matrix, ...], ...]
+    __slots__ = ("dims", "faces", "degens")
+
+    def __init__(self, dims: tuple[int, ...], faces: tuple[tuple[Matrix, ...], ...],
+                 degens: tuple[tuple[Matrix, ...], ...]):
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "degens", degens)
+        self.__post_init__()
 
     def __post_init__(self):
         N = len(self.dims) - 1
@@ -195,6 +198,11 @@ def moore_bases(S: SimplicialVS) -> list[list[Vector]]:
 
 def moore(S: SimplicialVS) -> ChainComplexT:
     """Normalized chain complex: levelwise kernel of d_1..d_n with boundary d_0."""
+    return _normalized(S)[1]
+
+
+def _normalized(S: SimplicialVS) -> tuple[list[list[Vector]], ChainComplexT]:
+    """(``moore_bases(S)``, ``moore(S)``), normalizing S once."""
     bases = moore_bases(S)
     dims = tuple(len(b) for b in bases)
     diffs = []
@@ -204,7 +212,7 @@ def moore(S: SimplicialVS) -> ChainComplexT:
         if X is None:
             raise ValueError("boundary leaves the normalized subspace")
         diffs.append(X)
-    return ChainComplexT(dims, tuple(diffs))
+    return bases, ChainComplexT(dims, tuple(diffs))
 
 
 def moore_of_nerve_check(L: LinearNCat, S: SimplicialVS) -> bool:
@@ -214,8 +222,7 @@ def moore_of_nerve_check(L: LinearNCat, S: SimplicialVS) -> bool:
     n0, n1 = L.dim(0), L.dim(1)
     if L.n != 1 or S.dims[:2] != (n0, n0 + n1):
         raise ValueError("needs a linear category and its nerve")
-    bases = moore_bases(S)
-    C = moore(S)
+    bases, C = _normalized(S)
     if C.dims[:2] != (n0, n1) or any(C.dims[2:]):
         return False
     simplices = [_simplex(L, b, 1) for b in bases[1]]
@@ -264,8 +271,8 @@ def ez(S: SimplicialVS, T: SimplicialVS) -> ChainMapT:
     """
     N = S.trunc
     ST = tensor_svs(S, T)
-    bS, bT, bST = moore_bases(S), moore_bases(T), moore_bases(ST)
-    CS, CT, CST = moore(S), moore(T), moore(ST)
+    (bS, CS), (bST, CST) = _normalized(S), _normalized(ST)
+    bT, CT = (bS, CS) if T is S else _normalized(T)
     prod, layout = tensor_complex(CS, CT, trunc=N)
     maps = []
     for n in range(N + 1):
@@ -321,8 +328,8 @@ def aw(S: SimplicialVS, T: SimplicialVS) -> ChainMapT:
     """
     N = S.trunc
     ST = tensor_svs(S, T)
-    bS, bT, bST = moore_bases(S), moore_bases(T), moore_bases(ST)
-    CS, CT, CST = moore(S), moore(T), moore(ST)
+    (bS, CS), (bST, CST) = _normalized(S), _normalized(ST)
+    bT, CT = (bS, CS) if T is S else _normalized(T)
     prod, layout = tensor_complex(CS, CT, trunc=N)
     maps = []
     for n in range(N + 1):
@@ -371,14 +378,19 @@ def aw_ez_homology_check(f: ChainMapT, g: ChainMapT, max_degree: int = 3) -> boo
 # -- the composition obstruction --------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    compose_tensor_identity_holds: bool
-    obstructed: bool
-    witness_index: tuple[int, int] | None
-    witness_difference: Vector | None
-    kernel_dim: int
-    message: str
+class ObstructionReport(Frozen):
+    __slots__ = ("compose_tensor_identity_holds", "obstructed", "witness_index",
+                 "witness_difference", "kernel_dim", "message")
+
+    def __init__(self, compose_tensor_identity_holds: bool, obstructed: bool,
+                 witness_index: tuple[int, int] | None, witness_difference: Vector | None,
+                 kernel_dim: int, message: str):
+        object.__setattr__(self, "compose_tensor_identity_holds", compose_tensor_identity_holds)
+        object.__setattr__(self, "obstructed", obstructed)
+        object.__setattr__(self, "witness_index", witness_index)
+        object.__setattr__(self, "witness_difference", witness_difference)
+        object.__setattr__(self, "kernel_dim", kernel_dim)
+        object.__setattr__(self, "message", message)
 
 
 def _pairing_matrix(L: LinearNCat, S: SimplicialVS, tc: TensorCat, n: int) -> Matrix:

@@ -9,15 +9,13 @@ parse and render are mutually inverse on canonical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
 
 from .chain import ChainComplexT
 from .graded import GradedSpace, MultiMap, build_multimap, ContradictionError
 from .lie3 import Lie3Data
 from .lincat import LinearNCat
-from .linalg import Matrix, Q
+from .linalg import Frozen, Matrix, Q
 from .linfinity import LInfinityData
 
 KINDS = ("linfinity", "lie3", "chain", "simplicial")
@@ -39,12 +37,15 @@ class SpecError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class AlgebraSpecFile:
-    kind: str
-    dims: tuple[int, ...]
-    maps: dict[str, Any]
-    metadata: dict[str, str] = field(default_factory=dict)
+class AlgebraSpecFile(Frozen):
+    __slots__ = ("kind", "dims", "maps", "metadata")
+
+    def __init__(self, kind: str, dims: tuple[int, ...], maps: dict[str, object],
+                 metadata: dict[str, str] | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
 
 
 def parse_rational(v, path: str) -> Q:

@@ -1,8 +1,10 @@
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,7 @@ def test_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("check", "--n", "0"), ("check", "--n", "-2"), ("report", "--n", "0"),
+    ("check", "--n", "6"), ("report", "--n", "99"),
     ("nerve", "--trunc", "0"), ("ez-demo", "--trunc", "0"), ("report", "--trunc", "0")])
 def test_invalid_n_and_trunc_refused(valid_linf_file, chain_file, capsys,
                                      command, flag, value):
@@ -183,3 +186,18 @@ def test_console_script_entry_point(valid_linf_file):
                            valid_linf_file], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Every CLI call pays for ``import shlie3.cli`` in a fresh interpreter, so
+    it adds none of these costly modules to what the interpreter loads anyway."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def loaded(statement):
+        proc = subprocess.run([sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
+                              capture_output=True, text=True, env=env, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import shlie3.cli") - loaded("pass")
+    assert "shlie3.cli" in added
+    assert added & {"dataclasses", "inspect", "typing"} == set()

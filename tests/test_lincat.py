@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -11,7 +10,7 @@ from shlie3.linalg import Matrix
 from shlie3.lincat import (Cell, ComposabilityError, LiftError, LinearNCat,
                            cartesian_product, chain_iso_invariants,
                            check_axioms, from_chain, lift_functor, product,
-                           tensor_product, to_chain, unit_category)
+                           TensorCat, tensor_product, to_chain, unit_category)
 
 from helpers import rand_chain3, rand_matrix, seed_pad_composable, seed_spanning_cells
 
@@ -205,9 +204,10 @@ def test_raw_to_cell_checks_span_membership():
         basis = tc.kernel_bases[m]
         # drop the last kernel basis vector at level m: it leaves the span
         short = Matrix.from_cols(basis[:-1], nrows=tc.raw_dim(m))
-        bad = replace(tc, kernel_mats=tc.kernel_mats[:m] + (short,) + tc.kernel_mats[m + 1:],
-                      kernel_inv=tc.kernel_inv[:m] + (short.left_inverse(),)
-                      + tc.kernel_inv[m + 1:])
+        bad = TensorCat(tc.left, tc.right, tc.cat,
+                        tc.kernel_mats[:m] + (short,) + tc.kernel_mats[m + 1:],
+                        tc.kernel_inv[:m] + (short.left_inverse(),) + tc.kernel_inv[m + 1:],
+                        tc.raw_s, tc.raw_i)
         kept = tc.raw_to_cell(m, basis[0]).components
         assert bad.raw_to_cell(m, basis[0]).components == kept[:m] + (kept[m][:-1],)
         with pytest.raises(ValueError, match="not in the component span"):

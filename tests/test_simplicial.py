@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from shlie3 import cli, simplicial
 from shlie3.chain import ChainComplexT
 from shlie3.linalg import Matrix, vis_zero
 from shlie3.lincat import from_chain, tensor_product
@@ -12,6 +13,7 @@ from shlie3.simplicial import (SimplicialVS, aw, aw_after_ez_identity,
                                moore_of_nerve_check, nerve, nerve_map,
                                obstruction_demo, tensor_svs)
 from shlie3.lincat import NFunctor, lift_functor
+from shlie3.specfile import render_chain
 
 from helpers import rand_chain2, rand_matrix, seed_compose_tensor_identity
 
@@ -127,6 +129,23 @@ def test_ez_aw_chain_maps_and_roundtrips():
         assert f.is_chain_map() and g.is_chain_map()
         assert aw_after_ez_identity(f, g)
         assert aw_ez_homology_check(f, g)
+
+
+def test_each_moore_basis_is_computed_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    original = simplicial.moore_bases
+    monkeypatch.setattr(simplicial, "moore_bases", lambda S: calls.append(S) or original(S))
+    C = rand_chain2(random.Random(11), (2, 1))
+    S = nerve(from_chain(C), 2)
+    f, g = ez(S, S), aw(S, S)
+    assert len(calls) == 4  # S and tensor_svs(S, S), once per map
+    T = nerve(from_chain(C), 2)  # equal to S, but not S: normalized separately
+    assert ez(S, T).maps == f.maps and aw(S, T).maps == g.maps
+    calls.clear()
+    p = tmp_path / "chain.json"
+    p.write_text(render_chain(C))
+    assert cli.main(["nerve", str(p), "--trunc", "2"]) == 0
+    assert len(calls) == 2  # the reported Moore dims, then the kernel-complex check
 
 
 def test_ez_aw_with_point():
