@@ -12,12 +12,7 @@ class ChainComplexT(Frozen):
     n in 1..N.
     """
 
-    __slots__ = ("dims", "diffs")
-
-    def __init__(self, dims: tuple[int, ...], diffs: tuple[Matrix, ...]):
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "diffs", diffs)
-        self.__post_init__()
+    __slots__ = _fields = ("dims", "diffs")
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -52,13 +47,7 @@ class ChainComplexT(Frozen):
 class ChainMapT(Frozen):
     """Degreewise matrices commuting with the differentials."""
 
-    __slots__ = ("source", "target", "maps")
-
-    def __init__(self, source: ChainComplexT, target: ChainComplexT, maps: tuple[Matrix, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "maps", maps)
-        self.__post_init__()
+    __slots__ = _fields = ("source", "target", "maps")
 
     def __post_init__(self):
         maps = tuple(self.maps)

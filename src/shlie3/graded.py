@@ -36,11 +36,7 @@ class ContradictionError(ValueError):
 class GradedSpace(Frozen):
     """Finite-dimensional N-graded space, degrees 0..D."""
 
-    __slots__ = ("dims",)
-
-    def __init__(self, dims: tuple[int, ...]):
-        object.__setattr__(self, "dims", dims)
-        self.__post_init__()
+    __slots__ = _fields = ("dims",)
 
     def __post_init__(self):
         if not self.dims:
@@ -48,12 +44,6 @@ class GradedSpace(Frozen):
         if any(d < 0 for d in self.dims):
             raise ValueError("negative dimension")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GradedSpace) and self.dims == other.dims
-
-    def __hash__(self):
-        return hash(self.dims)
 
     @property
     def top_degree(self) -> int:
@@ -67,12 +57,7 @@ class GradedSpace(Frozen):
 
 
 class GradedVector(Frozen):
-    __slots__ = ("space", "coords")
-
-    def __init__(self, space: GradedSpace, coords: tuple[Vector, ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coords", coords)
-        self.__post_init__()
+    __slots__ = _fields = ("space", "coords")
 
     def __post_init__(self):
         if len(self.coords) != len(self.space.dims):
@@ -83,13 +68,6 @@ class GradedVector(Frozen):
             if len(block) != self.space.dims[d]:
                 raise ValueError(f"degree {d} block has wrong length")
         object.__setattr__(self, "coords", coords)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GradedVector)
-                and (self.space, self.coords) == (other.space, other.coords))
-
-    def __hash__(self):
-        return hash((self.space, self.coords))
 
     @staticmethod
     def zero(space: GradedSpace) -> "GradedVector":
@@ -153,11 +131,7 @@ class GradedVector(Frozen):
 class Permutation(Frozen):
     """Permutation of {1..n} in one-line image notation."""
 
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]):
-        object.__setattr__(self, "images", images)
-        self.__post_init__()
+    __slots__ = _fields = ("images",)
 
     def __post_init__(self):
         images = tuple(int(i) for i in self.images)
@@ -262,17 +236,17 @@ class MultiMap(Frozen):
     Entries whose output degree falls outside 0..D do not exist.
     """
 
-    __slots__ = ("arity", "weight", "space", "coeffs", "_table")
+    _fields = ("arity", "weight", "space", "coeffs")
+    __slots__ = (*_fields, "_table")
+    _defaults = (None,)
 
-    def __init__(self, arity: int, weight: int, space: GradedSpace,
-                 coeffs: dict[Key, Vector] | None = None):
-        if arity < 1:
+    def __post_init__(self):
+        if self.arity < 1:
             raise ValueError("arity must be >= 1")
-        object.__setattr__(self, "arity", int(arity))
-        object.__setattr__(self, "weight", int(weight))
-        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "arity", int(self.arity))
+        object.__setattr__(self, "weight", int(self.weight))
         clean: dict[Key, Vector] = {}
-        for key, val in (coeffs or {}).items():
+        for key, val in (self.coeffs or {}).items():
             ckey, sign = _canonicalize(key)
             if ckey != key:
                 raise ValueError(f"non-canonical key {key}")
@@ -286,17 +260,12 @@ class MultiMap(Frozen):
                     raise ValueError(f"key {key} has output degree outside the grading")
                 continue
             val = tuple(Q(c) for c in val)
-            if len(val) != space.dims[od]:
+            if len(val) != self.space.dims[od]:
                 raise ValueError(f"value for {key} has wrong length")
             if not vis_zero(val):
                 clean[key] = val
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_table", None)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiMap)
-                and (self.arity, self.weight, self.space) == (other.arity, other.weight, other.space)
-                and self.coeffs == other.coeffs)
 
     def __repr__(self) -> str:
         return f"MultiMap(arity={self.arity}, weight={self.weight}, {len(self.coeffs)} entries)"
@@ -439,3 +408,13 @@ def build_multimap(arity: int, weight: int, space: GradedSpace,
         else:
             acc[ckey] = canon_val
     return MultiMap(arity, weight, space, acc)
+
+
+def check_signatures(space: GradedSpace, maps: Iterable[tuple[str, MultiMap, int, int]]) -> None:
+    """Raise ValueError unless each (name, map, arity, weight) is a map on
+    ``space`` of that arity and weight, checked in order."""
+    for name, m, arity, weight in maps:
+        if m.space != space:
+            raise ValueError(f"{name} lives on a different space")
+        if (m.arity, m.weight) != (arity, weight):
+            raise ValueError(f"{name} must have arity {arity} and weight {weight}")

@@ -27,7 +27,7 @@ import itertools
 from collections.abc import Sequence
 from math import prod
 
-from .graded import GradedSpace, GradedVector, MultiMap
+from .graded import GradedSpace, GradedVector, check_signatures
 from .lincat import Cell, LinearNCat, composites_defined
 from .linalg import Frozen, Matrix, Q, Vector, vadd, vis_zero, vscale, vsub, vzero
 from .linfinity import LInfinityData, check_all, is_special, linfty_residual
@@ -44,24 +44,13 @@ class Lie3Data(Frozen):
     """
 
     # no __slots__: the cached tables below live in the instance __dict__
-
-    def __init__(self, cat: LinearNCat, bracket_constants: MultiMap, J: MultiMap, mu: MultiMap):
-        object.__setattr__(self, "cat", cat)
-        object.__setattr__(self, "bracket_constants", bracket_constants)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "mu", mu)
-        self.__post_init__()
+    _fields = ("cat", "bracket_constants", "J", "mu")
 
     def __post_init__(self):
         if self.cat.n != 2:
             raise ValueError("the bracket calculus needs a linear 2-category")
-        space = self.cat.space
-        for m, name, (ar, w) in ((self.bracket_constants, "bracket_constants", (2, 0)),
-                                 (self.J, "J", (3, 1)), (self.mu, "mu", (4, 2))):
-            if m.space != space:
-                raise ValueError(f"{name} lives on a different space")
-            if (m.arity, m.weight) != (ar, w):
-                raise ValueError(f"{name} must have arity {ar} and weight {w}")
+        check_signatures(self.cat.space, (("bracket_constants", self.bracket_constants, 2, 0),
+                                          ("J", self.J, 3, 1), ("mu", self.mu, 4, 2)))
         for key, _ in self.bracket_constants.entries():
             if key[0][0] == 1 and key[1][0] == 1:
                 raise ValueError("bracket constants must vanish on V1 x V1")

@@ -48,30 +48,72 @@ def vis_zero(a: Sequence[Q]) -> bool:
 class Frozen:
     """Base of the package's immutable value types.
 
-    A subclass stores its fields in ``__init__`` with ``object.__setattr__``;
-    any later assignment raises.  These are plain classes rather than frozen
-    dataclasses because every CLI call imports them: ``dataclasses`` loads
-    ``inspect`` and generates each class's methods with ``exec`` at import.
-    The repr lists the ``__init__`` parameters, read back as attributes.
+    A subclass declares its fields once, in order, in ``_fields``, and the
+    values of trailing optional ones in ``_defaults``.  The constructor binds
+    its arguments to the fields like a plain signature, stores them and calls
+    ``__post_init__`` to validate or normalize them; any later assignment
+    raises.  Equality, hash and repr are over the fields.  These are plain
+    classes, not frozen dataclasses, because every CLI call imports them:
+    ``dataclasses`` loads ``inspect`` and ``exec``s each class's methods.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that passes keywords or leaves out
+        defaulted fields, with the ``TypeError`` of a plain signature."""
+        cls, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls}() takes {len(fields)} arguments but {len(args)} were given")
+        defaults = dict(zip(reversed(fields), reversed(self._defaults)))
+        values = list(args)
+        for name in fields[len(args):]:
+            if name not in kwargs and name not in defaults:
+                raise TypeError(f"{cls}() missing argument {name!r}")
+            values.append(kwargs.pop(name) if name in kwargs else defaults[name])
+        for k in kwargs:  # left over: not a field, or a field already given by position
+            raise TypeError(f"{cls}() got multiple values for argument {k!r}" if k in fields
+                            else f"{cls}() got an unexpected keyword argument {k!r}")
+        return values
+
+    def __post_init__(self):
+        pass
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
+    def _values(self) -> tuple:
+        return tuple([getattr(self, k) for k in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
     def __repr__(self) -> str:
-        code = type(self).__init__.__code__
-        fields = code.co_varnames[1:code.co_argcount]
-        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in fields)})"
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
 
 
 class Matrix(Frozen):
     """Immutable dense rational matrix."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    _fields = ("rows", "ncols")
+    __slots__ = (*_fields, "nrows")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         rs = tuple(tuple(e if type(e) is Q else Q(e) for e in row) for row in rows)
@@ -120,12 +162,6 @@ class Matrix(Frozen):
 
     def is_zero(self) -> bool:
         return all(e == 0 for r in self.rows for e in r)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
 
     def __repr__(self) -> str:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"

@@ -47,12 +47,7 @@ class LiftError(ValueError):
 class Cell(Frozen):
     """m-cell in component form: components[i] is a coordinate vector in V_i."""
 
-    __slots__ = ("level", "components")
-
-    def __init__(self, level: int, components: tuple[Vector, ...]):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "components", components)
-        self.__post_init__()
+    __slots__ = _fields = ("level", "components")
 
     def __post_init__(self):
         comps = self.components
@@ -62,13 +57,6 @@ class Cell(Frozen):
                 or not all(type(c) is Q for block in comps for c in block)):
             object.__setattr__(self, "components", tuple(
                 tuple(c if type(c) is Q else Q(c) for c in block) for block in comps))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Cell)
-                and (self.level, self.components) == (other.level, other.components))
-
-    def __hash__(self):
-        return hash((self.level, self.components))
 
     def __add__(self, other: "Cell") -> "Cell":
         if self.level != other.level:
@@ -85,12 +73,8 @@ class Cell(Frozen):
 class LinearNCat(Frozen):
     """Linear n-category with V = kernel spaces and t_data the differential."""
 
-    __slots__ = ("space", "t_data", "_t_matrices", "_t_cols", "offsets")
-
-    def __init__(self, space: GradedSpace, t_data: MultiMap):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "t_data", t_data)
-        self.__post_init__()
+    _fields = ("space", "t_data")
+    __slots__ = (*_fields, "_t_matrices", "_t_cols", "offsets")
 
     def __post_init__(self):
         if self.t_data.space != self.space or self.t_data.arity != 1 or self.t_data.weight != -1:
@@ -104,10 +88,6 @@ class LinearNCat(Frozen):
         for m in range(2, self.n + 1):
             if not (self.t_matrix(m - 1) @ self.t_matrix(m)).is_zero():
                 raise ValueError("t o t != 0: globular condition violated")
-
-    def __eq__(self, other) -> bool:  # the rest is derived; unhashable, like t_data
-        return (isinstance(other, LinearNCat)
-                and (self.space, self.t_data) == (other.space, other.t_data))
 
     @property
     def n(self) -> int:
@@ -297,13 +277,7 @@ class LinearNCat(Frozen):
 
 
 class NFunctor(Frozen):
-    __slots__ = ("source_cat", "target_cat", "level_maps")
-
-    def __init__(self, source_cat: LinearNCat, target_cat: LinearNCat,
-                 level_maps: tuple[Matrix, ...]):
-        object.__setattr__(self, "source_cat", source_cat)
-        object.__setattr__(self, "target_cat", target_cat)
-        object.__setattr__(self, "level_maps", level_maps)
+    __slots__ = _fields = ("source_cat", "target_cat", "level_maps")
 
     def apply(self, a: Cell) -> Cell:
         F = self.level_maps[a.level]
@@ -497,18 +471,7 @@ class TensorCat(Frozen):
     factored once.
     """
 
-    __slots__ = ("left", "right", "cat", "kernel_mats", "kernel_inv", "raw_s", "raw_i")
-
-    def __init__(self, left: LinearNCat, right: LinearNCat, cat: LinearNCat,
-                 kernel_mats: tuple[Matrix, ...], kernel_inv: tuple[Matrix, ...],
-                 raw_s: tuple[Matrix, ...], raw_i: tuple[Matrix, ...]):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "cat", cat)
-        object.__setattr__(self, "kernel_mats", kernel_mats)
-        object.__setattr__(self, "kernel_inv", kernel_inv)
-        object.__setattr__(self, "raw_s", raw_s)
-        object.__setattr__(self, "raw_i", raw_i)
+    __slots__ = _fields = ("left", "right", "cat", "kernel_mats", "kernel_inv", "raw_s", "raw_i")
 
     @property
     def kernel_bases(self) -> tuple[tuple[Vector, ...], ...]:

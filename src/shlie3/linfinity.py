@@ -20,8 +20,8 @@ import itertools
 from collections.abc import Sequence
 from math import prod
 
-from .graded import (GradedSpace, GradedVector, MultiMap, enumerate_shuffles,
-                     koszul_chi)
+from .graded import (GradedSpace, GradedVector, MultiMap, check_signatures,
+                     enumerate_shuffles, koszul_chi)
 from .linalg import Frozen, vzero
 from .report import Collector, Report
 
@@ -31,26 +31,13 @@ Key = tuple[tuple[int, int], ...]
 class LInfinityData(Frozen):
     """Candidate 3-term structure: (V, l1, l2, l3, l4)."""
 
-    __slots__ = ("space", "l1", "l2", "l3", "l4")
-
-    def __init__(self, space: GradedSpace, l1: MultiMap, l2: MultiMap, l3: MultiMap,
-                 l4: MultiMap):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "l1", l1)
-        object.__setattr__(self, "l2", l2)
-        object.__setattr__(self, "l3", l3)
-        object.__setattr__(self, "l4", l4)
-        self.__post_init__()
+    __slots__ = _fields = ("space", "l1", "l2", "l3", "l4")
 
     def __post_init__(self):
         if self.space.top_degree != 2:
             raise ValueError("a 3-term structure lives in degrees 0..2")
-        expect = {1: (self.l1, -1), 2: (self.l2, 0), 3: (self.l3, 1), 4: (self.l4, 2)}
-        for arity, (m, w) in expect.items():
-            if m.space != self.space:
-                raise ValueError(f"l{arity} lives on a different space")
-            if m.arity != arity or m.weight != w:
-                raise ValueError(f"l{arity} must have arity {arity} and weight {w}")
+        check_signatures(self.space, (("l1", self.l1, 1, -1), ("l2", self.l2, 2, 0),
+                                      ("l3", self.l3, 3, 1), ("l4", self.l4, 4, 2)))
 
     def bracket(self, k: int) -> MultiMap | None:
         return {1: self.l1, 2: self.l2, 3: self.l3, 4: self.l4}.get(k)
@@ -160,12 +147,8 @@ def from_four_cocycle(bracket: MultiMap, action: MultiMap, cochain: MultiMap) ->
     space = bracket.space
     if space.dims[1] != 0:
         raise ValueError("the two-term construction requires dim V_1 = 0")
-    for m, name, (ar, w) in ((bracket, "bracket", (2, 0)), (action, "action", (2, 0)),
-                             (cochain, "cochain", (4, 2))):
-        if m.space != space:
-            raise ValueError(f"{name} lives on a different space")
-        if (m.arity, m.weight) != (ar, w):
-            raise ValueError(f"{name} must have arity {ar} and weight {w}")
+    check_signatures(space, (("bracket", bracket, 2, 0), ("action", action, 2, 0),
+                             ("cochain", cochain, 4, 2)))
     for key, _ in bracket.entries():
         if any(d != 0 for d, _ in key):
             raise ValueError("bracket entries must be on V0 x V0")

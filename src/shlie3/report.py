@@ -12,42 +12,16 @@ failure report".
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .linalg import Frozen
 
 
 class Failure(Frozen):
-    __slots__ = ("identity", "witness", "residual")
-
-    def __init__(self, identity: str, witness: tuple, residual: tuple[Fraction, ...]):
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "residual", residual)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Failure) and (
-            (self.identity, self.witness, self.residual)
-            == (other.identity, other.witness, other.residual))
-
-    def __hash__(self):
-        return hash((self.identity, self.witness, self.residual))
+    __slots__ = _fields = ("identity", "witness", "residual")
 
 
 class Report(Frozen):
-    __slots__ = ("name", "failures", "checked")
-
-    def __init__(self, name: str, failures: tuple[Failure, ...], checked: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "checked", checked)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Report) and (
-            (self.name, self.failures, self.checked) == (other.name, other.failures, other.checked))
-
-    def __hash__(self):
-        return hash((self.name, self.failures, self.checked))
+    __slots__ = _fields = ("name", "failures", "checked")
 
     @property
     def passed(self) -> bool:

@@ -28,14 +28,7 @@ class SimplicialVS(Frozen):
     ``degens[n][i]`` is s_i: S_n -> S_{n+1} (n in 0..N-1, 0 <= i <= n).
     """
 
-    __slots__ = ("dims", "faces", "degens")
-
-    def __init__(self, dims: tuple[int, ...], faces: tuple[tuple[Matrix, ...], ...],
-                 degens: tuple[tuple[Matrix, ...], ...]):
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "degens", degens)
-        self.__post_init__()
+    __slots__ = _fields = ("dims", "faces", "degens")
 
     def __post_init__(self):
         N = len(self.dims) - 1
@@ -379,18 +372,8 @@ def aw_ez_homology_check(f: ChainMapT, g: ChainMapT, max_degree: int = 3) -> boo
 
 
 class ObstructionReport(Frozen):
-    __slots__ = ("compose_tensor_identity_holds", "obstructed", "witness_index",
-                 "witness_difference", "kernel_dim", "message")
-
-    def __init__(self, compose_tensor_identity_holds: bool, obstructed: bool,
-                 witness_index: tuple[int, int] | None, witness_difference: Vector | None,
-                 kernel_dim: int, message: str):
-        object.__setattr__(self, "compose_tensor_identity_holds", compose_tensor_identity_holds)
-        object.__setattr__(self, "obstructed", obstructed)
-        object.__setattr__(self, "witness_index", witness_index)
-        object.__setattr__(self, "witness_difference", witness_difference)
-        object.__setattr__(self, "kernel_dim", kernel_dim)
-        object.__setattr__(self, "message", message)
+    __slots__ = _fields = ("compose_tensor_identity_holds", "obstructed", "witness_index",
+                           "witness_difference", "kernel_dim", "message")
 
 
 def _pairing_matrix(L: LinearNCat, S: SimplicialVS, tc: TensorCat, n: int) -> Matrix:

@@ -38,14 +38,12 @@ class SpecError(ValueError):
 
 
 class AlgebraSpecFile(Frozen):
-    __slots__ = ("kind", "dims", "maps", "metadata")
+    __slots__ = _fields = ("kind", "dims", "maps", "metadata")
+    _defaults = (None,)
 
-    def __init__(self, kind: str, dims: tuple[int, ...], maps: dict[str, object],
-                 metadata: dict[str, str] | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+    def __post_init__(self):
+        if self.metadata is None:
+            object.__setattr__(self, "metadata", {})
 
 
 def parse_rational(v, path: str) -> Q:
