@@ -20,8 +20,7 @@ from .linalg import vsub, vzero
 from .linfinity import check_all, is_special
 from .simplicial import (aw, aw_after_ez_identity, aw_ez_homology_check, ez,
                          moore, moore_of_nerve_check, nerve, obstruction_demo)
-from .specfile import (AlgebraSpecFile, SpecError, build_chain, build_lie3,
-                       build_linfinity, build_simplicial, parse_spec,
+from .specfile import (AlgebraSpecFile, SpecError, build, expect_kind, parse_spec,
                        render_lie3, render_linfinity, render_rational)
 
 
@@ -83,7 +82,8 @@ def _load(path: str) -> AlgebraSpecFile:
 
 
 def _two_term_category(spec: AlgebraSpecFile):
-    C = build_chain(spec)
+    expect_kind(spec, "chain")
+    C = build(spec)
     if C.top_degree < 1 or any(d != 0 for d in C.dims[2:]):
         raise SpecError("this command needs a two-term complex", "$.dims")
     if C.top_degree > 1:
@@ -93,9 +93,9 @@ def _two_term_category(spec: AlgebraSpecFile):
 
 def cmd_check(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if spec.kind == "linfinity":
-        checks = _render_checks(check_all(build_linfinity(spec), args.n), "violations")
+        checks = _render_checks(check_all(build(spec), args.n), "violations")
     elif spec.kind == "lie3":
-        checks = _lie3_checks(build_lie3(spec))
+        checks = _lie3_checks(build(spec))
     else:
         raise SpecError(f"check does not apply to kind {spec.kind!r}", "$.kind")
     ok = all(c["passed"] for c in checks)
@@ -109,11 +109,11 @@ def cmd_convert(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
         if args.to == "lie3":
             if spec.kind != "linfinity":
                 raise SpecError("convert --to lie3 needs a linfinity file", "$.kind")
-            text = render_lie3(from_linfinity(build_linfinity(spec)), spec.metadata)
+            text = render_lie3(from_linfinity(build(spec)), spec.metadata)
         else:
             if spec.kind != "lie3":
                 raise SpecError("convert --to linfinity needs a lie3 file", "$.kind")
-            text = render_linfinity(to_linfinity(build_lie3(spec)), spec.metadata)
+            text = render_linfinity(to_linfinity(build(spec)), spec.metadata)
     except ConversionError as e:
         return {"command": "convert", "checks": [],
                 "passed": False, "error": str(e)}, 1
@@ -127,10 +127,10 @@ def cmd_convert(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 
 def cmd_coherence(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if spec.kind == "lie3":
-        D = build_lie3(spec)
+        D = build(spec)
     elif spec.kind == "linfinity":
         try:
-            D = from_linfinity(build_linfinity(spec))
+            D = from_linfinity(build(spec))
         except ConversionError as e:
             return {"command": "coherence", "checks": [],
                     "passed": False, "error": str(e)}, 1
@@ -201,14 +201,14 @@ def cmd_obstruction_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 
 def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if spec.kind == "linfinity":
-        data = build_linfinity(spec)
+        data = build(spec)
         checks = _render_checks(check_all(data, args.n), "violations")
         special, _ = is_special(data)
         rep = {"command": "report", "checks": checks, "special": special}
     elif spec.kind == "lie3":
-        rep = {"command": "report", "checks": _lie3_checks(build_lie3(spec))}
+        rep = {"command": "report", "checks": _lie3_checks(build(spec))}
     elif spec.kind == "chain":
-        C = build_chain(spec)
+        C = build(spec)
         checks = [{"name": "boundary-squares-to-zero", "passed": True}]
         if C.top_degree >= 1:
             L = from_chain(ChainComplexT(C.dims[:2], (C.diff(1),)))
@@ -216,7 +216,7 @@ def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
                            "passed": moore_of_nerve_check(L, nerve(L, args.trunc))})
         rep = {"command": "report", "checks": checks, "dims": list(C.dims)}
     else:
-        S = build_simplicial(spec)
+        S = build(spec)
         C = moore(S)
         rep = {"command": "report",
                "checks": [{"name": "simplicial-identities", "passed": True}],

@@ -370,10 +370,7 @@ class MultiMap(Frozen):
         dims = self.space.dims
         if not (0 <= od <= self.space.top_degree):
             return Matrix.zeros(0, dims[d])
-        cols = []
-        for i in range(dims[d]):
-            cols.append(self.eval_basis(((d, i),)).component(od))
-        return Matrix.from_cols(cols, nrows=dims[od])
+        return Matrix.from_action(lambda e: self.eval_blocks([(d, e)]), dims[d], dims[od])
 
 
 def build_multimap(arity: int, weight: int, space: GradedSpace,

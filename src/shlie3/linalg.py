@@ -8,7 +8,7 @@ point anywhere.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 Q = Fraction
@@ -105,6 +105,9 @@ class Frozen:
     def __hash__(self):
         return hash(self._values())
 
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through the constructor
+        return type(self), self._values()
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
 
@@ -144,6 +147,11 @@ class Matrix(Frozen):
         m = len(cols[0])
         return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(m)],
                       ncols=len(cols))
+
+    @staticmethod
+    def from_action(action: Callable[[Vector], Sequence], ncols: int, nrows: int) -> "Matrix":
+        """Matrix of a linear map from its action on the unit vectors of Q^ncols."""
+        return Matrix.from_cols([action(e) for e in Matrix.eye(ncols).cols()], nrows=nrows)
 
     # -- basic structure ----------------------------------------------
 

@@ -27,7 +27,7 @@ from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT
 from .graded import GradedSpace, MultiMap, build_multimap
-from .linalg import Frozen, Matrix, Q, Vector, vadd, vscale, vsub, vzero
+from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vscale, vsub, vzero
 from .report import Collector, Report
 
 
@@ -251,8 +251,7 @@ class LinearNCat(Frozen):
         by column (the zero map onto level -1 for m = 0)."""
         if m_out < 0:
             return Matrix.zeros(0, self.level_dim(0))
-        return Matrix.from_cols([flat_map(m, e) for e in Matrix.eye(self.level_dim(m)).cols()],
-                                nrows=self.level_dim(m_out))
+        return Matrix.from_action(lambda e: flat_map(m, e), self.level_dim(m), self.level_dim(m_out))
 
     def s_matrix_level(self, m: int) -> Matrix:
         return self._level_matrix(self.flat_source, m, m - 1)
@@ -462,68 +461,61 @@ def cartesian_product(L: LinearNCat, M: LinearNCat) -> LinearNCat:
 
 
 class TensorCat(Frozen):
-    """Tensor product category with its raw <-> component dictionaries.
+    """Tensor product category with its raw <-> component coordinates.
 
-    Raw level m is L_m (x) M_m with the Kronecker structural maps
-    ``raw_s[m]`` (m <= n) and ``raw_i[m]`` (m < n); the component category is
-    carved out by exact kernel computations.  ``kernel_mats[m]`` has a basis
-    of ker S_m as columns and ``kernel_inv[m]`` is a left inverse of it,
-    factored once.
+    Raw level m is L_m (x) M_m, with the Kronecker products of the two
+    categories' source and identity maps as its structure maps; the
+    component category ``cat`` has V'_m = ker(raw source) at level m.  A
+    component m-cell (c_0..c_m) is the raw cell sum_i 1^{m-i} K_i c_i, with
+    K_i a basis of V'_i: a linear injection, stored once per level as the
+    matrix ``lift[m]`` = [raw identity @ lift[m-1] | K_m] together with its
+    left inverse ``lift_inv[m]``.  Changing coordinates is then one matrix
+    application each way, with exact span membership checked on the way in.
     """
 
-    __slots__ = _fields = ("left", "right", "cat", "kernel_mats", "kernel_inv", "raw_s", "raw_i")
+    __slots__ = _fields = ("left", "right", "cat", "lift", "lift_inv")
 
     @property
     def kernel_bases(self) -> tuple[tuple[Vector, ...], ...]:
-        """Basis of ker S_m in raw L_m (x) M_m, per level."""
-        return tuple(tuple(B.cols()) for B in self.kernel_mats)
+        """Basis of ker S_m in raw L_m (x) M_m, per level: the last columns of lift[m]."""
+        return tuple(tuple(B.cols()[self.cat.offsets[m]:]) for m, B in enumerate(self.lift))
 
     def raw_dim(self, m: int) -> int:
         return self.left.level_dim(m) * self.right.level_dim(m)
 
+    def coords(self, m: int, raw: Matrix) -> Matrix:
+        """Flat component coordinates of the raw level-m columns of ``raw``."""
+        X = self.lift_inv[m] @ raw
+        if self.lift[m] @ X != raw:
+            raise ValueError("raw vector is not in the component span")
+        return X
+
+    def _flat(self, m: int, raw: Sequence[Q]) -> Vector:  # ``coords`` of one raw cell
+        return self.coords(m, Matrix.from_cols([tuple(raw)], nrows=self.raw_dim(m))).col(0)
+
     def raw_to_cell(self, m: int, raw: Sequence[Q]) -> Cell:
-        """Kernel components of a raw cell, via the left-to-right projection."""
-        raw = tuple(Q(c) for c in raw)
-        comps = []
-        lifted_sum = tuple(vzero(self.raw_dim(m)))
-        for i in range(m + 1):
-            u = vsub(raw, lifted_sum)
-            for k in range(m, i, -1):
-                u = self.raw_s[k].apply(u)
-            coords = self.kernel_inv[i].apply(u)
-            if self.kernel_mats[i].apply(coords) != u:
-                raise ValueError("raw vector is not in the component span")
-            comps.append(coords)
-            lift = u
-            for k in range(i, m):
-                lift = self.raw_i[k].apply(lift)
-            lifted_sum = vadd(lifted_sum, lift)
-        return Cell(m, tuple(comps))
+        """Kernel components of a raw cell."""
+        v, o = self._flat(m, raw), self.cat.offsets
+        return Cell(m, tuple(v[o[i]:o[i + 1]] for i in range(m + 1)))
 
     def cell_to_raw(self, a: Cell) -> Vector:
-        m = a.level
-        out = tuple(vzero(self.raw_dim(m)))
-        for i in range(m + 1):
-            lift = self.kernel_mats[i].apply(a.components[i])
-            for k in range(i, m):
-                lift = self.raw_i[k].apply(lift)
-            out = vadd(out, lift)
-        return out
+        return self.lift[a.level].apply(self.cat.flatten(a))
 
     def compose_raw(self, u: Sequence[Q], w: Sequence[Q], m: int, p: int) -> Vector:
         """Composition of raw m-cells through the component category."""
-        a = self.raw_to_cell(m, u)
-        b = self.raw_to_cell(m, w)
-        return self.cell_to_raw(self.cat.compose(a, b, p))
+        return self.lift[m].apply(self.cat.flat_compose(m, self._flat(m, u), self._flat(m, w), p))
 
 
 def tensor_product(L: LinearNCat, M: LinearNCat) -> TensorCat:
     if L.n != M.n:
         raise ValueError("category dimensions differ")
     n = L.n
-    raw_s = tuple(L.s_matrix_level(m).kron(M.s_matrix_level(m)) for m in range(n + 1))
-    raw_i = tuple(L.i_matrix_level(m).kron(M.i_matrix_level(m)) for m in range(n))
-    mats = tuple(Matrix.from_cols(S.nullspace(), nrows=S.ncols) for S in raw_s)
+    raw_s = [L.s_matrix_level(m).kron(M.s_matrix_level(m)) for m in range(n + 1)]
+    mats = [Matrix.from_cols(S.nullspace(), nrows=S.ncols) for S in raw_s]
+    lift = mats[:1]
+    for m in range(1, n + 1):
+        raw_i = L.i_matrix_level(m - 1).kron(M.i_matrix_level(m - 1))
+        lift.append(hstack([raw_i @ lift[-1], mats[m]]))
     space = GradedSpace(tuple(B.ncols for B in mats))
     raw = []
     for d in range(1, n + 1):
@@ -533,7 +525,7 @@ def tensor_product(L: LinearNCat, M: LinearNCat) -> TensorCat:
             raise ValueError("target leaves the kernel span")
         raw.extend((((d, i),), X.col(i)) for i in range(X.ncols))
     cat = LinearNCat(space, build_multimap(1, -1, space, raw))
-    return TensorCat(L, M, cat, mats, tuple(B.left_inverse() for B in mats), raw_s, raw_i)
+    return TensorCat(L, M, cat, tuple(lift), tuple(B.left_inverse() for B in lift))
 
 
 def product(L: LinearNCat, M: LinearNCat, mode: str) -> LinearNCat:

@@ -7,18 +7,11 @@ identities are verified exactly within the truncation.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .chain import ChainComplexT, ChainMapT, induced_on_homology, tensor_complex
 from .lincat import LinearNCat, NFunctor, TensorCat, tensor_product
 from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vis_zero, vstack, vsub, vzero
-
-
-def _mat(action: Callable[[Vector], Sequence[Q]], dim_in: int, dim_out: int) -> Matrix:
-    if dim_out == 0 or dim_in == 0:
-        return Matrix.zeros(dim_out, dim_in)
-    cols = [tuple(Q(c) for c in action(e)) for e in Matrix.eye(dim_in).cols()]
-    return Matrix.from_cols(cols, nrows=dim_out)
 
 
 class SimplicialVS(Frozen):
@@ -136,14 +129,14 @@ def nerve(L: LinearNCat, N: int) -> SimplicialVS:
                 fs[i - 1:i + 1] = [L.flat_compose(1, fs[i - 1], fs[i], 0)]
                 return _simplex_coords(L, x, fs)
             return _simplex_coords(L, x, fs[:-1])
-        return _mat(act, dims[n], dims[n - 1])
+        return Matrix.from_action(act, dims[n], dims[n - 1])
 
     def degen(n, i):
         def act(v):
             x, fs = _simplex(L, v, n)
             vertex = L.flat_target(1, fs[i - 1]) if i else x
             return _simplex_coords(L, x, fs[:i] + [L.flat_identity(0, vertex)] + fs[i:])
-        return _mat(act, dims[n], dims[n + 1])
+        return Matrix.from_action(act, dims[n], dims[n + 1])
 
     faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, N + 1))
     degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(N))
@@ -161,8 +154,8 @@ def nerve_map(F: NFunctor, N: int) -> list[Matrix]:
     def act(v, n):
         x, fs = _simplex(src, v, n)
         return _simplex_coords(dst, F0.apply(x), [F1.apply(f) for f in fs])
-    return [_mat(lambda v, n=n: act(v, n), src.dim(0) + n * src.dim(1), dst.dim(0) + n * dst.dim(1))
-            for n in range(N + 1)]
+    return [Matrix.from_action(lambda v, n=n: act(v, n), src.dim(0) + n * src.dim(1),
+                               dst.dim(0) + n * dst.dim(1)) for n in range(N + 1)]
 
 
 def constant_svs(N: int) -> SimplicialVS:
@@ -242,49 +235,50 @@ def tensor_svs(S: SimplicialVS, T: SimplicialVS) -> SimplicialVS:
 
 
 def _shuffle_sign(mu: Sequence[int], nu: Sequence[int]) -> int:
-    sign = 1
-    for a in mu:
-        for b in nu:
-            if a > b:
-                sign = -sign
-    return sign
+    """(-1) to the number of inversions of the shuffle (mu, nu)."""
+    return -1 if sum(a > b for a in mu for b in nu) % 2 else 1
 
 
-def _degeneracy_chain(S: SimplicialVS, level: int, v: Vector, indices: Sequence[int]) -> Vector:
+def _degeneracies(S: SimplicialVS, B: Matrix, level: int, indices: Sequence[int]) -> Matrix:
+    """s_{indices[-1]} .. s_{indices[0]} applied to the level-``level`` columns of B."""
     for k, i in enumerate(indices):
-        v = S.s(level + k, i).apply(v)
-    return v
+        B = S.s(level + k, i) @ B
+    return B
+
+
+def _tensor_setup(S: SimplicialVS, T: SimplicialVS):
+    """What ez and aw share: S (x) T, the Moore bases of S, T and S (x) T, the
+    normalized complex of S (x) T, and moore(S) (x) moore(T) with its layout."""
+    ST = tensor_svs(S, T)
+    (bS, CS), (bST, CST) = _normalized(S), _normalized(ST)
+    bT, CT = (bS, CS) if T is S else _normalized(T)
+    prod, layout = tensor_complex(CS, CT, trunc=S.trunc)
+    return ST, bS, bT, bST, CST, prod, layout
 
 
 def ez(S: SimplicialVS, T: SimplicialVS) -> ChainMapT:
     """Shuffle map from moore(S) (x) moore(T) to moore(tensor_svs(S, T)).
 
     On a (x) b of bidegree (p, q) it is the signed sum over (p,q)-shuffles
-    (mu, nu) of {0..p+q-1} of s_{nu_q}..s_{nu_1} a (x) s_{mu_p}..s_{mu_1} b.
+    (mu, nu) of {0..p+q-1} of s_{nu_q}..s_{nu_1} a (x) s_{mu_p}..s_{mu_1} b,
+    so the (p, q) block is the same signed sum of Kronecker products of the
+    degeneracy chains applied to the two Moore bases.
     """
-    N = S.trunc
-    ST = tensor_svs(S, T)
-    (bS, CS), (bST, CST) = _normalized(S), _normalized(ST)
-    bT, CT = (bS, CS) if T is S else _normalized(T)
-    prod, layout = tensor_complex(CS, CT, trunc=N)
+    ST, bS, bT, bST, CST, prod, layout = _tensor_setup(S, T)
     maps = []
-    for n in range(N + 1):
-        cols: list[Vector] = []
-        BST = Matrix.from_cols(bST[n], nrows=ST.dim(n))
+    for n in range(S.trunc + 1):
+        blocks = []
         for (p, q) in layout[n]:
-            for a in bS[p]:
-                for b in bT[q]:
-                    raw = tuple(vzero(ST.dim(n)))
-                    for mu in itertools.combinations(range(n), p):
-                        nu = tuple(k for k in range(n) if k not in mu)
-                        va = _degeneracy_chain(S, p, a, nu)
-                        vb = _degeneracy_chain(T, q, b, mu)
-                        term = tuple(x * y for x in va for y in vb)
-                        sgn = _shuffle_sign(mu, nu)
-                        raw = vadd(raw, term) if sgn > 0 else tuple(
-                            r - t for r, t in zip(raw, term))
-                    cols.append(raw)
-        X = BST.solve_matrix(Matrix.from_cols(cols, nrows=ST.dim(n)))
+            BS = Matrix.from_cols(bS[p], nrows=S.dim(p))
+            BT = Matrix.from_cols(bT[q], nrows=T.dim(q))
+            block = Matrix.zeros(ST.dim(n), BS.ncols * BT.ncols)
+            for mu in itertools.combinations(range(n), p):
+                nu = tuple(k for k in range(n) if k not in mu)
+                term = _degeneracies(S, BS, p, nu).kron(_degeneracies(T, BT, q, mu))
+                block = block + term if _shuffle_sign(mu, nu) > 0 else block - term
+            blocks.append(block)
+        cols = hstack(blocks) if blocks else Matrix.zeros(ST.dim(n), 0)
+        X = Matrix.from_cols(bST[n], nrows=ST.dim(n)).solve_matrix(cols)
         if X is None:
             raise ValueError("shuffle image is not normalized")
         maps.append(X)
@@ -319,13 +313,12 @@ def aw(S: SimplicialVS, T: SimplicialVS) -> ChainMapT:
     (d_{p+1}..d_n a) (x) (d_0^p b), each factor projected to the
     normalized subspace along the degenerate one.
     """
-    N = S.trunc
-    ST = tensor_svs(S, T)
-    (bS, CS), (bST, CST) = _normalized(S), _normalized(ST)
-    bT, CT = (bS, CS) if T is S else _normalized(T)
-    prod, layout = tensor_complex(CS, CT, trunc=N)
+    ST, bS, bT, bST, CST, prod, layout = _tensor_setup(S, T)
+    degrees = {k for blocks in layout for pq in blocks for k in pq}  # each projected once
+    PS = {k: _moore_projection(S, bS, k) for k in degrees}
+    PT = PS if T is S else {k: _moore_projection(T, bT, k) for k in degrees}
     maps = []
-    for n in range(N + 1):
+    for n in range(S.trunc + 1):
         BST = Matrix.from_cols(bST[n], nrows=ST.dim(n))
         blocks = []
         for (p, q) in layout[n]:
@@ -335,9 +328,7 @@ def aw(S: SimplicialVS, T: SimplicialVS) -> ChainMapT:
             back = Matrix.eye(T.dim(n))
             for k in range(n, q, -1):
                 back = T.d(k, 0) @ back
-            PS = _moore_projection(S, bS, p)
-            PT = _moore_projection(T, bT, q)
-            blocks.append((PS @ front).kron(PT @ back))
+            blocks.append((PS[p] @ front).kron(PT[q] @ back))
         big = vstack(blocks) if blocks else Matrix.zeros(prod.dim(n), ST.dim(n))
         maps.append(big @ BST)
     f = ChainMapT(CST, prod, tuple(maps))
@@ -381,15 +372,19 @@ def _pairing_matrix(L: LinearNCat, S: SimplicialVS, tc: TensorCat, n: int) -> Ma
     S the nerve of L truncated at n or above.
 
     A pair of n-simplices goes to the simplex of the tensor category whose
-    base object and arrows are the tensors of theirs.
+    base object and arrows are the tensors of theirs.  So its rows are the
+    Kronecker squares of the maps that read a simplex's base object and its
+    k-th arrow, taken to component coordinates; of an arrow, the nerve keeps
+    the kernel part.
     """
-    tensor = lambda a, b: tuple(x * y for x in a for y in b)
     simplices = [_simplex(L, e, n) for e in Matrix.eye(S.dim(n)).cols()]
-    cols = [_simplex_coords(tc.cat, tc.raw_to_cell(0, tensor(xa, xb)).components[0],
-                            [tc.cat.flatten(tc.raw_to_cell(1, tensor(fa, fb)))
-                             for fa, fb in zip(arrows_a, arrows_b)])
-            for xa, arrows_a in simplices for xb, arrows_b in simplices]
-    return Matrix.from_cols(cols, nrows=tc.cat.dim(0) + n * tc.cat.dim(1))
+    base = Matrix.from_cols([x for x, _ in simplices], nrows=L.dim(0))
+    arrows = [Matrix.from_cols([fs[k] for _, fs in simplices], nrows=L.level_dim(1))
+              for k in range(n)]
+    n0 = tc.cat.dim(0)
+    return vstack([tc.coords(0, base.kron(base))]
+                  + [Matrix(tc.coords(1, f.kron(f)).rows[n0:], ncols=S.dim(n) ** 2)
+                     for f in arrows])
 
 
 def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
@@ -436,14 +431,8 @@ def obstruction_demo(L: LinearNCat) -> ObstructionReport:
     rhs = NT.d(3, 2) @ M3
     diff = lhs - rhs
     kernel_dim = M2.ncols - M2.rank()
-    witness = None
-    wdiff = None
-    for j in range(diff.ncols):
-        col = diff.col(j)
-        if not vis_zero(col):
-            witness = (j // S.dim(3), j % S.dim(3))
-            wdiff = col
-            break
+    j = next((j for j in range(diff.ncols) if not vis_zero(diff.col(j))), None)  # first witness
+    witness, wdiff = (None, None) if j is None else (divmod(j, S.dim(3)), diff.col(j))
     if L.dim(1) == 0:
         msg = "no obstruction: V1 = 0 makes the pairing simplicial"
         obstructed = False

@@ -38,12 +38,14 @@ class SpecError(ValueError):
 
 
 class AlgebraSpecFile(Frozen):
-    __slots__ = _fields = ("kind", "dims", "maps", "metadata")
+    _fields = ("kind", "dims", "maps", "metadata")
+    __slots__ = (*_fields, "_structure")  # what ``build`` made of it
     _defaults = (None,)
 
     def __post_init__(self):
         if self.metadata is None:
             object.__setattr__(self, "metadata", {})
+        object.__setattr__(self, "_structure", None)
 
 
 def parse_rational(v, path: str) -> Q:
@@ -157,21 +159,23 @@ def _parse_matrix(raw, nrows: int, ncols: int, path: str) -> Matrix:
 
 
 def build(spec: AlgebraSpecFile):
-    """The in-memory object a spec file describes."""
-    if spec.kind == "linfinity":
-        return build_linfinity(spec)
-    if spec.kind == "lie3":
-        return build_lie3(spec)
-    if spec.kind == "chain":
-        return build_chain(spec)
-    return build_simplicial(spec)
+    """The in-memory object a spec file describes, built on first use and kept
+    on the spec: a command runs on the object that ``parse_spec`` validated."""
+    if spec._structure is None:
+        make = {"linfinity": build_linfinity, "lie3": build_lie3, "chain": build_chain}
+        object.__setattr__(spec, "_structure", make.get(spec.kind, build_simplicial)(spec))
+    return spec._structure
+
+
+def expect_kind(spec: AlgebraSpecFile, kind: str) -> None:
+    if spec.kind != kind:
+        raise SpecError(f"expected kind {kind}, found {spec.kind}", "$.kind")
 
 
 def _build_three_term(spec: AlgebraSpecFile, kind: str, make):
     """``make(space, *maps)`` on the maps of a three-term spec of this kind,
     in the order of MAP_KEYS[kind]."""
-    if spec.kind != kind:
-        raise SpecError(f"expected kind {kind}, found {spec.kind}", "$.kind")
+    expect_kind(spec, kind)
     if len(spec.dims) != 3:
         raise SpecError(f"{kind} data needs dims of length 3", "$.dims")
     for k in spec.maps:
@@ -195,8 +199,7 @@ def build_lie3(spec: AlgebraSpecFile) -> Lie3Data:
 
 
 def build_chain(spec: AlgebraSpecFile) -> ChainComplexT:
-    if spec.kind != "chain":
-        raise SpecError(f"expected kind chain, found {spec.kind}", "$.kind")
+    expect_kind(spec, "chain")
     dims = spec.dims
     names = [f"d{n}" for n in range(1, len(dims))]
     for k in spec.maps:
@@ -218,8 +221,7 @@ def build_chain(spec: AlgebraSpecFile) -> ChainComplexT:
 def build_simplicial(spec: AlgebraSpecFile):
     from .simplicial import SimplicialVS
 
-    if spec.kind != "simplicial":
-        raise SpecError(f"expected kind simplicial, found {spec.kind}", "$.kind")
+    expect_kind(spec, "simplicial")
     dims = spec.dims
     N = len(dims) - 1
     allowed = {f"d:{n}:{i}" for n in range(1, N + 1) for i in range(n + 1)}

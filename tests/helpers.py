@@ -1041,3 +1041,130 @@ def rand_chain_map(rng: random.Random, C: ChainComplexT, D: ChainComplexT) -> tu
     for b in eqs.nullspace():
         v = vadd(v, vscale(rand_q(rng, 2), b))
     return unpack(v)
+
+
+# -- the seed tensor coordinates, pairing and shuffle map, kept as the oracle --
+#
+# The raw <-> component coordinates of L ⊠ M by the left-to-right projection,
+# one raw vector at a time; the arrowwise pairing into the nerve of L ⊠ L, one
+# pair of simplices at a time; and the shuffle map, one pair of Moore basis
+# vectors at a time: exactly as the library computed them before it stored
+# one lift matrix per level and built both maps from Kronecker blocks.
+
+class SeedTensorCoords:
+    """The seed's raw <-> component dictionaries of L ⊠ M.  ``drop`` removes
+    the last kernel basis vector at that level, so that the component span
+    becomes a proper subspace of the raw cells."""
+
+    def __init__(self, L, M, drop: int | None = None):
+        self.raw_s = [L.s_matrix_level(m).kron(M.s_matrix_level(m)) for m in range(L.n + 1)]
+        self.raw_i = [L.i_matrix_level(m).kron(M.i_matrix_level(m)) for m in range(L.n)]
+        self.kernel_mats = [Matrix.from_cols(S.nullspace(), nrows=S.ncols) for S in self.raw_s]
+        if drop is not None:
+            B = self.kernel_mats[drop]
+            self.kernel_mats[drop] = Matrix.from_cols(B.cols()[:-1], nrows=B.nrows)
+        self.kernel_inv = [B.left_inverse() for B in self.kernel_mats]
+
+    def raw_to_cell(self, m: int, raw) -> Cell:
+        raw = tuple(Q(c) for c in raw)
+        comps = []
+        lifted_sum = vzero(self.raw_s[m].ncols)
+        for i in range(m + 1):
+            u = tuple(a - b for a, b in zip(raw, lifted_sum, strict=True))
+            for k in range(m, i, -1):
+                u = self.raw_s[k].apply(u)
+            coords = self.kernel_inv[i].apply(u)
+            if self.kernel_mats[i].apply(coords) != u:
+                raise ValueError("raw vector is not in the component span")
+            comps.append(coords)
+            lift = u
+            for k in range(i, m):
+                lift = self.raw_i[k].apply(lift)
+            lifted_sum = vadd(lifted_sum, lift)
+        return Cell(m, tuple(comps))
+
+    def cell_to_raw(self, a: Cell) -> tuple:
+        m = a.level
+        out = vzero(self.raw_s[m].ncols)
+        for i in range(m + 1):
+            lift = self.kernel_mats[i].apply(a.components[i])
+            for k in range(i, m):
+                lift = self.raw_i[k].apply(lift)
+            out = vadd(out, lift)
+        return out
+
+
+def seed_simplex(L, v, n: int) -> tuple:
+    """(base object, flat arrows) of the nerve n-simplex v of L: each arrow is
+    its start, the target of the arrow before, followed by its kernel part."""
+    n0, n1 = L.dim(0), L.dim(1)
+    x, arrows = tuple(v[:n0]), []
+    for k in range(n):
+        start = L.target(L.unflatten(1, arrows[-1])).components[0] if arrows else x
+        arrows.append(start + tuple(v[n0 + k * n1: n0 + (k + 1) * n1]))
+    return x, arrows
+
+
+def seed_pairing_matrix(L, S, coords: SeedTensorCoords, cat, n: int) -> Matrix:
+    """The arrowwise pairing (S (x) S)_n -> nerve(L ⊠ L)_n, one pair of basis
+    simplices at a time; ``cat`` is the component category of L ⊠ L."""
+    tensor = lambda a, b: tuple(x * y for x in a for y in b)
+    simplices = [seed_simplex(L, e, n) for e in Matrix.eye(S.dim(n)).cols()]
+    cols = []
+    for xa, arrows_a in simplices:
+        for xb, arrows_b in simplices:
+            col = coords.raw_to_cell(0, tensor(xa, xb)).components[0]
+            for fa, fb in zip(arrows_a, arrows_b):
+                flat = tuple(itertools.chain(*coords.raw_to_cell(1, tensor(fa, fb)).components))
+                col += flat[cat.dim(0):]
+            cols.append(col)
+    return Matrix.from_cols(cols, nrows=cat.dim(0) + n * cat.dim(1))
+
+
+def _seed_shuffle_sign(mu, nu) -> int:
+    sign = 1
+    for a in mu:
+        for b in nu:
+            if a > b:
+                sign = -sign
+    return sign
+
+
+def _seed_degeneracy_chain(S, level: int, v, indices):
+    for k, i in enumerate(indices):
+        v = S.s(level + k, i).apply(v)
+    return v
+
+
+def seed_ez(S, T):
+    """The shuffle map moore(S) (x) moore(T) -> moore(S (x) T), one pair of
+    Moore basis vectors at a time."""
+    from shlie3.chain import ChainMapT, tensor_complex
+    from shlie3.simplicial import moore, moore_bases, tensor_svs
+
+    N = S.trunc
+    ST = tensor_svs(S, T)
+    bS, bT, bST = moore_bases(S), moore_bases(T), moore_bases(ST)
+    prod, layout = tensor_complex(moore(S), moore(T), trunc=N)
+    maps = []
+    for n in range(N + 1):
+        cols = []
+        BST = Matrix.from_cols(bST[n], nrows=ST.dim(n))
+        for (p, q) in layout[n]:
+            for a in bS[p]:
+                for b in bT[q]:
+                    raw = vzero(ST.dim(n))
+                    for mu in itertools.combinations(range(n), p):
+                        nu = tuple(k for k in range(n) if k not in mu)
+                        va = _seed_degeneracy_chain(S, p, a, nu)
+                        vb = _seed_degeneracy_chain(T, q, b, mu)
+                        term = tuple(x * y for x in va for y in vb)
+                        sgn = _seed_shuffle_sign(mu, nu)
+                        raw = vadd(raw, term) if sgn > 0 else tuple(
+                            r - t for r, t in zip(raw, term))
+                    cols.append(raw)
+        X = BST.solve_matrix(Matrix.from_cols(cols, nrows=ST.dim(n)))
+        if X is None:
+            raise ValueError("shuffle image is not normalized")
+        maps.append(X)
+    return ChainMapT(prod, moore(ST), tuple(maps))

@@ -201,3 +201,32 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     added = loaded("import shlie3.cli") - loaded("pass")
     assert "shlie3.cli" in added
     assert added & {"dataclasses", "inspect", "typing"} == set()
+
+
+def test_each_spec_is_built_once_per_call(valid_linf_file, chain_file, tmp_path,
+                                          monkeypatch, capsys):
+    """A command runs on the structure that ``parse_spec`` built to validate
+    the file: a whole call parses each map of the file once, as ``parse_spec``
+    alone does."""
+    from shlie3 import specfile
+    parsed = []
+    for name in ("_build_multimap", "_parse_matrix"):
+        real = getattr(specfile, name)
+        monkeypatch.setattr(specfile, name, lambda *a, real=real: parsed.append(a[0]) or real(*a))
+    lie3_file = tmp_path / "lie3.json"
+    lie3_file.write_text(render_lie3(from_linfinity(abelian_l3_l4(random.Random(0), (2, 1, 1)))))
+    calls = [["check", valid_linf_file], ["convert", valid_linf_file, "--to", "lie3"],
+             ["coherence", valid_linf_file], ["report", valid_linf_file],
+             ["check", str(lie3_file)], ["convert", str(lie3_file), "--to", "linfinity"],
+             ["coherence", str(lie3_file)], ["nerve", chain_file, "--trunc", "2"],
+             ["ez-demo", chain_file, "--trunc", "2"], ["obstruction-demo", chain_file],
+             ["report", chain_file, "--trunc", "2"]]
+    for argv in calls:
+        parsed.clear()
+        specfile.parse_spec(Path(argv[1]).read_text(encoding="utf-8"))
+        once = list(parsed)
+        assert once
+        parsed.clear()
+        assert main(argv) == 0
+        assert parsed == once, argv
+    capsys.readouterr()

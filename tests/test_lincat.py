@@ -202,12 +202,16 @@ def test_raw_to_cell_checks_span_membership():
     tc = tensor_product(L, L)
     for m in range(3):
         basis = tc.kernel_bases[m]
-        # drop the last kernel basis vector at level m: it leaves the span
-        short = Matrix.from_cols(basis[:-1], nrows=tc.raw_dim(m))
-        bad = TensorCat(tc.left, tc.right, tc.cat,
-                        tc.kernel_mats[:m] + (short,) + tc.kernel_mats[m + 1:],
-                        tc.kernel_inv[:m] + (short.left_inverse(),) + tc.kernel_inv[m + 1:],
-                        tc.raw_s, tc.raw_i)
+        # drop the last kernel basis vector at level m, the last column of
+        # lift[m]: it leaves the span
+        lift = tc.lift[m]
+        short = Matrix([r[:-1] for r in lift.rows], ncols=lift.ncols - 1)
+        bad = TensorCat(tc.left, tc.right, tc.cat, tc.lift[:m] + (short,) + tc.lift[m + 1:],
+                        tc.lift_inv[:m] + (short.left_inverse(),) + tc.lift_inv[m + 1:])
+        for v in basis:
+            assert tc.cell_to_raw(tc.raw_to_cell(m, v)) == tuple(v)
+        for v in basis[:-1]:
+            assert bad.cell_to_raw(bad.raw_to_cell(m, v)) == tuple(v)
         kept = tc.raw_to_cell(m, basis[0]).components
         assert bad.raw_to_cell(m, basis[0]).components == kept[:m] + (kept[m][:-1],)
         with pytest.raises(ValueError, match="not in the component span"):

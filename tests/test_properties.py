@@ -3,8 +3,10 @@ the chi sign calculus, the zero-skipping linear algebra against the seed
 dense loops, the compiled lie3 cell operations against their component
 formulas, the spec-file parse/render roundtrip, the bases of composable
 pairs against the seed zero-or-basis products, conjugation invariance of
-the homotopy-algebra verdicts, and the nerve and tensor complex against the
-seed's hand-written coordinate formulas."""
+the homotopy-algebra verdicts, the nerve and tensor complex against the
+seed's hand-written coordinate formulas, and the tensor category's
+coordinates, the nerve pairing and the shuffle map against the seed's
+vector-at-a-time loops."""
 
 import itertools
 import random
@@ -19,19 +21,20 @@ from shlie3.lie3 import (Lie3Data, J_cell, _bracket_formula, _J_formula, _mu_for
                          bracket_cells, check_bifunctor, check_coherence, check_identiator,
                          check_jacobiator, from_linfinity, mu_cell)
 from shlie3.chain import ChainComplexT, tensor_complex
-from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, check_axioms, from_chain,
-                           lift_functor, tensor_product)
+from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, TensorCat, check_axioms,
+                           from_chain, lift_functor, tensor_product)
 from shlie3.linalg import Matrix, block_diag, quotient_basis, vadd, vsub, vzero
 from shlie3.linfinity import check_all, linfty_residual
-from shlie3.simplicial import compose_tensor_identity, nerve, nerve_map
+from shlie3.simplicial import _pairing_matrix, compose_tensor_identity, ez, nerve, nerve_map
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
-from helpers import (SeedCat, ce_cocycles4, l1_only, rand_brackets, rand_chain2, rand_chain3,
-                     rand_chain_map, rand_conjugate, scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
+from helpers import (SeedCat, SeedTensorCoords, ce_cocycles4, l1_only, rand_brackets,
+                     rand_chain2, rand_chain3, rand_chain_map, rand_conjugate, rand_vec,
+                     scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
                      seed_check_bifunctor, seed_check_coherence, seed_check_identiator,
-                     seed_check_jacobiator, seed_eval, seed_kron, seed_linfty_residual,
+                     seed_check_jacobiator, seed_eval, seed_ez, seed_kron, seed_linfty_residual,
                      seed_matmul, seed_nerve, seed_nerve_map, seed_pad_composable,
-                     seed_quotient_basis, seed_rref, seed_tensor_complex,
+                     seed_pairing_matrix, seed_quotient_basis, seed_rref, seed_tensor_complex,
                      seed_solve_matrix, seed_spanning_codes, seed_tail_codes,
                      seed_tensor_identity_pairs, seed_tensor_identity_residual, sparse_matrix,
                      special_valid_samples)
@@ -521,3 +524,80 @@ def test_tensor_complex_matches_seed_loops(c_dims, d_dims, trunc, seed):
     C, D = rand_complex(rng, c_dims), rand_complex(rng, d_dims)
     T, layout = tensor_complex(C, D, trunc)
     assert (T.dims, T.diffs, layout) == seed_tensor_complex(C, D, trunc)
+
+
+def tensor_with_drop(L, drop):
+    """tensor_product(L, L) and the seed's dictionaries of it, both with the
+    last kernel basis vector at level ``drop`` removed (none if drop is None
+    or that level has no kernel vectors): every raw cell is in the component
+    span of L ⊠ L, so only a removed vector makes vectors that are not."""
+    tc = tensor_product(L, L)
+    if drop is None or tc.cat.dim(drop) == 0:
+        return tc, SeedTensorCoords(L, L)
+    j = tc.cat.offsets[drop + 1] - 1  # its column in lift[m] for every m >= drop
+    lift = tuple(B if m < drop else Matrix([r[:j] + r[j + 1:] for r in B.rows], ncols=B.ncols - 1)
+                 for m, B in enumerate(tc.lift))
+    short = TensorCat(L, L, tc.cat, lift, tuple(B.left_inverse() for B in lift))
+    return short, SeedTensorCoords(L, L, drop)
+
+
+def outcome(f):
+    """f(), or the message of the ValueError it raises."""
+    try:
+        return f()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def flat_cell(c: Cell) -> tuple:
+    return tuple(itertools.chain(*c.components))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=two_term_dims_st, drop=st.sampled_from([None, 0, 1]), seed=st.integers(0, 2**32))
+def test_tensor_coordinates_match_seed_projection(dims, drop, seed):
+    """raw_to_cell through the lift's left inverse gives the seed projection's
+    coordinates, or its span error, on raw vectors in and outside the
+    component span; cell_to_raw agrees with the seed's sum of lifts."""
+    rng = random.Random(seed)
+    L = from_chain(rand_chain2(rng, dims))
+    tc, seed_tc = tensor_with_drop(L, drop)
+    for m in range(L.n + 1):
+        lift = tc.lift[m]
+        inside = [lift.apply(rand_vec(rng, lift.ncols)) for _ in range(3)] + lift.cols()
+        outside = [rand_vec(rng, lift.nrows) for _ in range(3)]
+        if lift.ncols < lift.nrows:  # the removed vector, lifted to level m
+            full = tensor_product(L, L).lift[m]
+            outside.append(full.col(tc.cat.offsets[drop + 1] - 1))
+        for raw in inside + outside:
+            assert (outcome(lambda: flat_cell(tc.raw_to_cell(m, raw)))
+                    == outcome(lambda: flat_cell(seed_tc.raw_to_cell(m, raw))))
+        for raw in inside:
+            cell = seed_tc.raw_to_cell(m, raw)
+            assert tc.cell_to_raw(cell) == seed_tc.cell_to_raw(cell) == tuple(raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=two_term_dims_st, n=st.integers(0, 3), drop=st.sampled_from([None, 0, 1]),
+       seed=st.integers(0, 2**32))
+def test_pairing_matrix_matches_seed_pairs(dims, n, drop, seed):
+    """The pairing built from Kronecker squares of the simplex-reading maps
+    equals the seed's pair-by-pair matrix, or raises the same span error."""
+    L = from_chain(rand_chain2(random.Random(seed), dims))
+    S = nerve(L, max(n, 1))
+    tc, seed_tc = tensor_with_drop(L, drop)
+    assert (outcome(lambda: _pairing_matrix(L, S, tc, n))
+            == outcome(lambda: seed_pairing_matrix(L, S, seed_tc, tc.cat, n)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(s_dims=two_term_dims_st, t_dims=st.none() | two_term_dims_st, trunc=st.integers(1, 3),
+       seed=st.integers(0, 2**32))
+def test_ez_matches_seed_basis_loop(s_dims, t_dims, trunc, seed):
+    """The shuffle map built from signed Kronecker blocks equals the seed's
+    sum over shuffles, one pair of Moore basis vectors at a time (T = S when
+    t_dims is None)."""
+    rng = random.Random(seed)
+    S = nerve(from_chain(rand_chain2(rng, s_dims)), trunc)
+    T = S if t_dims is None else nerve(from_chain(rand_chain2(rng, t_dims)), trunc)
+    assert ez(S, T) == seed_ez(S, T)

@@ -1,7 +1,8 @@
 """Failure reports: golden CLI output for one failing sample per check kind,
-and every failure's witness replayed to its exact residual.
+and every failure's witness replayed to its exact residual; and the golden
+output of the simplicial commands on one fixed two-term complex.
 
-To rewrite the golden files after an intended change of the report format,
+To rewrite the golden files after an intended change of the output format,
 run ``PYTHONPATH=src python tests/test_reports.py`` from the repository root.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from shlie3 import lie3
+from shlie3.chain import ChainComplexT
 from shlie3.cli import main
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
 from shlie3.lie3 import (Lie3Data, J_cell, bracket_cells, check_bifunctor,
@@ -24,7 +26,7 @@ from shlie3.lie3 import (Lie3Data, J_cell, bracket_cells, check_bifunctor,
 from shlie3.lincat import Cell, check_axioms, from_chain
 from shlie3.linalg import Matrix
 from shlie3.linfinity import LInfinityData, check_all
-from shlie3.specfile import render_lie3, render_linfinity
+from shlie3.specfile import render_chain, render_lie3, render_linfinity
 
 from helpers import l1_only, non_jacobi_data, rand_chain3, seed_linfty_residual
 from test_lie3 import _l1_only_cat, _with_random_constants, scaling_cat
@@ -95,9 +97,23 @@ GOLDEN_CASES = {
 }
 
 
+def chain_21() -> ChainComplexT:
+    """A fixed complex with dims (2, 1): its arrows make the pairing obstructed."""
+    return ChainComplexT((2, 1), (Matrix([[1], [-2]]),))
+
+
+GOLDEN_CLI_CASES = {
+    "nerve.json": (chain_21, ["nerve", "--format", "json"]),
+    "ez-demo.json": (chain_21, ["ez-demo", "--format", "json"]),
+    "obstruction-demo.json": (chain_21, ["obstruction-demo", "--format", "json"]),
+}
+
+
 def run_cli(make, args, path: Path) -> tuple[int, str]:
     data = make()
-    path.write_text(render_linfinity(data) if isinstance(data, LInfinityData) else render_lie3(data))
+    render = {LInfinityData: render_linfinity, ChainComplexT: render_chain}.get(
+        type(data), render_lie3)
+    path.write_text(render(data))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([args[0], str(path)] + args[1:])
@@ -108,6 +124,13 @@ def run_cli(make, args, path: Path) -> tuple[int, str]:
 def test_failing_report_matches_golden(name, tmp_path):
     code, out = run_cli(*GOLDEN_CASES[name], tmp_path / "spec.json")
     assert code == 1
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI_CASES))
+def test_simplicial_output_matches_golden(name, tmp_path):
+    code, out = run_cli(*GOLDEN_CLI_CASES[name], tmp_path / "spec.json")
+    assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
@@ -282,7 +305,7 @@ def test_order5_disagreement_is_a_failure(monkeypatch, tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     scratch = GOLDEN / "spec.tmp.json"
-    for name, case in sorted(GOLDEN_CASES.items()):
+    for name, case in sorted({**GOLDEN_CASES, **GOLDEN_CLI_CASES}.items()):
         (GOLDEN / name).write_text(run_cli(*case, scratch)[1], encoding="utf-8")
     scratch.unlink()
     sys.exit(0)

@@ -148,6 +148,16 @@ def test_each_moore_basis_is_computed_once(monkeypatch, tmp_path, capsys):
     assert len(calls) == 2  # the reported Moore dims, then the kernel-complex check
 
 
+def test_each_moore_projection_is_computed_once(monkeypatch):
+    calls = []
+    original = simplicial._moore_projection
+    monkeypatch.setattr(simplicial, "_moore_projection",
+                        lambda S, bases, n: calls.append(n) or original(S, bases, n))
+    S = nerve(from_chain(rand_chain2(random.Random(11), (2, 1))), 2)
+    aw(S, S)
+    assert sorted(calls) == [0, 1]  # the nonzero degrees of moore(S), once for both factors
+
+
 def test_ez_aw_with_point():
     rng = random.Random(8)
     S = nerve(two_term_cat(rng, (2, 2)), 3)

@@ -1,6 +1,8 @@
 """The value-type contract of ``linalg.Frozen`` and its subclasses, and the
 shared structure-map signature check."""
 
+import copy
+import pickle
 from fractions import Fraction as Q
 
 import pytest
@@ -47,7 +49,7 @@ SAMPLES = {
     "Lie3Data": lambda: (_cat(), *(MultiMap.zero(a, w, GradedSpace((1, 1, 1)))
                                    for a, w in ((2, 0), (3, 1), (4, 2)))),
     "NFunctor": lambda: (_cat(), _cat(), (Matrix.eye(1), Matrix.eye(2), Matrix.eye(3))),
-    "TensorCat": lambda: (_cat(), _cat(), _cat(), (Matrix.eye(1),), (Matrix.eye(1),), (), ()),
+    "TensorCat": lambda: (_cat(), _cat(), _cat(), (Matrix.eye(1),), (Matrix.eye(1),)),
     "LInfinityData": lambda: (GradedSpace((1, 0, 1)), *(MultiMap.zero(a, a - 2, GradedSpace((1, 0, 1)))
                                                         for a in range(1, 5))),
     "Failure": lambda: ("target", ((0, 0), (0, 1)), (Q(1), Q(0))),
@@ -106,6 +108,10 @@ def test_value_type_contract(cls):
         setattr(obj, "no_such_field", None)
     with pytest.raises(AttributeError):
         delattr(obj, fields[0])
+
+    # copies and pickles rebuild an equal value of the same class
+    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(clone) is cls and clone == obj
 
     # every field is stored in a slot or in the instance __dict__
     slots = {s for k in cls.__mro__ for s in getattr(k, "__slots__", ())}
