@@ -16,10 +16,6 @@ Q = Fraction
 Vector = tuple[Q, ...]
 
 
-def vec(entries: Iterable) -> Vector:
-    return tuple(Q(e) for e in entries)
-
-
 _ZERO = Q(0)  # one zero for every zero vector: Fractions are immutable
 
 

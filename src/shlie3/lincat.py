@@ -495,8 +495,7 @@ class TensorCat(Frozen):
 
     def raw_to_cell(self, m: int, raw: Sequence[Q]) -> Cell:
         """Kernel components of a raw cell."""
-        v, o = self._flat(m, raw), self.cat.offsets
-        return Cell(m, tuple(v[o[i]:o[i + 1]] for i in range(m + 1)))
+        return self.cat.unflatten(m, self._flat(m, raw))
 
     def cell_to_raw(self, a: Cell) -> Vector:
         return self.lift[a.level].apply(self.cat.flatten(a))

@@ -7,7 +7,7 @@ identities are verified exactly within the truncation.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT, ChainMapT, induced_on_homology, tensor_complex
 from .lincat import LinearNCat, NFunctor, TensorCat, tensor_product
@@ -44,6 +44,16 @@ class SimplicialVS(Frozen):
                 if s.shape != (self.dims[n + 1], self.dims[n]):
                     raise ValueError(f"degeneracy at level {n} has shape {s.shape}")
         self._check_identities()
+
+    @classmethod
+    def from_maps(cls, dims: Sequence[int], face: Callable[[int, int], Matrix],
+                  degen: Callable[[int, int], Matrix]) -> SimplicialVS:
+        """The space with d_i = face(n, i) on S_n for n in 1..N and s_i =
+        degen(n, i) on S_n for n in 0..N-1; every face is built first."""
+        N = len(dims) - 1
+        faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, N + 1))
+        degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(N))
+        return cls(tuple(dims), faces, degens)
 
     def _check_identities(self):
         N = self.trunc
@@ -105,42 +115,47 @@ def _simplex_coords(L: LinearNCat, x: Vector, arrows: Sequence[Vector]) -> Vecto
     return tuple(itertools.chain(x, *(f[L.dim(0):] for f in arrows)))
 
 
+def _nerve_dim(L: LinearNCat, n: int) -> int:
+    return L.dim(0) + n * L.dim(1)
+
+
+def _nerve_face(L: LinearNCat, n: int, i: int) -> Matrix:
+    """d_i on the n-simplices of the nerve of L: d_0 drops the first arrow and
+    starts at its target, an inner d_i composes arrows i and i+1, and d_n
+    drops the last arrow."""
+    def act(v):
+        x, fs = _simplex(L, v, n)
+        if i == 0:
+            return _simplex_coords(L, L.flat_target(1, fs[0]), fs[1:])
+        if i < n:
+            fs[i - 1:i + 1] = [L.flat_compose(1, fs[i - 1], fs[i], 0)]
+            return _simplex_coords(L, x, fs)
+        return _simplex_coords(L, x, fs[:-1])
+    return Matrix.from_action(act, _nerve_dim(L, n), _nerve_dim(L, n - 1))
+
+
 def nerve(L: LinearNCat, N: int) -> SimplicialVS:
     """Nerve of a linear category (n=1), truncated at level N.
 
     n-simplices are chains (x; f_1..f_n) of n composable arrows out of x
-    (see ``_simplex``).  Faces and degeneracies are the category's own
-    structure maps: d_0 drops the first arrow and starts at its target, an
-    inner d_i composes arrows i and i+1, d_n drops the last arrow, and s_i
-    inserts the identity arrow of the i-th object.
+    (see ``_simplex``).  Faces (``_nerve_face``) and degeneracies are the
+    category's own structure maps; s_i inserts the identity arrow of the
+    i-th object.
     """
     if L.n != 1:
         raise ValueError("the nerve is taken of a linear category (n = 1)")
     if N < 1:
         raise ValueError("need truncation >= 1")
-    dims = tuple(L.dim(0) + n * L.dim(1) for n in range(N + 1))
-
-    def face(n, i):
-        def act(v):
-            x, fs = _simplex(L, v, n)
-            if i == 0:
-                return _simplex_coords(L, L.flat_target(1, fs[0]), fs[1:])
-            if i < n:
-                fs[i - 1:i + 1] = [L.flat_compose(1, fs[i - 1], fs[i], 0)]
-                return _simplex_coords(L, x, fs)
-            return _simplex_coords(L, x, fs[:-1])
-        return Matrix.from_action(act, dims[n], dims[n - 1])
 
     def degen(n, i):
         def act(v):
             x, fs = _simplex(L, v, n)
             vertex = L.flat_target(1, fs[i - 1]) if i else x
             return _simplex_coords(L, x, fs[:i] + [L.flat_identity(0, vertex)] + fs[i:])
-        return Matrix.from_action(act, dims[n], dims[n + 1])
+        return Matrix.from_action(act, _nerve_dim(L, n), _nerve_dim(L, n + 1))
 
-    faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, N + 1))
-    degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(N))
-    return SimplicialVS(dims, faces, degens)
+    return SimplicialVS.from_maps([_nerve_dim(L, n) for n in range(N + 1)],
+                                  lambda n, i: _nerve_face(L, n, i), degen)
 
 
 def nerve_map(F: NFunctor, N: int) -> list[Matrix]:
@@ -154,16 +169,14 @@ def nerve_map(F: NFunctor, N: int) -> list[Matrix]:
     def act(v, n):
         x, fs = _simplex(src, v, n)
         return _simplex_coords(dst, F0.apply(x), [F1.apply(f) for f in fs])
-    return [Matrix.from_action(lambda v, n=n: act(v, n), src.dim(0) + n * src.dim(1),
-                               dst.dim(0) + n * dst.dim(1)) for n in range(N + 1)]
+    return [Matrix.from_action(lambda v, n=n: act(v, n), _nerve_dim(src, n), _nerve_dim(dst, n))
+            for n in range(N + 1)]
 
 
 def constant_svs(N: int) -> SimplicialVS:
     """The constant simplicial line: every level is the ground field."""
     eye = Matrix.eye(1)
-    faces = tuple(tuple(eye for _ in range(n + 1)) for n in range(1, N + 1))
-    degens = tuple(tuple(eye for _ in range(n + 1)) for n in range(N))
-    return SimplicialVS((1,) * (N + 1), faces, degens)
+    return SimplicialVS.from_maps((1,) * (N + 1), lambda n, i: eye, lambda n, i: eye)
 
 
 # -- normalization ----------------------------------------------------
@@ -171,15 +184,8 @@ def constant_svs(N: int) -> SimplicialVS:
 
 def moore_bases(S: SimplicialVS) -> list[list[Vector]]:
     """Basis of the normalized subspace at each level (kernel of d_1..d_n)."""
-    bases = [Matrix.eye(S.dim(0)).cols()]
-    for n in range(1, S.trunc + 1):
-        stack = [S.d(n, i) for i in range(1, n + 1)]
-        big = vstack(stack)
-        if big.nrows == 0:
-            bases.append(Matrix.eye(S.dim(n)).cols())
-        else:
-            bases.append(big.nullspace())
-    return bases
+    stacks = ([S.d(n, i) for i in range(1, n + 1)] for n in range(1, S.trunc + 1))
+    return [Matrix.eye(S.dim(0)).cols()] + [vstack(ds).nullspace() for ds in stacks]
 
 
 def moore(S: SimplicialVS) -> ChainComplexT:
@@ -225,13 +231,9 @@ def moore_of_nerve_check(L: LinearNCat, S: SimplicialVS) -> bool:
 def tensor_svs(S: SimplicialVS, T: SimplicialVS) -> SimplicialVS:
     if S.trunc != T.trunc:
         raise ValueError("truncation mismatch")
-    N = S.trunc
-    dims = tuple(S.dim(n) * T.dim(n) for n in range(N + 1))
-    faces = tuple(tuple(S.d(n, i).kron(T.d(n, i)) for i in range(n + 1))
-                  for n in range(1, N + 1))
-    degens = tuple(tuple(S.s(n, i).kron(T.s(n, i)) for i in range(n + 1))
-                   for n in range(N))
-    return SimplicialVS(dims, faces, degens)
+    return SimplicialVS.from_maps([S.dim(n) * T.dim(n) for n in range(S.trunc + 1)],
+                                  lambda n, i: S.d(n, i).kron(T.d(n, i)),
+                                  lambda n, i: S.s(n, i).kron(T.s(n, i)))
 
 
 def _shuffle_sign(mu: Sequence[int], nu: Sequence[int]) -> int:
@@ -367,9 +369,9 @@ class ObstructionReport(Frozen):
                            "witness_difference", "kernel_dim", "message")
 
 
-def _pairing_matrix(L: LinearNCat, S: SimplicialVS, tc: TensorCat, n: int) -> Matrix:
+def _pairing_matrix(L: LinearNCat, tc: TensorCat, n: int) -> Matrix:
     """Matrix of the arrowwise pairing (𝒮 (x) 𝒮)_n -> nerve(L ⊠ L)_n, for
-    S the nerve of L truncated at n or above.
+    𝒮 the nerve of L.
 
     A pair of n-simplices goes to the simplex of the tensor category whose
     base object and arrows are the tensors of theirs.  So its rows are the
@@ -377,13 +379,14 @@ def _pairing_matrix(L: LinearNCat, S: SimplicialVS, tc: TensorCat, n: int) -> Ma
     k-th arrow, taken to component coordinates; of an arrow, the nerve keeps
     the kernel part.
     """
-    simplices = [_simplex(L, e, n) for e in Matrix.eye(S.dim(n)).cols()]
+    dim = _nerve_dim(L, n)
+    simplices = [_simplex(L, e, n) for e in Matrix.eye(dim).cols()]
     base = Matrix.from_cols([x for x, _ in simplices], nrows=L.dim(0))
     arrows = [Matrix.from_cols([fs[k] for _, fs in simplices], nrows=L.level_dim(1))
               for k in range(n)]
     n0 = tc.cat.dim(0)
     return vstack([tc.coords(0, base.kron(base))]
-                  + [Matrix(tc.coords(1, f.kron(f)).rows[n0:], ncols=S.dim(n) ** 2)
+                  + [Matrix(tc.coords(1, f.kron(f)).rows[n0:], ncols=dim ** 2)
                      for f in arrows])
 
 
@@ -415,24 +418,21 @@ def obstruction_demo(L: LinearNCat) -> ObstructionReport:
     """Why the arrowwise pairing into the tensor category is not simplicial.
 
     Verifies the composition/tensor interchange identity, then compares the
-    two ways around the square built from the inner face d_2 at level 3; a
-    nonzero difference is the obstruction witness.  Also reports the kernel
-    dimension of the level-2 pairing.
+    two ways around the square built from the inner face d_2 at level 3,
+    read directly off the nerves of L and of L ⊠ L (neither nerve is built);
+    a nonzero difference is the obstruction witness.  Also reports the
+    kernel dimension of the level-2 pairing.
     """
     if L.n != 1:
         raise ValueError("needs a linear category")
     tc = tensor_product(L, L)
     identity_ok = compose_tensor_identity(L, tc)
-    S = nerve(L, 3)
-    NT = nerve(tc.cat, 3)
-    M2 = _pairing_matrix(L, S, tc, 2)
-    M3 = _pairing_matrix(L, S, tc, 3)
-    lhs = M2 @ (S.d(3, 2).kron(S.d(3, 2)))
-    rhs = NT.d(3, 2) @ M3
-    diff = lhs - rhs
+    M2 = _pairing_matrix(L, tc, 2)
+    d2 = _nerve_face(L, 3, 2)
+    diff = M2 @ d2.kron(d2) - _nerve_face(tc.cat, 3, 2) @ _pairing_matrix(L, tc, 3)
     kernel_dim = M2.ncols - M2.rank()
     j = next((j for j in range(diff.ncols) if not vis_zero(diff.col(j))), None)  # first witness
-    witness, wdiff = (None, None) if j is None else (divmod(j, S.dim(3)), diff.col(j))
+    witness, wdiff = (None, None) if j is None else (divmod(j, d2.ncols), diff.col(j))
     if L.dim(1) == 0:
         msg = "no obstruction: V1 = 0 makes the pairing simplicial"
         obstructed = False

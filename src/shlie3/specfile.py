@@ -229,26 +229,18 @@ def build_simplicial(spec: AlgebraSpecFile):
     for k in spec.maps:
         if k not in allowed:
             raise SpecError(f"unknown map {k!r}", "$.maps")
-    faces = []
-    for n in range(1, N + 1):
-        ops = []
-        for i in range(n + 1):
-            raw = spec.maps.get(f"d:{n}:{i}")
-            if raw is None:
-                raise SpecError(f"missing face d:{n}:{i}", "$.maps")
-            ops.append(_parse_matrix(raw, dims[n - 1], dims[n], f"$.maps.d:{n}:{i}"))
-        faces.append(tuple(ops))
-    degens = []
-    for n in range(N):
-        ops = []
-        for i in range(n + 1):
-            raw = spec.maps.get(f"s:{n}:{i}")
-            if raw is None:
-                raise SpecError(f"missing degeneracy s:{n}:{i}", "$.maps")
-            ops.append(_parse_matrix(raw, dims[n + 1], dims[n], f"$.maps.s:{n}:{i}"))
-        degens.append(tuple(ops))
-    try:
-        return SimplicialVS(tuple(dims), tuple(faces), tuple(degens))
+
+    def parse(what: str, key: str, nrows: int, ncols: int) -> Matrix:
+        raw = spec.maps.get(key)
+        if raw is None:
+            raise SpecError(f"missing {what} {key}", "$.maps")
+        return _parse_matrix(raw, nrows, ncols, f"$.maps.{key}")
+    try:  # every face is parsed before any degeneracy
+        return SimplicialVS.from_maps(
+            dims, lambda n, i: parse("face", f"d:{n}:{i}", dims[n - 1], dims[n]),
+            lambda n, i: parse("degeneracy", f"s:{n}:{i}", dims[n + 1], dims[n]))
+    except SpecError:
+        raise
     except ValueError as e:
         raise SpecError(str(e), "$.maps") from None
 

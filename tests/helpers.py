@@ -15,7 +15,7 @@ from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, enumerate_shuffles, koszul_chi)
 from shlie3.lie3 import J_cell, bracket_cells, bracket_objects, mu_cell
-from shlie3.lincat import Cell, ComposabilityError
+from shlie3.lincat import Cell, ComposabilityError, LinearNCat
 from shlie3.linalg import Matrix, vadd, vis_zero, vscale, vzero
 from shlie3.linfinity import LInfinityData, degree_tag, linfty_residual
 from shlie3.report import Collector, Failure, Report
@@ -1094,6 +1094,14 @@ class SeedTensorCoords:
         return out
 
 
+def short_component_cat(cat, m: int):
+    """A category laid out like ``cat`` but with one basis vector fewer at
+    level m, and t = 0: the component category of a TensorCat whose lift
+    drops the last kernel basis vector at level m (only its layout is read)."""
+    space = GradedSpace(tuple(d - (k == m) for k, d in enumerate(cat.space.dims)))
+    return LinearNCat(space, MultiMap.zero(1, -1, space))
+
+
 def seed_simplex(L, v, n: int) -> tuple:
     """(base object, flat arrows) of the nerve n-simplex v of L: each arrow is
     its start, the target of the arrow before, followed by its kernel part."""
@@ -1119,6 +1127,35 @@ def seed_pairing_matrix(L, S, coords: SeedTensorCoords, cat, n: int) -> Matrix:
                 col += flat[cat.dim(0):]
             cols.append(col)
     return Matrix.from_cols(cols, nrows=cat.dim(0) + n * cat.dim(1))
+
+
+def seed_obstruction_demo(L):
+    """``obstruction_demo`` as it was when it built both truncated nerves, of
+    L and of L ⊠ L, to read the inner face d_2 at level 3 off each; the
+    pairing is the seed's pair-by-pair matrix."""
+    from shlie3.lincat import tensor_product
+    from shlie3.simplicial import ObstructionReport, compose_tensor_identity, nerve
+
+    tc = tensor_product(L, L)
+    coords = SeedTensorCoords(L, L)
+    S, NT = nerve(L, 3), nerve(tc.cat, 3)
+    M2 = seed_pairing_matrix(L, S, coords, tc.cat, 2)
+    M3 = seed_pairing_matrix(L, S, coords, tc.cat, 3)
+    diff = M2 @ (S.d(3, 2).kron(S.d(3, 2))) - NT.d(3, 2) @ M3
+    kernel_dim = M2.ncols - M2.rank()
+    witness = wdiff = None
+    for j in range(diff.ncols):
+        if not vis_zero(diff.col(j)):
+            witness, wdiff = divmod(j, S.dim(3)), diff.col(j)
+            break
+    if L.dim(1) == 0:
+        obstructed, msg = False, "no obstruction: V1 = 0 makes the pairing simplicial"
+    elif witness is not None:
+        obstructed, msg = True, "obstruction: the pairing does not commute with the inner face d_2"
+    else:
+        obstructed, msg = False, "no witness found at level 3"
+    return ObstructionReport(compose_tensor_identity(L, tc), obstructed, witness, wdiff,
+                             kernel_dim, msg)
 
 
 def _seed_shuffle_sign(mu, nu) -> int:

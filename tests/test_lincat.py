@@ -12,7 +12,8 @@ from shlie3.lincat import (Cell, ComposabilityError, LiftError, LinearNCat,
                            check_axioms, from_chain, lift_functor, product,
                            TensorCat, tensor_product, to_chain, unit_category)
 
-from helpers import rand_chain3, rand_matrix, seed_pad_composable, seed_spanning_cells
+from helpers import (rand_chain3, rand_matrix, seed_pad_composable, seed_spanning_cells,
+                     short_component_cat)
 
 
 def rand_cat(rng, dims=None) -> LinearNCat:
@@ -206,7 +207,8 @@ def test_raw_to_cell_checks_span_membership():
         # lift[m]: it leaves the span
         lift = tc.lift[m]
         short = Matrix([r[:-1] for r in lift.rows], ncols=lift.ncols - 1)
-        bad = TensorCat(tc.left, tc.right, tc.cat, tc.lift[:m] + (short,) + tc.lift[m + 1:],
+        bad = TensorCat(tc.left, tc.right, short_component_cat(tc.cat, m),
+                        tc.lift[:m] + (short,) + tc.lift[m + 1:],
                         tc.lift_inv[:m] + (short.left_inverse(),) + tc.lift_inv[m + 1:])
         for v in basis:
             assert tc.cell_to_raw(tc.raw_to_cell(m, v)) == tuple(v)

@@ -6,7 +6,8 @@ pairs against the seed zero-or-basis products, conjugation invariance of
 the homotopy-algebra verdicts, the nerve and tensor complex against the
 seed's hand-written coordinate formulas, and the tensor category's
 coordinates, the nerve pairing and the shuffle map against the seed's
-vector-at-a-time loops."""
+vector-at-a-time loops, and the obstruction demo against building both
+truncated nerves."""
 
 import itertools
 import random
@@ -25,7 +26,8 @@ from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, TensorCat, chec
                            from_chain, lift_functor, tensor_product)
 from shlie3.linalg import Matrix, block_diag, quotient_basis, vadd, vsub, vzero
 from shlie3.linfinity import check_all, linfty_residual
-from shlie3.simplicial import _pairing_matrix, compose_tensor_identity, ez, nerve, nerve_map
+from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, nerve, nerve_map,
+                               obstruction_demo)
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
 from helpers import (SeedCat, SeedTensorCoords, ce_cocycles4, l1_only, rand_brackets,
@@ -33,11 +35,11 @@ from helpers import (SeedCat, SeedTensorCoords, ce_cocycles4, l1_only, rand_brac
                      scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
                      seed_check_bifunctor, seed_check_coherence, seed_check_identiator,
                      seed_check_jacobiator, seed_eval, seed_ez, seed_kron, seed_linfty_residual,
-                     seed_matmul, seed_nerve, seed_nerve_map, seed_pad_composable,
-                     seed_pairing_matrix, seed_quotient_basis, seed_rref, seed_tensor_complex,
-                     seed_solve_matrix, seed_spanning_codes, seed_tail_codes,
-                     seed_tensor_identity_pairs, seed_tensor_identity_residual, sparse_matrix,
-                     special_valid_samples)
+                     seed_matmul, seed_nerve, seed_nerve_map, seed_obstruction_demo,
+                     seed_pad_composable, seed_pairing_matrix, seed_quotient_basis, seed_rref,
+                     seed_tensor_complex, seed_solve_matrix, seed_spanning_codes, seed_tail_codes,
+                     seed_tensor_identity_pairs, seed_tensor_identity_residual,
+                     short_component_cat, sparse_matrix, special_valid_samples)
 from test_lie3 import _with_random_constants, abelian_cat, glambda_cat, scaling_cat
 
 dims_st = st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
@@ -498,8 +500,9 @@ def test_nerve_and_nerve_map_match_seed_formulas(dims, target_dims, trunc, seed)
     rng = random.Random(seed)
     C, D = rand_chain2(rng, dims), rand_chain2(rng, target_dims)
     L, M = from_chain(C), from_chain(D)
-    S = nerve(L, trunc)
-    assert (S.dims, S.faces, S.degens) == seed_nerve(L, trunc)
+    for K in (L, tensor_product(L, L).cat):
+        S = nerve(K, trunc)
+        assert (S.dims, S.faces, S.degens) == seed_nerve(K, trunc)
     f0, f1 = rand_chain_map(rng, C, D)
     F = lift_functor(L, M, [f0, block_diag([f0, f1])])
     assert nerve_map(F, trunc) == seed_nerve_map(F, trunc)
@@ -537,7 +540,8 @@ def tensor_with_drop(L, drop):
     j = tc.cat.offsets[drop + 1] - 1  # its column in lift[m] for every m >= drop
     lift = tuple(B if m < drop else Matrix([r[:j] + r[j + 1:] for r in B.rows], ncols=B.ncols - 1)
                  for m, B in enumerate(tc.lift))
-    short = TensorCat(L, L, tc.cat, lift, tuple(B.left_inverse() for B in lift))
+    short = TensorCat(L, L, short_component_cat(tc.cat, drop), lift,
+                      tuple(B.left_inverse() for B in lift))
     return short, SeedTensorCoords(L, L, drop)
 
 
@@ -567,8 +571,8 @@ def test_tensor_coordinates_match_seed_projection(dims, drop, seed):
         inside = [lift.apply(rand_vec(rng, lift.ncols)) for _ in range(3)] + lift.cols()
         outside = [rand_vec(rng, lift.nrows) for _ in range(3)]
         if lift.ncols < lift.nrows:  # the removed vector, lifted to level m
-            full = tensor_product(L, L).lift[m]
-            outside.append(full.col(tc.cat.offsets[drop + 1] - 1))
+            full = tensor_product(L, L)
+            outside.append(full.lift[m].col(full.cat.offsets[drop + 1] - 1))
         for raw in inside + outside:
             assert (outcome(lambda: flat_cell(tc.raw_to_cell(m, raw)))
                     == outcome(lambda: flat_cell(seed_tc.raw_to_cell(m, raw))))
@@ -586,8 +590,17 @@ def test_pairing_matrix_matches_seed_pairs(dims, n, drop, seed):
     L = from_chain(rand_chain2(random.Random(seed), dims))
     S = nerve(L, max(n, 1))
     tc, seed_tc = tensor_with_drop(L, drop)
-    assert (outcome(lambda: _pairing_matrix(L, S, tc, n))
+    assert (outcome(lambda: _pairing_matrix(L, tc, n))
             == outcome(lambda: seed_pairing_matrix(L, S, seed_tc, tc.cat, n)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims=two_term_dims_st, seed=st.integers(0, 2**32))
+def test_obstruction_demo_matches_seed_nerves(dims, seed):
+    """Reading the two inner faces d_2 directly gives the report of building
+    both truncated nerves and the seed's pair-by-pair pairing."""
+    L = from_chain(rand_chain2(random.Random(seed), dims))
+    assert obstruction_demo(L) == seed_obstruction_demo(L)
 
 
 @settings(max_examples=25, deadline=None)

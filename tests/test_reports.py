@@ -102,10 +102,22 @@ def chain_21() -> ChainComplexT:
     return ChainComplexT((2, 1), (Matrix([[1], [-2]]),))
 
 
+def chain_20() -> ChainComplexT:
+    """A fixed complex with V1 = 0: the pairing is simplicial."""
+    return ChainComplexT((2, 0), (Matrix.zeros(2, 0),))
+
+
+def chain_11() -> ChainComplexT:
+    """A fixed complex with dims (1, 1)."""
+    return ChainComplexT((1, 1), (Matrix([[3]]),))
+
+
 GOLDEN_CLI_CASES = {
     "nerve.json": (chain_21, ["nerve", "--format", "json"]),
     "ez-demo.json": (chain_21, ["ez-demo", "--format", "json"]),
     "obstruction-demo.json": (chain_21, ["obstruction-demo", "--format", "json"]),
+    "obstruction-demo-20.json": (chain_20, ["obstruction-demo", "--format", "json"]),
+    "obstruction-demo-11.json": (chain_11, ["obstruction-demo", "--format", "json"]),
 }
 
 

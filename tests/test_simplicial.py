@@ -188,6 +188,18 @@ def test_obstruction_present_with_kernel_arrows():
         assert rep.kernel_dim > 0
 
 
+def test_obstruction_demo_builds_no_simplicial_space(monkeypatch):
+    """The demo reads its two faces directly; it validates no whole nerve."""
+    built = []
+    check = SimplicialVS.__post_init__
+    monkeypatch.setattr(SimplicialVS, "__post_init__", lambda S: (built.append(S), check(S)))
+    L = two_term_cat(random.Random(11), (2, 1))
+    assert obstruction_demo(L).obstructed
+    assert built == []
+    nerve(L, 3)
+    assert len(built) == 1
+
+
 def test_no_obstruction_without_kernel_arrows():
     L = from_chain(ChainComplexT((2, 0), (Matrix.zeros(2, 0),)))
     rep = obstruction_demo(L)
