@@ -10,10 +10,13 @@ exact correspondence between the presentations.
 
 The multilinear cell operations (bracket of m-cells, Jacobiator and
 Identiator cells) are evaluated from sparse tables over basis indices, built
-once per structure on first use from their component formulas.  The checks
-run on flat coordinate tuples (the layout of ``LinearNCat.offsets``: V_i at
-offsets[i]:offsets[i + 1] of L_m) through the ``flat_*`` structure maps;
-``Cell`` is built only where a public function returns one.
+once per structure on first use from the basis tables (``MultiMap.table``)
+of l2, J and mu: the bracket table from l2's, the Jacobiator table from it
+and J's, the Identiator table from both and mu's.  The checks run on flat
+coordinate tuples (the layout of ``LinearNCat.offsets``: V_i at
+offsets[i]:offsets[i + 1] of L_m) through the ``flat_*`` structure maps, and
+evaluate each cell expression in basis cells once (``_Exprs``); ``Cell`` is
+built only where a public function returns one.
 
 Every check returns the shared ``report.Report``.  Witnesses name basis
 0-cells as (0, i) pairs, like the basis tuples of the homotopy-algebra side,
@@ -25,9 +28,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Sequence
-from math import prod
 
-from .graded import GradedSpace, GradedVector, check_signatures
+from .graded import GradedSpace, GradedVector, MultiMap, check_signatures
 from .lincat import Cell, LinearNCat, composites_defined
 from .linalg import Frozen, Matrix, Q, Vector, vadd, vis_zero, vscale, vsub, vzero
 from .linfinity import LInfinityData, check_all, is_special, linfty_residual
@@ -63,116 +65,156 @@ class Lie3Data(Frozen):
     def space(self) -> GradedSpace:
         return self.cat.space
 
-    # Tables of the cell operations, built from the component formulas on
-    # first use, so that constructing a Lie3Data compiles nothing.
+    # Tables of the cell operations, built on first use from the basis
+    # tables of the constants, so that constructing a Lie3Data builds none.
 
     @functools.cached_property
     def _bracket_table(self) -> dict:
-        """The bracket of 2-cells; on m-cells, whose flat coordinates are a
-        prefix, it is the bracket of m-cells, with no entries above level m."""
-        L = self.cat
-        return _compile((L.level_dim(2),) * 2, lambda a, b: _bracket_formula(
-            self, L.unflatten(2, a), L.unflatten(2, b)))
+        """The bracket of 2-cells (see ``bracket_cells``); on m-cells, whose
+        flat coordinates are a prefix, it is the bracket of m-cells.  On two
+        basis cells it is an entry of l2, except [f, g] = l2(f, t g) on V1."""
+        L, o = self.cat, self.cat.offsets
+        l2 = {(o[a] + i, o[b] + j): tuple((o[d] + k, c) for k, c in pairs)
+              for ((a, i), (b, j)), (d, pairs) in self.bracket_constants.table().items()}
+        t = L.t_matrix(1)
+        return _tabulate((L.level_dim(2),) * 2, lambda p, q: [
+            (c, l2.get((p, k), ())) for k, c in enumerate(t.col(q - o[1])) if c]
+            if o[1] <= min(p, q) and max(p, q) < o[2] else [(1, l2.get((p, q), ()))])
 
     @functools.cached_property
     def _J_table(self) -> dict:
-        return _compile((self.cat.dim(0),) * 3, lambda *xs: _J_formula(self, *xs))
+        """The 1-cells ([[x,y],z], J(x,y,z)) on basis triples."""
+        br, J = self._bracket_table, _on_objects(self.J, self.cat.offsets[1])
+        return _tabulate((self.cat.dim(0),) * 3, lambda x, y, z: [
+            (c, br.get((p, z), ())) for p, c in br.get((x, y), ())] + [(1, J.get((x, y, z), ()))])
 
     @functools.cached_property
     def _mu_table(self) -> dict:
-        return _compile((self.cat.dim(0),) * 4, lambda *xs: _mu_formula(self, *xs))
+        """The Identiator 2-cells on basis quadruples: [[[x,y],z],u] and
+        [J_xyz, u] from the J table, the other four terms of eta's V1 part
+        (see ``mu_cell``) and mu itself."""
+        L, Jc = self.cat, self._J_table
+        b = lambda p, q: self._bracket_table.get((p, q), ())
+        J, mu = _on_objects(self.J, L.offsets[1]), _on_objects(self.mu, L.offsets[2])
+        return _tabulate((L.dim(0),) * 4, lambda x, y, z, u: [
+            *((c, b(p, u)) for p, c in Jc.get((x, y, z), ())),
+            *((c, J.get((p, y, u), ())) for p, c in b(x, z)),
+            *((c, J.get((x, p, u), ())) for p, c in b(y, z)),
+            *((c, b(q, y)) for q, c in J.get((x, z, u), ())),
+            *((c, b(x, q)) for q, c in J.get((y, z, u), ())), (1, mu.get((x, y, z, u), ()))])
 
 
-# -- the cell operations, compiled into basis tables ------------------
+# -- the cell operations, tabulated over basis indices ----------------
 
 
-def _compile(dims: Sequence[int], formula) -> dict:
-    """Sparse table of a multilinear, cell-valued ``formula`` of flat
-    coordinate vectors: every tuple of basis indices, one per argument, with
-    a nonzero value -> the nonzero (index, coefficient) pairs of that value."""
-    units = [Matrix.eye(n).cols() for n in dims]
+def _tabulate(dims: Sequence[int], terms) -> dict:
+    """Sparse table of a multilinear map: each tuple of basis indices, one
+    per argument, with a nonzero value -> its nonzero (index, coefficient)
+    pairs, where ``terms`` gives the value as (coefficient, pairs) terms."""
     table = {}
     for key in itertools.product(*map(range, dims)):
-        value = itertools.chain(*formula(*(u[i] for u, i in zip(units, key))).components)
-        if pairs := tuple((i, c) for i, c in enumerate(value) if c):
-            table[key] = pairs
+        out = {}
+        for c, pairs in terms(*key):
+            for i, v in pairs:
+                out[i] = out.get(i, 0) + c * v
+        if value := tuple((i, v) for i, v in sorted(out.items()) if v):
+            table[key] = value
     return table
 
 
-def _contract(L: LinearNCat, m: int, table: dict, args: Sequence[Sequence[Q]]) -> Vector:
-    """The flat m-cell value of a compiled map on flat coordinate vectors,
-    summed over the product of the arguments' nonzero entries."""
-    supports = [[(i, c) for i, c in enumerate(a) if c] for a in args]
-    out = list(vzero(L.level_dim(m)))
-    for key, coeffs in zip(itertools.product(*([i for i, _ in s] for s in supports)),
-                           itertools.product(*([c for _, c in s] for s in supports))):
-        if (hit := table.get(key)) is not None:
-            c = prod(x for x in coeffs if x != 1)
-            for i, v in hit:
-                v = v if c == 1 else c * v
-                out[i] = out[i] + v if out[i] else v
-    return tuple(out)
+def _on_objects(f: MultiMap, offset: int) -> dict:
+    """The basis table of a map on 0-cells, keyed by basis indices, with its
+    values at ``offset`` in flat coordinates."""
+    return {tuple(i for _, i in key): tuple((offset + q, c) for q, c in pairs)
+            for key, (_, pairs) in f.table().items()}
+
+
+def _support(v: Sequence[Q]) -> list:
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _contract(L: LinearNCat, m: int, table: dict, *supports: list) -> tuple[Vector, list]:
+    """The flat m-cell value of a tabulated map, and its support, on
+    arguments given by their supports: these are folded left into (basis
+    key, coefficient) pairs, and each key in the table adds its entry times
+    the coefficient."""
+    terms = [((), 1)]
+    for s in supports:
+        terms = [(key + (i,), x if c == 1 else c if x == 1 else c * x)
+                 for key, c in terms for i, x in s]
+    acc = {}
+    for key, c in terms:
+        for i, v in table.get(key, ()):
+            acc[i] = acc.get(i, 0) + (v if c == 1 else c * v)
+    support, out = [(i, v) for i, v in sorted(acc.items()) if v], list(vzero(L.level_dim(m)))
+    for i, v in support:
+        out[i] = v
+    return tuple(out), support
 
 
 def _br(D: Lie3Data, m: int, a: Vector, b: Vector) -> Vector:
-    return _contract(D.cat, m, D._bracket_table, (a, b))
+    return _contract(D.cat, m, D._bracket_table, _support(a), _support(b))[0]
 
 
-def _J(D: Lie3Data, *xs: Vector) -> Vector:
-    return _contract(D.cat, 1, D._J_table, xs)
+class _Exprs:
+    """Cell expressions in 0-cells and 2-cells, each evaluated once.
+
+    An expression is an (id, flat value, support, size) tuple, its size the
+    number of leaves in it.  An operation is looked up by the ids of its
+    arguments, so its key comes down to the leaves (basis 0-cells and 2-cells
+    in the checks), never to Fraction values.  An expression of more than
+    ``keep`` leaves is not stored: the checks pass the number of arguments of
+    one input when no such expression recurs in another."""
+
+    def __init__(self, D: Lie3Data, keep: int):
+        self.D, self.keep, self.memo, self._ids = D, keep, {}, itertools.count()
+        self.zeros = [(next(self._ids), vzero(D.cat.level_dim(m)), [], 0) for m in range(3)]
+
+    def leaf(self, v: Sequence[Q]) -> tuple:
+        return next(self._ids), tuple(v), _support(v), 1
+
+    def basis(self) -> list[tuple]:
+        return [self.leaf(e) for e in Matrix.eye(self.D.cat.dim(0)).cols()]
+
+    def _apply(self, key: tuple, m: int, table: dict, *xs: tuple) -> tuple:
+        if (hit := self.memo.get(key)) is None:
+            if not all(x[2] for x in xs):  # a multilinear map of a zero argument
+                return self.zeros[m]
+            hit = (next(self._ids), *_contract(self.D.cat, m, table, *(x[2] for x in xs)),
+                   sum(x[3] for x in xs))
+            if hit[3] <= self.keep:
+                self.memo[key] = hit
+        return hit
+
+    def br(self, m: int, a: tuple, b: tuple) -> tuple:
+        return self._apply((m, a[0], b[0]), m, self.D._bracket_table, a, b)
+
+    def J(self, x: tuple, y: tuple, z: tuple) -> tuple:
+        return self._apply(("J", x[0], y[0], z[0]), 1, self.D._J_table, x, y, z)
+
+    def mu(self, x: tuple, y: tuple, z: tuple, u: tuple) -> tuple:
+        return self._apply(("mu", x[0], y[0], z[0], u[0]), 2, self.D._mu_table, x, y, z, u)
+
+    def one(self, w: tuple, k: int) -> tuple:
+        """The identity k-cell of the 0-cell w."""
+        if (hit := self.memo.get(key := ("1", k, w[0]))) is None:
+            hit = self.memo[key] = (next(self._ids), self.D.cat.flat_identity(0, w[1], k), *w[2:])
+        return hit
 
 
-def _mu(D: Lie3Data, *xs: Vector) -> Vector:
-    return _contract(D.cat, 2, D._mu_table, xs)
-
-
-def _sum(*vs: Vector) -> Vector:
-    return functools.reduce(vadd, vs)
-
-
-def _bracket_formula(D: Lie3Data, a: Cell, b: Cell) -> Cell:
-    """[a, b] for m-cells, m <= 2, in components: [(x,f,a'), (y,g,b')] =
-    (l2(x,y), l2(x,g) + l2(f, tg), l2(x,b') + l2(a',y)) with tg = y + l1 g;
-    lower levels are the truncations of this formula."""
-    m = a.level
-    l2 = D.bracket_constants.eval_blocks
-    x, y = a.components[0], b.components[0]
-    v0 = l2([(0, x), (0, y)])
-    if m == 0:
-        return Cell(0, (v0,))
-    f, g = a.components[1], b.components[1]
-    tg = vadd(y, D.cat.t_matrix(1).apply(g))
-    v1 = vadd(l2([(0, x), (1, g)]), l2([(1, f), (0, tg)]))
-    if m == 1:
-        return Cell(1, (v0, v1))
-    a2, b2 = a.components[2], b.components[2]
-    v2 = vadd(l2([(0, x), (2, b2)]), l2([(2, a2), (0, y)]))
-    return Cell(2, (v0, v1, v2))
-
-
-def _J_formula(D: Lie3Data, x: Sequence[Q], y: Sequence[Q], z: Sequence[Q]) -> Cell:
-    l2 = lambda p, q: D.bracket_constants.eval_blocks([(0, p), (0, q)])
-    return Cell(1, (l2(l2(x, y), z), D.J.eval_blocks([(0, x), (0, y), (0, z)])))
-
-
-def _mu_formula(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
-                z: Sequence[Q], u: Sequence[Q]) -> Cell:
-    """Composition along 0-cells adds V1 parts and identity paddings have
-    none, so eta's V1 part is the sum of the V1 parts of its four factors
-    (see ``eta_epsilon``): [J_xyz, u] + J_{[x,z],y,u} + J_{x,[y,z],u}
-    + [J_xzu, y] + [x, J_yzu]."""
-    l2, J = D.bracket_constants.eval_blocks, D.J.eval_blocks
-    br = lambda p, q: l2([(0, p), (0, q)])
-    j1 = lambda a, b, c: J([(0, a), (0, b), (0, c)])
-    v1 = functools.reduce(vadd, [
-        l2([(1, j1(x, y, z)), (0, u)]), j1(br(x, z), y, u), j1(x, br(y, z), u),
-        l2([(1, j1(x, z, u)), (0, y)]), l2([(0, x), (1, j1(y, z, u))])])
-    mv = D.mu.eval_blocks([(0, w) for w in (x, y, z, u)])
-    return Cell(2, (br(br(br(x, y), z), u), v1, mv))
+def _sum(*xs: tuple) -> Vector:
+    """The value of a sum of expressions, added along their supports."""
+    out = list(xs[0][1])
+    for x in xs[1:]:
+        for i, v in x[2]:
+            out[i] = out[i] + v if out[i] else v
+    return tuple(out)
 
 
 def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
-    """[a, b] for m-cells, m <= 2 (see ``_bracket_formula``)."""
+    """[a, b] for m-cells, m <= 2, in components: [(x,f,a'), (y,g,b')] =
+    (l2(x,y), l2(x,g) + l2(f, tg), l2(x,b') + l2(a',y)) with tg = y + l1 g;
+    lower levels are the truncations of this formula."""
     if a.level != b.level:
         raise ValueError("bracket needs cells of equal level")
     L = D.cat
@@ -185,14 +227,16 @@ def bracket_objects(D: Lie3Data, x: Sequence[Q], y: Sequence[Q]) -> Vector:
 
 def J_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q], z: Sequence[Q]) -> Cell:
     """The 1-cell ([[x,y],z], J(x,y,z)) from [[x,y],z] to [[x,z],y]+[x,[y,z]]."""
-    return D.cat.unflatten(1, _J(D, x, y, z))
+    return D.cat.unflatten(1, _contract(D.cat, 1, D._J_table, *map(_support, (x, y, z)))[0])
 
 
 def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
             z: Sequence[Q], u: Sequence[Q]) -> Cell:
-    """The Identiator 2-cell ([[[x,y],z],u], eta-V1-part, mu(x,y,z,u)), with
-    eta's V1 part in closed form (see ``_mu_formula``)."""
-    return D.cat.unflatten(2, _mu(D, x, y, z, u))
+    """The Identiator 2-cell ([[[x,y],z],u], eta-V1-part, mu(x,y,z,u)).  As
+    composition along 0-cells adds V1 parts, eta's is the sum of those of its
+    factors (see ``eta_epsilon``): [J_xyz,u] + J_{[x,z],y,u} + J_{x,[y,z],u}
+    + [J_xzu,y] + [x,J_yzu]."""
+    return D.cat.unflatten(2, _contract(D.cat, 2, D._mu_table, *map(_support, (x, y, z, u)))[0])
 
 
 # -- composites with automatic identity padding -----------------------
@@ -208,20 +252,20 @@ def _fold_compose(D: Lie3Data, m: int, factors: Sequence[Vector]) -> Vector:
     return acc
 
 
-def _eta_epsilon(D: Lie3Data, x, y, z, u) -> tuple[Vector, Vector]:
-    br = lambda p, q: _br(D, 0, p, q)
-    one = lambda w: D.cat.flat_identity(0, w, 1)
-    bc = lambda c, d: _br(D, 1, c, d)
-    eta = _fold_compose(D, 1, [
-        bc(_J(D, x, y, z), one(u)),
-        vadd(_J(D, br(x, z), y, u), _J(D, x, br(y, z), u)),
-        bc(_J(D, x, z, u), one(y)),
-        bc(one(x), _J(D, y, z, u)),
+def _eta_epsilon(E: _Exprs, x, y, z, u) -> tuple[Vector, Vector]:
+    br = lambda p, q: E.br(0, p, q)
+    one = lambda w: E.one(w, 1)
+    bc = lambda c, d: E.br(1, c, d)
+    eta = _fold_compose(E.D, 1, [
+        _sum(bc(E.J(x, y, z), one(u))),
+        _sum(E.J(br(x, z), y, u), E.J(x, br(y, z), u)),
+        _sum(bc(E.J(x, z, u), one(y))),
+        _sum(bc(one(x), E.J(y, z, u))),
     ])
-    eps = _fold_compose(D, 1, [
-        _J(D, br(x, y), z, u),
-        bc(_J(D, x, y, u), one(z)),
-        _sum(_J(D, x, br(y, u), z), _J(D, br(x, u), y, z), _J(D, x, y, br(z, u))),
+    eps = _fold_compose(E.D, 1, [
+        _sum(E.J(br(x, y), z, u)),
+        _sum(bc(E.J(x, y, u), one(z))),
+        _sum(E.J(x, br(y, u), z), E.J(br(x, u), y, z), E.J(x, y, br(z, u))),
     ])
     return eta, eps
 
@@ -235,7 +279,8 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
     eps = J_{[x,y],z,u} o ([J_{xyu},1_z]+1)
           o (J_{x,[y,u],z}+J_{[x,u],y,z}+J_{x,y,[z,u]}).
     """
-    eta, eps = _eta_epsilon(D, x, y, z, u)
+    E = _Exprs(D, 4)
+    eta, eps = _eta_epsilon(E, *map(E.leaf, (x, y, z, u)))
     return D.cat.unflatten(1, eta), D.cat.unflatten(1, eps)
 
 
@@ -348,50 +393,62 @@ def check_bifunctor(D: Lie3Data) -> Report:
     return col.report()
 
 
-def _naturality_squares(D: Lie3Data, col: Collector, F, G, theta, arity: int):
+def _naturality_squares(E: _Exprs, col: Collector, F, G, theta, arity: int):
     """Yield (witness, residual) for F(..alpha..) o theta(targets) minus
     theta(sources) o G(..alpha..), for a flat 2-cell-valued theta on 0-cells,
     basis 0-cells in all slots but one and a basis 2-cell alpha in that slot.
-    The witness is (slot, the 0-cells, alpha's code); an undefined composite
-    goes to ``col`` as a "composable" failure instead."""
-    L = D.cat
-    e0 = Matrix.eye(L.dim(0)).cols()
-    alphas = [(c, L.flat_coded(c)) for c in L.spanning_codes(2)]
+    F, G and theta take expressions of E, so a bracket is evaluated once
+    per distinct expression: one without alpha once for all slots, a prefix
+    such as [alpha, 1_b] once for all the 0-cells after b.  A square whose
+    alpha is 1^2 of a basis 0-cell depends only on all its 0-cells, so it is
+    evaluated once for all slots.  The witness is (slot, the 0-cells,
+    alpha's code); an undefined composite goes to ``col`` as a "composable"
+    failure instead."""
+    L = E.D.cat
+    objs = E.basis()
+    ids = [E.one(x, 2) for x in objs]
+    # each basis 2-cell: its code, alpha, and its source and target 0-cells
+    alphas = [(c, ids[c[0]], objs[c[0]], objs[c[0]]) if c[0] is not None else
+              (c, E.leaf(a := L.flat_coded(c)), E.leaf(L.flat_source(2, a, 2)),
+               E.leaf(L.flat_target(2, a, 2))) for c in L.spanning_codes(2)]
+    seen = {}  # residuals of the squares of identity alphas, by all their 0-cells
     for slot in range(arity):
         for key in itertools.product(range(L.dim(0)), repeat=arity - 1):
-            objs = [e0[i] for i in key]
-            ids = [L.flat_identity(0, x, 2) for x in objs]
-            for ca, alpha in alphas:
+            obs, args = [objs[i] for i in key], [ids[i] for i in key]
+            for ca, alpha, s, t in alphas:
                 w = (slot, _objects(key), ca)
-                args = ids[:slot] + [alpha] + ids[slot:]
-                t_objs = objs[:slot] + [L.flat_target(2, alpha, 2)] + objs[slot:]
-                s_objs = objs[:slot] + [L.flat_source(2, alpha, 2)] + objs[slot:]
+                a = args[:slot] + [alpha] + args[slot:]
+                where = None if ca[0] is None else key[:slot] + (ca[0],) + key[slot:]
                 with composites_defined(col, w):
-                    yield w, vsub(L.flat_compose(2, F(*args), theta(t_objs), 0),
-                                  L.flat_compose(2, theta(s_objs), G(*args), 0))
+                    if (res := seen.get(where)) is None:
+                        res = vsub(L.flat_compose(2, F(*a), theta(obs[:slot] + [t] + obs[slot:]), 0),
+                                   L.flat_compose(2, theta(obs[:slot] + [s] + obs[slot:]), G(*a), 0))
+                        if where is not None:
+                            seen[where] = res
+                    yield w, res
 
 
 def check_jacobiator(D: Lie3Data) -> Report:
     """Target condition and 2-naturality (in each argument slot) of J."""
     L = D.cat
     col = Collector("jacobiator")
-    e0 = Matrix.eye(L.dim(0)).cols()
-    bo = lambda p, q: _br(D, 0, p, q)
+    E = _Exprs(D, 2)  # an expression in all three arguments belongs to one input
+    e0, bo = E.basis(), lambda p, q: E.br(0, p, q)
 
     # target: t J_{xyz} = [[x,z],y] + [x,[y,z]]
     for key in itertools.product(range(L.dim(0)), repeat=3):
         x, y, z = (e0[i] for i in key)
-        col.compare("target", _objects(key), L.flat_target(1, _J(D, x, y, z)),
-                    vadd(bo(bo(x, z), y), bo(x, bo(y, z))))
+        col.compare("target", _objects(key), L.flat_target(1, E.J(x, y, z)[1]),
+                    _sum(bo(bo(x, z), y), bo(x, bo(y, z))))
 
     # [[c1, c2], c3] o J(targets) = J(sources) o ([[c1, c3], c2] + [c1, [c2, c3]])
-    br = lambda a, b: _br(D, 2, a, b)
-    F = lambda c1, c2, c3: br(br(c1, c2), c3)
-    G = lambda c1, c2, c3: vadd(br(br(c1, c3), c2), br(c1, br(c2, c3)))
-    theta = lambda objs: L.flat_identity(1, _J(D, *objs))
+    br = lambda a, b: E.br(2, a, b)
+    F = lambda c1, c2, c3: _sum(br(br(c1, c2), c3))
+    G = lambda c1, c2, c3: _sum(br(br(c1, c3), c2), br(c1, br(c2, c3)))
+    theta = lambda objs: L.flat_identity(1, E.J(*objs)[1])
     v1, v2 = L.level_dim(0), L.level_dim(1)
     z1, z2 = vzero(L.dim(1)), vzero(L.dim(2))
-    for w, res in _naturality_squares(D, col, F, G, theta, 3):
+    for w, res in _naturality_squares(E, col, F, G, theta, 3):
         col.compare("naturality-v1", w, res[v1:v2], z1)
         col.compare("naturality-v2", w, res[v2:], z2)
     return col.report()
@@ -401,28 +458,30 @@ def check_identiator(D: Lie3Data) -> Report:
     """Boundary conditions and the modification law of the Identiator."""
     L = D.cat
     col = Collector("identiator")
-    e0 = Matrix.eye(L.dim(0)).cols()
+    E = _Exprs(D, 4)  # each quadruple is also a permutation of three others
+    e0 = E.basis()
 
     # s mu = eta and t mu = eps
     for key in itertools.product(range(L.dim(0)), repeat=4):
         objs = [e0[i] for i in key]
-        eta, eps = _eta_epsilon(D, *objs)
-        mc, w = _mu(D, *objs), _objects(key)
+        eta, eps = _eta_epsilon(E, *objs)
+        mc, w = E.mu(*objs)[1], _objects(key)
         col.compare("source", w, L.flat_source(2, mc), eta)
         col.compare("target", w, L.flat_target(2, mc), eps)
 
     # modification law in each slot:
     # F(..alpha..) o mu(targets) = mu(sources) o G(..alpha..)
-    br = lambda a, b: _br(D, 2, a, b)
+    E = _Exprs(D, 3)  # an expression in all four cells belongs to one square
+    br = lambda a, b: E.br(2, a, b)
 
     def G(c1, c2, c3, c4):
         c24, c14, c34 = br(c2, c4), br(c1, c4), br(c3, c4)
         return _sum(br(br(c1, c3), c24), br(c1, br(c24, c3)), br(br(c14, c3), c2),
                     br(c14, br(c2, c3)), br(br(c1, c34), c2), br(c1, br(c2, c34)))
-    F = lambda c1, c2, c3, c4: br(br(br(c1, c2), c3), c4)
+    F = lambda c1, c2, c3, c4: _sum(br(br(br(c1, c2), c3), c4))
     v1, v2 = L.level_dim(0), L.level_dim(1)
     zero = vzero(L.level_dim(2))
-    for w, res in _naturality_squares(D, col, F, G, lambda objs: _mu(D, *objs), 4):
+    for w, res in _naturality_squares(E, col, F, G, lambda objs: E.mu(*objs)[1], 4):
         which = "v2" if vis_zero(res[v1:v2]) else "v1"
         col.compare(f"modification-{which}", w, res, zero)
     return col.report()
@@ -431,57 +490,56 @@ def check_identiator(D: Lie3Data) -> Report:
 # -- the coherence law ------------------------------------------------
 
 
-def _alpha(D: Lie3Data, i: int, x, y, z, u, v) -> Vector:
-    br = lambda p, q: _br(D, 0, p, q)
-    one1 = lambda w: D.cat.flat_identity(0, w, 1)
-    one2 = lambda c: D.cat.flat_identity(1, c)  # identity 2-cell of a 1-cell
-    bc1 = lambda a, b: _br(D, 1, a, b)
-    bc2 = lambda a, b: _br(D, 2, a, b)
-    mu = lambda a, b, c, d: _mu(D, a, b, c, d)
-    J = lambda a, b, c: _J(D, a, b, c)
-    id2v = lambda w: D.cat.flat_identity(0, w, 2)  # squared identity of an object
+def _alpha(E: _Exprs, i: int, x, y, z, u, v) -> Vector:
+    br = lambda p, q: E.br(0, p, q)
+    one1 = lambda w: E.one(w, 1)
+    one2 = lambda *cs: E.D.cat.flat_identity(1, _sum(*cs))  # identity 2-cell of a 1-cell
+    bc1 = lambda a, b: E.br(1, a, b)
+    bc2 = lambda a, b: E.br(2, a, b)
+    mu, J = E.mu, E.J
+    id2v = lambda w: E.one(w, 2)  # squared identity of an object
 
     if i == 1:
-        return _fold_compose(D, 2, [
+        return _fold_compose(E.D, 2, [
             one2(J(br(br(x, y), z), u, v)),
-            vadd(mu(x, y, z, br(u, v)), bc2(mu(x, y, z, v), id2v(u))),
-            one2(_sum(bc1(J(x, br(z, v), y), one1(u)), bc1(J(br(x, v), z, y), one1(u)),
-                      bc1(J(x, z, br(y, v)), one1(u)))),
+            _sum(mu(x, y, z, br(u, v)), bc2(mu(x, y, z, v), id2v(u))),
+            one2(bc1(J(x, br(z, v), y), one1(u)), bc1(J(br(x, v), z, y), one1(u)),
+                 bc1(J(x, z, br(y, v)), one1(u))),
             _sum(mu(br(x, v), y, z, u), mu(x, br(y, v), z, u), mu(x, y, br(z, v), u)),
         ])
     if i == 4:
-        return _fold_compose(D, 2, [
-            bc2(mu(x, y, z, u), id2v(v)),
-            one2(_sum(bc1(J(br(x, u), z, y), one1(v)), bc1(J(x, z, br(y, u)), one1(v)),
-                      bc1(J(x, br(z, u), y), one1(v)))),
+        return _fold_compose(E.D, 2, [
+            _sum(bc2(mu(x, y, z, u), id2v(v))),
+            one2(bc1(J(br(x, u), z, y), one1(v)), bc1(J(x, z, br(y, u)), one1(v)),
+                 bc1(J(x, br(z, u), y), one1(v))),
             _sum(mu(br(x, u), y, z, v), mu(x, br(y, u), z, v), mu(x, y, br(z, u), v)),
-            one2(_sum(bc1(bc1(J(x, u, v), one1(z)), one1(y)), bc1(J(x, u, v), one1(br(y, z))),
-                      bc1(one1(x), bc1(J(y, u, v), one1(z))),
-                      bc1(bc1(one1(x), J(z, u, v)), one1(y)),
-                      bc1(one1(x), bc1(one1(y), J(z, u, v))),
-                      bc1(one1(br(x, z)), J(y, u, v)))),
+            one2(bc1(bc1(J(x, u, v), one1(z)), one1(y)), bc1(J(x, u, v), one1(br(y, z))),
+                 bc1(one1(x), bc1(J(y, u, v), one1(z))),
+                 bc1(bc1(one1(x), J(z, u, v)), one1(y)),
+                 bc1(one1(x), bc1(one1(y), J(z, u, v))),
+                 bc1(one1(br(x, z)), J(y, u, v))),
         ])
     if i == 3:
-        return _fold_compose(D, 2, [
-            mu(br(x, y), z, u, v),
+        return _fold_compose(E.D, 2, [
+            _sum(mu(br(x, y), z, u, v)),
             one2(bc1(J(br(x, y), v, u), one1(z))),
-            bc2(mu(x, y, u, v), id2v(z)),
-            one2(_sum(bc1(J(x, y, v), one1(br(z, u))), J(x, y, br(br(z, v), u)),
-                      J(x, y, br(z, br(u, v))), J(br(br(x, v), u), y, z),
-                      J(br(x, v), br(y, u), z), J(br(x, u), br(y, v), z),
-                      J(x, br(br(y, v), u), z), J(br(x, br(u, v)), y, z),
-                      J(x, br(y, br(u, v)), z), bc1(J(x, y, u), one1(br(z, v))))),
-            one2(_sum(J(x, br(y, v), br(z, u)), J(br(x, v), y, br(z, u)),
-                      J(x, br(y, u), br(z, v)), J(br(x, u), y, br(z, v)))),
+            _sum(bc2(mu(x, y, u, v), id2v(z))),
+            one2(bc1(J(x, y, v), one1(br(z, u))), J(x, y, br(br(z, v), u)),
+                 J(x, y, br(z, br(u, v))), J(br(br(x, v), u), y, z),
+                 J(br(x, v), br(y, u), z), J(br(x, u), br(y, v), z),
+                 J(x, br(br(y, v), u), z), J(br(x, br(u, v)), y, z),
+                 J(x, br(y, br(u, v)), z), bc1(J(x, y, u), one1(br(z, v)))),
+            one2(J(x, br(y, v), br(z, u)), J(br(x, v), y, br(z, u)),
+                 J(x, br(y, u), br(z, v)), J(br(x, u), y, br(z, v))),
         ])
     if i == 2:
-        return _fold_compose(D, 2, [
+        return _fold_compose(E.D, 2, [
             one2(bc1(bc1(J(x, y, z), one1(u)), one1(v))),
-            vadd(mu(br(x, z), y, u, v), mu(x, br(y, z), u, v)),
-            one2(vadd(bc1(one1(x), J(br(y, z), v, u)), bc1(J(br(x, z), v, u), one1(y)))),
-            vadd(bc2(id2v(x), mu(y, z, u, v)), bc2(mu(x, z, u, v), id2v(y))),
-            one2(_sum(bc1(J(x, z, v), one1(br(y, u))), bc1(J(x, z, u), one1(br(y, v))),
-                      bc1(one1(br(x, v)), J(y, z, u)), bc1(one1(br(x, u)), J(y, z, v)))),
+            _sum(mu(br(x, z), y, u, v), mu(x, br(y, z), u, v)),
+            one2(bc1(one1(x), J(br(y, z), v, u)), bc1(J(br(x, z), v, u), one1(y))),
+            _sum(bc2(id2v(x), mu(y, z, u, v)), bc2(mu(x, z, u, v), id2v(y))),
+            one2(bc1(J(x, z, v), one1(br(y, u))), bc1(J(x, z, u), one1(br(y, v))),
+                 bc1(one1(br(x, v)), J(y, z, u)), bc1(one1(br(x, u)), J(y, z, v))),
         ])
     raise ValueError("i must be in 1..4")
 
@@ -492,17 +550,19 @@ def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
     Each is a chain of 2-cells composed along 0-cells; the unnamed identity
     paddings are resolved automatically from the composability conditions.
     """
-    return D.cat.unflatten(2, _alpha(D, i, x, y, z, u, v))
+    E = _Exprs(D, 5)
+    return D.cat.unflatten(2, _alpha(E, i, *map(E.leaf, (x, y, z, u, v))))
 
 
-def _coherence_residual(D: Lie3Data, *objs) -> Vector:
-    a1, a2, a3, a4 = (_alpha(D, i, *objs) for i in (1, 2, 3, 4))
-    return vsub(vadd(a1, _inverse2(D, a4)), vadd(a3, _inverse2(D, a2)))
+def _coherence_residual(E: _Exprs, *objs) -> Vector:
+    a1, a2, a3, a4 = (_alpha(E, i, *objs) for i in (1, 2, 3, 4))
+    return vsub(vadd(a1, _inverse2(E.D, a4)), vadd(a3, _inverse2(E.D, a2)))
 
 
 def coherence_residual(D: Lie3Data, x, y, z, u, v) -> Cell:
     """(alpha1 + alpha4^{-1}) - (alpha3 + alpha2^{-1}) on five 0-cells."""
-    return D.cat.unflatten(2, _coherence_residual(D, x, y, z, u, v))
+    E = _Exprs(D, 5)
+    return D.cat.unflatten(2, _coherence_residual(E, *map(E.leaf, (x, y, z, u, v))))
 
 
 def check_coherence(D: Lie3Data, tuples=None) -> Report:
@@ -517,7 +577,8 @@ def check_coherence(D: Lie3Data, tuples=None) -> Report:
     """
     L = D.cat
     n0 = L.dim(0)
-    e0 = Matrix.eye(n0).cols()
+    E = _Exprs(D, 4)  # no two canonical quintuples share an expression of all five
+    e0 = E.basis()
     if tuples is None:
         tuples = itertools.combinations_with_replacement(range(n0), 5)
     data = _raw_linfinity(D)
@@ -525,7 +586,7 @@ def check_coherence(D: Lie3Data, tuples=None) -> Report:
     zero = vzero(L.level_dim(2))
     for key in tuples:
         w = _objects(key)
-        res = _coherence_residual(D, *(e0[i] for i in key))
+        res = _coherence_residual(E, *(e0[i] for i in key))
         r5 = linfty_residual(data, 5, [GradedVector.basis_vector(D.space, 0, i) for i in key])
         col.compare("coherence", w, res, zero)
         col.compare("order5-agreement", w, res[L.level_dim(1):], r5.component(2))

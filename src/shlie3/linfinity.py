@@ -16,6 +16,7 @@ residual the degree sum(d_i) + n - 3 block of the left-hand side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from math import prod
@@ -49,6 +50,15 @@ class LInfinityData(Frozen):
                              MultiMap.zero(3, 1, space), MultiMap.zero(4, 2, space))
 
 
+@functools.cache
+def _shuffle_terms(n: int, degrees: tuple[int, ...]) -> tuple:
+    """(sign, i, positions) of the shuffle terms of order n on these degrees."""
+    return tuple((koszul_chi(s, degrees) * (-1) ** (i * (n - i)), i,
+                  tuple(p - 1 for p in s.images))
+                 for i in range(max(1, n - 3), min(n, 4) + 1)
+                 for s in enumerate_shuffles(i, n - i))
+
+
 def _accumulate(data: LInfinityData, key: Key, terms: dict, coeff, out: dict) -> int:
     """Add coeff times the order-len(key) residual on a basis tuple (any order)
     to the index -> coefficient dict ``out``; return its degree.  ``terms``
@@ -59,11 +69,9 @@ def _accumulate(data: LInfinityData, key: Key, terms: dict, coeff, out: dict) ->
         return r  # every term lands outside the grading
     if degrees not in terms:
         terms[degrees] = [
-            (koszul_chi(s, degrees) * (-1) ** (i * (n - i)), i, [p - 1 for p in s.images],
-             data.bracket(i).table(), data.bracket(n + 1 - i).table())
-            for i in range(max(1, n - 3), min(n, 4) + 1)
-            if data.bracket(i).coeffs and data.bracket(n + 1 - i).coeffs
-            for s in enumerate_shuffles(i, n - i)]
+            (sign, i, pos, data.bracket(i).table(), data.bracket(n + 1 - i).table())
+            for sign, i, pos in _shuffle_terms(n, degrees)
+            if data.bracket(i).coeffs and data.bracket(n + 1 - i).coeffs]
     for sign, i, pos, li, lj in terms[degrees]:
         perm = tuple(key[p] for p in pos)
         inner = li.get(perm[:i])

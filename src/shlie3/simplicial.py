@@ -45,15 +45,21 @@ class SimplicialVS(Frozen):
                     raise ValueError(f"degeneracy at level {n} has shape {s.shape}")
         self._check_identities()
 
+    @staticmethod
+    def map_indices(N: int) -> tuple[list, list]:
+        """The (n, i) of the faces d_i on S_n, n in 1..N, and of the
+        degeneracies s_i on S_n, n in 0..N-1, level by level."""
+        levels = lambda ns: [[(n, i) for i in range(n + 1)] for n in ns]
+        return levels(range(1, N + 1)), levels(range(N))
+
     @classmethod
     def from_maps(cls, dims: Sequence[int], face: Callable[[int, int], Matrix],
                   degen: Callable[[int, int], Matrix]) -> SimplicialVS:
-        """The space with d_i = face(n, i) on S_n for n in 1..N and s_i =
-        degen(n, i) on S_n for n in 0..N-1; every face is built first."""
-        N = len(dims) - 1
-        faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, N + 1))
-        degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(N))
-        return cls(tuple(dims), faces, degens)
+        """The space with d_i = face(n, i) and s_i = degen(n, i) at the
+        ``map_indices`` of its truncation; every face is built first."""
+        faces, degens = cls.map_indices(len(dims) - 1)
+        return cls(tuple(dims), tuple(tuple(face(n, i) for n, i in ni) for ni in faces),
+                   tuple(tuple(degen(n, i) for n, i in ni) for ni in degens))
 
     def _check_identities(self):
         N = self.trunc

@@ -223,9 +223,9 @@ def build_simplicial(spec: AlgebraSpecFile):
 
     expect_kind(spec, "simplicial")
     dims = spec.dims
-    N = len(dims) - 1
-    allowed = {f"d:{n}:{i}" for n in range(1, N + 1) for i in range(n + 1)}
-    allowed |= {f"s:{n}:{i}" for n in range(N) for i in range(n + 1)}
+    faces, degens = SimplicialVS.map_indices(len(dims) - 1)
+    allowed = {f"{c}:{n}:{i}" for c, levels in (("d", faces), ("s", degens))
+               for level in levels for n, i in level}
     for k in spec.maps:
         if k not in allowed:
             raise SpecError(f"unknown map {k!r}", "$.maps")

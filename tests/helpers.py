@@ -7,6 +7,7 @@ coded independently of the library internals they are used to check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction as Q
@@ -14,7 +15,7 @@ from fractions import Fraction as Q
 from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, enumerate_shuffles, koszul_chi)
-from shlie3.lie3 import J_cell, bracket_cells, bracket_objects, mu_cell
+from shlie3.lie3 import bracket_cells, bracket_objects
 from shlie3.lincat import Cell, ComposabilityError, LinearNCat
 from shlie3.linalg import Matrix, vadd, vis_zero, vscale, vzero
 from shlie3.linfinity import LInfinityData, degree_tag, linfty_residual
@@ -577,9 +578,51 @@ def seed_axioms_hold(L, comp) -> bool:
 # The structure maps by their component formulas on ``Cell``s, and the
 # bifunctor, Jacobiator, Identiator and coherence checks written on them,
 # exactly as the library ran them before the checks moved to flat
-# coordinate tuples.  The cell operations (bracket, J and mu cells) are the
-# library's public ones; their tables are checked against the component
-# formulas separately.
+# coordinate tuples.  The Jacobiator and Identiator cells are their
+# component formulas below, evaluated on the bracket constants, J and mu;
+# the bracket of cells is the library's public one, whose table is checked
+# against ``bracket_formula`` separately.
+
+
+def bracket_formula(D, a, b) -> Cell:
+    """[a, b] for m-cells, m <= 2, in components: [(x,f,a'), (y,g,b')] =
+    (l2(x,y), l2(x,g) + l2(f, tg), l2(x,b') + l2(a',y)) with tg = y + l1 g;
+    lower levels are the truncations of this formula."""
+    m = a.level
+    l2 = D.bracket_constants.eval_blocks
+    x, y = a.components[0], b.components[0]
+    v0 = l2([(0, x), (0, y)])
+    if m == 0:
+        return Cell(0, (v0,))
+    f, g = a.components[1], b.components[1]
+    tg = vadd(y, D.cat.t_matrix(1).apply(g))
+    v1 = vadd(l2([(0, x), (1, g)]), l2([(1, f), (0, tg)]))
+    if m == 1:
+        return Cell(1, (v0, v1))
+    a2, b2 = a.components[2], b.components[2]
+    v2 = vadd(l2([(0, x), (2, b2)]), l2([(2, a2), (0, y)]))
+    return Cell(2, (v0, v1, v2))
+
+
+def J_formula(D, x, y, z) -> Cell:
+    """The Jacobiator 1-cell ([[x,y],z], J(x,y,z)) in components."""
+    l2 = lambda p, q: D.bracket_constants.eval_blocks([(0, p), (0, q)])
+    return Cell(1, (l2(l2(x, y), z), D.J.eval_blocks([(0, x), (0, y), (0, z)])))
+
+
+def mu_formula(D, x, y, z, u) -> Cell:
+    """The Identiator 2-cell in components.  Composition along 0-cells adds
+    V1 parts and identity paddings have none, so eta's V1 part is the sum of
+    the V1 parts of its four factors: [J_xyz, u] + J_{[x,z],y,u}
+    + J_{x,[y,z],u} + [J_xzu, y] + [x, J_yzu]."""
+    l2, J = D.bracket_constants.eval_blocks, D.J.eval_blocks
+    br = lambda p, q: l2([(0, p), (0, q)])
+    j1 = lambda a, b, c: J([(0, a), (0, b), (0, c)])
+    v1 = functools.reduce(vadd, [
+        l2([(1, j1(x, y, z)), (0, u)]), j1(br(x, z), y, u), j1(x, br(y, z), u),
+        l2([(1, j1(x, z, u)), (0, y)]), l2([(0, x), (1, j1(y, z, u))])])
+    mv = D.mu.eval_blocks([(0, w) for w in (x, y, z, u)])
+    return Cell(2, (br(br(br(x, y), z), u), v1, mv))
 
 class SeedCat:
     """A LinearNCat whose source, target, identity and composition are the
@@ -674,15 +717,16 @@ def seed_eta_epsilon(D, x, y, z, u):
     one = lambda w: C.cell_from_v0(w, 1)
     bc = lambda c, d: bracket_cells(D, c, d)
     eta = seed_fold_compose(C, [
-        bc(J_cell(D, x, y, z), one(u)),
-        J_cell(D, br(x, z), y, u) + J_cell(D, x, br(y, z), u),
-        bc(J_cell(D, x, z, u), one(y)),
-        bc(one(x), J_cell(D, y, z, u)),
+        bc(J_formula(D, x, y, z), one(u)),
+        J_formula(D, br(x, z), y, u) + J_formula(D, x, br(y, z), u),
+        bc(J_formula(D, x, z, u), one(y)),
+        bc(one(x), J_formula(D, y, z, u)),
     ])
     eps = seed_fold_compose(C, [
-        J_cell(D, br(x, y), z, u),
-        bc(J_cell(D, x, y, u), one(z)),
-        J_cell(D, x, br(y, u), z) + J_cell(D, br(x, u), y, z) + J_cell(D, x, y, br(z, u)),
+        J_formula(D, br(x, y), z, u),
+        bc(J_formula(D, x, y, u), one(z)),
+        J_formula(D, x, br(y, u), z) + J_formula(D, br(x, u), y, z)
+        + J_formula(D, x, y, br(z, u)),
     ])
     return eta, eps
 
@@ -801,9 +845,9 @@ def seed_check_jacobiator(D) -> Report:
     bo = lambda p, q: bracket_objects(D, p, q)
     for key in itertools.product(range(L.dim(0)), repeat=3):
         x, y, z = (e0[i] for i in key)
-        col.compare("target", _objects(key), L.target(J_cell(D, x, y, z)).components[0],
+        col.compare("target", _objects(key), L.target(J_formula(D, x, y, z)).components[0],
                     vadd(bo(bo(x, z), y), bo(x, bo(y, z))))
-    theta = lambda objs: L.identity(J_cell(D, *objs))
+    theta = lambda objs: L.identity(J_formula(D, *objs))
     z1, z2 = vzero(L.dim(1)), vzero(L.dim(2))
     for w, res in seed_naturality_squares(D, col, _jac_F, _jac_G, theta, 3):
         col.compare("naturality-v1", w, res.components[1], z1)
@@ -830,12 +874,12 @@ def seed_check_identiator(D) -> Report:
     for key in itertools.product(range(L.dim(0)), repeat=4):
         objs = [e0[i] for i in key]
         eta, eps = seed_eta_epsilon(D, *objs)
-        mc, w = mu_cell(D, *objs), _objects(key)
+        mc, w = mu_formula(D, *objs), _objects(key)
         col.compare("source", w, L.source(mc), eta)
         col.compare("target", w, L.target(mc), eps)
     zero = L.zero_cell(2)
     for w, res in seed_naturality_squares(D, col, _id_F, _id_G,
-                                          lambda objs: mu_cell(D, *objs), 4):
+                                          lambda objs: mu_formula(D, *objs), 4):
         which = "v2" if vis_zero(res.components[1]) else "v1"
         col.compare(f"modification-{which}", w, res, zero)
     return col.report()
@@ -847,8 +891,8 @@ def seed_alpha_cell(D, i, x, y, z, u, v):
     one1 = lambda w: C.cell_from_v0(w, 1)
     one2 = lambda c: C.identity(c)
     bc = lambda a, b: bracket_cells(D, a, b)
-    mu = lambda a, b, c, d: mu_cell(D, a, b, c, d)
-    J = lambda a, b, c: J_cell(D, a, b, c)
+    mu = lambda a, b, c, d: mu_formula(D, a, b, c, d)
+    J = lambda a, b, c: J_formula(D, a, b, c)
     id2v = lambda w: C.cell_from_v0(w, 2)
     if i == 1:
         return seed_fold_compose(C, [

@@ -117,11 +117,11 @@ def test_mu_cell_source_matches_eta_composite(case):
 
 
 def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
-    """Constructing a Lie3Data (from_linfinity, build_lie3) compiles no table;
-    the checks compile each of the three tables once per structure."""
+    """Constructing a Lie3Data (from_linfinity, build_lie3) tabulates
+    nothing; the checks tabulate each of the three tables once per structure."""
     built = []
-    compile_ = lie3._compile
-    monkeypatch.setattr(lie3, "_compile", lambda dims, f: built.append(dims) or compile_(dims, f))
+    tabulate = lie3._tabulate
+    monkeypatch.setattr(lie3, "_tabulate", lambda dims, f: built.append(dims) or tabulate(dims, f))
     D = glambda_cat()
     E = build_lie3(parse_spec(render_lie3(D)))
     assert built == []
