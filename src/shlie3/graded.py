@@ -23,7 +23,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from math import prod
 
-from .linalg import Frozen, Q, Vector, vadd, vis_zero, vscale, vzero
+from .linalg import Frozen, Q, Vector, narrow, vadd, vis_zero, vscale, vzero
 
 BasisIndex = tuple[int, int]  # (degree, index within that degree)
 Key = tuple[BasisIndex, ...]
@@ -307,12 +307,14 @@ class MultiMap(Frozen):
     def table(self) -> dict[Key, tuple[int, tuple[tuple[int, Q], ...]]]:
         """Raw basis key -> (output degree, nonzero (index, coefficient) pairs),
         built on first use with each reordering's chi sign folded in; a key
-        absent from the table evaluates to zero."""
+        absent from the table evaluates to zero.  An integral coefficient is
+        an ``int`` (``linalg.narrow``), so evaluation on integral data does
+        no Fraction arithmetic."""
         if self._table is None:
             table = {}
             for ckey, val in self.coeffs.items():
                 od = self.output_degree(ckey)
-                pos = tuple((i, c) for i, c in enumerate(val) if c)
+                pos = tuple((i, narrow(c)) for i, c in enumerate(val) if c)
                 neg = tuple((i, -c) for i, c in pos)
                 for key in set(itertools.permutations(ckey)):
                     table[key] = (od, pos if _canonicalize(key)[1] > 0 else neg)

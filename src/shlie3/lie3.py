@@ -16,7 +16,9 @@ and J's, the Identiator table from both and mu's.  The checks run on flat
 coordinate tuples (the layout of ``LinearNCat.offsets``: V_i at
 offsets[i]:offsets[i + 1] of L_m) through the ``flat_*`` structure maps, and
 evaluate each cell expression in basis cells once (``_Exprs``); ``Cell`` is
-built only where a public function returns one.
+built only where a public function returns one.  Table coefficients and
+argument supports hold an integral value as an ``int`` (``linalg.narrow``),
+so integral data is checked in ``int`` arithmetic; nothing here divides.
 
 Every check returns the shared ``report.Report``.  Witnesses name basis
 0-cells as (0, i) pairs, like the basis tuples of the homotopy-algebra side,
@@ -29,10 +31,10 @@ import functools
 import itertools
 from collections.abc import Sequence
 
-from .graded import GradedSpace, GradedVector, MultiMap, check_signatures
+from .graded import GradedSpace, MultiMap, check_signatures
 from .lincat import Cell, LinearNCat, composites_defined
-from .linalg import Frozen, Matrix, Q, Vector, vadd, vis_zero, vscale, vsub, vzero
-from .linfinity import LInfinityData, check_all, is_special, linfty_residual
+from .linalg import Frozen, Matrix, Q, Vector, narrow, vadd, vis_zero, vscale, vsub, vzero
+from .linfinity import LInfinityData, _accumulate, check_all, is_special
 from .report import Collector, Report
 
 
@@ -110,14 +112,15 @@ class Lie3Data(Frozen):
 def _tabulate(dims: Sequence[int], terms) -> dict:
     """Sparse table of a multilinear map: each tuple of basis indices, one
     per argument, with a nonzero value -> its nonzero (index, coefficient)
-    pairs, where ``terms`` gives the value as (coefficient, pairs) terms."""
+    pairs, where ``terms`` gives the value as (coefficient, pairs) terms.
+    Integral coefficients are ``int`` (``linalg.narrow``)."""
     table = {}
     for key in itertools.product(*map(range, dims)):
         out = {}
         for c, pairs in terms(*key):
             for i, v in pairs:
                 out[i] = out.get(i, 0) + c * v
-        if value := tuple((i, v) for i, v in sorted(out.items()) if v):
+        if value := tuple((i, narrow(v)) for i, v in sorted(out.items()) if v):
             table[key] = value
     return table
 
@@ -130,7 +133,7 @@ def _on_objects(f: MultiMap, offset: int) -> dict:
 
 
 def _support(v: Sequence[Q]) -> list:
-    return [(i, x) for i, x in enumerate(v) if x]
+    return [(i, narrow(x)) for i, x in enumerate(v) if x]
 
 
 def _contract(L: LinearNCat, m: int, table: dict, *supports: list) -> tuple[Vector, list]:
@@ -581,15 +584,16 @@ def check_coherence(D: Lie3Data, tuples=None) -> Report:
     e0 = E.basis()
     if tuples is None:
         tuples = itertools.combinations_with_replacement(range(n0), 5)
-    data = _raw_linfinity(D)
+    data, terms = _raw_linfinity(D), {}  # one degree pattern: its shuffle terms once
     col = Collector("coherence")
     zero = vzero(L.level_dim(2))
     for key in tuples:
-        w = _objects(key)
+        w, r5 = _objects(key), {}
         res = _coherence_residual(E, *(e0[i] for i in key))
-        r5 = linfty_residual(data, 5, [GradedVector.basis_vector(D.space, 0, i) for i in key])
+        _accumulate(data, w, terms, 1, r5)  # five 0-cells: the residual lies in V2
         col.compare("coherence", w, res, zero)
-        col.compare("order5-agreement", w, res[L.level_dim(1):], r5.component(2))
+        col.compare("order5-agreement", w, res[L.level_dim(1):],
+                    tuple(r5.get(i, 0) for i in range(L.dim(2))))
     return col.report()
 
 

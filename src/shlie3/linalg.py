@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries, stored as dense
-row tuples.  Products, Kronecker products and elimination skip zero entries,
-since the simplicial and tensor operators are mostly 0/+-1.  No floating
-point anywhere.
+``Matrix`` stores ``fractions.Fraction`` entries as dense row tuples.
+Products, Kronecker products and elimination skip zero entries, since the
+simplicial and tensor operators are mostly 0/+-1.  No floating point
+anywhere.  The evaluation tables of the multilinear maps hold an integral
+coefficient as an ``int`` (``narrow``): ``int`` arithmetic is exact, and an
+``int`` meets a ``Fraction`` as a ``Fraction``.  Because ``int / int`` is a
+float, the package divides only here, in ``Matrix.rref``, on Fractions.
 """
 
 from __future__ import annotations
@@ -17,6 +20,11 @@ Vector = tuple[Q, ...]
 
 
 _ZERO = Q(0)  # one zero for every zero vector: Fractions are immutable
+
+
+def narrow(c):
+    """The rational c as an ``int`` when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def vzero(n: int) -> Vector:

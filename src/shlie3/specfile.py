@@ -9,6 +9,7 @@ parse and render are mutually inverse on canonical files.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .chain import ChainComplexT
@@ -49,11 +50,15 @@ class AlgebraSpecFile(Frozen):
 
 
 def parse_rational(v, path: str) -> Q:
+    """An integer, or a string "p" or "p/q": an optional sign, then ASCII
+    digits.  Decimal, exponent, underscore and padded forms are refused."""
     if isinstance(v, bool):
         raise SpecError("expected a rational, got a boolean", path)
     if isinstance(v, int):
         return Q(v)
     if isinstance(v, str):
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", v):
+            raise SpecError(f"malformed rational {v!r} (expected \"p\" or \"p/q\")", path)
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -81,6 +86,8 @@ def parse_spec(text: str) -> AlgebraSpecFile:
         raise SpecError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise SpecError("invalid JSON: nested too deeply") from None
+    except ValueError as e:  # an integer literal over the interpreter's digit limit
+        raise SpecError(f"invalid JSON: {str(e).split(';')[0]}") from None
     if not isinstance(obj, dict):
         raise SpecError("top level must be an object")
     _expect_keys(obj, ("kind", "dims", "maps", "metadata"), ("kind", "dims", "maps"), "$")

@@ -98,6 +98,17 @@ def test_undecodable_spec_refused(tmp_path, capsys, content):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("entry", ["7" * 5000, '"1e5"'], ids=["5000-digit-integer", "exponent"])
+def test_unparsable_entry_refused(tmp_path, capsys, entry):
+    """An integer literal over the interpreter's 4300-digit limit, and a
+    rational string in an undocumented form, exit 2 with an error line."""
+    p = tmp_path / "chain.json"
+    p.write_text('{"kind": "chain", "dims": [1, 1], "maps": {"d1": [[%s]]}}' % entry)
+    assert main(["report", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["nerve", "ez-demo", "obstruction-demo"])
 def test_one_term_chain_refused(tmp_path, capsys, command):
     p = tmp_path / "one_term.json"

@@ -1,13 +1,23 @@
 """Every module of the package uses each name it imports, and every
-definition of the package has a caller.
+definition of the package has a caller.  The arithmetic stays exact: no true
+division outside ``linalg``, and no float in an evaluation table or a
+report residual.
 
 Names listed in a module's ``__all__`` count as used (re-exports).
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from shlie3.lie3 import (Lie3Data, check_bifunctor, check_coherence, check_identiator,
+                         check_jacobiator)
+from shlie3.linfinity import check_all
+
+from test_properties import non_integral_samples
+from test_reports import GOLDEN_CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shlie3"
@@ -118,3 +128,42 @@ def test_local_name_is_not_a_use():
            "__all__ = ['f', 'g']\n")
     assert unused_definitions({"m.py": src}, []) == ["tmp (m.py:3)", "vec (m.py:1)"]
     assert unused_definitions({"m.py": src}, ["def h(y): return vec(y) + tmp()\n"]) == []
+
+
+def true_divisions(source: str) -> list[int]:
+    """Lines with a ``/`` or ``/=``: on two ints it gives a float."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div))
+
+
+def test_no_true_division_outside_linalg():
+    """Only ``linalg`` divides (``Matrix.rref``, on Fractions); elsewhere an
+    integral coefficient is an int, and int / int would be a float."""
+    found = {p.name: true_divisions(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_true_division_is_reported():
+    assert true_divisions("x = a / b\ny = a // b\nz /= 3\n") == [1, 3]
+
+
+def test_tables_and_residuals_are_exact():
+    """On the golden-report samples and the non-integral samples, every table
+    coefficient is an int when integral and a Fraction otherwise, and every
+    report residual is an int or a Fraction: no float anywhere."""
+    samples = [make() for make, _ in GOLDEN_CASES.values()] + non_integral_samples()
+    lie3s = [D for D in samples if isinstance(D, Lie3Data)]
+    linfs = [D for D in samples if not isinstance(D, Lie3Data)]
+    tables = [m.table() for A in linfs for m in (A.l1, A.l2, A.l3, A.l4)]
+    tables += [m.table() for D in lie3s for m in (D.cat.t_data, D.bracket_constants, D.J, D.mu)]
+    tables += [{k: (None, v) for k, v in t.items()} for D in lie3s
+               for t in (D._bracket_table, D._J_table, D._mu_table)]
+    coeffs = [c for t in tables for _, pairs in t.values() for _, c in pairs]
+    assert coeffs and all(type(c) is int or type(c) is Fraction and c.denominator != 1
+                          for c in coeffs)
+    reports = [r for A in linfs for r in check_all(A)] + [
+        check(D) for D in lie3s
+        for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence)]
+    residuals = [c for r in reports for f in r.failures for c in f.residual]
+    assert residuals and all(type(c) in (int, Fraction) for c in residuals)

@@ -10,13 +10,16 @@ vector-at-a-time loops, and the obstruction demo against building both
 truncated nerves."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
 
-from shlie3.graded import (GradedSpace, GradedVector, Permutation,
+from shlie3 import lie3
+from shlie3.cli import _render_checks, main
+from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, koszul_chi)
 from shlie3.lie3 import (Lie3Data, J_cell, bracket_cells, check_bifunctor, check_coherence,
                          check_identiator, check_jacobiator, from_linfinity, mu_cell)
@@ -30,10 +33,11 @@ from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, ner
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
 from helpers import (J_formula, SeedCat, SeedTensorCoords, bracket_formula, ce_cocycles4,
-                     l1_only, mu_formula, rand_brackets,
+                     conjugate, l1_only, mu_formula, rand_brackets,
                      rand_chain2, rand_chain3, rand_chain_map, rand_conjugate, rand_vec,
                      scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
-                     seed_check_bifunctor, seed_check_coherence, seed_check_identiator,
+                     seed_check_bifunctor, seed_check_coherence, seed_check_condition,
+                     seed_check_identiator,
                      seed_check_jacobiator, seed_eval, seed_ez, seed_kron, seed_linfty_residual,
                      seed_matmul, seed_nerve, seed_nerve_map, seed_obstruction_demo,
                      seed_pad_composable, seed_pairing_matrix, seed_quotient_basis, seed_rref,
@@ -266,6 +270,54 @@ def test_flat_checks_match_cell_oracle(case, seed):
     assert check_jacobiator(D) == seed_check_jacobiator(D)
     assert check_identiator(D) == seed_check_identiator(D)
     assert check_coherence(D) == seed_check_coherence(D)
+
+
+def non_integral_samples() -> list[Lie3Data]:
+    """The four kinds of special valid sample, conjugated by a diagonal change
+    of basis with entries 2, 1/3 and -3/2.  Where V0 x V1 (or else V0 x V0)
+    has a basis pair, 1/2 is added to the first coordinate of l2 on it, so
+    that the chain rule (or the Jacobi identity) fails on some samples."""
+    diag = (Q(2), Q(1, 3), Q(-3, 2))
+    out = []
+    for A in special_valid_samples(random.Random(15), 4):
+        dims = A.space.dims
+        A = conjugate(A, [Matrix([[diag[(d + i) % 3] if i == j else 0 for j in range(n)]
+                                  for i in range(n)], ncols=n) for d, n in enumerate(dims)])
+        D = from_linfinity(A)
+        key = ((0, 0), (1, 0)) if dims[1] else ((0, 0), (0, 1)) if dims[0] > 1 else None
+        if key is not None:
+            d = key[1][0]
+            bump = MultiMap(2, 0, A.space, {key: (Q(1, 2),) + (Q(0),) * (dims[d] - 1)})
+            D = Lie3Data(D.cat, D.bracket_constants + bump, D.J, D.mu)
+        out.append(D)
+    return out
+
+
+def test_non_integral_structures_match_cell_oracle(tmp_path, capsys):
+    """On structures whose constants are not all integral, so that the tables
+    mix int and Fraction coefficients, the four categorical checks and the
+    homotopy-algebra checks give their oracles' reports, and ``check
+    --format json`` prints the bytes rendered from the oracle reports."""
+    samples = non_integral_samples()
+    tables = [v for D in samples for t in (D._bracket_table, D._J_table, D._mu_table)
+              for pairs in t.values() for _, v in pairs]
+    assert any(type(v) is Q for v in tables) and any(type(v) is int for v in tables)
+    failed = 0
+    for D in samples:
+        oracle = (seed_check_bifunctor(D), seed_check_jacobiator(D),
+                  seed_check_identiator(D), seed_check_coherence(D))
+        assert (check_bifunctor(D), check_jacobiator(D), check_identiator(D),
+                check_coherence(D)) == oracle
+        A = lie3._raw_linfinity(D)
+        assert check_all(A) == [seed_check_condition(A, n) for n in range(1, 6)]
+        p = tmp_path / "lie3.json"
+        p.write_text(render_lie3(D))
+        passed = all(rep.passed for rep in oracle)
+        failed += not passed
+        assert main(["check", str(p), "--format", "json"]) == (0 if passed else 1)
+        report = {"command": "check", "checks": _render_checks(oracle), "passed": passed}
+        assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert failed >= 2
 
 
 @settings(max_examples=20, deadline=None)

@@ -23,6 +23,10 @@ def test_parse_rational_forms():
         parse_rational(True, "$")
     with pytest.raises(SpecError):
         parse_rational(1.5, "$")
+    assert parse_rational("+5", "$") == Q(5)
+    for form in ("1e5", "1.5", " 7 ", "1_000", "1/-2", "\uff11"):  # the last a fullwidth digit
+        with pytest.raises(SpecError, match="malformed rational"):
+            parse_rational(form, "$")
     assert render_rational(Q(-7, 2)) == "-7/2"
     assert render_rational(Q(4)) == "4"
 
