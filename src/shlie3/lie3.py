@@ -16,7 +16,11 @@ and J's, the Identiator table from both and mu's.  The checks run on flat
 coordinate tuples (the layout of ``LinearNCat.offsets``: V_i at
 offsets[i]:offsets[i + 1] of L_m) through the ``flat_*`` structure maps, and
 evaluate each cell expression in basis cells once (``_Exprs``); ``Cell`` is
-built only where a public function returns one.  Table coefficients and
+built only where a public function returns one.  A composite along 0-cells
+(the coherence chains, the Identiator's eta and eps) is the first factor's V0
+block plus the parts above V0 of all factors, so each later factor is
+evaluated only through tables restricted to outputs above V0
+(``Lie3Data._above_v0``).  Table coefficients and
 argument supports hold an integral value as an ``int`` (``linalg.narrow``),
 so integral data is checked in ``int`` arithmetic; nothing here divides.
 
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .graded import GradedSpace, MultiMap, check_signatures
 from .lincat import Cell, LinearNCat, composites_defined
@@ -105,6 +109,16 @@ class Lie3Data(Frozen):
             *((c, b(q, y)) for q, c in J.get((x, z, u), ())),
             *((c, b(x, q)) for q, c in J.get((y, z, u), ())), (1, mu.get((x, y, z, u), ()))])
 
+    @functools.cached_property
+    def _above_v0(self) -> dict:
+        """The tables restricted to outputs above V0 (see ``_composite``): the
+        bracket of m-cells (keys in L_m) for m = 1, 2, "J" and "mu"."""
+        o = self.cat.offsets
+        cut = lambda table, n: {key: hi for key, pairs in table.items() if max(key) < n
+                                if (hi := tuple(p for p in pairs if p[0] >= o[1]))}
+        return {1: cut(self._bracket_table, o[2]), 2: cut(self._bracket_table, o[3]),
+                "J": cut(self._J_table, o[1]), "mu": cut(self._mu_table, o[1])}
+
 
 # -- the cell operations, tabulated over basis indices ----------------
 
@@ -136,11 +150,18 @@ def _support(v: Sequence[Q]) -> list:
     return [(i, narrow(x)) for i, x in enumerate(v) if x]
 
 
-def _contract(L: LinearNCat, m: int, table: dict, *supports: list) -> tuple[Vector, list]:
-    """The flat m-cell value of a tabulated map, and its support, on
-    arguments given by their supports: these are folded left into (basis
-    key, coefficient) pairs, and each key in the table adds its entry times
-    the coefficient."""
+def _dense(L: LinearNCat, m: int, pairs: Iterable[tuple]) -> Vector:
+    """The flat m-cell of a sum of (index, coefficient) pairs."""
+    out = list(vzero(L.level_dim(m)))
+    for i, v in pairs:
+        out[i] = out[i] + v if out[i] else v
+    return tuple(out)
+
+
+def _contract(table: dict, *supports: list) -> list:
+    """The support of a tabulated map's value on arguments given by their
+    supports: these are folded left into (basis key, coefficient) pairs, and
+    each key in the table adds its entry times the coefficient."""
     terms = [((), 1)]
     for s in supports:
         terms = [(key + (i,), x if c == 1 else c if x == 1 else c * x)
@@ -149,69 +170,60 @@ def _contract(L: LinearNCat, m: int, table: dict, *supports: list) -> tuple[Vect
     for key, c in terms:
         for i, v in table.get(key, ()):
             acc[i] = acc.get(i, 0) + (v if c == 1 else c * v)
-    support, out = [(i, v) for i, v in sorted(acc.items()) if v], list(vzero(L.level_dim(m)))
-    for i, v in support:
-        out[i] = v
-    return tuple(out), support
+    return [(i, v) for i, v in acc.items() if v]
 
 
 def _br(D: Lie3Data, m: int, a: Vector, b: Vector) -> Vector:
-    return _contract(D.cat, m, D._bracket_table, _support(a), _support(b))[0]
+    return _dense(D.cat, m, _contract(D._bracket_table, _support(a), _support(b)))
 
 
 class _Exprs:
     """Cell expressions in 0-cells and 2-cells, each evaluated once.
 
-    An expression is an (id, flat value, support, size) tuple, its size the
-    number of leaves in it.  An operation is looked up by the ids of its
-    arguments, so its key comes down to the leaves (basis 0-cells and 2-cells
-    in the checks), never to Fraction values.  An expression of more than
+    An expression is an (id, support, size) tuple: its flat value as nonzero
+    (index, coefficient) pairs, and the number of leaves in it.  An identity
+    cell of a 0-cell has the 0-cell's flat coordinates, so it is the 0-cell's
+    expression.  An operation is looked up by the ids of its arguments, so its
+    key comes down to the leaves (basis 0-cells and 2-cells in the checks),
+    never to Fraction values.  With ``above=True`` an operation gives only its
+    part above V0, through ``Lie3Data._above_v0``.  An expression of more than
     ``keep`` leaves is not stored: the checks pass the number of arguments of
     one input when no such expression recurs in another."""
 
     def __init__(self, D: Lie3Data, keep: int):
         self.D, self.keep, self.memo, self._ids = D, keep, {}, itertools.count()
-        self.zeros = [(next(self._ids), vzero(D.cat.level_dim(m)), [], 0) for m in range(3)]
+        self.zero = (next(self._ids), [], 0)
 
     def leaf(self, v: Sequence[Q]) -> tuple:
-        return next(self._ids), tuple(v), _support(v), 1
+        return next(self._ids), _support(v), 1
 
     def basis(self) -> list[tuple]:
-        return [self.leaf(e) for e in Matrix.eye(self.D.cat.dim(0)).cols()]
+        return [(next(self._ids), [(i, 1)], 1) for i in range(self.D.cat.dim(0))]
 
-    def _apply(self, key: tuple, m: int, table: dict, *xs: tuple) -> tuple:
+    def value(self, m: int, *xs: tuple) -> Vector:
+        """The flat m-cell value of a sum of expressions."""
+        return _dense(self.D.cat, m, (p for x in xs for p in x[1]))
+
+    def _apply(self, key: tuple, table: dict, *xs: tuple) -> tuple:
         if (hit := self.memo.get(key)) is None:
-            if not all(x[2] for x in xs):  # a multilinear map of a zero argument
-                return self.zeros[m]
-            hit = (next(self._ids), *_contract(self.D.cat, m, table, *(x[2] for x in xs)),
-                   sum(x[3] for x in xs))
-            if hit[3] <= self.keep:
+            if not table or not all(x[1] for x in xs):  # an empty table or a zero argument
+                return self.zero
+            hit = (next(self._ids), _contract(table, *(x[1] for x in xs)), sum(x[2] for x in xs))
+            if hit[2] <= self.keep:
                 self.memo[key] = hit
         return hit
 
-    def br(self, m: int, a: tuple, b: tuple) -> tuple:
-        return self._apply((m, a[0], b[0]), m, self.D._bracket_table, a, b)
+    def br(self, m: int, a: tuple, b: tuple, above: bool = False) -> tuple:
+        table = self.D._above_v0[m] if above else self.D._bracket_table
+        return self._apply((m if above else None, a[0], b[0]), table, a, b)
 
-    def J(self, x: tuple, y: tuple, z: tuple) -> tuple:
-        return self._apply(("J", x[0], y[0], z[0]), 1, self.D._J_table, x, y, z)
+    def J(self, x: tuple, y: tuple, z: tuple, above: bool = False) -> tuple:
+        table = self.D._above_v0["J"] if above else self.D._J_table
+        return self._apply(("J", above, x[0], y[0], z[0]), table, x, y, z)
 
-    def mu(self, x: tuple, y: tuple, z: tuple, u: tuple) -> tuple:
-        return self._apply(("mu", x[0], y[0], z[0], u[0]), 2, self.D._mu_table, x, y, z, u)
-
-    def one(self, w: tuple, k: int) -> tuple:
-        """The identity k-cell of the 0-cell w."""
-        if (hit := self.memo.get(key := ("1", k, w[0]))) is None:
-            hit = self.memo[key] = (next(self._ids), self.D.cat.flat_identity(0, w[1], k), *w[2:])
-        return hit
-
-
-def _sum(*xs: tuple) -> Vector:
-    """The value of a sum of expressions, added along their supports."""
-    out = list(xs[0][1])
-    for x in xs[1:]:
-        for i, v in x[2]:
-            out[i] = out[i] + v if out[i] else v
-    return tuple(out)
+    def mu(self, x: tuple, y: tuple, z: tuple, u: tuple, above: bool = False) -> tuple:
+        table = self.D._above_v0["mu"] if above else self.D._mu_table
+        return self._apply(("mu", above, x[0], y[0], z[0], u[0]), table, x, y, z, u)
 
 
 def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
@@ -224,51 +236,40 @@ def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
     return L.unflatten(a.level, _br(D, a.level, L.flatten(a), L.flatten(b)))
 
 
-def bracket_objects(D: Lie3Data, x: Sequence[Q], y: Sequence[Q]) -> Vector:
-    return _br(D, 0, x, y)
-
-
-def J_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q], z: Sequence[Q]) -> Cell:
-    """The 1-cell ([[x,y],z], J(x,y,z)) from [[x,y],z] to [[x,z],y]+[x,[y,z]]."""
-    return D.cat.unflatten(1, _contract(D.cat, 1, D._J_table, *map(_support, (x, y, z)))[0])
-
-
 def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
             z: Sequence[Q], u: Sequence[Q]) -> Cell:
     """The Identiator 2-cell ([[[x,y],z],u], eta-V1-part, mu(x,y,z,u)).  As
     composition along 0-cells adds V1 parts, eta's is the sum of those of its
     factors (see ``eta_epsilon``): [J_xyz,u] + J_{[x,z],y,u} + J_{x,[y,z],u}
     + [J_xzu,y] + [x,J_yzu]."""
-    return D.cat.unflatten(2, _contract(D.cat, 2, D._mu_table, *map(_support, (x, y, z, u)))[0])
+    return D.cat.unflatten(2, _dense(D.cat, 2, _contract(D._mu_table, *map(_support, (x, y, z, u)))))
 
 
-# -- composites with automatic identity padding -----------------------
+# -- composites along 0-cells -----------------------------------------
 
 
-def _fold_compose(D: Lie3Data, m: int, factors: Sequence[Vector]) -> Vector:
-    """Compose flat m-cells along 0-cells, padding each factor with the
-    identity cell over the object that the composability condition dictates."""
-    L, n0 = D.cat, D.cat.dim(0)
-    acc = factors[0]
-    for named in factors[1:]:  # the object of named becomes the target object of acc
-        acc = L.flat_compose(m, acc, L.flat_target(m, acc, m) + named[n0:], 0)
-    return acc
+def _composite(factors: Sequence[list]) -> list:
+    """The composite along 0-cells of factors, each a list of terms
+    (op, *args) adding up to it, as (index, coefficient) pairs.  The padding
+    identities have only a V0 part, so the composite is the first factor plus
+    the parts above V0 of the others: there a term is evaluated above V0."""
+    return [p for n, factor in enumerate(factors) for op, *args in factor
+            for p in op(*args, above=n > 0)[1]]
 
 
-def _eta_epsilon(E: _Exprs, x, y, z, u) -> tuple[Vector, Vector]:
-    br = lambda p, q: E.br(0, p, q)
-    one = lambda w: E.one(w, 1)
-    bc = lambda c, d: E.br(1, c, d)
-    eta = _fold_compose(E.D, 1, [
-        _sum(bc(E.J(x, y, z), one(u))),
-        _sum(E.J(br(x, z), y, u), E.J(x, br(y, z), u)),
-        _sum(bc(E.J(x, z, u), one(y))),
-        _sum(bc(one(x), E.J(y, z, u))),
+def _eta_epsilon(E: _Exprs, x, y, z, u) -> tuple[list, list]:
+    # 1_w is written w (see ``_Exprs``)
+    br, bc, J = functools.partial(E.br, 0), functools.partial(E.br, 1), E.J
+    eta = _composite([
+        [(bc, J(x, y, z), u)],
+        [(J, br(x, z), y, u), (J, x, br(y, z), u)],
+        [(bc, J(x, z, u), y)],
+        [(bc, x, J(y, z, u))],
     ])
-    eps = _fold_compose(E.D, 1, [
-        _sum(E.J(br(x, y), z, u)),
-        _sum(bc(E.J(x, y, u), one(z))),
-        _sum(E.J(x, br(y, u), z), E.J(br(x, u), y, z), E.J(x, y, br(z, u))),
+    eps = _composite([
+        [(J, br(x, y), z, u)],
+        [(bc, J(x, y, u), z)],
+        [(J, x, br(y, u), z), (J, br(x, u), y, z), (J, x, y, br(z, u))],
     ])
     return eta, eps
 
@@ -284,19 +285,17 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
     """
     E = _Exprs(D, 4)
     eta, eps = _eta_epsilon(E, *map(E.leaf, (x, y, z, u)))
-    return D.cat.unflatten(1, eta), D.cat.unflatten(1, eps)
+    return D.cat.unflatten(1, _dense(D.cat, 1, eta)), D.cat.unflatten(1, _dense(D.cat, 1, eps))
 
 
-def _inverse2(D: Lie3Data, v: Vector) -> Vector:
-    return D.cat.flat_target(2, v) + tuple(-c for c in v[D.cat.level_dim(1):])
-
-
-def inverse2(D: Lie3Data, alpha: Cell) -> Cell:
-    """(A,s,a) -> (A, s + l1 a, -a): the inverse along 1-cells; (A, s + l1 a)
-    is the target of alpha."""
-    if alpha.level != 2:
-        raise ValueError("inverse2 acts on 2-cells")
-    return D.cat.unflatten(2, _inverse2(D, D.cat.flatten(alpha)))
+def _inverse2(L: LinearNCat, pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """(A, s, a) -> (A, s + t a, -a) on a flat 2-cell given as (index,
+    coefficient) pairs; t a adds a's entries along t's sparse columns."""
+    o1, o2 = L.offsets[1:3]
+    for i, c in pairs:
+        yield i, c if i < o2 else -c
+        if i >= o2:
+            yield from ((o1 + k, c * x) for k, x in L._t_cols[2][i - o2])
 
 
 # -- structural checks ------------------------------------------------
@@ -408,19 +407,18 @@ def _naturality_squares(E: _Exprs, col: Collector, F, G, theta, arity: int):
     alpha's code); an undefined composite goes to ``col`` as a "composable"
     failure instead."""
     L = E.D.cat
-    objs = E.basis()
-    ids = [E.one(x, 2) for x in objs]
+    objs = E.basis()  # 1^2_x is written x (see ``_Exprs``)
     # each basis 2-cell: its code, alpha, and its source and target 0-cells
-    alphas = [(c, ids[c[0]], objs[c[0]], objs[c[0]]) if c[0] is not None else
+    alphas = [(c, objs[c[0]], objs[c[0]], objs[c[0]]) if c[0] is not None else
               (c, E.leaf(a := L.flat_coded(c)), E.leaf(L.flat_source(2, a, 2)),
                E.leaf(L.flat_target(2, a, 2))) for c in L.spanning_codes(2)]
     seen = {}  # residuals of the squares of identity alphas, by all their 0-cells
     for slot in range(arity):
         for key in itertools.product(range(L.dim(0)), repeat=arity - 1):
-            obs, args = [objs[i] for i in key], [ids[i] for i in key]
+            obs = [objs[i] for i in key]
             for ca, alpha, s, t in alphas:
                 w = (slot, _objects(key), ca)
-                a = args[:slot] + [alpha] + args[slot:]
+                a = obs[:slot] + [alpha] + obs[slot:]
                 where = None if ca[0] is None else key[:slot] + (ca[0],) + key[slot:]
                 with composites_defined(col, w):
                     if (res := seen.get(where)) is None:
@@ -441,14 +439,14 @@ def check_jacobiator(D: Lie3Data) -> Report:
     # target: t J_{xyz} = [[x,z],y] + [x,[y,z]]
     for key in itertools.product(range(L.dim(0)), repeat=3):
         x, y, z = (e0[i] for i in key)
-        col.compare("target", _objects(key), L.flat_target(1, E.J(x, y, z)[1]),
-                    _sum(bo(bo(x, z), y), bo(x, bo(y, z))))
+        col.compare("target", _objects(key), L.flat_target(1, E.value(1, E.J(x, y, z))),
+                    E.value(0, bo(bo(x, z), y), bo(x, bo(y, z))))
 
     # [[c1, c2], c3] o J(targets) = J(sources) o ([[c1, c3], c2] + [c1, [c2, c3]])
     br = lambda a, b: E.br(2, a, b)
-    F = lambda c1, c2, c3: _sum(br(br(c1, c2), c3))
-    G = lambda c1, c2, c3: _sum(br(br(c1, c3), c2), br(c1, br(c2, c3)))
-    theta = lambda objs: L.flat_identity(1, E.J(*objs)[1])
+    F = lambda c1, c2, c3: E.value(2, br(br(c1, c2), c3))
+    G = lambda c1, c2, c3: E.value(2, br(br(c1, c3), c2), br(c1, br(c2, c3)))
+    theta = lambda objs: E.value(2, E.J(*objs))  # the identity 2-cell of J
     v1, v2 = L.level_dim(0), L.level_dim(1)
     z1, z2 = vzero(L.dim(1)), vzero(L.dim(2))
     for w, res in _naturality_squares(E, col, F, G, theta, 3):
@@ -467,8 +465,8 @@ def check_identiator(D: Lie3Data) -> Report:
     # s mu = eta and t mu = eps
     for key in itertools.product(range(L.dim(0)), repeat=4):
         objs = [e0[i] for i in key]
-        eta, eps = _eta_epsilon(E, *objs)
-        mc, w = E.mu(*objs)[1], _objects(key)
+        eta, eps = (_dense(L, 1, c) for c in _eta_epsilon(E, *objs))
+        mc, w = E.value(2, E.mu(*objs)), _objects(key)
         col.compare("source", w, L.flat_source(2, mc), eta)
         col.compare("target", w, L.flat_target(2, mc), eps)
 
@@ -479,12 +477,12 @@ def check_identiator(D: Lie3Data) -> Report:
 
     def G(c1, c2, c3, c4):
         c24, c14, c34 = br(c2, c4), br(c1, c4), br(c3, c4)
-        return _sum(br(br(c1, c3), c24), br(c1, br(c24, c3)), br(br(c14, c3), c2),
-                    br(c14, br(c2, c3)), br(br(c1, c34), c2), br(c1, br(c2, c34)))
-    F = lambda c1, c2, c3, c4: _sum(br(br(br(c1, c2), c3), c4))
+        return E.value(2, br(br(c1, c3), c24), br(c1, br(c24, c3)), br(br(c14, c3), c2),
+                       br(c14, br(c2, c3)), br(br(c1, c34), c2), br(c1, br(c2, c34)))
+    F = lambda c1, c2, c3, c4: E.value(2, br(br(br(c1, c2), c3), c4))
     v1, v2 = L.level_dim(0), L.level_dim(1)
     zero = vzero(L.level_dim(2))
-    for w, res in _naturality_squares(E, col, F, G, lambda objs: E.mu(*objs)[1], 4):
+    for w, res in _naturality_squares(E, col, F, G, lambda objs: E.value(2, E.mu(*objs)), 4):
         which = "v2" if vis_zero(res[v1:v2]) else "v1"
         col.compare(f"modification-{which}", w, res, zero)
     return col.report()
@@ -493,56 +491,51 @@ def check_identiator(D: Lie3Data) -> Report:
 # -- the coherence law ------------------------------------------------
 
 
-def _alpha(E: _Exprs, i: int, x, y, z, u, v) -> Vector:
-    br = lambda p, q: E.br(0, p, q)
-    one1 = lambda w: E.one(w, 1)
-    one2 = lambda *cs: E.D.cat.flat_identity(1, _sum(*cs))  # identity 2-cell of a 1-cell
-    bc1 = lambda a, b: E.br(1, a, b)
-    bc2 = lambda a, b: E.br(2, a, b)
+def _alpha(E: _Exprs, i: int, x, y, z, u, v) -> list:
+    # identity cells of 0-cells are written as the 0-cells (see ``_Exprs``);
+    # a 1-cell factor f stands for 1_f, which has f's flat coordinates
+    br, bc1, bc2 = (functools.partial(E.br, m) for m in range(3))
     mu, J = E.mu, E.J
-    id2v = lambda w: E.one(w, 2)  # squared identity of an object
 
     if i == 1:
-        return _fold_compose(E.D, 2, [
-            one2(J(br(br(x, y), z), u, v)),
-            _sum(mu(x, y, z, br(u, v)), bc2(mu(x, y, z, v), id2v(u))),
-            one2(bc1(J(x, br(z, v), y), one1(u)), bc1(J(br(x, v), z, y), one1(u)),
-                 bc1(J(x, z, br(y, v)), one1(u))),
-            _sum(mu(br(x, v), y, z, u), mu(x, br(y, v), z, u), mu(x, y, br(z, v), u)),
+        return _composite([
+            [(J, br(br(x, y), z), u, v)],
+            [(mu, x, y, z, br(u, v)), (bc2, mu(x, y, z, v), u)],
+            [(bc1, J(x, br(z, v), y), u), (bc1, J(br(x, v), z, y), u),
+             (bc1, J(x, z, br(y, v)), u)],
+            [(mu, br(x, v), y, z, u), (mu, x, br(y, v), z, u), (mu, x, y, br(z, v), u)],
         ])
     if i == 4:
-        return _fold_compose(E.D, 2, [
-            _sum(bc2(mu(x, y, z, u), id2v(v))),
-            one2(bc1(J(br(x, u), z, y), one1(v)), bc1(J(x, z, br(y, u)), one1(v)),
-                 bc1(J(x, br(z, u), y), one1(v))),
-            _sum(mu(br(x, u), y, z, v), mu(x, br(y, u), z, v), mu(x, y, br(z, u), v)),
-            one2(bc1(bc1(J(x, u, v), one1(z)), one1(y)), bc1(J(x, u, v), one1(br(y, z))),
-                 bc1(one1(x), bc1(J(y, u, v), one1(z))),
-                 bc1(bc1(one1(x), J(z, u, v)), one1(y)),
-                 bc1(one1(x), bc1(one1(y), J(z, u, v))),
-                 bc1(one1(br(x, z)), J(y, u, v))),
+        return _composite([
+            [(bc2, mu(x, y, z, u), v)],
+            [(bc1, J(br(x, u), z, y), v), (bc1, J(x, z, br(y, u)), v),
+             (bc1, J(x, br(z, u), y), v)],
+            [(mu, br(x, u), y, z, v), (mu, x, br(y, u), z, v), (mu, x, y, br(z, u), v)],
+            [(bc1, bc1(J(x, u, v), z), y), (bc1, J(x, u, v), br(y, z)),
+             (bc1, x, bc1(J(y, u, v), z)), (bc1, bc1(x, J(z, u, v)), y),
+             (bc1, x, bc1(y, J(z, u, v))), (bc1, br(x, z), J(y, u, v))],
         ])
     if i == 3:
-        return _fold_compose(E.D, 2, [
-            _sum(mu(br(x, y), z, u, v)),
-            one2(bc1(J(br(x, y), v, u), one1(z))),
-            _sum(bc2(mu(x, y, u, v), id2v(z))),
-            one2(bc1(J(x, y, v), one1(br(z, u))), J(x, y, br(br(z, v), u)),
-                 J(x, y, br(z, br(u, v))), J(br(br(x, v), u), y, z),
-                 J(br(x, v), br(y, u), z), J(br(x, u), br(y, v), z),
-                 J(x, br(br(y, v), u), z), J(br(x, br(u, v)), y, z),
-                 J(x, br(y, br(u, v)), z), bc1(J(x, y, u), one1(br(z, v)))),
-            one2(J(x, br(y, v), br(z, u)), J(br(x, v), y, br(z, u)),
-                 J(x, br(y, u), br(z, v)), J(br(x, u), y, br(z, v))),
+        return _composite([
+            [(mu, br(x, y), z, u, v)],
+            [(bc1, J(br(x, y), v, u), z)],
+            [(bc2, mu(x, y, u, v), z)],
+            [(bc1, J(x, y, v), br(z, u)), (J, x, y, br(br(z, v), u)),
+             (J, x, y, br(z, br(u, v))), (J, br(br(x, v), u), y, z),
+             (J, br(x, v), br(y, u), z), (J, br(x, u), br(y, v), z),
+             (J, x, br(br(y, v), u), z), (J, br(x, br(u, v)), y, z),
+             (J, x, br(y, br(u, v)), z), (bc1, J(x, y, u), br(z, v))],
+            [(J, x, br(y, v), br(z, u)), (J, br(x, v), y, br(z, u)),
+             (J, x, br(y, u), br(z, v)), (J, br(x, u), y, br(z, v))],
         ])
     if i == 2:
-        return _fold_compose(E.D, 2, [
-            one2(bc1(bc1(J(x, y, z), one1(u)), one1(v))),
-            _sum(mu(br(x, z), y, u, v), mu(x, br(y, z), u, v)),
-            one2(bc1(one1(x), J(br(y, z), v, u)), bc1(J(br(x, z), v, u), one1(y))),
-            _sum(bc2(id2v(x), mu(y, z, u, v)), bc2(mu(x, z, u, v), id2v(y))),
-            one2(bc1(J(x, z, v), one1(br(y, u))), bc1(J(x, z, u), one1(br(y, v))),
-                 bc1(one1(br(x, v)), J(y, z, u)), bc1(one1(br(x, u)), J(y, z, v))),
+        return _composite([
+            [(bc1, bc1(J(x, y, z), u), v)],
+            [(mu, br(x, z), y, u, v), (mu, x, br(y, z), u, v)],
+            [(bc1, x, J(br(y, z), v, u)), (bc1, J(br(x, z), v, u), y)],
+            [(bc2, x, mu(y, z, u, v)), (bc2, mu(x, z, u, v), y)],
+            [(bc1, J(x, z, v), br(y, u)), (bc1, J(x, z, u), br(y, v)),
+             (bc1, br(x, v), J(y, z, u)), (bc1, br(x, u), J(y, z, v))],
         ])
     raise ValueError("i must be in 1..4")
 
@@ -554,12 +547,15 @@ def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
     paddings are resolved automatically from the composability conditions.
     """
     E = _Exprs(D, 5)
-    return D.cat.unflatten(2, _alpha(E, i, *map(E.leaf, (x, y, z, u, v))))
+    return D.cat.unflatten(2, _dense(D.cat, 2, _alpha(E, i, *map(E.leaf, (x, y, z, u, v)))))
 
 
 def _coherence_residual(E: _Exprs, *objs) -> Vector:
+    L = E.D.cat
     a1, a2, a3, a4 = (_alpha(E, i, *objs) for i in (1, 2, 3, 4))
-    return vsub(vadd(a1, _inverse2(E.D, a4)), vadd(a3, _inverse2(E.D, a2)))
+    minus = lambda pairs: ((i, -c) for i, c in pairs)
+    return _dense(L, 2, itertools.chain(
+        a1, _inverse2(L, a4), minus(a3), minus(_inverse2(L, a2))))
 
 
 def coherence_residual(D: Lie3Data, x, y, z, u, v) -> Cell:
@@ -572,8 +568,11 @@ def check_coherence(D: Lie3Data, tuples=None) -> Report:
     """Coherence law per quintuple of V0 basis vectors.
 
     Default tuple set: canonical (sorted, repetition allowed) quintuples.
-    The interesting residual component is antisymmetric, so this family
-    determines it completely.  Each quintuple is also checked against the
+    This rests on an unverified premise: that the residual on the other
+    orderings follows from the canonical ones.  That holds when the structure
+    satisfies the other laws (the residual is then antisymmetric), but not in
+    general: a structure can pass here and fail on all ordered quintuples
+    (ROADMAP, open item 1).  Each quintuple is also checked against the
     order-5 residual of the extracted structure constants: its V2 residual
     must equal that left-hand side ("order5-agreement", residual V2 minus
     order-5).

@@ -2,7 +2,9 @@
 
 Everything here is written against the public API only, and the oracles
 (Chevalley-Eilenberg differential, closed-form coherence components) are
-coded independently of the library internals they are used to check.
+coded independently of the library internals they are used to check.  The
+exceptions are ``J_cell`` and ``inverse2``, which evaluate a cell through the
+library's internal tables and sparse inverse, for the tests to check.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+from shlie3 import lie3
 from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, enumerate_shuffles, koszul_chi)
-from shlie3.lie3 import bracket_cells, bracket_objects
+from shlie3.lie3 import bracket_cells
 from shlie3.lincat import Cell, ComposabilityError, LinearNCat
 from shlie3.linalg import Matrix, vadd, vis_zero, vscale, vzero
 from shlie3.linfinity import LInfinityData, degree_tag, linfty_residual
@@ -602,6 +605,26 @@ def bracket_formula(D, a, b) -> Cell:
     a2, b2 = a.components[2], b.components[2]
     v2 = vadd(l2([(0, x), (2, b2)]), l2([(2, a2), (0, y)]))
     return Cell(2, (v0, v1, v2))
+
+
+def bracket_objects(D, x, y):
+    """[x, y] of two 0-cells: the bracket of cells at level 0."""
+    L = D.cat
+    return bracket_cells(D, L.cell_from_v0(x), L.cell_from_v0(y)).components[0]
+
+
+def J_cell(D, x, y, z) -> Cell:
+    """The 1-cell ([[x,y],z], J(x,y,z)) evaluated from the structure's
+    tabulated Jacobiator (``Lie3Data._J_table``)."""
+    pairs = lie3._contract(D._J_table, *map(lie3._support, (x, y, z)))
+    return D.cat.unflatten(1, lie3._dense(D.cat, 1, pairs))
+
+
+def inverse2(D, alpha: Cell) -> Cell:
+    """(A,s,a) -> (A, s + l1 a, -a), the inverse along 1-cells, evaluated by
+    the library's sparse inverse of the coherence check."""
+    L = D.cat
+    return L.unflatten(2, lie3._dense(L, 2, lie3._inverse2(L, enumerate(L.flatten(alpha)))))
 
 
 def J_formula(D, x, y, z) -> Cell:

@@ -7,17 +7,17 @@ import pytest
 from shlie3 import lie3
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
 from shlie3.linalg import vadd, vis_zero, vsub, vzero
-from shlie3.lie3 import (ConversionError, Lie3Data, J_cell, alpha_cell,
-                         bracket_cells, bracket_objects, check_bifunctor,
+from shlie3.lie3 import (ConversionError, Lie3Data, alpha_cell,
+                         bracket_cells, check_bifunctor,
                          check_coherence, check_identiator, check_jacobiator,
                          coherence_residual, eta_epsilon, from_linfinity,
-                         inverse2, mu_cell, to_linfinity)
+                         mu_cell, to_linfinity)
 from shlie3.linfinity import LInfinityData, check_all, check_condition
 from shlie3.specfile import build_lie3, parse_spec, render_lie3
 
-from helpers import (abelian_l3_l4, ce_cocycles4, graded_lie_data, l1_only,
-                     rand_brackets, rand_vec, scaling_brackets, seed_spanning_cells,
-                     special_valid_samples, two_term_data)
+from helpers import (J_cell, abelian_l3_l4, bracket_objects, ce_cocycles4, graded_lie_data,
+                     inverse2, l1_only, rand_brackets, rand_vec, scaling_brackets,
+                     seed_spanning_cells, special_valid_samples, two_term_data)
 
 
 def abelian_cat(dims=(2, 1, 1), seed=0):
@@ -118,19 +118,23 @@ def test_mu_cell_source_matches_eta_composite(case):
 
 def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
     """Constructing a Lie3Data (from_linfinity, build_lie3) tabulates
-    nothing; the checks tabulate each of the three tables once per structure."""
+    nothing; the checks tabulate each of the three tables once per structure,
+    and restrict them above V0 only for the Identiator and coherence."""
     built = []
     tabulate = lie3._tabulate
     monkeypatch.setattr(lie3, "_tabulate", lambda dims, f: built.append(dims) or tabulate(dims, f))
     D = glambda_cat()
     E = build_lie3(parse_spec(render_lie3(D)))
     assert built == []
+    check_bifunctor(D), check_jacobiator(D)
+    assert "_above_v0" not in vars(D)  # only the chains of the other two checks read it
     for _ in range(2):
         for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence):
             assert check(D).passed
     n0, n1, n2 = D.space.dims
     assert sorted(built) == sorted([(n0 + n1 + n2,) * 2, (n0,) * 3, (n0,) * 4])
-    assert all(name not in vars(E) for name in ("_bracket_table", "_J_table", "_mu_table"))
+    assert all(name not in vars(E)
+               for name in ("_bracket_table", "_J_table", "_mu_table", "_above_v0"))
 
 
 # -- the four categorical checks on valid data ------------------------

@@ -15,14 +15,16 @@ import random
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shlie3 import lie3
 from shlie3.cli import _render_checks, main
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, koszul_chi)
-from shlie3.lie3 import (Lie3Data, J_cell, bracket_cells, check_bifunctor, check_coherence,
-                         check_identiator, check_jacobiator, from_linfinity, mu_cell)
+from shlie3.lie3 import (Lie3Data, alpha_cell, bracket_cells, check_bifunctor, check_coherence,
+                         check_identiator, check_jacobiator, eta_epsilon, from_linfinity,
+                         mu_cell)
 from shlie3.chain import ChainComplexT, tensor_complex
 from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, TensorCat, check_axioms,
                            from_chain, lift_functor, tensor_product)
@@ -32,19 +34,20 @@ from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, ner
                                obstruction_demo)
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
-from helpers import (J_formula, SeedCat, SeedTensorCoords, bracket_formula, ce_cocycles4,
-                     conjugate, l1_only, mu_formula, rand_brackets,
+from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, bracket_formula,
+                     ce_cocycles4, conjugate, l1_only, mu_formula, rand_brackets,
                      rand_chain2, rand_chain3, rand_chain_map, rand_conjugate, rand_vec,
                      scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
-                     seed_check_bifunctor, seed_check_coherence, seed_check_condition,
-                     seed_check_identiator,
-                     seed_check_jacobiator, seed_eval, seed_ez, seed_kron, seed_linfty_residual,
+                     seed_alpha_cell, seed_check_bifunctor, seed_check_coherence,
+                     seed_check_condition, seed_check_identiator, seed_check_jacobiator,
+                     seed_eta_epsilon, seed_eval, seed_ez, seed_kron, seed_linfty_residual,
                      seed_matmul, seed_nerve, seed_nerve_map, seed_obstruction_demo,
                      seed_pad_composable, seed_pairing_matrix, seed_quotient_basis, seed_rref,
                      seed_tensor_complex, seed_solve_matrix, seed_spanning_codes, seed_tail_codes,
                      seed_tensor_identity_pairs, seed_tensor_identity_residual,
                      short_component_cat, sparse_matrix, special_valid_samples)
-from test_lie3 import _with_random_constants, abelian_cat, glambda_cat, scaling_cat
+from test_lie3 import (_gv0, _l, _with_random_constants, abelian_cat, alpha_v2_oracle,
+                       glambda_cat, scaling_cat)
 
 dims_st = st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
 
@@ -270,6 +273,67 @@ def test_flat_checks_match_cell_oracle(case, seed):
     assert check_jacobiator(D) == seed_check_jacobiator(D)
     assert check_identiator(D) == seed_check_identiator(D)
     assert check_coherence(D) == seed_check_coherence(D)
+
+
+@pytest.mark.parametrize("case, seed", [("non-Lie-bracket", 24), ("random-J-mu", 5)])
+def test_chains_match_seed_composites_on_all_ordered_tuples(case, seed):
+    """alpha_cell (i = 1..4) and eta_epsilon equal the Cell-based oracle's
+    composites on every ordered tuple of basis 0-cells, on samples with
+    dim V0 = 3, V1 != 0 and a J with a nonzero V1 part, so that every
+    restricted table is nonempty.  The checks compare only canonical
+    quintuples, where a dropped term of a later factor can cancel or
+    vanish; here it cannot hide."""
+    D = lie3_sample(case, random.Random(seed))
+    n = D.cat.dim(0)
+    assert n == 3 and all(D._above_v0.values())
+    e = Matrix.eye(n).cols()
+    for key in itertools.product(range(n), repeat=4):
+        args = [e[i] for i in key]
+        assert eta_epsilon(D, *args) == seed_eta_epsilon(D, *args), key
+    for key in itertools.product(range(n), repeat=5):
+        args = [e[i] for i in key]
+        for i in (1, 2, 3, 4):
+            assert alpha_cell(D, i, *args) == seed_alpha_cell(D, i, *args), (i, key)
+
+
+def test_chains_with_v1_zero_match_closed_forms_on_all_ordered_tuples():
+    """With V1 = 0 the restricted tables of J and of the bracket of 1-cells
+    are empty, so the chains skip those terms of their later factors.  Each
+    alpha cell is then ([[[[x,y],z],u],v], -, the V2 closed form) on every
+    ordered quintuple.  mu is antisymmetric, so it is nonzero only from
+    dim V0 = 4 on; there the Cell-based oracle would take about 14 s."""
+    rng = random.Random(5)
+    S = _with_random_constants(rng, from_linfinity(l1_only(rng, (4, 0, 1))))
+    D = Lie3Data(S.cat, rand_brackets(rng, (4, 0, 1), density=1.0).l2, S.J, S.mu)
+    tables = D._above_v0
+    assert not tables[1] and not tables["J"] and tables[2] and tables["mu"]
+    l2, _ = _l(D)
+    e = Matrix.eye(4).cols()
+    for key in itertools.product(range(4), repeat=5):
+        args = [e[i] for i in key]
+        x, y, z, u, v = (_gv0(D, w) for w in args)
+        top = l2(l2(l2(l2(x, y), z), u), v).component(0)
+        for i in (1, 2, 3, 4):
+            assert alpha_cell(D, i, *args).components[::2] == (
+                top, alpha_v2_oracle(D, i, *args)), (i, key)
+
+
+def test_coherence_fails_on_some_ordered_quintuple():
+    """The sample of ``test_canonical_coherence_misses_a_failure`` does fail
+    the coherence law: on 40 ordered quintuples, the first (0,1,0,1,2)."""
+    D = lie3_sample("non-Lie-bracket", random.Random(24))
+    assert D.space.dims == (3, 1, 1)
+    rep = check_coherence(D, itertools.product(range(3), repeat=5))
+    coh = [f for f in rep.failures if f.identity == "coherence"]
+    assert len(coh) == 40 and coh[0].witness == ((0, 0), (0, 1), (0, 0), (0, 1), (0, 2))
+
+
+@pytest.mark.xfail(strict=True, reason="canonical quintuples do not decide the coherence "
+                   "law of a structure that fails other laws (ROADMAP, open item 1)")
+def test_canonical_coherence_misses_a_failure():
+    """A known wrong PASS: ``check_coherence`` passes this structure on its
+    canonical quintuples."""
+    assert not check_coherence(lie3_sample("non-Lie-bracket", random.Random(24))).passed
 
 
 def non_integral_samples() -> list[Lie3Data]:

@@ -20,7 +20,7 @@ from shlie3 import lie3
 from shlie3.chain import ChainComplexT
 from shlie3.cli import main
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
-from shlie3.lie3 import (Lie3Data, J_cell, bracket_cells, check_bifunctor,
+from shlie3.lie3 import (Lie3Data, bracket_cells, check_bifunctor,
                          check_coherence, check_identiator, check_jacobiator,
                          from_linfinity, mu_cell)
 from shlie3.lincat import Cell, check_axioms, from_chain
@@ -28,7 +28,7 @@ from shlie3.linalg import Matrix
 from shlie3.linfinity import LInfinityData, check_all
 from shlie3.specfile import render_chain, render_lie3, render_linfinity
 
-from helpers import l1_only, non_jacobi_data, rand_chain3, seed_linfty_residual
+from helpers import J_cell, l1_only, non_jacobi_data, rand_chain3, seed_linfty_residual
 from test_lie3 import _l1_only_cat, _with_random_constants, scaling_cat
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
