@@ -1,8 +1,8 @@
 """Graded vector spaces, sign calculus and antisymmetric multilinear maps.
 
 Degrees are small non-negative integers 0..D.  Coefficients are exact
-rationals throughout; a coordinate that cannot be represented exactly is a
-bug, not a rounding issue.
+rationals.  A map is evaluated from its table (``MultiMap.table``) in the
+package's one sparse format, by ``linalg.contract`` and ``linalg.dense``.
 
 Conventions
 -----------
@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from math import prod
 
-from .linalg import Frozen, Q, Vector, narrow, vadd, vis_zero, vscale, vzero
+from .linalg import Frozen, Q, Vector, contract, dense, narrow, vadd, vis_zero, vscale, vzero
 
 BasisIndex = tuple[int, int]  # (degree, index within that degree)
 Key = tuple[BasisIndex, ...]
@@ -75,9 +74,7 @@ class GradedVector(Frozen):
 
     @staticmethod
     def basis_vector(space: GradedSpace, d: int, i: int) -> "GradedVector":
-        coords = [list(vzero(n)) for n in space.dims]
-        coords[d][i] = Q(1)
-        return GradedVector(space, tuple(tuple(b) for b in coords))
+        return GradedVector.from_support(space, [((d, i), Q(1))])
 
     @staticmethod
     def from_component(space: GradedSpace, d: int, block: Sequence) -> "GradedVector":
@@ -86,11 +83,12 @@ class GradedVector(Frozen):
         return GradedVector(space, tuple(coords))
 
     @staticmethod
-    def from_sparse(space: GradedSpace, d: int, entries: dict[int, Q]) -> "GradedVector":
-        """Degree-d vector with these index -> coefficient entries (zero if none is nonzero)."""
-        if not any(entries.values()):
-            return GradedVector.zero(space)
-        return GradedVector.from_component(space, d, [entries.get(i, 0) for i in range(space.dims[d])])
+    def from_support(space: GradedSpace, pairs: Iterable[tuple[BasisIndex, Q]]) -> "GradedVector":
+        """The sum of these ((degree, index), coefficient) pairs."""
+        blocks = [[] for _ in space.dims]
+        for (d, i), c in pairs:
+            blocks[d].append((i, c))
+        return GradedVector(space, tuple(map(dense, space.dims, blocks)))
 
     def component(self, d: int) -> Vector:
         return self.coords[d]
@@ -304,28 +302,29 @@ class MultiMap(Frozen):
 
     # -- evaluation ---------------------------------------------------
 
-    def table(self) -> dict[Key, tuple[int, tuple[tuple[int, Q], ...]]]:
-        """Raw basis key -> (output degree, nonzero (index, coefficient) pairs),
-        built on first use with each reordering's chi sign folded in; a key
-        absent from the table evaluates to zero.  An integral coefficient is
-        an ``int`` (``linalg.narrow``), so evaluation on integral data does
-        no Fraction arithmetic."""
+    def table(self) -> dict[Key, tuple[tuple[BasisIndex, Q], ...]]:
+        """The map in the package's sparse table format (see ``linalg``): raw
+        basis key -> nonzero (output basis element, coefficient) pairs, built
+        on first use with each reordering's chi sign folded in.  An output
+        basis element is a (degree, index) pair like a key entry, so a value
+        can be fed back in as an argument.  An integral coefficient is an
+        ``int`` (``linalg.narrow``), so evaluation on integral data does no
+        Fraction arithmetic."""
         if self._table is None:
             table = {}
             for ckey, val in self.coeffs.items():
                 od = self.output_degree(ckey)
-                pos = tuple((i, narrow(c)) for i, c in enumerate(val) if c)
-                neg = tuple((i, -c) for i, c in pos)
+                pos = tuple(((od, i), narrow(c)) for i, c in enumerate(val) if c)
+                neg = tuple((b, -c) for b, c in pos)
                 for key in set(itertools.permutations(ckey)):
-                    table[key] = (od, pos if _canonicalize(key)[1] > 0 else neg)
+                    table[key] = pos if _canonicalize(key)[1] > 0 else neg
             object.__setattr__(self, "_table", table)
         return self._table
 
     def eval_basis(self, key: Key) -> GradedVector:
         if len(key) != self.arity:
             raise ValueError(f"arity {self.arity} map applied to {len(key)} arguments")
-        od, pairs = self.table().get(tuple(key), (0, ()))
-        return GradedVector.from_sparse(self.space, od, dict(pairs))
+        return GradedVector.from_support(self.space, self.table().get(tuple(key), ()))
 
     def eval(self, args: Sequence[GradedVector]) -> GradedVector:
         if len(args) != self.arity:
@@ -333,9 +332,8 @@ class MultiMap(Frozen):
         for a in args:
             if a.space != self.space:
                 raise ValueError("argument from a different graded space")
-        out = [list(vzero(n)) for n in self.space.dims]
-        self._accumulate(out, [a.support() for a in args])
-        return GradedVector(self.space, tuple(map(tuple, out)))
+        pairs = contract(self.table(), *(a.support() for a in args))
+        return GradedVector.from_support(self.space, pairs)
 
     def eval_blocks(self, args: Sequence[tuple[int, Sequence[Q]]]) -> Vector:
         """Value on homogeneous arguments given as (degree, coordinate block)
@@ -345,23 +343,9 @@ class MultiMap(Frozen):
         od = self.output_degree(args)
         if od is None:
             raise ValueError("output degree outside the grading")
-        out = {od: list(vzero(self.space.dims[od]))}
-        self._accumulate(out, [[((d, i), c) for i, c in enumerate(block) if c]
-                               for d, block in args])
-        return tuple(out[od])
-
-    def _accumulate(self, out, supports) -> None:
-        """Add the value on the product of the supports' ((degree, index),
-        coefficient) lists into out[degree], a mutable coordinate block for
-        every degree the value can reach."""
-        table = self.table()
-        for combo in itertools.product(*supports):
-            hit = table.get(tuple(b for b, _ in combo))
-            if hit is not None:
-                c = prod(coeff for _, coeff in combo)
-                block = out[hit[0]]
-                for i, v in hit[1]:
-                    block[i] += c * v
+        pairs = contract(self.table(), *([((d, i), c) for i, c in enumerate(block) if c]
+                                         for d, block in args))
+        return dense(self.space.dims[od], ((i, c) for (_, i), c in pairs))
 
     def as_matrix(self, d: int):
         """Arity-1 maps only: the matrix V_d -> V_{d+weight} (zero if out of range)."""

@@ -9,10 +9,11 @@ of the homotopy-algebra presentation, and the two converters realize the
 exact correspondence between the presentations.
 
 The multilinear cell operations (bracket of m-cells, Jacobiator and
-Identiator cells) are evaluated from sparse tables over basis indices, built
-once per structure on first use from the basis tables (``MultiMap.table``)
-of l2, J and mu: the bracket table from l2's, the Jacobiator table from it
-and J's, the Identiator table from both and mu's.  The checks run on flat
+Identiator cells) are tables in the package's one sparse format (see
+``linalg``) on flat basis indices, built once per structure on first use
+from the tables (``MultiMap.table``) of t, l2, J and mu: the bracket table
+from t's and l2's, the Jacobiator table from it and J's, the Identiator
+table from both and mu's.  The checks run on flat
 coordinate tuples (the layout of ``LinearNCat.offsets``: V_i at
 offsets[i]:offsets[i + 1] of L_m) through the ``flat_*`` structure maps, and
 evaluate each cell expression in basis cells once (``_Exprs``); ``Cell`` is
@@ -37,8 +38,8 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .graded import GradedSpace, MultiMap, check_signatures
 from .lincat import Cell, LinearNCat, composites_defined
-from .linalg import Frozen, Matrix, Q, Vector, narrow, vadd, vis_zero, vscale, vsub, vzero
-from .linfinity import LInfinityData, _accumulate, check_all, is_special
+from .linalg import Frozen, Q, Vector, contract, dense, narrow, vadd, vis_zero, vsub, vzero
+from .linfinity import LInfinityData, accumulate_residual, check_all, is_special
 from .report import Collector, Report
 
 
@@ -80,17 +81,15 @@ class Lie3Data(Frozen):
         flat coordinates are a prefix, it is the bracket of m-cells.  On two
         basis cells it is an entry of l2, except [f, g] = l2(f, t g) on V1."""
         L, o = self.cat, self.cat.offsets
-        l2 = {(o[a] + i, o[b] + j): tuple((o[d] + k, c) for k, c in pairs)
-              for ((a, i), (b, j)), (d, pairs) in self.bracket_constants.table().items()}
-        t = L.t_matrix(1)
+        l2, t = _flat(self.bracket_constants, o), _flat(L.t_data, o)
         return _tabulate((L.level_dim(2),) * 2, lambda p, q: [
-            (c, l2.get((p, k), ())) for k, c in enumerate(t.col(q - o[1])) if c]
+            (c, l2.get((p, k), ())) for k, c in t.get((q,), ())]
             if o[1] <= min(p, q) and max(p, q) < o[2] else [(1, l2.get((p, q), ()))])
 
     @functools.cached_property
     def _J_table(self) -> dict:
         """The 1-cells ([[x,y],z], J(x,y,z)) on basis triples."""
-        br, J = self._bracket_table, _on_objects(self.J, self.cat.offsets[1])
+        br, J = self._bracket_table, _flat(self.J, self.cat.offsets)
         return _tabulate((self.cat.dim(0),) * 3, lambda x, y, z: [
             (c, br.get((p, z), ())) for p, c in br.get((x, y), ())] + [(1, J.get((x, y, z), ()))])
 
@@ -101,7 +100,7 @@ class Lie3Data(Frozen):
         (see ``mu_cell``) and mu itself."""
         L, Jc = self.cat, self._J_table
         b = lambda p, q: self._bracket_table.get((p, q), ())
-        J, mu = _on_objects(self.J, L.offsets[1]), _on_objects(self.mu, L.offsets[2])
+        J, mu = _flat(self.J, L.offsets), _flat(self.mu, L.offsets)
         return _tabulate((L.dim(0),) * 4, lambda x, y, z, u: [
             *((c, b(p, u)) for p, c in Jc.get((x, y, z), ())),
             *((c, J.get((p, y, u), ())) for p, c in b(x, z)),
@@ -124,10 +123,9 @@ class Lie3Data(Frozen):
 
 
 def _tabulate(dims: Sequence[int], terms) -> dict:
-    """Sparse table of a multilinear map: each tuple of basis indices, one
-    per argument, with a nonzero value -> its nonzero (index, coefficient)
-    pairs, where ``terms`` gives the value as (coefficient, pairs) terms.
-    Integral coefficients are ``int`` (``linalg.narrow``)."""
+    """Sparse table (see ``linalg``) of a multilinear map on flat basis
+    indices, where ``terms`` gives the value on a key as (coefficient, pairs)
+    terms.  Integral coefficients are ``int`` (``linalg.narrow``)."""
     table = {}
     for key in itertools.product(*map(range, dims)):
         out = {}
@@ -139,42 +137,19 @@ def _tabulate(dims: Sequence[int], terms) -> dict:
     return table
 
 
-def _on_objects(f: MultiMap, offset: int) -> dict:
-    """The basis table of a map on 0-cells, keyed by basis indices, with its
-    values at ``offset`` in flat coordinates."""
-    return {tuple(i for _, i in key): tuple((offset + q, c) for q, c in pairs)
-            for key, (_, pairs) in f.table().items()}
+def _flat(f: MultiMap, o: Sequence[int]) -> dict:
+    """f's basis table with each basis element (d, i), of a key or an output,
+    written as its flat index o[d] + i (``LinearNCat.offsets``)."""
+    return {tuple(o[d] + i for d, i in key): tuple((o[d] + i, c) for (d, i), c in pairs)
+            for key, pairs in f.table().items()}
 
 
 def _support(v: Sequence[Q]) -> list:
     return [(i, narrow(x)) for i, x in enumerate(v) if x]
 
 
-def _dense(L: LinearNCat, m: int, pairs: Iterable[tuple]) -> Vector:
-    """The flat m-cell of a sum of (index, coefficient) pairs."""
-    out = list(vzero(L.level_dim(m)))
-    for i, v in pairs:
-        out[i] = out[i] + v if out[i] else v
-    return tuple(out)
-
-
-def _contract(table: dict, *supports: list) -> list:
-    """The support of a tabulated map's value on arguments given by their
-    supports: these are folded left into (basis key, coefficient) pairs, and
-    each key in the table adds its entry times the coefficient."""
-    terms = [((), 1)]
-    for s in supports:
-        terms = [(key + (i,), x if c == 1 else c if x == 1 else c * x)
-                 for key, c in terms for i, x in s]
-    acc = {}
-    for key, c in terms:
-        for i, v in table.get(key, ()):
-            acc[i] = acc.get(i, 0) + (v if c == 1 else c * v)
-    return [(i, v) for i, v in acc.items() if v]
-
-
 def _br(D: Lie3Data, m: int, a: Vector, b: Vector) -> Vector:
-    return _dense(D.cat, m, _contract(D._bracket_table, _support(a), _support(b)))
+    return dense(D.cat.level_dim(m), contract(D._bracket_table, _support(a), _support(b)))
 
 
 class _Exprs:
@@ -202,13 +177,13 @@ class _Exprs:
 
     def value(self, m: int, *xs: tuple) -> Vector:
         """The flat m-cell value of a sum of expressions."""
-        return _dense(self.D.cat, m, (p for x in xs for p in x[1]))
+        return dense(self.D.cat.level_dim(m), (p for x in xs for p in x[1]))
 
     def _apply(self, key: tuple, table: dict, *xs: tuple) -> tuple:
         if (hit := self.memo.get(key)) is None:
             if not table or not all(x[1] for x in xs):  # an empty table or a zero argument
                 return self.zero
-            hit = (next(self._ids), _contract(table, *(x[1] for x in xs)), sum(x[2] for x in xs))
+            hit = (next(self._ids), contract(table, *(x[1] for x in xs)), sum(x[2] for x in xs))
             if hit[2] <= self.keep:
                 self.memo[key] = hit
         return hit
@@ -242,7 +217,8 @@ def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
     composition along 0-cells adds V1 parts, eta's is the sum of those of its
     factors (see ``eta_epsilon``): [J_xyz,u] + J_{[x,z],y,u} + J_{x,[y,z],u}
     + [J_xzu,y] + [x,J_yzu]."""
-    return D.cat.unflatten(2, _dense(D.cat, 2, _contract(D._mu_table, *map(_support, (x, y, z, u)))))
+    pairs = contract(D._mu_table, *map(_support, (x, y, z, u)))
+    return D.cat.unflatten(2, dense(D.cat.level_dim(2), pairs))
 
 
 # -- composites along 0-cells -----------------------------------------
@@ -285,17 +261,18 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
     """
     E = _Exprs(D, 4)
     eta, eps = _eta_epsilon(E, *map(E.leaf, (x, y, z, u)))
-    return D.cat.unflatten(1, _dense(D.cat, 1, eta)), D.cat.unflatten(1, _dense(D.cat, 1, eps))
+    n = D.cat.level_dim(1)
+    return D.cat.unflatten(1, dense(n, eta)), D.cat.unflatten(1, dense(n, eps))
 
 
 def _inverse2(L: LinearNCat, pairs: Iterable[tuple]) -> Iterator[tuple]:
     """(A, s, a) -> (A, s + t a, -a) on a flat 2-cell given as (index,
-    coefficient) pairs; t a adds a's entries along t's sparse columns."""
-    o1, o2 = L.offsets[1:3]
+    coefficient) pairs; t a adds a's entries along t's table."""
+    o1, o2, t = *L.offsets[1:3], L.t_data.table()
     for i, c in pairs:
         yield i, c if i < o2 else -c
         if i >= o2:
-            yield from ((o1 + k, c * x) for k, x in L._t_cols[2][i - o2])
+            yield from ((o1 + k, c * x) for (_, k), x in t.get(((2, i - o2),), ()))
 
 
 # -- structural checks ------------------------------------------------
@@ -376,22 +353,16 @@ def check_bifunctor(D: Lie3Data) -> Report:
 
     # graded derivation property of the boundary over the bracket constants:
     # t[u, v] = [tu, v] + (-1)^|u| [u, tv], an identity in degree |u| + |v| - 1
-    space = D.space
-    l2 = D.bracket_constants.eval_blocks
-    eyes = [Matrix.eye(n) for n in space.dims]
-    for (da, i), (db, j) in itertools.product(space.basis(), repeat=2):
-        od = da + db - 1
-        if not 0 <= od <= space.top_degree:
+    l2, t = D.bracket_constants.table(), L.t_data.table()
+    for u, v in itertools.product(D.space.basis(), repeat=2):
+        od = u[0] + v[0] - 1
+        if not 0 <= od <= D.space.top_degree:
             continue
-        u, v = eyes[da].col(i), eyes[db].col(j)
-        lhs = rhs = vzero(L.dim(od))
-        if od < space.top_degree:
-            lhs = L.t_matrix(od + 1).apply(l2([(da, u), (db, v)]))
-        if da >= 1:
-            rhs = vadd(rhs, l2([(da - 1, L.t_matrix(da).col(i)), (db, v)]))
-        if db >= 1:
-            rhs = vadd(rhs, vscale((-1) ** da, l2([(da, u), (db - 1, L.t_matrix(db).col(j))])))
-        col.compare("chain-rule", ((da, i), (db, j)), lhs, rhs)
+        lhs = contract(t, contract(l2, [(u, 1)], [(v, 1)]))
+        rhs = contract(l2, t.get((u,), ()), [(v, 1)]) + [
+            (b, (-1) ** u[0] * c) for b, c in contract(l2, [(u, 1)], t.get((v,), ()))]
+        col.compare("chain-rule", (u, v), *(dense(L.dim(od), ((i, c) for (_, i), c in side))
+                                             for side in (lhs, rhs)))
     return col.report()
 
 
@@ -465,7 +436,7 @@ def check_identiator(D: Lie3Data) -> Report:
     # s mu = eta and t mu = eps
     for key in itertools.product(range(L.dim(0)), repeat=4):
         objs = [e0[i] for i in key]
-        eta, eps = (_dense(L, 1, c) for c in _eta_epsilon(E, *objs))
+        eta, eps = (dense(L.level_dim(1), c) for c in _eta_epsilon(E, *objs))
         mc, w = E.value(2, E.mu(*objs)), _objects(key)
         col.compare("source", w, L.flat_source(2, mc), eta)
         col.compare("target", w, L.flat_target(2, mc), eps)
@@ -547,14 +518,14 @@ def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
     paddings are resolved automatically from the composability conditions.
     """
     E = _Exprs(D, 5)
-    return D.cat.unflatten(2, _dense(D.cat, 2, _alpha(E, i, *map(E.leaf, (x, y, z, u, v)))))
+    return D.cat.unflatten(2, dense(D.cat.level_dim(2), _alpha(E, i, *map(E.leaf, (x, y, z, u, v)))))
 
 
 def _coherence_residual(E: _Exprs, *objs) -> Vector:
     L = E.D.cat
     a1, a2, a3, a4 = (_alpha(E, i, *objs) for i in (1, 2, 3, 4))
     minus = lambda pairs: ((i, -c) for i, c in pairs)
-    return _dense(L, 2, itertools.chain(
+    return dense(L.level_dim(2), itertools.chain(
         a1, _inverse2(L, a4), minus(a3), minus(_inverse2(L, a2))))
 
 
@@ -589,10 +560,9 @@ def check_coherence(D: Lie3Data, tuples=None) -> Report:
     for key in tuples:
         w, r5 = _objects(key), {}
         res = _coherence_residual(E, *(e0[i] for i in key))
-        _accumulate(data, w, terms, 1, r5)  # five 0-cells: the residual lies in V2
+        accumulate_residual(data, w, terms, 1, r5)  # five 0-cells: the residual lies in V2
         col.compare("coherence", w, res, zero)
-        col.compare("order5-agreement", w, res[L.level_dim(1):],
-                    tuple(r5.get(i, 0) for i in range(L.dim(2))))
+        col.compare("order5-agreement", w, res[L.level_dim(1):], dense(L.dim(2), r5.items()))
     return col.report()
 
 

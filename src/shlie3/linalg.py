@@ -3,7 +3,14 @@
 ``Matrix`` stores ``fractions.Fraction`` entries as dense row tuples.
 Products, Kronecker products and elimination skip zero entries, since the
 simplicial and tensor operators are mostly 0/+-1.  No floating point
-anywhere.  The evaluation tables of the multilinear maps hold an integral
+anywhere.
+
+Every multilinear map of the package is evaluated from one sparse table
+format: a key tuple of basis indices, one per argument, maps to the value's
+nonzero (output index, coefficient) pairs, and a key absent from the table
+evaluates to zero.  ``contract`` evaluates a table on arguments given by
+their supports, lists of (index, coefficient) pairs, and ``dense`` turns a
+sum of such pairs into a coordinate tuple.  A table holds an integral
 coefficient as an ``int`` (``narrow``): ``int`` arithmetic is exact, and an
 ``int`` meets a ``Fraction`` as a ``Fraction``.  Because ``int / int`` is a
 float, the package divides only here, in ``Matrix.rref``, on Fractions.
@@ -29,6 +36,29 @@ def narrow(c):
 
 def vzero(n: int) -> Vector:
     return (_ZERO,) * n
+
+
+def dense(n: int, pairs: Iterable[tuple]) -> Vector:
+    """The length-n coordinate tuple of a sum of (index, coefficient) pairs."""
+    out = list(vzero(n))
+    for i, v in pairs:
+        out[i] = out[i] + v if out[i] else v
+    return tuple(out)
+
+
+def contract(table: dict, *supports: list) -> list:
+    """The support of a tabulated map's value on arguments given by their
+    supports: these are folded left into (basis key, coefficient) pairs, and
+    each key in the table adds its entry times the coefficient."""
+    terms = [((), 1)]
+    for s in supports:
+        terms = [(key + (i,), x if c == 1 else c if x == 1 else c * x)
+                 for key, c in terms for i, x in s]
+    acc = {}
+    for key, c in terms:
+        for i, v in table.get(key, ()):
+            acc[i] = acc.get(i, 0) + (v if c == 1 else c * v)
+    return [(i, v) for i, v in acc.items() if v]
 
 
 def vadd(a: Sequence[Q], b: Sequence[Q]) -> Vector:
@@ -348,12 +378,6 @@ def block_diag(mats: Sequence[Matrix]) -> Matrix:
         r0 += m.nrows
         c0 += m.ncols
     return Matrix(out, ncols=total_c)
-
-
-def column_space_coords(basis: Sequence[Vector], v: Sequence[Q]) -> Vector | None:
-    """Coordinates of v in the span of basis, or None if outside."""
-    B = Matrix.from_cols(basis, nrows=len(v))
-    return B.solve(v)
 
 
 def quotient_basis(sub: Sequence[Vector], space_dim: int) -> list[int]:

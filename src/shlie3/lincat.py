@@ -81,9 +81,10 @@ class LinearNCat(Frozen):
             raise ValueError("t_data must be an arity-1 weight -1 map on the same space")
         mats = tuple(self.t_data.as_matrix(d) for d in range(self.n + 1))
         object.__setattr__(self, "_t_matrices", mats)
-        object.__setattr__(self, "_t_cols", tuple(  # nonzero (row, entry) pairs per column
-            tuple(tuple((i, c) for i, c in enumerate(col) if c) for col in M.cols())
-            for M in mats))
+        t = self.t_data.table()
+        object.__setattr__(self, "_t_cols", tuple(  # t's nonzero (row, entry) pairs per column
+            tuple(tuple((i, c) for (_, i), c in t.get(((d, j),), ())) for j in range(n))
+            for d, n in enumerate(self.space.dims)))
         object.__setattr__(self, "offsets", (0, *itertools.accumulate(self.space.dims)))
         for m in range(2, self.n + 1):
             if not (self.t_matrix(m - 1) @ self.t_matrix(m)).is_zero():

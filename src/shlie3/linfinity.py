@@ -23,7 +23,7 @@ from math import prod
 
 from .graded import (GradedSpace, GradedVector, MultiMap, check_signatures,
                      enumerate_shuffles, koszul_chi)
-from .linalg import Frozen, vzero
+from .linalg import Frozen, dense, vzero
 from .report import Collector, Report
 
 Key = tuple[tuple[int, int], ...]
@@ -59,10 +59,11 @@ def _shuffle_terms(n: int, degrees: tuple[int, ...]) -> tuple:
                  for s in enumerate_shuffles(i, n - i))
 
 
-def _accumulate(data: LInfinityData, key: Key, terms: dict, coeff, out: dict) -> int:
+def accumulate_residual(data: LInfinityData, key: Key, terms: dict, coeff, out: dict) -> int:
     """Add coeff times the order-len(key) residual on a basis tuple (any order)
     to the index -> coefficient dict ``out``; return its degree.  ``terms``
-    caches each degree pattern's shuffle signs, positions and bracket tables."""
+    caches each degree pattern's shuffle signs, positions and bracket tables
+    (``MultiMap.table``), whose inner outputs are keys of the outer one."""
     n, degrees = len(key), tuple(d for d, _ in key)
     r = sum(degrees) + n - 3
     if not 0 <= r <= data.space.top_degree:
@@ -74,10 +75,8 @@ def _accumulate(data: LInfinityData, key: Key, terms: dict, coeff, out: dict) ->
             if data.bracket(i).coeffs and data.bracket(n + 1 - i).coeffs]
     for sign, i, pos, li, lj in terms[degrees]:
         perm = tuple(key[p] for p in pos)
-        inner = li.get(perm[:i])
-        for a, c in inner[1] if inner else ():
-            hit = lj.get(((inner[0], a),) + perm[i:])
-            for b, v in hit[1] if hit else ():
+        for a, c in li.get(perm[:i], ()):
+            for (_, b), v in lj.get((a,) + perm[i:], ()):
                 out[b] = out.get(b, 0) + sign * coeff * c * v
     return r
 
@@ -93,9 +92,9 @@ def linfty_residual(data: LInfinityData, n: int, args: Sequence[GradedVector]) -
             raise ValueError("arguments must be homogeneous")
     terms, out, r = {}, {}, 0
     for combo in itertools.product(*(a.support() for a in args)):
-        r = _accumulate(data, tuple(b for b, _ in combo), terms,
-                        prod(c for _, c in combo), out)
-    return GradedVector.from_sparse(data.space, r, out)
+        r = accumulate_residual(data, tuple(b for b, _ in combo), terms,
+                                prod(c for _, c in combo), out)
+    return GradedVector.from_support(data.space, (((r, b), v) for b, v in out.items()))
 
 
 def _canonical_tuples(space: GradedSpace, n: int):
@@ -125,9 +124,9 @@ def check_condition(data: LInfinityData, n: int) -> Report:
     dims, top = data.space.dims, data.space.top_degree
     for key in _canonical_tuples(data.space, n):
         res: dict = {}
-        r = _accumulate(data, key, terms, 1, res)
+        r = accumulate_residual(data, key, terms, 1, res)
         dim = dims[r] if 0 <= r <= top else 0
-        col.compare(degree_tag(n, key), key, tuple(res.get(i, 0) for i in range(dim)), vzero(dim))
+        col.compare(degree_tag(n, key), key, dense(dim, res.items()), vzero(dim))
     return col.report()
 
 

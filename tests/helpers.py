@@ -20,7 +20,7 @@ from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, enumerate_shuffles, koszul_chi)
 from shlie3.lie3 import bracket_cells
 from shlie3.lincat import Cell, ComposabilityError, LinearNCat
-from shlie3.linalg import Matrix, vadd, vis_zero, vscale, vzero
+from shlie3.linalg import Matrix, contract, dense, vadd, vis_zero, vscale, vzero
 from shlie3.linfinity import LInfinityData, degree_tag, linfty_residual
 from shlie3.report import Collector, Failure, Report
 
@@ -616,15 +616,15 @@ def bracket_objects(D, x, y):
 def J_cell(D, x, y, z) -> Cell:
     """The 1-cell ([[x,y],z], J(x,y,z)) evaluated from the structure's
     tabulated Jacobiator (``Lie3Data._J_table``)."""
-    pairs = lie3._contract(D._J_table, *map(lie3._support, (x, y, z)))
-    return D.cat.unflatten(1, lie3._dense(D.cat, 1, pairs))
+    pairs = contract(D._J_table, *map(lie3._support, (x, y, z)))
+    return D.cat.unflatten(1, dense(D.cat.level_dim(1), pairs))
 
 
 def inverse2(D, alpha: Cell) -> Cell:
     """(A,s,a) -> (A, s + l1 a, -a), the inverse along 1-cells, evaluated by
     the library's sparse inverse of the coherence check."""
     L = D.cat
-    return L.unflatten(2, lie3._dense(L, 2, lie3._inverse2(L, enumerate(L.flatten(alpha)))))
+    return L.unflatten(2, dense(L.level_dim(2), lie3._inverse2(L, enumerate(L.flatten(alpha)))))
 
 
 def J_formula(D, x, y, z) -> Cell:

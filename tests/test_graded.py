@@ -8,6 +8,7 @@ import pytest
 from shlie3.graded import (ContradictionError, GradedSpace, GradedVector,
                            MultiMap, Permutation, build_multimap,
                            enumerate_shuffles, koszul_chi)
+from shlie3.linalg import contract
 
 
 def all_perms(n):
@@ -77,6 +78,21 @@ def test_graded_vector_ops():
     assert e.scale(Q(1, 3)).component(0) == (Q(0), Q(1, 3))
     mixed = e + GradedVector.basis_vector(V, 2, 0)
     assert mixed.degree() is None
+    assert GradedVector.from_support(V, mixed.support()) == mixed
+    assert GradedVector.from_support(V, [((0, 1), 1), ((2, 0), 2), ((0, 1), -1)]) == \
+        GradedVector.basis_vector(V, 2, 0).scale(2)
+
+
+def test_table_values_are_arguments():
+    """A table value's outputs are (degree, index) basis elements, like key
+    entries: m(m(a, b), b) is read off the table by feeding m(a, b) back in."""
+    V = GradedSpace((2, 1, 1))
+    m = build_multimap(2, 0, V, [((((0, 0), (0, 1))), (Q(1), Q(3)))])
+    assert m.table()[((0, 1), (0, 0))] == (((0, 0), -1), ((0, 1), -3))
+    a, b = (GradedVector.basis_vector(V, 0, i) for i in (0, 1))
+    inner = m.table()[((0, 0), (0, 1))]
+    assert contract(m.table(), inner, b.support()) == m.eval([m.eval([a, b]), b]).support() == [
+        ((0, 0), 1), ((0, 1), 3)]
 
 
 def test_multimap_antisymmetry_sign():

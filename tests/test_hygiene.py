@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, and every
-definition of the package has a caller.  The arithmetic stays exact: no true
+definition of the package has a caller.  No module imports or reads another
+module's private (``_``-prefixed) name.  The arithmetic stays exact: no true
 division outside ``linalg``, and no float in an evaluation table or a
 report residual.
 
@@ -130,6 +131,44 @@ def test_local_name_is_not_a_use():
     assert unused_definitions({"m.py": src}, ["def h(y): return vec(y) + tmp()\n"]) == []
 
 
+def foreign_private_names(package: dict[str, str]) -> list[str]:
+    """The "file:line name" of each ``_``-prefixed, non-dunder name that a module
+    of ``package`` (file name -> text) imports or reads as an attribute
+    without defining it: as a function, class or assignment target, or as a
+    string constant (slot names and ``object.__setattr__`` fields)."""
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    found = []
+    for name, source in package.items():
+        own, reads = set(), []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own.add(node.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                own.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                own.add(node.value)
+            elif isinstance(node, ast.Attribute) and private(node.attr):
+                reads.append((node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                reads += [(node.lineno, a.name) for a in node.names if private(a.name)]
+        found += [f"{name}:{line} {attr}" for line, attr in reads if attr not in own]
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert foreign_private_names(package) == []
+
+
+def test_foreign_private_name_is_reported():
+    a = "def _f(): pass\n\nclass A:\n    __slots__ = ('_s',)\n    def g(self): self._x = 1\n"
+    b = ("from .a import A, _f\n_z = 1\n\n"
+         "def h(a): return a._x + a._s + A._y + _z + a.__class__\n")
+    assert foreign_private_names({"a.py": a, "b.py": b}) == [
+        "b.py:1 _f", "b.py:4 _s", "b.py:4 _x", "b.py:4 _y"]
+    assert foreign_private_names({"a.py": a}) == []
+
+
 def true_divisions(source: str) -> list[int]:
     """Lines with a ``/`` or ``/=``: on two ints it gives a float."""
     return sorted(n.lineno for n in ast.walk(ast.parse(source))
@@ -157,9 +196,8 @@ def test_tables_and_residuals_are_exact():
     linfs = [D for D in samples if not isinstance(D, Lie3Data)]
     tables = [m.table() for A in linfs for m in (A.l1, A.l2, A.l3, A.l4)]
     tables += [m.table() for D in lie3s for m in (D.cat.t_data, D.bracket_constants, D.J, D.mu)]
-    tables += [{k: (None, v) for k, v in t.items()} for D in lie3s
-               for t in (D._bracket_table, D._J_table, D._mu_table)]
-    coeffs = [c for t in tables for _, pairs in t.values() for _, c in pairs]
+    tables += [t for D in lie3s for t in (D._bracket_table, D._J_table, D._mu_table)]
+    coeffs = [c for t in tables for pairs in t.values() for _, c in pairs]
     assert coeffs and all(type(c) is int or type(c) is Fraction and c.denominator != 1
                           for c in coeffs)
     reports = [r for A in linfs for r in check_all(A)] + [

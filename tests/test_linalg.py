@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from shlie3.linalg import (Matrix, block_diag, column_space_coords, hstack,
+from shlie3.linalg import (Matrix, block_diag, hstack,
                            quotient_basis, vadd, vis_zero, vscale, vstack,
                            vsub, vzero)
 
@@ -89,9 +89,9 @@ def test_stacks_and_block_diag():
 
 def test_column_space_coords_and_quotient():
     basis = [(Q(1), Q(0)), (Q(1), Q(1))]
-    c = column_space_coords(basis, (Q(3), Q(2)))
+    c = Matrix.from_cols(basis, nrows=2).solve((Q(3), Q(2)))
     assert c == (Q(1), Q(2))
-    assert column_space_coords([(Q(1), Q(0))], (Q(0), Q(1))) is None
+    assert Matrix.from_cols([(Q(1), Q(0))], nrows=2).solve((Q(0), Q(1))) is None
     chosen = quotient_basis([(Q(1), Q(1))], 2)
     assert len(chosen) == 1
     e = tuple(Q(1) if j == chosen[0] else Q(0) for j in range(2))

@@ -29,7 +29,7 @@ from shlie3.chain import ChainComplexT, tensor_complex
 from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, TensorCat, check_axioms,
                            from_chain, lift_functor, tensor_product)
 from shlie3.linalg import Matrix, block_diag, quotient_basis, vadd, vsub, vzero
-from shlie3.linfinity import check_all, linfty_residual
+from shlie3.linfinity import LInfinityData, check_all, linfty_residual
 from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, nerve, nerve_map,
                                obstruction_demo)
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
@@ -273,6 +273,21 @@ def test_flat_checks_match_cell_oracle(case, seed):
     assert check_jacobiator(D) == seed_check_jacobiator(D)
     assert check_identiator(D) == seed_check_identiator(D)
     assert check_coherence(D) == seed_check_coherence(D)
+
+
+def test_checks_with_t_on_v2_and_mu_match_cell_oracle():
+    """A (4,2,1) sample with t != 0 on V2 (d1 has columns (1,0,1,0) and 0,
+    d2 = e_1) and random bracket, J and mu, so mu != 0 together with V1 != 0:
+    the inverse along 1-cells in the coherence law adds a nonzero t a, which
+    no sample of ``lie3_sample`` does."""
+    space = GradedSpace((4, 2, 1))
+    l1 = build_multimap(1, -1, space, [(((1, 0),), (1, 0, 1, 0)), (((2, 0),), (0, 1))])
+    A = LInfinityData(space, l1, MultiMap.zero(2, 0, space), MultiMap.zero(3, 1, space),
+                      MultiMap.zero(4, 2, space))
+    D = _with_random_constants(random.Random(0), from_linfinity(A), bracket=True)
+    assert D.cat.t_matrix(2).col(0) == (0, 1) and D.mu.coeffs
+    assert check_coherence(D) == seed_check_coherence(D)
+    assert check_identiator(D) == seed_check_identiator(D)
 
 
 @pytest.mark.parametrize("case, seed", [("non-Lie-bracket", 24), ("random-J-mu", 5)])

@@ -302,13 +302,13 @@ def test_order5_disagreement_is_a_failure(monkeypatch, tmp_path):
     """A quintuple whose V2 residual differs from the order-5 residual fails
     the coherence check, even where the coherence law itself holds."""
     D = scaling_cat()
-    real = lie3._accumulate
+    real = lie3.accumulate_residual
 
     def shifted(data, key, terms, coeff, out):  # adds 1 to the first V2 coordinate
         r = real(data, key, terms, coeff, out)
         out[0] = out.get(0, 0) + 1
         return r
-    monkeypatch.setattr(lie3, "_accumulate", shifted)
+    monkeypatch.setattr(lie3, "accumulate_residual", shifted)
     tup = (0, 1, 2, 3, 4)
     rep = check_coherence(D, tuples=[tup])
     assert not rep.passed
