@@ -8,22 +8,22 @@ checks here are the categorical counterparts of the order 1..5 identities
 of the homotopy-algebra presentation, and the two converters realize the
 exact correspondence between the presentations.
 
-The multilinear cell operations (bracket of m-cells, Jacobiator and
-Identiator cells) are tables in the package's one sparse format (see
-``linalg``) on flat basis indices, built once per structure on first use
-from the tables (``MultiMap.table``) of t, l2, J and mu: the bracket table
-from t's and l2's, the Jacobiator table from it and J's, the Identiator
-table from both and mu's.  The checks run on flat
-coordinate tuples (the layout of ``LinearNCat.offsets``: V_i at
-offsets[i]:offsets[i + 1] of L_m) through the ``flat_*`` structure maps, and
-evaluate each cell expression in basis cells once (``_Exprs``); ``Cell`` is
-built only where a public function returns one.  A composite along 0-cells
-(the coherence chains, the Identiator's eta and eps) is the first factor's V0
-block plus the parts above V0 of all factors, so each later factor is
-evaluated only through tables restricted to outputs above V0
-(``Lie3Data._above_v0``).  Table coefficients and
-argument supports hold an integral value as an ``int`` (``linalg.narrow``),
-so integral data is checked in ``int`` arithmetic; nothing here divides.
+The multilinear cell operations and the two sides of each law are tables in
+the package's one sparse format (see ``linalg``) on flat basis indices (the
+layout of ``LinearNCat.offsets``: V_i at offsets[i]:offsets[i + 1] of L_m).
+Each is built with ``linalg.compose``, which substitutes one table into one
+argument of another, from the tables (``MultiMap.table``) of t, l2, J and mu:
+the bracket table from t's and l2's, the Jacobiator table from it and J's,
+the Identiator table from both and mu's.  A composite along 0-cells (the
+Identiator's eta and eps, the coherence chains) is the first factor plus the
+parts above V0 of the others, so each later factor is evaluated through
+tables restricted to outputs above V0 (``Lie3Data._above_v0``).  The
+Jacobiator and Identiator laws are multilinear in (the basis 0-cells, one
+basis 2-cell alpha), so each side is one table with one key per naturality
+square, and the checks compare them key by key (``_squares``).
+The coherence chains evaluate each cell expression once (``_Exprs``).
+``Cell`` is built only where a public function returns one.  Integral
+coefficients are ``int`` (``linalg.narrow``); nothing here divides.
 
 Every check returns the shared ``report.Report``.  Witnesses name basis
 0-cells as (0, i) pairs, like the basis tuples of the homotopy-algebra side,
@@ -38,7 +38,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .graded import GradedSpace, MultiMap, check_signatures
 from .lincat import Cell, LinearNCat, composites_defined
-from .linalg import Frozen, Q, Vector, contract, dense, narrow, vadd, vis_zero, vsub, vzero
+from .linalg import Frozen, Q, Vector, combine, compose, contract, dense, narrow, vadd, vzero
 from .linfinity import LInfinityData, accumulate_residual, check_all, is_special
 from .report import Collector, Report
 
@@ -73,68 +73,84 @@ class Lie3Data(Frozen):
         return self.cat.space
 
     # Tables of the cell operations, built on first use from the basis
-    # tables of the constants, so that constructing a Lie3Data builds none.
+    # tables of the constants with ``linalg.compose``, so that constructing a
+    # Lie3Data builds none.
 
     @functools.cached_property
     def _bracket_table(self) -> dict:
         """The bracket of 2-cells (see ``bracket_cells``); on m-cells, whose
         flat coordinates are a prefix, it is the bracket of m-cells.  On two
         basis cells it is an entry of l2, except [f, g] = l2(f, t g) on V1."""
-        L, o = self.cat, self.cat.offsets
-        l2, t = _flat(self.bracket_constants, o), _flat(L.t_data, o)
-        return _tabulate((L.level_dim(2),) * 2, lambda p, q: [
-            (c, l2.get((p, k), ())) for k, c in t.get((q,), ())]
-            if o[1] <= min(p, q) and max(p, q) < o[2] else [(1, l2.get((p, q), ()))])
+        o, l2 = self.cat.offsets, _flat(self.bracket_constants, self.cat.offsets)
+        in_v1 = lambda key: all(o[1] <= i < o[2] for i in key)
+        t_v1 = {k: v for k, v in self._t[1].items() if in_v1(k)}
+        return combine((1, l2), (1, compose(l2, t_v1, 1, in_v1)))
 
     @functools.cached_property
     def _J_table(self) -> dict:
         """The 1-cells ([[x,y],z], J(x,y,z)) on basis triples."""
-        br, J = self._bracket_table, _flat(self.J, self.cat.offsets)
-        return _tabulate((self.cat.dim(0),) * 3, lambda x, y, z: [
-            (c, br.get((p, z), ())) for p, c in br.get((x, y), ())] + [(1, J.get((x, y, z), ()))])
+        o, br = self.cat.offsets, self._bracket_table
+        return combine((1, compose(br, br, 0, _below(o[1]))), (1, _flat(self.J, o)))
 
     @functools.cached_property
     def _mu_table(self) -> dict:
         """The Identiator 2-cells on basis quadruples: [[[x,y],z],u] and
-        [J_xyz, u] from the J table, the other four terms of eta's V1 part
-        (see ``mu_cell``) and mu itself."""
-        L, Jc = self.cat, self._J_table
-        b = lambda p, q: self._bracket_table.get((p, q), ())
-        J, mu = _flat(self.J, L.offsets), _flat(self.mu, L.offsets)
-        return _tabulate((L.dim(0),) * 4, lambda x, y, z, u: [
-            *((c, b(p, u)) for p, c in Jc.get((x, y, z), ())),
-            *((c, J.get((p, y, u), ())) for p, c in b(x, z)),
-            *((c, J.get((x, p, u), ())) for p, c in b(y, z)),
-            *((c, b(q, y)) for q, c in J.get((x, z, u), ())),
-            *((c, b(x, q)) for q, c in J.get((y, z, u), ())), (1, mu.get((x, y, z, u), ()))])
+        [J_xyz,u] from the J table, the other four terms of eta's V1 part
+        (see ``mu_cell``) from J's constants, and mu itself."""
+        o, br, v0 = self.cat.offsets, self._bracket_table, _below(self.cat.offsets[1])
+        J = _flat(self.J, o)
+        return combine((1, compose(br, self._J_table, 0, v0)),
+                       (1, compose(J, br, 0, v0), (0, 2, 1, 3)), (1, compose(J, br, 1, v0)),
+                       (1, compose(br, J, 0, v0), (0, 2, 3, 1)), (1, compose(br, J, 1, v0)),
+                       (1, _flat(self.mu, o)))
+
+    @functools.cached_property
+    def _eta_eps(self) -> tuple[dict, dict]:
+        """The composites eta and eps of ``eta_epsilon`` on basis quadruples,
+        from their factors: the first factor's terms in full, the others'
+        through the tables restricted to outputs above V0 (see
+        ``_composite``)."""
+        br, Jt, v0 = self._bracket_table, self._J_table, _below(self.cat.offsets[1])
+        hb, hJ = self._above_v0[1], self._above_v0["J"]
+        eta = combine((1, compose(br, Jt, 0, v0)), (1, compose(hJ, br, 0, v0), (0, 2, 1, 3)),
+                      (1, compose(hJ, br, 1, v0)), (1, compose(hb, Jt, 0, v0), (0, 2, 3, 1)),
+                      (1, compose(hb, Jt, 1, v0)))
+        eps = combine((1, compose(Jt, br, 0, v0)), (1, compose(hb, Jt, 0, v0), (0, 1, 3, 2)),
+                      (1, compose(hJ, br, 1, v0), (0, 1, 3, 2)),
+                      (1, compose(hJ, br, 0, v0), (0, 3, 1, 2)), (1, compose(hJ, br, 2, v0)))
+        return eta, eps
 
     @functools.cached_property
     def _above_v0(self) -> dict:
         """The tables restricted to outputs above V0 (see ``_composite``): the
         bracket of m-cells (keys in L_m) for m = 1, 2, "J" and "mu"."""
         o = self.cat.offsets
-        cut = lambda table, n: {key: hi for key, pairs in table.items() if max(key) < n
-                                if (hi := tuple(p for p in pairs if p[0] >= o[1]))}
+        cut = lambda table, n: _cut({k: v for k, v in table.items() if max(k) < n}, o[1], o[3])
         return {1: cut(self._bracket_table, o[2]), 2: cut(self._bracket_table, o[3]),
                 "J": cut(self._J_table, o[1]), "mu": cut(self._mu_table, o[1])}
+
+    @functools.cached_property
+    def _t(self) -> dict:
+        """t on flat m-cells, m = 1, 2, as a one-argument table: the identity
+        on L_{m-1} plus t on V_m.  On 2-cells t o t = t o s, so _t[1] is t^2."""
+        o, t = self.cat.offsets, _flat(self.cat.t_data, self.cat.offsets)
+        return {m: {**{(i,): ((i, 1),) for i in range(o[m])},
+                    **{k: v for k, v in t.items() if o[m] <= k[0] < o[m + 1]}} for m in (1, 2)}
 
 
 # -- the cell operations, tabulated over basis indices ----------------
 
 
-def _tabulate(dims: Sequence[int], terms) -> dict:
-    """Sparse table (see ``linalg``) of a multilinear map on flat basis
-    indices, where ``terms`` gives the value on a key as (coefficient, pairs)
-    terms.  Integral coefficients are ``int`` (``linalg.narrow``)."""
-    table = {}
-    for key in itertools.product(*map(range, dims)):
-        out = {}
-        for c, pairs in terms(*key):
-            for i, v in pairs:
-                out[i] = out.get(i, 0) + c * v
-        if value := tuple((i, narrow(v)) for i, v in sorted(out.items()) if v):
-            table[key] = value
-    return table
+def _below(n: int, above: int = 0):
+    """The keys with at most ``above`` indices not below n; for n = offsets[1],
+    the keys of basis 0-cells, or of squares (see ``_squares``)."""
+    return lambda key: sum(i >= n for i in key) <= above
+
+
+def _cut(table: dict, lo: int, hi: int) -> dict:
+    """The table restricted to the outputs in [lo, hi)."""
+    return {key: out for key, pairs in table.items()
+            if (out := tuple(p for p in pairs if lo <= p[0] < hi))}
 
 
 def _flat(f: MultiMap, o: Sequence[int]) -> dict:
@@ -153,17 +169,17 @@ def _br(D: Lie3Data, m: int, a: Vector, b: Vector) -> Vector:
 
 
 class _Exprs:
-    """Cell expressions in 0-cells and 2-cells, each evaluated once.
+    """Cell expressions in 0-cells, each evaluated once (the coherence chains).
 
     An expression is an (id, support, size) tuple: its flat value as nonzero
     (index, coefficient) pairs, and the number of leaves in it.  An identity
     cell of a 0-cell has the 0-cell's flat coordinates, so it is the 0-cell's
     expression.  An operation is looked up by the ids of its arguments, so its
-    key comes down to the leaves (basis 0-cells and 2-cells in the checks),
-    never to Fraction values.  With ``above=True`` an operation gives only its
-    part above V0, through ``Lie3Data._above_v0``.  An expression of more than
-    ``keep`` leaves is not stored: the checks pass the number of arguments of
-    one input when no such expression recurs in another."""
+    key comes down to the leaves (basis 0-cells in the check), never to
+    Fraction values.  With ``above=True`` an operation gives only its part
+    above V0, through ``Lie3Data._above_v0``.  An expression of more than
+    ``keep`` leaves is not stored: the check passes the number of arguments
+    of one input when no such expression recurs in another."""
 
     def __init__(self, D: Lie3Data, keep: int):
         self.D, self.keep, self.memo, self._ids = D, keep, {}, itertools.count()
@@ -174,10 +190,6 @@ class _Exprs:
 
     def basis(self) -> list[tuple]:
         return [(next(self._ids), [(i, 1)], 1) for i in range(self.D.cat.dim(0))]
-
-    def value(self, m: int, *xs: tuple) -> Vector:
-        """The flat m-cell value of a sum of expressions."""
-        return dense(self.D.cat.level_dim(m), (p for x in xs for p in x[1]))
 
     def _apply(self, key: tuple, table: dict, *xs: tuple) -> tuple:
         if (hit := self.memo.get(key)) is None:
@@ -233,23 +245,6 @@ def _composite(factors: Sequence[list]) -> list:
             for p in op(*args, above=n > 0)[1]]
 
 
-def _eta_epsilon(E: _Exprs, x, y, z, u) -> tuple[list, list]:
-    # 1_w is written w (see ``_Exprs``)
-    br, bc, J = functools.partial(E.br, 0), functools.partial(E.br, 1), E.J
-    eta = _composite([
-        [(bc, J(x, y, z), u)],
-        [(J, br(x, z), y, u), (J, x, br(y, z), u)],
-        [(bc, J(x, z, u), y)],
-        [(bc, x, J(y, z, u))],
-    ])
-    eps = _composite([
-        [(J, br(x, y), z, u)],
-        [(bc, J(x, y, u), z)],
-        [(J, x, br(y, u), z), (J, br(x, u), y, z), (J, x, y, br(z, u))],
-    ])
-    return eta, eps
-
-
 def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
                 z: Sequence[Q], u: Sequence[Q]) -> tuple[Cell, Cell]:
     """The two composite 1-cells bounding the Identiator.
@@ -259,10 +254,9 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
     eps = J_{[x,y],z,u} o ([J_{xyu},1_z]+1)
           o (J_{x,[y,u],z}+J_{[x,u],y,z}+J_{x,y,[z,u]}).
     """
-    E = _Exprs(D, 4)
-    eta, eps = _eta_epsilon(E, *map(E.leaf, (x, y, z, u)))
-    n = D.cat.level_dim(1)
-    return D.cat.unflatten(1, dense(n, eta)), D.cat.unflatten(1, dense(n, eps))
+    L, args = D.cat, [_support(v) for v in (x, y, z, u)]
+    eta, eps = (L.unflatten(1, dense(L.level_dim(1), contract(T, *args))) for T in D._eta_eps)
+    return eta, eps
 
 
 def _inverse2(L: LinearNCat, pairs: Iterable[tuple]) -> Iterator[tuple]:
@@ -366,63 +360,58 @@ def check_bifunctor(D: Lie3Data) -> Report:
     return col.report()
 
 
-def _naturality_squares(E: _Exprs, col: Collector, F, G, theta, arity: int):
-    """Yield (witness, residual) for F(..alpha..) o theta(targets) minus
-    theta(sources) o G(..alpha..), for a flat 2-cell-valued theta on 0-cells,
-    basis 0-cells in all slots but one and a basis 2-cell alpha in that slot.
-    F, G and theta take expressions of E, so a bracket is evaluated once
-    per distinct expression: one without alpha once for all slots, a prefix
-    such as [alpha, 1_b] once for all the 0-cells after b.  A square whose
-    alpha is 1^2 of a basis 0-cell depends only on all its 0-cells, so it is
-    evaluated once for all slots.  The witness is (slot, the 0-cells,
-    alpha's code); an undefined composite goes to ``col`` as a "composable"
-    failure instead."""
-    L = E.D.cat
-    objs = E.basis()  # 1^2_x is written x (see ``_Exprs``)
-    # each basis 2-cell: its code, alpha, and its source and target 0-cells
-    alphas = [(c, objs[c[0]], objs[c[0]], objs[c[0]]) if c[0] is not None else
-              (c, E.leaf(a := L.flat_coded(c)), E.leaf(L.flat_source(2, a, 2)),
-               E.leaf(L.flat_target(2, a, 2))) for c in L.spanning_codes(2)]
-    seen = {}  # residuals of the squares of identity alphas, by all their 0-cells
+def _squares(D: Lie3Data, col: Collector, F: dict, G: dict, theta: dict, arity: int):
+    """Yield (witness, residual pairs) of F(..alpha..) o theta(targets) minus
+    theta(sources) o G(..alpha..), with basis 0-cells in all slots but one and
+    a basis 2-cell alpha in that slot, for F and G tabulated on the keys with
+    at most one flat index above V0 and a 2-cell valued theta on basis
+    0-cells.  A square's key is its 0-cells with alpha in its slot; the key
+    of an identity alpha (all in V0) is shared by all slots.  With theta_s,
+    theta_t theta with s^2 alpha, t^2 alpha in alpha's slot, the composites
+    are defined iff C1 = t^2 F - theta_t|V0 and C2 = t^2 theta_s - G|V0
+    vanish, and the residual is F + theta_t|>V0 - theta_s - G|>V0.  The
+    witness is (slot, the 0-cells, alpha's code); an undefined composite goes
+    to ``col`` as a "composable" failure instead, its residual C1, else C2."""
+    L, t2 = D.cat, D._t[1]
+    o1, top = L.offsets[1], L.level_dim(2)
+    theta_t = {}  # the all-V0 keys agree across slots
+    for slot in range(arity):
+        theta_t.update(compose(theta, t2, slot))
+    c1 = combine((1, compose(t2, F)), (-1, _cut(theta_t, 0, o1)))
+    c2 = combine((1, compose(t2, theta)), (-1, _cut(G, 0, o1)))
+    res = combine((1, F), (1, _cut(theta_t, o1, top)), (-1, theta), (-1, _cut(G, o1, top)))
+    codes, zero = L.spanning_codes(2), vzero(o1)
     for slot in range(arity):
         for key in itertools.product(range(L.dim(0)), repeat=arity - 1):
-            obs = [objs[i] for i in key]
-            for ca, alpha, s, t in alphas:
-                w = (slot, _objects(key), ca)
-                a = obs[:slot] + [alpha] + obs[slot:]
-                where = None if ca[0] is None else key[:slot] + (ca[0],) + key[slot:]
-                with composites_defined(col, w):
-                    if (res := seen.get(where)) is None:
-                        res = vsub(L.flat_compose(2, F(*a), theta(obs[:slot] + [t] + obs[slot:]), 0),
-                                   L.flat_compose(2, theta(obs[:slot] + [s] + obs[slot:]), G(*a), 0))
-                        if where is not None:
-                            seen[where] = res
-                    yield w, res
+            objs = _objects(key)
+            for a, code in enumerate(codes):
+                w, k = (slot, objs, code), key[:slot] + (a,) + key[slot:]
+                if mismatch := c1.get(k) or c2.get(k):
+                    col.compare("composable", w, dense(o1, mismatch), zero)
+                else:
+                    yield w, res.get(k, ())
 
 
 def check_jacobiator(D: Lie3Data) -> Report:
     """Target condition and 2-naturality (in each argument slot) of J."""
     L = D.cat
     col = Collector("jacobiator")
-    E = _Exprs(D, 2)  # an expression in all three arguments belongs to one input
-    e0, bo = E.basis(), lambda p, q: E.br(0, p, q)
-
-    # target: t J_{xyz} = [[x,z],y] + [x,[y,z]]
-    for key in itertools.product(range(L.dim(0)), repeat=3):
-        x, y, z = (e0[i] for i in key)
-        col.compare("target", _objects(key), L.flat_target(1, E.value(1, E.J(x, y, z))),
-                    E.value(0, bo(bo(x, z), y), bo(x, bo(y, z))))
-
+    br, keep = D._bracket_table, _below(L.offsets[1], 1)
     # [[c1, c2], c3] o J(targets) = J(sources) o ([[c1, c3], c2] + [c1, [c2, c3]])
-    br = lambda a, b: E.br(2, a, b)
-    F = lambda c1, c2, c3: E.value(2, br(br(c1, c2), c3))
-    G = lambda c1, c2, c3: E.value(2, br(br(c1, c3), c2), br(c1, br(c2, c3)))
-    theta = lambda objs: E.value(2, E.J(*objs))  # the identity 2-cell of J
-    v1, v2 = L.level_dim(0), L.level_dim(1)
+    F = compose(br, br, 0, keep)
+    G = combine((1, F, (0, 2, 1)), (1, compose(br, br, 1, keep)))
+
+    # target: t J_{xyz} = [[x,z],y] + [x,[y,z]], on basis triples the C2 of
+    # the squares (see ``_squares``)
+    c2, zero0 = combine((1, compose(D._t[1], D._J_table)), (-1, G)), vzero(L.dim(0))
+    for key in itertools.product(range(L.dim(0)), repeat=3):
+        col.compare("target", _objects(key), dense(L.dim(0), c2.get(key, ())), zero0)
+
+    o1, o2 = L.offsets[1:3]
     z1, z2 = vzero(L.dim(1)), vzero(L.dim(2))
-    for w, res in _naturality_squares(E, col, F, G, theta, 3):
-        col.compare("naturality-v1", w, res[v1:v2], z1)
-        col.compare("naturality-v2", w, res[v2:], z2)
+    for w, r in _squares(D, col, F, G, D._J_table, 3):
+        col.compare("naturality-v1", w, dense(L.dim(1), ((i - o1, c) for i, c in r if i < o2)), z1)
+        col.compare("naturality-v2", w, dense(L.dim(2), ((i - o2, c) for i, c in r if i >= o2)), z2)
     return col.report()
 
 
@@ -430,32 +419,32 @@ def check_identiator(D: Lie3Data) -> Report:
     """Boundary conditions and the modification law of the Identiator."""
     L = D.cat
     col = Collector("identiator")
-    E = _Exprs(D, 4)  # each quadruple is also a permutation of three others
-    e0 = E.basis()
 
     # s mu = eta and t mu = eps
+    mu, (eta, eps) = D._mu_table, D._eta_eps
+    src = combine((1, _cut(mu, 0, L.offsets[2])), (-1, eta))
+    tgt = combine((1, compose(D._t[2], mu)), (-1, eps))
+    n1, zero1 = L.level_dim(1), vzero(L.level_dim(1))
     for key in itertools.product(range(L.dim(0)), repeat=4):
-        objs = [e0[i] for i in key]
-        eta, eps = (dense(L.level_dim(1), c) for c in _eta_epsilon(E, *objs))
-        mc, w = E.value(2, E.mu(*objs)), _objects(key)
-        col.compare("source", w, L.flat_source(2, mc), eta)
-        col.compare("target", w, L.flat_target(2, mc), eps)
+        w = _objects(key)
+        col.compare("source", w, dense(n1, src.get(key, ())), zero1)
+        col.compare("target", w, dense(n1, tgt.get(key, ())), zero1)
 
     # modification law in each slot:
-    # F(..alpha..) o mu(targets) = mu(sources) o G(..alpha..)
-    E = _Exprs(D, 3)  # an expression in all four cells belongs to one square
-    br = lambda a, b: E.br(2, a, b)
-
-    def G(c1, c2, c3, c4):
-        c24, c14, c34 = br(c2, c4), br(c1, c4), br(c3, c4)
-        return E.value(2, br(br(c1, c3), c24), br(c1, br(c24, c3)), br(br(c14, c3), c2),
-                       br(c14, br(c2, c3)), br(br(c1, c34), c2), br(c1, br(c2, c34)))
-    F = lambda c1, c2, c3, c4: E.value(2, br(br(br(c1, c2), c3), c4))
-    v1, v2 = L.level_dim(0), L.level_dim(1)
-    zero = vzero(L.level_dim(2))
-    for w, res in _naturality_squares(E, col, F, G, lambda objs: E.value(2, E.mu(*objs)), 4):
-        which = "v2" if vis_zero(res[v1:v2]) else "v1"
-        col.compare(f"modification-{which}", w, res, zero)
+    # F(..alpha..) o mu(targets) = mu(sources) o G(..alpha..), with
+    # F = [[[c1,c2],c3],c4] and G the six terms of [[[c1,c2],c3],c4] moved
+    # along J: [[c1,c3],[c2,c4]] + [c1,[[c2,c4],c3]] + [[[c1,c4],c3],c2]
+    # + [[c1,c4],[c2,c3]] + [[c1,[c3,c4]],c2] + [c1,[c2,[c3,c4]]]
+    br, keep = D._bracket_table, _below(L.offsets[1], 1)
+    bl, bi = compose(br, br, 0, keep), compose(br, br, 1, keep)  # [[a,b],c], [a,[b,c]]
+    F, P = compose(br, bl, 0, keep), compose(bl, br, 2, keep)  # P = [[a,b],[c,d]]
+    G = combine((1, P, (0, 2, 1, 3)), (1, compose(br, bl, 1, keep), (0, 1, 3, 2)),
+                (1, F, (0, 3, 2, 1)), (1, P, (0, 3, 1, 2)),
+                (1, compose(br, bi, 0, keep), (0, 2, 3, 1)), (1, compose(br, bi, 1, keep)))
+    o1, o2, n2, zero = *L.offsets[1:3], L.level_dim(2), vzero(L.level_dim(2))
+    for w, res in _squares(D, col, F, G, mu, 4):
+        which = "v1" if any(o1 <= i < o2 for i, _ in res) else "v2"
+        col.compare(f"modification-{which}", w, dense(n2, res), zero)
     return col.report()
 
 

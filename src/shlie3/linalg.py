@@ -61,6 +61,47 @@ def contract(table: dict, *supports: list) -> list:
     return [(i, v) for i, v in acc.items() if v]
 
 
+def compose(outer: dict, inner: dict, arg: int = 0, keep: Callable | None = None) -> dict:
+    """The table of ``outer`` with ``inner`` substituted into its argument
+    ``arg``: on the key k[:arg] + j + k[arg + 1:] of an outer key k and an
+    inner key j it adds, for each output (i, c) of j, c times outer's value on
+    k with i in position arg.  Only nonzero entries are visited, and only the
+    keys that ``keep`` admits (all when None) are formed."""
+    by = {}
+    for key, pairs in outer.items():
+        by.setdefault(key[arg], []).append((key[:arg], key[arg + 1:], pairs))
+    acc = {}
+    for j, inner_pairs in inner.items():
+        for i, c in inner_pairs:
+            for pre, post, pairs in by.get(i, ()):
+                key = pre + j + post
+                if keep is None or keep(key):
+                    out = acc.setdefault(key, {})
+                    for o, v in pairs:
+                        out[o] = out.get(o, 0) + (v if c == 1 else c * v)
+    return _table(acc)
+
+
+def combine(*terms: tuple) -> dict:
+    """The table of a linear combination of tables of one arity: a term is
+    (coefficient, table) or (coefficient, table, order), the latter standing
+    for the map whose value on (a_0, ..) is the table's on (a_order[0], ..)."""
+    acc = {}
+    for c, table, *order in terms:
+        inv = sorted(range(len(order[0])), key=order[0].__getitem__) if order else None
+        for key, pairs in table.items():
+            out = acc.setdefault(key if inv is None else tuple([key[i] for i in inv]), {})
+            for o, v in pairs:
+                out[o] = out.get(o, 0) + c * v
+    return _table(acc)
+
+
+def _table(acc: dict) -> dict:
+    """The table of key -> {output: coefficient} dicts, without zeros."""
+    return {key: value for key, out in acc.items()
+            if (value := tuple((i, narrow(v)) for i, v in sorted(out.items()) if v))}
+
+
 def vadd(a: Sequence[Q], b: Sequence[Q]) -> Vector:
     # a zero operand is skipped: most cell components are sparse
     return tuple(x + y if x and y else x or y for x, y in zip(a, b, strict=True))
@@ -364,20 +405,6 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     for m in mats:
         rows.extend(m.rows)
     return Matrix(rows, ncols=ncols)
-
-
-def block_diag(mats: Sequence[Matrix]) -> Matrix:
-    total_r = sum(m.nrows for m in mats)
-    total_c = sum(m.ncols for m in mats)
-    out = [[Q(0)] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
-    for m in mats:
-        for i, row in enumerate(m.rows):
-            for j, e in enumerate(row):
-                out[r0 + i][c0 + j] = e
-        r0 += m.nrows
-        c0 += m.ncols
-    return Matrix(out, ncols=total_c)
 
 
 def quotient_basis(sub: Sequence[Vector], space_dim: int) -> list[int]:

@@ -26,7 +26,7 @@ import itertools
 from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT
-from .graded import GradedSpace, MultiMap, build_multimap
+from .graded import GradedSpace, build_multimap
 from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vscale, vsub, vzero
 from .report import Collector, Report
 
@@ -439,11 +439,6 @@ def to_chain(L: LinearNCat) -> ChainComplexT:
 # -- products ---------------------------------------------------------
 
 
-def unit_category(n: int) -> LinearNCat:
-    space = GradedSpace((1,) + (0,) * n)
-    return LinearNCat(space, MultiMap.zero(1, -1, space))
-
-
 def cartesian_product(L: LinearNCat, M: LinearNCat) -> LinearNCat:
     if L.n != M.n:
         raise ValueError("category dimensions differ")
@@ -534,9 +529,3 @@ def product(L: LinearNCat, M: LinearNCat, mode: str) -> LinearNCat:
     if mode == "tensor":
         return tensor_product(L, M).cat
     raise ValueError(f"unknown product mode {mode!r}")
-
-
-def chain_iso_invariants(L: LinearNCat) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Dims and differential ranks; complexes over Q are isomorphic iff equal."""
-    C = to_chain(L)
-    return C.dims, tuple(C.diff(d).rank() for d in range(1, L.n + 1))

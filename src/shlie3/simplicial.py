@@ -179,12 +179,6 @@ def nerve_map(F: NFunctor, N: int) -> list[Matrix]:
             for n in range(N + 1)]
 
 
-def constant_svs(N: int) -> SimplicialVS:
-    """The constant simplicial line: every level is the ground field."""
-    eye = Matrix.eye(1)
-    return SimplicialVS.from_maps((1,) * (N + 1), lambda n, i: eye, lambda n, i: eye)
-
-
 # -- normalization ----------------------------------------------------
 
 

@@ -19,10 +19,44 @@ from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, enumerate_shuffles, koszul_chi)
 from shlie3.lie3 import bracket_cells
-from shlie3.lincat import Cell, ComposabilityError, LinearNCat
+from shlie3.lincat import Cell, ComposabilityError, LinearNCat, to_chain
 from shlie3.linalg import Matrix, contract, dense, vadd, vis_zero, vscale, vzero
 from shlie3.linfinity import LInfinityData, degree_tag, linfty_residual
 from shlie3.report import Collector, Failure, Report
+from shlie3.simplicial import SimplicialVS
+
+
+# -- small constructions that only the tests use ----------------------
+
+def block_diag(mats) -> Matrix:
+    total_r = sum(m.nrows for m in mats)
+    total_c = sum(m.ncols for m in mats)
+    out = [[Q(0)] * total_c for _ in range(total_r)]
+    r0 = c0 = 0
+    for m in mats:
+        for i, row in enumerate(m.rows):
+            for j, e in enumerate(row):
+                out[r0 + i][c0 + j] = e
+        r0 += m.nrows
+        c0 += m.ncols
+    return Matrix(out, ncols=total_c)
+
+
+def constant_svs(N: int) -> SimplicialVS:
+    """The constant simplicial line: every level is the ground field."""
+    eye = Matrix.eye(1)
+    return SimplicialVS.from_maps((1,) * (N + 1), lambda n, i: eye, lambda n, i: eye)
+
+
+def unit_category(n: int) -> LinearNCat:
+    space = GradedSpace((1,) + (0,) * n)
+    return LinearNCat(space, MultiMap.zero(1, -1, space))
+
+
+def chain_iso_invariants(L: LinearNCat) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Dims and differential ranks; complexes over Q are isomorphic iff equal."""
+    C = to_chain(L)
+    return C.dims, tuple(C.diff(d).rank() for d in range(1, L.n + 1))
 
 
 def rand_q(rng: random.Random, span: int = 3) -> Q:

@@ -4,7 +4,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from shlie3 import lie3
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
 from shlie3.linalg import vadd, vis_zero, vsub, vzero
 from shlie3.lie3 import (ConversionError, Lie3Data, alpha_cell,
@@ -116,25 +115,24 @@ def test_mu_cell_source_matches_eta_composite(case):
         assert nontrivial
 
 
-def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
+def test_cell_tables_built_lazily_once_per_structure():
     """Constructing a Lie3Data (from_linfinity, build_lie3) tabulates
-    nothing; the checks tabulate each of the three tables once per structure,
-    and restrict them above V0 only for the Identiator and coherence."""
-    built = []
-    tabulate = lie3._tabulate
-    monkeypatch.setattr(lie3, "_tabulate", lambda dims, f: built.append(dims) or tabulate(dims, f))
+    nothing; the checks tabulate each cell table once per structure, and
+    read the composites and the tables restricted above V0 only for the
+    Identiator and coherence."""
+    tables = ("_bracket_table", "_J_table", "_mu_table", "_eta_eps", "_above_v0", "_t")
     D = glambda_cat()
     E = build_lie3(parse_spec(render_lie3(D)))
-    assert built == []
+    assert not any(name in vars(D) or name in vars(E) for name in tables)
     check_bifunctor(D), check_jacobiator(D)
-    assert "_above_v0" not in vars(D)  # only the chains of the other two checks read it
+    assert "_above_v0" not in vars(D) and "_eta_eps" not in vars(D)
+    built = {}
     for _ in range(2):
         for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence):
             assert check(D).passed
-    n0, n1, n2 = D.space.dims
-    assert sorted(built) == sorted([(n0 + n1 + n2,) * 2, (n0,) * 3, (n0,) * 4])
-    assert all(name not in vars(E)
-               for name in ("_bracket_table", "_J_table", "_mu_table", "_above_v0"))
+        built = built or {name: vars(D)[name] for name in tables}
+        assert all(vars(D)[name] is table for name, table in built.items())
+    assert not any(name in vars(E) for name in tables)
 
 
 # -- the four categorical checks on valid data ------------------------

@@ -1,13 +1,14 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from shlie3.linalg import (Matrix, block_diag, hstack,
+from shlie3.linalg import (Matrix, combine, compose, contract, dense, hstack,
                            quotient_basis, vadd, vis_zero, vscale, vstack,
                            vsub, vzero)
 
-from helpers import rand_invertible, rand_matrix
+from helpers import block_diag, rand_invertible, rand_matrix
 
 
 def test_vector_helpers():
@@ -16,6 +17,29 @@ def test_vector_helpers():
     assert vsub(a, b) == (Q(-2), Q(4))
     assert vscale(Q(1, 2), a) == (Q(1, 2), Q(1))
     assert vis_zero(vzero(3)) and not vis_zero(a)
+
+
+def test_compose_and_combine_match_contract():
+    """compose substitutes one table into one argument of another, keeping
+    the keys a predicate admits, and combine adds tables with reordered
+    arguments; both agree with contracting the tables, and hold no zeros."""
+    rng = random.Random(3)
+    rand_table = lambda: {key: value for key in itertools.product(range(3), repeat=2)
+                          if (value := tuple((o, Q(rng.randint(-2, 2), 2)) for o in range(3)
+                                             if rng.random() < 0.6 and rng.random() < 0.9))}
+    outer, inner = rand_table(), rand_table()
+    T = compose(outer, inner, 1)  # T(a, b, c) = outer(a, inner(b, c))
+    for a, b, c in itertools.product(range(3), repeat=3):
+        want = contract(outer, [(a, 1)], contract(inner, [(b, 1)], [(c, 1)]))
+        assert dense(3, T.get((a, b, c), ())) == dense(3, want)
+    kept = compose(outer, inner, 0, keep=lambda key: key[0] != key[2])
+    assert kept == {k: v for k, v in compose(outer, inner, 0).items() if k[0] != k[2]}
+    S = combine((2, T), (-1, T, (2, 0, 1)))  # S(a, b, c) = 2 T(a, b, c) - T(c, a, b)
+    for a, b, c in itertools.product(range(3), repeat=3):
+        want = vsub(vscale(2, dense(3, T.get((a, b, c), ()))), dense(3, T.get((c, a, b), ())))
+        assert dense(3, S.get((a, b, c), ())) == want
+    assert all(x for table in (T, S) for pairs in table.values() for _, x in pairs)
+    assert combine((1, T), (-1, T)) == {}
 
 
 def test_matmul_and_shapes():

@@ -8,12 +8,12 @@ from shlie3.chain import ChainComplexT
 from shlie3.graded import GradedSpace, MultiMap, build_multimap
 from shlie3.linalg import Matrix
 from shlie3.lincat import (Cell, ComposabilityError, LiftError, LinearNCat,
-                           cartesian_product, chain_iso_invariants,
+                           cartesian_product,
                            check_axioms, from_chain, lift_functor, product,
-                           TensorCat, tensor_product, to_chain, unit_category)
+                           TensorCat, tensor_product, to_chain)
 
-from helpers import (rand_chain3, rand_matrix, seed_pad_composable, seed_spanning_cells,
-                     short_component_cat)
+from helpers import (chain_iso_invariants, rand_chain3, rand_matrix, seed_pad_composable,
+                     seed_spanning_cells, short_component_cat, unit_category)
 
 
 def rand_cat(rng, dims=None) -> LinearNCat:

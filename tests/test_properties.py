@@ -28,13 +28,13 @@ from shlie3.lie3 import (Lie3Data, alpha_cell, bracket_cells, check_bifunctor, c
 from shlie3.chain import ChainComplexT, tensor_complex
 from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, TensorCat, check_axioms,
                            from_chain, lift_functor, tensor_product)
-from shlie3.linalg import Matrix, block_diag, quotient_basis, vadd, vsub, vzero
+from shlie3.linalg import Matrix, quotient_basis, vadd, vsub, vzero
 from shlie3.linfinity import LInfinityData, check_all, linfty_residual
 from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, nerve, nerve_map,
                                obstruction_demo)
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
-from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, bracket_formula,
+from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, block_diag, bracket_formula,
                      ce_cocycles4, conjugate, l1_only, mu_formula, rand_brackets,
                      rand_chain2, rand_chain3, rand_chain_map, rand_conjugate, rand_vec,
                      scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
@@ -275,19 +275,57 @@ def test_flat_checks_match_cell_oracle(case, seed):
     assert check_coherence(D) == seed_check_coherence(D)
 
 
-def test_checks_with_t_on_v2_and_mu_match_cell_oracle():
+def sample_421() -> Lie3Data:
     """A (4,2,1) sample with t != 0 on V2 (d1 has columns (1,0,1,0) and 0,
-    d2 = e_1) and random bracket, J and mu, so mu != 0 together with V1 != 0:
-    the inverse along 1-cells in the coherence law adds a nonzero t a, which
-    no sample of ``lie3_sample`` does."""
+    d2 = e_1) and random bracket, J and mu."""
     space = GradedSpace((4, 2, 1))
     l1 = build_multimap(1, -1, space, [(((1, 0),), (1, 0, 1, 0)), (((2, 0),), (0, 1))])
     A = LInfinityData(space, l1, MultiMap.zero(2, 0, space), MultiMap.zero(3, 1, space),
                       MultiMap.zero(4, 2, space))
-    D = _with_random_constants(random.Random(0), from_linfinity(A), bracket=True)
+    return _with_random_constants(random.Random(0), from_linfinity(A), bracket=True)
+
+
+def test_checks_with_t_on_v2_and_mu_match_cell_oracle():
+    """The (4,2,1) sample has mu != 0 together with V1 != 0: the inverse
+    along 1-cells in the coherence law adds a nonzero t a, which no sample of
+    ``lie3_sample`` does."""
+    D = sample_421()
     assert D.cat.t_matrix(2).col(0) == (0, 1) and D.mu.coeffs
     assert check_coherence(D) == seed_check_coherence(D)
     assert check_identiator(D) == seed_check_identiator(D)
+
+
+def edge_samples() -> list[Lie3Data]:
+    """Structures at the edges of the tabulated naturality squares: empty V0
+    or empty V1 and V2 (then there are no squares, or only identity alphas),
+    an empty bracket table with random J and mu, a V1 alpha with t f != 0,
+    and the (4,2,1) sample."""
+    def sample(seed, dims, bracket=True):
+        rng = random.Random(seed)
+        return _with_random_constants(rng, from_linfinity(l1_only(rng, dims)), bracket=bracket)
+    out = [sample(seed, dims) for seed, dims in
+           enumerate([(0, 1, 1), (1, 0, 0), (0, 0, 0), (2, 0, 0)])]
+    empty_bracket = sample(4, (4, 1, 1), bracket=False)
+    assert not empty_bracket._bracket_table and empty_bracket.J.coeffs
+    t_on_v1 = sample(5, (2, 2, 1))
+    assert not t_on_v1.cat.t_matrix(1).is_zero()
+    return out + [empty_bracket, t_on_v1, sample_421()]
+
+
+def test_tabulated_squares_match_cell_oracle_on_edge_samples():
+    """check_jacobiator and check_identiator give the Cell-based oracle's
+    reports on the edge samples, and these fail in every family of the two
+    checks: a composite that is undefined, the boundary of J or mu, and a
+    square whose residual lies in V1 or only in V2."""
+    seen = set()
+    for D in edge_samples():
+        for check, seed_check in ((check_jacobiator, seed_check_jacobiator),
+                                  (check_identiator, seed_check_identiator)):
+            rep = check(D)
+            assert rep == seed_check(D), (D.space.dims, rep.name)
+            seen.update(f.identity for f in rep.failures)
+    assert {"composable", "target", "naturality-v1", "modification-v1",
+            "modification-v2"} <= seen
 
 
 @pytest.mark.parametrize("case, seed", [("non-Lie-bracket", 24), ("random-J-mu", 5)])

@@ -30,6 +30,7 @@ from shlie3.specfile import render_chain, render_lie3, render_linfinity
 
 from helpers import J_cell, l1_only, non_jacobi_data, rand_chain3, seed_linfty_residual
 from test_lie3 import _l1_only_cat, _with_random_constants, scaling_cat
+from test_properties import lie3_sample
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -73,6 +74,13 @@ def non_lie():
     return _with_random_constants(rng, from_linfinity(l1_only(rng, (2, 1, 1))), bracket=True)
 
 
+def non_lie_8():
+    """A (2,2,1) non-Lie sample whose squares are not all composable: it
+    fails the Jacobiator's naturality in V1 and the Identiator's
+    modification law in V1, next to "composable" failures of both."""
+    return lie3_sample("non-Lie-bracket", random.Random(8))
+
+
 def corrupted_axioms():
     """check_axioms with a composition that adds 1 to every V2 entry of a
     level-2 composite along 0-cells."""
@@ -92,6 +100,7 @@ GOLDEN_CASES = {
     "bifunctor-chain-rule.txt": (bracket_perturbed, ["check", "--format", "text"]),
     "jacobiator.json": (J_perturbed, ["check", "--format", "json"]),
     "identiator.json": (mu_perturbed, ["check", "--format", "json"]),
+    "non-lie-8.json": (non_lie_8, ["check", "--format", "json"]),
     "coherence-check.json": (mu_not_closed, ["check", "--format", "json"]),
     "coherence-command.json": (mu_not_closed, ["coherence", "--format", "json"]),
 }

@@ -9,13 +9,13 @@ from shlie3.linalg import Matrix, vis_zero
 from shlie3.lincat import from_chain, tensor_product
 from shlie3.simplicial import (SimplicialVS, aw, aw_after_ez_identity,
                                aw_ez_homology_check, compose_tensor_identity,
-                               constant_svs, ez, moore, moore_bases,
+                               ez, moore, moore_bases,
                                moore_of_nerve_check, nerve, nerve_map,
                                obstruction_demo, tensor_svs)
 from shlie3.lincat import NFunctor, lift_functor
 from shlie3.specfile import render_chain
 
-from helpers import rand_chain2, rand_matrix, seed_compose_tensor_identity
+from helpers import constant_svs, rand_chain2, rand_matrix, seed_compose_tensor_identity
 
 
 def two_term_cat(rng, dims=None):
