@@ -21,7 +21,8 @@ tables restricted to outputs above V0 (``Lie3Data._above_v0``).  The
 Jacobiator and Identiator laws are multilinear in (the basis 0-cells, one
 basis 2-cell alpha), so each side is one table with one key per naturality
 square, and the checks compare them key by key (``_squares``).
-The coherence chains evaluate each cell expression once (``_Exprs``).
+The coherence chains are traced once per structure into a plan of
+contractions (``_Plan``), which runs once per quintuple.
 ``Cell`` is built only where a public function returns one.  Integral
 coefficients are ``int`` (``linalg.narrow``); nothing here divides.
 
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+import operator
+from collections.abc import Iterable, Sequence
 
 from .graded import GradedSpace, MultiMap, check_signatures
 from .lincat import Cell, LinearNCat, composites_defined
@@ -109,7 +111,7 @@ class Lie3Data(Frozen):
         """The composites eta and eps of ``eta_epsilon`` on basis quadruples,
         from their factors: the first factor's terms in full, the others'
         through the tables restricted to outputs above V0 (see
-        ``_composite``)."""
+        ``_Plan``)."""
         br, Jt, v0 = self._bracket_table, self._J_table, _below(self.cat.offsets[1])
         hb, hJ = self._above_v0[1], self._above_v0["J"]
         eta = combine((1, compose(br, Jt, 0, v0)), (1, compose(hJ, br, 0, v0), (0, 2, 1, 3)),
@@ -122,12 +124,17 @@ class Lie3Data(Frozen):
 
     @functools.cached_property
     def _above_v0(self) -> dict:
-        """The tables restricted to outputs above V0 (see ``_composite``): the
+        """The tables restricted to outputs above V0 (see ``_Plan``): the
         bracket of m-cells (keys in L_m) for m = 1, 2, "J" and "mu"."""
         o = self.cat.offsets
         cut = lambda table, n: _cut({k: v for k, v in table.items() if max(k) < n}, o[1], o[3])
         return {1: cut(self._bracket_table, o[2]), 2: cut(self._bracket_table, o[3]),
                 "J": cut(self._J_table, o[1]), "mu": cut(self._mu_table, o[1])}
+
+    @functools.cached_property
+    def _coherence_plan(self) -> _Plan:
+        """The four coherence chains traced once (see ``_Plan``)."""
+        return _Plan(self)
 
     @functools.cached_property
     def _t(self) -> dict:
@@ -168,51 +175,6 @@ def _br(D: Lie3Data, m: int, a: Vector, b: Vector) -> Vector:
     return dense(D.cat.level_dim(m), contract(D._bracket_table, _support(a), _support(b)))
 
 
-class _Exprs:
-    """Cell expressions in 0-cells, each evaluated once (the coherence chains).
-
-    An expression is an (id, support, size) tuple: its flat value as nonzero
-    (index, coefficient) pairs, and the number of leaves in it.  An identity
-    cell of a 0-cell has the 0-cell's flat coordinates, so it is the 0-cell's
-    expression.  An operation is looked up by the ids of its arguments, so its
-    key comes down to the leaves (basis 0-cells in the check), never to
-    Fraction values.  With ``above=True`` an operation gives only its part
-    above V0, through ``Lie3Data._above_v0``.  An expression of more than
-    ``keep`` leaves is not stored: the check passes the number of arguments
-    of one input when no such expression recurs in another."""
-
-    def __init__(self, D: Lie3Data, keep: int):
-        self.D, self.keep, self.memo, self._ids = D, keep, {}, itertools.count()
-        self.zero = (next(self._ids), [], 0)
-
-    def leaf(self, v: Sequence[Q]) -> tuple:
-        return next(self._ids), _support(v), 1
-
-    def basis(self) -> list[tuple]:
-        return [(next(self._ids), [(i, 1)], 1) for i in range(self.D.cat.dim(0))]
-
-    def _apply(self, key: tuple, table: dict, *xs: tuple) -> tuple:
-        if (hit := self.memo.get(key)) is None:
-            if not table or not all(x[1] for x in xs):  # an empty table or a zero argument
-                return self.zero
-            hit = (next(self._ids), contract(table, *(x[1] for x in xs)), sum(x[2] for x in xs))
-            if hit[2] <= self.keep:
-                self.memo[key] = hit
-        return hit
-
-    def br(self, m: int, a: tuple, b: tuple, above: bool = False) -> tuple:
-        table = self.D._above_v0[m] if above else self.D._bracket_table
-        return self._apply((m if above else None, a[0], b[0]), table, a, b)
-
-    def J(self, x: tuple, y: tuple, z: tuple, above: bool = False) -> tuple:
-        table = self.D._above_v0["J"] if above else self.D._J_table
-        return self._apply(("J", above, x[0], y[0], z[0]), table, x, y, z)
-
-    def mu(self, x: tuple, y: tuple, z: tuple, u: tuple, above: bool = False) -> tuple:
-        table = self.D._above_v0["mu"] if above else self.D._mu_table
-        return self._apply(("mu", above, x[0], y[0], z[0], u[0]), table, x, y, z, u)
-
-
 def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
     """[a, b] for m-cells, m <= 2, in components: [(x,f,a'), (y,g,b')] =
     (l2(x,y), l2(x,g) + l2(f, tg), l2(x,b') + l2(a',y)) with tg = y + l1 g;
@@ -236,15 +198,6 @@ def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
 # -- composites along 0-cells -----------------------------------------
 
 
-def _composite(factors: Sequence[list]) -> list:
-    """The composite along 0-cells of factors, each a list of terms
-    (op, *args) adding up to it, as (index, coefficient) pairs.  The padding
-    identities have only a V0 part, so the composite is the first factor plus
-    the parts above V0 of the others: there a term is evaluated above V0."""
-    return [p for n, factor in enumerate(factors) for op, *args in factor
-            for p in op(*args, above=n > 0)[1]]
-
-
 def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
                 z: Sequence[Q], u: Sequence[Q]) -> tuple[Cell, Cell]:
     """The two composite 1-cells bounding the Identiator.
@@ -259,14 +212,11 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
     return eta, eps
 
 
-def _inverse2(L: LinearNCat, pairs: Iterable[tuple]) -> Iterator[tuple]:
-    """(A, s, a) -> (A, s + t a, -a) on a flat 2-cell given as (index,
-    coefficient) pairs; t a adds a's entries along t's table."""
-    o1, o2, t = *L.offsets[1:3], L.t_data.table()
-    for i, c in pairs:
-        yield i, c if i < o2 else -c
-        if i >= o2:
-            yield from ((o1 + k, c * x) for (_, k), x in t.get(((2, i - o2),), ()))
+def _inverse2(D: Lie3Data, pairs: list) -> list:
+    """(A, s, a) -> (A, s + t a, -a), which is t (``Lie3Data._t``) minus a, on
+    a flat 2-cell given as (index, coefficient) pairs."""
+    o2 = D.cat.offsets[2]
+    return contract(D._t[2], pairs) + [(i, -c) for i, c in pairs if i >= o2]
 
 
 # -- structural checks ------------------------------------------------
@@ -451,22 +401,77 @@ def check_identiator(D: Lie3Data) -> Report:
 # -- the coherence law ------------------------------------------------
 
 
-def _alpha(E: _Exprs, i: int, x, y, z, u, v) -> list:
-    # identity cells of 0-cells are written as the 0-cells (see ``_Exprs``);
-    # a 1-cell factor f stands for 1_f, which has f's flat coordinates
-    br, bc1, bc2 = (functools.partial(E.br, m) for m in range(3))
-    mu, J = E.mu, E.J
+class _Plan:
+    """The coherence chains (``_alpha``) traced once on five symbolic 0-cells.
+
+    A node is a leaf (0..4) or an operation ``br``, ``J`` or ``mu`` on nodes,
+    through the table restricted above V0 (``Lie3Data._above_v0``) when
+    ``above``; equal operations on equal nodes are one node.  An operation
+    with an empty table or a zero argument is zero (None), so a dead term's
+    arguments are never evaluated.  A chain's live top terms (``alphas``) are
+    those of its first factor and, above V0, of the others (see the module
+    docstring).  ``steps`` are the operations that they reach, in evaluation
+    order, as (node, table, argument nodes, getter of the leaves under it)."""
+
+    def __init__(self, D: Lie3Data):
+        self.D, self._ids, self._nodes = D, {}, [(None, (), (p,)) for p in range(5)]
+        self.alphas = [[node for n, factor in enumerate(_alpha(self, i, *range(5)))
+                        for op, *args in factor if (node := op(*args, above=n > 0)) is not None]
+                       for i in (1, 2, 3, 4)]
+        live = set(itertools.chain(*self.alphas))
+        for n in reversed(range(5, len(self._nodes))):
+            if n in live:
+                live.update(self._nodes[n][1])
+        self.steps = [(n, table, args, operator.itemgetter(*leaves) if len(leaves) < 5 else None)
+                      for n, (table, args, leaves) in enumerate(self._nodes) if n in live and n > 4]
+
+    def _op(self, table: dict, *args):
+        if not table or None in args:
+            return None
+        if (node := self._ids.get(key := (id(table), *args))) is None:
+            node = self._ids[key] = len(self._nodes)
+            self._nodes.append((table, args, tuple(p for a in args for p in self._nodes[a][2])))
+        return node
+
+    def br(self, m: int, a, b, above: bool = False):
+        return self._op(self.D._above_v0[m] if above else self.D._bracket_table, a, b)
+
+    def J(self, x, y, z, above: bool = False):
+        return self._op(self.D._above_v0["J"] if above else self.D._J_table, x, y, z)
+
+    def mu(self, x, y, z, u, above: bool = False):
+        return self._op(self.D._above_v0["mu"] if above else self.D._mu_table, x, y, z, u)
+
+    def run(self, leaves: Iterable[list], key=range(5), memo: dict | None = None) -> list:
+        """The four chains as (index, coefficient) pairs on leaves given by
+        their supports.  A value under fewer than five leaves is kept in ``memo``
+        by its node and the leaves' basis indices in ``key``, for the next call."""
+        vals, memo = dict(enumerate(leaves)), {} if memo is None else memo
+        for n, table, args, get in self.steps:
+            if get is None or (v := memo.get(k := (n, get(key)))) is None:
+                v = contract(table, *[vals[a] for a in args])
+                if get is not None:
+                    memo[k] = v
+            vals[n] = v
+        return [[p for n in tops for p in vals[n]] for tops in self.alphas]
+
+
+def _alpha(P: _Plan, i: int, x, y, z, u, v) -> list:
+    # the factors of chain i, as lists of terms (op, *args); 1_x of a 0-cell x
+    # and 1_f of a 1-cell f are written as x and f, whose flat coordinates they have
+    br, bc1, bc2 = (functools.partial(P.br, m) for m in range(3))
+    mu, J = P.mu, P.J
 
     if i == 1:
-        return _composite([
+        return [
             [(J, br(br(x, y), z), u, v)],
             [(mu, x, y, z, br(u, v)), (bc2, mu(x, y, z, v), u)],
             [(bc1, J(x, br(z, v), y), u), (bc1, J(br(x, v), z, y), u),
              (bc1, J(x, z, br(y, v)), u)],
             [(mu, br(x, v), y, z, u), (mu, x, br(y, v), z, u), (mu, x, y, br(z, v), u)],
-        ])
+        ]
     if i == 4:
-        return _composite([
+        return [
             [(bc2, mu(x, y, z, u), v)],
             [(bc1, J(br(x, u), z, y), v), (bc1, J(x, z, br(y, u)), v),
              (bc1, J(x, br(z, u), y), v)],
@@ -474,9 +479,9 @@ def _alpha(E: _Exprs, i: int, x, y, z, u, v) -> list:
             [(bc1, bc1(J(x, u, v), z), y), (bc1, J(x, u, v), br(y, z)),
              (bc1, x, bc1(J(y, u, v), z)), (bc1, bc1(x, J(z, u, v)), y),
              (bc1, x, bc1(y, J(z, u, v))), (bc1, br(x, z), J(y, u, v))],
-        ])
+        ]
     if i == 3:
-        return _composite([
+        return [
             [(mu, br(x, y), z, u, v)],
             [(bc1, J(br(x, y), v, u), z)],
             [(bc2, mu(x, y, u, v), z)],
@@ -487,17 +492,16 @@ def _alpha(E: _Exprs, i: int, x, y, z, u, v) -> list:
              (J, x, br(y, br(u, v)), z), (bc1, J(x, y, u), br(z, v))],
             [(J, x, br(y, v), br(z, u)), (J, br(x, v), y, br(z, u)),
              (J, x, br(y, u), br(z, v)), (J, br(x, u), y, br(z, v))],
-        ])
+        ]
     if i == 2:
-        return _composite([
+        return [
             [(bc1, bc1(J(x, y, z), u), v)],
             [(mu, br(x, z), y, u, v), (mu, x, br(y, z), u, v)],
             [(bc1, x, J(br(y, z), v, u)), (bc1, J(br(x, z), v, u), y)],
             [(bc2, x, mu(y, z, u, v)), (bc2, mu(x, z, u, v), y)],
             [(bc1, J(x, z, v), br(y, u)), (bc1, J(x, z, u), br(y, v)),
              (bc1, br(x, v), J(y, z, u)), (bc1, br(x, u), J(y, z, v))],
-        ])
-    raise ValueError("i must be in 1..4")
+        ]
 
 
 def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
@@ -506,22 +510,21 @@ def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
     Each is a chain of 2-cells composed along 0-cells; the unnamed identity
     paddings are resolved automatically from the composability conditions.
     """
-    E = _Exprs(D, 5)
-    return D.cat.unflatten(2, dense(D.cat.level_dim(2), _alpha(E, i, *map(E.leaf, (x, y, z, u, v)))))
+    if i not in (1, 2, 3, 4):
+        raise ValueError("i must be in 1..4")
+    alphas = D._coherence_plan.run(map(_support, (x, y, z, u, v)))
+    return D.cat.unflatten(2, dense(D.cat.level_dim(2), alphas[i - 1]))
 
 
-def _coherence_residual(E: _Exprs, *objs) -> Vector:
-    L = E.D.cat
-    a1, a2, a3, a4 = (_alpha(E, i, *objs) for i in (1, 2, 3, 4))
-    minus = lambda pairs: ((i, -c) for i, c in pairs)
-    return dense(L.level_dim(2), itertools.chain(
-        a1, _inverse2(L, a4), minus(a3), minus(_inverse2(L, a2))))
+def _residual(D: Lie3Data, a1: list, a2: list, a3: list, a4: list) -> Vector:
+    """(alpha1 + alpha4^{-1}) - (alpha3 + alpha2^{-1}); the inverse is linear."""
+    minus = lambda pairs: [(i, -c) for i, c in pairs]
+    return dense(D.cat.level_dim(2), a1 + minus(a3) + _inverse2(D, a4 + minus(a2)))
 
 
 def coherence_residual(D: Lie3Data, x, y, z, u, v) -> Cell:
     """(alpha1 + alpha4^{-1}) - (alpha3 + alpha2^{-1}) on five 0-cells."""
-    E = _Exprs(D, 5)
-    return D.cat.unflatten(2, _coherence_residual(E, *map(E.leaf, (x, y, z, u, v))))
+    return D.cat.unflatten(2, _residual(D, *D._coherence_plan.run(map(_support, (x, y, z, u, v)))))
 
 
 def check_coherence(D: Lie3Data, tuples=None) -> Report:
@@ -535,20 +538,17 @@ def check_coherence(D: Lie3Data, tuples=None) -> Report:
     (ROADMAP, open item 1).  Each quintuple is also checked against the
     order-5 residual of the extracted structure constants: its V2 residual
     must equal that left-hand side ("order5-agreement", residual V2 minus
-    order-5).
+    order-5).  The chains run as one plan per structure (``_Plan``).
     """
-    L = D.cat
-    n0 = L.dim(0)
-    E = _Exprs(D, 4)  # no two canonical quintuples share an expression of all five
-    e0 = E.basis()
+    L, n0 = D.cat, D.cat.dim(0)
+    plan, memo, e0 = D._coherence_plan, {}, [[(i, 1)] for i in range(n0)]
     if tuples is None:
         tuples = itertools.combinations_with_replacement(range(n0), 5)
     data, terms = _raw_linfinity(D), {}  # one degree pattern: its shuffle terms once
-    col = Collector("coherence")
-    zero = vzero(L.level_dim(2))
+    col, zero = Collector("coherence"), vzero(L.level_dim(2))
     for key in tuples:
         w, r5 = _objects(key), {}
-        res = _coherence_residual(E, *(e0[i] for i in key))
+        res = _residual(D, *plan.run([e0[i] for i in key], key, memo))
         accumulate_residual(data, w, terms, 1, r5)  # five 0-cells: the residual lies in V2
         col.compare("coherence", w, res, zero)
         col.compare("order5-agreement", w, res[L.level_dim(1):], dense(L.dim(2), r5.items()))

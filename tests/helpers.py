@@ -658,7 +658,7 @@ def inverse2(D, alpha: Cell) -> Cell:
     """(A,s,a) -> (A, s + l1 a, -a), the inverse along 1-cells, evaluated by
     the library's sparse inverse of the coherence check."""
     L = D.cat
-    return L.unflatten(2, dense(L.level_dim(2), lie3._inverse2(L, enumerate(L.flatten(alpha)))))
+    return L.unflatten(2, dense(L.level_dim(2), lie3._inverse2(D, list(enumerate(L.flatten(alpha))))))
 
 
 def J_formula(D, x, y, z) -> Cell:

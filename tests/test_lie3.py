@@ -29,7 +29,10 @@ def glambda_cat(n=3):
 
 
 def scaling_cat(cocycle=None, n=5):
-    c = ce_cocycles4(scaling_brackets(n), n)[0] if cocycle is None else cocycle
+    """The scaling algebra [e0, ek] = ek on V0 of dim n, V1 = 0, V2 = Q, with
+    mu = -``cocycle``, by default the first closed 4-cochain.  Below n = 4
+    every 4-cochain is 0 (it is antisymmetric in four arguments); mu is 0."""
+    c = next(iter(ce_cocycles4(scaling_brackets(n), n)), {}) if cocycle is None else cocycle
     return from_linfinity(two_term_data(scaling_brackets(n), c, n))
 
 
@@ -119,13 +122,17 @@ def test_cell_tables_built_lazily_once_per_structure():
     """Constructing a Lie3Data (from_linfinity, build_lie3) tabulates
     nothing; the checks tabulate each cell table once per structure, and
     read the composites and the tables restricted above V0 only for the
-    Identiator and coherence."""
-    tables = ("_bracket_table", "_J_table", "_mu_table", "_eta_eps", "_above_v0", "_t")
+    Identiator and coherence.  Only the coherence check traces the coherence
+    plan, once per structure."""
+    tables = ("_bracket_table", "_J_table", "_mu_table", "_eta_eps", "_above_v0", "_t",
+              "_coherence_plan")
     D = glambda_cat()
     E = build_lie3(parse_spec(render_lie3(D)))
     assert not any(name in vars(D) or name in vars(E) for name in tables)
     check_bifunctor(D), check_jacobiator(D)
     assert "_above_v0" not in vars(D) and "_eta_eps" not in vars(D)
+    check_identiator(D)
+    assert "_coherence_plan" not in vars(D)
     built = {}
     for _ in range(2):
         for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence):
@@ -148,6 +155,14 @@ def test_valid_data_passes_all_checks(maker):
         tuples = [t for t in itertools.combinations(range(D.cat.dim(0)), 5)]
     rep = check_coherence(D, tuples=tuples)
     assert rep.passed  # passing includes agreement with the order-5 residual
+
+
+def test_scaling_3_passes_all_checks():
+    """At dim V0 = 3 the scaling algebra has mu = 0 (see ``scaling_cat``)."""
+    D = scaling_cat(n=3)
+    assert D.space.dims == (3, 0, 1) and not D.mu.coeffs
+    for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence):
+        assert check(D).passed, check.__name__
 
 
 # -- perturbations are detected ---------------------------------------

@@ -23,8 +23,8 @@ from shlie3.cli import _render_checks, main
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, koszul_chi)
 from shlie3.lie3 import (Lie3Data, alpha_cell, bracket_cells, check_bifunctor, check_coherence,
-                         check_identiator, check_jacobiator, eta_epsilon, from_linfinity,
-                         mu_cell)
+                         check_identiator, check_jacobiator, coherence_residual, eta_epsilon,
+                         from_linfinity, mu_cell)
 from shlie3.chain import ChainComplexT, tensor_complex
 from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, TensorCat, check_axioms,
                            from_chain, lift_functor, tensor_product)
@@ -39,6 +39,7 @@ from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, block_diag, b
                      rand_chain2, rand_chain3, rand_chain_map, rand_conjugate, rand_vec,
                      scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
                      seed_alpha_cell, seed_check_bifunctor, seed_check_coherence,
+                     seed_coherence_residual,
                      seed_check_condition, seed_check_identiator, seed_check_jacobiator,
                      seed_eta_epsilon, seed_eval, seed_ez, seed_kron, seed_linfty_residual,
                      seed_matmul, seed_nerve, seed_nerve_map, seed_obstruction_demo,
@@ -326,6 +327,30 @@ def test_tabulated_squares_match_cell_oracle_on_edge_samples():
             seen.update(f.identity for f in rep.failures)
     assert {"composable", "target", "naturality-v1", "modification-v1",
             "modification-v2"} <= seen
+
+
+def test_coherence_plan_matches_seed_on_all_ordered_tuples():
+    """The coherence plan gives the Cell-based oracle's report on every
+    ordered quintuple of the edge samples: V0 empty or of dim 1 or 2, V1 = 0
+    (its J and 1-cell bracket terms in later factors dead), an empty
+    bracket table, t != 0 on V1, and the (4,2,1) sample, with t != 0 on V2, mu != 0,
+    V1 != 0 and every restricted table is nonempty.  alpha_cell and
+    coherence_residual, which run the plan without a memo, equal the
+    oracle's cells on random non-integral 0-cells."""
+    rng = random.Random(19)
+    failed = 0
+    for D in edge_samples():
+        n = D.cat.dim(0)
+        rep = check_coherence(D, itertools.product(range(n), repeat=5))
+        assert rep == seed_check_coherence(D, itertools.product(range(n), repeat=5)), D.space.dims
+        failed += not rep.passed
+        for _ in range(3 if n else 0):
+            args = [tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+                    for _ in range(5)]
+            for i in (1, 2, 3, 4):
+                assert alpha_cell(D, i, *args) == seed_alpha_cell(D, i, *args), (D.space.dims, i)
+            assert coherence_residual(D, *args) == seed_coherence_residual(D, *args)
+    assert failed and all(sample_421()._above_v0.values())
 
 
 @pytest.mark.parametrize("case, seed", [("non-Lie-bracket", 24), ("random-J-mu", 5)])

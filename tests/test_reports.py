@@ -30,7 +30,7 @@ from shlie3.specfile import render_chain, render_lie3, render_linfinity
 
 from helpers import J_cell, l1_only, non_jacobi_data, rand_chain3, seed_linfty_residual
 from test_lie3 import _l1_only_cat, _with_random_constants, scaling_cat
-from test_properties import lie3_sample
+from test_properties import lie3_sample, sample_421
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -103,6 +103,7 @@ GOLDEN_CASES = {
     "non-lie-8.json": (non_lie_8, ["check", "--format", "json"]),
     "coherence-check.json": (mu_not_closed, ["check", "--format", "json"]),
     "coherence-command.json": (mu_not_closed, ["coherence", "--format", "json"]),
+    "coherence-421.json": (sample_421, ["coherence", "--format", "json"]),
 }
 
 
