@@ -18,8 +18,8 @@ from .lie3 import (ConversionError, check_bifunctor, check_coherence,
 from .lincat import from_chain
 from .linalg import vsub, vzero
 from .linfinity import check_all, is_special
-from .simplicial import (aw, aw_after_ez_identity, aw_ez_homology_check, ez,
-                         moore, moore_of_nerve_check, nerve, obstruction_demo)
+from .simplicial import (aw_after_ez_identity, aw_ez_homology_check, ez_aw, moore,
+                         moore_of_nerve_check, nerve, obstruction_demo)
 from .specfile import (AlgebraSpecFile, SpecError, build, expect_kind, parse_spec,
                        render_lie3, render_linfinity, render_rational)
 
@@ -167,7 +167,7 @@ def cmd_nerve(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 def cmd_ez_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     L = _two_term_category(spec)
     S = nerve(L, args.trunc)
-    f, g = ez(S, S), aw(S, S)
+    f, g = ez_aw(S, S)
     roundtrip = aw_after_ez_identity(f, g)
     homology = aw_ez_homology_check(f, g)
     checks = [

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-``Matrix`` stores ``fractions.Fraction`` entries as dense row tuples.
-Products, Kronecker products and elimination skip zero entries, since the
-simplicial and tensor operators are mostly 0/+-1.  No floating point
-anywhere.
+``Matrix`` stores dense row tuples whose entries follow the tables' rule
+below: an integral entry is an ``int``, any other a ``Fraction``.  Products,
+Kronecker products and elimination skip zero entries, since the simplicial
+and tensor operators are mostly 0/+-1, so on them they run in ``int``
+arithmetic.  No floating point anywhere.
 
 Every multilinear map of the package is evaluated from one sparse table
 format: a key tuple of basis indices, one per argument, maps to the value's
@@ -13,7 +14,8 @@ their supports, lists of (index, coefficient) pairs, and ``dense`` turns a
 sum of such pairs into a coordinate tuple.  A table holds an integral
 coefficient as an ``int`` (``narrow``): ``int`` arithmetic is exact, and an
 ``int`` meets a ``Fraction`` as a ``Fraction``.  Because ``int / int`` is a
-float, the package divides only here, in ``Matrix.rref``, on Fractions.
+float, the package divides only here, in ``Matrix.rref``, by a Fraction
+pivot.
 """
 
 from __future__ import annotations
@@ -187,14 +189,30 @@ class Frozen:
         return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
 
 
+def _entry(e):
+    """A matrix entry as stored: an ``int`` when integral, else a ``Fraction``."""
+    return e if type(e) is int else narrow(e if type(e) is Q else Q(e))
+
+
+def _narrowed(row: list) -> tuple:
+    return tuple([x if type(x) is int else narrow(x) for x in row])
+
+
 class Matrix(Frozen):
-    """Immutable dense rational matrix."""
+    """Immutable dense rational matrix.
+
+    Every entry is an ``int`` when integral and a ``Fraction`` otherwise: the
+    constructor narrows each entry once (``_entry``), and the kernel's own
+    results, already narrowed, skip that pass (``_of``).  Equal entries of
+    either type compare and hash equal, so the stored type never changes a
+    result.  Only ``rref`` divides, by a pivot other than 1 or -1.
+    """
 
     _fields = ("rows", "ncols")
     __slots__ = (*_fields, "nrows")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        rs = tuple(tuple(e if type(e) is Q else Q(e) for e in row) for row in rows)
+        rs = tuple(tuple([e if type(e) is int else _entry(e) for e in row]) for row in rows)
         if rs:
             ncols = len(rs[0])
             if any(len(r) != ncols for r in rs):
@@ -205,15 +223,24 @@ class Matrix(Frozen):
         object.__setattr__(self, "nrows", len(rs))
         object.__setattr__(self, "ncols", ncols)
 
+    @classmethod
+    def _of(cls, rows: tuple, ncols: int) -> "Matrix":
+        """The matrix of rows that are tuples of narrowed entries, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", ncols)
+        return m
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zeros(m: int, n: int) -> "Matrix":
-        return Matrix([[0] * n for _ in range(m)], ncols=n)
+        return Matrix._of(((0,) * n,) * m, n)
 
     @staticmethod
     def eye(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return Matrix._of(tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)), n)
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence[Q]], nrows: int | None = None) -> "Matrix":
@@ -240,11 +267,8 @@ class Matrix(Frozen):
     def cols(self) -> list[Vector]:
         return [self.col(j) for j in range(self.ncols)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
-
     def is_zero(self) -> bool:
-        return all(e == 0 for r in self.rows for e in r)
+        return not any(map(any, self.rows))
 
     def __repr__(self) -> str:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
@@ -265,8 +289,8 @@ class Matrix(Frozen):
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = Q(c)
-        return Matrix([[c * e for e in r] for r in self.rows], ncols=self.ncols)
+        c = _entry(c)
+        return Matrix._of(tuple(_narrowed([c * e for e in r]) for r in self.rows), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -275,19 +299,19 @@ class Matrix(Frozen):
         support = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
         out = []
         for row in self.rows:
-            acc = [Q(0)] * n
+            acc = [0] * n
             for a, orow in zip(row, support):
                 if a:
                     for j, b in orow:
                         acc[j] += a * b
-            out.append(acc)
-        return Matrix(out, ncols=n)
+            out.append(_narrowed(acc))
+        return Matrix._of(tuple(out), n)
 
     def apply(self, v: Sequence[Q]) -> Vector:
         if len(v) != self.ncols:
             raise ValueError(f"vector of length {len(v)} against {self.shape}")
         support = [(j, b) for j, b in enumerate(v) if b]
-        return tuple(sum((row[j] * b for j, b in support), Q(0)) for row in self.rows)
+        return tuple(sum((row[j] * b for j, b in support), 0) for row in self.rows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         n2 = other.ncols
@@ -295,13 +319,13 @@ class Matrix(Frozen):
         out = []
         for r1 in self.rows:
             for r2 in support:
-                row = [Q(0)] * (self.ncols * n2)
+                row = [0] * (self.ncols * n2)
                 for i, a in enumerate(r1):
                     if a:
                         for j, b in r2:
                             row[i * n2 + j] = a * b
-                out.append(row)
-        return Matrix(out, ncols=self.ncols * n2)
+                out.append(_narrowed(row))
+        return Matrix._of(tuple(out), self.ncols * n2)
 
     # -- elimination --------------------------------------------------
 
@@ -319,20 +343,25 @@ class Matrix(Frozen):
             if pivot_row is None:
                 continue
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = Q(1) / rows[pr][pc]
-            rows[pr] = [inv * e for e in rows[pr]]
+            p = rows[pr][pc]
+            if p == -1:
+                rows[pr] = [-e for e in rows[pr]]
+            elif p != 1:
+                inv = Q(1) / p
+                rows[pr] = [narrow(inv * e) if e else 0 for e in rows[pr]]
             support = [(j, b) for j, b in enumerate(rows[pr]) if b]
             for r in range(self.nrows):
                 f = rows[r][pc]
-                if r != pr and f != 0:
+                if r != pr and f:
                     row = rows[r]
                     for j, b in support:
-                        row[j] -= f * b
+                        x = row[j] - f * b
+                        row[j] = x if type(x) is int else narrow(x)
             pivots.append(pc)
             pr += 1
             if pr == self.nrows:
                 break
-        return Matrix(rows, ncols=self.ncols), tuple(pivots)
+        return Matrix._of(tuple(map(tuple, rows)), self.ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -344,8 +373,8 @@ class Matrix(Frozen):
         free = [j for j in range(self.ncols) if j not in pivset]
         basis = []
         for j in free:
-            v = [Q(0)] * self.ncols
-            v[j] = Q(1)
+            v = [0] * self.ncols
+            v[j] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -R.rows[r][j]
             basis.append(tuple(v))
@@ -368,17 +397,17 @@ class Matrix(Frozen):
         R, pivots = hstack([self, B]).rref()
         if pivots and pivots[-1] >= self.ncols:
             return None
-        X = [[Q(0)] * B.ncols for _ in range(self.ncols)]
+        X = [(0,) * B.ncols] * self.ncols
         for r, pc in enumerate(pivots):
             X[pc] = R.rows[r][self.ncols:]
-        return Matrix(X, ncols=B.ncols)
+        return Matrix._of(tuple(X), B.ncols)
 
     def left_inverse(self) -> "Matrix | None":
         """X with X @ self = I, or None if the columns are dependent."""
         R, pivots = hstack([self, Matrix.eye(self.nrows)]).rref()
         if pivots[:self.ncols] != tuple(range(self.ncols)):
             return None
-        return Matrix([r[self.ncols:] for r in R.rows[:self.ncols]], ncols=self.nrows)
+        return Matrix._of(tuple(r[self.ncols:] for r in R.rows[:self.ncols]), self.nrows)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -388,10 +417,8 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     nrows = mats[0].nrows
     if any(m.nrows != nrows for m in mats):
         raise ValueError("row count mismatch")
-    return Matrix(
-        [sum((list(m.rows[i]) for m in mats), []) for i in range(nrows)],
-        ncols=sum(m.ncols for m in mats),
-    )
+    return Matrix._of(tuple(sum((m.rows[i] for m in mats), ()) for i in range(nrows)),
+                      sum(m.ncols for m in mats))
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -401,10 +428,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     ncols = mats[0].ncols
     if any(m.ncols != ncols for m in mats):
         raise ValueError("column count mismatch")
-    rows = []
-    for m in mats:
-        rows.extend(m.rows)
-    return Matrix(rows, ncols=ncols)
+    return Matrix._of(sum((m.rows for m in mats), ()), ncols)
 
 
 def quotient_basis(sub: Sequence[Vector], space_dim: int) -> list[int]:

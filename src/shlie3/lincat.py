@@ -106,12 +106,6 @@ class LinearNCat(Frozen):
 
     # -- cells --------------------------------------------------------
 
-    def zero_cell(self, m: int) -> Cell:
-        return self.unflatten(m, vzero(self.level_dim(m)))
-
-    def basis_cell(self, m: int, d: int, i: int) -> Cell:
-        return self.coded_cell(tuple(i if k == d else None for k in range(m + 1)))
-
     def coded_cell(self, code: Sequence[int | None]) -> Cell:
         """The cell of level len(code) - 1 whose component k is basis vector
         code[k] of V_k, or zero where code[k] is None (the witness encoding)."""
@@ -470,11 +464,6 @@ class TensorCat(Frozen):
     """
 
     __slots__ = _fields = ("left", "right", "cat", "lift", "lift_inv")
-
-    @property
-    def kernel_bases(self) -> tuple[tuple[Vector, ...], ...]:
-        """Basis of ker S_m in raw L_m (x) M_m, per level: the last columns of lift[m]."""
-        return tuple(tuple(B.cols()[self.cat.offsets[m]:]) for m, B in enumerate(self.lift))
 
     def raw_dim(self, m: int) -> int:
         return self.left.level_dim(m) * self.right.level_dim(m)

@@ -143,27 +143,3 @@ def is_special(data: LInfinityData) -> tuple[bool, Key | None]:
         if sum(d for d, _ in key) == 1:
             return False, key
     return True, None
-
-
-def from_four_cocycle(bracket: MultiMap, action: MultiMap, cochain: MultiMap) -> LInfinityData:
-    """Assemble (V, l2 = bracket + action, l3 = 0, l4 = cochain) with V_1 = 0.
-
-    The caller decides validity by running the order 1..5 checks: n=3 is the
-    Jacobi identity, n=4 the representation law, n=5 the cocycle law.
-    """
-    space = bracket.space
-    if space.dims[1] != 0:
-        raise ValueError("the two-term construction requires dim V_1 = 0")
-    check_signatures(space, (("bracket", bracket, 2, 0), ("action", action, 2, 0),
-                             ("cochain", cochain, 4, 2)))
-    for key, _ in bracket.entries():
-        if any(d != 0 for d, _ in key):
-            raise ValueError("bracket entries must be on V0 x V0")
-    for key, _ in action.entries():
-        if sorted(d for d, _ in key) != [0, 2]:
-            raise ValueError("action entries must pair V0 with V2")
-    for key, _ in cochain.entries():
-        if any(d != 0 for d, _ in key):
-            raise ValueError("cochain entries must be on V0^4")
-    return LInfinityData(space, MultiMap.zero(1, -1, space), bracket + action,
-                         MultiMap.zero(3, 1, space), cochain)

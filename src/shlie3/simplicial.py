@@ -258,15 +258,22 @@ def _tensor_setup(S: SimplicialVS, T: SimplicialVS):
     return ST, bS, bT, bST, CST, prod, layout
 
 
-def ez(S: SimplicialVS, T: SimplicialVS) -> ChainMapT:
+def ez_aw(S: SimplicialVS, T: SimplicialVS) -> tuple[ChainMapT, ChainMapT]:
+    """(ez(S, T), aw(S, T)), building the set-up they share once."""
+    setup = _tensor_setup(S, T)
+    return ez(S, T, setup), aw(S, T, setup)
+
+
+def ez(S: SimplicialVS, T: SimplicialVS, setup: tuple | None = None) -> ChainMapT:
     """Shuffle map from moore(S) (x) moore(T) to moore(tensor_svs(S, T)).
 
     On a (x) b of bidegree (p, q) it is the signed sum over (p,q)-shuffles
     (mu, nu) of {0..p+q-1} of s_{nu_q}..s_{nu_1} a (x) s_{mu_p}..s_{mu_1} b,
     so the (p, q) block is the same signed sum of Kronecker products of the
-    degeneracy chains applied to the two Moore bases.
+    degeneracy chains applied to the two Moore bases.  ``setup`` is
+    ``_tensor_setup(S, T)`` when the caller has built it (``ez_aw``).
     """
-    ST, bS, bT, bST, CST, prod, layout = _tensor_setup(S, T)
+    ST, bS, bT, bST, CST, prod, layout = setup or _tensor_setup(S, T)
     maps = []
     for n in range(S.trunc + 1):
         blocks = []
@@ -308,14 +315,14 @@ def _moore_projection(S: SimplicialVS, bases: list[list[Vector]], n: int) -> Mat
     return Matrix(X.rows[: len(B)], ncols=S.dim(n))
 
 
-def aw(S: SimplicialVS, T: SimplicialVS) -> ChainMapT:
+def aw(S: SimplicialVS, T: SimplicialVS, setup: tuple | None = None) -> ChainMapT:
     """Front-face/back-face map from moore(tensor_svs(S,T)) to moore(S) (x) moore(T).
 
     a (x) b in degree n goes to the sum over p+q=n of
     (d_{p+1}..d_n a) (x) (d_0^p b), each factor projected to the
-    normalized subspace along the degenerate one.
+    normalized subspace along the degenerate one.  ``setup`` is as in ``ez``.
     """
-    ST, bS, bT, bST, CST, prod, layout = _tensor_setup(S, T)
+    ST, bS, bT, bST, CST, prod, layout = setup or _tensor_setup(S, T)
     degrees = {k for blocks in layout for pq in blocks for k in pq}  # each projected once
     PS = {k: _moore_projection(S, bS, k) for k in degrees}
     PT = PS if T is S else {k: _moore_projection(T, bT, k) for k in degrees}
@@ -400,7 +407,7 @@ def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
     n0 = L.dim(0)
     ker = lambda w: vzero(n0) + w[n0:]  # the kernel part of a 1-cell, as a raw 1-cell
     deficit = lambda v: vsub(v, L.flat_identity(0, L.flat_target(1, v)))  # v - 1_{tv}
-    tensor = lambda x, y: tuple(a * b for a in x for b in y)
+    tensor = lambda x, y: tuple(a * b if a and b else 0 for a in x for b in y)  # mostly zeros
     pairs = []
     for cv, cw in L.composable_codes(1, 0):
         v = L.flat_coded(cv)

@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 from shlie3 import lie3
 from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
-                           build_multimap, enumerate_shuffles, koszul_chi)
+                           build_multimap, check_signatures, enumerate_shuffles, koszul_chi)
 from shlie3.lie3 import bracket_cells
 from shlie3.lincat import Cell, ComposabilityError, LinearNCat, to_chain
 from shlie3.linalg import Matrix, contract, dense, vadd, vis_zero, vscale, vzero
@@ -51,6 +51,44 @@ def constant_svs(N: int) -> SimplicialVS:
 def unit_category(n: int) -> LinearNCat:
     space = GradedSpace((1,) + (0,) * n)
     return LinearNCat(space, MultiMap.zero(1, -1, space))
+
+
+def zero_cell(L: LinearNCat, m: int) -> Cell:
+    return L.unflatten(m, vzero(L.level_dim(m)))
+
+
+def basis_cell(L: LinearNCat, m: int, d: int, i: int) -> Cell:
+    return L.coded_cell(tuple(i if k == d else None for k in range(m + 1)))
+
+
+def kernel_bases(tc) -> tuple[tuple, ...]:
+    """Basis of ker S_m in raw L_m (x) M_m, per level: the last columns of
+    tc.lift[m], for tc a ``TensorCat``."""
+    return tuple(tuple(B.cols()[tc.cat.offsets[m]:]) for m, B in enumerate(tc.lift))
+
+
+def from_four_cocycle(bracket: MultiMap, action: MultiMap, cochain: MultiMap) -> LInfinityData:
+    """Assemble (V, l2 = bracket + action, l3 = 0, l4 = cochain) with V_1 = 0.
+
+    The caller decides validity by running the order 1..5 checks: n=3 is the
+    Jacobi identity, n=4 the representation law, n=5 the cocycle law.
+    """
+    space = bracket.space
+    if space.dims[1] != 0:
+        raise ValueError("the two-term construction requires dim V_1 = 0")
+    check_signatures(space, (("bracket", bracket, 2, 0), ("action", action, 2, 0),
+                             ("cochain", cochain, 4, 2)))
+    for key, _ in bracket.entries():
+        if any(d != 0 for d, _ in key):
+            raise ValueError("bracket entries must be on V0 x V0")
+    for key, _ in action.entries():
+        if sorted(d for d, _ in key) != [0, 2]:
+            raise ValueError("action entries must pair V0 with V2")
+    for key, _ in cochain.entries():
+        if any(d != 0 for d, _ in key):
+            raise ValueError("cochain entries must be on V0^4")
+    return LInfinityData(space, MultiMap.zero(1, -1, space), bracket + action,
+                         MultiMap.zero(3, 1, space), cochain)
 
 
 def chain_iso_invariants(L: LinearNCat) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -411,65 +449,105 @@ def seed_check_condition(data: LInfinityData, n: int) -> Report:
 
 # -- the seed dense linear algebra, kept as the oracle -----------------
 #
-# Every entry is multiplied, zeros included, exactly as ``Matrix`` did
-# before products, Kronecker products and elimination skipped zeros.
+# Fraction-only, on plain rows: every entry is read as a Fraction, every
+# entry is multiplied, zeros included, and every pivot row is divided by its
+# pivot, exactly as ``Matrix`` did before products, Kronecker products and
+# elimination skipped zeros and integral entries became ints.  The results
+# are tuples of Fraction rows (or vectors), to compare with ``Matrix.rows``.
 
-def seed_matmul(A: Matrix, B: Matrix) -> Matrix:
-    cols = B.transpose().rows
-    return Matrix([[sum((a * b for a, b in zip(row, col)), Q(0)) for col in cols]
-                   for row in A.rows], ncols=B.ncols)
-
-
-def seed_kron(A: Matrix, B: Matrix) -> Matrix:
-    return Matrix([[a * b for a in r1 for b in r2] for r1 in A.rows for r2 in B.rows],
-                  ncols=A.ncols * B.ncols)
+def transpose(A: Matrix) -> Matrix:
+    return Matrix([A.col(j) for j in range(A.ncols)], ncols=A.nrows)
 
 
-def seed_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    rows = [list(r) for r in A.rows]
+def seed_rows(A: Matrix) -> list[list[Q]]:
+    return [[Q(e) for e in r] for r in A.rows]
+
+
+def seed_matmul(A: Matrix, B: Matrix) -> tuple:
+    cols = seed_rows(transpose(B))
+    return tuple(tuple(sum((a * b for a, b in zip(row, col)), Q(0)) for col in cols)
+                 for row in seed_rows(A))
+
+
+def seed_kron(A: Matrix, B: Matrix) -> tuple:
+    return tuple(tuple(a * b for a in r1 for b in r2)
+                 for r1 in seed_rows(A) for r2 in seed_rows(B))
+
+
+def _seed_reduce(rows: list[list[Q]], ncols: int) -> tuple[tuple, tuple[int, ...]]:
+    """Reduced row echelon form of Fraction rows, and its pivot columns."""
     pivots = []
     pr = 0
-    for pc in range(A.ncols):
-        pivot_row = next((r for r in range(pr, A.nrows) if rows[r][pc] != 0), None)
+    for pc in range(ncols):
+        pivot_row = next((r for r in range(pr, len(rows)) if rows[r][pc] != 0), None)
         if pivot_row is None:
             continue
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
         inv = Q(1) / rows[pr][pc]
         rows[pr] = [inv * e for e in rows[pr]]
-        for r in range(A.nrows):
+        for r in range(len(rows)):
             if r != pr and rows[r][pc] != 0:
                 f = rows[r][pc]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
         pivots.append(pc)
         pr += 1
-        if pr == A.nrows:
+        if pr == len(rows):
             break
-    return Matrix(rows, ncols=A.ncols), tuple(pivots)
+    return tuple(map(tuple, rows)), tuple(pivots)
 
 
-def seed_solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
+def seed_rref(A: Matrix) -> tuple[tuple, tuple[int, ...]]:
+    return _seed_reduce(seed_rows(A), A.ncols)
+
+
+def seed_nullspace(A: Matrix) -> list[tuple]:
+    """One kernel vector per free column: 1 there, minus the reduced column
+    at the pivots."""
+    R, pivots = seed_rref(A)
+    basis = []
+    for j in (j for j in range(A.ncols) if j not in pivots):
+        v = [Q(0)] * A.ncols
+        v[j] = Q(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][j]
+        basis.append(tuple(v))
+    return basis
+
+
+def seed_solve_matrix(A: Matrix, B: Matrix) -> tuple | None:
     """One elimination of [A | b] per column b of B, free variables zero."""
     cols = []
     for j in range(B.ncols):
-        R, pivots = seed_rref(Matrix([list(r) + [b] for r, b in zip(A.rows, B.col(j))],
-                                     ncols=A.ncols + 1))
+        R, pivots = _seed_reduce([r + [Q(b)] for r, b in zip(seed_rows(A), B.col(j))],
+                                 A.ncols + 1)
         if A.ncols in pivots:
             return None
         x = [Q(0)] * A.ncols
         for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][A.ncols]
-        cols.append(tuple(x))
-    return Matrix.from_cols(cols, nrows=A.ncols)
+            x[pc] = R[r][A.ncols]
+        cols.append(x)
+    return tuple(tuple(x[i] for x in cols) for i in range(A.ncols))
+
+
+def seed_left_inverse(A: Matrix) -> tuple | None:
+    """The last rows of the reduced [A | I], when A's columns are independent."""
+    n = A.nrows
+    R, pivots = _seed_reduce([r + [Q(int(i == k)) for k in range(n)]
+                              for i, r in enumerate(seed_rows(A))], A.ncols + n)
+    if pivots[:A.ncols] != tuple(range(A.ncols)):
+        return None
+    return tuple(r[A.ncols:] for r in R[:A.ncols])
 
 
 def seed_quotient_basis(sub, space_dim: int) -> list[int]:
     """Greedy completion: keep e_i when it raises the rank (two ranks per i)."""
+    rank = lambda cols: len(_seed_reduce([[Q(c[i]) for c in cols] for i in range(space_dim)],
+                                         len(cols))[1])
     cols = list(sub)
     chosen = []
-    for i, e in enumerate(Matrix.eye(space_dim).cols()):
-        trial = cols + [e]
-        if (len(seed_rref(Matrix.from_cols(trial, nrows=space_dim))[1])
-                > len(seed_rref(Matrix.from_cols(cols, nrows=space_dim))[1])):
+    for i in range(space_dim):
+        e = tuple(Q(int(k == i)) for k in range(space_dim))
+        if rank(cols + [e]) > rank(cols):
             cols.append(e)
             chosen.append(i)
     return chosen
@@ -798,7 +876,7 @@ def seed_check_bifunctor(D) -> Report:
     col = Collector("bifunctor")
     br = lambda a, b: bracket_cells(D, a, b)
     basis = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m)] for m in range(3)]
-    zero = [L.zero_cell(m) for m in range(3)]
+    zero = [zero_cell(L, m) for m in range(3)]
     for m in (1, 2):
         for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
             ab, w = br(a, b), (ca, cb)
@@ -934,7 +1012,7 @@ def seed_check_identiator(D) -> Report:
         mc, w = mu_formula(D, *objs), _objects(key)
         col.compare("source", w, L.source(mc), eta)
         col.compare("target", w, L.target(mc), eps)
-    zero = L.zero_cell(2)
+    zero = zero_cell(L, 2)
     for w, res in seed_naturality_squares(D, col, _id_F, _id_G,
                                           lambda objs: mu_formula(D, *objs), 4):
         which = "v2" if vis_zero(res.components[1]) else "v1"
@@ -942,14 +1020,24 @@ def seed_check_identiator(D) -> Report:
     return col.report()
 
 
-def seed_alpha_cell(D, i, x, y, z, u, v):
+def seed_alpha_cell(D, i, x, y, z, u, v, memo: dict | None = None):
+    """alpha_i on five 0-cells.  ``memo`` keeps the values of bracket_objects,
+    J_formula and mu_formula by their arguments, for a caller that evaluates
+    many alphas of one structure."""
     C = SeedCat(D.cat)
-    br = lambda p, q: bracket_objects(D, p, q)
+    memo = {} if memo is None else memo
+
+    def cached(f):
+        def g(*args):
+            key = (f, *args)
+            if key not in memo:
+                memo[key] = f(D, *args)
+            return memo[key]
+        return g
+    br, J, mu = cached(bracket_objects), cached(J_formula), cached(mu_formula)
     one1 = lambda w: C.cell_from_v0(w, 1)
     one2 = lambda c: C.identity(c)
     bc = lambda a, b: bracket_cells(D, a, b)
-    mu = lambda a, b, c, d: mu_formula(D, a, b, c, d)
-    J = lambda a, b, c: J_formula(D, a, b, c)
     id2v = lambda w: C.cell_from_v0(w, 2)
     if i == 1:
         return seed_fold_compose(C, [
@@ -994,8 +1082,9 @@ def seed_alpha_cell(D, i, x, y, z, u, v):
     raise ValueError("i must be in 1..4")
 
 
-def seed_coherence_residual(D, x, y, z, u, v):
-    a1, a2, a3, a4 = (seed_alpha_cell(D, i, x, y, z, u, v) for i in (1, 2, 3, 4))
+def seed_coherence_residual(D, x, y, z, u, v, memo: dict | None = None):
+    memo = {} if memo is None else memo
+    a1, a2, a3, a4 = (seed_alpha_cell(D, i, x, y, z, u, v, memo) for i in (1, 2, 3, 4))
     return (a1 + seed_inverse2(D, a4)) - (a3 + seed_inverse2(D, a2))
 
 
@@ -1006,10 +1095,11 @@ def seed_check_coherence(D, tuples=None) -> Report:
         tuples = itertools.combinations_with_replacement(range(L.dim(0)), 5)
     data = LInfinityData(D.space, L.t_data, D.bracket_constants, D.J, -D.mu)
     col = Collector("coherence")
-    zero = L.zero_cell(2)
+    zero = zero_cell(L, 2)
+    memo = {}  # shared by every quintuple: they share brackets, J and mu terms
     for key in tuples:
         w = _objects(key)
-        res = seed_coherence_residual(D, *(e0[i] for i in key))
+        res = seed_coherence_residual(D, *(e0[i] for i in key), memo=memo)
         r5 = linfty_residual(data, 5, [GradedVector.basis_vector(D.space, 0, i) for i in key])
         col.compare("coherence", w, res, zero)
         col.compare("order5-agreement", w, res.components[2], r5.component(2))

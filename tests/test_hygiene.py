@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, and every
 definition of the package has a caller.  No module imports or reads another
 module's private (``_``-prefixed) name.  The arithmetic stays exact: no true
-division outside ``linalg``, and no float in an evaluation table or a
-report residual.
+division outside ``linalg``, no float in an evaluation table, a report
+residual or a matrix of the simplicial layer, and each of their integral
+coefficients an ``int``.
 
 Names listed in a module's ``__all__`` count as used (re-exports).
 """
@@ -13,12 +14,16 @@ from pathlib import Path
 
 import pytest
 
+from shlie3.chain import ChainComplexT
 from shlie3.lie3 import (Lie3Data, check_bifunctor, check_coherence, check_identiator,
                          check_jacobiator)
+from shlie3.linalg import Frozen, Matrix
+from shlie3.lincat import from_chain
 from shlie3.linfinity import check_all
+from shlie3.simplicial import aw, ez, moore, nerve, obstruction_demo, tensor_svs
 
 from test_properties import non_integral_samples
-from test_reports import GOLDEN_CASES
+from test_reports import GOLDEN_CASES, GOLDEN_CLI_CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shlie3"
@@ -205,3 +210,35 @@ def test_tables_and_residuals_are_exact():
         for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence)]
     residuals = [c for r in reports for f in r.failures for c in f.residual]
     assert residuals and all(type(c) in (int, Fraction) for c in residuals)
+
+
+def matrix_entries(value) -> list:
+    """The entries of every ``Matrix`` inside value, through the fields of
+    value types and through tuples and lists."""
+    if isinstance(value, Matrix):
+        return [e for r in value.rows for e in r]
+    if isinstance(value, Frozen):
+        value = value._values()
+    if isinstance(value, (tuple, list)):
+        return [e for v in value for e in matrix_entries(v)]
+    return []
+
+
+def test_simplicial_matrices_are_narrowed():
+    """On the golden simplicial samples and a non-integral chain, every entry
+    of every matrix that nerve, tensor_svs, moore, ez, aw and obstruction_demo
+    return, and of the obstruction witness, is an int or a Fraction that is
+    not integral: no float, and no integral Fraction."""
+    chains = [make() for make in dict.fromkeys(make for make, _ in GOLDEN_CLI_CASES.values())]
+    chains = [C for C in chains if isinstance(C, ChainComplexT)]
+    # l1 = (2/3, 3/2): its Kronecker square has the integral entry 2/3 * 3/2
+    chains.append(ChainComplexT((2, 1), (Matrix([[Fraction(2, 3)], [Fraction(3, 2)]]),)))
+    entries = []
+    for C in chains:
+        L = from_chain(C)
+        S = nerve(L, 2)
+        rep = obstruction_demo(L)
+        entries += matrix_entries([S, tensor_svs(S, S), moore(S), ez(S, S), aw(S, S), rep])
+        entries += rep.witness_difference or []
+    assert len(chains) == 4 and any(type(e) is Fraction for e in entries)
+    assert all(type(e) is int or type(e) is Fraction and e.denominator != 1 for e in entries)

@@ -8,7 +8,7 @@ from shlie3.linalg import (Matrix, combine, compose, contract, dense, hstack,
                            quotient_basis, vadd, vis_zero, vscale, vstack,
                            vsub, vzero)
 
-from helpers import block_diag, rand_invertible, rand_matrix
+from helpers import block_diag, rand_invertible, rand_matrix, transpose
 
 
 def test_vector_helpers():
@@ -47,7 +47,7 @@ def test_matmul_and_shapes():
     B = Matrix([[0, 1], [1, 0]])
     assert (A @ B).rows == ((Q(2), Q(1)), (Q(4), Q(3)))
     assert A.apply((1, 0)) == (Q(1), Q(3))
-    assert A.transpose().rows == ((Q(1), Q(3)), (Q(2), Q(4)))
+    assert transpose(A).rows == ((Q(1), Q(3)), (Q(2), Q(4)))
     E = Matrix.zeros(2, 0)
     assert (E @ Matrix.zeros(0, 3)).shape == (2, 3)
 

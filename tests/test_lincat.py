@@ -12,8 +12,9 @@ from shlie3.lincat import (Cell, ComposabilityError, LiftError, LinearNCat,
                            check_axioms, from_chain, lift_functor, product,
                            TensorCat, tensor_product, to_chain)
 
-from helpers import (chain_iso_invariants, rand_chain3, rand_matrix, seed_pad_composable,
-                     seed_spanning_cells, short_component_cat, unit_category)
+from helpers import (basis_cell, chain_iso_invariants, kernel_bases, rand_chain3, rand_matrix,
+                     seed_pad_composable, seed_spanning_cells, short_component_cat,
+                     unit_category)
 
 
 def rand_cat(rng, dims=None) -> LinearNCat:
@@ -44,8 +45,8 @@ def test_compose_hand_example():
 def test_compose_rejects_mismatch():
     rng = random.Random(1)
     L = rand_cat(rng, (2, 1, 1))
-    a = L.basis_cell(1, 1, 0)
-    b = L.basis_cell(1, 1, 0)
+    a = basis_cell(L, 1, 1, 0)
+    b = basis_cell(L, 1, 1, 0)
     bad = Cell(1, (tuple(c + 1 for c in L.target(a).components[0]), b.components[1]))
     if L.composable(a, bad, 0):
         bad = Cell(1, (tuple(c + 2 for c in bad.components[0]), b.components[1]))
@@ -139,7 +140,7 @@ def test_lift_functor_identity_and_failure():
     L = rand_cat(rng, (2, 1, 1))
     maps = [Matrix.eye(L.level_dim(m)) for m in range(3)]
     F = lift_functor(L, L, maps)
-    a = L.basis_cell(2, 2, 0)
+    a = basis_cell(L, 2, 2, 0)
     assert F.apply(a) == a
 
     bad = list(maps)
@@ -160,7 +161,7 @@ def test_functor_between_different_categories():
             rows.append([Q(1) if c == r else Q(0) for c in range(L.level_dim(m))])
         maps.append(Matrix(rows, ncols=L.level_dim(m)))
     F = lift_functor(L, M, maps)
-    a = L.basis_cell(1, 1, 0)
+    a = basis_cell(L, 1, 1, 0)
     assert F.apply(a).components[1] == a.components[1]
 
 
@@ -192,7 +193,7 @@ def test_tensor_raw_cell_roundtrip():
     L, M = rand_cat(rng, (2, 1, 1)), rand_cat(rng, (2, 1, 1))
     tc = tensor_product(L, M)
     for m in range(3):
-        for v in tc.kernel_bases[m]:
+        for v in kernel_bases(tc)[m]:
             cell = tc.raw_to_cell(m, v)
             assert tc.cell_to_raw(cell) == tuple(v)
 
@@ -202,7 +203,7 @@ def test_raw_to_cell_checks_span_membership():
     L = rand_cat(rng, (2, 1, 1))
     tc = tensor_product(L, L)
     for m in range(3):
-        basis = tc.kernel_bases[m]
+        basis = kernel_bases(tc)[m]
         # drop the last kernel basis vector at level m, the last column of
         # lift[m]: it leaves the span
         lift = tc.lift[m]

@@ -5,11 +5,11 @@ from fractions import Fraction as Q
 import pytest
 
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
-from shlie3.linfinity import (LInfinityData, check_all, check_condition,
-                              from_four_cocycle, is_special, linfty_residual)
+from shlie3.linfinity import (LInfinityData, check_all, check_condition, is_special,
+                              linfty_residual)
 
 from helpers import (abelian_l3_l4, ce_differential, ce_cocycles4,
-                     filiform_brackets, graded_lie_data, l1_only,
+                     filiform_brackets, from_four_cocycle, graded_lie_data, l1_only,
                      non_jacobi_data, rand_brackets, rand_conjugate,
                      scaling_brackets, seed_canonical_tuples, seed_check_condition,
                      seed_linfty_residual, two_term_data, zero_data)

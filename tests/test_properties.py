@@ -42,7 +42,8 @@ from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, block_diag, b
                      seed_coherence_residual,
                      seed_check_condition, seed_check_identiator, seed_check_jacobiator,
                      seed_eta_epsilon, seed_eval, seed_ez, seed_kron, seed_linfty_residual,
-                     seed_matmul, seed_nerve, seed_nerve_map, seed_obstruction_demo,
+                     seed_left_inverse, seed_matmul, seed_nerve, seed_nerve_map,
+                     seed_nullspace, seed_obstruction_demo,
                      seed_pad_composable, seed_pairing_matrix, seed_quotient_basis, seed_rref,
                      seed_tensor_complex, seed_solve_matrix, seed_spanning_codes, seed_tail_codes,
                      seed_tensor_identity_pairs, seed_tensor_identity_residual,
@@ -114,37 +115,69 @@ def test_chi_multiplicative(case):
 
 shape_st = st.integers(0, 6)
 zero_share_st = st.sampled_from([0.0, 0.3, 0.6, 0.9])
+# a nonzero entry: an int or a Fraction, so that pivots are often not +-1
+value_st = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
+
+
+def matrix_st(m: int, n: int, zero_share: float):
+    """m x n matrices whose entries are zero with probability zero_share, and
+    otherwise drawn from ``value_st``."""
+    entry = st.tuples(st.integers(0, 9), value_st).map(
+        lambda t: 0 if t[0] < 10 * zero_share else t[1])
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m).map(
+        lambda rows: Matrix(rows, ncols=n))
+
+
+def narrowed(entries) -> bool:
+    """Every entry an int, or a Fraction that is not integral."""
+    return all(type(e) is int or type(e) is Q and e.denominator != 1 for e in entries)
+
+
+def kernel_case_st():
+    """(A, B, C) of shapes m x k, k x n and m x n, with one zero share."""
+    return st.tuples(shape_st, shape_st, shape_st, zero_share_st).flatmap(
+        lambda t: st.tuples(*(matrix_st(r, c, t[3])
+                              for r, c in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])))))
 
 
 @settings(max_examples=80, deadline=None)
-@given(m=shape_st, k=shape_st, n=shape_st, zero_share=zero_share_st,
-       seed=st.integers(0, 2**32))
-def test_sparse_kernel_matches_seed_dense_loops(m, k, n, zero_share, seed):
-    rng = random.Random(seed)
-    A = sparse_matrix(rng, m, k, zero_share)
-    B = sparse_matrix(rng, k, n, zero_share)
-    assert A @ B == seed_matmul(A, B)
-    v = sparse_matrix(rng, k, 1, zero_share)
-    assert A.apply(v.col(0)) == seed_matmul(A, v).col(0)
-    assert A.kron(B) == seed_kron(A, B)
-    assert A.rref() == seed_rref(A)
-    C = sparse_matrix(rng, m, n, zero_share)
-    assert A.solve_matrix(C) == seed_solve_matrix(A, C)
+@given(case=kernel_case_st())
+@example(case=(Matrix([[2, Q(1, 2)], [Q(-1, 3), 4]]), Matrix([[Q(2, 3)], [2]]),
+               Matrix([[1], [0]])))
+def test_sparse_kernel_matches_seed_dense_loops(case):
+    """The zero-skipping, int-narrowing kernel against the Fraction-only seed,
+    on drawn matrices with non-integral entries, pivots other than +-1 and
+    empty or zero shapes; every result entry is narrowed.  The example has
+    pivots 2 and 49/12, and a Kronecker entry 1/2 * 2 that is integral."""
+    A, B, C = case
+    k, n = B.shape
+    AB = A @ B
+    assert AB.rows == seed_matmul(A, B)
+    v = B.col(0) if n else (0,) * k
+    assert A.apply(v) == tuple(r[0] for r in seed_matmul(A, Matrix.from_cols([v], nrows=k)))
+    assert A.kron(B).rows == seed_kron(A, B)
+    R, pivots = A.rref()
+    assert (R.rows, pivots) == seed_rref(A)
+    assert A.nullspace() == seed_nullspace(A)
+    X = A.solve_matrix(C)
+    want = seed_solve_matrix(A, C)
+    assert (X is None) == (want is None) and (X is None or X.rows == want)
     # a right-hand side in the column space always has a solution
-    X = A.solve_matrix(A @ B)
-    assert X is not None and X == seed_solve_matrix(A, A @ B)
+    Y = A.solve_matrix(AB)
+    assert Y is not None and Y.rows == seed_solve_matrix(A, AB)
+    rows = [r for M in (AB, A.kron(B), R, Y, X or Y) for r in M.rows] + A.nullspace()
+    assert narrowed(e for r in rows for e in r)
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.integers(1, 7), k=shape_st, zero_share=zero_share_st,
-       seed=st.integers(0, 2**32))
-def test_left_inverse_and_quotient_basis(m, k, zero_share, seed):
-    rng = random.Random(seed)
-    A = sparse_matrix(rng, m, k, zero_share)
+@given(m=st.integers(1, 7), k=shape_st, zero_share=zero_share_st, data=st.data())
+def test_left_inverse_and_quotient_basis(m, k, zero_share, data):
+    A = data.draw(matrix_st(m, k, zero_share))
     X = A.left_inverse()
-    independent = len(seed_rref(A)[1]) == k
-    assert (X is not None) == independent
-    if independent:
+    want = seed_left_inverse(A)
+    assert (X is None) == (want is None) == (len(seed_rref(A)[1]) != k)
+    if X is not None:
+        assert X.rows == want and narrowed(e for r in X.rows for e in r)
         assert X @ A == Matrix.eye(k)
     assert quotient_basis(A.cols(), m) == seed_quotient_basis(A.cols(), m)
 

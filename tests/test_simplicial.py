@@ -9,7 +9,7 @@ from shlie3.linalg import Matrix, vis_zero
 from shlie3.lincat import from_chain, tensor_product
 from shlie3.simplicial import (SimplicialVS, aw, aw_after_ez_identity,
                                aw_ez_homology_check, compose_tensor_identity,
-                               ez, moore, moore_bases,
+                               ez, ez_aw, moore, moore_bases,
                                moore_of_nerve_check, nerve, nerve_map,
                                obstruction_demo, tensor_svs)
 from shlie3.lincat import NFunctor, lift_functor
@@ -142,10 +142,15 @@ def test_each_moore_basis_is_computed_once(monkeypatch, tmp_path, capsys):
     T = nerve(from_chain(C), 2)  # equal to S, but not S: normalized separately
     assert ez(S, T).maps == f.maps and aw(S, T).maps == g.maps
     calls.clear()
+    assert ez_aw(S, S) == (f, g) and len(calls) == 2  # the two maps share one set-up
+    calls.clear()
     p = tmp_path / "chain.json"
     p.write_text(render_chain(C))
     assert cli.main(["nerve", str(p), "--trunc", "2"]) == 0
     assert len(calls) == 2  # the reported Moore dims, then the kernel-complex check
+    calls.clear()
+    assert cli.main(["ez-demo", str(p), "--trunc", "2"]) == 0
+    assert len(calls) == 2  # S and tensor_svs(S, S), for both maps
 
 
 def test_each_moore_projection_is_computed_once(monkeypatch):

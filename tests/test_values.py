@@ -13,9 +13,11 @@ from shlie3.graded import GradedSpace, MultiMap
 from shlie3.lie3 import Lie3Data
 from shlie3.lincat import LinearNCat
 from shlie3.linalg import Frozen, Matrix
-from shlie3.linfinity import LInfinityData, from_four_cocycle
+from shlie3.linfinity import LInfinityData
 from shlie3.report import Failure
 from shlie3.specfile import AlgebraSpecFile
+
+from helpers import from_four_cocycle
 
 
 def _subclasses(cls):
