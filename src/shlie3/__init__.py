@@ -9,6 +9,7 @@ the nerve, its normalized chain complex, the shuffle and front-face
 comparison maps, and the failure of the nerve to be monoidal.
 """
 
+# Every module is loaded here, so that the tracer of perfbench/launcher.py can rebind each traced name.
 from .chain import ChainComplexT, ChainMapT, homology_data, tensor_complex
 from .graded import GradedSpace, GradedVector, MultiMap, Permutation, koszul_chi
 from .lie3 import (Lie3Data, check_bifunctor, check_coherence,

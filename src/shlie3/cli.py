@@ -7,9 +7,9 @@ and flags.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .chain import ChainComplexT
 from .lie3 import (ConversionError, check_bifunctor, check_coherence,
@@ -55,15 +55,9 @@ def _emit(report: dict, fmt: str, out_path: str | None) -> None:
         lines = [f"command: {report['command']}"]
         for c in report.get("checks", []):
             status = "PASS" if c.get("passed", True) else "FAIL"
-            extra = ""
             n_bad = len(c.get("violations", c.get("failures", [])))
-            if n_bad:
-                extra = f"  ({n_bad} violations)"
-            lines.append(f"  {c['name']}: {status}{extra}")
-        for k, v in sorted(report.items()):
-            if k in ("command", "checks"):
-                continue
-            lines.append(f"{k}: {v}")
+            lines.append(f"  {c['name']}: {status}" + (f"  ({n_bad} violations)" if n_bad else ""))
+        lines += [f"{k}: {v}" for k, v in sorted(report.items()) if k not in ("command", "checks")]
         text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
@@ -237,29 +231,58 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="shlie3",
-        description="Exact checks and conversions for 3-term homotopy Lie "
-                    "algebras and their categorified presentations.")
-    p.add_argument("command", choices=sorted(COMMANDS))
-    p.add_argument("file", help="JSON spec file")
-    p.add_argument("--n", type=int, default=5, help="highest identity order to check (1..5)")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--trunc", type=int, default=3, help="simplicial truncation level")
-    p.add_argument("--out", default=None, help="write output to this file")
-    p.add_argument("--to", choices=("lie3", "linfinity"), default=None,
-                   help="conversion target (convert only)")
-    return p
+# option: (default, int for an integer, the choices, or None for any string)
+OPTIONS = {"--n": (5, int), "--format": ("text", ("json", "text")), "--trunc": (3, int),
+           "--out": (None, None), "--to": (None, ("lie3", "linfinity"))}
+
+USAGE = f"""\
+usage: shlie3 COMMAND FILE [--n 1..5] [--format text|json] [--trunc T] [--out PATH] [--to lie3|linfinity]
+commands: {', '.join(COMMANDS)}
+options go anywhere, as --opt VALUE or --opt=VALUE; the last one wins (defaults --n 5, --format text, --trunc 3)
+"""
+
+
+def parse_args(argv) -> SimpleNamespace | None:
+    """COMMAND FILE and options in any order, or None when help is asked for.
+    A value may start with ``-``; a bad command line raises ValueError."""
+    values = {opt[2:]: default for opt, (default, _) in OPTIONS.items()}
+    positionals, it = [], iter(argv)
+    for arg in it:
+        if arg in ("-h", "--help"):
+            return None
+        if arg[:1] != "-" or arg == "-":
+            positionals.append(arg)
+            continue
+        opt, eq, value = arg.partition("=")
+        if opt not in OPTIONS:
+            raise ValueError(f"unknown option {opt}")
+        if not eq and (value := next(it, None)) is None:
+            raise ValueError(f"{opt} needs a value")
+        kind = OPTIONS[opt][1]
+        if kind not in (int, None) and value not in kind:
+            raise ValueError(f"{opt} must be one of {', '.join(kind)}, not {value!r}")
+        try:
+            values[opt[2:]] = int(value) if kind is int else value
+        except ValueError:
+            raise ValueError(f"{opt} needs an integer, not {value!r}") from None
+    if len(positionals) != 2 or positionals[0] not in COMMANDS:
+        raise ValueError(f"expected COMMAND FILE, with COMMAND one of {', '.join(COMMANDS)}")
+    # In a 3-term structure every identity of order 6 or more holds vacuously
+    # (its residual degree is at least 3), while the tuples to list still grow.
+    if not 1 <= values["n"] <= 5 or values["trunc"] < 1:
+        raise ValueError("--n must be in 1..5 and --trunc at least 1")
+    return SimpleNamespace(command=positionals[0], file=positionals[1], **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # In a 3-term structure every identity of order 6 or more holds vacuously
-    # (its residual degree is at least 3), while the tuples to list still grow.
-    if not 1 <= args.n <= 5 or args.trunc < 1:
-        sys.stderr.write("error: --n must be in 1..5 and --trunc at least 1\n")
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as e:
+        sys.stderr.write(f"error: {e}\n")
         return 2
+    if args is None:
+        sys.stdout.write(USAGE)
+        return 0
     try:
         spec = _load(args.file)
         report, code = COMMANDS[args.command](spec, args)

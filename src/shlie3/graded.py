@@ -206,24 +206,18 @@ def enumerate_shuffles(i: int, j: int) -> list[Permutation]:
     return out
 
 
-def _canonicalize(key: Key, ) -> tuple[Key, int]:
-    """Sorted-key representative and the chi relating key to it.
-
-    Returns (ckey, sign) with  m(key) == sign * m(ckey);  sign == 0 when the
-    key contains a repeated even-degree basis element (value forced to zero).
-    """
-    n = len(key)
-    order = sorted(range(n), key=lambda p: key[p])  # stable
-    ckey = tuple(key[p] for p in order)
-    for a, b in zip(ckey, ckey[1:]):
-        if a == b and a[0] % 2 == 0:
-            return ckey, 0
-    # sigma with key == sigma.apply(ckey):  key[j] = ckey[sigma(j)]
-    inv = [0] * n
-    for m, p in enumerate(order):
-        inv[p] = m + 1
-    sigma = Permutation(tuple(inv))
-    return ckey, koszul_chi(sigma, [d for d, _ in ckey])
+def _canonicalize(key: Key) -> tuple[Key, int]:
+    """Sorted-key representative ckey and the sign with m(key) == sign * m(ckey):
+    each inverted pair of ``key`` flips it unless both elements have odd degree
+    (``koszul_chi``'s rule), and it is 0 when an even-degree element repeats."""
+    chi = 1
+    for p, a in enumerate(key):
+        for b in key[p + 1:]:
+            if a == b and not a[0] & 1:
+                return tuple(sorted(key)), 0
+            if a > b and not a[0] & b[0] & 1:
+                chi = -chi
+    return tuple(sorted(key)), chi
 
 
 class MultiMap(Frozen):

@@ -18,11 +18,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
-from math import prod
 
-from .graded import (GradedSpace, GradedVector, MultiMap, check_signatures,
-                     enumerate_shuffles, koszul_chi)
+from .graded import GradedSpace, MultiMap, check_signatures, enumerate_shuffles, koszul_chi
 from .linalg import Frozen, dense, vzero
 from .report import Collector, Report
 
@@ -79,22 +76,6 @@ def accumulate_residual(data: LInfinityData, key: Key, terms: dict, coeff, out: 
             for (_, b), v in lj.get((a,) + perm[i:], ()):
                 out[b] = out.get(b, 0) + sign * coeff * c * v
     return r
-
-
-def linfty_residual(data: LInfinityData, n: int, args: Sequence[GradedVector]) -> GradedVector:
-    """Left-hand side of the order-n identity, expanded over basis tuples."""
-    if len(args) != n:
-        raise ValueError(f"order {n} needs {n} arguments")
-    for a in args:
-        if a.space != data.space:
-            raise ValueError("argument from a different space")
-        if a.degree() is None and not a.is_zero():
-            raise ValueError("arguments must be homogeneous")
-    terms, out, r = {}, {}, 0
-    for combo in itertools.product(*(a.support() for a in args)):
-        r = accumulate_residual(data, tuple(b for b, _ in combo), terms,
-                                prod(c for _, c in combo), out)
-    return GradedVector.from_support(data.space, (((r, b), v) for b, v in out.items()))
 
 
 def _canonical_tuples(space: GradedSpace, n: int):

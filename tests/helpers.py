@@ -13,6 +13,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction as Q
+from math import prod
 
 from shlie3 import lie3
 from shlie3.chain import ChainComplexT
@@ -21,7 +22,7 @@ from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
 from shlie3.lie3 import bracket_cells
 from shlie3.lincat import Cell, ComposabilityError, LinearNCat, to_chain
 from shlie3.linalg import Matrix, contract, dense, vadd, vis_zero, vscale, vzero
-from shlie3.linfinity import LInfinityData, degree_tag, linfty_residual
+from shlie3.linfinity import LInfinityData, accumulate_residual, degree_tag
 from shlie3.report import Collector, Failure, Report
 from shlie3.simplicial import SimplicialVS
 
@@ -89,6 +90,23 @@ def from_four_cocycle(bracket: MultiMap, action: MultiMap, cochain: MultiMap) ->
             raise ValueError("cochain entries must be on V0^4")
     return LInfinityData(space, MultiMap.zero(1, -1, space), bracket + action,
                          MultiMap.zero(3, 1, space), cochain)
+
+
+def linfty_residual(data: LInfinityData, n: int, args) -> GradedVector:
+    """Left-hand side of the order-n identity on homogeneous vectors, expanded
+    over basis tuples and summed with the library's ``accumulate_residual``."""
+    if len(args) != n:
+        raise ValueError(f"order {n} needs {n} arguments")
+    for a in args:
+        if a.space != data.space:
+            raise ValueError("argument from a different space")
+        if a.degree() is None and not a.is_zero():
+            raise ValueError("arguments must be homogeneous")
+    terms, out, r = {}, {}, 0
+    for combo in itertools.product(*(a.support() for a in args)):
+        r = accumulate_residual(data, tuple(b for b, _ in combo), terms,
+                                prod(c for _, c in combo), out)
+    return GradedVector.from_support(data.space, (((r, b), v) for b, v in out.items()))
 
 
 def chain_iso_invariants(L: LinearNCat) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -375,19 +393,26 @@ def rand_brackets(rng: random.Random, dims=(2, 1, 1), density: float = 0.5) -> L
 # the chi sign, term by term on GradedVectors, exactly as the library did
 # before brackets were compiled into index tables.
 
-def seed_eval_basis(m: MultiMap, key) -> GradedVector:
+def seed_canonicalize(key) -> tuple[tuple, int]:
+    """(sorted key, sign) with m(key) == sign * m(sorted key), the sign being
+    ``koszul_chi`` of the permutation that sorts ``key``; 0 when an
+    even-degree basis element repeats."""
     n = len(key)
     order = sorted(range(n), key=lambda p: key[p])
     ckey = tuple(key[p] for p in order)
     if any(a == b and a[0] % 2 == 0 for a, b in zip(ckey, ckey[1:])):
-        return GradedVector.zero(m.space)
-    od = m.output_degree(ckey)
-    if od is None or ckey not in m.coeffs:
-        return GradedVector.zero(m.space)
+        return ckey, 0
     inv = [0] * n
     for k, p in enumerate(order):
         inv[p] = k + 1
-    sign = koszul_chi(Permutation(tuple(inv)), [d for d, _ in ckey])
+    return ckey, koszul_chi(Permutation(tuple(inv)), [d for d, _ in ckey])
+
+
+def seed_eval_basis(m: MultiMap, key) -> GradedVector:
+    ckey, sign = seed_canonicalize(key)
+    od = m.output_degree(ckey)
+    if not sign or od is None or ckey not in m.coeffs:
+        return GradedVector.zero(m.space)
     return GradedVector.from_component(m.space, od, [sign * c for c in m.coeffs[ckey]])
 
 

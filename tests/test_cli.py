@@ -87,6 +87,50 @@ def test_invalid_n_and_trunc_refused(valid_linf_file, chain_file, capsys,
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "FILE", "--bogus", "1"], ["check", "FILE", "--form", "json"],
+    ["check", "FILE", "-n", "4"], ["check", "FILE", "--format", "xml"],
+    ["check", "FILE", "--n", "abc"], ["nerve", "FILE", "--trunc=2.5"],
+    ["convert", "FILE", "--to", "json"], ["check", "FILE", "--n"], ["check", "FILE", "--out"],
+    ["check"], [], ["check", "FILE", "extra"], ["verify", "FILE"]],
+    ids=["unknown-option", "abbreviated-option", "single-dash-option", "bad-choice",
+         "non-integer", "non-integer-trunc", "bad-target", "missing-value", "missing-out-value",
+         "missing-file", "no-arguments", "extra-positional", "unknown-command"])
+def test_bad_command_line_refused(valid_linf_file, capsys, argv):
+    """Each bad command line exits 2 with one ``error:`` line on stderr and
+    nothing on stdout; ``main`` returns, it does not raise ``SystemExit``."""
+    assert main([valid_linf_file if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_option_forms_are_equivalent(invalid_linf_file, capsys):
+    """--opt=value, options before the command and repeated options (the last
+    wins) give what the spaced form gives."""
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+    spaced = run(["check", invalid_linf_file, "--n", "4", "--format", "json"])
+    assert spaced[0] == 0 and spaced[1].out.startswith("{")
+    for argv in (["check", invalid_linf_file, "--n=4", "--format=json"],
+                 ["--n", "4", "--format", "json", "check", invalid_linf_file],
+                 ["--format=json", "check", "--n", "4", invalid_linf_file],
+                 ["check", invalid_linf_file, "--n", "5", "--format", "text", "--n=4",
+                  "--format", "json"]):
+        assert run(argv) == spaced, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["check", "nope.json", "--help"]])
+def test_help_prints_usage(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: shlie3") and captured.err == ""
+    for word in ("check", "convert", "coherence", "nerve", "ez-demo", "obstruction-demo",
+                 "report", "--n", "--format", "--trunc", "--out", "--to"):
+        assert word in captured.out
+
+
 @pytest.mark.parametrize("content", [
     '{"kind": "chain", "dims": [1], "maps": {}, "metadata": {"name": "caf\xe9"}}'.encode("latin-1"),
     b"[" * 200_000], ids=["not-utf8", "deeply-nested"])
@@ -201,7 +245,8 @@ def test_console_script_entry_point(valid_linf_file):
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     """Every CLI call pays for ``import shlie3.cli`` in a fresh interpreter, so
-    it adds none of these costly modules to what the interpreter loads anyway."""
+    it adds none of these costly modules to what the interpreter loads anyway,
+    nor ``argparse`` and the ``gettext`` it imports."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
     def loaded(statement):
@@ -211,7 +256,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
 
     added = loaded("import shlie3.cli") - loaded("pass")
     assert "shlie3.cli" in added
-    assert added & {"dataclasses", "inspect", "typing"} == set()
+    assert added & {"dataclasses", "inspect", "typing", "argparse", "gettext"} == set()
 
 
 def test_each_spec_is_built_once_per_call(valid_linf_file, chain_file, tmp_path,

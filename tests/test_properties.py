@@ -20,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from shlie3 import lie3
 from shlie3.cli import _render_checks, main
-from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
-                           build_multimap, koszul_chi)
+from shlie3.graded import (ContradictionError, GradedSpace, GradedVector, MultiMap, Permutation,
+                           _canonicalize, build_multimap, koszul_chi)
 from shlie3.lie3 import (Lie3Data, alpha_cell, bracket_cells, check_bifunctor, check_coherence,
                          check_identiator, check_jacobiator, coherence_residual, eta_epsilon,
                          from_linfinity, mu_cell)
@@ -29,7 +29,7 @@ from shlie3.chain import ChainComplexT, tensor_complex
 from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, TensorCat, check_axioms,
                            from_chain, lift_functor, tensor_product)
 from shlie3.linalg import Matrix, quotient_basis, vadd, vsub, vzero
-from shlie3.linfinity import LInfinityData, check_all, linfty_residual
+from shlie3.linfinity import LInfinityData, check_all
 from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, nerve, nerve_map,
                                obstruction_demo)
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
@@ -38,10 +38,10 @@ from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, block_diag, b
                      ce_cocycles4, conjugate, l1_only, mu_formula, rand_brackets,
                      rand_chain2, rand_chain3, rand_chain_map, rand_conjugate, rand_vec,
                      scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
-                     seed_alpha_cell, seed_check_bifunctor, seed_check_coherence,
+                     seed_alpha_cell, seed_canonicalize, seed_check_bifunctor, seed_check_coherence,
                      seed_coherence_residual,
                      seed_check_condition, seed_check_identiator, seed_check_jacobiator,
-                     seed_eta_epsilon, seed_eval, seed_ez, seed_kron, seed_linfty_residual,
+                     linfty_residual, seed_eta_epsilon, seed_eval, seed_ez, seed_kron, seed_linfty_residual,
                      seed_left_inverse, seed_matmul, seed_nerve, seed_nerve_map,
                      seed_nullspace, seed_obstruction_demo,
                      seed_pad_composable, seed_pairing_matrix, seed_quotient_basis, seed_rref,
@@ -111,6 +111,34 @@ def test_residual_is_multilinear_sum_of_basis_residuals(dims, n, seed):
 def test_chi_multiplicative(case):
     s, t, deg = Permutation(tuple(case[0])), Permutation(tuple(case[1])), case[2]
     assert koszul_chi(s.compose(t), deg) == koszul_chi(s, t.apply(deg)) * koszul_chi(t, deg)
+
+
+# basis elements (degree, index) with few indices, so that keys often repeat one
+key_st = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, max_size=5).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(key_st)
+@example(((1, 0), (2, 1), (1, 0), (0, 0), (1, 1)))  # a repeated odd element, all degrees
+@example(((0, 1), (2, 0), (0, 1)))  # a repeated even element
+def test_sign_folding_matches_koszul_chi(key):
+    """On every reordering of a key, ``_canonicalize``, the signs that
+    ``MultiMap.table()`` folds in and ``build_multimap``'s folding of a raw
+    entry agree with ``koszul_chi`` of a ``Permutation`` (``seed_canonicalize``)."""
+    n, space = len(key), GradedSpace((2, 2, 2))
+    weight = -sum(d for d, _ in key)  # every value lands in degree 0
+    ckey, sign = seed_canonicalize(key)
+    table = (MultiMap(n, weight, space, {ckey: (1, 0)}).table() if sign else {})
+    for perm in set(itertools.permutations(key)):
+        expected = seed_canonicalize(perm)
+        assert _canonicalize(perm) == expected
+        if sign:
+            assert table[perm] == (((0, 0), expected[1]),)
+            folded = build_multimap(n, weight, space, [(perm, (Q(1, 2), 3))])
+            assert folded.coeffs == {ckey: (expected[1] * Q(1, 2), expected[1] * 3)}
+        else:
+            with pytest.raises(ContradictionError):
+                build_multimap(n, weight, space, [(perm, (1, 0))])
 
 
 shape_st = st.integers(0, 6)
