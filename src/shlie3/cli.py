@@ -8,6 +8,7 @@ and flags.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -275,8 +276,22 @@ def parse_args(argv) -> SimpleNamespace | None:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.  As the process entry
+    (no ``argv``) it runs ``main(sys.argv[1:])``, flushes stdout and stderr and
+    ends the process with ``os._exit``, skipping finalization, unless a flush
+    fails (a closed pipe) or a profiler or tracer needs its exit hooks."""
+    if argv is None:
+        code = main(sys.argv[1:])
+        if sys.getprofile() is None and sys.gettrace() is None:
+            try:
+                sys.stdout.flush()
+                sys.stderr.flush()
+            except OSError:
+                return code
+            os._exit(code)
+        return code
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(argv)
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

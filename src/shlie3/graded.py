@@ -138,16 +138,9 @@ class Permutation(Frozen):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
     @property
     def size(self) -> int:
         return len(self.images)
-
-    def __call__(self, j: int) -> int:
-        return self.images[j - 1]
 
     def apply(self, seq: Sequence) -> tuple:
         if len(seq) != self.size:
@@ -191,19 +184,6 @@ def koszul_chi(sigma: Permutation, degrees: Sequence[int]) -> int:
                 if degrees[imgs[p] - 1] % 2 and degrees[imgs[q] - 1] % 2:
                     chi = -chi  # Koszul crossing of two odd elements
     return chi
-
-
-def enumerate_shuffles(i: int, j: int) -> list[Permutation]:
-    """(i,j)-shuffles of {1..i+j}, lexicographic in the first block."""
-    if i < 0 or j < 0 or i + j < 1:
-        raise ValueError("need i, j >= 0 with i + j >= 1")
-    n = i + j
-    out = []
-    universe = range(1, n + 1)
-    for first in itertools.combinations(universe, i):
-        rest = tuple(k for k in universe if k not in first)
-        out.append(Permutation(first + rest))
-    return out
 
 
 def _canonicalize(key: Key) -> tuple[Key, int]:

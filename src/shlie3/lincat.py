@@ -162,11 +162,11 @@ class LinearNCat(Frozen):
         """1^k of the flat m-cell v: zeros appended for V_{m+1} .. V_{m+k}."""
         if m + k > self.n:
             raise ValueError("no identities above the top level")
-        return tuple(v) + vzero(self.offsets[m + k + 1] - self.offsets[m + 1])
+        return tuple(v) + (0,) * (self.offsets[m + k + 1] - self.offsets[m + 1])
 
     def flat_coded(self, code: Sequence[int | None]) -> Vector:
         """Flat coordinates of ``coded_cell(code)``."""
-        return tuple(Q(int(j == i)) for k, i in enumerate(code) for j in range(self.dim(k)))
+        return tuple(int(j == i) for k, i in enumerate(code) for j in range(self.dim(k)))
 
     def flat_compose(self, m: int, a: Vector, b: Vector, p: int) -> Vector:
         """a o_p b: the components above p are added; raises ComposabilityError

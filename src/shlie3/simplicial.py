@@ -11,7 +11,7 @@ from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT, ChainMapT, induced_on_homology, tensor_complex
 from .lincat import LinearNCat, NFunctor, TensorCat, tensor_product
-from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vis_zero, vstack, vsub, vzero
+from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vis_zero, vstack, vsub
 
 
 class SimplicialVS(Frozen):
@@ -405,7 +405,7 @@ def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
     each pair is linear in (v, free part of w), so the identity is checked on
     the product of two bases of composable pairs (``composable_codes``)."""
     n0 = L.dim(0)
-    ker = lambda w: vzero(n0) + w[n0:]  # the kernel part of a 1-cell, as a raw 1-cell
+    ker = lambda w: (0,) * n0 + w[n0:]  # the kernel part of a 1-cell, as a raw 1-cell
     deficit = lambda v: vsub(v, L.flat_identity(0, L.flat_target(1, v)))  # v - 1_{tv}
     tensor = lambda x, y: tuple(a * b if a and b else 0 for a in x for b in y)  # mostly zeros
     pairs = []

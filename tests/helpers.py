@@ -18,7 +18,7 @@ from math import prod
 from shlie3 import lie3
 from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
-                           build_multimap, check_signatures, enumerate_shuffles, koszul_chi)
+                           build_multimap, check_signatures, koszul_chi)
 from shlie3.lie3 import bracket_cells
 from shlie3.lincat import Cell, ComposabilityError, LinearNCat, to_chain
 from shlie3.linalg import Matrix, contract, dense, vadd, vis_zero, vscale, vzero
@@ -28,6 +28,19 @@ from shlie3.simplicial import SimplicialVS
 
 
 # -- small constructions that only the tests use ----------------------
+
+def enumerate_shuffles(i: int, j: int) -> list[Permutation]:
+    """(i,j)-shuffles of {1..i+j}, lexicographic in the first block."""
+    if i < 0 or j < 0 or i + j < 1:
+        raise ValueError("need i, j >= 0 with i + j >= 1")
+    n = i + j
+    out = []
+    universe = range(1, n + 1)
+    for first in itertools.combinations(universe, i):
+        rest = tuple(k for k in universe if k not in first)
+        out.append(Permutation(first + rest))
+    return out
+
 
 def block_diag(mats) -> Matrix:
     total_r = sum(m.nrows for m in mats)

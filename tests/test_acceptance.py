@@ -9,8 +9,7 @@ import random
 from fractions import Fraction as Q
 
 from shlie3.chain import ChainComplexT
-from shlie3.graded import (GradedSpace, MultiMap, Permutation, build_multimap,
-                           enumerate_shuffles, koszul_chi)
+from shlie3.graded import GradedSpace, MultiMap, Permutation, build_multimap, koszul_chi
 from shlie3.linalg import Matrix, vis_zero
 from shlie3.lincat import check_axioms, from_chain, to_chain
 from shlie3.lie3 import (Lie3Data, alpha_cell, check_coherence, from_linfinity,
@@ -19,9 +18,9 @@ from shlie3.linfinity import LInfinityData, check_all, check_condition
 from shlie3.simplicial import (aw, aw_after_ez_identity, aw_ez_homology_check,
                                ez, moore_of_nerve_check, nerve, obstruction_demo)
 
-from helpers import (abelian_l3_l4, ce_cocycles4, ce_differential, from_four_cocycle,
-                     rand_chain2, inverse2, rand_chain3, scaling_brackets, seed_spanning_pairs,
-                     special_valid_samples)
+from helpers import (abelian_l3_l4, ce_cocycles4, ce_differential, enumerate_shuffles,
+                     from_four_cocycle, rand_chain2, inverse2, rand_chain3, scaling_brackets,
+                     seed_spanning_pairs, special_valid_samples)
 from test_lie3 import (alpha_v2_oracle, quintuple_pool, scaling_cat,
                        squared_target_oracle, _t2, _l, _gv0)
 

@@ -18,6 +18,17 @@ from shlie3.chain import ChainComplexT
 from shlie3.linalg import Matrix
 
 
+ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+ENTRY = "import sys; from shlie3.cli import main; sys.exit(main())"  # as perfbench/run.py spawns
+
+
+def run_cli(args, stdout=subprocess.PIPE, prelude=""):
+    """``shlie3 ARGS`` as a process, through ``main()`` with no arguments."""
+    return subprocess.run([sys.executable, "-c", prelude + ENTRY, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=ENV, cwd=ROOT)
+
+
 @pytest.fixture
 def valid_linf_file(tmp_path):
     A = abelian_l3_l4(random.Random(0), (3, 1, 1))
@@ -247,11 +258,9 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     """Every CLI call pays for ``import shlie3.cli`` in a fresh interpreter, so
     it adds none of these costly modules to what the interpreter loads anyway,
     nor ``argparse`` and the ``gettext`` it imports."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-
     def loaded(statement):
         proc = subprocess.run([sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
-                              capture_output=True, text=True, env=env, check=True)
+                              capture_output=True, text=True, env=ENV, check=True)
         return set(proc.stdout.split())
 
     added = loaded("import shlie3.cli") - loaded("pass")
@@ -286,3 +295,106 @@ def test_each_spec_is_built_once_per_call(valid_linf_file, chain_file, tmp_path,
         assert main(argv) == 0
         assert parsed == once, argv
     capsys.readouterr()
+
+
+def test_process_matches_in_process_main(valid_linf_file, invalid_linf_file, chain_file,
+                                         tmp_path, capsys):
+    """Every command as a process, which ends with ``os._exit`` once its output
+    is flushed, writes the bytes and exits with the code that ``main(argv)``
+    returns in process (it returns, and the loop goes on): passing, failing
+    and exit-2 lines, ``--help`` and ``--out``."""
+    lie3_file = tmp_path / "lie3.json"
+    lie3_file.write_text(render_lie3(from_linfinity(abelian_l3_l4(random.Random(0), (2, 1, 1)))))
+    calls = [["check", valid_linf_file], ["check", invalid_linf_file, "--format", "json"],
+             ["check", str(lie3_file)], ["convert", valid_linf_file, "--to", "lie3"],
+             ["convert", str(lie3_file), "--to", "linfinity"],
+             ["convert", invalid_linf_file, "--to", "lie3"], ["coherence", valid_linf_file],
+             ["coherence", invalid_linf_file, "--format", "json"], ["report", str(lie3_file)],
+             ["nerve", chain_file, "--trunc", "2"], ["ez-demo", chain_file, "--trunc", "2"],
+             ["obstruction-demo", chain_file, "--format", "json"], ["report", chain_file],
+             ["--help"], [], ["check", str(tmp_path / "missing.json")],
+             ["convert", valid_linf_file, "--to", "linfinity"], ["check", valid_linf_file, "--n", "6"],
+             ["report", valid_linf_file, "--format", "json", "--out", "OUT"],
+             ["convert", valid_linf_file, "--to", "lie3", "--out", "OUT"],
+             ["report", valid_linf_file, "--out", str(tmp_path / "no-such-dir" / "r.txt")]]
+    for argv in calls:
+        outs = {}
+        for how in ("main", "process"):
+            out_file = tmp_path / f"out-{how}.txt"
+            args = [str(out_file) if a == "OUT" else a for a in argv]
+            if how == "main":
+                code = main(args)
+                captured = capsys.readouterr()
+                stdout, stderr = captured.out.encode(), captured.err.encode()
+            else:
+                proc = run_cli(args)
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            written = out_file.read_bytes() if out_file.exists() else None
+            outs[how] = (code, stdout, stderr, written)
+        assert outs["process"] == outs["main"] and any(outs["main"][1:]), argv
+
+
+def test_closed_stdout_pipe_on_a_large_report(tmp_path):
+    """A report over 64 KB (the pipe's capacity) to a closed pipe: the write
+    fails inside ``main``, which reports it on stderr and exits 2."""
+    A = abelian_l3_l4(random.Random(0), (7, 1, 1))
+    p = tmp_path / "linf.json"
+    p.write_text(render_linfinity(A))
+    assert len(run_cli(["coherence", str(p), "--format", "json"]).stdout) > 65536
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = run_cli(["coherence", str(p), "--format", "json"], stdout=w)
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("prelude, hooks_run", [
+    ("", False),
+    ("import sys; sys.setprofile(lambda *a: None); ", True),
+    ("import sys; sys.settrace(lambda *a: None); ", True)],
+    ids=["plain", "profiler", "tracer"])
+def test_process_entry_skips_exit_hooks_unless_profiled(prelude, hooks_run):
+    """``main()`` ends the process without running ``atexit`` hooks, unless a
+    profiler or tracer is set (``python -m cProfile``, coverage): then it
+    returns, and their exit hooks run."""
+    hook = "import atexit; atexit.register(print, 'exit hooks ran'); "
+    proc = run_cli(["--help"], prelude=prelude + hook)
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: shlie3")
+    assert proc.stdout.endswith(b"exit hooks ran\n") == hooks_run
+
+
+def test_cli_import_registers_no_atexit_callbacks():
+    """The process entry skips ``atexit`` callbacks, so importing the CLI must
+    register none beyond those of a bare interpreter."""
+    def count(statement):
+        proc = subprocess.run([sys.executable, "-c", f"import atexit; {statement}; "
+                               "print(atexit._ncallbacks())"],
+                              capture_output=True, text=True, env=ENV, check=True)
+        return int(proc.stdout)
+
+    assert count("import shlie3.cli") == count("pass")
+
+
+TRACER_PROBE = """
+import sys
+import shlie3.cli
+sys.path.insert(0, "perfbench")
+import launcher
+launcher.install(launcher.Tracer())
+targets = {(module, path) for module, path, _, _ in launcher.TARGETS}
+print(sorted(f"{name}.{attr}" for name, mod in sys.modules.items() if name.startswith("shlie3")
+             for attr, value in vars(mod).items()
+             if (getattr(value, "__module__", None), getattr(value, "__qualname__", None)) in targets))
+"""
+
+
+def test_tracer_rebinds_every_imported_name():
+    """After ``import shlie3.cli`` and the benchmark tracer's ``install``, no
+    ``shlie3`` module still holds the unwrapped original of a traced function,
+    so the traced call counts see every call."""
+    proc = subprocess.run([sys.executable, "-c", TRACER_PROBE], capture_output=True,
+                          text=True, env=ENV, cwd=ROOT, check=True)
+    assert proc.stdout == "[]\n"

@@ -6,9 +6,10 @@ from fractions import Fraction as Q
 import pytest
 
 from shlie3.graded import (ContradictionError, GradedSpace, GradedVector,
-                           MultiMap, Permutation, build_multimap,
-                           enumerate_shuffles, koszul_chi)
+                           MultiMap, Permutation, build_multimap, koszul_chi)
 from shlie3.linalg import contract
+
+from helpers import enumerate_shuffles
 
 
 def all_perms(n):

@@ -18,7 +18,7 @@ from shlie3.chain import ChainComplexT
 from shlie3.lie3 import (Lie3Data, check_bifunctor, check_coherence, check_identiator,
                          check_jacobiator)
 from shlie3.linalg import Frozen, Matrix
-from shlie3.lincat import from_chain
+from shlie3.lincat import from_chain, tensor_product
 from shlie3.linfinity import check_all
 from shlie3.simplicial import aw, ez, moore, nerve, obstruction_demo, tensor_svs
 
@@ -136,12 +136,19 @@ def test_local_name_is_not_a_use():
     assert unused_definitions({"m.py": src}, ["def h(y): return vec(y) + tmp()\n"]) == []
 
 
+PUBLIC_UNDERSCORED = {("os", "_exit")}  # (module name, attribute): documented public API
+
+
 def foreign_private_names(package: dict[str, str]) -> list[str]:
     """The "file:line name" of each ``_``-prefixed, non-dunder name that a module
     of ``package`` (file name -> text) imports or reads as an attribute
     without defining it: as a function, class or assignment target, or as a
-    string constant (slot names and ``object.__setattr__`` fields)."""
+    string constant (slot names and ``object.__setattr__`` fields).  The
+    attributes in ``PUBLIC_UNDERSCORED``, read on their module's name, are
+    not private."""
     private = lambda name: name.startswith("_") and not name.startswith("__")
+    public = lambda node: (isinstance(node.value, ast.Name)
+                           and (node.value.id, node.attr) in PUBLIC_UNDERSCORED)
     found = []
     for name, source in package.items():
         own, reads = set(), []
@@ -152,7 +159,7 @@ def foreign_private_names(package: dict[str, str]) -> list[str]:
                 own.add(node.id if isinstance(node, ast.Name) else node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 own.add(node.value)
-            elif isinstance(node, ast.Attribute) and private(node.attr):
+            elif isinstance(node, ast.Attribute) and private(node.attr) and not public(node):
                 reads.append((node.lineno, node.attr))
             elif isinstance(node, ast.ImportFrom):
                 reads += [(node.lineno, a.name) for a in node.names if private(a.name)]
@@ -168,9 +175,11 @@ def test_no_module_reads_another_modules_private_names():
 def test_foreign_private_name_is_reported():
     a = "def _f(): pass\n\nclass A:\n    __slots__ = ('_s',)\n    def g(self): self._x = 1\n"
     b = ("from .a import A, _f\n_z = 1\n\n"
-         "def h(a): return a._x + a._s + A._y + _z + a.__class__\n")
+         "def h(a): return a._x + a._s + A._y + _z + a.__class__\n\n"
+         "def k(a): return os._exit, a._exit, sys._exit, a.os._exit\n")
     assert foreign_private_names({"a.py": a, "b.py": b}) == [
-        "b.py:1 _f", "b.py:4 _s", "b.py:4 _x", "b.py:4 _y"]
+        "b.py:1 _f", "b.py:4 _s", "b.py:4 _x", "b.py:4 _y",
+        "b.py:6 _exit", "b.py:6 _exit", "b.py:6 _exit"]
     assert foreign_private_names({"a.py": a}) == []
 
 
@@ -203,8 +212,7 @@ def test_tables_and_residuals_are_exact():
     tables += [m.table() for D in lie3s for m in (D.cat.t_data, D.bracket_constants, D.J, D.mu)]
     tables += [t for D in lie3s for t in (D._bracket_table, D._J_table, D._mu_table)]
     coeffs = [c for t in tables for pairs in t.values() for _, c in pairs]
-    assert coeffs and all(type(c) is int or type(c) is Fraction and c.denominator != 1
-                          for c in coeffs)
+    assert coeffs and narrowed(coeffs)
     reports = [r for A in linfs for r in check_all(A)] + [
         check(D) for D in lie3s
         for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence)]
@@ -224,15 +232,26 @@ def matrix_entries(value) -> list:
     return []
 
 
-def test_simplicial_matrices_are_narrowed():
-    """On the golden simplicial samples and a non-integral chain, every entry
-    of every matrix that nerve, tensor_svs, moore, ez, aw and obstruction_demo
-    return, and of the obstruction witness, is an int or a Fraction that is
-    not integral: no float, and no integral Fraction."""
+def narrowed(entries) -> bool:
+    """Every entry an int or a Fraction that is not integral: no float, and
+    no integral Fraction."""
+    return all(type(e) is int or type(e) is Fraction and e.denominator != 1 for e in entries)
+
+
+def golden_chains() -> list[ChainComplexT]:
+    """The golden simplicial samples and a non-integral chain."""
     chains = [make() for make in dict.fromkeys(make for make, _ in GOLDEN_CLI_CASES.values())]
     chains = [C for C in chains if isinstance(C, ChainComplexT)]
     # l1 = (2/3, 3/2): its Kronecker square has the integral entry 2/3 * 3/2
     chains.append(ChainComplexT((2, 1), (Matrix([[Fraction(2, 3)], [Fraction(3, 2)]]),)))
+    return chains
+
+
+def test_simplicial_matrices_are_narrowed():
+    """On the golden chains, every entry of every matrix that nerve,
+    tensor_svs, moore, ez, aw and obstruction_demo return, and of the
+    obstruction witness, is narrowed."""
+    chains = golden_chains()
     entries = []
     for C in chains:
         L = from_chain(C)
@@ -241,4 +260,24 @@ def test_simplicial_matrices_are_narrowed():
         entries += matrix_entries([S, tensor_svs(S, S), moore(S), ez(S, S), aw(S, S), rep])
         entries += rep.witness_difference or []
     assert len(chains) == 4 and any(type(e) is Fraction for e in entries)
-    assert all(type(e) is int or type(e) is Fraction and e.denominator != 1 for e in entries)
+    assert narrowed(entries)
+
+
+def test_flat_cells_are_narrowed():
+    """In the categories of the golden chains and their tensor squares, every
+    coordinate of the flat cells built on the bases of composable pairs (by
+    flat_coded, flat_right_factor, flat_target, flat_identity and
+    flat_compose) is narrowed."""
+    cats = [from_chain(C) for C in golden_chains()]
+    cats += [tensor_product(L, L).cat for L in cats]
+    entries = []
+    for L in cats:
+        for m in range(1, L.n + 1):
+            for p in range(m):
+                for ca, cb in L.composable_codes(m, p):
+                    a = L.flat_coded(ca)
+                    b = L.flat_right_factor(m, a, cb, p)
+                    unit = L.flat_identity(p, L.flat_target(m, a, m - p), m - p)
+                    entries += [*a, *b, *unit, *L.flat_compose(m, a, b, p)]
+    assert any(type(e) is Fraction for e in entries)
+    assert narrowed(entries)

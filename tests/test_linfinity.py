@@ -4,10 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
-from shlie3.linfinity import LInfinityData, check_all, check_condition, is_special
+from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap, koszul_chi
+from shlie3.linfinity import LInfinityData, _shuffle_terms, check_all, check_condition, is_special
 
-from helpers import (abelian_l3_l4, ce_differential, ce_cocycles4,
+from helpers import (abelian_l3_l4, ce_differential, ce_cocycles4, enumerate_shuffles,
                      filiform_brackets, from_four_cocycle, graded_lie_data, l1_only, linfty_residual,
                      non_jacobi_data, rand_brackets, rand_conjugate,
                      scaling_brackets, seed_canonical_tuples, seed_check_condition,
@@ -164,6 +164,18 @@ def differential_samples():
     moved += [rand_conjugate(rng, rand_brackets(rng, dims, density=1.0))
               for dims in ((2, 1, 1), (1, 2, 1), (4, 1, 1))]
     return base + moved
+
+
+def test_shuffle_terms_match_koszul_chi():
+    """The shuffle terms' signs, counted on positions, are ``koszul_chi`` of
+    the ``Permutation`` shuffles, for orders 1..5 and every degree pattern."""
+    for n in range(1, 6):
+        for degrees in itertools.product((0, 1, 2), repeat=n):
+            expected = tuple((koszul_chi(s, degrees) * (-1) ** (i * (n - i)), i,
+                              tuple(p - 1 for p in s.images))
+                             for i in range(max(1, n - 3), min(n, 4) + 1)
+                             for s in enumerate_shuffles(i, n - i))
+            assert _shuffle_terms(n, degrees) == expected, (n, degrees)
 
 
 def test_check_condition_matches_seed_oracle():
