@@ -295,10 +295,10 @@ def main(argv=None) -> int:
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    if args is None:
-        sys.stdout.write(USAGE)
-        return 0
     try:
+        if args is None:
+            sys.stdout.write(USAGE)
+            return 0
         spec = _load(args.file)
         report, code = COMMANDS[args.command](spec, args)
         if report is not None:

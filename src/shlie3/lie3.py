@@ -28,7 +28,7 @@ coefficients are ``int`` (``linalg.narrow``); nothing here divides.
 
 Every check returns the shared ``report.Report``.  Witnesses name basis
 0-cells as (0, i) pairs, like the basis tuples of the homotopy-algebra side,
-and basis-or-zero cells by their ``LinearNCat.coded_cell`` codes.
+and basis-or-zero cells by their ``LinearNCat.coded`` codes.
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ def check_bifunctor(D: Lie3Data) -> Report:
     L = D.cat
     col = Collector("bifunctor")
     br = lambda m, a, b: _br(D, m, a, b)
-    src, tgt, one = L.flat_source, L.flat_target, L.flat_identity
-    basis = [[(c, L.flat_coded(c)) for c in L.spanning_codes(m)] for m in range(3)]
+    src, tgt, one = L.source, L.target, L.identity
+    basis = [[(c, L.coded(c)) for c in L.spanning_codes(m)] for m in range(3)]
     zero = [vzero(L.level_dim(m)) for m in range(3)]
 
     # bilinearity makes basis cells a complete test family for s, t, 1
@@ -265,14 +265,14 @@ def check_bifunctor(D: Lie3Data) -> Report:
         for p in range(m):
             factors = []
             for kv in L.composable_codes(m, p):
-                v = L.flat_coded(kv[0])
-                factors.append((kv, v, L.flat_right_factor(m, v, kv[1], p)))
+                v = L.coded(kv[0])
+                factors.append((kv, v, L.right_factor(m, v, kv[1], p)))
             for (kv, v, vp), (kw, w, wp) in itertools.product(factors, repeat=2):
                 wit = (p,) + kv + kw
                 with composites_defined(col, wit):
                     col.compare("composition", wit,
-                                br(m, L.flat_compose(m, v, vp, p), L.flat_compose(m, w, wp, p)),
-                                L.flat_compose(m, br(m, v, w), br(m, vp, wp), p))
+                                br(m, L.compose(m, v, vp, p), L.compose(m, w, wp, p)),
+                                L.compose(m, br(m, v, w), br(m, vp, wp), p))
 
     # degenerate brackets of kernel elements
     f1 = [(c, f) for c, f in basis[1] if c[1] is not None]

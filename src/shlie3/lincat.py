@@ -11,23 +11,23 @@ calculus is the component arithmetic
 
 with the last line only defined on p-composable pairs.
 
-Each map has one implementation, ``flat_*``, on flat coordinates: a level-m
-cell is a tuple over L_m in which V_i occupies ``offsets[i]:offsets[i + 1]``
+Each map is implemented once, on flat coordinates: a level-m cell is a
+tuple over L_m in which V_i occupies ``offsets[i]:offsets[i + 1]``
 (offsets[i] = dim V_0 + .. + dim V_{i-1}), so s is a slice, 1 pads zeros and
-t adds the sparse columns of ``t_matrix(m)``.  ``Cell`` is the API type; the
-methods on cells convert at the edge and call the flat maps.
+t adds the sparse columns of ``t_matrix(m)``.  ``Cell`` is the type that the
+public cell-valued functions return; ``flatten`` and ``unflatten`` convert
+between the two, and nothing else does.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT
 from .graded import GradedSpace, build_multimap
-from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vscale, vsub, vzero
+from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vscale, vzero
 from .report import Collector, Report
 
 
@@ -106,18 +106,9 @@ class LinearNCat(Frozen):
 
     # -- cells --------------------------------------------------------
 
-    def coded_cell(self, code: Sequence[int | None]) -> Cell:
-        """The cell of level len(code) - 1 whose component k is basis vector
-        code[k] of V_k, or zero where code[k] is None (the witness encoding)."""
-        return self.unflatten(len(code) - 1, self.flat_coded(code))
-
-    def cell_from_v0(self, v0: Sequence[Q], level: int = 0) -> Cell:
-        """The iterated identity cell over a 0-cell, at the requested level."""
-        return self.unflatten(level, self.flat_identity(0, tuple(v0), level))
-
     def spanning_codes(self, m: int) -> list[tuple]:
-        """Codes (see ``coded_cell``) of the basis of L_m: one basis vector in
-        one component, zero in the others."""
+        """Codes (see ``coded``) of the basis of L_m: one basis vector in one
+        component, zero in the others."""
         return [tuple(i if k == d else None for k in range(m + 1))
                 for d in range(m + 1) for i in range(self.dim(d))]
 
@@ -126,7 +117,7 @@ class LinearNCat(Frozen):
         free parts t_i of right factors composable along p_i-cells, as codes:
         one slot holds a basis code, the others the zero code.
 
-        A p-composable pair is (a, right_factor(a, t, p)), with right factor
+        A p-composable pair is (a, right_factor(m, a, t, p)), with right factor
         1^{m-p}(t^{m-p} a) + t and t zero in components 0..p, so it is linear
         in (a, t).  Hence a law linear in these parameters holds iff it holds
         on this basis, a law bilinear in two pairs iff it holds on the product
@@ -139,17 +130,17 @@ class LinearNCat(Frozen):
 
     # -- structure maps on flat coordinates (the component formulas) ---
 
-    def flat_source(self, m: int, v: Vector, k: int = 1) -> Vector:
-        """s^k of the flat m-cell v: its first level_dim(m - k) coordinates."""
+    def source(self, m: int, v: Vector, k: int = 1) -> Vector:
+        """s^k of the m-cell v: its first level_dim(m - k) coordinates."""
         if k > m:
             raise ValueError("0-cells have no source")
         return v[:self.offsets[m - k + 1]]
 
-    def flat_target(self, m: int, v: Vector, k: int = 1) -> Vector:
-        """t^k of the flat m-cell v: drop V_m and add t v_m to V_{m-1}, k times."""
+    def target(self, m: int, v: Vector, k: int = 1) -> Vector:
+        """t^k of the m-cell v: drop V_m and add t v_m to V_{m-1}, k times."""
         if k > m:
             raise ValueError("0-cells have no target")
-        for d in range(m, m - k, -1):  # v is a flat d-cell
+        for d in range(m, m - k, -1):  # v is a d-cell
             out, base = list(v[:self.offsets[d]]), self.offsets[d - 1]
             for j, c in enumerate(v[self.offsets[d]:]):
                 if c:
@@ -158,104 +149,51 @@ class LinearNCat(Frozen):
             v = tuple(out)
         return v
 
-    def flat_identity(self, m: int, v: Vector, k: int = 1) -> Vector:
-        """1^k of the flat m-cell v: zeros appended for V_{m+1} .. V_{m+k}."""
+    def identity(self, m: int, v: Vector, k: int = 1) -> Vector:
+        """1^k of the m-cell v: zeros appended for V_{m+1} .. V_{m+k}."""
         if m + k > self.n:
             raise ValueError("no identities above the top level")
         return tuple(v) + (0,) * (self.offsets[m + k + 1] - self.offsets[m + 1])
 
-    def flat_coded(self, code: Sequence[int | None]) -> Vector:
-        """Flat coordinates of ``coded_cell(code)``."""
+    def coded(self, code: Sequence[int | None]) -> Vector:
+        """The cell of level len(code) - 1 whose component k is basis vector
+        code[k] of V_k, or zero where code[k] is None (the witness encoding)."""
         return tuple(int(j == i) for k, i in enumerate(code) for j in range(self.dim(k)))
 
-    def flat_compose(self, m: int, a: Vector, b: Vector, p: int) -> Vector:
+    def compose(self, m: int, a: Vector, b: Vector, p: int) -> Vector:
         """a o_p b: the components above p are added; raises ComposabilityError
         (with t^{m-p} a and s^{m-p} b) unless the pair is p-composable."""
         if not (0 <= p < m):
             raise ComposabilityError(f"p={p} out of range for level {m}", a, b)
         cut = self.offsets[p + 1]
-        if (ta := self.flat_target(m, a, m - p)) != b[:cut]:
+        if (ta := self.target(m, a, m - p)) != b[:cut]:
             raise ComposabilityError(f"cells are not composable along a {p}-cell", ta, b[:cut])
         return a[:cut] + vadd(a[cut:], b[cut:])
 
-    def flat_right_factor(self, m: int, a: Vector, code: Sequence[int | None], p: int) -> Vector:
+    def right_factor(self, m: int, a: Vector, code: Sequence[int | None], p: int) -> Vector:
         """The p-composable right factor of a whose free part is coded by code:
         1^{m-p}(t^{m-p} a) + coded(code)."""
         k = m - p
-        return vadd(self.flat_identity(p, self.flat_target(m, a, k), k), self.flat_coded(code))
-
-    # -- the same maps on cells -----------------------------------------
-
-    def source_iter(self, a: Cell, k: int = 1) -> Cell:
-        return self.unflatten(a.level - k, self.flat_source(a.level, self.flatten(a), k))
-
-    def target_iter(self, a: Cell, k: int = 1) -> Cell:
-        return self.unflatten(a.level - k, self.flat_target(a.level, self.flatten(a), k))
-
-    def identity_iter(self, a: Cell, k: int = 1) -> Cell:
-        return self.unflatten(a.level + k, self.flat_identity(a.level, self.flatten(a), k))
-
-    source, target, identity = source_iter, target_iter, identity_iter  # k = 1
-
-    def composable(self, a: Cell, b: Cell, p: int) -> bool:
-        if a.level != b.level or not (0 <= p < a.level):
-            return False
-        k = a.level - p
-        return self.target_iter(a, k) == self.source_iter(b, k)
-
-    def compose(self, a: Cell, b: Cell, p: int) -> Cell:
-        if a.level != b.level:
-            raise ComposabilityError("levels differ", a, b)
-        return self.unflatten(a.level, self.flat_compose(a.level, self.flatten(a),
-                                                         self.flatten(b), p))
-
-    def right_factor(self, a: Cell, code: Sequence[int | None], p: int) -> Cell:
-        """The p-composable right factor of a whose free part is coded_cell(code)."""
-        return self.unflatten(a.level, self.flat_right_factor(a.level, self.flatten(a), code, p))
-
-    # -- uniqueness of composition (independent re-derivation) --------
-
-    def compose_via_units(self, a: Cell, b: Cell, p: int) -> Cell:
-        """Composition re-derived from linearity and the unit laws only."""
-        m = a.level
-        if not self.composable(a, b, p):
-            raise ComposabilityError("not composable", a, b)
-        unit = self.identity_iter(self.target_iter(a, m - p), m - p)
-        return a + (b - unit)
-
-    # -- component/raw conversion (the natural isomorphism) -----------
-
-    def assemble(self, v: Cell) -> Cell:
-        """Sum of iterated identities over the kernel components of v."""
-        m, o = v.level, self.offsets
-        return self.unflatten(m, functools.reduce(vadd, (
-            self.flat_identity(i, vzero(o[i]) + v.components[i], m - i) for i in range(m + 1))))
-
-    def decompose(self, a: Cell) -> Cell:
-        """Kernel components of a raw m-cell, computed left to right via s and 1."""
-        m, o, rest, comps = a.level, self.offsets, self.flatten(a), []
-        for i in range(m + 1):
-            comps.append(self.flat_source(m, rest, m - i)[o[i]:])
-            rest = vsub(rest, self.flat_identity(i, vzero(o[i]) + comps[-1], m - i))
-        return Cell(m, tuple(comps))
+        return vadd(self.identity(p, self.target(m, a, k), k), self.coded(code))
 
     # -- structural matrices (component form) -------------------------
 
-    def _level_matrix(self, flat_map, m: int, m_out: int) -> Matrix:
-        """Matrix of a flat structure map from level m to level m_out, column
-        by column (the zero map onto level -1 for m = 0)."""
+    def _level_matrix(self, structure_map, m: int, m_out: int) -> Matrix:
+        """Matrix of a structure map from level m to level m_out, column by
+        column (the zero map onto level -1 for m = 0)."""
         if m_out < 0:
             return Matrix.zeros(0, self.level_dim(0))
-        return Matrix.from_action(lambda e: flat_map(m, e), self.level_dim(m), self.level_dim(m_out))
+        return Matrix.from_action(lambda e: structure_map(m, e), self.level_dim(m),
+                                  self.level_dim(m_out))
 
     def s_matrix_level(self, m: int) -> Matrix:
-        return self._level_matrix(self.flat_source, m, m - 1)
+        return self._level_matrix(self.source, m, m - 1)
 
     def t_matrix_level(self, m: int) -> Matrix:
-        return self._level_matrix(self.flat_target, m, m - 1)
+        return self._level_matrix(self.target, m, m - 1)
 
     def i_matrix_level(self, m: int) -> Matrix:
-        return self._level_matrix(self.flat_identity, m, m + 1)
+        return self._level_matrix(self.identity, m, m + 1)
 
     def flatten(self, a: Cell) -> Vector:
         return tuple(itertools.chain(*a.components))
@@ -302,17 +240,17 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
     for m in range(src.n):
         if maps[m + 1] @ src.i_matrix_level(m) != dst.i_matrix_level(m) @ maps[m]:
             raise LiftError("identity map not respected", witness=m)
-    F = NFunctor(src, dst, maps)
     for m in range(1, src.n + 1):
+        F = maps[m]
         for p in range(m):
             for ca, cb in src.composable_codes(m, p):
-                a = src.coded_cell(ca)
-                b = src.right_factor(a, cb, p)
-                lhs = F.apply(src.compose(a, b, p))
-                rhs = dst.compose(F.apply(a), F.apply(b), p)
+                a = src.coded(ca)
+                b = src.right_factor(m, a, cb, p)
+                lhs = F.apply(src.compose(m, a, b, p))
+                rhs = dst.compose(m, F.apply(a), F.apply(b), p)
                 if lhs != rhs:  # pragma: no cover - impossible per the unique-composition argument
                     raise AssertionError("functor lift failed to preserve composition")
-    return F
+    return NFunctor(src, dst, maps)
 
 
 # -- axioms -----------------------------------------------------------
@@ -322,14 +260,16 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
 def composites_defined(col: Collector, witness):
     """Context for the comparisons of one witness: a composite that raises
     ComposabilityError ends them with a "composable" failure of ``col``, its
-    residual the error's left minus right cell (t^k a - s^k b on a mismatch)."""
+    residual the error's left minus right flat cell (t^k a - s^k b on a
+    mismatch)."""
     try:
         yield
     except ComposabilityError as e:
         col.compare("composable", witness, e.left, e.right)
 
 
-def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | None = None) -> Report:
+def check_axioms(L: LinearNCat, compose: Callable[[int, Vector, Vector, int], Vector] | None = None
+                 ) -> Report:
     """Verify the category axioms on a basis of their parameters.
 
     The parameters of an axiom are an m-cell a and the free parts of its
@@ -337,14 +277,16 @@ def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | Non
     composition, the built-in one included, every residual is affine in them,
     and an affine map vanishes iff it vanishes at zero and on a basis: the
     zero tuple and that basis decide every axiom.  `compose` may override the
-    built-in composition (used to show a corrupted table fails); it takes
-    (a, b, p).  A right factor is witnessed by the code of its free part t:
-    b = L.right_factor(a, t, p).  A composite that raises ComposabilityError
-    ends the comparisons of its witness with a "composable" failure.
+    built-in composition (used to show a corrupted table fails); like
+    ``LinearNCat.compose`` it takes (m, a, b, p) on flat cells.  A right
+    factor is witnessed by the code of its free part t:
+    b = L.right_factor(m, a, t, p).  A composite that raises
+    ComposabilityError ends the comparisons of its witness with a
+    "composable" failure.
     """
     comp = compose or L.compose
     col = Collector("axioms")
-    right = L.right_factor
+    src, tgt, one, right = L.source, L.target, L.identity, L.right_factor
 
     def family(m, *ps):
         return [((None,) * (m + 1),) * (len(ps) + 1)] + L.composable_codes(m, *ps)
@@ -352,61 +294,61 @@ def check_axioms(L: LinearNCat, compose: Callable[[Cell, Cell, int], Cell] | Non
     # globular conditions and identity boundaries (linear in a)
     for m in range(2, L.n + 1):
         for c in L.spanning_codes(m):
-            a, w = L.coded_cell(c), (c,)
-            col.compare("globular ss=st", w, L.source(L.source(a)), L.source(L.target(a)))
-            col.compare("globular ts=tt", w, L.target(L.source(a)), L.target(L.target(a)))
+            a, w = L.coded(c), (c,)
+            col.compare("globular ss=st", w, src(m - 1, src(m, a)), src(m - 1, tgt(m, a)))
+            col.compare("globular ts=tt", w, tgt(m - 1, src(m, a)), tgt(m - 1, tgt(m, a)))
     for m in range(L.n):
         for c in L.spanning_codes(m):
-            a, w = L.coded_cell(c), (c,)
-            one = L.identity(a)
-            col.compare("s(1_a)=a", w, L.source(one), a)
-            col.compare("t(1_a)=a", w, L.target(one), a)
+            a, w = L.coded(c), (c,)
+            u = one(m, a)
+            col.compare("s(1_a)=a", w, src(m + 1, u), a)
+            col.compare("t(1_a)=a", w, tgt(m + 1, u), a)
 
     for m in range(1, L.n + 1):
         for p in range(m):
+            k = m - p
             for (ca,) in family(m):
-                a, w = L.coded_cell(ca), (p, ca)
-                ua = L.identity_iter(L.source_iter(a, m - p), m - p)
-                ub = L.identity_iter(L.target_iter(a, m - p), m - p)
+                a, w = L.coded(ca), (p, ca)
                 with composites_defined(col, w):
-                    col.compare("unit 1a=a", w, comp(ua, a, p), a)
-                    col.compare("unit a1=a", w, comp(a, ub, p), a)
+                    col.compare("unit 1a=a", w, comp(m, one(p, src(m, a, k), k), a, p), a)
+                    col.compare("unit a1=a", w, comp(m, a, one(p, tgt(m, a, k), k), p), a)
             for ca, cb in family(m, p):
-                a = L.coded_cell(ca)
-                b, w = right(a, cb, p), (p, ca, cb)
+                a = L.coded(ca)
+                b, w = right(m, a, cb, p), (p, ca, cb)
                 with composites_defined(col, w):
-                    ab = comp(a, b, p)
+                    ab = comp(m, a, b, p)
                     if p == m - 1:
-                        col.compare("boundary s(ab)=sa", w, L.source(ab), L.source(a))
-                        col.compare("boundary t(ab)=tb", w, L.target(ab), L.target(b))
+                        col.compare("boundary s(ab)=sa", w, src(m, ab), src(m, a))
+                        col.compare("boundary t(ab)=tb", w, tgt(m, ab), tgt(m, b))
                     else:
-                        col.compare("boundary s(ab)=sa.sb", w, L.source(ab),
-                                    comp(L.source(a), L.source(b), p))
-                        col.compare("boundary t(ab)=ta.tb", w, L.target(ab),
-                                    comp(L.target(a), L.target(b), p))
+                        col.compare("boundary s(ab)=sa.sb", w, src(m, ab),
+                                    comp(m - 1, src(m, a), src(m, b), p))
+                        col.compare("boundary t(ab)=ta.tb", w, tgt(m, ab),
+                                    comp(m - 1, tgt(m, a), tgt(m, b), p))
                     if m < L.n:
-                        col.compare("identity-of-composite", w, L.identity(ab),
-                                    comp(L.identity(a), L.identity(b), p))
+                        col.compare("identity-of-composite", w, one(m, ab),
+                                    comp(m + 1, one(m, a), one(m, b), p))
             for ca, cb, cc in family(m, p, p):
-                a = L.coded_cell(ca)
-                b = right(a, cb, p)
-                c, w = right(b, cc, p), (p, ca, cb, cc)
+                a = L.coded(ca)
+                b = right(m, a, cb, p)
+                c, w = right(m, b, cc, p), (p, ca, cb, cc)
                 with composites_defined(col, w):
-                    col.compare("associativity", w,
-                                comp(comp(a, b, p), c, p), comp(a, comp(b, c, p), p))
+                    col.compare("associativity", w, comp(m, comp(m, a, b, p), c, p),
+                                comp(m, a, comp(m, b, c, p), p))
 
     # interchange
     for m in range(1, L.n + 1):
         for p in range(m):
             for q in range(p):
                 for ca, cb, cc, cd in family(m, p, q, p):
-                    a = L.coded_cell(ca)
-                    b, c = right(a, cb, p), right(a, cc, q)
-                    d = right(c, cd, p)
+                    a = L.coded(ca)
+                    b, c = right(m, a, cb, p), right(m, a, cc, q)
+                    d = right(m, c, cd, p)
                     w = (p, q, ca, cb, cc, cd)
                     with composites_defined(col, w):
-                        col.compare("interchange", w, comp(comp(a, b, p), comp(c, d, p), q),
-                                    comp(comp(a, c, q), comp(b, d, q), p))
+                        col.compare("interchange", w,
+                                    comp(m, comp(m, a, b, p), comp(m, c, d, p), q),
+                                    comp(m, comp(m, a, c, q), comp(m, b, d, q), p))
     return col.report()
 
 
@@ -475,19 +417,21 @@ class TensorCat(Frozen):
             raise ValueError("raw vector is not in the component span")
         return X
 
-    def _flat(self, m: int, raw: Sequence[Q]) -> Vector:  # ``coords`` of one raw cell
-        return self.coords(m, Matrix.from_cols([tuple(raw)], nrows=self.raw_dim(m))).col(0)
-
     def raw_to_cell(self, m: int, raw: Sequence[Q]) -> Cell:
         """Kernel components of a raw cell."""
-        return self.cat.unflatten(m, self._flat(m, raw))
+        X = self.coords(m, Matrix.from_cols([tuple(raw)], nrows=self.raw_dim(m)))
+        return self.cat.unflatten(m, X.col(0))
 
     def cell_to_raw(self, a: Cell) -> Vector:
         return self.lift[a.level].apply(self.cat.flatten(a))
 
-    def compose_raw(self, u: Sequence[Q], w: Sequence[Q], m: int, p: int) -> Vector:
-        """Composition of raw m-cells through the component category."""
-        return self.lift[m].apply(self.cat.flat_compose(m, self._flat(m, u), self._flat(m, w), p))
+    def compose_raw(self, U: Matrix, W: Matrix, m: int, p: int) -> Matrix:
+        """The composites u o_p w of the raw m-cells in the columns of U and
+        W, column by column, through the component category."""
+        cat = self.cat
+        comps = [cat.compose(m, u, w, p) for u, w in zip(self.coords(m, U).cols(),
+                                                          self.coords(m, W).cols())]
+        return self.lift[m] @ Matrix.from_cols(comps, nrows=cat.level_dim(m))
 
 
 def tensor_product(L: LinearNCat, M: LinearNCat) -> TensorCat:

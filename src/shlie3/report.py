@@ -11,8 +11,6 @@ failure report".
 
 from __future__ import annotations
 
-import itertools
-
 from .linalg import Frozen
 
 
@@ -26,11 +24,6 @@ class Report(Frozen):
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def _coords(x) -> tuple:
-    """Flat coordinates of a vector, or of a cell (its components in order)."""
-    return tuple(itertools.chain(*x.components)) if hasattr(x, "components") else tuple(x)
 
 
 class Collector:
@@ -48,7 +41,7 @@ class Collector:
         if not self.checked or self.checked[-1] is not witness:
             self.checked.append(witness)
         if lhs != rhs:
-            residual = tuple(a - b for a, b in zip(_coords(lhs), _coords(rhs)))
+            residual = tuple(a - b for a, b in zip(lhs, rhs))
             self.failures.append(Failure(identity, witness, residual))
 
     def report(self) -> Report:

@@ -11,7 +11,7 @@ from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT, ChainMapT, induced_on_homology, tensor_complex
 from .lincat import LinearNCat, NFunctor, TensorCat, tensor_product
-from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vis_zero, vstack, vsub
+from .linalg import Frozen, Matrix, Q, Vector, hstack, vis_zero, vstack, vsub
 
 
 class SimplicialVS(Frozen):
@@ -111,7 +111,7 @@ def _simplex(L: LinearNCat, v: Sequence[Q], n: int) -> tuple[Vector, list[Vector
     n0, n1 = L.dim(0), L.dim(1)
     x, arrows = tuple(v[:n0]), []
     for k in range(n):
-        start = L.flat_target(1, arrows[-1]) if arrows else x
+        start = L.target(1, arrows[-1]) if arrows else x
         arrows.append(start + tuple(v[n0 + k * n1: n0 + (k + 1) * n1]))
     return x, arrows
 
@@ -132,9 +132,9 @@ def _nerve_face(L: LinearNCat, n: int, i: int) -> Matrix:
     def act(v):
         x, fs = _simplex(L, v, n)
         if i == 0:
-            return _simplex_coords(L, L.flat_target(1, fs[0]), fs[1:])
+            return _simplex_coords(L, L.target(1, fs[0]), fs[1:])
         if i < n:
-            fs[i - 1:i + 1] = [L.flat_compose(1, fs[i - 1], fs[i], 0)]
+            fs[i - 1:i + 1] = [L.compose(1, fs[i - 1], fs[i], 0)]
             return _simplex_coords(L, x, fs)
         return _simplex_coords(L, x, fs[:-1])
     return Matrix.from_action(act, _nerve_dim(L, n), _nerve_dim(L, n - 1))
@@ -156,8 +156,8 @@ def nerve(L: LinearNCat, N: int) -> SimplicialVS:
     def degen(n, i):
         def act(v):
             x, fs = _simplex(L, v, n)
-            vertex = L.flat_target(1, fs[i - 1]) if i else x
-            return _simplex_coords(L, x, fs[:i] + [L.flat_identity(0, vertex)] + fs[i:])
+            vertex = L.target(1, fs[i - 1]) if i else x
+            return _simplex_coords(L, x, fs[:i] + [L.identity(0, vertex)] + fs[i:])
         return Matrix.from_action(act, _nerve_dim(L, n), _nerve_dim(L, n + 1))
 
     return SimplicialVS.from_maps([_nerve_dim(L, n) for n in range(N + 1)],
@@ -221,7 +221,7 @@ def moore_of_nerve_check(L: LinearNCat, S: SimplicialVS) -> bool:
     if any(not vis_zero(x) for x, _ in simplices):
         return False
     B0 = Matrix.from_cols(bases[0], nrows=n0)
-    targets = Matrix.from_cols([L.flat_target(1, f) for _, (f,) in simplices], nrows=n0)
+    targets = Matrix.from_cols([L.target(1, f) for _, (f,) in simplices], nrows=n0)
     return B0 @ C.diff(1) == targets
 
 
@@ -403,22 +403,21 @@ def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
 
     Both sides are bilinear in the composable pairs (v, w) and (v', w'), and
     each pair is linear in (v, free part of w), so the identity is checked on
-    the product of two bases of composable pairs (``composable_codes``)."""
-    n0 = L.dim(0)
-    ker = lambda w: (0,) * n0 + w[n0:]  # the kernel part of a 1-cell, as a raw 1-cell
-    deficit = lambda v: vsub(v, L.flat_identity(0, L.flat_target(1, v)))  # v - 1_{tv}
-    tensor = lambda x, y: tuple(a * b if a and b else 0 for a in x for b in y)  # mostly zeros
-    pairs = []
+    the product of two bases of composable pairs (``composable_codes``).  With
+    the basis pairs as the columns of V and W, the composites, deficits
+    v - 1_{tv} and kernel parts as those of C, D and K, that product is the
+    matrix identity C (x) C = (V (x) V) o (W (x) W) + D (x) K + K (x) D, with one
+    raw composition of all the stacked columns."""
+    n0, pairs = L.dim(0), []
     for cv, cw in L.composable_codes(1, 0):
-        v = L.flat_coded(cv)
-        pairs.append((v, L.flat_right_factor(1, v, cw, 0)))
-    for (v, w), (vp, wp) in itertools.product(pairs, repeat=2):
-        lhs = tensor(L.flat_compose(1, v, w, 0), L.flat_compose(1, vp, wp, 0))
-        rhs = vadd(tc.compose_raw(tensor(v, vp), tensor(w, wp), 1, 0),
-                   vadd(tensor(deficit(v), ker(wp)), tensor(ker(w), deficit(vp))))
-        if lhs != rhs:
-            return False
-    return True
+        v = L.coded(cv)
+        pairs.append((v, L.right_factor(1, v, cw, 0)))
+    stack = lambda f: Matrix.from_cols([f(v, w) for v, w in pairs], nrows=L.level_dim(1))
+    V, W = stack(lambda v, w: v), stack(lambda v, w: w)
+    C = stack(lambda v, w: L.compose(1, v, w, 0))
+    D = stack(lambda v, w: vsub(v, L.identity(0, L.target(1, v))))
+    K = stack(lambda v, w: (0,) * n0 + w[n0:])
+    return C.kron(C) == tc.compose_raw(V.kron(V), W.kron(W), 1, 0) + D.kron(K) + K.kron(D)
 
 
 def obstruction_demo(L: LinearNCat) -> ObstructionReport:

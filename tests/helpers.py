@@ -72,7 +72,7 @@ def zero_cell(L: LinearNCat, m: int) -> Cell:
 
 
 def basis_cell(L: LinearNCat, m: int, d: int, i: int) -> Cell:
-    return L.coded_cell(tuple(i if k == d else None for k in range(m + 1)))
+    return SeedCat(L).coded_cell(tuple(i if k == d else None for k in range(m + 1)))
 
 
 def kernel_bases(tc) -> tuple[tuple, ...]:
@@ -597,6 +597,19 @@ def sparse_matrix(rng: random.Random, m: int, n: int, zero_share: float) -> Matr
                     for _ in range(n)] for _ in range(m)], ncols=n)
 
 
+def flat(x) -> tuple:
+    """The flat coordinates of a cell (its components in order) or a vector."""
+    return tuple(itertools.chain(*x.components)) if isinstance(x, Cell) else tuple(x)
+
+
+class SeedCollector(Collector):
+    """A ``Collector`` whose comparisons may take cells: it compares and
+    subtracts their flat coordinates, as the library's checks do."""
+
+    def compare(self, identity: str, witness: tuple, lhs, rhs) -> None:
+        super().compare(identity, witness, flat(lhs), flat(rhs))
+
+
 # -- the seed spanning families of cells and composable pairs ----------
 #
 # Products of zero-or-basis options in every slot, exactly as the library
@@ -608,7 +621,7 @@ def seed_spanning_codes(L, m: int) -> list[tuple]:
 
 
 def seed_spanning_cells(L, m: int):
-    return map(L.coded_cell, seed_spanning_codes(L, m))
+    return map(SeedCat(L).coded_cell, seed_spanning_codes(L, m))
 
 
 def seed_tail_codes(L, m: int, p: int) -> list[tuple]:
@@ -618,12 +631,12 @@ def seed_tail_codes(L, m: int, p: int) -> list[tuple]:
 
 def seed_pad_composable(L, a, tail, p: int):
     """The p-composable right factor of a with free components p+1..m given by tail."""
-    forced = L.target_iter(a, a.level - p)
+    forced = SeedCat(L).target_iter(a, a.level - p)
     return Cell(a.level, forced.components + tuple(tuple(Q(c) for c in t) for t in tail))
 
 
 def seed_spanning_pairs(L, m: int, p: int):
-    tails = [L.coded_cell(c) for c in seed_tail_codes(L, m, p)]
+    tails = [SeedCat(L).coded_cell(c) for c in seed_tail_codes(L, m, p)]
     for a in seed_spanning_cells(L, m):
         for t in tails:
             yield a, seed_pad_composable(L, a, t.components[p + 1:], p)
@@ -636,25 +649,26 @@ def seed_bifunctor_factors(L, m: int, p: int) -> list[tuple]:
     opts = [zero] + [tuple(i if k == d else None for k in range(m + 1))
                      for d in range(m + 1) for i in range(L.dim(d))]
     tails = [c for c in opts if all(i is None for i in c[:p + 1])]
-    out = []
+    C, out = SeedCat(L), []
     for cv in opts:
-        v = L.coded_cell(cv)
+        v = C.coded_cell(cv)
         for ct in tails:
-            out.append(((cv, ct), v, seed_pad_composable(L, v, L.coded_cell(ct).components[p + 1:], p)))
+            out.append(((cv, ct), v, seed_pad_composable(L, v, C.coded_cell(ct).components[p + 1:], p)))
     return out
 
 
 def seed_tensor_identity_residual(L, tc, v, w, vp, wp) -> tuple:
     """(v o w) (x) (v' o w') minus (v (x) v') o (w (x) w')
     + (v - 1_{tv}) (x) w'_ker + w_ker (x) (v' - 1_{tv'}), in raw coordinates."""
-    n0, n1 = L.dim(0), L.dim(1)
-    flat = lambda c: tuple(itertools.chain(*c.components))
+    C, n0, n1 = SeedCat(L), L.dim(0), L.dim(1)
     tensor = lambda x, y: tuple(a * b for a in x for b in y)
     ker = lambda c: vzero(n0) + c.components[1]
     deficit = lambda c: tuple(a - b for a, b in
-                              zip(flat(c), L.target(c).components[0] + vzero(n1)))
-    lhs = tensor(flat(L.compose(v, w, 0)), flat(L.compose(vp, wp, 0)))
-    rhs = tc.compose_raw(tensor(flat(v), flat(vp)), tensor(flat(w), flat(wp)), 1, 0)
+                              zip(flat(c), C.target(c).components[0] + vzero(n1)))
+    lhs = tensor(flat(C.compose(v, w, 0)), flat(C.compose(vp, wp, 0)))
+    one_col = lambda x: Matrix.from_cols([x])
+    rhs = tc.compose_raw(one_col(tensor(flat(v), flat(vp))), one_col(tensor(flat(w), flat(wp))),
+                         1, 0).col(0)
     rhs = tuple(a + b + c for a, b, c in zip(rhs, tensor(deficit(v), ker(wp)),
                                              tensor(ker(w), deficit(vp))))
     return tuple(a - b for a, b in zip(lhs, rhs))
@@ -663,11 +677,11 @@ def seed_tensor_identity_residual(L, tc, v, w, vp, wp) -> tuple:
 def seed_tensor_identity_pairs(L) -> list[tuple]:
     """``((code of v, code of t), v, w)``: v any zero-or-basis mix of 1-cells,
     w its 0-composable right factor with free part t zero or one basis vector."""
-    out = []
+    C, out = SeedCat(L), []
     for cv in seed_spanning_codes(L, 1):
-        v = L.coded_cell(cv)
+        v = C.coded_cell(cv)
         for ct in seed_tail_codes(L, 1, 0):
-            out.append(((cv, ct), v, seed_pad_composable(L, v, L.coded_cell(ct).components[1:], 0)))
+            out.append(((cv, ct), v, seed_pad_composable(L, v, C.coded_cell(ct).components[1:], 0)))
     return out
 
 
@@ -678,10 +692,16 @@ def seed_compose_tensor_identity(L, tc) -> bool:
                for v, w in pairs for vp, wp in pairs)
 
 
-def seed_axioms_hold(L, comp) -> bool:
-    """Every axiom of ``check_axioms`` with composition ``comp`` on the
-    products of zero-or-basis cells and zero-or-basis free parts."""
+def seed_axioms_hold(L, compose) -> bool:
+    """Every axiom of ``check_axioms`` with a composition that, like
+    ``LinearNCat.compose``, takes (m, a, b, p) on flat cells, on the products
+    of zero-or-basis cells and zero-or-basis free parts; the structure maps
+    are the component formulas (``SeedCat``)."""
+    L = SeedCat(L)
     cells = [list(seed_spanning_cells(L, m)) for m in range(L.n + 1)]
+
+    def comp(a, b, p):
+        return L.unflatten(a.level, compose(a.level, flat(a), flat(b), p))
 
     def right(a, t, p):
         return seed_pad_composable(L, a, t.components[p + 1:], p)
@@ -759,8 +779,8 @@ def bracket_formula(D, a, b) -> Cell:
 
 def bracket_objects(D, x, y):
     """[x, y] of two 0-cells: the bracket of cells at level 0."""
-    L = D.cat
-    return bracket_cells(D, L.cell_from_v0(x), L.cell_from_v0(y)).components[0]
+    C = SeedCat(D.cat)
+    return bracket_cells(D, C.cell_from_v0(x), C.cell_from_v0(y)).components[0]
 
 
 def J_cell(D, x, y, z) -> Cell:
@@ -869,6 +889,14 @@ class SeedCat:
         k = a.level - p
         return self.identity_iter(self.target_iter(a, k), k) + self.coded_cell(code)
 
+    def compose_via_units(self, a, b, p):
+        """Composition re-derived from linearity and the unit laws only."""
+        m = a.level
+        if not self.composable(a, b, p):
+            raise ComposabilityError("not composable", a, b)
+        unit = self.identity_iter(self.target_iter(a, m - p), m - p)
+        return a + (b - unit)
+
 
 def _objects(key) -> tuple:
     return tuple((0, i) for i in key)
@@ -911,7 +939,7 @@ def seed_inverse2(D, alpha):
 
 def seed_check_bifunctor(D) -> Report:
     L = SeedCat(D.cat)
-    col = Collector("bifunctor")
+    col = SeedCollector("bifunctor")
     br = lambda a, b: bracket_cells(D, a, b)
     basis = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m)] for m in range(3)]
     zero = [zero_cell(L, m) for m in range(3)]
@@ -1013,7 +1041,7 @@ def seed_naturality_squares(D, col, F, G, theta, arity):
 
 def seed_check_jacobiator(D) -> Report:
     L = SeedCat(D.cat)
-    col = Collector("jacobiator")
+    col = SeedCollector("jacobiator")
     e0 = Matrix.eye(L.dim(0)).cols()
     bo = lambda p, q: bracket_objects(D, p, q)
     for key in itertools.product(range(L.dim(0)), repeat=3):
@@ -1042,7 +1070,7 @@ def _id_G(D, c1, c2, c3, c4):
 
 def seed_check_identiator(D) -> Report:
     L = SeedCat(D.cat)
-    col = Collector("identiator")
+    col = SeedCollector("identiator")
     e0 = Matrix.eye(L.dim(0)).cols()
     for key in itertools.product(range(L.dim(0)), repeat=4):
         objs = [e0[i] for i in key]
@@ -1132,7 +1160,7 @@ def seed_check_coherence(D, tuples=None) -> Report:
     if tuples is None:
         tuples = itertools.combinations_with_replacement(range(L.dim(0)), 5)
     data = LInfinityData(D.space, L.t_data, D.bracket_constants, D.J, -D.mu)
-    col = Collector("coherence")
+    col = SeedCollector("coherence")
     zero = zero_cell(L, 2)
     memo = {}  # shared by every quintuple: they share brackets, J and mu terms
     for key in tuples:
@@ -1337,7 +1365,7 @@ def seed_simplex(L, v, n: int) -> tuple:
     n0, n1 = L.dim(0), L.dim(1)
     x, arrows = tuple(v[:n0]), []
     for k in range(n):
-        start = L.target(L.unflatten(1, arrows[-1])).components[0] if arrows else x
+        start = SeedCat(L).target(L.unflatten(1, arrows[-1])).components[0] if arrows else x
         arrows.append(start + tuple(v[n0 + k * n1: n0 + (k + 1) * n1]))
     return x, arrows
 

@@ -18,9 +18,9 @@ from shlie3.linfinity import LInfinityData, check_all, check_condition
 from shlie3.simplicial import (aw, aw_after_ez_identity, aw_ez_homology_check,
                                ez, moore_of_nerve_check, nerve, obstruction_demo)
 
-from helpers import (abelian_l3_l4, ce_cocycles4, ce_differential, enumerate_shuffles,
-                     from_four_cocycle, rand_chain2, inverse2, rand_chain3, scaling_brackets,
-                     seed_spanning_pairs, special_valid_samples)
+from helpers import (SeedCat, abelian_l3_l4, ce_cocycles4, ce_differential, enumerate_shuffles,
+                     flat, from_four_cocycle, rand_chain2, inverse2, rand_chain3,
+                     scaling_brackets, seed_spanning_pairs, special_valid_samples)
 from test_lie3 import (alpha_v2_oracle, quintuple_pool, scaling_cat,
                        squared_target_oracle, _t2, _l, _gv0)
 
@@ -76,10 +76,11 @@ def test_criterion_3_unique_composition():
     for _ in range(10):
         L = from_chain(rand_chain3(rng, (rng.randint(1, 3), rng.randint(0, 2),
                                          rng.randint(0, 2))))
+        C = SeedCat(L)
         for m in range(1, 3):
             for p in range(m):
                 for a, b in seed_spanning_pairs(L, m, p):
-                    if L.compose(a, b, p) != L.compose_via_units(a, b, p):
+                    if L.compose(m, flat(a), flat(b), p) != flat(C.compose_via_units(a, b, p)):
                         ok = False
     report("3 unique composition (identity-cell derivation)", ok)
 

@@ -351,6 +351,19 @@ def test_closed_stdout_pipe_on_a_large_report(tmp_path):
     assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
 
 
+def test_closed_stdout_pipe_on_help():
+    """The usage text to a closed pipe fails like any other output: one
+    error line on stderr and exit 2, not a traceback."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = run_cli(["--help"], stdout=w)
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("prelude, hooks_run", [
     ("", False),
     ("import sys; sys.setprofile(lambda *a: None); ", True),

@@ -9,6 +9,7 @@ Names listed in a module's ``__all__`` count as used (re-exports).
 """
 
 import ast
+import importlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -266,8 +267,7 @@ def test_simplicial_matrices_are_narrowed():
 def test_flat_cells_are_narrowed():
     """In the categories of the golden chains and their tensor squares, every
     coordinate of the flat cells built on the bases of composable pairs (by
-    flat_coded, flat_right_factor, flat_target, flat_identity and
-    flat_compose) is narrowed."""
+    coded, right_factor, target, identity and compose) is narrowed."""
     cats = [from_chain(C) for C in golden_chains()]
     cats += [tensor_product(L, L).cat for L in cats]
     entries = []
@@ -275,9 +275,27 @@ def test_flat_cells_are_narrowed():
         for m in range(1, L.n + 1):
             for p in range(m):
                 for ca, cb in L.composable_codes(m, p):
-                    a = L.flat_coded(ca)
-                    b = L.flat_right_factor(m, a, cb, p)
-                    unit = L.flat_identity(p, L.flat_target(m, a, m - p), m - p)
-                    entries += [*a, *b, *unit, *L.flat_compose(m, a, b, p)]
+                    a = L.coded(ca)
+                    b = L.right_factor(m, a, cb, p)
+                    unit = L.identity(p, L.target(m, a, m - p), m - p)
+                    entries += [*a, *b, *unit, *L.compose(m, a, b, p)]
     assert any(type(e) is Fraction for e in entries)
     assert narrowed(entries)
+
+
+def test_every_traced_name_resolves():
+    """Every (module, attribute path) in ``TARGETS`` of perfbench/launcher.py,
+    which the benchmark's tracer wraps by name, names a callable of the
+    package (the file is read, not imported)."""
+    tree = ast.parse((ROOT / "perfbench" / "launcher.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    paths = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    missing = []
+    for module, path in paths:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert paths and not missing

@@ -35,7 +35,7 @@ from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, ner
 from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
 
 from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, block_diag, bracket_formula,
-                     ce_cocycles4, conjugate, l1_only, mu_formula, rand_brackets,
+                     ce_cocycles4, conjugate, flat, l1_only, mu_formula, rand_brackets,
                      rand_chain2, rand_chain3, rand_chain_map, rand_conjugate, rand_vec,
                      scaling_brackets, seed_axioms_hold, seed_bifunctor_factors,
                      seed_alpha_cell, seed_canonicalize, seed_check_bifunctor, seed_check_coherence,
@@ -244,37 +244,30 @@ def test_cell_tables_match_component_formulas(case, seed):
 
 # -- the flat-coordinate categorical kernel against the Cell-based oracle --
 
-def coords(x) -> tuple:
-    return flat(x) if isinstance(x, Cell) else tuple(x)
-
-
 @settings(max_examples=40, deadline=None)
 @given(dims=st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)),
        seed=st.integers(0, 2**32))
 def test_flat_structure_maps_match_component_formulas(dims, seed):
-    """Each flat structure map of LinearNCat, its Cell wrapper and its level
-    matrix equal the component formula on random Fraction cells; a random
-    non-composable pair raises with the same mismatch."""
+    """Each structure map of LinearNCat and its level matrix equal the
+    component formula on random Fraction cells; a random non-composable pair
+    raises with the same mismatch."""
     rng = random.Random(seed)
     L = from_chain(rand_chain3(rng, dims))
     C = SeedCat(L)
     rand_cell = lambda m: Cell(m, tuple(rand_fraction_vec(rng, L.dim(d)) for d in range(m + 1)))
     v0 = rand_fraction_vec(rng, L.dim(0))
     for level in range(L.n + 1):
-        assert L.flat_identity(0, v0, level) == flat(C.cell_from_v0(v0, level))
-        assert L.cell_from_v0(v0, level) == C.cell_from_v0(v0, level)
+        assert L.identity(0, v0, level) == flat(C.cell_from_v0(v0, level))
     for m in range(L.n + 1):
         a = rand_cell(m)
+        assert L.unflatten(m, L.flatten(a)) == a
         for code in L.spanning_codes(m) + [(None,) * (m + 1)]:
-            assert L.flat_coded(code) == flat(C.coded_cell(code))
+            assert L.coded(code) == flat(C.coded_cell(code))
         for k in range(m + 1):
-            assert L.flat_source(m, flat(a), k) == flat(C.source_iter(a, k))
-            assert L.flat_target(m, flat(a), k) == flat(C.target_iter(a, k))
-            assert L.source_iter(a, k) == C.source_iter(a, k)
-            assert L.target_iter(a, k) == C.target_iter(a, k)
+            assert L.source(m, flat(a), k) == flat(C.source_iter(a, k))
+            assert L.target(m, flat(a), k) == flat(C.target_iter(a, k))
         for k in range(L.n - m + 1):
-            assert L.flat_identity(m, flat(a), k) == flat(C.identity_iter(a, k))
-            assert L.identity_iter(a, k) == C.identity_iter(a, k)
+            assert L.identity(m, flat(a), k) == flat(C.identity_iter(a, k))
         if m >= 1:
             assert L.s_matrix_level(m).apply(flat(a)) == flat(C.source(a))
             assert L.t_matrix_level(m).apply(flat(a)) == flat(C.target(a))
@@ -285,21 +278,18 @@ def test_flat_structure_maps_match_component_formulas(dims, seed):
             free = Cell(m, tuple(vzero(L.dim(d)) if d <= p else rand_fraction_vec(rng, L.dim(d))
                                  for d in range(m + 1)))
             b = C.identity_iter(C.target_iter(a, k), k) + free
-            assert L.flat_compose(m, flat(a), flat(b), p) == flat(C.compose(a, b, p))
-            assert L.compose(a, b, p) == C.compose(a, b, p)
+            assert L.compose(m, flat(a), flat(b), p) == flat(C.compose(a, b, p))
             for code in L.spanning_codes(m):
-                want = C.right_factor(a, code, p)
-                assert L.flat_right_factor(m, flat(a), code, p) == flat(want)
-                assert L.right_factor(a, code, p) == want
+                assert L.right_factor(m, flat(a), code, p) == flat(C.right_factor(a, code, p))
             c = rand_cell(m)
             if not C.composable(a, c, p):
                 errors = []
-                for compose in (lambda: L.flat_compose(m, flat(a), flat(c), p),
+                for compose in (lambda: L.compose(m, flat(a), flat(c), p),
                                 lambda: C.compose(a, c, p)):
                     try:
                         compose()
                     except ComposabilityError as e:
-                        errors.append(vsub(coords(e.left), coords(e.right)))
+                        errors.append(vsub(flat(e.left), flat(e.right)))
                 assert len(errors) == 2 and errors[0] == errors[1] and any(errors[0])
 
 
@@ -566,10 +556,6 @@ def pair_parts(codes) -> list[tuple]:
             + [(zero, e) for e in one_hot_parts(codes[1])])
 
 
-def flat(c: Cell) -> tuple:
-    return tuple(itertools.chain(*c.components))
-
-
 def raw_compose(a: Cell, b: Cell, p: int) -> Cell:
     """The component formula of a o_p b, evaluated whether or not a and b compose."""
     return Cell(a.level, a.components[:p + 1] + tuple(
@@ -580,7 +566,7 @@ def composition_residual(D, p, v, vp, w, wp) -> tuple:
     """The composability mismatch t^k[v,w] - s^k[v',w'] followed by
     [v o v', w o w'] - [v,w] o [v',w'], composites by the component formula;
     both parts are bilinear in the pairs (v, v') and (w, w')."""
-    L, br = D.cat, lambda a, b: bracket_cells(D, a, b)
+    L, br = SeedCat(D.cat), lambda a, b: bracket_cells(D, a, b)
     k = v.level - p
     mismatch = L.target_iter(br(v, w), k) - L.source_iter(br(vp, wp), k)
     res = br(raw_compose(v, vp, p), raw_compose(w, wp, p)) - raw_compose(br(v, w), br(vp, wp), p)
@@ -620,13 +606,13 @@ def test_bifunctor_composition_basis_matches_seed_products(case, seed):
         D = VALID_LIE3[case]()
     else:
         D = _with_random_constants(rng, from_linfinity(l1_only(rng, (2, 1, 1))), bracket=True)
-    L = D.cat
+    L, C = D.cat, SeedCat(D.cat)
     holds = True
     for m in (1, 2):
         for p in range(m):
             def basis_pair(codes):
-                v = L.coded_cell(codes[0])
-                return v, seed_pad_composable(L, v, L.coded_cell(codes[1]).components[p + 1:], p)
+                v = C.coded_cell(codes[0])
+                return v, seed_pad_composable(L, v, C.coded_cell(codes[1]).components[p + 1:], p)
             holds &= expands(lambda *vw: composition_residual(D, p, *vw),
                              seed_bifunctor_factors(L, m, p), basis_pair,
                              set(L.composable_codes(m, p)))
@@ -640,18 +626,20 @@ def test_bifunctor_composition_basis_matches_seed_products(case, seed):
        seed=st.integers(0, 2**32))
 def test_compose_tensor_identity_basis_matches_seed_products(dims, corrupt, seed):
     """Valid tensor categories, and ones whose raw composition is shifted by
-    a random linear map of the left factor (the identity stays bilinear)."""
+    a random linear map of the stacked left factors (the identity stays
+    bilinear)."""
     rng = random.Random(seed)
     L = from_chain(rand_chain2(rng, dims))
+    C = SeedCat(L)
     tc = tensor_product(L, L)
     if corrupt:
         shift = sparse_matrix(rng, tc.raw_dim(1), tc.raw_dim(1), 0.8)
-        tc = SimpleNamespace(compose_raw=lambda u, w, m, p, real=tc.compose_raw:
-                             vadd(real(u, w, m, p), shift.apply(u)))
+        tc = SimpleNamespace(compose_raw=lambda U, W, m, p, real=tc.compose_raw:
+                             real(U, W, m, p) + shift @ U)
 
     def basis_pair(codes):
-        v = L.coded_cell(codes[0])
-        return v, seed_pad_composable(L, v, L.coded_cell(codes[1]).components[1:], 0)
+        v = C.coded_cell(codes[0])
+        return v, seed_pad_composable(L, v, C.coded_cell(codes[1]).components[1:], 0)
     holds = expands(lambda v, w, vp, wp: seed_tensor_identity_residual(L, tc, v, w, vp, wp),
                     seed_tensor_identity_pairs(L), basis_pair, set(L.composable_codes(1, 0)))
     assert compose_tensor_identity(L, tc) == holds
@@ -676,12 +664,12 @@ def shifted_compose(rng: random.Random, L: LinearNCat, shift: str):
     fixed = L.level_dim(p) if shift == "free part" else 0
     A, B, c = (sparse_matrix(rng, n, k, 0.8) for k in (n, n, 1))
 
-    def comp(a, b, q):
-        out = L.compose(a, b, q)
-        if (a.level, q) != (m, p):
+    def comp(k, a, b, q):
+        out = L.compose(k, a, b, q)
+        if (k, q) != (m, p):
             return out
-        s = vadd(vadd(A.apply(flat(a)), B.apply(flat(b))), c.col(0))
-        return out + L.unflatten(m, (Q(0),) * fixed + s[fixed:])
+        s = vadd(vadd(A.apply(a), B.apply(b)), c.col(0))
+        return vadd(out, (0,) * fixed + s[fixed:])
     return comp
 
 
@@ -717,14 +705,15 @@ def test_axioms_record_undefined_composites_outside_interchange():
     assert not rep.passed
     f = next(f for f in rep.failures if f.identity == "composable" and len(f.witness) == 4)
     p, ca, cb, cc = f.witness
-    a = L.coded_cell(ca)
-    b = L.right_factor(a, cb, p)
-    c = L.right_factor(b, cc, p)
+    m = len(ca) - 1
+    a = L.coded(ca)
+    b = L.right_factor(m, a, cb, p)
+    c = L.right_factor(m, b, cc, p)
     try:
-        comp(comp(a, b, p), c, p)
-        comp(a, comp(b, c, p), p)
+        comp(m, comp(m, a, b, p), c, p)
+        comp(m, a, comp(m, b, c, p), p)
     except ComposabilityError as e:
-        assert vsub(coords(e.left), coords(e.right)) == f.residual
+        assert vsub(flat(e.left), flat(e.right)) == f.residual
     else:
         raise AssertionError("the witnessed composite is defined")
 
@@ -810,10 +799,6 @@ def outcome(f):
         return f"ValueError: {e}"
 
 
-def flat_cell(c: Cell) -> tuple:
-    return tuple(itertools.chain(*c.components))
-
-
 @settings(max_examples=40, deadline=None)
 @given(dims=two_term_dims_st, drop=st.sampled_from([None, 0, 1]), seed=st.integers(0, 2**32))
 def test_tensor_coordinates_match_seed_projection(dims, drop, seed):
@@ -831,8 +816,8 @@ def test_tensor_coordinates_match_seed_projection(dims, drop, seed):
             full = tensor_product(L, L)
             outside.append(full.lift[m].col(full.cat.offsets[drop + 1] - 1))
         for raw in inside + outside:
-            assert (outcome(lambda: flat_cell(tc.raw_to_cell(m, raw)))
-                    == outcome(lambda: flat_cell(seed_tc.raw_to_cell(m, raw))))
+            assert (outcome(lambda: flat(tc.raw_to_cell(m, raw)))
+                    == outcome(lambda: flat(seed_tc.raw_to_cell(m, raw))))
         for raw in inside:
             cell = seed_tc.raw_to_cell(m, raw)
             assert tc.cell_to_raw(cell) == seed_tc.cell_to_raw(cell) == tuple(raw)

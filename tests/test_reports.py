@@ -8,7 +8,6 @@ run ``PYTHONPATH=src python tests/test_reports.py`` from the repository root.
 
 import contextlib
 import io
-import itertools
 import random
 import sys
 from fractions import Fraction as Q
@@ -23,12 +22,12 @@ from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
 from shlie3.lie3 import (Lie3Data, bracket_cells, check_bifunctor,
                          check_coherence, check_identiator, check_jacobiator,
                          from_linfinity, mu_cell)
-from shlie3.lincat import Cell, check_axioms, from_chain
+from shlie3.lincat import check_axioms, from_chain
 from shlie3.linalg import Matrix
 from shlie3.linfinity import LInfinityData, check_all
 from shlie3.specfile import render_chain, render_lie3, render_linfinity
 
-from helpers import J_cell, l1_only, non_jacobi_data, rand_chain3, seed_linfty_residual
+from helpers import J_cell, SeedCat, flat, l1_only, non_jacobi_data, rand_chain3, seed_linfty_residual
 from test_lie3 import _l1_only_cat, _with_random_constants, scaling_cat
 from test_properties import lie3_sample, sample_421
 
@@ -86,10 +85,11 @@ def corrupted_axioms():
     level-2 composite along 0-cells."""
     L = from_chain(rand_chain3(random.Random(5), (2, 2, 1)))
 
-    def broken(a, b, p):
-        c = L.compose(a, b, p)
-        if c.level == 2 and p == 0:
-            return Cell(2, c.components[:2] + (tuple(x + 1 for x in c.components[2]),))
+    def broken(m, a, b, p):
+        c = L.compose(m, a, b, p)
+        if m == 2 and p == 0:
+            o = L.offsets[2]
+            return c[:o] + tuple(x + 1 for x in c[o:])
         return c
     return L, broken
 
@@ -158,17 +158,13 @@ def test_simplicial_output_matches_golden(name, tmp_path):
 
 # -- witness replay -------------------------------------------------------
 
-def flat(x) -> tuple:
-    return tuple(itertools.chain(*x.components)) if isinstance(x, Cell) else tuple(x)
-
-
 def diff(lhs, rhs) -> tuple:
     return tuple(a - b for a, b in zip(flat(lhs), flat(rhs), strict=True))
 
 
 def mismatch(L, p, pairs) -> tuple:
     """t^k a - s^k b for the first pair (a, b) of m-cells, k = m - p, that
-    is not p-composable."""
+    is not p-composable; L is a ``SeedCat``."""
     for a, b in pairs:
         k = a.level - p
         if L.target_iter(a, k) != L.source_iter(b, k):
@@ -177,7 +173,8 @@ def mismatch(L, p, pairs) -> tuple:
 
 
 def right_factor(L, a, code, p):
-    """The p-composable right factor of a whose free part is coded_cell(code)."""
+    """The p-composable right factor of a whose free part is coded_cell(code),
+    L a ``SeedCat``."""
     k = a.level - p
     return L.identity_iter(L.target_iter(a, k), k) + L.coded_cell(code)
 
@@ -193,7 +190,7 @@ def objects(D, w):
 
 def square(D, F, G, theta, w):
     """The two composable pairs of the naturality square named by w."""
-    L = D.cat
+    L = SeedCat(D.cat)
     slot, objs, code = w
     alpha, xs = L.coded_cell(code), objects(D, objs)
     args = [L.cell_from_v0(x, 2) for x in xs]
@@ -204,8 +201,9 @@ def square(D, F, G, theta, w):
 
 
 def replay(D, check: str, identity: str, w) -> tuple:
-    """The residual of one comparison, rebuilt from its witness alone."""
-    L = D.cat
+    """The residual of one comparison, rebuilt from its witness alone, by the
+    component formulas (``SeedCat``)."""
+    L = SeedCat(D.cat)
     br = lambda a, b: bracket_cells(D, a, b)
     if check == "bifunctor" and identity == "chain-rule":
         args = [GradedVector.basis_vector(D.space, d, i) for d, i in w]
@@ -252,7 +250,11 @@ def replay(D, check: str, identity: str, w) -> tuple:
     return (Q(0),) * L.level_dim(1) + res.component(2)  # coherence
 
 
-def replay_axiom(L, comp, identity: str, w) -> tuple:
+def replay_axiom(L, flat_comp, identity: str, w) -> tuple:
+    """The residual of one axiom comparison with the composition ``flat_comp``
+    on flat cells, rebuilt from its witness by the component formulas."""
+    L = SeedCat(L)
+    comp = lambda a, b, p: L.unflatten(a.level, flat_comp(a.level, flat(a), flat(b), p))
     if identity == "interchange":
         p, q, ca, cb, cc, cd = w
         a = L.coded_cell(ca)

@@ -6,7 +6,7 @@ import pytest
 from shlie3 import cli, simplicial
 from shlie3.chain import ChainComplexT
 from shlie3.linalg import Matrix, vis_zero
-from shlie3.lincat import from_chain, tensor_product
+from shlie3.lincat import TensorCat, from_chain, tensor_product
 from shlie3.simplicial import (SimplicialVS, aw, aw_after_ez_identity,
                                aw_ez_homology_check, compose_tensor_identity,
                                ez, ez_aw, moore, moore_bases,
@@ -179,6 +179,21 @@ def test_compose_tensor_identity():
         tc = tensor_product(L, L)
         assert compose_tensor_identity(L, tc)
         assert seed_compose_tensor_identity(L, tc)
+
+
+def test_compose_tensor_identity_composes_once(monkeypatch):
+    """The check stacks every pair of basis pairs into columns: one raw
+    composition, which takes each side to component coordinates once."""
+    L = two_term_cat(random.Random(12), (3, 3))
+    tc = tensor_product(L, L)
+    calls = dict.fromkeys(("compose_raw", "coords"), 0)
+    for name in calls:
+        def counted(self, *args, real=getattr(TensorCat, name), name=name):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(TensorCat, name, counted)
+    assert compose_tensor_identity(L, tc)
+    assert calls == {"compose_raw": 1, "coords": 2}
 
 
 def test_obstruction_present_with_kernel_arrows():
