@@ -277,17 +277,22 @@ def parse_args(argv) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     """Run one command line and return its exit code.  As the process entry
-    (no ``argv``) it runs ``main(sys.argv[1:])``, flushes stdout and stderr and
-    ends the process with ``os._exit``, skipping finalization, unless a flush
-    fails (a closed pipe) or a profiler or tracer needs its exit hooks."""
+    (no ``argv``) it runs ``main(sys.argv[1:])``, flushes its output (a closed
+    pipe gives one error line and exit 2) and ends the process with ``os._exit``,
+    skipping finalization, unless a profiler or tracer needs its exit hooks."""
     if argv is None:
         code = main(sys.argv[1:])
+        try:
+            sys.stdout.flush()
+        except OSError as e:
+            # Send what is left to os.devnull, so the flush at finalization
+            # cannot fail again.  Exit code 2 has written its error line.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if code != 2:
+                sys.stderr.write(f"error: {e}\n")
+                code = 2
+        sys.stderr.flush()
         if sys.getprofile() is None and sys.gettrace() is None:
-            try:
-                sys.stdout.flush()
-                sys.stderr.flush()
-            except OSError:
-                return code
             os._exit(code)
         return code
     try:

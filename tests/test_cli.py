@@ -23,10 +23,25 @@ ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 ENTRY = "import sys; from shlie3.cli import main; sys.exit(main())"  # as perfbench/run.py spawns
 
 
-def run_cli(args, stdout=subprocess.PIPE, prelude=""):
+def run_cli(args, stdout=subprocess.PIPE, prelude="", env=ENV):
     """``shlie3 ARGS`` as a process, through ``main()`` with no arguments."""
     return subprocess.run([sys.executable, "-c", prelude + ENTRY, *args], stdout=stdout,
-                          stderr=subprocess.PIPE, env=ENV, cwd=ROOT)
+                          stderr=subprocess.PIPE, env=env, cwd=ROOT)
+
+
+def run_cli_to_closed_pipe(args, prelude=""):
+    """``run_cli`` with stdout on a pipe whose read end is closed, once with
+    stdout block-buffered and once unbuffered (``PYTHONUNBUFFERED``)."""
+    buffered = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    procs = []
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            procs.append(run_cli(args, stdout=w, prelude=prelude, env=env))
+        finally:
+            os.close(w)
+    return procs
 
 
 @pytest.fixture
@@ -341,27 +356,22 @@ def test_closed_stdout_pipe_on_a_large_report(tmp_path):
     p = tmp_path / "linf.json"
     p.write_text(render_linfinity(A))
     assert len(run_cli(["coherence", str(p), "--format", "json"]).stdout) > 65536
-    r, w = os.pipe()
-    os.close(r)
-    try:
-        proc = run_cli(["coherence", str(p), "--format", "json"], stdout=w)
-    finally:
-        os.close(w)
-    assert proc.returncode == 2
-    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+    for proc in run_cli_to_closed_pipe(["coherence", str(p), "--format", "json"]):
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
 
 
-def test_closed_stdout_pipe_on_help():
-    """The usage text to a closed pipe fails like any other output: one
-    error line on stderr and exit 2, not a traceback."""
-    r, w = os.pipe()
-    os.close(r)
-    try:
-        proc = run_cli(["--help"], stdout=w)
-    finally:
-        os.close(w)
-    assert proc.returncode == 2
-    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+@pytest.mark.parametrize("prelude", ["", "import sys; sys.setprofile(lambda *a: None); "],
+                         ids=["plain", "profiler"])
+@pytest.mark.parametrize("args", [["--help"], ["check", "FILE"]], ids=["help", "short-report"])
+def test_closed_stdout_pipe_on_short_output(args, prelude, valid_linf_file):
+    """Output far below the pipe's capacity to a closed pipe fails like any
+    other write: one error line on stderr and exit 2, not a traceback.  With
+    stdout block-buffered the write succeeds and the flush at exit fails."""
+    args = [valid_linf_file if a == "FILE" else a for a in args]
+    for proc in run_cli_to_closed_pipe(args, prelude=prelude):
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("prelude, hooks_run", [
