@@ -44,11 +44,6 @@ def _render_checks(reports, list_key: str = "failures") -> list[dict]:
     return out
 
 
-def _lie3_checks(D) -> list[dict]:
-    return _render_checks((check_bifunctor(D), check_jacobiator(D),
-                           check_identiator(D), check_coherence(D)))
-
-
 def _emit(report: dict, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -90,7 +85,9 @@ def cmd_check(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if spec.kind == "linfinity":
         checks = _render_checks(check_all(build(spec), args.n), "violations")
     elif spec.kind == "lie3":
-        checks = _lie3_checks(build(spec))
+        D = build(spec)
+        checks = _render_checks((check_bifunctor(D), check_jacobiator(D),
+                                 check_identiator(D), check_coherence(D)))
     else:
         raise SpecError(f"check does not apply to kind {spec.kind!r}", "$.kind")
     ok = all(c["passed"] for c in checks)
@@ -195,14 +192,13 @@ def cmd_obstruction_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 
 
 def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
-    if spec.kind == "linfinity":
-        data = build(spec)
-        checks = _render_checks(check_all(data, args.n), "violations")
-        special, _ = is_special(data)
-        rep = {"command": "report", "checks": checks, "special": special}
-    elif spec.kind == "lie3":
-        rep = {"command": "report", "checks": _lie3_checks(build(spec))}
-    elif spec.kind == "chain":
+    if spec.kind in ("linfinity", "lie3"):
+        rep, code = cmd_check(spec, args)
+        rep["command"] = "report"
+        if spec.kind == "linfinity":
+            rep["special"] = is_special(build(spec))[0]
+        return rep, code
+    if spec.kind == "chain":
         C = build(spec)
         checks = [{"name": "boundary-squares-to-zero", "passed": True}]
         if C.top_degree >= 1:

@@ -186,7 +186,7 @@ def koszul_chi(sigma: Permutation, degrees: Sequence[int]) -> int:
     return chi
 
 
-def _canonicalize(key: Key) -> tuple[Key, int]:
+def canonicalize(key: Key) -> tuple[Key, int]:
     """Sorted-key representative ckey and the sign with m(key) == sign * m(ckey):
     each inverted pair of ``key`` flips it unless both elements have odd degree
     (``koszul_chi``'s rule), and it is 0 when an even-degree element repeats."""
@@ -219,7 +219,7 @@ class MultiMap(Frozen):
         object.__setattr__(self, "weight", int(self.weight))
         clean: dict[Key, Vector] = {}
         for key, val in (self.coeffs or {}).items():
-            ckey, sign = _canonicalize(key)
+            ckey, sign = canonicalize(key)
             if ckey != key:
                 raise ValueError(f"non-canonical key {key}")
             if sign == 0:
@@ -291,7 +291,7 @@ class MultiMap(Frozen):
                 pos = tuple(((od, i), narrow(c)) for i, c in enumerate(val) if c)
                 neg = tuple((b, -c) for b, c in pos)
                 for key in set(itertools.permutations(ckey)):
-                    table[key] = pos if _canonicalize(key)[1] > 0 else neg
+                    table[key] = pos if canonicalize(key)[1] > 0 else neg
             object.__setattr__(self, "_table", table)
         return self._table
 
@@ -350,7 +350,7 @@ def build_multimap(arity: int, weight: int, space: GradedSpace,
             if not (0 <= d <= space.top_degree) or not (0 <= i < space.dims[d]):
                 raise ValueError(f"basis element {(d, i)} outside the space")
         od = sum(d for d, _ in key) + weight
-        ckey, sign = _canonicalize(key)
+        ckey, sign = canonicalize(key)
         if sign == 0 or not (0 <= od <= space.top_degree):
             if not vis_zero([Q(c) for c in val]):
                 raise ContradictionError(f"entry on {key} is forced to zero by antisymmetry")

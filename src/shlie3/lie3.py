@@ -11,10 +11,11 @@ exact correspondence between the presentations.
 The multilinear cell operations and the two sides of each law are tables in
 the package's one sparse format (see ``linalg``) on flat basis indices (the
 layout of ``LinearNCat.offsets``: V_i at offsets[i]:offsets[i + 1] of L_m).
-Each is built with ``linalg.compose``, which substitutes one table into one
-argument of another, from the tables (``MultiMap.table``) of t, l2, J and mu:
-the bracket table from t's and l2's, the Jacobiator table from it and J's,
-the Identiator table from both and mu's.  A composite along 0-cells (the
+Each is built once with ``linalg.compose``, which substitutes one table into
+one argument of another, from t's table (``LinearNCat.t_table``) and those of
+l2, J and mu: the bracket table from t's and l2's, [[a,b],c] and [a,[b,c]]
+from it, the Jacobiator table from them and J's, the Identiator table from
+all of these and mu's.  A composite along 0-cells (the
 Identiator's eta and eps, the coherence chains) is the first factor plus the
 parts above V0 of the others, so each later factor is evaluated through
 tables restricted to outputs above V0 (``Lie3Data._above_v0``).  The
@@ -38,7 +39,7 @@ import itertools
 import operator
 from collections.abc import Iterable, Sequence
 
-from .graded import GradedSpace, MultiMap, check_signatures
+from .graded import GradedSpace, canonicalize, check_signatures
 from .lincat import Cell, LinearNCat, composites_defined
 from .linalg import Frozen, Q, Vector, combine, compose, contract, dense, narrow, vadd, vzero
 from .linfinity import LInfinityData, accumulate_residual, check_all, is_special
@@ -83,28 +84,35 @@ class Lie3Data(Frozen):
         """The bracket of 2-cells (see ``bracket_cells``); on m-cells, whose
         flat coordinates are a prefix, it is the bracket of m-cells.  On two
         basis cells it is an entry of l2, except [f, g] = l2(f, t g) on V1."""
-        o, l2 = self.cat.offsets, _flat(self.bracket_constants, self.cat.offsets)
+        o, l2 = self.cat.offsets, self.cat.flat_table(self.bracket_constants)
         in_v1 = lambda key: all(o[1] <= i < o[2] for i in key)
-        t_v1 = {k: v for k, v in self._t[1].items() if in_v1(k)}
+        t_v1 = {k: v for k, v in self.cat.t_table[1].items() if in_v1(k)}
         return combine((1, l2), (1, compose(l2, t_v1, 1, in_v1)))
+
+    @functools.cached_property
+    def _nested(self) -> tuple[dict, dict]:
+        """[[a,b],c] and [a,[b,c]] on the keys with at most one flat index
+        above V0 (see ``_squares``)."""
+        br, keep = self._bracket_table, _below(self.cat.offsets[1], 1)
+        return compose(br, br, 0, keep), compose(br, br, 1, keep)
 
     @functools.cached_property
     def _J_table(self) -> dict:
         """The 1-cells ([[x,y],z], J(x,y,z)) on basis triples."""
-        o, br = self.cat.offsets, self._bracket_table
-        return combine((1, compose(br, br, 0, _below(o[1]))), (1, _flat(self.J, o)))
+        o1 = self.cat.offsets[1]
+        return combine((1, {k: v for k, v in self._nested[0].items() if max(k) < o1}),
+                       (1, self.cat.flat_table(self.J)))
 
     @functools.cached_property
     def _mu_table(self) -> dict:
         """The Identiator 2-cells on basis quadruples: [[[x,y],z],u] and
         [J_xyz,u] from the J table, the other four terms of eta's V1 part
         (see ``mu_cell``) from J's constants, and mu itself."""
-        o, br, v0 = self.cat.offsets, self._bracket_table, _below(self.cat.offsets[1])
-        J = _flat(self.J, o)
+        br, v0, J = self._bracket_table, _below(self.cat.offsets[1]), self.cat.flat_table(self.J)
         return combine((1, compose(br, self._J_table, 0, v0)),
                        (1, compose(J, br, 0, v0), (0, 2, 1, 3)), (1, compose(J, br, 1, v0)),
                        (1, compose(br, J, 0, v0), (0, 2, 3, 1)), (1, compose(br, J, 1, v0)),
-                       (1, _flat(self.mu, o)))
+                       (1, self.cat.flat_table(self.mu)))
 
     @functools.cached_property
     def _eta_eps(self) -> tuple[dict, dict]:
@@ -136,14 +144,6 @@ class Lie3Data(Frozen):
         """The four coherence chains traced once (see ``_Plan``)."""
         return _Plan(self)
 
-    @functools.cached_property
-    def _t(self) -> dict:
-        """t on flat m-cells, m = 1, 2, as a one-argument table: the identity
-        on L_{m-1} plus t on V_m.  On 2-cells t o t = t o s, so _t[1] is t^2."""
-        o, t = self.cat.offsets, _flat(self.cat.t_data, self.cat.offsets)
-        return {m: {**{(i,): ((i, 1),) for i in range(o[m])},
-                    **{k: v for k, v in t.items() if o[m] <= k[0] < o[m + 1]}} for m in (1, 2)}
-
 
 # -- the cell operations, tabulated over basis indices ----------------
 
@@ -158,13 +158,6 @@ def _cut(table: dict, lo: int, hi: int) -> dict:
     """The table restricted to the outputs in [lo, hi)."""
     return {key: out for key, pairs in table.items()
             if (out := tuple(p for p in pairs if lo <= p[0] < hi))}
-
-
-def _flat(f: MultiMap, o: Sequence[int]) -> dict:
-    """f's basis table with each basis element (d, i), of a key or an output,
-    written as its flat index o[d] + i (``LinearNCat.offsets``)."""
-    return {tuple(o[d] + i for d, i in key): tuple((o[d] + i, c) for (d, i), c in pairs)
-            for key, pairs in f.table().items()}
 
 
 def _support(v: Sequence[Q]) -> list:
@@ -213,10 +206,10 @@ def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
 
 
 def _inverse2(D: Lie3Data, pairs: list) -> list:
-    """(A, s, a) -> (A, s + t a, -a), which is t (``Lie3Data._t``) minus a, on
-    a flat 2-cell given as (index, coefficient) pairs."""
+    """(A, s, a) -> (A, s + t a, -a), which is t (``LinearNCat.t_table``)
+    minus a, on a flat 2-cell given as (index, coefficient) pairs."""
     o2 = D.cat.offsets[2]
-    return contract(D._t[2], pairs) + [(i, -c) for i, c in pairs if i >= o2]
+    return contract(D.cat.t_table[2], pairs) + [(i, -c) for i, c in pairs if i >= o2]
 
 
 # -- structural checks ------------------------------------------------
@@ -322,7 +315,7 @@ def _squares(D: Lie3Data, col: Collector, F: dict, G: dict, theta: dict, arity: 
     vanish, and the residual is F + theta_t|>V0 - theta_s - G|>V0.  The
     witness is (slot, the 0-cells, alpha's code); an undefined composite goes
     to ``col`` as a "composable" failure instead, its residual C1, else C2."""
-    L, t2 = D.cat, D._t[1]
+    L, t2 = D.cat, D.cat.t_table[1]  # t^2 on 2-cells, as t o t = t o s there
     o1, top = L.offsets[1], L.level_dim(2)
     theta_t = {}  # the all-V0 keys agree across slots
     for slot in range(arity):
@@ -346,14 +339,13 @@ def check_jacobiator(D: Lie3Data) -> Report:
     """Target condition and 2-naturality (in each argument slot) of J."""
     L = D.cat
     col = Collector("jacobiator")
-    br, keep = D._bracket_table, _below(L.offsets[1], 1)
     # [[c1, c2], c3] o J(targets) = J(sources) o ([[c1, c3], c2] + [c1, [c2, c3]])
-    F = compose(br, br, 0, keep)
-    G = combine((1, F, (0, 2, 1)), (1, compose(br, br, 1, keep)))
+    F, bi = D._nested
+    G = combine((1, F, (0, 2, 1)), (1, bi))
 
     # target: t J_{xyz} = [[x,z],y] + [x,[y,z]], on basis triples the C2 of
     # the squares (see ``_squares``)
-    c2, zero0 = combine((1, compose(D._t[1], D._J_table)), (-1, G)), vzero(L.dim(0))
+    c2, zero0 = combine((1, compose(L.t_table[1], D._J_table)), (-1, G)), vzero(L.dim(0))
     for key in itertools.product(range(L.dim(0)), repeat=3):
         col.compare("target", _objects(key), dense(L.dim(0), c2.get(key, ())), zero0)
 
@@ -373,7 +365,7 @@ def check_identiator(D: Lie3Data) -> Report:
     # s mu = eta and t mu = eps
     mu, (eta, eps) = D._mu_table, D._eta_eps
     src = combine((1, _cut(mu, 0, L.offsets[2])), (-1, eta))
-    tgt = combine((1, compose(D._t[2], mu)), (-1, eps))
+    tgt = combine((1, compose(L.t_table[2], mu)), (-1, eps))
     n1, zero1 = L.level_dim(1), vzero(L.level_dim(1))
     for key in itertools.product(range(L.dim(0)), repeat=4):
         w = _objects(key)
@@ -386,7 +378,7 @@ def check_identiator(D: Lie3Data) -> Report:
     # along J: [[c1,c3],[c2,c4]] + [c1,[[c2,c4],c3]] + [[[c1,c4],c3],c2]
     # + [[c1,c4],[c2,c3]] + [[c1,[c3,c4]],c2] + [c1,[c2,[c3,c4]]]
     br, keep = D._bracket_table, _below(L.offsets[1], 1)
-    bl, bi = compose(br, br, 0, keep), compose(br, br, 1, keep)  # [[a,b],c], [a,[b,c]]
+    bl, bi = D._nested  # [[a,b],c], [a,[b,c]]
     F, P = compose(br, bl, 0, keep), compose(bl, br, 2, keep)  # P = [[a,b],[c,d]]
     G = combine((1, P, (0, 2, 1, 3)), (1, compose(br, bl, 1, keep), (0, 1, 3, 2)),
                 (1, F, (0, 3, 2, 1)), (1, P, (0, 3, 1, 2)),
@@ -538,20 +530,26 @@ def check_coherence(D: Lie3Data, tuples=None) -> Report:
     (ROADMAP, open item 1).  Each quintuple is also checked against the
     order-5 residual of the extracted structure constants: its V2 residual
     must equal that left-hand side ("order5-agreement", residual V2 minus
-    order-5).  The chains run as one plan per structure (``_Plan``).
+    order-5).  The chains run as one plan per structure (``_Plan``).  The
+    order-5 residual is graded antisymmetric for any antisymmetric brackets,
+    with no premise, so it is expanded once per sorted quintuple and read with
+    ``graded.canonicalize``'s sign, which is 0 on a repeated 0-cell.
     """
     L, n0 = D.cat, D.cat.dim(0)
     plan, memo, e0 = D._coherence_plan, {}, [[(i, 1)] for i in range(n0)]
     if tuples is None:
         tuples = itertools.combinations_with_replacement(range(n0), 5)
-    data, terms = _raw_linfinity(D), {}  # one degree pattern: its shuffle terms once
+    data, terms, r5s = _raw_linfinity(D), {}, {}  # one degree pattern: its shuffle terms once
     col, zero = Collector("coherence"), vzero(L.level_dim(2))
     for key in tuples:
-        w, r5 = _objects(key), {}
+        w = _objects(key)
         res = _residual(D, *plan.run([e0[i] for i in key], key, memo))
-        accumulate_residual(data, w, terms, 1, r5)  # five 0-cells: the residual lies in V2
+        ckey, sign = canonicalize(w)
+        if sign and ckey not in r5s:  # five 0-cells: the residual lies in V2
+            accumulate_residual(data, ckey, terms, 1, r5s.setdefault(ckey, {}))
+        r5 = ((i, sign * c) for i, c in r5s[ckey].items()) if sign else ()
         col.compare("coherence", w, res, zero)
-        col.compare("order5-agreement", w, res[L.level_dim(1):], dense(L.dim(2), r5.items()))
+        col.compare("order5-agreement", w, res[L.level_dim(1):], dense(L.dim(2), r5))
     return col.report()
 
 

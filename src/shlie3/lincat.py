@@ -14,9 +14,11 @@ with the last line only defined on p-composable pairs.
 Each map is implemented once, on flat coordinates: a level-m cell is a
 tuple over L_m in which V_i occupies ``offsets[i]:offsets[i + 1]``
 (offsets[i] = dim V_0 + .. + dim V_{i-1}), so s is a slice, 1 pads zeros and
-t adds the sparse columns of ``t_matrix(m)``.  ``Cell`` is the type that the
-public cell-valued functions return; ``flatten`` and ``unflatten`` convert
-between the two, and nothing else does.
+t on level m is the one-argument table ``t_table[m]`` (the identity on
+L_{m-1} plus t on V_m), built once per category; the matrices of t and the
+lie3 laws read it too.  ``Cell`` is the type that the public cell-valued
+functions return; ``flatten`` and ``unflatten`` convert between the two, and
+nothing else does.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import itertools
 from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT
-from .graded import GradedSpace, build_multimap
-from .linalg import Frozen, Matrix, Q, Vector, hstack, vadd, vscale, vzero
+from .graded import GradedSpace, MultiMap, build_multimap
+from .linalg import Frozen, Matrix, Q, Vector, dense, hstack, vadd, vscale, vzero
 from .report import Collector, Report
 
 
@@ -74,18 +76,17 @@ class LinearNCat(Frozen):
     """Linear n-category with V = kernel spaces and t_data the differential."""
 
     _fields = ("space", "t_data")
-    __slots__ = (*_fields, "_t_matrices", "_t_cols", "offsets")
+    __slots__ = (*_fields, "offsets", "t_table")
 
     def __post_init__(self):
         if self.t_data.space != self.space or self.t_data.arity != 1 or self.t_data.weight != -1:
             raise ValueError("t_data must be an arity-1 weight -1 map on the same space")
-        mats = tuple(self.t_data.as_matrix(d) for d in range(self.n + 1))
-        object.__setattr__(self, "_t_matrices", mats)
-        t = self.t_data.table()
-        object.__setattr__(self, "_t_cols", tuple(  # t's nonzero (row, entry) pairs per column
-            tuple(tuple((i, c) for (_, i), c in t.get(((d, j),), ())) for j in range(n))
-            for d, n in enumerate(self.space.dims)))
-        object.__setattr__(self, "offsets", (0, *itertools.accumulate(self.space.dims)))
+        o = (0, *itertools.accumulate(self.space.dims))
+        object.__setattr__(self, "offsets", o)
+        t = self.flat_table(self.t_data)
+        object.__setattr__(self, "t_table", tuple(
+            {**{(i,): ((i, 1),) for i in range(o[m])},
+             **{k: v for k, v in t.items() if o[m] <= k[0] < o[m + 1]}} for m in range(self.n + 1)))
         for m in range(2, self.n + 1):
             if not (self.t_matrix(m - 1) @ self.t_matrix(m)).is_zero():
                 raise ValueError("t o t != 0: globular condition violated")
@@ -100,9 +101,22 @@ class LinearNCat(Frozen):
     def level_dim(self, m: int) -> int:
         return self.offsets[m + 1]
 
+    def flat_table(self, f: MultiMap) -> dict:
+        """f's table with each basis element (d, i) written as its flat index offsets[d] + i."""
+        o = self.offsets
+        return {tuple(o[d] + i for d, i in key): tuple((o[d] + i, c) for (d, i), c in pairs)
+                for key, pairs in f.table().items()}
+
+    def _t_block(self, m: int, rows: range, cols: range) -> Matrix:
+        """The rows x cols block of the matrix of ``t_table[m]``."""
+        T = self.t_table[m]
+        return Matrix.from_cols([dense(len(rows), ((i - rows.start, c) for i, c in T.get((j,), ())))
+                                 for j in cols], nrows=len(rows))
+
     def t_matrix(self, d: int) -> Matrix:
         """Matrix of t restricted to V_d, valued in V_{d-1}."""
-        return self._t_matrices[d]
+        o = self.offsets
+        return self._t_block(d, range(o[d - 1] if d else 0, o[d]), range(o[d], o[d + 1]))
 
     # -- cells --------------------------------------------------------
 
@@ -141,11 +155,12 @@ class LinearNCat(Frozen):
         if k > m:
             raise ValueError("0-cells have no target")
         for d in range(m, m - k, -1):  # v is a d-cell
-            out, base = list(v[:self.offsets[d]]), self.offsets[d - 1]
-            for j, c in enumerate(v[self.offsets[d]:]):
+            o, T = self.offsets[d], self.t_table[d]
+            out = list(v[:o])
+            for j, c in enumerate(v[o:], o):
                 if c:
-                    for i, x in self._t_cols[d][j]:
-                        out[base + i] += c * x
+                    for i, x in T.get((j,), ()):
+                        out[i] += c * x
             v = tuple(out)
         return v
 
@@ -178,22 +193,17 @@ class LinearNCat(Frozen):
 
     # -- structural matrices (component form) -------------------------
 
-    def _level_matrix(self, structure_map, m: int, m_out: int) -> Matrix:
-        """Matrix of a structure map from level m to level m_out, column by
-        column (the zero map onto level -1 for m = 0)."""
-        if m_out < 0:
-            return Matrix.zeros(0, self.level_dim(0))
-        return Matrix.from_action(lambda e: structure_map(m, e), self.level_dim(m),
-                                  self.level_dim(m_out))
-
     def s_matrix_level(self, m: int) -> Matrix:
-        return self._level_matrix(self.source, m, m - 1)
+        """The matrix of s from level m to m - 1 (onto level -1, of dimension 0, for m = 0)."""
+        return Matrix.from_action(lambda e: self.source(m, e) if m else (), self.level_dim(m),
+                                  self.offsets[m])
 
     def t_matrix_level(self, m: int) -> Matrix:
-        return self._level_matrix(self.target, m, m - 1)
+        return self._t_block(m, range(self.offsets[m]), range(self.offsets[m + 1]))
 
     def i_matrix_level(self, m: int) -> Matrix:
-        return self._level_matrix(self.identity, m, m + 1)
+        return Matrix.from_action(lambda e: self.identity(m, e), self.level_dim(m),
+                                  self.level_dim(m + 1))
 
     def flatten(self, a: Cell) -> Vector:
         return tuple(itertools.chain(*a.components))
@@ -360,11 +370,7 @@ def from_chain(C: ChainComplexT) -> LinearNCat:
     if C.top_degree > 2:
         raise ValueError("only complexes concentrated in degrees 0..2")
     space = GradedSpace(tuple(C.dims))
-    raw = []
-    for d in range(1, C.top_degree + 1):
-        M = C.diff(d)
-        for i in range(C.dim(d)):
-            raw.append((((d, i),), M.col(i)))
+    raw = [(((d, i),), C.diff(d).col(i)) for d in range(1, C.top_degree + 1) for i in range(C.dim(d))]
     return LinearNCat(space, build_multimap(1, -1, space, raw))
 
 
@@ -378,17 +384,9 @@ def to_chain(L: LinearNCat) -> ChainComplexT:
 def cartesian_product(L: LinearNCat, M: LinearNCat) -> LinearNCat:
     if L.n != M.n:
         raise ValueError("category dimensions differ")
-    dims = tuple(a + b for a, b in zip(L.space.dims, M.space.dims))
-    space = GradedSpace(dims)
-    raw = []
-    for d in range(1, L.n + 1):
-        dl, dm = L.t_matrix(d), M.t_matrix(d)
-        for i in range(L.dim(d)):
-            col = tuple(dl.col(i)) + vzero(M.dim(d - 1))
-            raw.append((((d, i),), col))
-        for i in range(M.dim(d)):
-            col = vzero(L.dim(d - 1)) + tuple(dm.col(i))
-            raw.append((((d, L.dim(d) + i),), col))
+    space = GradedSpace(tuple(a + b for a, b in zip(L.space.dims, M.space.dims)))
+    raw = [(((d, i),), v + vzero(M.dim(d - 1))) for ((d, i),), v in L.t_data.coeffs.items()]
+    raw += [(((d, L.dim(d) + i),), vzero(L.dim(d - 1)) + v) for ((d, i),), v in M.t_data.coeffs.items()]
     return LinearNCat(space, build_multimap(1, -1, space, raw))
 
 

@@ -21,9 +21,11 @@ class SimplicialVS(Frozen):
     ``degens[n][i]`` is s_i: S_n -> S_{n+1} (n in 0..N-1, 0 <= i <= n).
     """
 
-    __slots__ = _fields = ("dims", "faces", "degens")
+    _fields = ("dims", "faces", "degens")
+    __slots__ = (*_fields, "_normal")
 
     def __post_init__(self):
+        object.__setattr__(self, "_normal", None)
         N = len(self.dims) - 1
         if N < 1:
             raise ValueError("need at least levels 0 and 1")
@@ -194,17 +196,19 @@ def moore(S: SimplicialVS) -> ChainComplexT:
 
 
 def _normalized(S: SimplicialVS) -> tuple[list[list[Vector]], ChainComplexT]:
-    """(``moore_bases(S)``, ``moore(S)``), normalizing S once."""
-    bases = moore_bases(S)
-    dims = tuple(len(b) for b in bases)
-    diffs = []
-    for n in range(1, S.trunc + 1):
-        Bprev = Matrix.from_cols(bases[n - 1], nrows=S.dim(n - 1))
-        X = Bprev.solve_matrix(S.d(n, 0) @ Matrix.from_cols(bases[n], nrows=S.dim(n)))
-        if X is None:
-            raise ValueError("boundary leaves the normalized subspace")
-        diffs.append(X)
-    return bases, ChainComplexT(dims, tuple(diffs))
+    """(``moore_bases(S)``, ``moore(S)``), normalizing S once in its lifetime."""
+    if S._normal is None:
+        bases = moore_bases(S)
+        dims = tuple(len(b) for b in bases)
+        diffs = []
+        for n in range(1, S.trunc + 1):
+            Bprev = Matrix.from_cols(bases[n - 1], nrows=S.dim(n - 1))
+            X = Bprev.solve_matrix(S.d(n, 0) @ Matrix.from_cols(bases[n], nrows=S.dim(n)))
+            if X is None:
+                raise ValueError("boundary leaves the normalized subspace")
+            diffs.append(X)
+        object.__setattr__(S, "_normal", (bases, ChainComplexT(dims, tuple(diffs))))
+    return S._normal
 
 
 def moore_of_nerve_check(L: LinearNCat, S: SimplicialVS) -> bool:
@@ -252,8 +256,7 @@ def _tensor_setup(S: SimplicialVS, T: SimplicialVS):
     """What ez and aw share: S (x) T, the Moore bases of S, T and S (x) T, the
     normalized complex of S (x) T, and moore(S) (x) moore(T) with its layout."""
     ST = tensor_svs(S, T)
-    (bS, CS), (bST, CST) = _normalized(S), _normalized(ST)
-    bT, CT = (bS, CS) if T is S else _normalized(T)
+    (bS, CS), (bT, CT), (bST, CST) = _normalized(S), _normalized(T), _normalized(ST)
     prod, layout = tensor_complex(CS, CT, trunc=S.trunc)
     return ST, bS, bT, bST, CST, prod, layout
 

@@ -245,6 +245,15 @@ def test_obstruction_demo_command(chain_file, tmp_path, capsys):
     assert "obstructed: False" in out
 
 
+def test_readme_example_spec_passes_check(tmp_path, capsys):
+    """The first ``json`` block of README.md is a valid spec that passes."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    p = tmp_path / "readme.json"
+    p.write_text(text.split("```json\n", 1)[1].split("```", 1)[0])
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out.endswith("passed: True\n")
+
+
 def test_report_json_deterministic(valid_linf_file, capsys):
     assert main(["report", valid_linf_file, "--format", "json"]) == 0
     first = capsys.readouterr().out

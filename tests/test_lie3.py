@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from shlie3 import lie3
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
 from shlie3.linalg import vadd, vis_zero, vsub, vzero
 from shlie3.lie3 import (ConversionError, Lie3Data, alpha_cell,
@@ -118,18 +119,29 @@ def test_mu_cell_source_matches_eta_composite(case):
         assert nontrivial
 
 
-def test_cell_tables_built_lazily_once_per_structure():
+def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
     """Constructing a Lie3Data (from_linfinity, build_lie3) tabulates
     nothing; the checks tabulate each cell table once per structure, and
     read the composites and the tables restricted above V0 only for the
-    Identiator and coherence.  Only the coherence check traces the coherence
-    plan, once per structure."""
-    tables = ("_bracket_table", "_J_table", "_mu_table", "_eta_eps", "_above_v0", "_t",
+    Identiator and coherence.  The bracket table is composed with itself
+    once per slot, into [[a,b],c] and [a,[b,c]] (``_nested``), which the
+    Jacobiator table and the Jacobiator and Identiator laws share.  Only the
+    coherence check traces the coherence plan, once per structure."""
+    tables = ("_bracket_table", "_nested", "_J_table", "_mu_table", "_eta_eps", "_above_v0",
               "_coherence_plan")
     D = glambda_cat()
     E = build_lie3(parse_spec(render_lie3(D)))
+    real, nested = lie3.compose, []
+
+    def counting(outer, inner, *args):
+        if outer is inner is vars(D).get("_bracket_table"):
+            nested.append(args[0])
+        return real(outer, inner, *args)
+    monkeypatch.setattr(lie3, "compose", counting)
     assert not any(name in vars(D) or name in vars(E) for name in tables)
-    check_bifunctor(D), check_jacobiator(D)
+    check_bifunctor(D)
+    assert "_nested" not in vars(D)
+    check_jacobiator(D)
     assert "_above_v0" not in vars(D) and "_eta_eps" not in vars(D)
     check_identiator(D)
     assert "_coherence_plan" not in vars(D)
@@ -140,6 +152,27 @@ def test_cell_tables_built_lazily_once_per_structure():
         built = built or {name: vars(D)[name] for name in tables}
         assert all(vars(D)[name] is table for name, table in built.items())
     assert not any(name in vars(E) for name in tables)
+    assert nested == [0, 1]
+
+
+@pytest.mark.parametrize("D, calls", [(scaling_cat(), 1), (abelian_cat((3, 2, 2)), 0)],
+                         ids=["5,0,1", "3,2,2"])
+def test_order5_residual_once_per_sorted_quintuple(monkeypatch, D, calls):
+    """The canonical family repeats a 0-cell in every quintuple but one when
+    dim V0 = 5, and in all of them when dim V0 = 3; the order-5 residual is
+    expanded only on the quintuples without a repeat."""
+    real, keys = lie3.accumulate_residual, []
+
+    def counting(data, key, *args):
+        keys.append(key)
+        return real(data, key, *args)
+    monkeypatch.setattr(lie3, "accumulate_residual", counting)
+    assert check_coherence(D).passed
+    assert keys == [tuple((0, i) for i in range(5))] * calls
+    if calls:  # the orderings of that quintuple share its expansion
+        keys.clear()
+        assert check_coherence(D, tuples=itertools.permutations(range(5))).passed
+        assert len(keys) == 1
 
 
 # -- the four categorical checks on valid data ------------------------

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from shlie3 import lie3
 from shlie3.cli import _render_checks, main
 from shlie3.graded import (ContradictionError, GradedSpace, GradedVector, MultiMap, Permutation,
-                           _canonicalize, build_multimap, koszul_chi)
+                           build_multimap, canonicalize, koszul_chi)
 from shlie3.lie3 import (Lie3Data, alpha_cell, bracket_cells, check_bifunctor, check_coherence,
                          check_identiator, check_jacobiator, coherence_residual, eta_epsilon,
                          from_linfinity, mu_cell)
@@ -104,6 +104,41 @@ def test_residual_is_multilinear_sum_of_basis_residuals(dims, n, seed):
         assert lhs == seed_linfty_residual(data, n, args)
 
 
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(st.integers(1, 5), st.integers(1, 2), st.integers(1, 2)),
+       n=st.integers(2, 5), seed=st.integers(0, 2**32), distinct=st.booleans())
+@example(dims=(5, 1, 1), n=5, seed=0, distinct=True)  # five distinct 0-cells
+@example(dims=(2, 1, 1), n=3, seed=3, distinct=False)  # a repeated odd entry, nonzero
+def test_residual_is_canonical_sign_times_sorted_residual(dims, n, seed, distinct):
+    """The premise of ``check_coherence`` expanding the order-5 residual once
+    per sorted quintuple: on any brackets, valid or not, the order-n residual
+    at each ordering of a basis tuple is ``canonicalize``'s sign times its
+    value at the sorted tuple, 0 where an even-degree entry repeats.  At order
+    5 a residual is nonzero only on V0; orders 2 and 3 reach repeated odd
+    entries, ((1, i), (1, i)) and ((1, i), (1, i), (0, j)).  Checked against
+    ``seed_linfty_residual`` on the sorted tuple and a few orderings.  With
+    ``distinct`` the entries of each degree repeat only when that degree has
+    too few basis elements."""
+    rng = random.Random(seed)
+    data = rand_brackets(rng, dims, density=0.7)
+    space = data.space
+    degrees = rng.choice([deg for deg in itertools.product(range(3), repeat=n)
+                          if 0 <= sum(deg) + n - 3 <= 2])
+    unused = [rng.sample(range(m), m) for m in dims]
+    key = tuple((d, unused[d].pop() if distinct and unused[d] else rng.randrange(dims[d]))
+                for d in degrees)
+    basis = lambda k: [GradedVector.basis_vector(space, *b) for b in k]
+    ckey, _ = canonicalize(key)
+    sorted_res = linfty_residual(data, n, basis(ckey))
+    assert sorted_res == seed_linfty_residual(data, n, basis(ckey))
+    perms = sorted(set(itertools.permutations(key)))
+    for k, perm in enumerate(perms):
+        res = linfty_residual(data, n, basis(perm))
+        assert res == sorted_res.scale(canonicalize(perm)[1])
+        if k % max(1, len(perms) // 4) == 0:
+            assert res == seed_linfty_residual(data, n, basis(perm))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)),
@@ -122,7 +157,7 @@ key_st = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, m
 @example(((1, 0), (2, 1), (1, 0), (0, 0), (1, 1)))  # a repeated odd element, all degrees
 @example(((0, 1), (2, 0), (0, 1)))  # a repeated even element
 def test_sign_folding_matches_koszul_chi(key):
-    """On every reordering of a key, ``_canonicalize``, the signs that
+    """On every reordering of a key, ``canonicalize``, the signs that
     ``MultiMap.table()`` folds in and ``build_multimap``'s folding of a raw
     entry agree with ``koszul_chi`` of a ``Permutation`` (``seed_canonicalize``)."""
     n, space = len(key), GradedSpace((2, 2, 2))
@@ -131,7 +166,7 @@ def test_sign_folding_matches_koszul_chi(key):
     table = (MultiMap(n, weight, space, {ckey: (1, 0)}).table() if sign else {})
     for perm in set(itertools.permutations(key)):
         expected = seed_canonicalize(perm)
-        assert _canonicalize(perm) == expected
+        assert canonicalize(perm) == expected
         if sign:
             assert table[perm] == (((0, 0), expected[1]),)
             folded = build_multimap(n, weight, space, [(perm, (Q(1, 2), 3))])
@@ -402,6 +437,21 @@ def test_coherence_plan_matches_seed_on_all_ordered_tuples():
                 assert alpha_cell(D, i, *args) == seed_alpha_cell(D, i, *args), (D.space.dims, i)
             assert coherence_residual(D, *args) == seed_coherence_residual(D, *args)
     assert failed and all(sample_421()._above_v0.values())
+
+
+def test_coherence_matches_seed_on_every_ordering_of_five_distinct_0_cells():
+    """The order-5 side of ``check_coherence``, expanded once per sorted
+    quintuple and read with each ordering's sign, gives the oracle's report
+    (which expands every ordering) on the 120 orderings of five distinct
+    0-cells, for a (5,0,1) mu that is not a cocycle: the order-5 residual
+    there is nonzero, so a wrong sign would break the agreement."""
+    D = scaling_cat()
+    pert = build_multimap(4, 2, D.space, [(((0, 1), (0, 2), (0, 3), (0, 4)), (Q(1),))])
+    D = Lie3Data(D.cat, D.bracket_constants, D.J, D.mu + pert)
+    tuples = list(itertools.permutations(range(5)))
+    rep = check_coherence(D, tuples)
+    assert rep == seed_check_coherence(D, tuples)
+    assert {f.identity for f in rep.failures} == {"coherence"} and len(rep.failures) == 120
 
 
 @pytest.mark.parametrize("case, seed", [("non-Lie-bracket", 24), ("random-J-mu", 5)])

@@ -104,6 +104,10 @@ GOLDEN_CASES = {
     "coherence-check.json": (mu_not_closed, ["check", "--format", "json"]),
     "coherence-command.json": (mu_not_closed, ["coherence", "--format", "json"]),
     "coherence-421.json": (sample_421, ["coherence", "--format", "json"]),
+    "report-linfinity.json": (non_jacobi_data, ["report", "--format", "json"]),
+    "report-linfinity.txt": (non_jacobi_data, ["report", "--format", "text"]),
+    "report-lie3.json": (J_perturbed, ["report", "--format", "json"]),
+    "report-lie3.txt": (J_perturbed, ["report", "--format", "text"]),
 }
 
 

@@ -138,16 +138,16 @@ def test_each_moore_basis_is_computed_once(monkeypatch, tmp_path, capsys):
     C = rand_chain2(random.Random(11), (2, 1))
     S = nerve(from_chain(C), 2)
     f, g = ez(S, S), aw(S, S)
-    assert len(calls) == 4  # S and tensor_svs(S, S), once per map
+    assert len(calls) == 3  # S once (a space keeps its normalization), tensor_svs(S, S) per map
     T = nerve(from_chain(C), 2)  # equal to S, but not S: normalized separately
     assert ez(S, T).maps == f.maps and aw(S, T).maps == g.maps
     calls.clear()
-    assert ez_aw(S, S) == (f, g) and len(calls) == 2  # the two maps share one set-up
+    assert ez_aw(S, S) == (f, g) and len(calls) == 1  # the two maps share one tensor_svs(S, S)
     calls.clear()
     p = tmp_path / "chain.json"
     p.write_text(render_chain(C))
     assert cli.main(["nerve", str(p), "--trunc", "2"]) == 0
-    assert len(calls) == 2  # the reported Moore dims, then the kernel-complex check
+    assert len(calls) == 1  # the reported Moore dims and the kernel-complex check share it
     calls.clear()
     assert cli.main(["ez-demo", str(p), "--trunc", "2"]) == 0
     assert len(calls) == 2  # S and tensor_svs(S, S), for both maps
