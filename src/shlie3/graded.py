@@ -1,8 +1,9 @@
 """Graded vector spaces, sign calculus and antisymmetric multilinear maps.
 
 Degrees are small non-negative integers 0..D.  Coefficients are exact
-rationals.  A map is evaluated from its table (``MultiMap.table``) in the
-package's one sparse format, by ``linalg.contract`` and ``linalg.dense``.
+rationals, each an ``int`` when integral (``linalg.rational``).  A map is
+evaluated from its table (``MultiMap.table``) in the package's one sparse
+format, by ``linalg.contract`` and ``linalg.dense``.
 
 Conventions
 -----------
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 
-from .linalg import Frozen, Q, Vector, contract, dense, narrow, vadd, vis_zero, vscale, vzero
+from .linalg import Frozen, Vector, contract, dense, rational, vadd, vis_zero, vscale, vzero
 
 BasisIndex = tuple[int, int]  # (degree, index within that degree)
 Key = tuple[BasisIndex, ...]
@@ -61,8 +62,7 @@ class GradedVector(Frozen):
     def __post_init__(self):
         if len(self.coords) != len(self.space.dims):
             raise ValueError("coordinate blocks do not match grading")
-        coords = tuple(tuple(c if type(c) is Q else Q(c) for c in block)
-                       for block in self.coords)
+        coords = tuple(tuple(map(rational, block)) for block in self.coords)
         for d, block in enumerate(coords):
             if len(block) != self.space.dims[d]:
                 raise ValueError(f"degree {d} block has wrong length")
@@ -74,16 +74,16 @@ class GradedVector(Frozen):
 
     @staticmethod
     def basis_vector(space: GradedSpace, d: int, i: int) -> "GradedVector":
-        return GradedVector.from_support(space, [((d, i), Q(1))])
+        return GradedVector.from_support(space, [((d, i), 1)])
 
     @staticmethod
     def from_component(space: GradedSpace, d: int, block: Sequence) -> "GradedVector":
         coords = [vzero(n) for n in space.dims]
-        coords[d] = tuple(Q(c) for c in block)
+        coords[d] = block
         return GradedVector(space, tuple(coords))
 
     @staticmethod
-    def from_support(space: GradedSpace, pairs: Iterable[tuple[BasisIndex, Q]]) -> "GradedVector":
+    def from_support(space: GradedSpace, pairs: Iterable[tuple]) -> "GradedVector":
         """The sum of these ((degree, index), coefficient) pairs."""
         blocks = [[] for _ in space.dims]
         for (d, i), c in pairs:
@@ -96,7 +96,7 @@ class GradedVector(Frozen):
     def is_zero(self) -> bool:
         return all(vis_zero(b) for b in self.coords)
 
-    def support(self) -> list[tuple[BasisIndex, Q]]:
+    def support(self) -> list[tuple]:
         """Nonzero coordinates as ((degree, index), coefficient) pairs."""
         return [((d, i), c) for d, block in enumerate(self.coords)
                 for i, c in enumerate(block) if c]
@@ -231,7 +231,7 @@ class MultiMap(Frozen):
                 if not vis_zero(val):
                     raise ValueError(f"key {key} has output degree outside the grading")
                 continue
-            val = tuple(Q(c) for c in val)
+            val = tuple(map(rational, val))
             if len(val) != self.space.dims[od]:
                 raise ValueError(f"value for {key} has wrong length")
             if not vis_zero(val):
@@ -259,7 +259,6 @@ class MultiMap(Frozen):
         return sorted(self.coeffs.items())
 
     def scale(self, c) -> "MultiMap":
-        c = Q(c)
         return MultiMap(self.arity, self.weight, self.space,
                         {k: vscale(c, v) for k, v in self.coeffs.items()})
 
@@ -276,19 +275,19 @@ class MultiMap(Frozen):
 
     # -- evaluation ---------------------------------------------------
 
-    def table(self) -> dict[Key, tuple[tuple[BasisIndex, Q], ...]]:
+    def table(self) -> dict[Key, tuple]:
         """The map in the package's sparse table format (see ``linalg``): raw
         basis key -> nonzero (output basis element, coefficient) pairs, built
         on first use with each reordering's chi sign folded in.  An output
         basis element is a (degree, index) pair like a key entry, so a value
-        can be fed back in as an argument.  An integral coefficient is an
-        ``int`` (``linalg.narrow``), so evaluation on integral data does no
-        Fraction arithmetic."""
+        can be fed back in as an argument.  The coefficients are those of
+        ``coeffs``, so evaluation on integral data does no Fraction
+        arithmetic."""
         if self._table is None:
             table = {}
             for ckey, val in self.coeffs.items():
                 od = self.output_degree(ckey)
-                pos = tuple(((od, i), narrow(c)) for i, c in enumerate(val) if c)
+                pos = tuple(((od, i), c) for i, c in enumerate(val) if c)
                 neg = tuple((b, -c) for b, c in pos)
                 for key in set(itertools.permutations(ckey)):
                     table[key] = pos if canonicalize(key)[1] > 0 else neg
@@ -309,7 +308,7 @@ class MultiMap(Frozen):
         pairs = contract(self.table(), *(a.support() for a in args))
         return GradedVector.from_support(self.space, pairs)
 
-    def eval_blocks(self, args: Sequence[tuple[int, Sequence[Q]]]) -> Vector:
+    def eval_blocks(self, args: Sequence[tuple[int, Sequence]]) -> Vector:
         """Value on homogeneous arguments given as (degree, coordinate block)
         pairs: the output block, in degree sum of degrees + weight."""
         if len(args) != self.arity:
@@ -352,10 +351,10 @@ def build_multimap(arity: int, weight: int, space: GradedSpace,
         od = sum(d for d, _ in key) + weight
         ckey, sign = canonicalize(key)
         if sign == 0 or not (0 <= od <= space.top_degree):
-            if not vis_zero([Q(c) for c in val]):
+            if not vis_zero(map(rational, val)):
                 raise ContradictionError(f"entry on {key} is forced to zero by antisymmetry")
             continue
-        block = tuple(Q(c) for c in val)
+        block = tuple(map(rational, val))
         if len(block) != space.dims[od]:
             raise ValueError(f"output block for {key} has wrong length")
         canon_val = vscale(sign, block)  # value on ckey implied by this entry

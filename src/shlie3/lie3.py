@@ -25,7 +25,7 @@ square, and the checks compare them key by key (``_squares``).
 The coherence chains are traced once per structure into a plan of
 contractions (``_Plan``), which runs once per quintuple.
 ``Cell`` is built only where a public function returns one.  Integral
-coefficients are ``int`` (``linalg.narrow``); nothing here divides.
+coefficients are ``int`` (``linalg.rational``); nothing here divides.
 
 Every check returns the shared ``report.Report``.  Witnesses name basis
 0-cells as (0, i) pairs, like the basis tuples of the homotopy-algebra side,
@@ -41,7 +41,7 @@ from collections.abc import Iterable, Sequence
 
 from .graded import GradedSpace, canonicalize, check_signatures
 from .lincat import Cell, LinearNCat, composites_defined
-from .linalg import Frozen, Q, Vector, combine, compose, contract, dense, narrow, vadd, vzero
+from .linalg import Frozen, Vector, combine, compose, contract, dense, narrow, vadd, vzero
 from .linfinity import LInfinityData, accumulate_residual, check_all, is_special
 from .report import Collector, Report
 
@@ -105,29 +105,25 @@ class Lie3Data(Frozen):
 
     @functools.cached_property
     def _mu_table(self) -> dict:
-        """The Identiator 2-cells on basis quadruples: [[[x,y],z],u] and
-        [J_xyz,u] from the J table, the other four terms of eta's V1 part
-        (see ``mu_cell``) from J's constants, and mu itself."""
-        br, v0, J = self._bracket_table, _below(self.cat.offsets[1]), self.cat.flat_table(self.J)
-        return combine((1, compose(br, self._J_table, 0, v0)),
-                       (1, compose(J, br, 0, v0), (0, 2, 1, 3)), (1, compose(J, br, 1, v0)),
-                       (1, compose(br, J, 0, v0), (0, 2, 3, 1)), (1, compose(br, J, 1, v0)),
-                       (1, self.cat.flat_table(self.mu)))
+        """The Identiator 2-cells on basis quadruples: eta in V0 + V1 (see
+        ``mu_cell``) and mu in V2."""
+        return combine((1, self._eta_eps[0]), (1, self.cat.flat_table(self.mu)))
 
     @functools.cached_property
     def _eta_eps(self) -> tuple[dict, dict]:
         """The composites eta and eps of ``eta_epsilon`` on basis quadruples,
         from their factors: the first factor's terms in full, the others'
-        through the tables restricted to outputs above V0 (see
-        ``_Plan``)."""
+        above V0 (see ``_Plan``).  There a J factor is J's constants with a
+        bracket in argument k (``Jb[k]``) and a bracket factor [J, c] or
+        [c, J] the bracket with J's constants in argument k (``bJ[k]``); each
+        is built once."""
         br, Jt, v0 = self._bracket_table, self._J_table, _below(self.cat.offsets[1])
-        hb, hJ = self._above_v0[1], self._above_v0["J"]
-        eta = combine((1, compose(br, Jt, 0, v0)), (1, compose(hJ, br, 0, v0), (0, 2, 1, 3)),
-                      (1, compose(hJ, br, 1, v0)), (1, compose(hb, Jt, 0, v0), (0, 2, 3, 1)),
-                      (1, compose(hb, Jt, 1, v0)))
-        eps = combine((1, compose(Jt, br, 0, v0)), (1, compose(hb, Jt, 0, v0), (0, 1, 3, 2)),
-                      (1, compose(hJ, br, 1, v0), (0, 1, 3, 2)),
-                      (1, compose(hJ, br, 0, v0), (0, 3, 1, 2)), (1, compose(hJ, br, 2, v0)))
+        J = self.cat.flat_table(self.J)
+        Jb, bJ = [compose(J, br, k, v0) for k in range(3)], [compose(br, J, k, v0) for k in range(2)]
+        eta = combine((1, compose(br, Jt, 0, v0)), (1, Jb[0], (0, 2, 1, 3)), (1, Jb[1]),
+                      (1, bJ[0], (0, 2, 3, 1)), (1, bJ[1]))
+        eps = combine((1, compose(Jt, br, 0, v0)), (1, bJ[0], (0, 1, 3, 2)),
+                      (1, Jb[1], (0, 1, 3, 2)), (1, Jb[0], (0, 3, 1, 2)), (1, Jb[2]))
         return eta, eps
 
     @functools.cached_property
@@ -160,7 +156,7 @@ def _cut(table: dict, lo: int, hi: int) -> dict:
             if (out := tuple(p for p in pairs if lo <= p[0] < hi))}
 
 
-def _support(v: Sequence[Q]) -> list:
+def _support(v: Sequence) -> list:
     return [(i, narrow(x)) for i, x in enumerate(v) if x]
 
 
@@ -178,8 +174,7 @@ def bracket_cells(D: Lie3Data, a: Cell, b: Cell) -> Cell:
     return L.unflatten(a.level, _br(D, a.level, L.flatten(a), L.flatten(b)))
 
 
-def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
-            z: Sequence[Q], u: Sequence[Q]) -> Cell:
+def mu_cell(D: Lie3Data, x: Sequence, y: Sequence, z: Sequence, u: Sequence) -> Cell:
     """The Identiator 2-cell ([[[x,y],z],u], eta-V1-part, mu(x,y,z,u)).  As
     composition along 0-cells adds V1 parts, eta's is the sum of those of its
     factors (see ``eta_epsilon``): [J_xyz,u] + J_{[x,z],y,u} + J_{x,[y,z],u}
@@ -191,8 +186,8 @@ def mu_cell(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
 # -- composites along 0-cells -----------------------------------------
 
 
-def eta_epsilon(D: Lie3Data, x: Sequence[Q], y: Sequence[Q],
-                z: Sequence[Q], u: Sequence[Q]) -> tuple[Cell, Cell]:
+def eta_epsilon(D: Lie3Data, x: Sequence, y: Sequence, z: Sequence, u: Sequence
+                ) -> tuple[Cell, Cell]:
     """The two composite 1-cells bounding the Identiator.
 
     eta = [J_{xyz},1_u] o (J_{[x,z],y,u}+J_{x,[y,z],u}) o ([J_{xzu},1_y]+1)

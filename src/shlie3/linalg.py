@@ -1,34 +1,40 @@
 """Exact linear algebra over the rationals.
 
-``Matrix`` stores dense row tuples whose entries follow the tables' rule
-below: an integral entry is an ``int``, any other a ``Fraction``.  Products,
-Kronecker products and elimination skip zero entries, since the simplicial
-and tensor operators are mostly 0/+-1, so on them they run in ``int``
-arithmetic.  No floating point anywhere.
+Every rational the package stores is an ``int`` when integral and a
+``Fraction`` otherwise: ``rational`` makes one, and ``narrow`` turns a
+computed value into one.  ``int`` arithmetic is exact, and an ``int`` meets a
+``Fraction`` as a ``Fraction``, so on integral data nothing builds a
+``Fraction`` and ``fractions`` is imported only when ``rational`` meets the
+first value that is not integral.  ``Matrix`` stores dense row tuples of such
+entries.  Products, Kronecker products and elimination skip zero entries,
+since the simplicial and tensor operators are mostly 0/+-1, so on them they
+run in ``int`` arithmetic.  No floating point anywhere.
 
 Every multilinear map of the package is evaluated from one sparse table
 format: a key tuple of basis indices, one per argument, maps to the value's
 nonzero (output index, coefficient) pairs, and a key absent from the table
 evaluates to zero.  ``contract`` evaluates a table on arguments given by
 their supports, lists of (index, coefficient) pairs, and ``dense`` turns a
-sum of such pairs into a coordinate tuple.  A table holds an integral
-coefficient as an ``int`` (``narrow``): ``int`` arithmetic is exact, and an
-``int`` meets a ``Fraction`` as a ``Fraction``.  Because ``int / int`` is a
-float, the package divides only here, in ``Matrix.rref``, by a Fraction
-pivot.
+sum of such pairs into a coordinate tuple; a table's coefficients are
+narrowed.  Because ``int / int`` is a float, the package divides only here,
+in ``rational``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from fractions import Fraction
 
-Q = Fraction
-
-Vector = tuple[Q, ...]
+Vector = tuple  # of rationals, each an int or a non-integral Fraction
 
 
-_ZERO = Q(0)  # one zero for every zero vector: Fractions are immutable
+def rational(c, d=1):
+    """The rational c / d, for an ``int``, a ``Fraction`` or a string c: an
+    ``int`` when integral, else a ``Fraction``, the first of which imports
+    ``fractions``."""
+    if type(c) is type(d) is int and d and not c % d:
+        return c // d
+    from fractions import Fraction
+    return narrow(Fraction(c) if d == 1 else Fraction(c, d))
 
 
 def narrow(c):
@@ -37,7 +43,7 @@ def narrow(c):
 
 
 def vzero(n: int) -> Vector:
-    return (_ZERO,) * n
+    return (0,) * n
 
 
 def dense(n: int, pairs: Iterable[tuple]) -> Vector:
@@ -104,21 +110,21 @@ def _table(acc: dict) -> dict:
             if (value := tuple((i, narrow(v)) for i, v in sorted(out.items()) if v))}
 
 
-def vadd(a: Sequence[Q], b: Sequence[Q]) -> Vector:
+def vadd(a: Sequence, b: Sequence) -> Vector:
     # a zero operand is skipped: most cell components are sparse
     return tuple(x + y if x and y else x or y for x, y in zip(a, b, strict=True))
 
 
-def vsub(a: Sequence[Q], b: Sequence[Q]) -> Vector:
+def vsub(a: Sequence, b: Sequence) -> Vector:
     return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
 
 
-def vscale(c, a: Sequence[Q]) -> Vector:
-    c = Q(c)
-    return tuple(c * x for x in a)
+def vscale(c, a: Sequence) -> Vector:
+    c = rational(c)
+    return _narrowed([c * x for x in a])
 
 
-def vis_zero(a: Sequence[Q]) -> bool:
+def vis_zero(a: Iterable) -> bool:
     return all(x == 0 for x in a)
 
 
@@ -189,11 +195,6 @@ class Frozen:
         return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
 
 
-def _entry(e):
-    """A matrix entry as stored: an ``int`` when integral, else a ``Fraction``."""
-    return e if type(e) is int else narrow(e if type(e) is Q else Q(e))
-
-
 def _narrowed(row: list) -> tuple:
     return tuple([x if type(x) is int else narrow(x) for x in row])
 
@@ -202,7 +203,7 @@ class Matrix(Frozen):
     """Immutable dense rational matrix.
 
     Every entry is an ``int`` when integral and a ``Fraction`` otherwise: the
-    constructor narrows each entry once (``_entry``), and the kernel's own
+    constructor makes each entry once (``rational``), and the kernel's own
     results, already narrowed, skip that pass (``_of``).  Equal entries of
     either type compare and hash equal, so the stored type never changes a
     result.  Only ``rref`` divides, by a pivot other than 1 or -1.
@@ -212,7 +213,7 @@ class Matrix(Frozen):
     __slots__ = (*_fields, "nrows")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        rs = tuple(tuple([e if type(e) is int else _entry(e) for e in row]) for row in rows)
+        rs = tuple(tuple([e if type(e) is int else rational(e) for e in row]) for row in rows)
         if rs:
             ncols = len(rs[0])
             if any(len(r) != ncols for r in rs):
@@ -243,7 +244,7 @@ class Matrix(Frozen):
         return Matrix._of(tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)), n)
 
     @staticmethod
-    def from_cols(cols: Sequence[Sequence[Q]], nrows: int | None = None) -> "Matrix":
+    def from_cols(cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
         if not cols:
             return Matrix([], ncols=0) if nrows is None else Matrix([[] for _ in range(nrows)], ncols=0)
         m = len(cols[0])
@@ -289,7 +290,7 @@ class Matrix(Frozen):
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = _entry(c)
+        c = rational(c)
         return Matrix._of(tuple(_narrowed([c * e for e in r]) for r in self.rows), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -307,7 +308,7 @@ class Matrix(Frozen):
             out.append(_narrowed(acc))
         return Matrix._of(tuple(out), n)
 
-    def apply(self, v: Sequence[Q]) -> Vector:
+    def apply(self, v: Sequence) -> Vector:
         if len(v) != self.ncols:
             raise ValueError(f"vector of length {len(v)} against {self.shape}")
         support = [(j, b) for j, b in enumerate(v) if b]
@@ -347,8 +348,7 @@ class Matrix(Frozen):
             if p == -1:
                 rows[pr] = [-e for e in rows[pr]]
             elif p != 1:
-                inv = Q(1) / p
-                rows[pr] = [narrow(inv * e) if e else 0 for e in rows[pr]]
+                rows[pr] = [rational(e, p) if e else 0 for e in rows[pr]]
             support = [(j, b) for j, b in enumerate(rows[pr]) if b]
             for r in range(self.nrows):
                 f = rows[r][pc]
@@ -380,7 +380,7 @@ class Matrix(Frozen):
             basis.append(tuple(v))
         return basis
 
-    def solve(self, b: Sequence[Q]) -> Vector | None:
+    def solve(self, b: Sequence) -> Vector | None:
         """One solution of self @ x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise ValueError("rhs length mismatch")

@@ -29,7 +29,7 @@ from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT
 from .graded import GradedSpace, MultiMap, build_multimap
-from .linalg import Frozen, Matrix, Q, Vector, dense, hstack, vadd, vscale, vzero
+from .linalg import Frozen, Matrix, Vector, dense, hstack, rational, vadd, vscale, vzero
 from .report import Collector, Report
 
 
@@ -47,7 +47,8 @@ class LiftError(ValueError):
 
 
 class Cell(Frozen):
-    """m-cell in component form: components[i] is a coordinate vector in V_i."""
+    """m-cell in component form: components[i] is a coordinate vector in V_i,
+    of rationals made by ``linalg.rational``."""
 
     __slots__ = _fields = ("level", "components")
 
@@ -55,10 +56,7 @@ class Cell(Frozen):
         comps = self.components
         if len(comps) != self.level + 1:
             raise ValueError(f"a level-{self.level} cell needs {self.level + 1} components")
-        if (type(comps) is not tuple or not all(type(block) is tuple for block in comps)
-                or not all(type(c) is Q for block in comps for c in block)):
-            object.__setattr__(self, "components", tuple(
-                tuple(c if type(c) is Q else Q(c) for c in block) for block in comps))
+        object.__setattr__(self, "components", tuple(tuple(map(rational, b)) for b in comps))
 
     def __add__(self, other: "Cell") -> "Cell":
         if self.level != other.level:
@@ -208,7 +206,7 @@ class LinearNCat(Frozen):
     def flatten(self, a: Cell) -> Vector:
         return tuple(itertools.chain(*a.components))
 
-    def unflatten(self, m: int, v: Sequence[Q]) -> Cell:
+    def unflatten(self, m: int, v: Sequence) -> Cell:
         o = self.offsets
         if len(v) != o[m + 1]:
             raise ValueError("vector length does not match level")
@@ -415,7 +413,7 @@ class TensorCat(Frozen):
             raise ValueError("raw vector is not in the component span")
         return X
 
-    def raw_to_cell(self, m: int, raw: Sequence[Q]) -> Cell:
+    def raw_to_cell(self, m: int, raw: Sequence) -> Cell:
         """Kernel components of a raw cell."""
         X = self.coords(m, Matrix.from_cols([tuple(raw)], nrows=self.raw_dim(m)))
         return self.cat.unflatten(m, X.col(0))

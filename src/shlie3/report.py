@@ -11,7 +11,7 @@ failure report".
 
 from __future__ import annotations
 
-from .linalg import Frozen
+from .linalg import Frozen, narrow
 
 
 class Failure(Frozen):
@@ -36,12 +36,12 @@ class Collector:
 
     def compare(self, identity: str, witness: tuple, lhs, rhs) -> None:
         """Record ``witness`` (once for consecutive comparisons on the same
-        witness object) and, when lhs != rhs, a failure with residual lhs - rhs;
-        the residual is only built on a mismatch."""
+        witness object) and, when lhs != rhs, a failure with residual lhs - rhs,
+        narrowed (``linalg.narrow``); the residual is only built on a mismatch."""
         if not self.checked or self.checked[-1] is not witness:
             self.checked.append(witness)
         if lhs != rhs:
-            residual = tuple(a - b for a, b in zip(lhs, rhs))
+            residual = tuple(narrow(a - b) for a, b in zip(lhs, rhs))
             self.failures.append(Failure(identity, witness, residual))
 
     def report(self) -> Report:

@@ -11,7 +11,7 @@ from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT, ChainMapT, induced_on_homology, tensor_complex
 from .lincat import LinearNCat, NFunctor, TensorCat, tensor_product
-from .linalg import Frozen, Matrix, Q, Vector, hstack, vis_zero, vstack, vsub
+from .linalg import Frozen, Matrix, Vector, hstack, vis_zero, vstack, vsub
 
 
 class SimplicialVS(Frozen):
@@ -106,7 +106,7 @@ class SimplicialVS(Frozen):
 # -- nerve ------------------------------------------------------------
 
 
-def _simplex(L: LinearNCat, v: Sequence[Q], n: int) -> tuple[Vector, list[Vector]]:
+def _simplex(L: LinearNCat, v: Sequence, n: int) -> tuple[Vector, list[Vector]]:
     """(base object x, flat 1-cells f_1..f_n) of the nerve n-simplex v, whose
     coordinates are x followed by the kernel parts of the arrows; each arrow
     starts at the target of the one before."""

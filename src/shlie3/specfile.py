@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .chain import ChainComplexT
 from .graded import GradedSpace, MultiMap, build_multimap, ContradictionError
 from .lie3 import Lie3Data
 from .lincat import LinearNCat
-from .linalg import Frozen, Matrix, Q
+from .linalg import Frozen, Matrix, rational
 from .linfinity import LInfinityData
 
 KINDS = ("linfinity", "lie3", "chain", "simplicial")
@@ -49,24 +48,28 @@ class AlgebraSpecFile(Frozen):
         object.__setattr__(self, "_structure", None)
 
 
-def parse_rational(v, path: str) -> Q:
+def parse_rational(v, path: str):
     """An integer, or a string "p" or "p/q": an optional sign, then ASCII
-    digits.  Decimal, exponent, underscore and padded forms are refused."""
+    digits.  Decimal, exponent, underscore and padded forms are refused.  The
+    value is made by ``linalg.rational``: an ``int`` when integral."""
     if isinstance(v, bool):
         raise SpecError("expected a rational, got a boolean", path)
     if isinstance(v, int):
-        return Q(v)
+        return int(v)
     if isinstance(v, str):
-        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", v):
-            raise SpecError(f"malformed rational {v!r} (expected \"p\" or \"p/q\")", path)
         try:
-            return Fraction(v)
+            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", v):
+                raise ValueError('expected "p" or "p/q"')
+            p, _, q = v.partition("/")
+            return rational(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError) as e:
-            raise SpecError(f"malformed rational {v!r} ({e})", path) from None
+            # a long value is echoed as its first 40 characters and its length
+            shown = repr(v) if len(v) <= 40 else f"{v[:40]!r}... of {len(v)} characters"
+            raise SpecError(f"malformed rational {shown} ({e})", path) from None
     raise SpecError(f"expected a rational string, got {type(v).__name__}", path)
 
 
-def render_rational(q: Q) -> str:
+def render_rational(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -111,7 +114,7 @@ def parse_spec(text: str) -> AlgebraSpecFile:
     return spec
 
 
-def _parse_entries(raw, dims: tuple[int, ...], path: str) -> list[tuple[tuple, list[Q]]]:
+def _parse_entries(raw, dims: tuple[int, ...], path: str) -> list[tuple[tuple, list]]:
     if not isinstance(raw, list):
         raise SpecError("map entries must form a list", path)
     out = []

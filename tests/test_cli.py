@@ -8,14 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from shlie3.cli import main
-from shlie3.lie3 import from_linfinity
+from shlie3.cli import COMMANDS, main
+from shlie3.lie3 import check_bifunctor, from_linfinity
+from shlie3.linfinity import LInfinityData
 from shlie3.specfile import render_chain, render_lie3, render_linfinity
 
 from helpers import (abelian_l3_l4, ce_cocycles4, rand_chain2,
                      scaling_brackets, two_term_data)
 from shlie3.chain import ChainComplexT
 from shlie3.linalg import Matrix
+from test_properties import non_integral_samples
+from test_reports import GOLDEN_CASES, GOLDEN_CLI_CASES
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -179,6 +182,18 @@ def test_unparsable_entry_refused(tmp_path, capsys, entry):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_long_malformed_rational_is_echoed_short(tmp_path, capsys):
+    """A malformed rational of 5000 characters is named by its first 40 and
+    its length: one short error line and exit 2."""
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({"kind": "chain", "dims": [1, 1], "maps": {"d1": [["9" * 5000]]}}))
+    assert main(["nerve", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and len(captured.err) < 300
+    assert captured.err.startswith(f"error: $.maps.d1[0][0]: malformed rational '{'9' * 40}'... "
+                                   "of 5000 characters (")
+
+
 @pytest.mark.parametrize("command", ["nerve", "ez-demo", "obstruction-demo"])
 def test_one_term_chain_refused(tmp_path, capsys, command):
     p = tmp_path / "one_term.json"
@@ -290,6 +305,78 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     added = loaded("import shlie3.cli") - loaded("pass")
     assert "shlie3.cli" in added
     assert added & {"dataclasses", "inspect", "typing", "argparse", "gettext"} == set()
+
+
+FRACTIONS = ("decimal", "fractions", "numbers")  # fractions and what it imports
+LOAD_PROBE = f"""\
+import io, json, sys
+before = set(sys.modules)
+from shlie3.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout = io.StringIO()
+    code, out = main(argv), sys.stdout.getvalue()
+    sys.stdout = sys.__stdout__
+    runs.append((argv, code, out, [m for m in {FRACTIONS!r} if m in sys.modules and m not in before]))
+print(json.dumps(runs))
+"""
+
+
+def runs_in_one_child(calls: list) -> list:
+    """(argv, exit code, stdout, the modules of FRACTIONS loaded since the
+    interpreter started) after each ``main(argv)``, called in order in one
+    fresh interpreter; a module that its ``site`` loads counts as not loaded."""
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, env=ENV, cwd=ROOT, check=True)
+    return json.loads(proc.stdout)
+
+
+def write_spec(path: Path, data) -> str:
+    """Write the spec file of a structure or complex; return its path."""
+    render = {LInfinityData: render_linfinity, ChainComplexT: render_chain}.get(type(data), render_lie3)
+    path.write_text(render(data))
+    return str(path)
+
+
+def test_integral_inputs_never_load_fractions(tmp_path):
+    """Every command on integral data (the golden samples, and structures and
+    complexes like the benchmark's) runs in int arithmetic: no call imports
+    ``fractions``.  The elimination of ez-demo meets only pivots 1 and -1 on
+    the complexes used here."""
+    algebras = [make() for make in dict.fromkeys(make for make, _ in GOLDEN_CASES.values())]
+    algebras += [two_term_data(scaling_brackets(), next(iter(ce_cocycles4(scaling_brackets(), 5)))),
+                 abelian_l3_l4(random.Random(0), (3, 2, 2))]
+    algebras += [from_linfinity(A) for A in algebras[-2:]]
+    chains = [make() for make in dict.fromkeys(make for make, _ in GOLDEN_CLI_CASES.values())]
+    calls = []
+    for k, data in enumerate(algebras):
+        path = write_spec(tmp_path / f"algebra-{k}.json", data)
+        to = "lie3" if isinstance(data, LInfinityData) else "linfinity"
+        calls += [[c, path, "--format", "json"] for c in ("check", "coherence", "report")]
+        calls.append(["convert", path, "--to", to])
+    for k, C in enumerate(chains):
+        path = write_spec(tmp_path / f"chain-{k}.json", C)
+        calls += [[c, path, "--format", "json"] for c in ("nerve", "obstruction-demo", "report")]
+    for k, C in enumerate((ChainComplexT((2, 1), (Matrix([[1], [0]]),)), ChainComplexT((2, 0), (Matrix.zeros(2, 0),)))):
+        calls.append(["ez-demo", write_spec(tmp_path / f"unit-pivots-{k}.json", C), "--trunc", "2"])
+    runs = runs_in_one_child(calls)
+    assert {code for _, code, _, _ in runs} == {0, 1}
+    assert {argv[0] for argv, *_ in runs} == set(COMMANDS)
+    assert [(argv, loaded) for argv, _, _, loaded in runs if loaded] == []
+
+
+def test_non_integral_input_loads_fractions(tmp_path):
+    """A value that is not integral loads ``fractions`` when it is parsed, and
+    the arithmetic stays exact: the chain l1 = (2/3, 3/2) has a normalized
+    nerve, and a failing non-integral structure prints residuals p/q."""
+    chain = write_spec(tmp_path / "chain.json", ChainComplexT((2, 1), (Matrix([[Q(2, 3)], [Q(3, 2)]]),)))
+    failing = next(D for D in non_integral_samples() if not check_bifunctor(D).passed)
+    algebra = write_spec(tmp_path / "algebra.json", failing)
+    (_, c1, out1, loaded), (_, c2, out2, _) = runs_in_one_child(
+        [["nerve", chain, "--format", "json"], ["check", algebra, "--format", "json"]])
+    assert "fractions" in loaded and (c1, json.loads(out1)["passed"]) == (0, True)
+    residuals = [r for c in json.loads(out2)["checks"] for f in c["failures"] for r in f["residual"]]
+    assert c2 == 1 and any("/" in r for r in residuals)
 
 
 def test_each_spec_is_built_once_per_call(valid_linf_file, chain_file, tmp_path,

@@ -2,8 +2,9 @@
 definition of the package has a caller.  No module imports or reads another
 module's private (``_``-prefixed) name.  The arithmetic stays exact: no true
 division outside ``linalg``, no float in an evaluation table, a report
-residual or a matrix of the simplicial layer, and each of their integral
-coefficients an ``int``.
+residual, a parsed spec value, a map's coefficients, a graded vector, a cell
+or a matrix of the simplicial layer, and each of their integral values an
+``int``.
 
 Names listed in a module's ``__all__`` count as used (re-exports).
 """
@@ -16,12 +17,14 @@ from pathlib import Path
 import pytest
 
 from shlie3.chain import ChainComplexT
-from shlie3.lie3 import (Lie3Data, check_bifunctor, check_coherence, check_identiator,
-                         check_jacobiator)
-from shlie3.linalg import Frozen, Matrix
-from shlie3.lincat import from_chain, tensor_product
+from shlie3.graded import GradedVector
+from shlie3.lie3 import (Lie3Data, bracket_cells, check_bifunctor, check_coherence,
+                         check_identiator, check_jacobiator, mu_cell)
+from shlie3.linalg import Frozen, Matrix, vzero
+from shlie3.lincat import Cell, from_chain, tensor_product
 from shlie3.linfinity import check_all
 from shlie3.simplicial import aw, ez, moore, nerve, obstruction_demo, tensor_svs
+from shlie3.specfile import build, parse_rational, parse_spec, render_lie3, render_linfinity
 
 from test_properties import non_integral_samples
 from test_reports import GOLDEN_CASES, GOLDEN_CLI_CASES
@@ -204,8 +207,8 @@ def test_true_division_is_reported():
 
 def test_tables_and_residuals_are_exact():
     """On the golden-report samples and the non-integral samples, every table
-    coefficient is an int when integral and a Fraction otherwise, and every
-    report residual is an int or a Fraction: no float anywhere."""
+    coefficient and every report residual is an int when integral and a
+    Fraction otherwise: no float anywhere."""
     samples = [make() for make, _ in GOLDEN_CASES.values()] + non_integral_samples()
     lie3s = [D for D in samples if isinstance(D, Lie3Data)]
     linfs = [D for D in samples if not isinstance(D, Lie3Data)]
@@ -218,7 +221,55 @@ def test_tables_and_residuals_are_exact():
         check(D) for D in lie3s
         for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence)]
     residuals = [c for r in reports for f in r.failures for c in f.residual]
-    assert residuals and all(type(c) in (int, Fraction) for c in residuals)
+    assert residuals and narrowed(residuals)
+
+
+def maps_of(S) -> tuple:
+    """The four maps of a homotopy-algebra or a categorical structure."""
+    if isinstance(S, Lie3Data):
+        return S.cat.t_data, S.bracket_constants, S.J, S.mu
+    return S.l1, S.l2, S.l3, S.l4
+
+
+def stored_rationals(samples: list) -> list:
+    """Per sample: the coefficients of its maps and of those parsed from its
+    spec file, and the coordinates of graded vectors and cells made from
+    them: each map's values on its basis keys and their sums of Fraction
+    multiples, Identiator cells and their brackets, and each cell rebuilt
+    from Fraction components."""
+    out = []
+    for S in samples:
+        parsed = build(parse_spec((render_lie3 if isinstance(S, Lie3Data) else render_linfinity)(S)))
+        for m in maps_of(S) + maps_of(parsed):
+            vectors = [m.eval_basis(key) for key in m.coeffs]
+            vectors += [v.scale(Fraction(3, 2)) + v.scale(Fraction(1, 2)) for v in vectors]
+            out += [c for val in m.coeffs.values() for c in val]
+            out += [c for v in vectors for block in v.coords for c in block]
+        if isinstance(S, Lie3Data):
+            e = [S.cat.coded((i,)) for i in range(S.cat.dim(0))]
+            cells = [mu_cell(S, *(e[(k + j) % len(e)] for j in range(4))) for k in range(len(e))]
+            cells += [bracket_cells(S, a, b) for a in cells for b in cells]
+            cells += [Cell(2, tuple(tuple(map(Fraction, b)) for b in a.components)) for a in cells]
+            out += [c for a in cells for block in a.components for c in block]
+    return out
+
+
+def test_stored_rationals_are_narrowed():
+    """On the golden-report samples, whose constants are integral, every
+    stored rational (``stored_rationals``) and every zero vector is an int;
+    on the non-integral samples every stored rational is narrowed, and some
+    are Fractions.  Integral strings and JSON integers parse to ints."""
+    golden = [make() for make in dict.fromkeys(make for make, _ in GOLDEN_CASES.values())]
+    ints = stored_rationals(golden) + list(vzero(4))
+    ints += [c for S in golden for block in GradedVector.zero(S.space).coords for c in block]
+    assert ints and all(type(c) is int for c in ints)
+    mixed = stored_rationals(non_integral_samples())
+    assert any(type(c) is Fraction for c in mixed) and narrowed(mixed)
+    for text, value in (("6/3", 2), ("-0", 0), ("+5", 5), ("-12/4", -3), (7, 7), (-7, -7)):
+        assert type(parse_rational(text, "$")) is int and parse_rational(text, "$") == value
+    assert parse_rational("-4/6", "$") == Fraction(-2, 3)
+    chain = build(parse_spec('{"kind": "chain", "dims": [2, 1], "maps": {"d1": [[1], ["-2/1"]]}}'))
+    assert [type(e) for r in chain.diff(1).rows for e in r] == [int, int]
 
 
 def matrix_entries(value) -> list:

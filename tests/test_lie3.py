@@ -10,14 +10,14 @@ from shlie3.linalg import vadd, vis_zero, vsub, vzero
 from shlie3.lie3 import (ConversionError, Lie3Data, alpha_cell,
                          bracket_cells, check_bifunctor,
                          check_coherence, check_identiator, check_jacobiator,
-                         coherence_residual, eta_epsilon, from_linfinity,
+                         coherence_residual, from_linfinity,
                          mu_cell, to_linfinity)
 from shlie3.linfinity import LInfinityData, check_all, check_condition
 from shlie3.specfile import build_lie3, parse_spec, render_lie3
 
 from helpers import (J_cell, SeedCat, abelian_l3_l4, bracket_objects, ce_cocycles4, graded_lie_data,
                      inverse2, l1_only, rand_brackets, rand_vec, scaling_brackets,
-                     seed_spanning_cells, special_valid_samples, two_term_data)
+                     seed_eta_epsilon, seed_spanning_cells, special_valid_samples, two_term_data)
 
 
 def abelian_cat(dims=(2, 1, 1), seed=0):
@@ -97,7 +97,8 @@ def _with_random_constants(rng, D, bracket=False):
 @pytest.mark.parametrize("case", ["valid-glambda", "valid-scaling", "random-J-mu",
                                   "non-Lie-bracket"])
 def test_mu_cell_source_matches_eta_composite(case):
-    """The closed-form V0/V1 parts of mu_cell equal the composite eta."""
+    """The closed-form V0/V1 parts of mu_cell equal the composite eta of the
+    cell oracle, folded from its factors by the component formulas."""
     rng = random.Random(11)
     if case == "valid-glambda":
         D = glambda_cat()
@@ -111,7 +112,7 @@ def test_mu_cell_source_matches_eta_composite(case):
     nontrivial = False
     for _ in range(8):
         args = [rand_vec(rng, n) for _ in range(4)]
-        eta, _ = eta_epsilon(D, *args)
+        eta, _ = seed_eta_epsilon(D, *args)
         mc = mu_cell(D, *args)
         assert SeedCat(D.cat).source(mc) == eta
         nontrivial |= not vis_zero(eta.components[1])
@@ -153,6 +154,22 @@ def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
         assert all(vars(D)[name] is table for name, table in built.items())
     assert not any(name in vars(E) for name in tables)
     assert nested == [0, 1]
+
+
+def test_identiator_composes_each_table_once(monkeypatch):
+    """One Identiator check on a fresh structure substitutes each table into
+    each argument of another at most once: eta, eps and the Identiator table
+    share the factors they have in common."""
+    real, calls, alive = lie3.compose, [], []
+
+    def recording(outer, inner, arg=0, keep=None):
+        alive.append((outer, inner))  # so that no table's id is reused
+        calls.append((id(outer), id(inner), arg))
+        return real(outer, inner, arg, keep)
+    monkeypatch.setattr(lie3, "compose", recording)
+    D = scaling_cat()
+    assert D.space.dims == (5, 0, 1) and check_identiator(D).passed
+    assert calls and len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("D, calls", [(scaling_cat(), 1), (abelian_cat((3, 2, 2)), 0)],
