@@ -15,7 +15,7 @@ from .graded import GradedSpace, GradedVector, MultiMap, Permutation, koszul_chi
 from .lie3 import (Lie3Data, check_bifunctor, check_coherence,
                    check_identiator, check_jacobiator, from_linfinity,
                    to_linfinity)
-from .lincat import Cell, LinearNCat, NFunctor, check_axioms, from_chain, to_chain
+from .lincat import Cell, LinearNCat, NFunctor, from_chain, to_chain
 from .linfinity import LInfinityData, check_all, check_condition, is_special
 from .simplicial import SimplicialVS, aw, ez, moore, nerve, obstruction_demo
 from .specfile import AlgebraSpecFile, SpecError, parse_spec, render_spec
@@ -26,7 +26,7 @@ __all__ = [
     "AlgebraSpecFile", "Cell", "ChainComplexT", "ChainMapT", "GradedSpace",
     "GradedVector", "LInfinityData", "Lie3Data", "LinearNCat", "MultiMap",
     "NFunctor", "Permutation", "SimplicialVS", "SpecError", "aw",
-    "check_all", "check_axioms", "check_bifunctor", "check_coherence",
+    "check_all", "check_bifunctor", "check_coherence",
     "check_condition", "check_identiator", "check_jacobiator", "ez",
     "from_chain", "from_linfinity", "homology_data", "is_special",
     "koszul_chi", "moore", "nerve", "obstruction_demo", "parse_spec",

@@ -34,13 +34,14 @@ and basis-or-zero cells by their ``LinearNCat.coded`` codes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
 from collections.abc import Iterable, Sequence
 
 from .graded import GradedSpace, canonicalize, check_signatures
-from .lincat import Cell, LinearNCat, composites_defined
+from .lincat import Cell, ComposabilityError, LinearNCat
 from .linalg import Frozen, Vector, combine, compose, contract, dense, narrow, vadd, vzero
 from .linfinity import LInfinityData, accumulate_residual, check_all, is_special
 from .report import Collector, Report
@@ -215,31 +216,47 @@ def _objects(key: Sequence[int]) -> tuple:
     return tuple((0, i) for i in key)
 
 
+@contextlib.contextmanager
+def composites_defined(col: Collector, witness):
+    """Context for the comparisons of one witness: a composite that raises
+    ComposabilityError ends them with a "composable" failure of ``col``, its
+    residual the error's left minus right flat cell (t^k a - s^k b on a
+    mismatch)."""
+    try:
+        yield
+    except ComposabilityError as e:
+        col.compare("composable", witness, e.left, e.right)
+
+
 def check_bifunctor(D: Lie3Data) -> Report:
     """Verify that the bracket is an antisymmetric bilinear 2-functor.
 
-    Covers respect of sources, targets and identities, preservation of
-    compositions on a basis of pairs of composable pairs, the degenerate-bracket
-    relations on kernel elements, and the graded derivation property of the
-    boundary over the bracket.
+    Covers respect of targets, preservation of compositions on a basis of
+    pairs of composable pairs, the degenerate-bracket relations
+    [f,g] = [1_tf,g] and [1^2_tf,b] = 0 on kernel elements, and the graded
+    derivation property of the boundary over the bracket.  The other laws
+    hold for every ``Lie3Data`` and are not compared:
+
+    - respect of sources and identities: ``_bracket_table`` sends a key with
+      an index in V_m only into V_m, and a key in L_{m-1} only into L_{m-1},
+      as l2 has weight 0, ``Lie3Data`` refuses l2 on V1 x V1 and the t-term
+      reads only V1 x V1 keys; so truncation and zero-padding commute with
+      the bracket;
+    - [f,g] = [f,1_tg]: the V1 x V1 entry is l2(f, t g) by construction;
+    - [1_f,b] = [a,b] = [1_ta,b] = [a,1_tb] = 0: their keys lie in V1 x V2,
+      V2 x V2, V1 x V2 and V2 x V1, which have no table entries.
     """
     L = D.cat
     col = Collector("bifunctor")
     br = lambda m, a, b: _br(D, m, a, b)
-    src, tgt, one = L.source, L.target, L.identity
+    tgt, one = L.target, L.identity
     basis = [[(c, L.coded(c)) for c in L.spanning_codes(m)] for m in range(3)]
     zero = [vzero(L.level_dim(m)) for m in range(3)]
 
-    # bilinearity makes basis cells a complete test family for s, t, 1
+    # bilinearity makes basis cells a complete test family for t
     for m in (1, 2):
         for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
-            ab, w = br(m, a, b), (ca, cb)
-            col.compare("source", w, src(m, ab), br(m - 1, src(m, a), src(m, b)))
-            col.compare("target", w, tgt(m, ab), br(m - 1, tgt(m, a), tgt(m, b)))
-    for m in (0, 1):
-        for (ca, a), (cb, b) in itertools.product(basis[m], repeat=2):
-            col.compare("identity", (ca, cb), one(m, br(m, a, b)),
-                        br(m + 1, one(m, a), one(m, b)))
+            col.compare("target", (ca, cb), tgt(m, br(m, a, b)), br(m - 1, tgt(m, a), tgt(m, b)))
 
     # antisymmetry on basis cells
     for m in (0, 1, 2):
@@ -267,21 +284,11 @@ def check_bifunctor(D: Lie3Data) -> Report:
     a2 = [(c, a) for c, a in basis[2] if c[2] is not None]
     for cf, f in f1:
         for cg, g in f1:
-            fg, w = br(1, f, g), (cf, cg)
-            col.compare("kernel-bracket [f,g]=[1_tf,g]", w, fg, br(1, one(0, tgt(1, f)), g))
-            col.compare("kernel-bracket [f,g]=[f,1_tg]", w, fg, br(1, f, one(0, tgt(1, g))))
+            col.compare("kernel-bracket [f,g]=[1_tf,g]", (cf, cg), br(1, f, g),
+                        br(1, one(0, tgt(1, f)), g))
         tf2 = one(0, tgt(1, f), 2)  # f has no V0 part
         for cb, b in a2:
-            w = (cf, cb)
-            col.compare("kernel-bracket [1_f,b]=0", w, br(2, one(1, f), b), zero[2])
-            col.compare("kernel-bracket [1^2_tf,b]=0", w, br(2, tf2, b), zero[2])
-    for ca, a in a2:
-        ta = one(1, tgt(2, a))  # the 2-cell 1_{ta}
-        for cb, b in a2:
-            w = (ca, cb)
-            col.compare("kernel-bracket [a,b]=0", w, br(2, a, b), zero[2])
-            col.compare("kernel-bracket [1_ta,b]=0", w, br(2, ta, b), zero[2])
-            col.compare("kernel-bracket [a,1_tb]=0", w, br(2, a, one(1, tgt(2, b))), zero[2])
+            col.compare("kernel-bracket [1^2_tf,b]=0", (cf, cb), br(2, tf2, b), zero[2])
 
     # graded derivation property of the boundary over the bracket constants:
     # t[u, v] = [tu, v] + (-1)^|u| [u, tv], an identity in degree |u| + |v| - 1
@@ -353,19 +360,18 @@ def check_jacobiator(D: Lie3Data) -> Report:
 
 
 def check_identiator(D: Lie3Data) -> Report:
-    """Boundary conditions and the modification law of the Identiator."""
+    """The target condition t mu = eps and the modification law of the
+    Identiator.  Its source condition s mu = eta holds for every ``Lie3Data``
+    and is not compared: ``_mu_table`` is eta plus mu, and mu lies in V2."""
     L = D.cat
     col = Collector("identiator")
 
-    # s mu = eta and t mu = eps
-    mu, (eta, eps) = D._mu_table, D._eta_eps
-    src = combine((1, _cut(mu, 0, L.offsets[2])), (-1, eta))
-    tgt = combine((1, compose(L.t_table[2], mu)), (-1, eps))
+    # t mu = eps
+    mu = D._mu_table
+    tgt = combine((1, compose(L.t_table[2], mu)), (-1, D._eta_eps[1]))
     n1, zero1 = L.level_dim(1), vzero(L.level_dim(1))
     for key in itertools.product(range(L.dim(0)), repeat=4):
-        w = _objects(key)
-        col.compare("source", w, dense(n1, src.get(key, ())), zero1)
-        col.compare("target", w, dense(n1, tgt.get(key, ())), zero1)
+        col.compare("target", _objects(key), dense(n1, tgt.get(key, ())), zero1)
 
     # modification law in each slot:
     # F(..alpha..) o mu(targets) = mu(sources) o G(..alpha..), with

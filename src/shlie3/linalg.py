@@ -2,13 +2,17 @@
 
 Every rational the package stores is an ``int`` when integral and a
 ``Fraction`` otherwise: ``rational`` makes one, and ``narrow`` turns a
-computed value into one.  ``int`` arithmetic is exact, and an ``int`` meets a
-``Fraction`` as a ``Fraction``, so on integral data nothing builds a
-``Fraction`` and ``fractions`` is imported only when ``rational`` meets the
-first value that is not integral.  ``Matrix`` stores dense row tuples of such
-entries.  Products, Kronecker products and elimination skip zero entries,
-since the simplicial and tensor operators are mostly 0/+-1, so on them they
-run in ``int`` arithmetic.  No floating point anywhere.
+computed value into one.  Only stored values are narrowed (a ``Matrix``
+entry, a ``Cell`` coordinate, a table coefficient, a failure's residual):
+``vadd``, ``vsub``, ``dense`` and ``Matrix.apply`` return what the
+arithmetic gives, an integral ``Fraction`` for 1/2 + 1/2.  ``int``
+arithmetic is exact, and an ``int`` meets a ``Fraction`` as a ``Fraction``,
+so on integral data nothing builds a ``Fraction`` and ``fractions`` is
+imported only when ``rational`` meets the first value that is not integral.
+``Matrix`` stores dense row tuples of such entries.  Products, Kronecker
+products and elimination skip zero entries, since the simplicial and tensor
+operators are mostly 0/+-1, so on them they run in ``int`` arithmetic.  No
+floating point anywhere.
 
 Every multilinear map of the package is evaluated from one sparse table
 format: a key tuple of basis indices, one per argument, maps to the value's
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 
-Vector = tuple  # of rationals, each an int or a non-integral Fraction
+Vector = tuple  # of rationals; a stored one is an int or a non-integral Fraction
 
 
 def rational(c, d=1):

@@ -9,7 +9,11 @@ calculus is the component arithmetic
     1_(v_0..v_m) = (v_0..v_m, 0)
     (v_0..v_m) o_p (w_0..w_m) = (v_0..v_p, v_{p+1}+w_{p+1}, .., v_m+w_m)
 
-with the last line only defined on p-composable pairs.
+with the last line only defined on p-composable pairs.  With these formulas
+each category axiom (globularity, the boundaries and units, associativity,
+interchange) is an identity of the components: s is a slice, 1 pads zeros
+and o_p adds above p.  The one condition left, t o t = 0, is what
+``LinearNCat`` checks when it is constructed.
 
 Each map is implemented once, on flat coordinates: a level-m cell is a
 tuple over L_m in which V_i occupies ``offsets[i]:offsets[i + 1]``
@@ -23,14 +27,12 @@ nothing else does.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .chain import ChainComplexT
 from .graded import GradedSpace, MultiMap, build_multimap
 from .linalg import Frozen, Matrix, Vector, dense, hstack, rational, vadd, vscale, vzero
-from .report import Collector, Report
 
 
 class ComposabilityError(ValueError):
@@ -124,21 +126,19 @@ class LinearNCat(Frozen):
         return [tuple(i if k == d else None for k in range(m + 1))
                 for d in range(m + 1) for i in range(self.dim(d))]
 
-    def composable_codes(self, m: int, *ps: int) -> list[tuple]:
-        """A basis of the parameters (a, t_1, .., t_k) of an m-cell a and the
-        free parts t_i of right factors composable along p_i-cells, as codes:
-        one slot holds a basis code, the others the zero code.
+    def composable_codes(self, m: int, p: int) -> list[tuple]:
+        """A basis of the parameters (a, t) of an m-cell a and the free part t
+        of a right factor composable along p-cells, as code pairs: one holds
+        a basis code, the other the zero code.
 
         A p-composable pair is (a, right_factor(m, a, t, p)), with right factor
         1^{m-p}(t^{m-p} a) + t and t zero in components 0..p, so it is linear
-        in (a, t).  Hence a law linear in these parameters holds iff it holds
-        on this basis, a law bilinear in two pairs iff it holds on the product
-        of two such bases, and an affine law iff it also holds at zero.  The
-        order is that of the product of zero-or-basis codes per slot."""
+        in (a, t).  Hence a law linear in the pair holds iff it holds on this
+        basis, and a law bilinear in two pairs iff it holds on the product of
+        two such bases.  The pairs with a zero a come first."""
         zero, basis = (None,) * (m + 1), self.spanning_codes(m)
-        slots = [basis] + [[c for c in basis if all(i is None for i in c[:p + 1])] for p in ps]
-        return [tuple(c if j == s else zero for j in range(len(slots)))
-                for s in reversed(range(len(slots))) for c in slots[s]]
+        return ([(zero, c) for c in basis if all(i is None for i in c[:p + 1])]
+                + [(c, zero) for c in basis])
 
     # -- structure maps on flat coordinates (the component formulas) ---
 
@@ -229,8 +229,9 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
     """Build a functor from per-level linear maps.
 
     Checks that sources, targets and identities are respected; composition
-    preservation then holds automatically and is asserted on a basis of the
-    composable pairs (both sides are linear in the pair) rather than trusted.
+    is then preserved and not checked: a o_p b = a + b - 1^k s^k b (k = m - p)
+    on a p-composable pair, so a linear map that commutes with s, t and 1
+    preserves o_p, and it maps a composable pair to one.
     """
     if src.n != dst.n:
         raise LiftError("category dimensions differ")
@@ -248,116 +249,7 @@ def lift_functor(src: LinearNCat, dst: LinearNCat,
     for m in range(src.n):
         if maps[m + 1] @ src.i_matrix_level(m) != dst.i_matrix_level(m) @ maps[m]:
             raise LiftError("identity map not respected", witness=m)
-    for m in range(1, src.n + 1):
-        F = maps[m]
-        for p in range(m):
-            for ca, cb in src.composable_codes(m, p):
-                a = src.coded(ca)
-                b = src.right_factor(m, a, cb, p)
-                lhs = F.apply(src.compose(m, a, b, p))
-                rhs = dst.compose(m, F.apply(a), F.apply(b), p)
-                if lhs != rhs:  # pragma: no cover - impossible per the unique-composition argument
-                    raise AssertionError("functor lift failed to preserve composition")
     return NFunctor(src, dst, maps)
-
-
-# -- axioms -----------------------------------------------------------
-
-
-@contextlib.contextmanager
-def composites_defined(col: Collector, witness):
-    """Context for the comparisons of one witness: a composite that raises
-    ComposabilityError ends them with a "composable" failure of ``col``, its
-    residual the error's left minus right flat cell (t^k a - s^k b on a
-    mismatch)."""
-    try:
-        yield
-    except ComposabilityError as e:
-        col.compare("composable", witness, e.left, e.right)
-
-
-def check_axioms(L: LinearNCat, compose: Callable[[int, Vector, Vector, int], Vector] | None = None
-                 ) -> Report:
-    """Verify the category axioms on a basis of their parameters.
-
-    The parameters of an axiom are an m-cell a and the free parts of its
-    composable right factors (``LinearNCat.composable_codes``).  For an affine
-    composition, the built-in one included, every residual is affine in them,
-    and an affine map vanishes iff it vanishes at zero and on a basis: the
-    zero tuple and that basis decide every axiom.  `compose` may override the
-    built-in composition (used to show a corrupted table fails); like
-    ``LinearNCat.compose`` it takes (m, a, b, p) on flat cells.  A right
-    factor is witnessed by the code of its free part t:
-    b = L.right_factor(m, a, t, p).  A composite that raises
-    ComposabilityError ends the comparisons of its witness with a
-    "composable" failure.
-    """
-    comp = compose or L.compose
-    col = Collector("axioms")
-    src, tgt, one, right = L.source, L.target, L.identity, L.right_factor
-
-    def family(m, *ps):
-        return [((None,) * (m + 1),) * (len(ps) + 1)] + L.composable_codes(m, *ps)
-
-    # globular conditions and identity boundaries (linear in a)
-    for m in range(2, L.n + 1):
-        for c in L.spanning_codes(m):
-            a, w = L.coded(c), (c,)
-            col.compare("globular ss=st", w, src(m - 1, src(m, a)), src(m - 1, tgt(m, a)))
-            col.compare("globular ts=tt", w, tgt(m - 1, src(m, a)), tgt(m - 1, tgt(m, a)))
-    for m in range(L.n):
-        for c in L.spanning_codes(m):
-            a, w = L.coded(c), (c,)
-            u = one(m, a)
-            col.compare("s(1_a)=a", w, src(m + 1, u), a)
-            col.compare("t(1_a)=a", w, tgt(m + 1, u), a)
-
-    for m in range(1, L.n + 1):
-        for p in range(m):
-            k = m - p
-            for (ca,) in family(m):
-                a, w = L.coded(ca), (p, ca)
-                with composites_defined(col, w):
-                    col.compare("unit 1a=a", w, comp(m, one(p, src(m, a, k), k), a, p), a)
-                    col.compare("unit a1=a", w, comp(m, a, one(p, tgt(m, a, k), k), p), a)
-            for ca, cb in family(m, p):
-                a = L.coded(ca)
-                b, w = right(m, a, cb, p), (p, ca, cb)
-                with composites_defined(col, w):
-                    ab = comp(m, a, b, p)
-                    if p == m - 1:
-                        col.compare("boundary s(ab)=sa", w, src(m, ab), src(m, a))
-                        col.compare("boundary t(ab)=tb", w, tgt(m, ab), tgt(m, b))
-                    else:
-                        col.compare("boundary s(ab)=sa.sb", w, src(m, ab),
-                                    comp(m - 1, src(m, a), src(m, b), p))
-                        col.compare("boundary t(ab)=ta.tb", w, tgt(m, ab),
-                                    comp(m - 1, tgt(m, a), tgt(m, b), p))
-                    if m < L.n:
-                        col.compare("identity-of-composite", w, one(m, ab),
-                                    comp(m + 1, one(m, a), one(m, b), p))
-            for ca, cb, cc in family(m, p, p):
-                a = L.coded(ca)
-                b = right(m, a, cb, p)
-                c, w = right(m, b, cc, p), (p, ca, cb, cc)
-                with composites_defined(col, w):
-                    col.compare("associativity", w, comp(m, comp(m, a, b, p), c, p),
-                                comp(m, a, comp(m, b, c, p), p))
-
-    # interchange
-    for m in range(1, L.n + 1):
-        for p in range(m):
-            for q in range(p):
-                for ca, cb, cc, cd in family(m, p, q, p):
-                    a = L.coded(ca)
-                    b, c = right(m, a, cb, p), right(m, a, cc, q)
-                    d = right(m, c, cd, p)
-                    w = (p, q, ca, cb, cc, cd)
-                    with composites_defined(col, w):
-                        col.compare("interchange", w,
-                                    comp(m, comp(m, a, b, p), comp(m, c, d, p), q),
-                                    comp(m, comp(m, a, c, q), comp(m, b, d, q), p))
-    return col.report()
 
 
 # -- the equivalence with chain complexes -----------------------------

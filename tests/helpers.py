@@ -602,12 +602,32 @@ def flat(x) -> tuple:
     return tuple(itertools.chain(*x.components)) if isinstance(x, Cell) else tuple(x)
 
 
+# The comparisons of the seed checks that the library no longer makes,
+# because they hold for every structure it accepts (see the docstrings of
+# ``check_bifunctor`` and ``check_identiator``), by check name.
+RETIRED = {"bifunctor": {"source", "identity", "kernel-bracket [f,g]=[f,1_tg]",
+                         "kernel-bracket [1_f,b]=0", "kernel-bracket [a,b]=0",
+                         "kernel-bracket [1_ta,b]=0", "kernel-bracket [a,1_tb]=0"},
+           "identiator": {"source"}}
+
+
+def retired_failures(reports) -> list:
+    """The failures of retired comparisons (``RETIRED``) in ``reports``."""
+    return [f for rep in reports for f in rep.failures if f.identity in RETIRED.get(rep.name, ())]
+
+
 class SeedCollector(Collector):
     """A ``Collector`` whose comparisons may take cells: it compares and
-    subtracts their flat coordinates, as the library's checks do."""
+    subtracts their flat coordinates, as the library's checks do.  A retired
+    comparison (``RETIRED``) is made and its failure recorded, but its witness
+    is listed in ``checked`` only where a kept comparison is made on it, as
+    the library lists it."""
 
     def compare(self, identity: str, witness: tuple, lhs, rhs) -> None:
+        n = len(self.checked)
         super().compare(identity, witness, flat(lhs), flat(rhs))
+        if identity in RETIRED.get(self.name, ()) and len(self.checked) > n:
+            self.checked.pop()
 
 
 # -- the seed spanning families of cells and composable pairs ----------
@@ -693,10 +713,12 @@ def seed_compose_tensor_identity(L, tc) -> bool:
 
 
 def seed_axioms_hold(L, compose) -> bool:
-    """Every axiom of ``check_axioms`` with a composition that, like
+    """Every category axiom (globularity, boundaries, units, identities of
+    composites, associativity, interchange) with a composition that, like
     ``LinearNCat.compose``, takes (m, a, b, p) on flat cells, on the products
     of zero-or-basis cells and zero-or-basis free parts; the structure maps
-    are the component formulas (``SeedCat``)."""
+    are the component formulas (``SeedCat``).  With ``L.compose`` every axiom
+    holds by the component formulas (see ``lincat``)."""
     L = SeedCat(L)
     cells = [list(seed_spanning_cells(L, m)) for m in range(L.n + 1)]
 
@@ -706,8 +728,8 @@ def seed_axioms_hold(L, compose) -> bool:
     def right(a, t, p):
         return seed_pad_composable(L, a, t.components[p + 1:], p)
 
-    def tails(m, p):
-        return [L.coded_cell(c) for c in seed_tail_codes(L, m, p)]
+    tails = {(m, p): [L.coded_cell(c) for c in seed_tail_codes(L, m, p)]
+             for m in range(1, L.n + 1) for p in range(m)}
 
     ok = all(L.source(L.source(a)) == L.source(L.target(a))
              and L.target(L.source(a)) == L.target(L.target(a))
@@ -720,7 +742,7 @@ def seed_axioms_hold(L, compose) -> bool:
             for a in cells[m]:
                 ok &= comp(L.identity_iter(L.source_iter(a, k), k), a, p) == a
                 ok &= comp(a, L.identity_iter(L.target_iter(a, k), k), p) == a
-                for tb in tails(m, p):
+                for tb in tails[m, p]:
                     b = right(a, tb, p)
                     ab = comp(a, b, p)
                     if p == m - 1:
@@ -730,12 +752,12 @@ def seed_axioms_hold(L, compose) -> bool:
                                and L.target(ab) == comp(L.target(a), L.target(b), p))
                     if m < L.n:
                         ok &= L.identity(ab) == comp(L.identity(a), L.identity(b), p)
-                    for tc in tails(m, p):
+                    for tc in tails[m, p]:
                         c = right(b, tc, p)
                         ok &= comp(ab, c, p) == comp(a, comp(b, c, p), p)
             for q in range(p):
                 for a in cells[m]:
-                    for tb, tc, td in itertools.product(tails(m, p), tails(m, q), tails(m, p)):
+                    for tb, tc, td in itertools.product(tails[m, p], tails[m, q], tails[m, p]):
                         b, c = right(a, tb, p), right(a, tc, q)
                         d = right(c, td, p)
                         try:
@@ -1277,23 +1299,24 @@ def seed_tensor_complex(C: ChainComplexT, D: ChainComplexT, trunc: int | None = 
     return tuple(dims), tuple(diffs), layout
 
 
-def rand_chain_map(rng: random.Random, C: ChainComplexT, D: ChainComplexT) -> tuple[Matrix, Matrix]:
-    """A random chain map (f0, f1) between two-term complexes: a random
-    combination of a basis of the solutions of d_D f1 = f0 d_C."""
-    (a0, a1), (b0, b1) = C.dims, D.dims
-    sizes = (b0 * a0, b1 * a1)
+def rand_chain_map(rng: random.Random, C: ChainComplexT, D: ChainComplexT) -> tuple[Matrix, ...]:
+    """A random chain map (f0, f1, ..) between complexes of one length: a
+    random combination of a basis of the solutions of d_D f_k = f_{k-1} d_C."""
+    shapes = list(zip(D.dims, C.dims))
+    starts = [0, *itertools.accumulate(b * a for b, a in shapes)]
 
     def unpack(v):
-        f0 = Matrix([v[i * a0:(i + 1) * a0] for i in range(b0)], ncols=a0)
-        f1 = Matrix([v[sizes[0] + i * a1: sizes[0] + (i + 1) * a1] for i in range(b1)], ncols=a1)
-        return f0, f1
+        return tuple(Matrix([v[s + i * a:s + (i + 1) * a] for i in range(b)], ncols=a)
+                     for s, (b, a) in zip(starts, shapes))
 
     def residual(v):
-        f0, f1 = unpack(v)
-        return tuple(itertools.chain(*(D.diff(1) @ f1 - f0 @ C.diff(1)).rows))
+        f = unpack(v)
+        return tuple(x for k in range(1, len(f))
+                     for r in (D.diff(k) @ f[k] - f[k - 1] @ C.diff(k)).rows for x in r)
 
-    n = sum(sizes)
-    eqs = Matrix.from_cols([residual(e) for e in Matrix.eye(n).cols()], nrows=b0 * a1)
+    n = starts[-1]
+    nrows = sum(D.dim(k - 1) * C.dim(k) for k in range(1, len(shapes)))
+    eqs = Matrix.from_cols([residual(e) for e in Matrix.eye(n).cols()], nrows=nrows)
     v = vzero(n)
     for b in eqs.nullspace():
         v = vadd(v, vscale(rand_q(rng, 2), b))

@@ -20,9 +20,10 @@ from shlie3.chain import ChainComplexT
 from shlie3.graded import GradedVector
 from shlie3.lie3 import (Lie3Data, bracket_cells, check_bifunctor, check_coherence,
                          check_identiator, check_jacobiator, mu_cell)
-from shlie3.linalg import Frozen, Matrix, vzero
+from shlie3.linalg import Frozen, Matrix, dense, vadd, vsub, vzero
 from shlie3.lincat import Cell, from_chain, tensor_product
 from shlie3.linfinity import check_all
+from shlie3.report import Collector
 from shlie3.simplicial import aw, ez, moore, nerve, obstruction_demo, tensor_svs
 from shlie3.specfile import build, parse_rational, parse_spec, render_lie3, render_linfinity
 
@@ -258,7 +259,10 @@ def test_stored_rationals_are_narrowed():
     """On the golden-report samples, whose constants are integral, every
     stored rational (``stored_rationals``) and every zero vector is an int;
     on the non-integral samples every stored rational is narrowed, and some
-    are Fractions.  Integral strings and JSON integers parse to ints."""
+    are Fractions.  Integral strings and JSON integers parse to ints.  Only
+    stored values are narrowed: vadd, vsub, dense and Matrix.apply return
+    the integral Fraction 1/2 + 1/2, and a Matrix, a Cell and a failure's
+    residual store it as an int."""
     golden = [make() for make in dict.fromkeys(make for make, _ in GOLDEN_CASES.values())]
     ints = stored_rationals(golden) + list(vzero(4))
     ints += [c for S in golden for block in GradedVector.zero(S.space).coords for c in block]
@@ -270,6 +274,15 @@ def test_stored_rationals_are_narrowed():
     assert parse_rational("-4/6", "$") == Fraction(-2, 3)
     chain = build(parse_spec('{"kind": "chain", "dims": [2, 1], "maps": {"d1": [[1], ["-2/1"]]}}'))
     assert [type(e) for r in chain.diff(1).rows for e in r] == [int, int]
+    half = Fraction(1, 2)
+    computed = [*vadd((half,), (half,)), *vsub((half,), (-half,)), *dense(1, [(0, half), (0, half)]),
+                *Matrix([[half]]).apply((2,))]
+    assert computed == [1] * 4 and {type(c) for c in computed} == {Fraction}
+    col = Collector("narrowing")
+    col.compare("residual", (), computed, vzero(4))
+    stored = [*Matrix([computed]).rows[0], *Cell(0, (computed,)).components[0],
+              *col.report().failures[0].residual]
+    assert stored == [1] * 12 and {type(c) for c in stored} == {int}
 
 
 def matrix_entries(value) -> list:

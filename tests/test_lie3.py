@@ -6,6 +6,7 @@ import pytest
 
 from shlie3 import lie3
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
+from shlie3.lincat import LinearNCat
 from shlie3.linalg import vadd, vis_zero, vsub, vzero
 from shlie3.lie3 import (ConversionError, Lie3Data, alpha_cell,
                          bracket_cells, check_bifunctor,
@@ -272,6 +273,67 @@ def test_mu_perturbation_breaks_coherence_iff_order5():
     A2 = LInfinityData(D.space, to_linfinity(D).l1, D.bracket_constants,
                        D.J, (D.mu + bad).scale(-1))
     assert not check_condition(A2, 5).passed
+
+
+def _with_bracket(dims, t_raw, l2_raw) -> Lie3Data:
+    """The structure on dims with t and l2 from raw entries and J = mu = 0."""
+    space = GradedSpace(dims)
+    cat = LinearNCat(space, build_multimap(1, -1, space, t_raw))
+    return Lie3Data(cat, build_multimap(2, 0, space, l2_raw), MultiMap.zero(3, 1, space),
+                    MultiMap.zero(4, 2, space))
+
+
+def action_not_a_representation() -> Lie3Data:
+    """dims (2, 0, 2), t = 0, J = mu = 0, and the 0-cells x0, x1 acting on V2
+    by E11 and E12: [x0, x1] = 0 but [E11, E12] = E12, so the action is not a
+    representation."""
+    return _with_bracket((2, 0, 2), [], [(((0, 0), (2, 0)), (1, 0)), (((0, 1), (2, 1)), (1, 0))])
+
+
+def tf_acts_on_v2() -> Lie3Data:
+    """dims (1, 1, 1), t f = x and l2(x, b) = b: then [1^2_tf, b] = b."""
+    return _with_bracket((1, 1, 1), [(((1, 0),), (1,))], [(((0, 0), (2, 0)), (1,))])
+
+
+def failures(rep) -> list[tuple]:
+    return [(f.identity, f.witness, f.residual) for f in rep.failures]
+
+
+def test_non_representation_fails_only_the_v2_naturality_laws():
+    """The V2 parts of the Jacobiator's naturality and of the Identiator's
+    modification law see an action on V2 that is not a representation; no
+    other comparison does."""
+    D = action_not_a_representation()
+    assert check_bifunctor(D).passed and check_coherence(D).passed
+    b1, x0, x1 = (None, None, 1), (0, 0), (0, 1)  # the 2-cell alpha = b1 and the 0-cells
+    assert failures(check_jacobiator(D)) == [
+        ("naturality-v2", (0, (x0, x1), b1), (-1, 0)),
+        ("naturality-v2", (0, (x1, x0), b1), (1, 0)),
+        ("naturality-v2", (1, (x0, x1), b1), (1, 0)),
+        ("naturality-v2", (1, (x1, x0), b1), (-1, 0)),
+        ("naturality-v2", (2, (x0, x1), b1), (-1, 0)),
+        ("naturality-v2", (2, (x1, x0), b1), (1, 0))]
+    assert failures(check_identiator(D)) == [
+        ("modification-v2", (0, (x0, x0, x1), b1), (0, 0, 1, 0)),
+        ("modification-v2", (0, (x1, x0, x0), b1), (0, 0, -1, 0)),
+        ("modification-v2", (1, (x0, x0, x1), b1), (0, 0, -1, 0)),
+        ("modification-v2", (1, (x1, x0, x0), b1), (0, 0, 1, 0)),
+        ("modification-v2", (3, (x0, x1, x0), b1), (0, 0, 1, 0)),
+        ("modification-v2", (3, (x1, x0, x0), b1), (0, 0, -1, 0))]
+
+
+def test_tf_acting_on_v2_fails_the_kernel_bracket():
+    """[1^2_tf, b] = l2(x, b) = b, which also breaks the chain rule and the
+    preservation of composition; J and mu are zero, so the other checks pass."""
+    D = tf_acts_on_v2()
+    f, b, zero = (None, 0), (None, None, 0), (None, None, None)  # codes of f, b and a zero 2-cell
+    assert failures(check_bifunctor(D)) == [
+        ("composition", (0, zero, b, (None, 0, None), zero), (0, 0, 1)),
+        ("composition", (0, (None, 0, None), zero, zero, b), (0, 0, -1)),
+        ("kernel-bracket [1^2_tf,b]=0", (f, b), (0, 0, 1)),
+        ("chain-rule", ((1, 0), (2, 0)), (-1,)),
+        ("chain-rule", ((2, 0), (1, 0)), (1,))]
+    assert all(check(D).passed for check in (check_jacobiator, check_identiator, check_coherence))
 
 
 # -- alpha cells against the printed component formulas ---------------
