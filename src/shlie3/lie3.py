@@ -15,15 +15,19 @@ Each is built once with ``linalg.compose``, which substitutes one table into
 one argument of another, from t's table (``LinearNCat.t_table``) and those of
 l2, J and mu: the bracket table from t's and l2's, [[a,b],c] and [a,[b,c]]
 from it, the Jacobiator table from them and J's, the Identiator table from
-all of these and mu's.  A composite along 0-cells (the
-Identiator's eta and eps, the coherence chains) is the first factor plus the
-parts above V0 of the others, so each later factor is evaluated through
-tables restricted to outputs above V0 (``Lie3Data._above_v0``).  The
-Jacobiator and Identiator laws are multilinear in (the basis 0-cells, one
-basis 2-cell alpha), so each side is one table with one key per naturality
-square, and the checks compare them key by key (``_squares``).
-The coherence chains are traced once per structure into a plan of
-contractions (``_Plan``), which runs once per quintuple.
+all of these and mu's.  A composite along 0-cells (eta, eps, the
+coherence chains) is its first factor plus the parts above V0 of the others,
+as the identities that pad them have only a V0 part.  The Jacobiator and
+Identiator laws are multilinear in (the basis 0-cells, one basis 2-cell
+alpha), so each side is one table with one key per naturality square, and
+the checks compare them key by key (``_squares``).  The coherence chains are
+traced once per structure into a plan of contractions (``_Plan``), run once
+per quintuple above V0 only: but for brackets of two 0-cells, it reads tables
+restricted to outputs above V0 (``Lie3Data._above_v0``).  That is exact.  No
+V0 part reaches an output above V0, as each J and mu takes 0-cells, each
+bracket of 1- or 2-cells pairs one with a 0-cell, and l2 has weight 0.  Each
+chain's V0 block is its source [[[[x,y],z],u],v], which alpha^-1 keeps, so
+the residual's is (1 + 1 - 1 - 1) times it.
 ``Cell`` is built only where a public function returns one.  Integral
 coefficients are ``int`` (``linalg.rational``); nothing here divides.
 
@@ -111,30 +115,31 @@ class Lie3Data(Frozen):
         return combine((1, self._eta_eps[0]), (1, self.cat.flat_table(self.mu)))
 
     @functools.cached_property
-    def _eta_eps(self) -> tuple[dict, dict]:
-        """The composites eta and eps of ``eta_epsilon`` on basis quadruples,
-        from their factors: the first factor's terms in full, the others'
-        above V0 (see ``_Plan``).  There a J factor is J's constants with a
-        bracket in argument k (``Jb[k]``) and a bracket factor [J, c] or
-        [c, J] the bracket with J's constants in argument k (``bJ[k]``); each
-        is built once."""
-        br, Jt, v0 = self._bracket_table, self._J_table, _below(self.cat.offsets[1])
-        J = self.cat.flat_table(self.J)
+    def _J_factors(self) -> tuple[list, list, dict]:
+        """eta's and eps's factors above V0: J's constants and the bracket,
+        each with the other in argument k (``Jb[k]``, ``bJ[k]``), and the sum
+        of eta's factors after [J_xyz, 1_u]."""
+        br, v0, J = self._bracket_table, _below(self.cat.offsets[1]), self.cat.flat_table(self.J)
         Jb, bJ = [compose(J, br, k, v0) for k in range(3)], [compose(br, J, k, v0) for k in range(2)]
-        eta = combine((1, compose(br, Jt, 0, v0)), (1, Jb[0], (0, 2, 1, 3)), (1, Jb[1]),
-                      (1, bJ[0], (0, 2, 3, 1)), (1, bJ[1]))
+        return Jb, bJ, combine((1, Jb[0], (0, 2, 1, 3)), (1, Jb[1]),
+                               (1, bJ[0], (0, 2, 3, 1)), (1, bJ[1]))
+
+    @functools.cached_property
+    def _eta_eps(self) -> tuple[dict, dict]:
+        """eta and eps of ``eta_epsilon`` on basis quadruples, each first factor in full."""
+        br, Jt, v0 = self._bracket_table, self._J_table, _below(self.cat.offsets[1])
+        Jb, bJ, eta_rest = self._J_factors
         eps = combine((1, compose(Jt, br, 0, v0)), (1, bJ[0], (0, 1, 3, 2)),
                       (1, Jb[1], (0, 1, 3, 2)), (1, Jb[0], (0, 3, 1, 2)), (1, Jb[2]))
-        return eta, eps
+        return combine((1, compose(br, Jt, 0, v0)), (1, eta_rest)), eps
 
     @functools.cached_property
     def _above_v0(self) -> dict:
-        """The tables restricted to outputs above V0 (see ``_Plan``): the
-        bracket of m-cells (keys in L_m) for m = 1, 2, "J" and "mu"."""
-        o = self.cat.offsets
-        cut = lambda table, n: _cut({k: v for k, v in table.items() if max(k) < n}, o[1], o[3])
-        return {1: cut(self._bracket_table, o[2]), 2: cut(self._bracket_table, o[3]),
-                "J": cut(self._J_table, o[1]), "mu": cut(self._mu_table, o[1])}
+        """The tables of ``_Plan`` above V0: "br" of 2-cells (and 1-cells, as
+        L_1 maps into L_1), "J", and "mu", whose eta starts with ``bJ[0]``."""
+        o, (_, bJ, eta_rest), flat = self.cat.offsets, self._J_factors, self.cat.flat_table
+        return {"br": _cut(self._bracket_table, o[1], o[3]), "J": flat(self.J),
+                "mu": combine((1, bJ[0]), (1, eta_rest), (1, flat(self.mu)))}
 
     @functools.cached_property
     def _coherence_plan(self) -> _Plan:
@@ -397,19 +402,19 @@ def check_identiator(D: Lie3Data) -> Report:
 class _Plan:
     """The coherence chains (``_alpha``) traced once on five symbolic 0-cells.
 
-    A node is a leaf (0..4) or an operation ``br``, ``J`` or ``mu`` on nodes,
-    through the table restricted above V0 (``Lie3Data._above_v0``) when
-    ``above``; equal operations on equal nodes are one node.  An operation
-    with an empty table or a zero argument is zero (None), so a dead term's
-    arguments are never evaluated.  A chain's live top terms (``alphas``) are
-    those of its first factor and, above V0, of the others (see the module
-    docstring).  ``steps`` are the operations that they reach, in evaluation
-    order, as (node, table, argument nodes, getter of the leaves under it)."""
+    A node is a leaf (0..4) or an operation on nodes: a bracket of two
+    0-cells through the bracket table, any other through its table above V0
+    (``Lie3Data._above_v0``; see the module docstring).  Equal operations on
+    equal nodes are one node.  An operation with an empty table or a zero
+    argument is zero (None), so a dead term's arguments are never evaluated.
+    ``alphas`` are each chain's live top terms, ``steps`` the operations that
+    they reach, in evaluation order, as (node, table, argument nodes, getter
+    of the leaves under it)."""
 
     def __init__(self, D: Lie3Data):
         self.D, self._ids, self._nodes = D, {}, [(None, (), (p,)) for p in range(5)]
-        self.alphas = [[node for n, factor in enumerate(_alpha(self, i, *range(5)))
-                        for op, *args in factor if (node := op(*args, above=n > 0)) is not None]
+        self.alphas = [[node for factor in _alpha(self, i, *range(5))
+                        for op, *args in factor if (node := op(*args)) is not None]
                        for i in (1, 2, 3, 4)]
         live = set(itertools.chain(*self.alphas))
         for n in reversed(range(5, len(self._nodes))):
@@ -425,15 +430,6 @@ class _Plan:
             node = self._ids[key] = len(self._nodes)
             self._nodes.append((table, args, tuple(p for a in args for p in self._nodes[a][2])))
         return node
-
-    def br(self, m: int, a, b, above: bool = False):
-        return self._op(self.D._above_v0[m] if above else self.D._bracket_table, a, b)
-
-    def J(self, x, y, z, above: bool = False):
-        return self._op(self.D._above_v0["J"] if above else self.D._J_table, x, y, z)
-
-    def mu(self, x, y, z, u, above: bool = False):
-        return self._op(self.D._above_v0["mu"] if above else self.D._mu_table, x, y, z, u)
 
     def run(self, leaves: Iterable[list], key=range(5), memo: dict | None = None) -> list:
         """The four chains as (index, coefficient) pairs on leaves given by
@@ -452,8 +448,9 @@ class _Plan:
 def _alpha(P: _Plan, i: int, x, y, z, u, v) -> list:
     # the factors of chain i, as lists of terms (op, *args); 1_x of a 0-cell x
     # and 1_f of a 1-cell f are written as x and f, whose flat coordinates they have
-    br, bc1, bc2 = (functools.partial(P.br, m) for m in range(3))
-    mu, J = P.mu, P.J
+    br = functools.partial(P._op, P.D._bracket_table)
+    bc1 = bc2 = functools.partial(P._op, P.D._above_v0["br"])
+    J, mu = (functools.partial(P._op, P.D._above_v0[k]) for k in ("J", "mu"))
 
     if i == 1:
         return [
@@ -502,11 +499,13 @@ def alpha_cell(D: Lie3Data, i: int, x, y, z, u, v) -> Cell:
 
     Each is a chain of 2-cells composed along 0-cells; the unnamed identity
     paddings are resolved automatically from the composability conditions.
+    The plan (``_Plan``) gives its parts above V0; its V0 part is [[[[x,y],z],u],v].
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("i must be in 1..4")
+    source = functools.reduce(functools.partial(_br, D, 0), (x, y, z, u, v))
     alphas = D._coherence_plan.run(map(_support, (x, y, z, u, v)))
-    return D.cat.unflatten(2, dense(D.cat.level_dim(2), alphas[i - 1]))
+    return D.cat.unflatten(2, dense(D.cat.level_dim(2), _support(source) + alphas[i - 1]))
 
 
 def _residual(D: Lie3Data, a1: list, a2: list, a3: list, a4: list) -> Vector:
@@ -531,9 +530,10 @@ def check_coherence(D: Lie3Data, tuples=None) -> Report:
     (ROADMAP, open item 1).  Each quintuple is also checked against the
     order-5 residual of the extracted structure constants: its V2 residual
     must equal that left-hand side ("order5-agreement", residual V2 minus
-    order-5).  The chains run as one plan per structure (``_Plan``).  The
-    order-5 residual is graded antisymmetric for any antisymmetric brackets,
-    with no premise, so it is expanded once per sorted quintuple and read with
+    order-5).  The chains run as one plan per structure (``_Plan``), above V0:
+    the residual's V0 block is 0 (see the module docstring).  The order-5
+    residual is graded antisymmetric for any antisymmetric brackets, with no
+    premise, so it is expanded once per sorted quintuple and read with
     ``graded.canonicalize``'s sign, which is 0 on a repeated 0-cell.
     """
     L, n0 = D.cat, D.cat.dim(0)

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from shlie3 import lie3
+from shlie3 import cli, lie3
+from shlie3.cli import main
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
 from shlie3.lincat import LinearNCat
 from shlie3.linalg import vadd, vis_zero, vsub, vzero
@@ -83,7 +84,8 @@ def test_mu_inverse_composes_to_identity():
 
 def _with_random_constants(rng, D, bracket=False):
     """D with random J and mu on degree-0 tuples and, if asked, a random
-    bracket (zero on V1 x V1, generally not Lie); the data is invalid."""
+    bracket (zero on V1 x V1, generally not Lie, with V0 acting on V1 and
+    V2); the data is invalid."""
     R = rand_brackets(rng, D.space.dims, density=1.0)
 
     def keep(m, ok):
@@ -91,7 +93,7 @@ def _with_random_constants(rng, D, bracket=False):
                               [(k, v) for k, v in m.entries() if ok(k)])
 
     degree0 = lambda k: all(d == 0 for d, _ in k)
-    l2 = keep(R.l2, lambda k: k[0][0] + k[1][0] < 2) if bracket else D.bracket_constants
+    l2 = keep(R.l2, lambda k: (k[0][0], k[1][0]) != (1, 1)) if bracket else D.bracket_constants
     return Lie3Data(D.cat, l2, keep(R.l3, degree0), keep(R.l4, degree0))
 
 
@@ -121,24 +123,30 @@ def test_mu_cell_source_matches_eta_composite(case):
         assert nontrivial
 
 
-def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
+def test_cell_tables_built_lazily_once_per_structure(monkeypatch, tmp_path):
     """Constructing a Lie3Data (from_linfinity, build_lie3) tabulates
-    nothing; the checks tabulate each cell table once per structure, and
-    read the composites and the tables restricted above V0 only for the
-    Identiator and coherence.  The bracket table is composed with itself
-    once per slot, into [[a,b],c] and [a,[b,c]] (``_nested``), which the
-    Jacobiator table and the Jacobiator and Identiator laws share.  Only the
-    coherence check traces the coherence plan, once per structure."""
-    tables = ("_bracket_table", "_nested", "_J_table", "_mu_table", "_eta_eps", "_above_v0",
-              "_coherence_plan")
+    nothing; the checks tabulate each cell table once per structure.  The
+    bracket table is composed with itself once per slot, into [[a,b],c] and
+    [a,[b,c]] (``_nested``), which the Jacobiator table and the Jacobiator
+    and Identiator laws share.  Only the Identiator check reads the
+    composites eta and eps, and only the coherence check the tables
+    restricted above V0 and the coherence plan.  On a fresh structure,
+    ``check_coherence`` and the coherence command build only what the chains
+    read: the bracket table (one compose, its t-term) and J's five factors
+    (one compose each), not the nested brackets, the Jacobiator and
+    Identiator tables or eta and eps."""
+    tables = ("_bracket_table", "_nested", "_J_table", "_J_factors", "_mu_table", "_eta_eps",
+              "_above_v0", "_coherence_plan")
     D = glambda_cat()
     E = build_lie3(parse_spec(render_lie3(D)))
-    real, nested = lie3.compose, []
+    real, nested, calls, alive = lie3.compose, [], [], []
 
-    def counting(outer, inner, *args):
+    def counting(outer, inner, arg=0, keep=None):
+        alive.append((outer, inner))  # so that no table's id is reused
+        calls.append((id(outer), id(inner), arg))
         if outer is inner is vars(D).get("_bracket_table"):
-            nested.append(args[0])
-        return real(outer, inner, *args)
+            nested.append(arg)
+        return real(outer, inner, arg, keep)
     monkeypatch.setattr(lie3, "compose", counting)
     assert not any(name in vars(D) or name in vars(E) for name in tables)
     check_bifunctor(D)
@@ -146,7 +154,7 @@ def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
     check_jacobiator(D)
     assert "_above_v0" not in vars(D) and "_eta_eps" not in vars(D)
     check_identiator(D)
-    assert "_coherence_plan" not in vars(D)
+    assert "_above_v0" not in vars(D) and "_coherence_plan" not in vars(D)
     built = {}
     for _ in range(2):
         for check in (check_bifunctor, check_jacobiator, check_identiator, check_coherence):
@@ -155,6 +163,17 @@ def test_cell_tables_built_lazily_once_per_structure(monkeypatch):
         assert all(vars(D)[name] is table for name, table in built.items())
     assert not any(name in vars(E) for name in tables)
     assert nested == [0, 1]
+
+    unread, fresh = {"_nested", "_J_table", "_mu_table", "_eta_eps"}, [E]
+    path = tmp_path / "glambda.json"
+    path.write_text(render_lie3(D), encoding="utf-8")
+    monkeypatch.setattr(cli, "check_coherence", lambda G: fresh.append(G) or check_coherence(G))
+    for run in (lambda: check_coherence(E).passed, lambda: main(["coherence", str(path)]) == 0):
+        calls.clear()
+        assert run()
+        assert not unread & vars(fresh[-1]).keys() and "_coherence_plan" in vars(fresh[-1])
+        assert len(calls) == len(set(calls)) == 6
+    assert len(fresh) == 2
 
 
 def test_identiator_composes_each_table_once(monkeypatch):
