@@ -114,11 +114,9 @@ def homology_data(C: ChainComplexT, n: int):
         ker = dn.nullspace()
     dnp = C.diff(n + 1)
     im = dnp.cols()
-    # coordinates of the image inside the kernel
+    # coordinates of the image in the kernel basis: they exist as d o d = 0
     if ker:
         X = Matrix.from_cols(ker, nrows=C.dim(n)).solve_matrix(dnp)
-        if X is None:
-            raise ValueError("boundary not a cycle")
         free = quotient_basis(X.cols(), len(ker))
         reps = [ker[i] for i in free]
     else:

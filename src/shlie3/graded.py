@@ -205,7 +205,10 @@ class MultiMap(Frozen):
 
     Coefficients are stored only on canonical keys (basis tuples sorted by
     (degree, index)); evaluation on any permutation picks up the chi sign.
-    Entries whose output degree falls outside 0..D do not exist.
+    Entries whose output degree falls outside 0..D do not exist.  The
+    constructor decides every rule of an entry: its arity, its basis range,
+    its canonical order, the two zero rules (a repeated even-degree element,
+    an output degree outside 0..D) and its block length.
     """
 
     _fields = ("arity", "weight", "space", "coeffs")
@@ -217,8 +220,14 @@ class MultiMap(Frozen):
             raise ValueError("arity must be >= 1")
         object.__setattr__(self, "arity", int(self.arity))
         object.__setattr__(self, "weight", int(self.weight))
+        dims = self.space.dims
         clean: dict[Key, Vector] = {}
         for key, val in (self.coeffs or {}).items():
+            if len(key) != self.arity:
+                raise ValueError(f"key {key} has wrong arity")
+            for d, i in key:
+                if not (0 <= d < len(dims) and 0 <= i < dims[d]):
+                    raise ValueError(f"basis element {(d, i)} outside the space")
             ckey, sign = canonicalize(key)
             if ckey != key:
                 raise ValueError(f"non-canonical key {key}")
@@ -232,7 +241,7 @@ class MultiMap(Frozen):
                     raise ValueError(f"key {key} has output degree outside the grading")
                 continue
             val = tuple(map(rational, val))
-            if len(val) != self.space.dims[od]:
+            if len(val) != dims[od]:
                 raise ValueError(f"value for {key} has wrong length")
             if not vis_zero(val):
                 clean[key] = val
@@ -325,44 +334,28 @@ class MultiMap(Frozen):
         from .linalg import Matrix
         if self.arity != 1:
             raise ValueError("as_matrix needs arity 1")
-        od = d + self.weight
         dims = self.space.dims
-        if not (0 <= od <= self.space.top_degree):
+        if (od := self.output_degree(((d, 0),))) is None:
             return Matrix.zeros(0, dims[d])
         return Matrix.from_action(lambda e: self.eval_blocks([(d, e)]), dims[d], dims[od])
 
 
 def build_multimap(arity: int, weight: int, space: GradedSpace,
                    raw: Iterable[tuple[Key, Sequence]]) -> MultiMap:
-    """Canonicalize raw (tuple -> output block) entries into a MultiMap.
+    """Fold raw (tuple -> output block) entries onto canonical keys into a MultiMap.
 
     Raw tuples may come in any argument order; each is folded onto its
-    canonical representative with the appropriate chi sign.  Two raw entries
-    landing on the same canonical key must agree after sign adjustment.
+    canonical representative with its chi sign (``canonicalize``), and two raw
+    entries landing on the same canonical key must agree after that.  An
+    entry whose sign is 0 keeps its value, and ``MultiMap``, which decides
+    every other rule of an entry, refuses it unless it is zero.
     """
     acc: dict[Key, Vector] = {}
     for key, val in raw:
-        key = tuple((int(d), int(i)) for d, i in key)
-        if len(key) != arity:
-            raise ValueError(f"key {key} has wrong arity")
-        for d, i in key:
-            if not (0 <= d <= space.top_degree) or not (0 <= i < space.dims[d]):
-                raise ValueError(f"basis element {(d, i)} outside the space")
-        od = sum(d for d, _ in key) + weight
-        ckey, sign = canonicalize(key)
-        if sign == 0 or not (0 <= od <= space.top_degree):
-            if not vis_zero(map(rational, val)):
-                raise ContradictionError(f"entry on {key} is forced to zero by antisymmetry")
-            continue
-        block = tuple(map(rational, val))
-        if len(block) != space.dims[od]:
-            raise ValueError(f"output block for {key} has wrong length")
-        canon_val = vscale(sign, block)  # value on ckey implied by this entry
-        if ckey in acc:
-            if acc[ckey] != canon_val:
-                raise ContradictionError(f"contradictory entries on canonical key {ckey}")
-        else:
-            acc[ckey] = canon_val
+        ckey, sign = canonicalize(tuple((int(d), int(i)) for d, i in key))
+        val = vscale(sign or 1, map(rational, val))  # the value on ckey this entry implies
+        if acc.setdefault(ckey, val) != val:
+            raise ContradictionError(f"contradictory entries on canonical key {ckey}")
     return MultiMap(arity, weight, space, acc)
 
 

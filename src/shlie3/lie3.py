@@ -47,7 +47,7 @@ from collections.abc import Iterable, Sequence
 from .graded import GradedSpace, canonicalize, check_signatures
 from .lincat import Cell, ComposabilityError, LinearNCat
 from .linalg import Frozen, Vector, combine, compose, contract, dense, narrow, vadd, vzero
-from .linfinity import LInfinityData, accumulate_residual, check_all, is_special
+from .linfinity import LInfinityData, accumulate_residual, check_all, is_special, special_witness
 from .report import Collector, Report
 
 
@@ -68,13 +68,10 @@ class Lie3Data(Frozen):
             raise ValueError("the bracket calculus needs a linear 2-category")
         check_signatures(self.cat.space, (("bracket_constants", self.bracket_constants, 2, 0),
                                           ("J", self.J, 3, 1), ("mu", self.mu, 4, 2)))
-        for key, _ in self.bracket_constants.entries():
-            if key[0][0] == 1 and key[1][0] == 1:
-                raise ValueError("bracket constants must vanish on V1 x V1")
-        for name, m in (("J", self.J), ("mu", self.mu)):
-            for key, _ in m.entries():
-                if any(d != 0 for d, _ in key):
-                    raise ValueError(f"{name} is defined on degree-0 tuples only")
+        # J's keys off degree-0 triples have total degree 1; mu's are all degree 0
+        if key := special_witness(self.bracket_constants, self.J):
+            raise ValueError("bracket constants must vanish on V1 x V1" if len(key) == 2
+                             else "J is defined on degree-0 tuples only")
 
     @property
     def space(self) -> GradedSpace:
@@ -117,10 +114,10 @@ class Lie3Data(Frozen):
     @functools.cached_property
     def _J_factors(self) -> tuple[list, list, dict]:
         """eta's and eps's factors above V0: J's constants and the bracket,
-        each with the other in argument k (``Jb[k]``, ``bJ[k]``), and the sum
-        of eta's factors after [J_xyz, 1_u]."""
+        each with the other in argument k (``Jb[k]``, k < 2, and ``bJ[k]``),
+        and the sum of eta's factors after [J_xyz, 1_u]."""
         br, v0, J = self._bracket_table, _below(self.cat.offsets[1]), self.cat.flat_table(self.J)
-        Jb, bJ = [compose(J, br, k, v0) for k in range(3)], [compose(br, J, k, v0) for k in range(2)]
+        Jb, bJ = [compose(J, br, k, v0) for k in range(2)], [compose(br, J, k, v0) for k in range(2)]
         return Jb, bJ, combine((1, Jb[0], (0, 2, 1, 3)), (1, Jb[1]),
                                (1, bJ[0], (0, 2, 3, 1)), (1, bJ[1]))
 
@@ -129,8 +126,9 @@ class Lie3Data(Frozen):
         """eta and eps of ``eta_epsilon`` on basis quadruples, each first factor in full."""
         br, Jt, v0 = self._bracket_table, self._J_table, _below(self.cat.offsets[1])
         Jb, bJ, eta_rest = self._J_factors
+        Jb2 = compose(self.cat.flat_table(self.J), br, 2, v0)  # only eps has it
         eps = combine((1, compose(Jt, br, 0, v0)), (1, bJ[0], (0, 1, 3, 2)),
-                      (1, Jb[1], (0, 1, 3, 2)), (1, Jb[0], (0, 3, 1, 2)), (1, Jb[2]))
+                      (1, Jb[1], (0, 1, 3, 2)), (1, Jb[0], (0, 3, 1, 2)), (1, Jb2))
         return combine((1, compose(br, Jt, 0, v0)), (1, eta_rest)), eps
 
     @functools.cached_property

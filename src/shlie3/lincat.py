@@ -12,8 +12,10 @@ calculus is the component arithmetic
 with the last line only defined on p-composable pairs.  With these formulas
 each category axiom (globularity, the boundaries and units, associativity,
 interchange) is an identity of the components: s is a slice, 1 pads zeros
-and o_p adds above p.  The one condition left, t o t = 0, is what
-``LinearNCat`` checks when it is constructed.
+and o_p adds above p.  The one condition left, t o t = 0, is the d o d = 0
+of the complex ``to_chain``, which ``ChainComplexT`` decides when a
+``LinearNCat`` is constructed; ``graded.check_signatures`` decides that t
+is an arity-1, weight -1 map on the kernel spaces.
 
 Each map is implemented once, on flat coordinates: a level-m cell is a
 tuple over L_m in which V_i occupies ``offsets[i]:offsets[i + 1]``
@@ -31,7 +33,7 @@ import itertools
 from collections.abc import Sequence
 
 from .chain import ChainComplexT
-from .graded import GradedSpace, MultiMap, build_multimap
+from .graded import GradedSpace, MultiMap, build_multimap, check_signatures
 from .linalg import Frozen, Matrix, Vector, dense, hstack, rational, vadd, vscale, vzero
 
 
@@ -79,17 +81,14 @@ class LinearNCat(Frozen):
     __slots__ = (*_fields, "offsets", "t_table")
 
     def __post_init__(self):
-        if self.t_data.space != self.space or self.t_data.arity != 1 or self.t_data.weight != -1:
-            raise ValueError("t_data must be an arity-1 weight -1 map on the same space")
+        check_signatures(self.space, (("t_data", self.t_data, 1, -1),))
         o = (0, *itertools.accumulate(self.space.dims))
         object.__setattr__(self, "offsets", o)
         t = self.flat_table(self.t_data)
         object.__setattr__(self, "t_table", tuple(
             {**{(i,): ((i, 1),) for i in range(o[m])},
              **{k: v for k, v in t.items() if o[m] <= k[0] < o[m + 1]}} for m in range(self.n + 1)))
-        for m in range(2, self.n + 1):
-            if not (self.t_matrix(m - 1) @ self.t_matrix(m)).is_zero():
-                raise ValueError("t o t != 0: globular condition violated")
+        to_chain(self)  # ChainComplexT refuses t o t != 0
 
     @property
     def n(self) -> int:

@@ -9,9 +9,9 @@ weights -1..2.  The generalized Jacobi identity of order n is
 and is checked exhaustively on canonical basis tuples; multilinearity makes
 that complete.  As l_k has weight k - 2, the residual on degrees d_1..d_n
 lies in degree sum(d_i) + n - 3; tuples where that is outside 0..2 are zero
-and skipped.  All residuals are exact rational vectors.  Checks return the
-shared ``report.Report``; a failure's witness is the basis tuple and its
-residual the degree sum(d_i) + n - 3 block of the left-hand side.
+for every structure and not compared.  Residuals are exact rational vectors.
+Checks return the shared ``report.Report``; a failure's witness is the basis
+tuple and its residual the degree sum(d_i) + n - 3 block of the left side.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .graded import GradedSpace, MultiMap, check_signatures
+from .graded import GradedSpace, MultiMap, canonicalize, check_signatures
 from .linalg import Frozen, dense, vzero
 from .report import Collector, Report
 
@@ -65,9 +65,6 @@ def accumulate_residual(data: LInfinityData, key: Key, terms: dict, coeff, out: 
     caches each degree pattern's shuffle signs, positions and bracket tables
     (``MultiMap.table``), whose inner outputs are keys of the outer one."""
     n, degrees = len(key), tuple(d for d, _ in key)
-    r = sum(degrees) + n - 3
-    if not 0 <= r <= data.space.top_degree:
-        return r  # every term lands outside the grading
     if degrees not in terms:
         terms[degrees] = [
             (sign, i, pos, data.bracket(i).table(), data.bracket(n + 1 - i).table())
@@ -78,16 +75,7 @@ def accumulate_residual(data: LInfinityData, key: Key, terms: dict, coeff, out: 
         for a, c in li.get(perm[:i], ()):
             for (_, b), v in lj.get((a,) + perm[i:], ()):
                 out[b] = out.get(b, 0) + sign * coeff * c * v
-    return r
-
-
-def _canonical_tuples(space: GradedSpace, n: int):
-    """Basis tuples in canonical order; repeated even-degree entries are skipped
-    since the residual is graded antisymmetric."""
-    for key in itertools.combinations_with_replacement(space.basis(), n):
-        if any(a == b and a[0] % 2 == 0 for a, b in zip(key, key[1:])):
-            continue
-        yield key
+    return sum(degrees) + n - 3
 
 
 def degree_tag(n: int, key: Key) -> str:
@@ -95,22 +83,22 @@ def degree_tag(n: int, key: Key) -> str:
 
 
 def check_condition(data: LInfinityData, n: int) -> Report:
-    """Exhaustive order-n check over canonical basis tuples.
+    """Exhaustive order-n check over the sorted basis tuples on which
+    ``graded.canonicalize`` does not force the residual to zero.
 
-    Tuples whose residual degree sum(d_i) + n - 3 lies outside 0..2 (for
-    n > 5, all of them) are zero by construction: skipped, but still listed
-    in ``checked``.
+    Only tuples whose residual degree sum(d_i) + n - 3 lies in 0..2 are
+    compared and listed in ``checked``: on the others every term lands
+    outside the grading (for n > 5, on every tuple).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     terms: dict = {}
     col = Collector(f"order-{n}")
-    dims, top = data.space.dims, data.space.top_degree
-    for key in _canonical_tuples(data.space, n):
-        res: dict = {}
-        r = accumulate_residual(data, key, terms, 1, res)
-        dim = dims[r] if 0 <= r <= top else 0
-        col.compare(degree_tag(n, key), key, dense(dim, res.items()), vzero(dim))
+    for key in itertools.combinations_with_replacement(data.space.basis(), n):
+        if 0 <= sum(d for d, _ in key) + n - 3 <= data.space.top_degree and canonicalize(key)[1]:
+            res: dict = {}
+            dim = data.space.dims[accumulate_residual(data, key, terms, 1, res)]
+            col.compare(degree_tag(n, key), key, dense(dim, res.items()), vzero(dim))
     return col.report()
 
 
@@ -118,12 +106,15 @@ def check_all(data: LInfinityData, n_max: int = 5) -> list[Report]:
     return [check_condition(data, n) for n in range(1, n_max + 1)]
 
 
+def special_witness(l2: MultiMap, l3: MultiMap) -> Key | None:
+    """The first key (l2's, then l3's, in sorted order) that stops the
+    brackets from being special: l2 nonzero on V1 x V1, or l3 nonzero on a
+    triple of total degree 1; None when there is none."""
+    return next(itertools.chain((k for k, _ in l2.entries() if k[0][0] == k[1][0] == 1),
+                                (k for k, _ in l3.entries() if sum(d for d, _ in k) == 1)), None)
+
+
 def is_special(data: LInfinityData) -> tuple[bool, Key | None]:
-    """True iff l2 vanishes on V1 x V1 and l3 on triples of total degree 1."""
-    for key, _ in data.l2.entries():
-        if key[0][0] == 1 and key[1][0] == 1:
-            return False, key
-    for key, _ in data.l3.entries():
-        if sum(d for d, _ in key) == 1:
-            return False, key
-    return True, None
+    """True iff l2 vanishes on V1 x V1 and l3 on triples of total degree 1
+    (``special_witness``), with the offending key otherwise."""
+    return (witness := special_witness(data.l2, data.l3)) is None, witness

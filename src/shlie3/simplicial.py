@@ -274,7 +274,9 @@ def ez(S: SimplicialVS, T: SimplicialVS, setup: tuple | None = None) -> ChainMap
     (mu, nu) of {0..p+q-1} of s_{nu_q}..s_{nu_1} a (x) s_{mu_p}..s_{mu_1} b,
     so the (p, q) block is the same signed sum of Kronecker products of the
     degeneracy chains applied to the two Moore bases.  ``setup`` is
-    ``_tensor_setup(S, T)`` when the caller has built it (``ez_aw``).
+    ``_tensor_setup(S, T)`` when the caller has built it (``ez_aw``).  The
+    map is returned unchecked: ``ChainMapT.is_chain_map`` decides whether it
+    is a chain map (the ``ez-demo`` report's check).
     """
     ST, bS, bT, bST, CST, prod, layout = setup or _tensor_setup(S, T)
     maps = []
@@ -294,10 +296,7 @@ def ez(S: SimplicialVS, T: SimplicialVS, setup: tuple | None = None) -> ChainMap
         if X is None:
             raise ValueError("shuffle image is not normalized")
         maps.append(X)
-    f = ChainMapT(prod, CST, tuple(maps))
-    if not f.is_chain_map():
-        raise AssertionError("shuffle map failed the chain-map property")
-    return f
+    return ChainMapT(prod, CST, tuple(maps))
 
 
 def _degenerate_basis(S: SimplicialVS, n: int) -> list[Vector]:
@@ -323,7 +322,8 @@ def aw(S: SimplicialVS, T: SimplicialVS, setup: tuple | None = None) -> ChainMap
 
     a (x) b in degree n goes to the sum over p+q=n of
     (d_{p+1}..d_n a) (x) (d_0^p b), each factor projected to the
-    normalized subspace along the degenerate one.  ``setup`` is as in ``ez``.
+    normalized subspace along the degenerate one.  ``setup`` is as in ``ez``,
+    and the map is returned unchecked, as there.
     """
     ST, bS, bT, bST, CST, prod, layout = setup or _tensor_setup(S, T)
     degrees = {k for blocks in layout for pq in blocks for k in pq}  # each projected once
@@ -343,10 +343,7 @@ def aw(S: SimplicialVS, T: SimplicialVS, setup: tuple | None = None) -> ChainMap
             blocks.append((PS[p] @ front).kron(PT[q] @ back))
         big = vstack(blocks) if blocks else Matrix.zeros(prod.dim(n), ST.dim(n))
         maps.append(big @ BST)
-    f = ChainMapT(CST, prod, tuple(maps))
-    if not f.is_chain_map():
-        raise AssertionError("front-face map failed the chain-map property")
-    return f
+    return ChainMapT(CST, prod, tuple(maps))
 
 
 def aw_after_ez_identity(f: ChainMapT, g: ChainMapT) -> bool:
@@ -361,10 +358,11 @@ def aw_after_ez_identity(f: ChainMapT, g: ChainMapT) -> bool:
     return True
 
 
-def aw_ez_homology_check(f: ChainMapT, g: ChainMapT, max_degree: int = 3) -> bool:
-    """The ez-then-aw round trip induces the identity on homology of f.target."""
+def aw_ez_homology_check(f: ChainMapT, g: ChainMapT) -> bool:
+    """The ez-then-aw round trip induces the identity on homology of f.target,
+    in every degree of it."""
     C = f.target
-    for n in range(min(C.top_degree, max_degree) + 1):
+    for n in range(C.top_degree + 1):
         induced, eye = induced_on_homology(C, n, f.level(n) @ g.level(n))
         if induced != eye:
             return False

@@ -159,7 +159,7 @@ def test_criterion_7_simplicial_layer():
             ok = False
         if not aw_after_ez_identity(f, g):
             ok = False
-        if not aw_ez_homology_check(f, g, max_degree=3):
+        if not aw_ez_homology_check(f, g):
             ok = False
     report("7 simplicial layer (nerve normalization, shuffle/front-face maps)", ok)
 

@@ -120,6 +120,19 @@ def test_multimap_even_square_contradiction():
         build_multimap(2, 0, V, [((((0, 0), (0, 0))), (Q(1), Q(0)))])
 
 
+def test_multimap_refuses_out_of_range_and_wrong_arity_keys():
+    """``MultiMap`` decides every rule of an entry, so a direct construction
+    refuses a basis index outside the space and a key of the wrong length;
+    ``build_multimap``, which only folds, hands them on to it."""
+    V = GradedSpace((2, 1, 1))
+    for coeffs, message in (({((0, 0), (0, 99)): (1, 0)}, r"basis element \(0, 99\) outside"),
+                            ({((0, 0),): (1, 0)}, r"key \(\(0, 0\),\) has wrong arity")):
+        with pytest.raises(ValueError, match=message):
+            MultiMap(2, 0, V, coeffs)
+        with pytest.raises(ValueError, match=message):
+            build_multimap(2, 0, V, coeffs.items())
+
+
 def test_build_multimap_folds_reordered_entries():
     V = GradedSpace((3, 1, 1))
     raw = [((((0, 1), (0, 0))), (Q(0), Q(0), Q(-2)))]

@@ -132,9 +132,10 @@ def test_cell_tables_built_lazily_once_per_structure(monkeypatch, tmp_path):
     composites eta and eps, and only the coherence check the tables
     restricted above V0 and the coherence plan.  On a fresh structure,
     ``check_coherence`` and the coherence command build only what the chains
-    read: the bracket table (one compose, its t-term) and J's five factors
-    (one compose each), not the nested brackets, the Jacobiator and
-    Identiator tables or eta and eps."""
+    read: the bracket table (one compose, its t-term) and J's four factors
+    above V0 that eta has (one compose each), not the nested brackets, the
+    Jacobiator and Identiator tables, eta and eps, or eps's factor with the
+    bracket in J's third argument."""
     tables = ("_bracket_table", "_nested", "_J_table", "_J_factors", "_mu_table", "_eta_eps",
               "_above_v0", "_coherence_plan")
     D = glambda_cat()
@@ -172,7 +173,7 @@ def test_cell_tables_built_lazily_once_per_structure(monkeypatch, tmp_path):
         calls.clear()
         assert run()
         assert not unread & vars(fresh[-1]).keys() and "_coherence_plan" in vars(fresh[-1])
-        assert len(calls) == len(set(calls)) == 6
+        assert len(calls) == len(set(calls)) == 5
     assert len(fresh) == 2
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from shlie3 import cli, simplicial
-from shlie3.chain import ChainComplexT
+from shlie3.chain import ChainComplexT, ChainMapT
 from shlie3.linalg import Matrix, vis_zero
 from shlie3.lincat import TensorCat, from_chain, tensor_product
 from shlie3.simplicial import (SimplicialVS, aw, aw_after_ez_identity,
@@ -129,6 +129,38 @@ def test_ez_aw_chain_maps_and_roundtrips():
         assert f.is_chain_map() and g.is_chain_map()
         assert aw_after_ez_identity(f, g)
         assert aw_ez_homology_check(f, g)
+
+
+def test_ez_demo_reports_a_shuffle_map_that_is_not_a_chain_map(monkeypatch, tmp_path, capsys):
+    """``ez`` returns its map unchecked, and the ``ez-demo`` report decides the
+    chain-map property: a shuffle map bent off it (its degree-1 level
+    doubled) prints a FAIL line and exits 1."""
+    built = []
+
+    def bent(source, target, maps):
+        if not built:  # the first map that ez-demo builds is the shuffle map
+            maps = (maps[0], maps[1] + maps[1], *maps[2:])
+        built.append(ChainMapT(source, target, maps))
+        return built[-1]
+    monkeypatch.setattr(simplicial, "ChainMapT", bent)
+    p = tmp_path / "chain.json"
+    p.write_text(render_chain(rand_chain2(random.Random(11), (2, 1))))
+    assert cli.main(["ez-demo", str(p), "--trunc", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "shuffle-map-is-chain-map: FAIL" in out and "front-face-map-is-chain-map: PASS" in out
+    assert len(built) == 2
+
+
+def test_homology_roundtrip_checks_every_degree(monkeypatch, tmp_path):
+    """``aw_ez_homology_check`` examines each degree of the truncation, 0..4
+    at --trunc 4."""
+    degrees, real = [], simplicial.induced_on_homology
+    monkeypatch.setattr(simplicial, "induced_on_homology",
+                        lambda C, n, f: degrees.append(n) or real(C, n, f))
+    p = tmp_path / "chain.json"
+    p.write_text(render_chain(rand_chain2(random.Random(11), (1, 1))))
+    assert cli.main(["ez-demo", str(p), "--trunc", "4"]) == 0
+    assert degrees == [0, 1, 2, 3, 4]
 
 
 def test_each_moore_basis_is_computed_once(monkeypatch, tmp_path, capsys):
