@@ -33,12 +33,11 @@ class ChainComplexT(Frozen):
         return len(self.dims) - 1
 
     def diff(self, n: int) -> Matrix:
-        """Differential C_n -> C_{n-1} (zero matrix outside 1..N)."""
+        """Differential C_n -> C_{n-1} (the dim C_{n-1} x dim C_n zero matrix
+        outside 1..N)."""
         if 1 <= n <= self.top_degree:
             return self.diffs[n - 1]
-        if n == self.top_degree + 1:
-            return Matrix.zeros(self.dims[self.top_degree], 0)
-        return Matrix.zeros(0, 0)
+        return Matrix.zeros(self.dim(n - 1), self.dim(n))
 
     def dim(self, n: int) -> int:
         return self.dims[n] if 0 <= n <= self.top_degree else 0
@@ -105,13 +104,9 @@ def homology_data(C: ChainComplexT, n: int):
     Returns (reps, ker_basis, im_basis) where reps are cycle vectors whose
     classes form a basis of H_n.
     """
-    dn = C.diff(n)
     if C.dim(n) == 0:
         return [], [], []
-    if dn.nrows == 0:
-        ker = Matrix.eye(C.dim(n)).cols()
-    else:
-        ker = dn.nullspace()
+    ker = C.diff(n).nullspace()
     dnp = C.diff(n + 1)
     im = dnp.cols()
     # coordinates of the image in the kernel basis: they exist as d o d = 0

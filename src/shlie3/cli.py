@@ -71,14 +71,24 @@ def _load(path: str) -> AlgebraSpecFile:
     return parse_spec(text)
 
 
+def _verdict(command: str, checks: list[dict], **fields) -> tuple[dict, int]:
+    """A command's report and exit code: it passes, and exits 0, iff each of
+    its checks passes."""
+    ok = all(c["passed"] for c in checks)
+    return {"command": command, "checks": checks, "passed": ok, **fields}, 0 if ok else 1
+
+
+def _truncated_category(C: ChainComplexT):
+    """The 2-term category of C's degrees 0 and 1."""
+    return from_chain(ChainComplexT(C.dims[:2], (C.diff(1),)))
+
+
 def _two_term_category(spec: AlgebraSpecFile):
     expect_kind(spec, "chain")
     C = build(spec)
     if C.top_degree < 1 or any(d != 0 for d in C.dims[2:]):
         raise SpecError("this command needs a two-term complex", "$.dims")
-    if C.top_degree > 1:
-        C = ChainComplexT(C.dims[:2], (C.diff(1),))
-    return from_chain(C)
+    return _truncated_category(C)
 
 
 def cmd_check(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
@@ -90,8 +100,7 @@ def cmd_check(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
                                  check_identiator(D), check_coherence(D)))
     else:
         raise SpecError(f"check does not apply to kind {spec.kind!r}", "$.kind")
-    ok = all(c["passed"] for c in checks)
-    return {"command": "check", "checks": checks, "passed": ok}, 0 if ok else 1
+    return _verdict("check", checks)
 
 
 def cmd_convert(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
@@ -140,36 +149,28 @@ def cmd_coherence(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
                        "v2_residual": _rats(v2),
                        "order5_residual": _rats(v2 if gap is None else vsub(v2, gap)),
                        "order5_agreement": gap is None})
-    return {"command": "coherence", "checks": checks, "passed": rep.passed,
-            "order5_agreement": all(c["order5_agreement"] for c in checks)}, 0 if rep.passed else 1
+    return _verdict("coherence", checks,
+                    order5_agreement=all(c["order5_agreement"] for c in checks))
 
 
 def cmd_nerve(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     L = _two_term_category(spec)
     S = nerve(L, args.trunc)
-    C = moore(S)
-    ok = moore_of_nerve_check(L, S)
-    rep = {"command": "nerve",
-           "checks": [{"name": "normalization-recovers-kernel-complex", "passed": ok}],
-           "simplex_dims": list(S.dims), "normalized_dims": list(C.dims),
-           "passed": ok}
-    return rep, 0 if ok else 1
+    return _verdict("nerve", [{"name": "normalization-recovers-kernel-complex",
+                               "passed": moore_of_nerve_check(L, S)}],
+                    simplex_dims=list(S.dims), normalized_dims=list(moore(S).dims))
 
 
 def cmd_ez_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     L = _two_term_category(spec)
     S = nerve(L, args.trunc)
     f, g = ez_aw(S, S)
-    roundtrip = aw_after_ez_identity(f, g)
-    homology = aw_ez_homology_check(f, g)
-    checks = [
+    return _verdict("ez-demo", [
         {"name": "shuffle-map-is-chain-map", "passed": f.is_chain_map()},
         {"name": "front-face-map-is-chain-map", "passed": g.is_chain_map()},
-        {"name": "roundtrip-identity-on-tensor", "passed": roundtrip},
-        {"name": "roundtrip-identity-on-homology", "passed": homology},
-    ]
-    ok = all(c["passed"] for c in checks)
-    return {"command": "ez-demo", "checks": checks, "passed": ok}, 0 if ok else 1
+        {"name": "roundtrip-identity-on-tensor", "passed": aw_after_ez_identity(f, g)},
+        {"name": "roundtrip-identity-on-homology", "passed": aw_ez_homology_check(f, g)},
+    ])
 
 
 def cmd_obstruction_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
@@ -181,14 +182,11 @@ def cmd_obstruction_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
         {"name": "compose-tensor-identity", "passed": rep.compose_tensor_identity_holds},
         {"name": "obstruction-as-expected", "passed": expected},
     ]
-    out = {"command": "obstruction-demo", "checks": checks,
-           "obstructed": rep.obstructed, "kernel_dim": rep.kernel_dim,
-           "message": rep.message,
-           "passed": all(c["passed"] for c in checks)}
-    if rep.witness_index is not None:
-        out["witness_index"] = list(rep.witness_index)
-        out["witness_difference"] = _rats(rep.witness_difference)
-    return out, 0 if out["passed"] else 1
+    witness = {} if rep.witness_index is None else {
+        "witness_index": list(rep.witness_index),
+        "witness_difference": _rats(rep.witness_difference)}
+    return _verdict("obstruction-demo", checks, obstructed=rep.obstructed,
+                    kernel_dim=rep.kernel_dim, message=rep.message, **witness)
 
 
 def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
@@ -202,19 +200,12 @@ def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
         C = build(spec)
         checks = [{"name": "boundary-squares-to-zero", "passed": True}]
         if C.top_degree >= 1:
-            L = from_chain(ChainComplexT(C.dims[:2], (C.diff(1),)))
+            L = _truncated_category(C)
             checks.append({"name": "normalization-recovers-kernel-complex",
                            "passed": moore_of_nerve_check(L, nerve(L, args.trunc))})
-        rep = {"command": "report", "checks": checks, "dims": list(C.dims)}
-    else:
-        S = build(spec)
-        C = moore(S)
-        rep = {"command": "report",
-               "checks": [{"name": "simplicial-identities", "passed": True}],
-               "normalized_dims": list(C.dims)}
-    ok = all(c["passed"] for c in rep["checks"])
-    rep["passed"] = ok
-    return rep, 0 if ok else 1
+        return _verdict("report", checks, dims=list(C.dims))
+    return _verdict("report", [{"name": "simplicial-identities", "passed": True}],
+                    normalized_dims=list(moore(build(spec)).dims))
 
 
 COMMANDS = {

@@ -224,7 +224,7 @@ class MultiMap(Frozen):
         clean: dict[Key, Vector] = {}
         for key, val in (self.coeffs or {}).items():
             if len(key) != self.arity:
-                raise ValueError(f"key {key} has wrong arity")
+                raise ValueError(f"key {key} has wrong arity {len(key)}, expected {self.arity}")
             for d, i in key:
                 if not (0 <= d < len(dims) and 0 <= i < dims[d]):
                     raise ValueError(f"basis element {(d, i)} outside the space")
@@ -242,7 +242,7 @@ class MultiMap(Frozen):
                 continue
             val = tuple(map(rational, val))
             if len(val) != dims[od]:
-                raise ValueError(f"value for {key} has wrong length")
+                raise ValueError(f"value for {key} has wrong length {len(val)}, expected {dims[od]}")
             if not vis_zero(val):
                 clean[key] = val
         object.__setattr__(self, "coeffs", clean)
@@ -303,30 +303,29 @@ class MultiMap(Frozen):
             object.__setattr__(self, "_table", table)
         return self._table
 
-    def eval_basis(self, key: Key) -> GradedVector:
-        if len(key) != self.arity:
-            raise ValueError(f"arity {self.arity} map applied to {len(key)} arguments")
-        return GradedVector.from_support(self.space, self.table().get(tuple(key), ()))
-
-    def eval(self, args: Sequence[GradedVector]) -> GradedVector:
+    def _contract(self, args: Sequence, support) -> list:
+        """The value's support on ``args``, each read by ``support`` into
+        (basis element, coefficient) pairs, once their number is checked."""
         if len(args) != self.arity:
             raise ValueError(f"arity {self.arity} map applied to {len(args)} arguments")
-        for a in args:
+        return contract(self.table(), *map(support, args))
+
+    def eval_basis(self, key: Key) -> GradedVector:
+        return GradedVector.from_support(self.space, self._contract(key, lambda b: ((b, 1),)))
+
+    def eval(self, args: Sequence[GradedVector]) -> GradedVector:
+        def support(a: GradedVector):
             if a.space != self.space:
                 raise ValueError("argument from a different graded space")
-        pairs = contract(self.table(), *(a.support() for a in args))
-        return GradedVector.from_support(self.space, pairs)
+            return a.support()
+        return GradedVector.from_support(self.space, self._contract(args, support))
 
     def eval_blocks(self, args: Sequence[tuple[int, Sequence]]) -> Vector:
         """Value on homogeneous arguments given as (degree, coordinate block)
         pairs: the output block, in degree sum of degrees + weight."""
-        if len(args) != self.arity:
-            raise ValueError(f"arity {self.arity} map applied to {len(args)} arguments")
-        od = self.output_degree(args)
-        if od is None:
+        pairs = self._contract(args, lambda arg: [((arg[0], i), c) for i, c in enumerate(arg[1]) if c])
+        if (od := self.output_degree(args)) is None:
             raise ValueError("output degree outside the grading")
-        pairs = contract(self.table(), *([((d, i), c) for i, c in enumerate(block) if c]
-                                         for d, block in args))
         return dense(self.space.dims[od], ((i, c) for (_, i), c in pairs))
 
     def as_matrix(self, d: int):

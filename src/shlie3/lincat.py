@@ -341,11 +341,3 @@ def tensor_product(L: LinearNCat, M: LinearNCat) -> TensorCat:
         raw.extend((((d, i),), X.col(i)) for i in range(X.ncols))
     cat = LinearNCat(space, build_multimap(1, -1, space, raw))
     return TensorCat(L, M, cat, tuple(lift), tuple(B.left_inverse() for B in lift))
-
-
-def product(L: LinearNCat, M: LinearNCat, mode: str) -> LinearNCat:
-    if mode == "cartesian":
-        return cartesian_product(L, M)
-    if mode == "tensor":
-        return tensor_product(L, M).cat
-    raise ValueError(f"unknown product mode {mode!r}")

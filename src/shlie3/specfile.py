@@ -12,7 +12,7 @@ import json
 import re
 
 from .chain import ChainComplexT
-from .graded import GradedSpace, MultiMap, build_multimap, ContradictionError
+from .graded import GradedSpace, MultiMap, build_multimap
 from .lie3 import Lie3Data
 from .lincat import LinearNCat
 from .linalg import Frozen, Matrix, rational
@@ -142,20 +142,13 @@ def _parse_entries(raw, dims: tuple[int, ...], path: str) -> list[tuple[tuple, l
 
 def _build_multimap(name: str, raw, dims: tuple[int, ...], path: str) -> MultiMap:
     arity, weight = ARITY_WEIGHT[name]
-    space = GradedSpace(dims)
     entries = _parse_entries(raw, dims, path)
-    for key, val in entries:
-        if len(key) != arity:
-            raise SpecError(f"{name} keys need {arity} arguments", path)
-        od = sum(d for d, _ in key) + weight
-        want = dims[od] if 0 <= od < len(dims) else 0
-        if len(val) != want:
-            raise SpecError(f"value length {len(val)}, expected {want}", path)
+    for key, val in entries:  # the format's own rule; MultiMap decides the rest
+        if val and not 0 <= sum(d for d, _ in key) + weight < len(dims):
+            raise SpecError(f"value length {len(val)}, expected 0", path)
     try:
-        return build_multimap(arity, weight, space, entries)
-    except ContradictionError as e:
-        raise SpecError(str(e), path) from None
-    except ValueError as e:
+        return build_multimap(arity, weight, GradedSpace(dims), entries)
+    except ValueError as e:  # ContradictionError too
         raise SpecError(str(e), path) from None
 
 

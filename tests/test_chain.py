@@ -19,6 +19,15 @@ def test_differential_ranges():
     assert C.dim(0) == 2 and C.dim(7) == 0
 
 
+def test_zero_differential_has_the_shape_of_its_degrees():
+    """Outside 1..N the differential is the dim C_{n-1} x dim C_n zero matrix,
+    so the kernel of d_0 is all of C_0, in unit vectors."""
+    C = ChainComplexT((2, 1), (Matrix([[1], [0]]),))
+    assert C.diff(0).shape == (0, C.dim(0))
+    assert C.diff(-1).shape == (0, 0) and C.diff(3).shape == (0, 0)
+    assert homology_data(C, 0)[1] == Matrix.eye(2).cols()
+
+
 def test_square_zero_enforced():
     d1 = Matrix([[1], [0]])
     d2 = Matrix([[1]])

@@ -202,13 +202,18 @@ def test_long_malformed_rational_is_echoed_short(tmp_path, capsys):
     ("lie3", {"l1": [{"key": [[1, 0]], "value": ["1", "0"]}, {"key": [[2, 0]], "value": ["1"]}]},
      "$.maps: d o d != 0 at degree 2"),
     ("linfinity", {"l2": [{"key": [[0, 1], [0, 1]], "value": ["1", "0"]}]},
-     "$.maps.l2: key ((0, 1), (0, 1)) is forced to zero")],
-    ids=["l2-on-V1xV1", "J-on-a-V1-index", "t-o-t-nonzero", "l2-on-a-repeated-even-element"])
+     "$.maps.l2: key ((0, 1), (0, 1)) is forced to zero"),
+    ("linfinity", {"l2": [{"key": [[0, 0]], "value": ["1", "0"]}]},
+     "$.maps.l2: key ((0, 0),) has wrong arity 1, expected 2"),
+    ("linfinity", {"l2": [{"key": [[0, 0], [0, 1]], "value": ["1"]}]},
+     "$.maps.l2: value for ((0, 0), (0, 1)) has wrong length 1, expected 2")],
+    ids=["l2-on-V1xV1", "J-on-a-V1-index", "t-o-t-nonzero", "l2-on-a-repeated-even-element",
+         "l2-key-of-wrong-arity", "l2-value-of-wrong-length"])
 def test_each_rule_refuses_with_its_one_message(tmp_path, capsys, kind, maps, message):
     """Each rule is decided in one place: the special conditions in
-    ``linfinity.special_witness``, t o t = 0 in ``ChainComplexT`` and the zero
-    rule of an entry in ``MultiMap``; a file that breaks one exits 2 with
-    that rule's message at its JSON path."""
+    ``linfinity.special_witness``, t o t = 0 in ``ChainComplexT`` and the
+    zero rule, arity and block length of an entry in ``MultiMap``; a file
+    that breaks one exits 2 with that rule's message at its JSON path."""
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({"kind": kind, "dims": [2, 1, 1], "maps": maps}))
     assert main(["check", str(p)]) == 2

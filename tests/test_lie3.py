@@ -295,6 +295,21 @@ def test_mu_perturbation_breaks_coherence_iff_order5():
     assert not check_condition(A2, 5).passed
 
 
+def test_coherence_v2_block_is_order5_lhs_on_invalid_data():
+    """The V2 block of the coherence residual is the order-5 left-hand side
+    on any data, not only on structures: on a random (5,1,1) sample, whose
+    bracket is not Lie, no ordering of five distinct 0-cells and no sorted
+    quintuple breaks ``order5-agreement``, while the V2 residual is live."""
+    rng = random.Random(5)
+    D = _with_random_constants(rng, from_linfinity(l1_only(rng, (5, 1, 1))), bracket=True)
+    tuples = [*itertools.permutations(range(5)),
+              *itertools.combinations_with_replacement(range(5), 5)]
+    rep = check_coherence(D, tuples=tuples)
+    assert all(f.identity != "order5-agreement" for f in rep.failures)
+    assert any(f.identity == "coherence" and any(f.residual[D.cat.level_dim(1):])
+               for f in rep.failures)
+
+
 def _with_bracket(dims, t_raw, l2_raw) -> Lie3Data:
     """The structure on dims with t and l2 from raw entries and J = mu = 0."""
     space = GradedSpace(dims)

@@ -9,7 +9,7 @@ from shlie3.graded import GradedSpace, MultiMap, build_multimap
 from shlie3.linalg import Matrix
 from shlie3.lincat import (ComposabilityError, LiftError, LinearNCat,
                            cartesian_product,
-                           from_chain, lift_functor, product,
+                           from_chain, lift_functor,
                            TensorCat, tensor_product, to_chain)
 
 from helpers import (SeedCat, basis_cell, chain_iso_invariants, flat, kernel_bases, rand_chain3,
@@ -163,7 +163,7 @@ def test_unit_category_tensor_is_neutral():
     rng = random.Random(23)
     L = rand_cat(rng, (2, 2, 1))
     K = unit_category(2)
-    T = product(L, K, "tensor")
+    T = tensor_product(L, K).cat
     assert chain_iso_invariants(T) == chain_iso_invariants(L)
 
 
@@ -205,11 +205,3 @@ def test_raw_to_cell_checks_span_membership():
         assert bad.raw_to_cell(m, basis[0]).components == kept[:m] + (kept[m][:-1],)
         with pytest.raises(ValueError, match="not in the component span"):
             bad.raw_to_cell(m, basis[-1])
-
-
-def test_product_mode_dispatch():
-    rng = random.Random(37)
-    L = rand_cat(rng, (1, 1, 0))
-    assert product(L, L, "cartesian").space.dims == (2, 2, 0)
-    with pytest.raises(ValueError):
-        product(L, L, "diagonal")
