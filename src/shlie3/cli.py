@@ -21,7 +21,7 @@ from .linalg import vsub, vzero
 from .linfinity import check_all, is_special
 from .simplicial import (aw_after_ez_identity, aw_ez_homology_check, ez_aw, moore,
                          moore_of_nerve_check, nerve, obstruction_demo)
-from .specfile import (AlgebraSpecFile, SpecError, build, expect_kind, parse_spec,
+from .specfile import (KINDS, AlgebraSpecFile, SpecError, build, parse_spec,
                        render_lie3, render_linfinity, render_rational)
 
 
@@ -84,7 +84,6 @@ def _truncated_category(C: ChainComplexT):
 
 
 def _two_term_category(spec: AlgebraSpecFile):
-    expect_kind(spec, "chain")
     C = build(spec)
     if C.top_degree < 1 or any(d != 0 for d in C.dims[2:]):
         raise SpecError("this command needs a two-term complex", "$.dims")
@@ -94,26 +93,23 @@ def _two_term_category(spec: AlgebraSpecFile):
 def cmd_check(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if spec.kind == "linfinity":
         checks = _render_checks(check_all(build(spec), args.n), "violations")
-    elif spec.kind == "lie3":
+    else:
         D = build(spec)
         checks = _render_checks((check_bifunctor(D), check_jacobiator(D),
                                  check_identiator(D), check_coherence(D)))
-    else:
-        raise SpecError(f"check does not apply to kind {spec.kind!r}", "$.kind")
     return _verdict("check", checks)
 
 
 def cmd_convert(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if args.to is None:
         raise SpecError("convert needs --to lie3|linfinity")
+    if args.to == spec.kind:
+        source = "linfinity" if args.to == "lie3" else "lie3"
+        raise SpecError(f"convert --to {args.to} needs a {source} file", "$.kind")
     try:
         if args.to == "lie3":
-            if spec.kind != "linfinity":
-                raise SpecError("convert --to lie3 needs a linfinity file", "$.kind")
             text = render_lie3(from_linfinity(build(spec)), spec.metadata)
         else:
-            if spec.kind != "lie3":
-                raise SpecError("convert --to linfinity needs a lie3 file", "$.kind")
             text = render_linfinity(to_linfinity(build(spec)), spec.metadata)
     except ConversionError as e:
         return {"command": "convert", "checks": [],
@@ -129,14 +125,12 @@ def cmd_convert(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 def cmd_coherence(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if spec.kind == "lie3":
         D = build(spec)
-    elif spec.kind == "linfinity":
+    else:
         try:
             D = from_linfinity(build(spec))
         except ConversionError as e:
             return {"command": "coherence", "checks": [],
                     "passed": False, "error": str(e)}, 1
-    else:
-        raise SpecError(f"coherence does not apply to kind {spec.kind!r}", "$.kind")
     rep = check_coherence(D)
     bad = {(f.identity, f.witness): f.residual for f in rep.failures}
     v1_end = D.cat.level_dim(1)
@@ -196,6 +190,7 @@ def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
         if spec.kind == "linfinity":
             rep["special"] = is_special(build(spec))[0]
         return rep, code
+    # the constructor refuses a file that would fail either constant check
     if spec.kind == "chain":
         C = build(spec)
         checks = [{"name": "boundary-squares-to-zero", "passed": True}]
@@ -208,14 +203,15 @@ def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
                     normalized_dims=list(moore(build(spec)).dims))
 
 
+# command: (handler, the kinds of file it takes)
 COMMANDS = {
-    "check": cmd_check,
-    "convert": cmd_convert,
-    "coherence": cmd_coherence,
-    "nerve": cmd_nerve,
-    "ez-demo": cmd_ez_demo,
-    "obstruction-demo": cmd_obstruction_demo,
-    "report": cmd_report,
+    "check": (cmd_check, ("linfinity", "lie3")),
+    "convert": (cmd_convert, ("linfinity", "lie3")),
+    "coherence": (cmd_coherence, ("linfinity", "lie3")),
+    "nerve": (cmd_nerve, ("chain",)),
+    "ez-demo": (cmd_ez_demo, ("chain",)),
+    "obstruction-demo": (cmd_obstruction_demo, ("chain",)),
+    "report": (cmd_report, KINDS),
 }
 
 
@@ -292,7 +288,10 @@ def main(argv=None) -> int:
             sys.stdout.write(USAGE)
             return 0
         spec = _load(args.file)
-        report, code = COMMANDS[args.command](spec, args)
+        handler, kinds = COMMANDS[args.command]
+        if spec.kind not in kinds:
+            raise SpecError(f"{args.command} does not apply to kind {spec.kind!r}", "$.kind")
+        report, code = handler(spec, args)
         if report is not None:
             _emit(report, args.format, args.out if args.command != "convert" else None)
     except (SpecError, OSError) as e:

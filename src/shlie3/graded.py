@@ -160,11 +160,7 @@ class Permutation(Frozen):
         return Permutation(tuple(inv))
 
     def sign(self) -> int:
-        s = 1
-        for a, b in itertools.combinations(self.images, 2):
-            if a > b:
-                s = -s
-        return s
+        return koszul_chi(self, (0,) * self.size)
 
 
 def koszul_chi(sigma: Permutation, degrees: Sequence[int]) -> int:

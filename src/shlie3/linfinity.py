@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .graded import GradedSpace, MultiMap, canonicalize, check_signatures
+from .graded import GradedSpace, MultiMap, Permutation, canonicalize, check_signatures, koszul_chi
 from .linalg import Frozen, dense, vzero
 from .report import Collector, Report
 
@@ -51,12 +51,12 @@ class LInfinityData(Frozen):
 def _shuffle_terms(n: int, degrees: tuple[int, ...]) -> tuple:
     """(sign, i, positions) of the shuffle terms of order n on these degrees.
     An (i, n-i)-shuffle lists the 0-based positions ``first``, then the rest;
-    its chi flips once per inverted pair unless both degrees are odd."""
-    return tuple(((-1) ** (i * (n - i) + sum(not degrees[a] & degrees[b] & 1
-                                              for a in first for b in range(a) if b not in first)),
-                  i, first + tuple(p for p in range(n) if p not in first))
-                 for i in range(max(1, n - 3), min(n, 4) + 1)
-                 for first in itertools.combinations(range(n), i))
+    its sign is (-1)^(i(n-i)) times the ``koszul_chi`` of that unshuffle."""
+    shuffles = [(i, first + tuple(p for p in range(n) if p not in first))
+                for i in range(max(1, n - 3), min(n, 4) + 1)
+                for first in itertools.combinations(range(n), i)]
+    return tuple(((-1) ** (i * (n - i)) * koszul_chi(Permutation([p + 1 for p in pos]), degrees),
+                  i, pos) for i, pos in shuffles)
 
 
 def accumulate_residual(data: LInfinityData, key: Key, terms: dict, coeff, out: dict) -> int:

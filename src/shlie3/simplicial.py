@@ -10,6 +10,7 @@ import itertools
 from collections.abc import Callable, Sequence
 
 from .chain import ChainComplexT, ChainMapT, induced_on_homology, tensor_complex
+from .graded import Permutation
 from .lincat import LinearNCat, NFunctor, TensorCat, tensor_product
 from .linalg import Frozen, Matrix, Vector, hstack, vis_zero, vstack, vsub
 
@@ -240,11 +241,6 @@ def tensor_svs(S: SimplicialVS, T: SimplicialVS) -> SimplicialVS:
                                   lambda n, i: S.s(n, i).kron(T.s(n, i)))
 
 
-def _shuffle_sign(mu: Sequence[int], nu: Sequence[int]) -> int:
-    """(-1) to the number of inversions of the shuffle (mu, nu)."""
-    return -1 if sum(a > b for a in mu for b in nu) % 2 else 1
-
-
 def _degeneracies(S: SimplicialVS, B: Matrix, level: int, indices: Sequence[int]) -> Matrix:
     """s_{indices[-1]} .. s_{indices[0]} applied to the level-``level`` columns of B."""
     for k, i in enumerate(indices):
@@ -289,7 +285,7 @@ def ez(S: SimplicialVS, T: SimplicialVS, setup: tuple | None = None) -> ChainMap
             for mu in itertools.combinations(range(n), p):
                 nu = tuple(k for k in range(n) if k not in mu)
                 term = _degeneracies(S, BS, p, nu).kron(_degeneracies(T, BT, q, mu))
-                block = block + term if _shuffle_sign(mu, nu) > 0 else block - term
+                block = block + term if Permutation([k + 1 for k in mu + nu]).sign() > 0 else block - term
             blocks.append(block)
         cols = hstack(blocks) if blocks else Matrix.zeros(ST.dim(n), 0)
         X = Matrix.from_cols(bST[n], nrows=ST.dim(n)).solve_matrix(cols)

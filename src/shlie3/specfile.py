@@ -17,15 +17,13 @@ from .lie3 import Lie3Data
 from .lincat import LinearNCat
 from .linalg import Frozen, Matrix, rational
 from .linfinity import LInfinityData
+from .simplicial import SimplicialVS
 
 KINDS = ("linfinity", "lie3", "chain", "simplicial")
+# the k-th map of a three-term kind has arity k and weight k - 2
 MAP_KEYS = {
     "linfinity": ("l1", "l2", "l3", "l4"),
     "lie3": ("l1", "bracket", "J", "mu"),
-}
-ARITY_WEIGHT = {
-    "l1": (1, -1), "l2": (2, 0), "l3": (3, 1), "l4": (4, 2),
-    "bracket": (2, 0), "J": (3, 1), "mu": (4, 2),
 }
 
 
@@ -140,14 +138,13 @@ def _parse_entries(raw, dims: tuple[int, ...], path: str) -> list[tuple[tuple, l
     return out
 
 
-def _build_multimap(name: str, raw, dims: tuple[int, ...], path: str) -> MultiMap:
-    arity, weight = ARITY_WEIGHT[name]
+def _build_multimap(arity: int, raw, dims: tuple[int, ...], path: str) -> MultiMap:
     entries = _parse_entries(raw, dims, path)
     for key, val in entries:  # the format's own rule; MultiMap decides the rest
-        if val and not 0 <= sum(d for d, _ in key) + weight < len(dims):
+        if val and not 0 <= sum(d for d, _ in key) + arity - 2 < len(dims):
             raise SpecError(f"value length {len(val)}, expected 0", path)
     try:
-        return build_multimap(arity, weight, GradedSpace(dims), entries)
+        return build_multimap(arity, arity - 2, GradedSpace(dims), entries)
     except ValueError as e:  # ContradictionError too
         raise SpecError(str(e), path) from None
 
@@ -163,89 +160,72 @@ def _parse_matrix(raw, nrows: int, ncols: int, path: str) -> Matrix:
 
 def build(spec: AlgebraSpecFile):
     """The in-memory object a spec file describes, built on first use and kept
-    on the spec: a command runs on the object that ``parse_spec`` validated."""
+    on the spec: a command runs on the object that ``parse_spec`` validated.
+    A constructor's refusal is reported at ``$.maps``."""
     if spec._structure is None:
-        make = {"linfinity": build_linfinity, "lie3": build_lie3, "chain": build_chain}
-        object.__setattr__(spec, "_structure", make.get(spec.kind, build_simplicial)(spec))
+        make = {"linfinity": _build_linfinity, "lie3": _build_lie3,
+                "chain": _build_chain, "simplicial": _build_simplicial}[spec.kind]
+        try:
+            object.__setattr__(spec, "_structure", make(spec))
+        except SpecError:
+            raise
+        except ValueError as e:
+            raise SpecError(str(e), "$.maps") from None
     return spec._structure
 
 
-def expect_kind(spec: AlgebraSpecFile, kind: str) -> None:
-    if spec.kind != kind:
-        raise SpecError(f"expected kind {kind}, found {spec.kind}", "$.kind")
-
-
-def _build_three_term(spec: AlgebraSpecFile, kind: str, make):
-    """``make(space, *maps)`` on the maps of a three-term spec of this kind,
-    in the order of MAP_KEYS[kind]."""
-    expect_kind(spec, kind)
-    if len(spec.dims) != 3:
-        raise SpecError(f"{kind} data needs dims of length 3", "$.dims")
-    for k in spec.maps:
-        if k not in MAP_KEYS[kind]:
-            raise SpecError(f"unknown map {k!r}", "$.maps")
-    parts = [_build_multimap(name, spec.maps.get(name, []), spec.dims, f"$.maps.{name}")
-             for name in MAP_KEYS[kind]]
-    try:
-        return make(GradedSpace(spec.dims), *parts)
-    except ValueError as e:
-        raise SpecError(str(e), "$.maps") from None
-
-
-def build_linfinity(spec: AlgebraSpecFile) -> LInfinityData:
-    return _build_three_term(spec, "linfinity", LInfinityData)
-
-
-def build_lie3(spec: AlgebraSpecFile) -> Lie3Data:
-    return _build_three_term(spec, "lie3", lambda space, l1, bracket, J, mu: Lie3Data(
-        LinearNCat(space, l1), bracket, J, mu))
-
-
-def build_chain(spec: AlgebraSpecFile) -> ChainComplexT:
-    expect_kind(spec, "chain")
-    dims = spec.dims
-    names = [f"d{n}" for n in range(1, len(dims))]
+def _expect_maps(spec: AlgebraSpecFile, names) -> None:
     for k in spec.maps:
         if k not in names:
             raise SpecError(f"unknown map {k!r}", "$.maps")
-    diffs = []
-    for n, name in enumerate(names, start=1):
-        raw = spec.maps.get(name)
-        if raw is None:
-            diffs.append(Matrix.zeros(dims[n - 1], dims[n]))
-        else:
-            diffs.append(_parse_matrix(raw, dims[n - 1], dims[n], f"$.maps.{name}"))
-    try:
-        return ChainComplexT(dims, tuple(diffs))
-    except ValueError as e:
-        raise SpecError(str(e), "$.maps") from None
 
 
-def build_simplicial(spec: AlgebraSpecFile):
-    from .simplicial import SimplicialVS
+def _build_three_term(spec: AlgebraSpecFile, make):
+    """``make(space, *maps)`` on the maps of a three-term spec, in the order
+    of MAP_KEYS[spec.kind]."""
+    if len(spec.dims) != 3:
+        raise SpecError(f"{spec.kind} data needs dims of length 3", "$.dims")
+    names = MAP_KEYS[spec.kind]
+    _expect_maps(spec, names)
+    return make(GradedSpace(spec.dims), *(
+        _build_multimap(k, spec.maps.get(name, []), spec.dims, f"$.maps.{name}")
+        for k, name in enumerate(names, start=1)))
 
-    expect_kind(spec, "simplicial")
+
+def _build_linfinity(spec: AlgebraSpecFile) -> LInfinityData:
+    return _build_three_term(spec, LInfinityData)
+
+
+def _build_lie3(spec: AlgebraSpecFile) -> Lie3Data:
+    return _build_three_term(spec, lambda space, l1, bracket, J, mu: Lie3Data(
+        LinearNCat(space, l1), bracket, J, mu))
+
+
+def _build_chain(spec: AlgebraSpecFile) -> ChainComplexT:
+    dims = spec.dims
+    names = [f"d{n}" for n in range(1, len(dims))]
+    _expect_maps(spec, names)
+    return ChainComplexT(dims, tuple(
+        Matrix.zeros(dims[n - 1], dims[n]) if spec.maps.get(name) is None
+        else _parse_matrix(spec.maps[name], dims[n - 1], dims[n], f"$.maps.{name}")
+        for n, name in enumerate(names, start=1)))
+
+
+def _build_simplicial(spec: AlgebraSpecFile) -> SimplicialVS:
     dims = spec.dims
     faces, degens = SimplicialVS.map_indices(len(dims) - 1)
-    allowed = {f"{c}:{n}:{i}" for c, levels in (("d", faces), ("s", degens))
-               for level in levels for n, i in level}
-    for k in spec.maps:
-        if k not in allowed:
-            raise SpecError(f"unknown map {k!r}", "$.maps")
+    _expect_maps(spec, {f"{c}:{n}:{i}" for c, levels in (("d", faces), ("s", degens))
+                        for level in levels for n, i in level})
 
     def parse(what: str, key: str, nrows: int, ncols: int) -> Matrix:
         raw = spec.maps.get(key)
         if raw is None:
             raise SpecError(f"missing {what} {key}", "$.maps")
         return _parse_matrix(raw, nrows, ncols, f"$.maps.{key}")
-    try:  # every face is parsed before any degeneracy
-        return SimplicialVS.from_maps(
-            dims, lambda n, i: parse("face", f"d:{n}:{i}", dims[n - 1], dims[n]),
-            lambda n, i: parse("degeneracy", f"s:{n}:{i}", dims[n + 1], dims[n]))
-    except SpecError:
-        raise
-    except ValueError as e:
-        raise SpecError(str(e), "$.maps") from None
+    # every face is parsed before any degeneracy
+    return SimplicialVS.from_maps(
+        dims, lambda n, i: parse("face", f"d:{n}:{i}", dims[n - 1], dims[n]),
+        lambda n, i: parse("degeneracy", f"s:{n}:{i}", dims[n + 1], dims[n]))
 
 
 # -- rendering --------------------------------------------------------
@@ -267,10 +247,8 @@ def render_linfinity(A: LInfinityData, metadata: dict[str, str] | None = None) -
 
 
 def render_lie3(D: Lie3Data, metadata: dict[str, str] | None = None) -> str:
-    maps = {"l1": _render_multimap(D.cat.t_data),
-            "bracket": _render_multimap(D.bracket_constants),
-            "J": _render_multimap(D.J),
-            "mu": _render_multimap(D.mu)}
+    maps = dict(zip(MAP_KEYS["lie3"], map(_render_multimap, (
+        D.cat.t_data, D.bracket_constants, D.J, D.mu))))
     return render_spec(AlgebraSpecFile("lie3", D.space.dims, maps, metadata or {}))
 
 

@@ -11,7 +11,7 @@ import pytest
 from shlie3.cli import COMMANDS, main
 from shlie3.lie3 import check_bifunctor, from_linfinity
 from shlie3.linfinity import LInfinityData
-from shlie3.specfile import render_chain, render_lie3, render_linfinity
+from shlie3.specfile import KINDS, render_chain, render_lie3, render_linfinity
 
 from helpers import (abelian_l3_l4, ce_cocycles4, rand_chain2,
                      scaling_brackets, two_term_data)
@@ -227,6 +227,56 @@ def test_one_term_chain_refused(tmp_path, capsys, command):
     assert main([command, str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+# a small valid file of each kind
+KIND_DOCS = {
+    "linfinity": {"kind": "linfinity", "dims": [1, 1, 1], "maps": {}},
+    "lie3": {"kind": "lie3", "dims": [1, 1, 1], "maps": {}},
+    "chain": {"kind": "chain", "dims": [1, 1], "maps": {"d1": [["1"]]}},
+    "simplicial": {"kind": "simplicial", "dims": [1, 1],
+                   "maps": {"d:1:0": [["1"]], "d:1:1": [["1"]], "s:0:0": [["1"]]}},
+}
+REFUSED_KINDS = [(command, kind) for command, kinds in (
+    ("check", ("chain", "simplicial")), ("convert", ("chain", "simplicial")),
+    ("coherence", ("chain", "simplicial")), ("nerve", ("linfinity", "lie3", "simplicial")),
+    ("ez-demo", ("linfinity", "lie3", "simplicial")),
+    ("obstruction-demo", ("linfinity", "lie3", "simplicial"))) for kind in kinds]
+
+
+def test_command_table_refuses_exactly_these_kinds():
+    assert REFUSED_KINDS == [(command, kind) for command, (_, kinds) in COMMANDS.items()
+                             for kind in KINDS if kind not in kinds]
+
+
+@pytest.mark.parametrize("command, kind", REFUSED_KINDS)
+def test_command_refuses_a_kind_it_does_not_take(tmp_path, capsys, command, kind):
+    """``main`` refuses a file whose kind the command's ``COMMANDS`` entry
+    does not list, with one line and exit 2, whatever the options."""
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(KIND_DOCS[kind]))
+    tails = ([], ["--to", "lie3"], ["--to", "linfinity"]) if command == "convert" else ([],)
+    for tail in tails:
+        assert main([command, str(p), *tail]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: $.kind: {command} does not apply to kind {kind!r}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "chain", "dims": [1, 1, 1], "maps": {"d1": [["1"]], "d2": [["1"]]}},
+     "$.maps: d o d != 0 at degree 2"),
+    ({"kind": "simplicial", "dims": [1, 1],
+      "maps": {"d:1:0": [["1"]], "d:1:1": [["2"]], "s:0:0": [["1"]]}},
+     "$.maps: mixed identity fails at level 0, (i,j)=(1,0)")],
+    ids=["chain-d-o-d-nonzero", "simplicial-identity-broken"])
+def test_report_cannot_print_a_failing_constant_check(tmp_path, capsys, doc, message):
+    """``report``'s ``boundary-squares-to-zero`` and ``simplicial-identities``
+    are constant PASS entries: a file that breaks either is refused when it is
+    parsed, with exit 2 and one error line."""
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    assert main(["report", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_unwritable_out_refused(valid_linf_file, tmp_path, capsys):

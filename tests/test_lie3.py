@@ -15,7 +15,7 @@ from shlie3.lie3 import (ConversionError, Lie3Data, alpha_cell,
                          coherence_residual, from_linfinity,
                          mu_cell, to_linfinity)
 from shlie3.linfinity import LInfinityData, check_all, check_condition
-from shlie3.specfile import build_lie3, parse_spec, render_lie3
+from shlie3.specfile import build, parse_spec, render_lie3
 
 from helpers import (J_cell, SeedCat, abelian_l3_l4, bracket_objects, ce_cocycles4, graded_lie_data,
                      inverse2, l1_only, rand_brackets, rand_vec, scaling_brackets,
@@ -124,7 +124,7 @@ def test_mu_cell_source_matches_eta_composite(case):
 
 
 def test_cell_tables_built_lazily_once_per_structure(monkeypatch, tmp_path):
-    """Constructing a Lie3Data (from_linfinity, build_lie3) tabulates
+    """Constructing a Lie3Data (from_linfinity, build) tabulates
     nothing; the checks tabulate each cell table once per structure.  The
     bracket table is composed with itself once per slot, into [[a,b],c] and
     [a,[b,c]] (``_nested``), which the Jacobiator table and the Jacobiator
@@ -139,7 +139,7 @@ def test_cell_tables_built_lazily_once_per_structure(monkeypatch, tmp_path):
     tables = ("_bracket_table", "_nested", "_J_table", "_J_factors", "_mu_table", "_eta_eps",
               "_above_v0", "_coherence_plan")
     D = glambda_cat()
-    E = build_lie3(parse_spec(render_lie3(D)))
+    E = build(parse_spec(render_lie3(D)))
     real, nested, calls, alive = lie3.compose, [], [], []
 
     def counting(outer, inner, arg=0, keep=None):

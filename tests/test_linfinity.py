@@ -169,8 +169,9 @@ def differential_samples():
 
 
 def test_shuffle_terms_match_koszul_chi():
-    """The shuffle terms' signs, counted on positions, are ``koszul_chi`` of
-    the ``Permutation`` shuffles, for orders 1..5 and every degree pattern."""
+    """The shuffle terms, built on 0-based positions, are the ``Permutation``
+    shuffles of ``enumerate_shuffles`` with their ``koszul_chi`` signs, for
+    orders 1..5 and every degree pattern."""
     for n in range(1, 6):
         for degrees in itertools.product((0, 1, 2), repeat=n):
             expected = tuple((koszul_chi(s, degrees) * (-1) ** (i * (n - i)), i,

@@ -32,7 +32,7 @@ from shlie3.linalg import Matrix, quotient_basis, vadd, vsub, vzero
 from shlie3.linfinity import LInfinityData, check_all
 from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, nerve, nerve_map,
                                obstruction_demo)
-from shlie3.specfile import build_lie3, build_linfinity, parse_spec, render_lie3, render_linfinity
+from shlie3.specfile import build, parse_spec, render_lie3, render_linfinity
 
 from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, block_diag, bracket_formula,
                      bracket_objects,
@@ -623,12 +623,12 @@ def test_spec_roundtrip_on_random_valid_structures(kind, seed):
     A = special_valid_samples(rng, kind + 1)[kind]
     meta = {"seed": str(seed)}
     text = render_linfinity(A, meta)
-    B = build_linfinity(parse_spec(text))
+    B = build(parse_spec(text))
     assert (B.l1, B.l2, B.l3, B.l4) == (A.l1, A.l2, A.l3, A.l4)
     assert render_linfinity(B, meta) == text
     D = Lie3Data(LinearNCat(A.space, A.l1), A.l2, A.l3, -A.l4)
     text = render_lie3(D, meta)
-    E = build_lie3(parse_spec(text))
+    E = build(parse_spec(text))
     assert (E.cat.t_data, E.bracket_constants, E.J, E.mu) == \
         (D.cat.t_data, D.bracket_constants, D.J, D.mu)
     assert render_lie3(E, meta) == text

@@ -4,8 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from shlie3.specfile import (SpecError, build, build_chain, build_linfinity,
-                             parse_rational, parse_spec, render_chain,
+from shlie3.specfile import (SpecError, build, parse_rational, parse_spec, render_chain,
                              render_lie3, render_linfinity, render_rational,
                              render_spec)
 from shlie3.lie3 import from_linfinity
@@ -67,7 +66,7 @@ def test_linfinity_roundtrip_bytes():
     A = abelian_l3_l4(rng, (3, 1, 1))
     text = render_linfinity(A, {"label": "sample"})
     spec = parse_spec(text)
-    B = build_linfinity(spec)
+    B = build(spec)
     assert B.l3 == A.l3 and B.l4 == A.l4
     assert render_spec(spec) == text
 
@@ -87,11 +86,11 @@ def test_chain_roundtrip_and_default_zero_maps():
     rng = random.Random(1)
     C = rand_chain3(rng, (2, 2, 1))
     text = render_chain(C, {"seed": "1"})
-    D = build_chain(parse_spec(text))
+    D = build(parse_spec(text))
     assert D.dims == C.dims
     assert all(D.diff(n) == C.diff(n) for n in (1, 2))
     bare = parse_spec(json.dumps({"kind": "chain", "dims": [2, 1], "maps": {}}))
-    Z = build_chain(bare)
+    Z = build(bare)
     assert Z.diff(1).is_zero()
 
 
@@ -118,6 +117,39 @@ def test_simplicial_specfile_roundtrip():
     spec = parse_spec(rs(AlgebraSpecFile("simplicial", S.dims, maps, {})))
     T = build(spec)
     assert T.dims == S.dims
+
+
+VALID_DOCS = [
+    {"kind": "linfinity", "dims": [1, 1, 1], "maps": {}},
+    {"kind": "lie3", "dims": [1, 1, 1], "maps": {}},
+    {"kind": "chain", "dims": [1, 1], "maps": {}},
+    {"kind": "simplicial", "dims": [1, 1],
+     "maps": {"d:1:0": [["1"]], "d:1:1": [["1"]], "s:0:0": [["1"]]}},
+]
+
+
+@pytest.mark.parametrize("doc", VALID_DOCS, ids=lambda doc: doc["kind"])
+def test_unknown_map_refused_for_each_kind(doc):
+    build(parse_spec(json.dumps(doc)))
+    with pytest.raises(SpecError, match=r"^\$\.maps: unknown map 'x'$"):
+        parse_spec(json.dumps({**doc, "maps": {**doc["maps"], "x": []}}))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "chain", "dims": [1, 1, 1], "maps": {"d1": [["1"]], "d2": [["1"]]}},
+     "d o d != 0 at degree 2"),
+    ({"kind": "simplicial", "dims": [1, 1],
+      "maps": {"d:1:0": [["1"]], "d:1:1": [["2"]], "s:0:0": [["1"]]}},
+     "mixed identity fails at level 0, (i,j)=(1,0)"),
+    ({"kind": "lie3", "dims": [2, 1, 1],
+      "maps": {"l1": [{"key": [[1, 0]], "value": ["1", "0"]}, {"key": [[2, 0]], "value": ["1"]}]}},
+     "d o d != 0 at degree 2")],
+    ids=["chain-d-o-d", "simplicial-face-identity", "lie3-t-o-t"])
+def test_constructor_refusal_is_reported_at_maps(doc, message):
+    """``build`` reports a constructor's ValueError at ``$.maps``."""
+    with pytest.raises(SpecError) as e:
+        parse_spec(json.dumps(doc))
+    assert (e.value.path, str(e.value)) == ("$.maps", f"$.maps: {message}")
 
 
 def test_validation_is_semantic_not_just_syntactic():
