@@ -18,7 +18,7 @@ from math import prod
 from shlie3 import lie3
 from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
-                           build_multimap, check_signatures, koszul_chi)
+                           build_multimap, check_signatures)
 from shlie3.lie3 import bracket_cells
 from shlie3.lincat import Cell, ComposabilityError, LinearNCat, to_chain
 from shlie3.linalg import Matrix, contract, dense, vadd, vis_zero, vscale, vzero
@@ -406,9 +406,24 @@ def rand_brackets(rng: random.Random, dims=(2, 1, 1), density: float = 0.5) -> L
 # the chi sign, term by term on GradedVectors, exactly as the library did
 # before brackets were compiled into index tables.
 
+def seed_chi(images, degrees) -> int:
+    """The sign chi of ``graded.koszul_chi``, computed apart from it: sort the
+    permuted arguments (1-based ``images``) back into order by adjacent swaps,
+    each of which contributes -(-1)^(d * d') for the degrees d and d' of the
+    two arguments that it swaps.  ``degrees`` are those of the unpermuted
+    arguments."""
+    seq, sign = list(images), 1
+    for end in range(len(seq) - 1, 0, -1):
+        for k in range(end):
+            if seq[k] > seq[k + 1]:
+                seq[k], seq[k + 1] = seq[k + 1], seq[k]
+                sign *= -(-1) ** (degrees[seq[k] - 1] * degrees[seq[k + 1] - 1])
+    return sign
+
+
 def seed_canonicalize(key) -> tuple[tuple, int]:
     """(sorted key, sign) with m(key) == sign * m(sorted key), the sign being
-    ``koszul_chi`` of the permutation that sorts ``key``; 0 when an
+    ``seed_chi`` of the permutation that sorts ``key``; 0 when an
     even-degree basis element repeats."""
     n = len(key)
     order = sorted(range(n), key=lambda p: key[p])
@@ -418,7 +433,7 @@ def seed_canonicalize(key) -> tuple[tuple, int]:
     inv = [0] * n
     for k, p in enumerate(order):
         inv[p] = k + 1
-    return ckey, koszul_chi(Permutation(tuple(inv)), [d for d, _ in ckey])
+    return ckey, seed_chi(inv, [d for d, _ in ckey])
 
 
 def seed_eval_basis(m: MultiMap, key) -> GradedVector:
@@ -456,7 +471,7 @@ def seed_linfty_residual(data: LInfinityData, n: int, args) -> GradedVector:
             continue
         coeff = -1 if (i * (j - 1)) % 2 else 1
         for sigma in enumerate_shuffles(i, n - i):
-            chi = koszul_chi(sigma, degrees)
+            chi = seed_chi(sigma.images, degrees)
             perm = sigma.apply(list(args))
             inner = seed_eval(li, list(perm[:i]))
             term = seed_eval(lj, [inner] + list(perm[i:]))

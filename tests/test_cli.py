@@ -18,7 +18,7 @@ from helpers import (abelian_l3_l4, ce_cocycles4, rand_chain2,
 from shlie3.chain import ChainComplexT
 from shlie3.linalg import Matrix
 from test_properties import non_integral_samples
-from test_reports import GOLDEN_CASES, GOLDEN_CLI_CASES
+from test_reports import GOLDEN_CASES, GOLDEN_CLI_CASES, spec_text
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -270,9 +270,9 @@ def test_command_refuses_a_kind_it_does_not_take(tmp_path, capsys, command, kind
      "$.maps: mixed identity fails at level 0, (i,j)=(1,0)")],
     ids=["chain-d-o-d-nonzero", "simplicial-identity-broken"])
 def test_report_cannot_print_a_failing_constant_check(tmp_path, capsys, doc, message):
-    """``report``'s ``boundary-squares-to-zero`` and ``simplicial-identities``
-    are constant PASS entries: a file that breaks either is refused when it is
-    parsed, with exit 2 and one error line."""
+    """``report`` lists no check of d o d = 0 or of the simplicial identities,
+    which could only pass: the constructors decide both, so a file that breaks
+    either is refused when it is parsed, with exit 2 and one error line."""
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(doc))
     assert main(["report", str(p)]) == 2
@@ -408,9 +408,8 @@ def runs_in_one_child(calls: list) -> list:
 
 
 def write_spec(path: Path, data) -> str:
-    """Write the spec file of a structure or complex; return its path."""
-    render = {LInfinityData: render_linfinity, ChainComplexT: render_chain}.get(type(data), render_lie3)
-    path.write_text(render(data))
+    """Write the spec file of a structure or complex (``spec_text``); return its path."""
+    path.write_text(spec_text(data))
     return str(path)
 
 
@@ -432,7 +431,8 @@ def test_integral_inputs_never_load_fractions(tmp_path):
         calls.append(["convert", path, "--to", to])
     for k, C in enumerate(chains):
         path = write_spec(tmp_path / f"chain-{k}.json", C)
-        calls += [[c, path, "--format", "json"] for c in ("nerve", "obstruction-demo", "report")]
+        commands = ("report",) if isinstance(C, str) else ("nerve", "obstruction-demo", "report")
+        calls += [[c, path, "--format", "json"] for c in commands]
     for k, C in enumerate((ChainComplexT((2, 1), (Matrix([[1], [0]]),)), ChainComplexT((2, 0), (Matrix.zeros(2, 0),)))):
         calls.append(["ez-demo", write_spec(tmp_path / f"unit-pivots-{k}.json", C), "--trunc", "2"])
     runs = runs_in_one_child(calls)

@@ -234,6 +234,26 @@ def test_sparse_kernel_matches_seed_dense_loops(case):
 
 
 @settings(max_examples=60, deadline=None)
+@given(m=shape_st, n=shape_st, zero_share=zero_share_st, data=st.data())
+def test_matrix_equality_and_hash_agree_with_dense_equality(m, n, zero_share, data):
+    """Two matrices are equal, with equal hashes, exactly when their shapes
+    and their entries as rationals are: the same entries given as Fractions
+    (an integral one equals an int) make an equal matrix that stores the same
+    narrowed entries, every zero the int 0, and changing one entry makes an
+    unequal one."""
+    A = data.draw(matrix_st(m, n, zero_share))
+    B = Matrix([[Q(e) for e in r] for r in A.rows], ncols=n)
+    assert A == B and hash(A) == hash(B) and A.rows == B.rows
+    entries = [e for r in B.rows for e in r]
+    assert narrowed(entries) and all(type(e) is int for e in entries if e == 0)
+    assert A != Matrix.zeros(m, n + 1) and A != Matrix.zeros(m + 1, n)
+    if m and n:
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+        C = Matrix([[e + (r == i and c == j) for c, e in enumerate(row)] for r, row in enumerate(A.rows)])
+        assert C != A and C.rows != A.rows
+
+
+@settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 7), k=shape_st, zero_share=zero_share_st, data=st.data())
 def test_left_inverse_and_quotient_basis(m, k, zero_share, data):
     A = data.draw(matrix_st(m, k, zero_share))
@@ -244,6 +264,21 @@ def test_left_inverse_and_quotient_basis(m, k, zero_share, data):
         assert X.rows == want and narrowed(e for r in X.rows for e in r)
         assert X @ A == Matrix.eye(k)
     assert quotient_basis(A.cols(), m) == seed_quotient_basis(A.cols(), m)
+
+
+def test_elimination_of_dense_integral_matrices():
+    """Dense integral matrices larger than the drawn ones (entries in -9..9)
+    eliminate as the seed loops do, in well under a second: a 25 x 25 one
+    (reduced form, pivots, rank), and the quotient of 25-space by 20 columns,
+    read off the pivots of the reduced [columns | identity].  A fraction-free
+    elimination whose entries grow with the rank would stall here."""
+    rng = random.Random(0)
+    A = Matrix([[rng.randint(-9, 9) for _ in range(25)] for _ in range(25)])
+    R, pivots = A.rref()
+    assert (R.rows, pivots) == seed_rref(A) and A.rank() == len(pivots) == 25
+    B = Matrix([[rng.randint(-9, 9) for _ in range(20)] for _ in range(25)])
+    _, seed_pivots = seed_rref(Matrix([list(r) + [int(i == j) for j in range(25)] for i, r in enumerate(B.rows)]))
+    assert quotient_basis(B.cols(), 25) == [p - 20 for p in seed_pivots if p >= 20]
 
 
 VALID_LIE3 = {"abelian": abelian_cat, "glambda": glambda_cat, "scaling": scaling_cat}

@@ -1,6 +1,7 @@
 """Failure reports: golden CLI output for one failing sample per check kind,
 and every failure's witness replayed to its exact residual; and the golden
-output of the simplicial commands on one fixed two-term complex.
+output of the simplicial commands on one fixed two-term complex, and of
+``report`` on a chain file and on a simplicial file.
 
 To rewrite the golden files after an intended change of the output format,
 run ``PYTHONPATH=src python tests/test_reports.py`` from the repository root.
@@ -8,6 +9,7 @@ run ``PYTHONPATH=src python tests/test_reports.py`` from the repository root.
 
 import contextlib
 import io
+import json
 import random
 import sys
 from fractions import Fraction as Q
@@ -116,20 +118,34 @@ def chain_11() -> ChainComplexT:
     return ChainComplexT((1, 1), (Matrix([[3]]),))
 
 
+def simplicial_12() -> str:
+    """The nerve of ``chain_11`` truncated at level 1, as a spec file: an
+    arrow (x; f) has faces x + 3 f and x, and x degenerates to (x; 0)."""
+    return json.dumps({"kind": "simplicial", "dims": [1, 2], "maps": {
+        "d:1:0": [["1", "3"]], "d:1:1": [["1", "0"]], "s:0:0": [["1"], ["0"]]}})
+
+
 GOLDEN_CLI_CASES = {
     "nerve.json": (chain_21, ["nerve", "--format", "json"]),
     "ez-demo.json": (chain_21, ["ez-demo", "--format", "json"]),
     "obstruction-demo.json": (chain_21, ["obstruction-demo", "--format", "json"]),
     "obstruction-demo-20.json": (chain_20, ["obstruction-demo", "--format", "json"]),
     "obstruction-demo-11.json": (chain_11, ["obstruction-demo", "--format", "json"]),
+    "report-chain.json": (chain_21, ["report", "--format", "json"]),
+    "report-simplicial.json": (simplicial_12, ["report", "--format", "json"]),
 }
 
 
+def spec_text(data) -> str:
+    """The spec file of a structure or complex; a spec file's text as it is."""
+    if isinstance(data, str):
+        return data
+    return {LInfinityData: render_linfinity, ChainComplexT: render_chain}.get(
+        type(data), render_lie3)(data)
+
+
 def run_cli(make, args, path: Path) -> tuple[int, str]:
-    data = make()
-    render = {LInfinityData: render_linfinity, ChainComplexT: render_chain}.get(
-        type(data), render_lie3)
-    path.write_text(render(data))
+    path.write_text(spec_text(make()))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([args[0], str(path)] + args[1:])
