@@ -7,7 +7,6 @@ and flags.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -21,7 +20,7 @@ from .linalg import vsub, vzero
 from .linfinity import check_all, is_special
 from .simplicial import (aw_after_ez_identity, aw_ez_homology_check, ez_aw, moore,
                          moore_of_nerve_check, nerve, obstruction_demo)
-from .specfile import (KINDS, AlgebraSpecFile, SpecError, build, parse_spec,
+from .specfile import (KINDS, AlgebraSpecFile, SpecError, build, dumps, parse_spec,
                        render_lie3, render_linfinity, render_rational)
 
 
@@ -44,9 +43,12 @@ def _render_checks(reports, list_key: str = "failures") -> list[dict]:
     return out
 
 
-def _emit(report: dict, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _emit(report: dict | str, fmt: str, out_path: str | None) -> None:
+    """Write a report, or a converted spec file's text as it is, to ``out_path`` or stdout."""
+    if isinstance(report, str):
+        text = report
+    elif fmt == "json":
+        text = dumps(report) + "\n"
     else:
         lines = [f"command: {report['command']}"]
         for c in report.get("checks", []):
@@ -114,12 +116,7 @@ def cmd_convert(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     except ConversionError as e:
         return {"command": "convert", "checks": [],
                 "passed": False, "error": str(e)}, 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return None, 0
+    return text, 0
 
 
 def cmd_coherence(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
@@ -291,8 +288,8 @@ def main(argv=None) -> int:
         if spec.kind not in kinds:
             raise SpecError(f"{args.command} does not apply to kind {spec.kind!r}", "$.kind")
         report, code = handler(spec, args)
-        if report is not None:
-            _emit(report, args.format, args.out if args.command != "convert" else None)
+        # a refused conversion reports on stdout, not in the file meant for its output
+        _emit(report, args.format, args.out if args.command != "convert" or code == 0 else None)
     except (SpecError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -87,16 +87,15 @@ class Lie3Data(Frozen):
         flat coordinates are a prefix, it is the bracket of m-cells.  On two
         basis cells it is an entry of l2, except [f, g] = l2(f, t g) on V1."""
         o, l2 = self.cat.offsets, self.cat.flat_table(self.bracket_constants)
-        in_v1 = lambda key: all(o[1] <= i < o[2] for i in key)
-        t_v1 = {k: v for k, v in self.cat.t_table[1].items() if in_v1(k)}
-        return combine((1, l2), (1, compose(l2, t_v1, 1, in_v1)))
+        v1 = lambda table: {k: v for k, v in table.items() if o[1] <= k[0] < o[2]}
+        return combine((1, l2), (1, compose(v1(l2), v1(self.cat.t_table[1]), 1)))
 
     @functools.cached_property
     def _nested(self) -> tuple[dict, dict]:
         """[[a,b],c] and [a,[b,c]] on the keys with at most one flat index
         above V0 (see ``_squares``)."""
-        br, keep = self._bracket_table, _below(self.cat.offsets[1], 1)
-        return compose(br, br, 0, keep), compose(br, br, 1, keep)
+        br, sq = self._bracket_table, (self.cat.offsets[1], 1)
+        return compose(br, br, 0, sq), compose(br, br, 1, sq)
 
     @functools.cached_property
     def _J_table(self) -> dict:
@@ -116,7 +115,7 @@ class Lie3Data(Frozen):
         """eta's and eps's factors above V0: J's constants and the bracket,
         each with the other in argument k (``Jb[k]``, k < 2, and ``bJ[k]``),
         and the sum of eta's factors after [J_xyz, 1_u]."""
-        br, v0, J = self._bracket_table, _below(self.cat.offsets[1]), self.cat.flat_table(self.J)
+        br, v0, J = self._bracket_table, (self.cat.offsets[1], 0), self.cat.flat_table(self.J)
         Jb, bJ = [compose(J, br, k, v0) for k in range(2)], [compose(br, J, k, v0) for k in range(2)]
         return Jb, bJ, combine((1, Jb[0], (0, 2, 1, 3)), (1, Jb[1]),
                                (1, bJ[0], (0, 2, 3, 1)), (1, bJ[1]))
@@ -124,7 +123,7 @@ class Lie3Data(Frozen):
     @functools.cached_property
     def _eta_eps(self) -> tuple[dict, dict]:
         """eta and eps of ``eta_epsilon`` on basis quadruples, each first factor in full."""
-        br, Jt, v0 = self._bracket_table, self._J_table, _below(self.cat.offsets[1])
+        br, Jt, v0 = self._bracket_table, self._J_table, (self.cat.offsets[1], 0)
         Jb, bJ, eta_rest = self._J_factors
         Jb2 = compose(self.cat.flat_table(self.J), br, 2, v0)  # only eps has it
         eps = combine((1, compose(Jt, br, 0, v0)), (1, bJ[0], (0, 1, 3, 2)),
@@ -146,12 +145,6 @@ class Lie3Data(Frozen):
 
 
 # -- the cell operations, tabulated over basis indices ----------------
-
-
-def _below(n: int, above: int = 0):
-    """The keys with at most ``above`` indices not below n; for n = offsets[1],
-    the keys of basis 0-cells, or of squares (see ``_squares``)."""
-    return lambda key: sum(i >= n for i in key) <= above
 
 
 def _cut(table: dict, lo: int, hi: int) -> dict:
@@ -320,13 +313,14 @@ def _squares(D: Lie3Data, col: Collector, F: dict, G: dict, theta: dict, arity: 
     vanish, and the residual is F + theta_t|>V0 - theta_s - G|>V0.  The
     witness is (slot, the 0-cells, alpha's code); an undefined composite goes
     to ``col`` as a "composable" failure instead, its residual C1, else C2."""
-    L, t2 = D.cat, D.cat.t_table[1]  # t^2 on 2-cells, as t o t = t o s there
-    o1, top = L.offsets[1], L.level_dim(2)
-    theta_t = {}  # the all-V0 keys agree across slots
+    L, o1, top = D.cat, D.cat.offsets[1], D.cat.level_dim(2)
+    # t^2 of 2-cells is t of 1-cells: the identity on V0 (theta's keys) plus t1 on V1
+    t1 = {k: v for k, v in L.t_table[1].items() if k[0] >= o1}
+    theta_t = dict(theta)
     for slot in range(arity):
-        theta_t.update(compose(theta, t2, slot))
-    c1 = combine((1, compose(t2, F)), (-1, _cut(theta_t, 0, o1)))
-    c2 = combine((1, compose(t2, theta)), (-1, _cut(G, 0, o1)))
+        theta_t.update(compose(theta, t1, slot))
+    c1 = combine((1, _cut(F, 0, o1)), (1, compose(t1, F)), (-1, _cut(theta_t, 0, o1)))
+    c2 = combine((1, _cut(theta, 0, o1)), (1, compose(t1, theta)), (-1, _cut(G, 0, o1)))
     res = combine((1, F), (1, _cut(theta_t, o1, top)), (-1, theta), (-1, _cut(G, o1, top)))
     codes, zero = L.spanning_codes(2), vzero(o1)
     for slot in range(arity):
@@ -381,12 +375,12 @@ def check_identiator(D: Lie3Data) -> Report:
     # F = [[[c1,c2],c3],c4] and G the six terms of [[[c1,c2],c3],c4] moved
     # along J: [[c1,c3],[c2,c4]] + [c1,[[c2,c4],c3]] + [[[c1,c4],c3],c2]
     # + [[c1,c4],[c2,c3]] + [[c1,[c3,c4]],c2] + [c1,[c2,[c3,c4]]]
-    br, keep = D._bracket_table, _below(L.offsets[1], 1)
+    br, sq = D._bracket_table, (L.offsets[1], 1)  # keys of squares
     bl, bi = D._nested  # [[a,b],c], [a,[b,c]]
-    F, P = compose(br, bl, 0, keep), compose(bl, br, 2, keep)  # P = [[a,b],[c,d]]
-    G = combine((1, P, (0, 2, 1, 3)), (1, compose(br, bl, 1, keep), (0, 1, 3, 2)),
+    F, P = compose(br, bl, 0, sq), compose(bl, br, 2, sq)  # P = [[a,b],[c,d]]
+    G = combine((1, P, (0, 2, 1, 3)), (1, compose(br, bl, 1, sq), (0, 1, 3, 2)),
                 (1, F, (0, 3, 2, 1)), (1, P, (0, 3, 1, 2)),
-                (1, compose(br, bi, 0, keep), (0, 2, 3, 1)), (1, compose(br, bi, 1, keep)))
+                (1, compose(br, bi, 0, sq), (0, 2, 3, 1)), (1, compose(br, bi, 1, sq)))
     o1, o2, n2, zero = *L.offsets[1:3], L.level_dim(2), vzero(L.level_dim(2))
     for w, res in _squares(D, col, F, G, mu, 4):
         which = "v1" if any(o1 <= i < o2 for i, _ in res) else "v2"

@@ -20,13 +20,16 @@ nonzero (output index, coefficient) pairs, and a key absent from the table
 evaluates to zero.  ``contract`` evaluates a table on arguments given by
 their supports, lists of (index, coefficient) pairs, and ``dense`` turns a
 sum of such pairs into a coordinate tuple; a table's coefficients are
-narrowed.  Because ``int / int`` is a float, the package divides only here,
-in ``rational``.
+narrowed.  ``compose`` substitutes one table into an argument of another, and
+an index budget (n, b) has it form only the keys with at most b indices >= n.
+Because ``int / int`` is a float, the package divides only here, in ``rational``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from itertools import product
+from math import prod
 
 Vector = tuple  # of rationals; a stored one is an int or a non-integral Fraction
 
@@ -60,35 +63,36 @@ def dense(n: int, pairs: Iterable[tuple]) -> Vector:
 
 def contract(table: dict, *supports: list) -> list:
     """The support of a tabulated map's value on arguments given by their
-    supports: these are folded left into (basis key, coefficient) pairs, and
-    each key in the table adds its entry times the coefficient."""
-    terms = [((), 1)]
-    for s in supports:
-        terms = [(key + (i,), x if c == 1 else c if x == 1 else c * x)
-                 for key, c in terms for i, x in s]
+    supports: each basis key of their product adds its entry times the
+    product of the key's coefficients."""
     acc = {}
-    for key, c in terms:
+    for combo in product(*supports):
+        key, xs = zip(*combo) if combo else ((), ())
+        c = prod(xs)
         for i, v in table.get(key, ()):
             acc[i] = acc.get(i, 0) + (v if c == 1 else c * v)
     return [(i, v) for i, v in acc.items() if v]
 
 
-def compose(outer: dict, inner: dict, arg: int = 0, keep: Callable | None = None) -> dict:
+def compose(outer: dict, inner: dict, arg: int = 0, budget: tuple | None = None) -> dict:
     """The table of ``outer`` with ``inner`` substituted into its argument
     ``arg``: on the key k[:arg] + j + k[arg + 1:] of an outer key k and an
     inner key j it adds, for each output (i, c) of j, c times outer's value on
-    k with i in position arg.  Only nonzero entries are visited, and only the
-    keys that ``keep`` admits (all when None) are formed."""
+    k with i in position arg.  Only nonzero entries are visited.  A j, or a k
+    but for k[arg], over the ``budget`` is dropped before any key is formed."""
+    n, b = budget or (None, 0)
+    over = (lambda key: 0) if n is None else lambda key: sum(map(n.__le__, key))
     by = {}
     for key, pairs in outer.items():
-        by.setdefault(key[arg], []).append((key[:arg], key[arg + 1:], pairs))
+        pre, post = key[:arg], key[arg + 1:]
+        if (room := b - over(pre + post)) >= 0:
+            by.setdefault(key[arg], []).append((pre, post, pairs, room))
     acc = {}
     for j, inner_pairs in inner.items():
-        for i, c in inner_pairs:
-            for pre, post, pairs in by.get(i, ()):
-                key = pre + j + post
-                if keep is None or keep(key):
-                    out = acc.setdefault(key, {})
+        for i, c in inner_pairs if (r := over(j)) <= b else ():
+            for pre, post, pairs, room in by.get(i, ()):
+                if r <= room:
+                    out = acc.setdefault(pre + j + post, {})
                     for o, v in pairs:
                         out[o] = out.get(o, 0) + (v if c == 1 else c * v)
     return _table(acc)
@@ -110,8 +114,8 @@ def combine(*terms: tuple) -> dict:
 
 def _table(acc: dict) -> dict:
     """The table of key -> {output: coefficient} dicts, without zeros."""
-    return {key: value for key, out in acc.items()
-            if (value := tuple((i, narrow(v)) for i, v in sorted(out.items()) if v))}
+    return {key: tuple(sorted(value)) for key, out in acc.items()
+            if (value := [(i, v if type(v) is int else narrow(v)) for i, v in out.items() if v])}
 
 
 def vadd(a: Sequence, b: Sequence) -> Vector:
@@ -249,11 +253,12 @@ class Matrix(Frozen):
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
-        if not cols:
-            return Matrix([], ncols=0) if nrows is None else Matrix([[] for _ in range(nrows)], ncols=0)
-        m = len(cols[0])
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(m)],
-                      ncols=len(cols))
+        """Columns of length ``nrows`` (default: the first's); others raise ``ValueError``."""
+        nrows = (len(cols[0]) if cols else 0) if nrows is None else nrows
+        for c in cols:
+            if len(c) != nrows:
+                raise ValueError(f"column of length {len(c)}, expected {nrows}")
+        return Matrix([[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
 
     @staticmethod
     def from_action(action: Callable[[Vector], Sequence], ncols: int, nrows: int) -> "Matrix":

@@ -3,13 +3,14 @@
 The format is UTF-8 JSON with top-level keys ``kind``, ``dims``, ``maps``
 and optional ``metadata``.  Rationals are written as strings "p" or "p/q"
 so that parsing is exact.  Canonical rendering sorts keys and entries, so
-parse and render are mutually inverse on canonical files.
+parse and render are mutually inverse on canonical files; ``dumps`` writes it.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .chain import ChainComplexT
 from .graded import GradedSpace, MultiMap, build_multimap
@@ -237,10 +238,6 @@ def _render_multimap(m: MultiMap) -> list[dict]:
             for key, val in m.entries()]
 
 
-def _render_matrix(M: Matrix) -> list[list[str]]:
-    return [[render_rational(c) for c in row] for row in M.rows]
-
-
 def render_linfinity(A: LInfinityData, metadata: dict[str, str] | None = None) -> str:
     maps = {name: _render_multimap(getattr(A, name)) for name in MAP_KEYS["linfinity"]}
     return render_spec(AlgebraSpecFile("linfinity", A.space.dims, maps, metadata or {}))
@@ -253,13 +250,34 @@ def render_lie3(D: Lie3Data, metadata: dict[str, str] | None = None) -> str:
 
 
 def render_chain(C: ChainComplexT, metadata: dict[str, str] | None = None) -> str:
-    maps = {f"d{n}": _render_matrix(C.diff(n)) for n in range(1, C.top_degree + 1)}
+    maps = {f"d{n}": [[render_rational(c) for c in row] for row in C.diff(n).rows]
+            for n in range(1, C.top_degree + 1)}
     return render_spec(AlgebraSpecFile("chain", C.dims, maps, metadata or {}))
 
 
 def render_spec(spec: AlgebraSpecFile) -> str:
-    obj = {"kind": spec.kind, "dims": list(spec.dims),
-           "maps": {k: spec.maps[k] for k in sorted(spec.maps)}}
+    obj = {"kind": spec.kind, "dims": list(spec.dims), "maps": spec.maps}
     if spec.metadata:
-        obj["metadata"] = dict(sorted(spec.metadata.items()))
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        obj["metadata"] = spec.metadata
+    return dumps(obj) + "\n"
+
+
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}  # the JSON text of a scalar, by its exact type
+
+
+def dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, on str-keyed
+    dicts, lists, tuples, str, int, bool and None (exact types), in one ``str.join``
+    per container; the stdlib encodes with an indent in pure Python.  A key that is
+    not a str raises ``TypeError`` (from ``sorted`` or the quoting), as does any other type."""
+    if scalar := _SCALARS.get(type(obj)):
+        return scalar(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{_quote(k)}: {dumps(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [scalar(v) if (scalar := _SCALARS.get(type(v))) else dumps(v, inner) for v in obj]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

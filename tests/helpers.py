@@ -4,7 +4,8 @@ Everything here is written against the public API only, and the oracles
 (Chevalley-Eilenberg differential, closed-form coherence components) are
 coded independently of the library internals they are used to check.  The
 exceptions are ``J_cell`` and ``inverse2``, which evaluate a cell through the
-library's internal tables and sparse inverse, for the tests to check.
+library's internal tables and sparse inverse, for the tests to check; no
+oracle calls them, or the library's bracket of cells.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from shlie3 import lie3
 from shlie3.chain import ChainComplexT
 from shlie3.graded import (GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, check_signatures)
-from shlie3.lie3 import bracket_cells
 from shlie3.lincat import Cell, ComposabilityError, LinearNCat, to_chain
 from shlie3.linalg import Matrix, contract, dense, vadd, vis_zero, vscale, vzero
 from shlie3.linfinity import LInfinityData, accumulate_residual, degree_tag
@@ -792,10 +792,10 @@ def seed_axioms_hold(L, compose) -> bool:
 # The structure maps by their component formulas on ``Cell``s, and the
 # bifunctor, Jacobiator, Identiator and coherence checks written on them,
 # exactly as the library ran them before the checks moved to flat
-# coordinate tuples.  The Jacobiator and Identiator cells are their
-# component formulas below, evaluated on the bracket constants, J and mu;
-# the bracket of cells is the library's public one, whose table is checked
-# against ``bracket_formula`` separately.
+# coordinate tuples.  The bracket, Jacobiator and Identiator cells are their
+# component formulas below, evaluated on the bracket constants, J and mu, so
+# no oracle reads a table that ``linalg.compose`` built; the library's tables
+# are checked against these formulas separately.
 
 
 def bracket_formula(D, a, b) -> Cell:
@@ -818,10 +818,22 @@ def bracket_formula(D, a, b) -> Cell:
     return Cell(2, (v0, v1, v2))
 
 
+def bracket_oracle(D):
+    """``bracket_formula`` on D, memoized by its two cells: the seed checks
+    bracket the same cells many times."""
+    memo = {}
+
+    def br(a, b):
+        if (key := (a, b)) not in memo:
+            memo[key] = bracket_formula(D, a, b)
+        return memo[key]
+    return br
+
+
 def bracket_objects(D, x, y):
-    """[x, y] of two 0-cells: the bracket of cells at level 0."""
+    """[x, y] of two 0-cells: the bracket formula at level 0."""
     C = SeedCat(D.cat)
-    return bracket_cells(D, C.cell_from_v0(x), C.cell_from_v0(y)).components[0]
+    return bracket_formula(D, C.cell_from_v0(x), C.cell_from_v0(y)).components[0]
 
 
 def J_cell(D, x, y, z) -> Cell:
@@ -957,7 +969,7 @@ def seed_eta_epsilon(D, x, y, z, u):
     C = SeedCat(D.cat)
     br = lambda p, q: bracket_objects(D, p, q)
     one = lambda w: C.cell_from_v0(w, 1)
-    bc = lambda c, d: bracket_cells(D, c, d)
+    bc = lambda c, d: bracket_formula(D, c, d)
     eta = seed_fold_compose(C, [
         bc(J_formula(D, x, y, z), one(u)),
         J_formula(D, br(x, z), y, u) + J_formula(D, x, br(y, z), u),
@@ -981,7 +993,7 @@ def seed_inverse2(D, alpha):
 def seed_check_bifunctor(D) -> Report:
     L = SeedCat(D.cat)
     col = SeedCollector("bifunctor")
-    br = lambda a, b: bracket_cells(D, a, b)
+    br = bracket_oracle(D)
     basis = [[(c, L.coded_cell(c)) for c in L.spanning_codes(m)] for m in range(3)]
     zero = [zero_cell(L, m) for m in range(3)]
     for m in (1, 2):
@@ -1048,17 +1060,16 @@ def seed_check_bifunctor(D) -> Report:
     return col.report()
 
 
-def _jac_F(D, c1, c2, c3):
-    return bracket_cells(D, bracket_cells(D, c1, c2), c3)
+def _jac_F(br, c1, c2, c3):
+    return br(br(c1, c2), c3)
 
 
-def _jac_G(D, c1, c2, c3):
-    return (bracket_cells(D, bracket_cells(D, c1, c3), c2)
-            + bracket_cells(D, c1, bracket_cells(D, c2, c3)))
+def _jac_G(br, c1, c2, c3):
+    return br(br(c1, c3), c2) + br(c1, br(c2, c3))
 
 
 def seed_naturality_squares(D, col, F, G, theta, arity):
-    L = SeedCat(D.cat)
+    L, br = SeedCat(D.cat), bracket_oracle(D)
     e0 = Matrix.eye(L.dim(0)).cols()
     alphas = [(c, L.coded_cell(c)) for c in L.spanning_codes(2)]
     for slot in range(arity):
@@ -1072,8 +1083,8 @@ def seed_naturality_squares(D, col, F, G, theta, arity):
                 t_objs = objs[:slot] + [t2] + objs[slot:]
                 s_objs = objs[:slot] + [alpha.components[0]] + objs[slot:]
                 try:
-                    res = (L.compose(F(D, *args), theta(t_objs), 0)
-                           - L.compose(theta(s_objs), G(D, *args), 0))
+                    res = (L.compose(F(br, *args), theta(t_objs), 0)
+                           - L.compose(theta(s_objs), G(br, *args), 0))
                 except ComposabilityError as e:
                     col.compare("composable", w, e.left, e.right)
                     continue
@@ -1097,13 +1108,11 @@ def seed_check_jacobiator(D) -> Report:
     return col.report()
 
 
-def _id_F(D, c1, c2, c3, c4):
-    br = lambda a, b: bracket_cells(D, a, b)
+def _id_F(br, c1, c2, c3, c4):
     return br(br(br(c1, c2), c3), c4)
 
 
-def _id_G(D, c1, c2, c3, c4):
-    br = lambda a, b: bracket_cells(D, a, b)
+def _id_G(br, c1, c2, c3, c4):
     return (br(br(c1, c3), br(c2, c4)) + br(c1, br(br(c2, c4), c3))
             + br(br(br(c1, c4), c3), c2) + br(br(c1, c4), br(c2, c3))
             + br(br(c1, br(c3, c4)), c2) + br(c1, br(c2, br(c3, c4))))
@@ -1144,7 +1153,7 @@ def seed_alpha_cell(D, i, x, y, z, u, v, memo: dict | None = None):
     br, J, mu = cached(bracket_objects), cached(J_formula), cached(mu_formula)
     one1 = lambda w: C.cell_from_v0(w, 1)
     one2 = lambda c: C.identity(c)
-    bc = lambda a, b: bracket_cells(D, a, b)
+    bc = cached(bracket_formula)
     id2v = lambda w: C.cell_from_v0(w, 2)
     if i == 1:
         return seed_fold_compose(C, [

@@ -296,6 +296,21 @@ def test_convert_roundtrip_byte_identical(valid_linf_file, tmp_path, capsys):
     assert open(back).read() == original
 
 
+def test_convert_roundtrip_keeps_non_ascii_metadata(tmp_path, capsys):
+    """Metadata with non-ASCII, control, quote and backslash characters comes
+    back from convert --to lie3 and back unchanged, written as the stdlib's
+    ASCII-escaped JSON."""
+    meta = {"name": "caf\xe9 \u2603 \U0001f600", "note": 'tab\t "quoted" back\\slash\x01'}
+    src, mid = tmp_path / "linf.json", str(tmp_path / "as_lie3.json")
+    src.write_text(render_linfinity(abelian_l3_l4(random.Random(0), (3, 1, 1)), meta), encoding="utf-8")
+    assert main(["convert", str(src), "--to", "lie3", "--out", mid]) == 0
+    assert json.loads(open(mid, encoding="utf-8").read())["metadata"] == meta
+    assert main(["convert", mid, "--to", "linfinity"]) == 0
+    out = capsys.readouterr().out
+    assert out == src.read_text(encoding="utf-8") and out.isascii()
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_convert_refuses_invalid(invalid_linf_file, capsys):
     assert main(["convert", invalid_linf_file, "--to", "lie3"]) == 1
     out = capsys.readouterr().out

@@ -142,12 +142,12 @@ def test_cell_tables_built_lazily_once_per_structure(monkeypatch, tmp_path):
     E = build(parse_spec(render_lie3(D)))
     real, nested, calls, alive = lie3.compose, [], [], []
 
-    def counting(outer, inner, arg=0, keep=None):
+    def counting(outer, inner, arg=0, budget=None):
         alive.append((outer, inner))  # so that no table's id is reused
         calls.append((id(outer), id(inner), arg))
         if outer is inner is vars(D).get("_bracket_table"):
             nested.append(arg)
-        return real(outer, inner, arg, keep)
+        return real(outer, inner, arg, budget)
     monkeypatch.setattr(lie3, "compose", counting)
     assert not any(name in vars(D) or name in vars(E) for name in tables)
     check_bifunctor(D)
@@ -183,10 +183,10 @@ def test_identiator_composes_each_table_once(monkeypatch):
     share the factors they have in common."""
     real, calls, alive = lie3.compose, [], []
 
-    def recording(outer, inner, arg=0, keep=None):
+    def recording(outer, inner, arg=0, budget=None):
         alive.append((outer, inner))  # so that no table's id is reused
         calls.append((id(outer), id(inner), arg))
-        return real(outer, inner, arg, keep)
+        return real(outer, inner, arg, budget)
     monkeypatch.setattr(lie3, "compose", recording)
     D = scaling_cat()
     assert D.space.dims == (5, 0, 1) and check_identiator(D).passed

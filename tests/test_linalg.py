@@ -20,9 +20,10 @@ def test_vector_helpers():
 
 
 def test_compose_and_combine_match_contract():
-    """compose substitutes one table into one argument of another, keeping
-    the keys a predicate admits, and combine adds tables with reordered
-    arguments; both agree with contracting the tables, and hold no zeros."""
+    """compose substitutes one table into one argument of another, forming
+    only the keys within an index budget, and combine adds tables with
+    reordered arguments; both agree with contracting the tables, and hold no
+    zeros."""
     rng = random.Random(3)
     rand_table = lambda: {key: value for key in itertools.product(range(3), repeat=2)
                           if (value := tuple((o, Q(rng.randint(-2, 2), 2)) for o in range(3)
@@ -32,14 +33,30 @@ def test_compose_and_combine_match_contract():
     for a, b, c in itertools.product(range(3), repeat=3):
         want = contract(outer, [(a, 1)], contract(inner, [(b, 1)], [(c, 1)]))
         assert dense(3, T.get((a, b, c), ())) == dense(3, want)
-    kept = compose(outer, inner, 0, keep=lambda key: key[0] != key[2])
-    assert kept == {k: v for k, v in compose(outer, inner, 0).items() if k[0] != k[2]}
+    kept = compose(outer, inner, 0, budget=(2, 1))  # at most one index >= 2
+    assert kept == {k: v for k, v in compose(outer, inner, 0).items() if sum(i >= 2 for i in k) <= 1}
+    assert kept != compose(outer, inner, 0)
+    cancelling = ({(0,): ((0, 1),), (1,): ((0, 1),)}, {(): ((0, 1), (1, -1))})
+    assert compose(*cancelling) == compose(*cancelling, 0, (0, 0)) == {}
     S = combine((2, T), (-1, T, (2, 0, 1)))  # S(a, b, c) = 2 T(a, b, c) - T(c, a, b)
     for a, b, c in itertools.product(range(3), repeat=3):
         want = vsub(vscale(2, dense(3, T.get((a, b, c), ()))), dense(3, T.get((c, a, b), ())))
         assert dense(3, S.get((a, b, c), ())) == want
     assert all(x for table in (T, S) for pairs in table.values() for _, x in pairs)
     assert combine((1, T), (-1, T)) == {}
+
+
+def test_contract_expands_its_arguments_multilinearly():
+    """contract adds each table entry on the product of the arguments'
+    supports, times the product of their coefficients, and drops the outputs
+    that cancel; a zero argument gives zero, and an arity-0 table is its
+    constant."""
+    T = {(0, 1): ((0, 2),), (1, 1): ((0, 1), (1, Q(1, 2))), (1, 0): ((1, 3),)}
+    # (3 e0 + 1/2 e1) x (-2 e1) = -6 (e0, e1) - (e1, e1)
+    assert dense(2, contract(T, [(0, 3), (1, Q(1, 2))], [(1, -2)])) == (-13, Q(-1, 2))
+    assert contract({(0,): ((0, 1),), (1,): ((0, 1),)}, [(0, 1), (1, -1)]) == []
+    assert contract(T, [], [(1, 1)]) == contract(T, [(0, 1)], []) == []
+    assert contract({(): ((0, 5),)}) == [(0, 5)]
 
 
 def test_matmul_and_shapes():
@@ -100,6 +117,25 @@ def test_kron_empty_keeps_ncols():
 def test_from_cols_keeps_shape_when_empty():
     assert Matrix.from_cols([], nrows=3).shape == (3, 0)
     assert Matrix.from_cols([(), ()], nrows=0).shape == (0, 2)
+
+
+@pytest.mark.parametrize("cols, nrows", [
+    ([(1,), (2, 3)], None),   # ragged: the 3 would be dropped
+    ([(1, 2), (3,)], None),   # ragged: a short column would index past its end
+    ([(1, 2)], 5),            # a column shorter than nrows
+    ([(1, 2, 3)], 2),         # a column longer than nrows
+    ([()], 1),                # an empty column against nrows 1
+])
+def test_from_cols_refuses_a_column_of_another_length(cols, nrows):
+    with pytest.raises(ValueError, match="column of length"):
+        Matrix.from_cols(cols, nrows=nrows)
+
+
+def test_from_action_refuses_an_image_of_the_wrong_length():
+    assert Matrix.from_action(lambda e: e + e, 2, 4).shape == (4, 2)
+    for nrows in (3, 5):
+        with pytest.raises(ValueError, match="column of length 4"):
+            Matrix.from_action(lambda e: e + e, 2, nrows)
 
 
 def test_stacks_and_block_diag():

@@ -6,8 +6,9 @@ pairs against the seed zero-or-basis products, conjugation invariance of
 the homotopy-algebra verdicts, the nerve and tensor complex against the
 seed's hand-written coordinate formulas, and the tensor category's
 coordinates, the nerve pairing and the shuffle map against the seed's
-vector-at-a-time loops, and the obstruction demo against building both
-truncated nerves."""
+vector-at-a-time loops, the obstruction demo against building both
+truncated nerves, the JSON renderer against the stdlib's bytes, and the
+budgeted table composition against its unbudgeted restriction."""
 
 import itertools
 import json
@@ -28,14 +29,14 @@ from shlie3.lie3 import (Lie3Data, alpha_cell, bracket_cells, check_bifunctor, c
 from shlie3.chain import ChainComplexT, tensor_complex
 from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, TensorCat, from_chain,
                            lift_functor, tensor_product)
-from shlie3.linalg import Matrix, quotient_basis, vadd, vsub, vzero
+from shlie3.linalg import Matrix, compose, quotient_basis, vadd, vsub, vzero
 from shlie3.linfinity import LInfinityData, check_all
 from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, nerve, nerve_map,
                                obstruction_demo)
-from shlie3.specfile import build, parse_spec, render_lie3, render_linfinity
+from shlie3.specfile import build, dumps, parse_spec, render_lie3, render_linfinity
 
 from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, block_diag, bracket_formula,
-                     bracket_objects,
+                     bracket_objects, bracket_oracle,
                      ce_cocycles4, conjugate, flat, l1_only, mu_formula, rand_brackets,
                      rand_chain2, rand_chain3, rand_chain_map, rand_conjugate, rand_vec,
                      retired_failures, scaling_brackets, seed_bifunctor_factors,
@@ -669,6 +670,57 @@ def test_spec_roundtrip_on_random_valid_structures(kind, seed):
     assert render_lie3(E, meta) == text
 
 
+json_leaves = st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.text()
+json_trees = st.recursive(json_leaves, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4)), max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=json_trees)
+@example(obj={"": [], "caf\xe9 \u2603 \U0001f600": {}, "\x00\n\"\\": [(), -1, 2**64 + 1, None, True]})
+def test_dumps_renders_the_bytes_of_indented_sorted_json(obj):
+    """``specfile.dumps`` is ``json.dumps(indent=2, sort_keys=True)`` byte for
+    byte: on nested dicts, lists and tuples, empty ones, non-ASCII, control,
+    quote and backslash characters, bool, None and ints beyond 64 bits."""
+    assert dumps(obj) + "\n" == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1, 2: "b"}, {"a": {None: 1}}, [{(1,): 2}],
+                                 {True: 0}, 1.5, {"a": Q(1, 2)}, [type("S", (str,), {})("x")]])
+def test_dumps_refuses_what_the_package_does_not_write(obj):
+    """A dict key that is not a str raises TypeError where the stdlib would
+    coerce it, and so does a value of any other type, a str subclass too."""
+    with pytest.raises(TypeError):
+        dumps(obj)
+
+
+def table_st(arity: int, n: int, values):
+    """Random tables on indices below n, with values drawn from ``values``."""
+    return st.dictionaries(st.tuples(*[st.integers(0, n - 1)] * arity), values, min_size=1, max_size=20)
+
+
+# few outer values and +-1 inner coefficients: the sums that compose forms often cancel
+outer_values = st.sampled_from([((0, 1),), ((0, 1), (1, 2)), ((1, -1),)])
+inner_values = lambda n: st.dictionaries(st.integers(0, n - 1), st.sampled_from((1, -1)),
+                                         min_size=1).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), outer_arity=st.integers(1, 3), inner_arity=st.integers(0, 2),
+       n=st.integers(1, 3), bound=st.integers(0, 3))
+def test_budgeted_compose_is_the_restriction_of_compose(data, outer_arity, inner_arity, n, bound):
+    """compose under a budget (m, b) equals compose restricted to the keys
+    with at most b indices >= m, on random tables whose sums may cancel."""
+    outer = data.draw(table_st(outer_arity, n, outer_values))
+    inner = data.draw(table_st(inner_arity, n, inner_values(n)))
+    arg, m = data.draw(st.integers(0, outer_arity - 1)), data.draw(st.integers(0, n))
+    full = compose(outer, inner, arg)
+    assert compose(outer, inner, arg, (m, bound)) == {
+        k: v for k, v in full.items() if sum(i >= m for i in k) <= bound}
+    assert all(c for pairs in full.values() for _, c in pairs)
+
+
 # -- one basis of composable pairs against the seed products --------------
 #
 # A seed family takes every slot (a cell, or the free part of a right factor)
@@ -696,11 +748,12 @@ def raw_compose(a: Cell, b: Cell, p: int) -> Cell:
         vadd(x, y) for x, y in zip(a.components[p + 1:], b.components[p + 1:])))
 
 
-def composition_residual(D, p, v, vp, w, wp) -> tuple:
+def composition_residual(D, br, p, v, vp, w, wp) -> tuple:
     """The composability mismatch t^k[v,w] - s^k[v',w'] followed by
-    [v o v', w o w'] - [v,w] o [v',w'], composites by the component formula;
-    both parts are bilinear in the pairs (v, v') and (w, w')."""
-    L, br = SeedCat(D.cat), lambda a, b: bracket_cells(D, a, b)
+    [v o v', w o w'] - [v,w] o [v',w'], composites by the component formula
+    and brackets by ``br``; both parts are bilinear in the pairs (v, v') and
+    (w, w')."""
+    L = SeedCat(D.cat)
     k = v.level - p
     mismatch = L.target_iter(br(v, w), k) - L.source_iter(br(vp, wp), k)
     res = br(raw_compose(v, vp, p), raw_compose(w, wp, p)) - raw_compose(br(v, w), br(vp, wp), p)
@@ -740,14 +793,14 @@ def test_bifunctor_composition_basis_matches_seed_products(case, seed):
         D = VALID_LIE3[case]()
     else:
         D = _with_random_constants(rng, from_linfinity(l1_only(rng, (2, 1, 1))), bracket=True)
-    L, C = D.cat, SeedCat(D.cat)
+    L, C, br = D.cat, SeedCat(D.cat), bracket_oracle(D)
     holds = True
     for m in (1, 2):
         for p in range(m):
             def basis_pair(codes):
                 v = C.coded_cell(codes[0])
                 return v, seed_pad_composable(L, v, C.coded_cell(codes[1]).components[p + 1:], p)
-            holds &= expands(lambda *vw: composition_residual(D, p, *vw),
+            holds &= expands(lambda *vw: composition_residual(D, br, p, *vw),
                              seed_bifunctor_factors(L, m, p), basis_pair,
                              set(L.composable_codes(m, p)))
     failures = [f for f in check_bifunctor(D).failures

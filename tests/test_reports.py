@@ -21,14 +21,14 @@ from shlie3 import lie3
 from shlie3.chain import ChainComplexT
 from shlie3.cli import main
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
-from shlie3.lie3 import (Lie3Data, bracket_cells, check_bifunctor,
-                         check_coherence, check_identiator, check_jacobiator,
-                         from_linfinity, mu_cell)
+from shlie3.lie3 import (Lie3Data, check_bifunctor, check_coherence, check_identiator,
+                         check_jacobiator, from_linfinity)
 from shlie3.linalg import Matrix
 from shlie3.linfinity import LInfinityData, check_all
 from shlie3.specfile import render_chain, render_lie3, render_linfinity
 
-from helpers import J_cell, SeedCat, flat, l1_only, non_jacobi_data, seed_linfty_residual
+from helpers import (J_formula, SeedCat, bracket_formula, flat, l1_only, mu_formula, non_jacobi_data,
+                     seed_linfty_residual)
 from test_lie3 import (_l1_only_cat, _with_random_constants, action_not_a_representation,
                        scaling_cat, tf_acts_on_v2)
 from test_properties import lie3_sample, sample_421
@@ -214,7 +214,7 @@ def replay(D, check: str, identity: str, w) -> tuple:
     """The residual of one comparison, rebuilt from its witness alone, by the
     component formulas (``SeedCat``)."""
     L = SeedCat(D.cat)
-    br = lambda a, b: bracket_cells(D, a, b)
+    br = lambda a, b: bracket_formula(D, a, b)
     if check == "bifunctor" and identity == "chain-rule":
         args = [GradedVector.basis_vector(D.space, d, i) for d, i in w]
         return seed_linfty_residual(homotopy_data(D), 2, args).component(w[0][0] + w[1][0] - 1)
@@ -238,13 +238,13 @@ def replay(D, check: str, identity: str, w) -> tuple:
         if check == "jacobiator":
             F = lambda a, b, c: br(br(a, b), c)
             G = lambda a, b, c: br(br(a, c), b) + br(a, br(b, c))
-            theta = lambda xs: L.identity(J_cell(D, *xs))
+            theta = lambda xs: L.identity(J_formula(D, *xs))
         else:
             F = lambda a, b, c, d: br(br(br(a, b), c), d)
             G = lambda a, b, c, d: (br(br(a, c), br(b, d)) + br(a, br(br(b, d), c))
                                     + br(br(br(a, d), c), b) + br(br(a, d), br(b, c))
                                     + br(br(a, br(c, d)), b) + br(a, br(b, br(c, d))))
-            theta = lambda xs: mu_cell(D, *xs)
+            theta = lambda xs: mu_formula(D, *xs)
         pairs = square(D, F, G, theta, w)
         if identity == "composable":
             return mismatch(L, 0, pairs)
