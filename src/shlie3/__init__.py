@@ -9,26 +9,25 @@ the nerve, its normalized chain complex, the shuffle and front-face
 comparison maps, and the failure of the nerve to be monoidal.
 """
 
-# Every module is loaded here, so that the tracer of perfbench/launcher.py can rebind each traced name.
-from .chain import ChainComplexT, ChainMapT, homology_data, tensor_complex
-from .graded import GradedSpace, GradedVector, MultiMap, Permutation, koszul_chi
-from .lie3 import (Lie3Data, check_bifunctor, check_coherence,
-                   check_identiator, check_jacobiator, from_linfinity,
-                   to_linfinity)
-from .lincat import Cell, LinearNCat, NFunctor, from_chain, to_chain
-from .linfinity import LInfinityData, check_all, check_condition, is_special
-from .simplicial import SimplicialVS, aw, ez, moore, nerve, obstruction_demo
-from .specfile import AlgebraSpecFile, SpecError, parse_spec, render_spec
+# Nothing is loaded here: a name loads its module when first read (PEP 562), so that a CLI call
+# loads only what its command runs, and a submodule is an attribute once it is imported.
+_HOMES = {name: module for module, names in (
+    ("chain", ("ChainComplexT", "ChainMapT", "homology_data", "tensor_complex")),
+    ("graded", ("GradedSpace", "GradedVector", "MultiMap", "Permutation", "koszul_chi")),
+    ("lie3", ("Lie3Data", "check_bifunctor", "check_coherence", "check_identiator",
+              "check_jacobiator", "from_linfinity", "to_linfinity")),
+    ("lincat", ("Cell", "LinearNCat", "NFunctor", "from_chain", "to_chain")),
+    ("linfinity", ("LInfinityData", "check_all", "check_condition", "is_special")),
+    ("simplicial", ("SimplicialVS", "aw", "ez", "moore", "nerve", "obstruction_demo")),
+    ("specfile", ("AlgebraSpecFile", "SpecError", "parse_spec", "render_spec")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__name__}.{_HOMES[name]}", fromlist=[name]), name)
+
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraSpecFile", "Cell", "ChainComplexT", "ChainMapT", "GradedSpace",
-    "GradedVector", "LInfinityData", "Lie3Data", "LinearNCat", "MultiMap",
-    "NFunctor", "Permutation", "SimplicialVS", "SpecError", "aw",
-    "check_all", "check_bifunctor", "check_coherence",
-    "check_condition", "check_identiator", "check_jacobiator", "ez",
-    "from_chain", "from_linfinity", "homology_data", "is_special",
-    "koszul_chi", "moore", "nerve", "obstruction_demo", "parse_spec",
-    "render_spec", "tensor_complex", "to_chain", "to_linfinity",
-]
+__all__ = sorted(_HOMES)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested checks pass, 1 a check fails or a conversion is
 refused, 2 usage or parse errors.  Output is deterministic for fixed input
-and flags.
+and flags.  A handler imports the modules it runs, and a call loads only those.
 """
 
 from __future__ import annotations
@@ -11,15 +11,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .chain import ChainComplexT
-from .lie3 import (ConversionError, check_bifunctor, check_coherence,
-                   check_identiator, check_jacobiator, from_linfinity,
-                   to_linfinity)
-from .lincat import from_chain
 from .linalg import vsub, vzero
-from .linfinity import check_all, is_special
-from .simplicial import (aw_after_ez_identity, aw_ez_homology_check, ez_aw, moore,
-                         moore_of_nerve_check, nerve, obstruction_demo)
 from .specfile import (KINDS, AlgebraSpecFile, SpecError, build, dumps, parse_spec,
                        render_lie3, render_linfinity, render_rational)
 
@@ -80,8 +72,10 @@ def _verdict(command: str, checks: list[dict], **fields) -> tuple[dict, int]:
     return {"command": command, "checks": checks, "passed": ok, **fields}, 0 if ok else 1
 
 
-def _truncated_category(C: ChainComplexT):
-    """The 2-term category of C's degrees 0 and 1."""
+def _truncated_category(C):
+    """The 2-term category of the chain complex C's degrees 0 and 1."""
+    from .chain import ChainComplexT
+    from .lincat import from_chain
     return from_chain(ChainComplexT(C.dims[:2], (C.diff(1),)))
 
 
@@ -94,8 +88,10 @@ def _two_term_category(spec: AlgebraSpecFile):
 
 def cmd_check(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if spec.kind == "linfinity":
+        from .linfinity import check_all
         checks = _render_checks(check_all(build(spec), args.n), "violations")
     else:
+        from .lie3 import check_bifunctor, check_coherence, check_identiator, check_jacobiator
         D = build(spec)
         checks = _render_checks((check_bifunctor(D), check_jacobiator(D),
                                  check_identiator(D), check_coherence(D)))
@@ -108,6 +104,7 @@ def cmd_convert(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     if args.to == spec.kind:
         source = "linfinity" if args.to == "lie3" else "lie3"
         raise SpecError(f"convert --to {args.to} needs a {source} file", "$.kind")
+    from .lie3 import ConversionError, from_linfinity, to_linfinity
     try:
         if args.to == "lie3":
             text = render_lie3(from_linfinity(build(spec)), spec.metadata)
@@ -120,6 +117,7 @@ def cmd_convert(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 
 
 def cmd_coherence(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
+    from .lie3 import ConversionError, check_coherence, from_linfinity
     if spec.kind == "lie3":
         D = build(spec)
     else:
@@ -145,6 +143,7 @@ def cmd_coherence(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 
 
 def cmd_nerve(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
+    from .simplicial import moore, moore_of_nerve_check, nerve
     L = _two_term_category(spec)
     S = nerve(L, args.trunc)
     return _verdict("nerve", [{"name": "normalization-recovers-kernel-complex",
@@ -153,6 +152,7 @@ def cmd_nerve(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 
 
 def cmd_ez_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
+    from .simplicial import aw_after_ez_identity, aw_ez_homology_check, ez_aw, nerve
     L = _two_term_category(spec)
     S = nerve(L, args.trunc)
     f, g = ez_aw(S, S)
@@ -165,6 +165,7 @@ def cmd_ez_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
 
 
 def cmd_obstruction_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
+    from .simplicial import obstruction_demo
     L = _two_term_category(spec)
     rep = obstruction_demo(L)
     expected = (L.dim(1) == 0 and not rep.obstructed) or (
@@ -185,9 +186,11 @@ def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
         rep, code = cmd_check(spec, args)
         rep["command"] = "report"
         if spec.kind == "linfinity":
+            from .linfinity import is_special
             rep["special"] = is_special(build(spec))[0]
         return rep, code
     # d o d = 0 and the simplicial identities need no check: the constructors refuse such files
+    from .simplicial import moore, moore_of_nerve_check, nerve
     if spec.kind == "chain":
         C = build(spec)
         checks = []

@@ -153,6 +153,10 @@ def _cut(table: dict, lo: int, hi: int) -> dict:
             if (out := tuple(p for p in pairs if lo <= p[0] < hi))}
 
 
+def _t_rows(L: LinearNCat, m: int) -> dict:  # t of m-cells is the identity below V_m
+    return {k: v for k, v in L.t_table[m].items() if k[0] >= L.offsets[m]}
+
+
 def _support(v: Sequence) -> list:
     return [(i, narrow(x)) for i, x in enumerate(v) if x]
 
@@ -315,7 +319,7 @@ def _squares(D: Lie3Data, col: Collector, F: dict, G: dict, theta: dict, arity: 
     to ``col`` as a "composable" failure instead, its residual C1, else C2."""
     L, o1, top = D.cat, D.cat.offsets[1], D.cat.level_dim(2)
     # t^2 of 2-cells is t of 1-cells: the identity on V0 (theta's keys) plus t1 on V1
-    t1 = {k: v for k, v in L.t_table[1].items() if k[0] >= o1}
+    t1 = _t_rows(L, 1)
     theta_t = dict(theta)
     for slot in range(arity):
         theta_t.update(compose(theta, t1, slot))
@@ -344,7 +348,8 @@ def check_jacobiator(D: Lie3Data) -> Report:
 
     # target: t J_{xyz} = [[x,z],y] + [x,[y,z]], on basis triples the C2 of
     # the squares (see ``_squares``)
-    c2, zero0 = combine((1, compose(L.t_table[1], D._J_table)), (-1, G)), vzero(L.dim(0))
+    Jt, zero0 = D._J_table, vzero(L.dim(0))
+    c2 = combine((1, _cut(Jt, 0, L.offsets[1])), (1, compose(_t_rows(L, 1), Jt)), (-1, G))
     for key in itertools.product(range(L.dim(0)), repeat=3):
         col.compare("target", _objects(key), dense(L.dim(0), c2.get(key, ())), zero0)
 
@@ -365,7 +370,7 @@ def check_identiator(D: Lie3Data) -> Report:
 
     # t mu = eps
     mu = D._mu_table
-    tgt = combine((1, compose(L.t_table[2], mu)), (-1, D._eta_eps[1]))
+    tgt = combine((1, _cut(mu, 0, L.offsets[2])), (1, compose(_t_rows(L, 2), mu)), (-1, D._eta_eps[1]))
     n1, zero1 = L.level_dim(1), vzero(L.level_dim(1))
     for key in itertools.product(range(L.dim(0)), repeat=4):
         col.compare("target", _objects(key), dense(n1, tgt.get(key, ())), zero1)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .graded import GradedSpace, MultiMap, Permutation, canonicalize, check_signatures, koszul_chi
+from . import graded  # koszul_chi is read from it at each call, where a tracer may rebind it
+from .graded import GradedSpace, MultiMap, Permutation, canonicalize, check_signatures
 from .linalg import Frozen, dense, vzero
 from .report import Collector, Report
 
@@ -55,7 +56,7 @@ def _shuffle_terms(n: int, degrees: tuple[int, ...]) -> tuple:
     shuffles = [(i, first + tuple(p for p in range(n) if p not in first))
                 for i in range(max(1, n - 3), min(n, 4) + 1)
                 for first in itertools.combinations(range(n), i)]
-    return tuple(((-1) ** (i * (n - i)) * koszul_chi(Permutation([p + 1 for p in pos]), degrees),
+    return tuple(((-1) ** (i * (n - i)) * graded.koszul_chi(Permutation([p + 1 for p in pos]), degrees),
                   i, pos) for i, pos in shuffles)
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Sequence
 
-from .chain import ChainComplexT, ChainMapT, induced_on_homology, tensor_complex
+from . import chain, lincat  # whose functions are read at each call, where a tracer may rebind them
+from .chain import ChainComplexT, ChainMapT
 from .graded import Permutation
-from .lincat import LinearNCat, NFunctor, TensorCat, tensor_product
+from .lincat import LinearNCat, NFunctor, TensorCat
 from .linalg import Frozen, Matrix, Vector, hstack, vis_zero, vstack, vsub
 
 
@@ -253,7 +254,7 @@ def _tensor_setup(S: SimplicialVS, T: SimplicialVS):
     normalized complex of S (x) T, and moore(S) (x) moore(T) with its layout."""
     ST = tensor_svs(S, T)
     (bS, CS), (bT, CT), (bST, CST) = _normalized(S), _normalized(T), _normalized(ST)
-    prod, layout = tensor_complex(CS, CT, trunc=S.trunc)
+    prod, layout = chain.tensor_complex(CS, CT, trunc=S.trunc)
     return ST, bS, bT, bST, CST, prod, layout
 
 
@@ -361,7 +362,7 @@ def aw_ez_homology_check(f: ChainMapT, g: ChainMapT) -> bool:
     the truncation, and ker d_T is no homology group to compare on."""
     C = f.target
     for n in range(C.top_degree):
-        induced, eye = induced_on_homology(C, n, f.level(n) @ g.level(n))
+        induced, eye = chain.induced_on_homology(C, n, f.level(n) @ g.level(n))
         if induced != eye:
             return False
     return True
@@ -430,7 +431,7 @@ def obstruction_demo(L: LinearNCat) -> ObstructionReport:
     """
     if L.n != 1:
         raise ValueError("needs a linear category")
-    tc = tensor_product(L, L)
+    tc = lincat.tensor_product(L, L)
     identity_ok = compose_tensor_identity(L, tc)
     M2 = _pairing_matrix(L, tc, 2)
     d2 = _nerve_face(L, 3, 2)

@@ -6,19 +6,11 @@ so that parsing is exact.  Canonical rendering sorts keys and entries, so
 parse and render are mutually inverse on canonical files; ``dumps`` writes it.
 """
 
-from __future__ import annotations
+from __future__ import annotations  # the kinds' types, in annotations, are imported where used
 
-import json
-import re
-from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
-from .chain import ChainComplexT
-from .graded import GradedSpace, MultiMap, build_multimap
-from .lie3 import Lie3Data
-from .lincat import LinearNCat
 from .linalg import Frozen, Matrix, rational
-from .linfinity import LInfinityData
-from .simplicial import SimplicialVS
 
 KINDS = ("linfinity", "lie3", "chain", "simplicial")
 # the k-th map of a three-term kind has arity k and weight k - 2
@@ -57,9 +49,9 @@ def parse_rational(v, path: str):
         return int(v)
     if isinstance(v, str):
         try:
-            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", v):
+            p, slash, q = v.partition("/")  # on ASCII, isdigit is [0-9]+
+            if not (v.isascii() and (p[1:] if p[:1] in "+-" else p).isdigit() and (q.isdigit() or not slash)):
                 raise ValueError('expected "p" or "p/q"')
-            p, _, q = v.partition("/")
             return rational(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError) as e:
             # a long value is echoed as its first 40 characters and its length
@@ -81,15 +73,37 @@ def _expect_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...],
             raise SpecError(f"missing key {k!r}", path)
 
 
-def parse_spec(text: str) -> AlgebraSpecFile:
+try:  # json.loads's C scanner and settings (float reads NaN, Infinity and -Infinity as it does)
+    from _json import encode_basestring_ascii as _quote, make_scanner
+    _scan = make_scanner(SimpleNamespace(strict=True, object_hook=None, object_pairs_hook=None,
+                                         parse_float=float, parse_int=int, parse_constant=float))
+except ImportError:  # an interpreter without json's C accelerator: its Python scanner
+    from json import JSONDecoder, encoder
+    _scan, _quote = JSONDecoder().scan_once, encoder.encode_basestring_ascii
+_WS = " \t\n\r"  # JSON's whitespace
+
+
+def _loads(text: str):
+    """``json.loads(text)``; ``json`` is imported only where the scan fails, for its error."""
+    try:  # whitespace and trailing data as json.loads treats them
+        obj, end = _scan(text, len(text) - len(text.lstrip(_WS)))
+        if not text[end:].strip(_WS):
+            return obj
+    except (StopIteration, ValueError, RecursionError):  # no value, a decode error, the digit limit
+        pass
+    import json
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise SpecError("invalid JSON: nested too deeply") from None
     except ValueError as e:  # an integer literal over the interpreter's digit limit
         raise SpecError(f"invalid JSON: {str(e).split(';')[0]}") from None
+
+
+def parse_spec(text: str) -> AlgebraSpecFile:
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise SpecError("top level must be an object")
     _expect_keys(obj, ("kind", "dims", "maps", "metadata"), ("kind", "dims", "maps"), "$")
@@ -140,6 +154,7 @@ def _parse_entries(raw, dims: tuple[int, ...], path: str) -> list[tuple[tuple, l
 
 
 def _build_multimap(arity: int, raw, dims: tuple[int, ...], path: str) -> MultiMap:
+    from .graded import GradedSpace, build_multimap
     entries = _parse_entries(raw, dims, path)
     for key, val in entries:  # the format's own rule; MultiMap decides the rest
         if val and not 0 <= sum(d for d, _ in key) + arity - 2 < len(dims):
@@ -188,21 +203,26 @@ def _build_three_term(spec: AlgebraSpecFile, make):
         raise SpecError(f"{spec.kind} data needs dims of length 3", "$.dims")
     names = MAP_KEYS[spec.kind]
     _expect_maps(spec, names)
+    from .graded import GradedSpace
     return make(GradedSpace(spec.dims), *(
         _build_multimap(k, spec.maps.get(name, []), spec.dims, f"$.maps.{name}")
         for k, name in enumerate(names, start=1)))
 
 
 def _build_linfinity(spec: AlgebraSpecFile) -> LInfinityData:
+    from .linfinity import LInfinityData
     return _build_three_term(spec, LInfinityData)
 
 
 def _build_lie3(spec: AlgebraSpecFile) -> Lie3Data:
+    from .lie3 import Lie3Data
+    from .lincat import LinearNCat
     return _build_three_term(spec, lambda space, l1, bracket, J, mu: Lie3Data(
         LinearNCat(space, l1), bracket, J, mu))
 
 
 def _build_chain(spec: AlgebraSpecFile) -> ChainComplexT:
+    from .chain import ChainComplexT
     dims = spec.dims
     names = [f"d{n}" for n in range(1, len(dims))]
     _expect_maps(spec, names)
@@ -213,6 +233,7 @@ def _build_chain(spec: AlgebraSpecFile) -> ChainComplexT:
 
 
 def _build_simplicial(spec: AlgebraSpecFile) -> SimplicialVS:
+    from .simplicial import SimplicialVS
     dims = spec.dims
     faces, degens = SimplicialVS.map_indices(len(dims) - 1)
     _expect_maps(spec, {f"{c}:{n}:{i}" for c, levels in (("d", faces), ("s", degens))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import shlie3
 from shlie3.cli import COMMANDS, main
 from shlie3.lie3 import check_bifunctor, from_linfinity
 from shlie3.linfinity import LInfinityData
@@ -396,6 +397,44 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     added = loaded("import shlie3.cli") - loaded("pass")
     assert "shlie3.cli" in added
     assert added & {"dataclasses", "inspect", "typing", "argparse", "gettext"} == set()
+
+
+MODULES_PROBE = """\
+import contextlib, io, sys
+before = set(sys.modules)
+from shlie3.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *(m for m in set(sys.modules) - before if m == "json" or m.startswith("shlie3.")))
+"""
+
+
+@pytest.mark.parametrize("command, loads, skips", [
+    ("import", set(), {"json", "lie3", "lincat", "chain", "simplicial", "linfinity"}),
+    ("check", {"linfinity"}, {"json", "lie3", "lincat", "chain", "simplicial"}),
+    ("nerve", {"simplicial", "lincat", "chain"}, {"json", "lie3", "linfinity"}),
+], ids=["import", "check-linfinity", "nerve"])
+def test_cold_start_loads_only_what_the_command_runs(command, loads, skips, valid_linf_file, chain_file):
+    """In a fresh interpreter, ``import shlie3.cli`` loads none of the modules
+    that run checks, nor the ``json`` package; ``check`` on a linfinity file
+    loads ``linfinity`` and no module of the categorical or simplicial side;
+    ``nerve`` loads the simplicial side and neither ``lie3`` nor ``linfinity``."""
+    argv = {"import": [], "check": ["check", valid_linf_file], "nerve": ["nerve", chain_file]}[command]
+    proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv], capture_output=True,
+                          text=True, env=ENV, cwd=ROOT, check=True)
+    code, *added = proc.stdout.split()
+    added = {m.removeprefix("shlie3.") for m in added}
+    assert code == "0" and loads <= added and not skips & added
+
+
+def test_package_names_load_their_module_on_first_read():
+    """Each name of ``shlie3.__all__`` is read from its module by the
+    package's ``__getattr__``, which refuses any other name."""
+    for name in shlie3.__all__:
+        value = shlie3.__getattr__(name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError, match="no attribute 'lie3_data'"):
+        shlie3.__getattr__("lie3_data")
 
 
 FRACTIONS = ("decimal", "fractions", "numbers")  # fractions and what it imports

@@ -6,7 +6,7 @@ residual, a parsed spec value, a map's coefficients, a graded vector, a cell
 or a matrix of the simplicial layer, and each of their integral values an
 ``int``.
 
-Names listed in a module's ``__all__`` count as used (re-exports).
+Names listed in a module's literal ``__all__`` count as used (re-exports).
 """
 
 import ast
@@ -46,7 +46,7 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
+        elif isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(elt.value for elt in node.value.elts)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)

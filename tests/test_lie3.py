@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from shlie3 import cli, lie3
+from shlie3 import lie3
 from shlie3.cli import main
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
 from shlie3.lincat import LinearNCat
@@ -168,7 +168,7 @@ def test_cell_tables_built_lazily_once_per_structure(monkeypatch, tmp_path):
     unread, fresh = {"_nested", "_J_table", "_mu_table", "_eta_eps"}, [E]
     path = tmp_path / "glambda.json"
     path.write_text(render_lie3(D), encoding="utf-8")
-    monkeypatch.setattr(cli, "check_coherence", lambda G: fresh.append(G) or check_coherence(G))
+    monkeypatch.setattr(lie3, "check_coherence", lambda G: fresh.append(G) or check_coherence(G))
     for run in (lambda: check_coherence(E).passed, lambda: main(["coherence", str(path)]) == 0):
         calls.clear()
         assert run()

@@ -12,14 +12,19 @@ budgeted table composition against its unbudgeted restriction."""
 
 import itertools
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from shlie3 import lie3
+from shlie3 import lie3, specfile
 from shlie3.cli import _render_checks, main
 from shlie3.graded import (ContradictionError, GradedSpace, GradedVector, MultiMap, Permutation,
                            build_multimap, canonicalize, koszul_chi)
@@ -29,11 +34,12 @@ from shlie3.lie3 import (Lie3Data, alpha_cell, bracket_cells, check_bifunctor, c
 from shlie3.chain import ChainComplexT, tensor_complex
 from shlie3.lincat import (Cell, ComposabilityError, LinearNCat, TensorCat, from_chain,
                            lift_functor, tensor_product)
-from shlie3.linalg import Matrix, compose, quotient_basis, vadd, vsub, vzero
+from shlie3.linalg import Matrix, compose, quotient_basis, rational, vadd, vsub, vzero
 from shlie3.linfinity import LInfinityData, check_all
 from shlie3.simplicial import (_pairing_matrix, compose_tensor_identity, ez, nerve, nerve_map,
                                obstruction_demo)
-from shlie3.specfile import build, dumps, parse_spec, render_lie3, render_linfinity
+from shlie3.specfile import (SpecError, build, dumps, parse_rational, parse_spec, render_lie3,
+                             render_linfinity)
 
 from helpers import (J_cell, J_formula, SeedCat, SeedTensorCoords, block_diag, bracket_formula,
                      bracket_objects, bracket_oracle,
@@ -693,6 +699,130 @@ def test_dumps_refuses_what_the_package_does_not_write(obj):
     coerce it, and so does a value of any other type, a str subclass too."""
     with pytest.raises(TypeError):
         dumps(obj)
+
+
+def result(f, *args):
+    """f's value as its repr, which tells int, float, bool and NaN apart,
+    or its exception's type and message."""
+    try:
+        return "value", repr(f(*args))
+    except Exception as e:
+        return "error", type(e), str(e)
+
+
+def seed_loads(text: str):
+    """The decoder that ``specfile`` had before its scanner: ``json.loads``,
+    its errors turned into these messages."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SpecError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise SpecError("invalid JSON: nested too deeply") from None
+    except ValueError as e:
+        raise SpecError(f"invalid JSON: {str(e).split(';')[0]}") from None
+
+
+json_constants = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+json_values = st.recursive(json_leaves | st.floats() | json_constants, lambda kids: (
+    st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4)), max_leaves=30)
+json_space = st.text(" \t\n\r\x0c\xa0", max_size=3)  # JSON's whitespace, and two characters that are not
+
+
+def json_text(lead: str, obj, indent, ascii: bool, trail: str) -> str:
+    return lead + json.dumps(obj, indent=indent, ensure_ascii=ascii) + trail
+
+
+json_texts = st.builds(json_text, json_space, json_values, st.sampled_from([None, 0, 2]), st.booleans(),
+                       json_space)
+# what a mutation inserts: BOM, constants, control characters, trailing data,
+# brackets that nest deeply, an integer over the digit limit
+INSERTS = ["\ufeff", "NaN", "Infinity", "-Infinity", "nan", "\x00", "\x1f", "\n", "\t", "\x0c", "x",
+           " 1", "{}", "]", "}", ",", ":", '"', "\\", "\\u12", "\\ud800", "[" * 100_000, "[" * 50 + "]" * 50,
+           "1" * 5000, "-0", "1e999", "01", "\xa0"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=json_texts, edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2),
+                                                 st.sampled_from(INSERTS)), max_size=3))
+@example(text="[NaN, Infinity, -Infinity]", edits=[])
+@example(text='{"a": 1}', edits=[(0, 0, "\ufeff")])
+@example(text="[]", edits=[(0, 0, "[" * 100_000)])
+@example(text="[1]", edits=[(1, 0, "1" * 5000)])
+@example(text=" 7 ", edits=[(10, 0, "7")])
+def test_spec_decoder_matches_json_loads(text, edits):
+    """``specfile``'s decoder equals ``json.loads`` on JSON texts and on
+    mutations of them (an edit inserts at, replaces or deletes around a
+    position): equal values of equal types, or the same error message."""
+    for pos, how, insert in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + (insert if how < 2 else "") + text[pos + (how > 0):]
+    assert result(specfile._loads, text) == result(seed_loads, text)
+
+
+# no control character: json's C and Python scanners word that error differently
+FALLBACK_TEXTS = ['{"a": [1, -2.5e3, NaN, -Infinity, "\\u00e9", true, null]}', " \t[] \n", "[1] x", "",
+                  "{", "\ufeff{}", "[" * 100_000, "[" + "1" * 5000 + "]"]
+FALLBACK_PROBE = """\
+import sys
+sys.modules["_json"] = None  # an interpreter without json's C accelerator
+import json
+from shlie3 import specfile
+def result(text):
+    try:
+        return ["value", repr(specfile._loads(text))]
+    except Exception as e:
+        return ["error", type(e).__name__, str(e)]
+texts = json.loads(sys.stdin.read())
+print(json.dumps([type(specfile._scan).__name__, specfile._quote("\\u00e9\\n\\"")]))
+print(json.dumps([result(t) for t in texts]))
+"""
+
+
+def test_spec_decoder_without_the_c_accelerator_matches_json_loads():
+    """Where ``_json`` cannot be imported, ``specfile`` decodes with the
+    pure-Python scanner of ``json.JSONDecoder`` and quotes with
+    ``json.encoder``: the values and error texts of ``json.loads`` stay."""
+    src = str(Path(specfile.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", FALLBACK_PROBE], input=json.dumps(FALLBACK_TEXTS),
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    scanner, results = map(json.loads, proc.stdout.splitlines())
+    assert scanner == ["function", json.dumps("\u00e9\n\"")]
+    for text, got in zip(FALLBACK_TEXTS, results, strict=True):
+        kind, *rest = result(seed_loads, text)
+        assert got == [kind, rest[0].__name__, rest[1]] if kind == "error" else got == [kind, *rest]
+
+
+def seed_parse_rational(v: str):
+    """``parse_rational`` on a string as it was, with a regular expression."""
+    try:
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", v):
+            raise ValueError('expected "p" or "p/q"')
+        p, _, q = v.partition("/")
+        return rational(int(p), int(q or 1))
+    except (ValueError, ZeroDivisionError) as e:
+        shown = repr(v) if len(v) <= 40 else f"{v[:40]!r}... of {len(v)} characters"
+        raise SpecError(f"malformed rational {shown} ({e})", "$") from None
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=st.text() | st.text("+-/0123456789\u0661\xb2\uff11 _.e", max_size=8)
+       | st.from_regex(r"[+-]?[0-9]+(/[0-9]+)?", fullmatch=True))
+@example(v="")
+@example(v="+")
+@example(v="1/")
+@example(v="-/2")
+@example(v="\u0661")  # an Arabic-Indic digit one
+@example(v="\xb2")  # superscript two
+@example(v="1/2/3")
+@example(v="+-1")
+@example(v="7\n")
+@example(v="1" * 5000)
+def test_parse_rational_matches_its_regular_expression(v):
+    """The digit test of ``parse_rational`` accepts exactly the strings of
+    ``[+-]?[0-9]+(/[0-9]+)?``, and every value or error is as before."""
+    assert result(parse_rational, v, "$") == result(seed_parse_rational, v)
 
 
 def table_st(arity: int, n: int, values):

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from shlie3 import cli, simplicial
+from shlie3 import chain, cli, simplicial
 from shlie3.chain import ChainComplexT, ChainMapT
 from shlie3.linalg import Matrix, vis_zero
 from shlie3.lincat import TensorCat, from_chain, tensor_product
@@ -154,8 +154,8 @@ def test_ez_demo_reports_a_shuffle_map_that_is_not_a_chain_map(monkeypatch, tmp_
 def test_homology_roundtrip_checks_every_degree(monkeypatch, tmp_path):
     """``aw_ez_homology_check`` examines each degree below the truncation's
     top, 0..3 at --trunc 4."""
-    degrees, real = [], simplicial.induced_on_homology
-    monkeypatch.setattr(simplicial, "induced_on_homology",
+    degrees, real = [], chain.induced_on_homology
+    monkeypatch.setattr(chain, "induced_on_homology",
                         lambda C, n, f: degrees.append(n) or real(C, n, f))
     p = tmp_path / "chain.json"
     p.write_text(render_chain(rand_chain2(random.Random(11), (1, 1))))
