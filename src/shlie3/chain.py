@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .linalg import Frozen, Matrix, hstack, quotient_basis, vstack
+from .report import Collector, Report
 
 
 class ChainComplexT(Frozen):
@@ -63,13 +64,14 @@ class ChainMapT(Frozen):
             return self.maps[n]
         return Matrix.zeros(self.target.dim(n), self.source.dim(n))
 
-    def is_chain_map(self) -> bool:
+    def is_chain_map(self, name: str = "chain-map") -> Report:
+        """d f_n = f_{n-1} d on basis vector j of each source degree n: witness (n, j)."""
+        col = Collector(name)
         for n in range(1, len(self.maps)):
-            lhs = self.target.diff(n) @ self.maps[n]
-            rhs = self.maps[n - 1] @ self.source.diff(n)
-            if lhs != rhs:
-                return False
-        return True
+            col.compare_columns("chain-map", [(n, j) for j in range(self.source.dim(n))],
+                                self.target.diff(n) @ self.maps[n],
+                                self.maps[n - 1] @ self.source.diff(n))
+        return col.report()
 
 
 def tensor_complex(C: ChainComplexT, D: ChainComplexT, trunc: int | None = None) -> tuple[ChainComplexT, list[list[tuple[int, int]]]]:

@@ -72,6 +72,12 @@ def _verdict(command: str, checks: list[dict], **fields) -> tuple[dict, int]:
     return {"command": command, "checks": checks, "passed": ok, **fields}, 0 if ok else 1
 
 
+def _chain_verdict(command: str, reports, **fields) -> tuple[dict, int]:
+    """``_verdict`` on a chain command's reports: a row lists failures only when it has one."""
+    rows = [{k: v for k, v in row.items() if k != "failures" or v} for row in _render_checks(reports)]
+    return _verdict(command, rows, **fields)
+
+
 def _truncated_category(C):
     """The 2-term category of the chain complex C's degrees 0 and 1."""
     from .chain import ChainComplexT
@@ -146,9 +152,8 @@ def cmd_nerve(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     from .simplicial import moore, moore_of_nerve_check, nerve
     L = _two_term_category(spec)
     S = nerve(L, args.trunc)
-    return _verdict("nerve", [{"name": "normalization-recovers-kernel-complex",
-                               "passed": moore_of_nerve_check(L, S)}],
-                    simplex_dims=list(S.dims), normalized_dims=list(moore(S).dims))
+    return _chain_verdict("nerve", [moore_of_nerve_check(L, S)],
+                          simplex_dims=list(S.dims), normalized_dims=list(moore(S).dims))
 
 
 def cmd_ez_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
@@ -156,29 +161,27 @@ def cmd_ez_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     L = _two_term_category(spec)
     S = nerve(L, args.trunc)
     f, g = ez_aw(S, S)
-    return _verdict("ez-demo", [
-        {"name": "shuffle-map-is-chain-map", "passed": f.is_chain_map()},
-        {"name": "front-face-map-is-chain-map", "passed": g.is_chain_map()},
-        {"name": "roundtrip-identity-on-tensor", "passed": aw_after_ez_identity(f, g)},
-        {"name": "roundtrip-identity-on-homology", "passed": aw_ez_homology_check(f, g)},
-    ])
+    return _chain_verdict("ez-demo", [
+        f.is_chain_map("shuffle-map-is-chain-map"), g.is_chain_map("front-face-map-is-chain-map"),
+        aw_after_ez_identity(f, g), aw_ez_homology_check(f, g)])
 
 
 def cmd_obstruction_demo(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
+    from .report import Collector
     from .simplicial import obstruction_demo
     L = _two_term_category(spec)
-    rep = obstruction_demo(L)
-    expected = (L.dim(1) == 0 and not rep.obstructed) or (
-        L.dim(1) > 0 and rep.obstructed and rep.kernel_dim > 0)
-    checks = [
-        {"name": "compose-tensor-identity", "passed": rep.compose_tensor_identity_holds},
-        {"name": "obstruction-as-expected", "passed": expected},
-    ]
-    witness = {} if rep.witness_index is None else {
-        "witness_index": list(rep.witness_index),
-        "witness_difference": _rats(rep.witness_difference)}
-    return _verdict("obstruction-demo", checks, obstructed=rep.obstructed,
-                    kernel_dim=rep.kernel_dim, message=rep.message, **witness)
+    identity, pairing, kernel_dim = obstruction_demo(L)
+    obstructed = not pairing.passed
+    # the pairing is obstructed iff V1 != 0; kernel_dim >= 2 (dim V1)^2 by a dimension count
+    expected = Collector("obstruction-as-expected")
+    expected.compare("obstructed-iff-v1", (), (obstructed,), (L.dim(1) > 0,))
+    message = ("obstruction: the pairing does not commute with the inner face d_2" if obstructed
+               else "no obstruction: V1 = 0 makes the pairing simplicial" if L.dim(1) == 0
+               else "no witness found at level 3")
+    f = pairing.failures[0] if obstructed else None
+    witness = {"witness_index": list(f.witness), "witness_difference": _rats(f.residual)} if f else {}
+    return _chain_verdict("obstruction-demo", [identity, expected.report()], obstructed=obstructed,
+                          kernel_dim=kernel_dim, message=message, **witness)
 
 
 def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
@@ -193,12 +196,9 @@ def cmd_report(spec: AlgebraSpecFile, args) -> tuple[dict, int]:
     from .simplicial import moore, moore_of_nerve_check, nerve
     if spec.kind == "chain":
         C = build(spec)
-        checks = []
-        if C.top_degree >= 1:
-            L = _truncated_category(C)
-            checks.append({"name": "normalization-recovers-kernel-complex",
-                           "passed": moore_of_nerve_check(L, nerve(L, args.trunc))})
-        return _verdict("report", checks, dims=list(C.dims))
+        cats = [_truncated_category(C)] if C.top_degree >= 1 else []
+        return _chain_verdict("report", [moore_of_nerve_check(L, nerve(L, args.trunc)) for L in cats],
+                              dims=list(C.dims))
     return _verdict("report", [], normalized_dims=list(moore(build(spec)).dims))
 
 

@@ -25,6 +25,9 @@ class Report(Frozen):
     def passed(self) -> bool:
         return not self.failures
 
+    def __bool__(self):
+        raise TypeError("a Report has no truth value; read its .passed")
+
 
 class Collector:
     """Gathers the comparisons of one check into a ``Report``."""
@@ -43,6 +46,11 @@ class Collector:
         if lhs != rhs:
             residual = tuple(narrow(a - b) for a, b in zip(lhs, rhs))
             self.failures.append(Failure(identity, witness, residual))
+
+    def compare_columns(self, identity: str, witnesses, lhs, rhs) -> None:
+        """``compare`` column j of the matrices lhs and rhs, with witness ``witnesses[j]``."""
+        for w, a, b in zip(witnesses, lhs.cols(), rhs.cols(), strict=True):
+            self.compare(identity, w, a, b)
 
     def report(self) -> Report:
         return Report(self.name, tuple(self.failures), tuple(self.checked))

@@ -13,7 +13,8 @@ from . import chain, lincat  # whose functions are read at each call, where a tr
 from .chain import ChainComplexT, ChainMapT
 from .graded import Permutation
 from .lincat import LinearNCat, NFunctor, TensorCat
-from .linalg import Frozen, Matrix, Vector, hstack, vis_zero, vstack, vsub
+from .linalg import Frozen, Matrix, Vector, hstack, vstack, vsub, vzero
+from .report import Collector, Report
 
 
 class SimplicialVS(Frozen):
@@ -213,22 +214,28 @@ def _normalized(S: SimplicialVS) -> tuple[list[list[Vector]], ChainComplexT]:
     return S._normal
 
 
-def moore_of_nerve_check(L: LinearNCat, S: SimplicialVS) -> bool:
+def moore_of_nerve_check(L: LinearNCat, S: SimplicialVS) -> Report:
     """Normalizing the nerve S of L recovers the kernel complex (V_0, V_1, l1):
-    the normalized 1-simplices are the arrows out of 0, and the boundary
-    takes each to its target."""
+    no Moore basis vector above level 1, the normalized 1-simplices are the
+    arrows out of 0, and the boundary takes each to its target.  Levels 0 and
+    1 have dims n0 and n1 on every S of these dims, as d_1 s_0 = 1."""
     n0, n1 = L.dim(0), L.dim(1)
     if L.n != 1 or S.dims[:2] != (n0, n0 + n1):
         raise ValueError("needs a linear category and its nerve")
     bases, C = _normalized(S)
-    if C.dims[:2] != (n0, n1) or any(C.dims[2:]):
-        return False
+    col = Collector("normalization-recovers-kernel-complex")
+    for n in range(2, len(bases)):
+        for i, b in enumerate(bases[n]):
+            col.compare("normalized-above-1", (n, i), b, vzero(len(b)))
     simplices = [_simplex(L, b, 1) for b in bases[1]]
-    if any(not vis_zero(x) for x, _ in simplices):
-        return False
     B0 = Matrix.from_cols(bases[0], nrows=n0)
     targets = Matrix.from_cols([L.target(1, f) for _, (f,) in simplices], nrows=n0)
-    return B0 @ C.diff(1) == targets
+    boundary = B0 @ C.diff(1)
+    for j, (x, _) in enumerate(simplices):
+        w = (1, j)
+        col.compare("arrow-out-of-0", w, x, vzero(n0))
+        col.compare("boundary-is-target", w, boundary.col(j), targets.col(j))
+    return col.report()
 
 
 # -- tensor products --------------------------------------------------
@@ -343,37 +350,30 @@ def aw(S: SimplicialVS, T: SimplicialVS, setup: tuple | None = None) -> ChainMap
     return ChainMapT(CST, prod, tuple(maps))
 
 
-def aw_after_ez_identity(f: ChainMapT, g: ChainMapT) -> bool:
-    """Exact identity of the aw-then-ez round trip on the Moore tensor.
-
-    ``f`` and ``g`` are the built ``ez`` and ``aw`` maps of the same pair.
-    """
+def aw_after_ez_identity(f: ChainMapT, g: ChainMapT) -> Report:
+    """Exact identity of the aw-then-ez round trip on the Moore tensor, on
+    each basis vector; ``f`` and ``g`` are ``ez`` and ``aw`` of the same pair."""
+    col = Collector("roundtrip-identity-on-tensor")
     for n in range(len(f.maps)):
         M = g.level(n) @ f.level(n)
-        if M != Matrix.eye(M.nrows):
-            return False
-    return True
+        col.compare_columns("aw-after-ez", [(n, j) for j in range(M.ncols)], M, Matrix.eye(M.nrows))
+    return col.report()
 
 
-def aw_ez_homology_check(f: ChainMapT, g: ChainMapT) -> bool:
+def aw_ez_homology_check(f: ChainMapT, g: ChainMapT) -> Report:
     """The ez-then-aw round trip induces the identity on homology of f.target,
-    in each degree below its top T.  ez o aw - 1 = dh + hd, so on a cycle z,
-    ez o aw(z) - z = d(hz) lies in im d_{n+1}; at T that image is cut off by
-    the truncation, and ker d_T is no homology group to compare on."""
-    C = f.target
+    in each degree below its top T, on each class of ``chain.homology_data``'s
+    basis.  ez o aw - 1 = dh + hd, so on a cycle z, ez o aw(z) - z = d(hz) lies
+    in im d_{n+1}; at T that image is cut off by the truncation, and ker d_T
+    is no homology group to compare on."""
+    C, col = f.target, Collector("roundtrip-identity-on-homology")
     for n in range(C.top_degree):
         induced, eye = chain.induced_on_homology(C, n, f.level(n) @ g.level(n))
-        if induced != eye:
-            return False
-    return True
+        col.compare_columns("ez-after-aw", [(n, j) for j in range(eye.ncols)], induced, eye)
+    return col.report()
 
 
 # -- the composition obstruction --------------------------------------
-
-
-class ObstructionReport(Frozen):
-    __slots__ = _fields = ("compose_tensor_identity_holds", "obstructed", "witness_index",
-                           "witness_difference", "kernel_dim", "message")
 
 
 def _pairing_matrix(L: LinearNCat, tc: TensorCat, n: int) -> Matrix:
@@ -397,7 +397,7 @@ def _pairing_matrix(L: LinearNCat, tc: TensorCat, n: int) -> Matrix:
                      for f in arrows])
 
 
-def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
+def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> Report:
     """(v o w) (x) (v' o w') = (v (x) v') o (w (x) w')
     + (v - 1_{tv}) (x) w'_ker + w_ker (x) (v' - 1_{tv'}).
 
@@ -408,8 +408,8 @@ def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
     v - 1_{tv} and kernel parts as those of C, D and K, that product is the
     matrix identity C (x) C = (V (x) V) o (W (x) W) + D (x) K + K (x) D, with one
     raw composition of all the stacked columns."""
-    n0, pairs = L.dim(0), []
-    for cv, cw in L.composable_codes(1, 0):
+    n0, pairs, codes = L.dim(0), [], L.composable_codes(1, 0)
+    for cv, cw in codes:
         v = L.coded(cv)
         pairs.append((v, L.right_factor(1, v, cw, 0)))
     stack = lambda f: Matrix.from_cols([f(v, w) for v, w in pairs], nrows=L.level_dim(1))
@@ -417,35 +417,25 @@ def compose_tensor_identity(L: LinearNCat, tc: TensorCat) -> bool:
     C = stack(lambda v, w: L.compose(1, v, w, 0))
     D = stack(lambda v, w: vsub(v, L.identity(0, L.target(1, v))))
     K = stack(lambda v, w: (0,) * n0 + w[n0:])
-    return C.kron(C) == tc.compose_raw(V.kron(V), W.kron(W), 1, 0) + D.kron(K) + K.kron(D)
+    col = Collector("compose-tensor-identity")
+    col.compare_columns("compose-tensor", [a + b for a in codes for b in codes], C.kron(C),
+                        tc.compose_raw(V.kron(V), W.kron(W), 1, 0) + D.kron(K) + K.kron(D))
+    return col.report()
 
 
-def obstruction_demo(L: LinearNCat) -> ObstructionReport:
-    """Why the arrowwise pairing into the tensor category is not simplicial.
-
-    Verifies the composition/tensor interchange identity, then compares the
-    two ways around the square built from the inner face d_2 at level 3,
-    read directly off the nerves of L and of L ⊠ L (neither nerve is built);
-    a nonzero difference is the obstruction witness.  Also reports the
-    kernel dimension of the level-2 pairing.
-    """
+def obstruction_demo(L: LinearNCat) -> tuple[Report, Report, int]:
+    """Why the arrowwise pairing into the tensor category is not simplicial:
+    (``compose_tensor_identity``, the check that the pairing commutes with the
+    inner face d_2 of level 3, read off the nerves of L and L ⊠ L without
+    building them, the kernel dimension of the level-2 pairing).  The second is
+    expected to fail exactly when V1 ≠ 0; its first failure is the witness."""
     if L.n != 1:
         raise ValueError("needs a linear category")
     tc = lincat.tensor_product(L, L)
-    identity_ok = compose_tensor_identity(L, tc)
+    identity = compose_tensor_identity(L, tc)
     M2 = _pairing_matrix(L, tc, 2)
     d2 = _nerve_face(L, 3, 2)
-    diff = M2 @ d2.kron(d2) - _nerve_face(tc.cat, 3, 2) @ _pairing_matrix(L, tc, 3)
-    kernel_dim = M2.ncols - M2.rank()
-    j = next((j for j in range(diff.ncols) if not vis_zero(diff.col(j))), None)  # first witness
-    witness, wdiff = (None, None) if j is None else (divmod(j, d2.ncols), diff.col(j))
-    if L.dim(1) == 0:
-        msg = "no obstruction: V1 = 0 makes the pairing simplicial"
-        obstructed = False
-    elif witness is not None:
-        msg = "obstruction: the pairing does not commute with the inner face d_2"
-        obstructed = True
-    else:
-        msg = "no witness found at level 3"
-        obstructed = False
-    return ObstructionReport(identity_ok, obstructed, witness, wdiff, kernel_dim, msg)
+    col = Collector("pairing-commutes-with-inner-face")
+    col.compare_columns("inner-face", [divmod(j, d2.ncols) for j in range(d2.ncols ** 2)],
+                        M2 @ d2.kron(d2), _nerve_face(tc.cat, 3, 2) @ _pairing_matrix(L, tc, 3))
+    return identity, col.report(), M2.ncols - M2.rank()

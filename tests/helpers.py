@@ -616,6 +616,21 @@ def sparse_matrix(rng: random.Random, m: int, n: int, zero_share: float) -> Matr
                     for _ in range(n)] for _ in range(m)], ncols=n)
 
 
+class ShiftedComposition:
+    """The tensor category tc with its raw composition shifted by a random
+    linear map of the stacked left factors: the composition/tensor identity
+    stays bilinear, and fails."""
+
+    def __init__(self, rng: random.Random, tc):
+        self.tc, self.shift = tc, sparse_matrix(rng, tc.raw_dim(1), tc.raw_dim(1), 0.8)
+
+    def __getattr__(self, name):
+        return getattr(self.tc, name)
+
+    def compose_raw(self, U, W, m, p):
+        return self.tc.compose_raw(U, W, m, p) + self.shift @ U
+
+
 def flat(x) -> tuple:
     """The flat coordinates of a cell (its components in order) or a vector."""
     return tuple(itertools.chain(*x.components)) if isinstance(x, Cell) else tuple(x)
@@ -724,11 +739,17 @@ def seed_tensor_identity_pairs(L) -> list[tuple]:
     return out
 
 
-def seed_compose_tensor_identity(L, tc) -> bool:
-    """The identity on every pair of ``seed_tensor_identity_pairs`` (4096 on a (3, 3) complex)."""
-    pairs = [(v, w) for _, v, w in seed_tensor_identity_pairs(L)]
-    return all(not any(seed_tensor_identity_residual(L, tc, v, w, vp, wp))
-               for v, w in pairs for vp, wp in pairs)
+def seed_compose_tensor_identity(L, tc) -> Report:
+    """The identity on every pair of ``seed_tensor_identity_pairs`` (4096 on a
+    (3, 3) complex), with the witness (v, t, v', t') of ``compose_tensor_identity``
+    for the two pairs' codes."""
+    pairs = seed_tensor_identity_pairs(L)
+    checked = [a + b for a, _, _ in pairs for b, _, _ in pairs]
+    residuals = [seed_tensor_identity_residual(L, tc, v, w, vp, wp)
+                 for _, v, w in pairs for _, vp, wp in pairs]
+    return Report("compose-tensor-identity",
+                  tuple(Failure("compose-tensor", k, r) for k, r in zip(checked, residuals) if any(r)),
+                  tuple(checked))
 
 
 def seed_axioms_hold(L, compose) -> bool:
@@ -1442,7 +1463,7 @@ def seed_obstruction_demo(L):
     L and of L ⊠ L, to read the inner face d_2 at level 3 off each; the
     pairing is the seed's pair-by-pair matrix."""
     from shlie3.lincat import tensor_product
-    from shlie3.simplicial import ObstructionReport, compose_tensor_identity, nerve
+    from shlie3.simplicial import compose_tensor_identity, nerve
 
     tc = tensor_product(L, L)
     coords = SeedTensorCoords(L, L)
@@ -1451,19 +1472,11 @@ def seed_obstruction_demo(L):
     M3 = seed_pairing_matrix(L, S, coords, tc.cat, 3)
     diff = M2 @ (S.d(3, 2).kron(S.d(3, 2))) - NT.d(3, 2) @ M3
     kernel_dim = M2.ncols - M2.rank()
-    witness = wdiff = None
-    for j in range(diff.ncols):
-        if not vis_zero(diff.col(j)):
-            witness, wdiff = divmod(j, S.dim(3)), diff.col(j)
-            break
-    if L.dim(1) == 0:
-        obstructed, msg = False, "no obstruction: V1 = 0 makes the pairing simplicial"
-    elif witness is not None:
-        obstructed, msg = True, "obstruction: the pairing does not commute with the inner face d_2"
-    else:
-        obstructed, msg = False, "no witness found at level 3"
-    return ObstructionReport(compose_tensor_identity(L, tc), obstructed, witness, wdiff,
-                             kernel_dim, msg)
+    witnesses = [divmod(j, S.dim(3)) for j in range(diff.ncols)]
+    failures = tuple(Failure("inner-face", w, diff.col(j)) for j, w in enumerate(witnesses)
+                     if not vis_zero(diff.col(j)))
+    pairing = Report("pairing-commutes-with-inner-face", failures, tuple(witnesses))
+    return compose_tensor_identity(L, tc), pairing, kernel_dim
 
 
 def _seed_shuffle_sign(mu, nu) -> int:

@@ -151,15 +151,15 @@ def test_criterion_7_simplicial_layer():
     for dims in ((2, 1), (1, 2), (3, 3), (2, 2)):
         L = from_chain(rand_chain2(rng, dims))
         S = nerve(L, 3)
-        if not moore_of_nerve_check(L, S):
+        if not moore_of_nerve_check(L, S).passed:
             ok = False
         T = nerve(from_chain(rand_chain2(rng, (2, 1))), 3)
         f, g = ez(S, T), aw(S, T)
-        if not (f.is_chain_map() and g.is_chain_map()):
+        if not (f.is_chain_map().passed and g.is_chain_map().passed):
             ok = False
-        if not aw_after_ez_identity(f, g):
+        if not aw_after_ez_identity(f, g).passed:
             ok = False
-        if not aw_ez_homology_check(f, g):
+        if not aw_ez_homology_check(f, g).passed:
             ok = False
     report("7 simplicial layer (nerve normalization, shuffle/front-face maps)", ok)
 
@@ -168,14 +168,13 @@ def test_criterion_8_obstruction():
     rng = random.Random(80)
     ok = True
     for dims in ((1, 1), (2, 1), (2, 2), (3, 2)):
-        rep = obstruction_demo(from_chain(rand_chain2(rng, dims)))
-        if not (rep.compose_tensor_identity_holds and rep.obstructed
-                and rep.witness_index is not None
-                and not vis_zero(rep.witness_difference)
-                and rep.kernel_dim > 0):
+        identity, pairing, kernel_dim = obstruction_demo(from_chain(rand_chain2(rng, dims)))
+        if not (identity.passed and not pairing.passed
+                and not vis_zero(pairing.failures[0].residual) and kernel_dim > 0):
             ok = False
-    rep = obstruction_demo(from_chain(ChainComplexT((2, 0), (Matrix.zeros(2, 0),))))
-    if rep.obstructed or rep.kernel_dim != 0 or not rep.compose_tensor_identity_holds:
+    identity, pairing, kernel_dim = obstruction_demo(
+        from_chain(ChainComplexT((2, 0), (Matrix.zeros(2, 0),))))
+    if not (identity.passed and pairing.passed and kernel_dim == 0):
         ok = False
     report("8 tensor-nerve obstruction (witness for V1 > 0, none for V1 = 0)", ok)
 

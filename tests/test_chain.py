@@ -39,14 +39,16 @@ def test_chain_map_identity():
     rng = random.Random(2)
     C = rand_chain3(rng)
     f = ChainMapT(C, C, tuple(Matrix.eye(C.dim(n)) for n in range(C.top_degree + 1)))
-    assert f.is_chain_map()
+    assert f.is_chain_map().passed
 
 
 def test_chain_map_detects_noncommuting():
     C = ChainComplexT((1, 1), (Matrix([[1]]),))
     D = ChainComplexT((1, 1), (Matrix([[0]]),))
     f = ChainMapT(C, D, (Matrix([[1]]), Matrix([[1]])))
-    assert not f.is_chain_map()
+    rep = f.is_chain_map()
+    assert not rep.passed
+    assert [(x.identity, x.witness, x.residual) for x in rep.failures] == [("chain-map", (1, 0), (-1,))]
 
 
 def test_tensor_complex_dims_and_square():

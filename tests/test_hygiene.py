@@ -315,15 +315,14 @@ def golden_chains() -> list[ChainComplexT]:
 def test_simplicial_matrices_are_narrowed():
     """On the golden chains, every entry of every matrix that nerve,
     tensor_svs, moore, ez, aw and obstruction_demo return, and of the
-    obstruction witness, is narrowed."""
+    obstruction witnesses, is narrowed."""
     chains = golden_chains()
     entries = []
     for C in chains:
         L = from_chain(C)
         S = nerve(L, 2)
-        rep = obstruction_demo(L)
-        entries += matrix_entries([S, tensor_svs(S, S), moore(S), ez(S, S), aw(S, S), rep])
-        entries += rep.witness_difference or []
+        entries += matrix_entries([S, tensor_svs(S, S), moore(S), ez(S, S), aw(S, S)])
+        entries += [c for f in obstruction_demo(L)[1].failures for c in f.residual]
     assert len(chains) == 4 and any(type(e) is Fraction for e in entries)
     assert narrowed(entries)
 
@@ -363,3 +362,121 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append(f"{module}.{path}")
     assert paths and not missing
+
+
+# -- the oracles of tests/helpers.py share no evaluation code with src/ ----
+
+HELPERS = ROOT / "tests" / "helpers.py"
+
+# The shlie3 names that the seed oracles may read, each with its reason.
+ALLOWED = {
+    "GradedSpace": "data type: the dimensions of a grading",
+    "GradedVector": "data type: the values the L-infinity oracles compute",
+    "MultiMap": "data type: a structure map's coefficients, read as given",
+    "LInfinityData": "data type: the four maps of an L-infinity structure",
+    "LinearNCat": "data type: the category that the seed cells live in",
+    "Cell": "data type: a cell as its tuple of components",
+    "Permutation": "data type: the shuffles the tests enumerate, signed by the seed's own count",
+    "Matrix": "data type and constructors: exact entries, built by the oracles",
+    "ChainComplexT": "constructor: checks shapes and d o d = 0, no map of the oracle",
+    "ChainMapT": "constructor: the map seed_ez returns, checked only for shapes",
+    "ComposabilityError": "the exception the seed category raises, as the library's does",
+    "Report": "result type: an oracle's report, compared with the library's",
+    "Failure": "result type: one failed comparison of an oracle's report",
+    "Collector": "result type: gathers an oracle's comparisons into a Report",
+    "degree_tag": "the name of an order-n failure, a format string",
+    "vadd": "one-line tuple sum",
+    "vzero": "one-line zero tuple",
+    "vscale": "one-line tuple scaling",
+    "vis_zero": "one-line zero test",
+    "nerve": "constructor of the spaces seed_obstruction_demo reads faces off; seed_nerve checks it",
+    "tensor_product": "constructor of L ⊠ L, whose raw and component cells the seed coords rebuild",
+    "tensor_svs": "constructor of S (x) T, the target space of seed_ez",
+    "tensor_complex": "constructor of the source complex of seed_ez; seed_tensor_complex checks it",
+    "moore": "the complexes seed_ez maps between; test_ez_matches_seed_basis_loop fixes them",
+    "moore_bases": "the bases seed_ez's blocks are written in",
+}
+
+# Evaluation code that an oracle still shares with what it checks.  This set
+# may only shrink: each entry must still be read.
+STILL_SHARED = {
+    "accumulate_residual",  # through linfty_residual, the order-5 side of seed_check_coherence
+    "compose_tensor_identity",  # seed_obstruction_demo returns the library's report of the identity
+}
+
+
+def library_reads(source: str) -> tuple[dict[str, set[str]], set[str]]:
+    """(shlie3 name -> the functions that read it, the functions reached) for
+    the ``seed_*`` functions of a helpers module and the module-level
+    functions and classes they reach.  A name is read when it
+    is imported from shlie3 (at module level or in the function) and loaded,
+    or loaded as an attribute of an imported shlie3 module (``lie3._support``);
+    a private attribute of any other object but ``self`` counts too
+    (``D._J_table``)."""
+    tree = ast.parse(source)
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+    def imports(node: ast.AST) -> tuple[dict[str, str], set[str]]:
+        names, modules = {}, set()
+        for imp in ast.walk(node):
+            if isinstance(imp, ast.ImportFrom) and (imp.module or "").split(".")[0] == "shlie3":
+                for a in imp.names:
+                    if imp.module == "shlie3":
+                        modules.add(a.asname or a.name)
+                    else:
+                        names[a.asname or a.name] = a.name
+        return names, modules
+
+    top_names, top_modules = imports(ast.Module([n for n in tree.body if isinstance(n, ast.ImportFrom)], []))
+    reads: dict[str, set[str]] = {}
+    todo, reached = [n for n in defs if n.startswith("seed_")], set()
+    while todo:
+        fn = todo.pop()
+        if fn in reached:
+            continue
+        reached.add(fn)
+        local_names, local_modules = imports(defs[fn])
+        names, modules = {**top_names, **local_names}, top_modules | local_modules
+        for node in ast.walk(defs[fn]):
+            read = None
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in names:
+                    read = names[node.id]
+                elif node.id in defs:
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                base = node.value
+                if isinstance(base, ast.Name) and base.id in modules:
+                    read = f"{base.id}.{node.attr}"
+                elif (node.attr.startswith("_") and not node.attr.startswith("__")
+                      and not (isinstance(base, ast.Name) and base.id == "self")):
+                    read = f"{ast.unparse(base)}.{node.attr}"
+            if read:
+                reads.setdefault(read, set()).add(fn)
+    return reads, reached
+
+
+def test_oracles_read_only_allowed_library_names():
+    """The seed oracles build and compare with the library's data types;
+    every other name they read is in ``STILL_SHARED``, and each entry there
+    is still read.  ``J_cell`` and ``inverse2`` evaluate through the
+    library's tables (``contract``, ``D._J_table``, ``lie3._inverse2``), for
+    the tests to check; no oracle reaches them."""
+    reads, reached = library_reads(HELPERS.read_text(encoding="utf-8"))
+    shared = {name: sorted(fns) for name, fns in reads.items() if name not in ALLOWED}
+    assert set(shared) - STILL_SHARED == set(), shared
+    assert STILL_SHARED - set(shared) == set(), "remove the entries no oracle reads any more"
+    assert not reached & {"J_cell", "inverse2"}
+
+
+def test_library_read_is_reported():
+    src = ("from shlie3 import lie3\nfrom shlie3.graded import GradedSpace, koszul_chi\n\n"
+           "def _sign(p):\n    return koszul_chi(p) * lie3._x\n\n"
+           "def seed_thing(p, D):\n    return _sign(p), GradedSpace((1,)), D._table, self_free(p)\n\n"
+           "def self_free(p):\n    return p\n\n"
+           "def unreached():\n    return koszul_chi(0), lie3.compose\n")
+    reads, reached = library_reads(src)
+    assert reads == {"koszul_chi": {"_sign"}, "lie3._x": {"_sign"},
+                     "GradedSpace": {"seed_thing"}, "D._table": {"seed_thing"}}
+    assert reached == {"seed_thing", "_sign", "self_free"}
+    assert "koszul_chi" not in ALLOWED

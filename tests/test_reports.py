@@ -1,7 +1,8 @@
 """Failure reports: golden CLI output for one failing sample per check kind,
-and every failure's witness replayed to its exact residual; and the golden
-output of the simplicial commands on one fixed two-term complex, and of
-``report`` on a chain file and on a simplicial file.
+and for one hand-made break of each chain and simplicial check, and every
+failure's witness replayed to its exact residual; and the golden output of
+the simplicial commands on one fixed two-term complex, and of ``report`` on
+a chain file and on a simplicial file.
 
 To rewrite the golden files after an intended change of the output format,
 run ``PYTHONPATH=src python tests/test_reports.py`` from the repository root.
@@ -14,21 +15,27 @@ import random
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from shlie3 import lie3
-from shlie3.chain import ChainComplexT
+from shlie3 import lie3, lincat, simplicial
+from shlie3.chain import ChainComplexT, ChainMapT, homology_data
 from shlie3.cli import main
 from shlie3.graded import GradedSpace, GradedVector, MultiMap, build_multimap
 from shlie3.lie3 import (Lie3Data, check_bifunctor, check_coherence, check_identiator,
                          check_jacobiator, from_linfinity)
-from shlie3.linalg import Matrix
+from shlie3.linalg import Matrix, vstack
+from shlie3.lincat import Cell, from_chain, tensor_product
 from shlie3.linfinity import LInfinityData, check_all
+from shlie3.simplicial import (aw_after_ez_identity, aw_ez_homology_check, compose_tensor_identity,
+                               ez_aw, moore_of_nerve_check, nerve, obstruction_demo, tensor_svs)
 from shlie3.specfile import render_chain, render_lie3, render_linfinity
 
-from helpers import (J_formula, SeedCat, bracket_formula, flat, l1_only, mu_formula, non_jacobi_data,
-                     seed_linfty_residual)
+from helpers import (J_formula, SeedCat, SeedTensorCoords, ShiftedComposition, bracket_formula,
+                     flat, l1_only, mu_formula, non_jacobi_data, seed_linfty_residual,
+                     seed_nullspace, seed_pad_composable, seed_pairing_matrix,
+                     seed_solve_matrix, seed_tensor_identity_residual)
 from test_lie3 import (_l1_only_cat, _with_random_constants, action_not_a_representation,
                        scaling_cat, tf_acts_on_v2)
 from test_properties import lie3_sample, sample_421
@@ -136,6 +143,59 @@ GOLDEN_CLI_CASES = {
 }
 
 
+def chain_22() -> ChainComplexT:
+    """dims (2, 2) with t of rank 1: H_0 and H_1 are both Q, so a map bent in
+    degree 1 fails the round trip on homology as well (compared in degrees 0
+    and 1 at --trunc 2)."""
+    return ChainComplexT((2, 2), (Matrix([[1, 0], [0, 0]]),))
+
+
+@contextlib.contextmanager
+def bent(which: int):
+    """ez-demo with the degree-1 level of one of its maps doubled: the
+    shuffle map (which = 0) or the front-face map (1), as they are built."""
+    built, real = [], simplicial.ChainMapT
+
+    def make(source, target, maps):
+        if len(built) == which:
+            maps = (maps[0], maps[1] + maps[1], *maps[2:])
+        built.append(real(source, target, maps))
+        return built[-1]
+    with mock.patch.object(simplicial, "ChainMapT", make):
+        yield
+
+
+@contextlib.contextmanager
+def other_nerve():
+    """nerve (and report) with the nerve of another category of the same dims
+    (2, 1) in place of the nerve of ``chain_21``: its t is (0, 1)."""
+    real, other = simplicial.nerve, from_chain(ChainComplexT((2, 1), (Matrix([[0], [1]]),)))
+    with mock.patch.object(simplicial, "nerve", lambda L, N: real(other, N)):
+        yield
+
+
+@contextlib.contextmanager
+def shifted_composition():
+    """obstruction-demo on an L ⊠ L whose raw composition is shifted by a
+    random linear map of the stacked left factors (``ShiftedComposition``)."""
+    real = lincat.tensor_product
+    with mock.patch.object(lincat, "tensor_product",
+                           lambda A, B: ShiftedComposition(random.Random(7), real(A, B))):
+        yield
+
+
+# name: (input, command line, the break it runs under)
+GOLDEN_BREAK_CASES = {
+    "ez-demo-bent-shuffle.json": (chain_22, ["ez-demo", "--trunc", "2", "--format", "json"],
+                                  lambda: bent(0)),
+    "ez-demo-bent-front-face.json": (chain_22, ["ez-demo", "--trunc", "2", "--format", "json"],
+                                     lambda: bent(1)),
+    "nerve-other-t.json": (chain_21, ["nerve", "--trunc", "2", "--format", "json"], other_nerve),
+    "obstruction-demo-shifted-composition.json": (chain_21, ["obstruction-demo", "--format", "json"],
+                                                  shifted_composition),
+}
+
+
 def spec_text(data) -> str:
     """The spec file of a structure or complex; a spec file's text as it is."""
     if isinstance(data, str):
@@ -144,10 +204,10 @@ def spec_text(data) -> str:
         type(data), render_lie3)(data)
 
 
-def run_cli(make, args, path: Path) -> tuple[int, str]:
+def run_cli(make, args, path: Path, brk=contextlib.nullcontext) -> tuple[int, str]:
     path.write_text(spec_text(make()))
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), brk():
         code = main([args[0], str(path)] + args[1:])
     return code, out.getvalue()
 
@@ -155,6 +215,14 @@ def run_cli(make, args, path: Path) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_failing_report_matches_golden(name, tmp_path):
     code, out = run_cli(*GOLDEN_CASES[name], tmp_path / "spec.json")
+    assert code == 1
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BREAK_CASES))
+def test_broken_chain_check_report_matches_golden(name, tmp_path):
+    make, args, brk = GOLDEN_BREAK_CASES[name]
+    code, out = run_cli(make, args, tmp_path / "spec.json", brk)
     assert code == 1
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
@@ -263,8 +331,118 @@ def replay(D, check: str, identity: str, w) -> tuple:
     return (Q(0),) * L.level_dim(1) + res.component(2)  # coherence
 
 
+# -- chain and simplicial witness replay ----------------------------------
+
+def mv(M: Matrix, v) -> tuple:
+    """M v, row by row."""
+    return tuple(sum((a * b for a, b in zip(row, v, strict=True)), 0) for row in M.rows)
+
+
+def unit(n: int, j: int) -> tuple:
+    return tuple(int(i == j) for i in range(n))
+
+
+def bent_shuffle_map(S):
+    """(the shuffle map of S (x) S with its degree-1 level doubled, the front-face map)."""
+    f, g = ez_aw(S, S)
+    return ChainMapT(f.source, f.target, (f.maps[0], f.maps[1] + f.maps[1], *f.maps[2:])), g
+
+
+def chain_map_replay(f):
+    def replay_one(w):  # d f(e_j) - f(d e_j) for e_j the j-th basis vector of degree n
+        n, j = w
+        return diff(mv(f.target.diff(n), f.level(n).col(j)), mv(f.level(n - 1), f.source.diff(n).col(j)))
+    return replay_one
+
+
+def roundtrip_replays(f, g):
+    """Replays of the round trip aw o ez on the Moore tensor, and of ez o aw on
+    the homology of f.target, in the basis of H_n that ``homology_data`` picks."""
+    def on_tensor(w):
+        n, j = w
+        return diff(mv(g.level(n), f.level(n).col(j)), unit(f.level(n).ncols, j))
+
+    def on_homology(w):
+        (n, j), C = w, f.target
+        reps, _, im = homology_data(C, n)
+        image = mv(f.level(n), mv(g.level(n), reps[j]))
+        X = seed_solve_matrix(Matrix.from_cols(reps + im, nrows=C.dim(n)), Matrix.from_cols([image]))
+        return diff([row[0] for row in X[:len(reps)]], unit(len(reps), j))
+    return on_tensor, on_homology
+
+
+def moore_replay(L, S):
+    """The residuals of ``moore_of_nerve_check(L, S)``: the Moore basis of a
+    level is the seed's nullspace basis of its faces d_1..d_n."""
+    n0 = L.dim(0)
+
+    def replay_one(identity, w):
+        n, i = w
+        b = seed_nullspace(vstack([S.d(n, k) for k in range(1, n + 1)]))[i]
+        if identity == "normalized-above-1":
+            return b
+        if identity == "arrow-out-of-0":
+            return b[:n0]
+        target = SeedCat(L).target(Cell(1, (b[:n0], b[n0:])))  # boundary-is-target
+        return diff(mv(S.d(1, 0), b), flat(target))
+    return replay_one
+
+
+def compose_tensor_replay(L, tc):
+    C = SeedCat(L)
+
+    def pair(cv, ct):
+        v = C.coded_cell(cv)
+        return v, seed_pad_composable(L, v, C.coded_cell(ct).components[1:], 0)
+    return lambda w: seed_tensor_identity_residual(L, tc, *pair(*w[:2]), *pair(*w[2:]))
+
+
+def inner_face_replay(L):
+    """The inner-face square on the simplex pair (a, b), with the seed's
+    pair-by-pair pairings and both nerves built."""
+    tc = tensor_product(L, L)
+    coords = SeedTensorCoords(L, L)
+    S, NT = nerve(L, 3), nerve(tc.cat, 3)
+    M2, M3 = (seed_pairing_matrix(L, S, coords, tc.cat, n) for n in (2, 3))
+
+    def replay_one(w):
+        a, b = w
+        da, db = S.d(3, 2).col(a), S.d(3, 2).col(b)
+        return diff(mv(M2, [x * y for x in da for y in db]), mv(NT.d(3, 2), M3.col(a * S.dim(3) + b)))
+    return replay_one
+
+
+def chain_breaks() -> list:
+    """(report, replay of (identity, witness)) for hand-made breaks of every
+    chain and simplicial check, and for the pairing check, which fails on
+    every complex with V1 != 0."""
+    S = nerve(from_chain(chain_22()), 2)
+    f, g = bent_shuffle_map(S)
+    on_tensor, on_homology = roundtrip_replays(f, g)
+    L = from_chain(chain_21())
+    other = nerve(from_chain(ChainComplexT((2, 1), (Matrix([[0], [1]]),))), 2)
+    # not a nerve: its Moore complex has a level 2, and its arrows leave 0
+    product = tensor_svs(nerve(L, 2), nerve(from_chain(chain_11()), 2))
+    wide = from_chain(ChainComplexT((2, 4), (Matrix([[1, 0, 2, 0], [0, 1, 0, 0]]),)))
+    tc = ShiftedComposition(random.Random(7), tensor_product(L, L))
+    only_witness = lambda replay_one: lambda identity, w: replay_one(w)
+    return [(f.is_chain_map(), only_witness(chain_map_replay(f))),
+            (aw_after_ez_identity(f, g), only_witness(on_tensor)),
+            (aw_ez_homology_check(f, g), only_witness(on_homology)),
+            (moore_of_nerve_check(L, other), moore_replay(L, other)),
+            (moore_of_nerve_check(wide, product), moore_replay(wide, product)),
+            (compose_tensor_identity(L, tc), only_witness(compose_tensor_replay(L, tc))),
+            (obstruction_demo(from_chain(chain_11()))[1],
+             only_witness(inner_face_replay(from_chain(chain_11()))))]
+
+
 def test_every_witness_replays_to_its_residual():
     seen = set()
+    for rep, replay_one in chain_breaks():
+        for f in rep.failures:
+            assert any(f.residual), f
+            assert replay_one(f.identity, f.witness) == f.residual, f
+            seen.add((rep.name, f.identity))
     for make in (bracket_perturbed, J_perturbed, mu_perturbed, mu_not_closed, non_lie,
                  action_not_a_representation, tf_acts_on_v2):
         D = make()
@@ -288,7 +466,13 @@ def test_every_witness_replays_to_its_residual():
         ("jacobiator", "target"), ("jacobiator", "composable"), ("jacobiator", "naturality-v1"),
         ("jacobiator", "naturality-v2"), ("identiator", "target"), ("identiator", "composable"),
         ("identiator", "modification-v1"), ("identiator", "modification-v2"),
-        ("coherence", "coherence"), ("order-3", "degree tag")}
+        ("coherence", "coherence"), ("order-3", "degree tag"),
+        ("chain-map", "chain-map"), ("roundtrip-identity-on-tensor", "aw-after-ez"),
+        ("roundtrip-identity-on-homology", "ez-after-aw"),
+        ("normalization-recovers-kernel-complex", "normalized-above-1"),
+        ("normalization-recovers-kernel-complex", "arrow-out-of-0"),
+        ("normalization-recovers-kernel-complex", "boundary-is-target"),
+        ("compose-tensor-identity", "compose-tensor"), ("pairing-commutes-with-inner-face", "inner-face")}
 
 
 # -- order-5 agreement ----------------------------------------------------
@@ -316,7 +500,8 @@ def test_order5_disagreement_is_a_failure(monkeypatch, tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     scratch = GOLDEN / "spec.tmp.json"
-    for name, case in sorted({**GOLDEN_CASES, **GOLDEN_CLI_CASES}.items()):
-        (GOLDEN / name).write_text(run_cli(*case, scratch)[1], encoding="utf-8")
+    for name, case in sorted({**GOLDEN_CASES, **GOLDEN_CLI_CASES, **GOLDEN_BREAK_CASES}.items()):
+        make, args, *brk = case
+        (GOLDEN / name).write_text(run_cli(make, args, scratch, *brk)[1], encoding="utf-8")
     scratch.unlink()
     sys.exit(0)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Q
 
@@ -13,9 +14,11 @@ from shlie3.simplicial import (SimplicialVS, aw, aw_after_ez_identity,
                                moore_of_nerve_check, nerve, nerve_map,
                                obstruction_demo, tensor_svs)
 from shlie3.lincat import NFunctor, lift_functor
+from shlie3.report import Report
 from shlie3.specfile import render_chain
 
-from helpers import constant_svs, rand_chain2, rand_matrix, seed_compose_tensor_identity
+from helpers import (ShiftedComposition, constant_svs, rand_chain2, rand_matrix,
+                     seed_compose_tensor_identity)
 
 
 def two_term_cat(rng, dims=None):
@@ -83,9 +86,9 @@ def test_moore_of_nerve():
     rng = random.Random(3)
     for _ in range(8):
         L = two_term_cat(rng)
-        assert moore_of_nerve_check(L, nerve(L, 3))
+        assert moore_of_nerve_check(L, nerve(L, 3)).passed
     L = two_term_cat(rng, (3, 3))
-    assert moore_of_nerve_check(L, nerve(L, 3))
+    assert moore_of_nerve_check(L, nerve(L, 3)).passed
     with pytest.raises(ValueError, match="its nerve"):
         moore_of_nerve_check(L, nerve(two_term_cat(rng, (2, 3)), 3))
 
@@ -126,9 +129,9 @@ def test_ez_aw_chain_maps_and_roundtrips():
         T = nerve(two_term_cat(rng, (2, 1)), 3)
         f = ez(S, T)
         g = aw(S, T)
-        assert f.is_chain_map() and g.is_chain_map()
-        assert aw_after_ez_identity(f, g)
-        assert aw_ez_homology_check(f, g)
+        assert f.is_chain_map().passed and g.is_chain_map().passed
+        assert aw_after_ez_identity(f, g).passed
+        assert aw_ez_homology_check(f, g).passed
 
 
 def test_ez_demo_reports_a_shuffle_map_that_is_not_a_chain_map(monkeypatch, tmp_path, capsys):
@@ -211,8 +214,8 @@ def test_ez_aw_with_point():
     S = nerve(two_term_cat(rng, (2, 2)), 3)
     P = constant_svs(3)
     f, g = ez(S, P), aw(S, P)
-    assert aw_after_ez_identity(f, g)
-    assert aw_ez_homology_check(f, g)
+    assert aw_after_ez_identity(f, g).passed
+    assert aw_ez_homology_check(f, g).passed
 
 
 def test_compose_tensor_identity():
@@ -220,8 +223,19 @@ def test_compose_tensor_identity():
     for dims in ((2, 1), (2, 2), (1, 1)):
         L = two_term_cat(rng, dims)
         tc = tensor_product(L, L)
-        assert compose_tensor_identity(L, tc)
-        assert seed_compose_tensor_identity(L, tc)
+        assert compose_tensor_identity(L, tc).passed
+        assert seed_compose_tensor_identity(L, tc).passed
+
+
+def test_compose_tensor_identity_failures_are_seed_failures():
+    """With the raw composition shifted by a linear map of the stacked left
+    factors, each failure on the basis of composable pairs is the seed's
+    failure on the same two pairs, with the same residual."""
+    L = two_term_cat(random.Random(13), (1, 1))
+    tc = ShiftedComposition(random.Random(14), tensor_product(L, L))
+    rep, seed = compose_tensor_identity(L, tc), seed_compose_tensor_identity(L, tc)
+    assert rep.failures and not seed.passed
+    assert set(rep.failures) <= set(seed.failures)
 
 
 def test_compose_tensor_identity_composes_once(monkeypatch):
@@ -235,7 +249,7 @@ def test_compose_tensor_identity_composes_once(monkeypatch):
             calls[name] += 1
             return real(self, *args)
         monkeypatch.setattr(TensorCat, name, counted)
-    assert compose_tensor_identity(L, tc)
+    assert compose_tensor_identity(L, tc).passed
     assert calls == {"compose_raw": 1, "coords": 2}
 
 
@@ -243,12 +257,11 @@ def test_obstruction_present_with_kernel_arrows():
     rng = random.Random(10)
     for dims in ((1, 1), (2, 1), (2, 2)):
         L = two_term_cat(rng, dims)
-        rep = obstruction_demo(L)
-        assert rep.compose_tensor_identity_holds
-        assert rep.obstructed
-        assert rep.witness_index is not None
-        assert not vis_zero(rep.witness_difference)
-        assert rep.kernel_dim > 0
+        identity, pairing, kernel_dim = obstruction_demo(L)
+        assert identity.passed
+        assert not pairing.passed
+        assert not vis_zero(pairing.failures[0].residual)
+        assert kernel_dim > 0
 
 
 def test_obstruction_demo_builds_no_simplicial_space(monkeypatch):
@@ -257,7 +270,7 @@ def test_obstruction_demo_builds_no_simplicial_space(monkeypatch):
     check = SimplicialVS.__post_init__
     monkeypatch.setattr(SimplicialVS, "__post_init__", lambda S: (built.append(S), check(S)))
     L = two_term_cat(random.Random(11), (2, 1))
-    assert obstruction_demo(L).obstructed
+    assert not obstruction_demo(L)[1].passed
     assert built == []
     nerve(L, 3)
     assert len(built) == 1
@@ -265,8 +278,26 @@ def test_obstruction_demo_builds_no_simplicial_space(monkeypatch):
 
 def test_no_obstruction_without_kernel_arrows():
     L = from_chain(ChainComplexT((2, 0), (Matrix.zeros(2, 0),)))
-    rep = obstruction_demo(L)
-    assert rep.compose_tensor_identity_holds
-    assert not rep.obstructed
-    assert rep.kernel_dim == 0
-    assert "no obstruction" in rep.message
+    identity, pairing, kernel_dim = obstruction_demo(L)
+    assert identity.passed
+    assert pairing.passed
+    assert kernel_dim == 0
+
+
+def test_obstruction_as_expected_fails_without_a_witness(monkeypatch, tmp_path, capsys):
+    """With V1 != 0, a pairing that commutes with d_2 fails
+    ``obstruction-as-expected``, with residual obstructed - (V1 != 0) = -1."""
+    real = simplicial.obstruction_demo
+
+    def commuting(L):
+        identity, _, kernel_dim = real(L)
+        return identity, Report("pairing-commutes-with-inner-face", (), ()), kernel_dim
+    monkeypatch.setattr(simplicial, "obstruction_demo", commuting)
+    p = tmp_path / "chain.json"
+    p.write_text(render_chain(rand_chain2(random.Random(11), (2, 1))))
+    assert cli.main(["obstruction-demo", str(p), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"][1] == {"name": "obstruction-as-expected", "passed": False, "failures": [
+        {"key": [], "tag": "obstructed-iff-v1", "residual": ["-1"]}]}
+    assert not doc["obstructed"] and doc["message"] == "no witness found at level 3"
+    assert "witness_index" not in doc

@@ -14,7 +14,7 @@ from shlie3.lie3 import Lie3Data
 from shlie3.lincat import LinearNCat
 from shlie3.linalg import Frozen, Matrix
 from shlie3.linfinity import LInfinityData
-from shlie3.report import Failure
+from shlie3.report import Failure, Report
 from shlie3.specfile import AlgebraSpecFile
 
 from helpers import from_four_cocycle
@@ -59,7 +59,8 @@ SAMPLES = {
     "ChainComplexT": lambda: ((1, 1), (Matrix([[0]]),)),
     "ChainMapT": lambda: (_chain(), _chain(), (Matrix.eye(1), Matrix.eye(1))),
     "SimplicialVS": lambda: ((1, 1), ((Matrix.eye(1), Matrix.eye(1)),), ((Matrix.eye(1),),)),
-    "ObstructionReport": lambda: (True, False, None, None, 0, "no obstruction"),
+    # no ObstructionReport: obstruction_demo returns Reports (README, "API changes: every check
+    # returns a Report")
     "AlgebraSpecFile": lambda: ("chain", (1,), {}, {"name": "sample"}),
 }
 
@@ -68,6 +69,11 @@ VALUE_TYPES = sorted(_subclasses(Frozen), key=lambda cls: cls.__name__)
 
 def test_every_value_type_has_a_sample():
     assert sorted(cls.__name__ for cls in VALUE_TYPES) == sorted(SAMPLES)
+
+
+def test_report_has_no_truth_value():
+    with pytest.raises(TypeError, match=r"\.passed"):
+        bool(Report("bifunctor", (), ()))
 
 
 def _unhashable(x) -> bool:
